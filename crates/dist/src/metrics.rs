@@ -197,29 +197,15 @@ mod csv_tests {
 
     fn blank_record() -> QueryRecord {
         QueryRecord {
-            key: QueryKey { origin: 0, cnt: 0 },
-            issued: SimTime::ZERO,
-            completed: None,
             timed_out: true,
-            responded: 0,
-            drr: DrrAccumulator::default(),
             result_len: 1,
-            response_seconds: None,
-            pos: Point::new(0.0, 0.0),
-            radius: 100.0,
-            result: Vec::new(),
             contributors: vec![0],
-            retries: 0,
-            duplicates: 0,
-            reissues: 0,
-            timeout_cause: None,
-            completeness: None,
-            spurious: 0,
-            epochs: 0,
-            epoch_completeness: None,
-            staleness_s: None,
-            result_sources: Vec::new(),
-            spurious_sites: Vec::new(),
+            ..QueryRecord::open(
+                QueryKey { origin: 0, cnt: 0 },
+                SimTime::ZERO,
+                Point::new(0.0, 0.0),
+                100.0,
+            )
         }
     }
 

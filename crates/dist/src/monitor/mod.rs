@@ -24,8 +24,8 @@
 //! * **Deltas** — a device transmits only when its local skyline actually
 //!   changed relative to the last *acknowledged* state: a
 //!   [`MonMsg::Delta`] lists added and removed tuples for the epoch. At
-//!   most one delta is in flight per device (per-hop ARQ with the runtime's
-//!   exponential backoff + deterministic jitter); after `heartbeat_every`
+//!   most one delta is in flight per device (the per-hop ARQ of
+//!   `crate::arq`, shared with the one-shot runtime); after `heartbeat_every`
 //!   silent epochs a zero-change heartbeat proves liveness. ARQ exhaustion
 //!   or a device crash forces the next transmission to be a *full* resync
 //!   snapshot, so the acked-state chain can never diverge silently.
@@ -48,26 +48,28 @@
 //! epoch and has every device answer with its complete local skyline —
 //! the message-cost yardstick the delta protocol is measured against in
 //! `ext_monitor`.
+//!
+//! This file is the protocol ([`MonitorApp`]); `experiment.rs` is the
+//! harness around it ([`run_monitor_experiment`], [`verify_monitor_drift`]).
+
+mod experiment;
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use manet_sim::engine::{Application, MsgMeta, NeighborMode, NodeCtx, Simulator};
-use manet_sim::mobility::MobilityConfig;
-use manet_sim::radio::RadioConfig;
-use manet_sim::{
-    FaultPlan, FrameTraceLog, NetStats, NodeId, Pos, QueryEvent, QueryTraceLog, SimDuration,
-    SimTime,
-};
+use manet_sim::engine::{Application, MsgMeta, NodeCtx};
+use manet_sim::{NodeId, Pos, QueryEvent, SimDuration, SimTime};
 use sim_obs::PowHistogram;
 use skyline_core::region::Point;
-use skyline_core::{LiveSkyline, RangeWatch, SkylineMerger, Tuple, TupleId};
+use skyline_core::{LiveSkyline, RangeWatch, Tuple, TupleId};
 
+use crate::arq::{Arq, ArqTimeout};
 use crate::config::DistConfig;
-use crate::metrics::DrrAccumulator;
 use crate::query::QueryKey;
-use crate::runtime::{qid, splitmix_jitter, QueryRecord, TimeoutCause};
-use crate::trace::{trace_aggregates, verify_frames, TraceAggregates};
-use crate::verify::score_epoch;
+use crate::runtime::{qid, QueryRecord};
+
+pub use self::experiment::{
+    run_monitor_experiment, verify_monitor_drift, MonitorExperiment, MonitorOutcome,
+};
 
 /// How the originator keeps its answer fresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,7 +217,6 @@ mod mtoken {
 #[derive(Debug, Clone)]
 struct MonSpec {
     key: QueryKey,
-    origin: usize,
     center: Point,
     radius: f64,
     t0: SimTime,
@@ -232,17 +233,6 @@ struct Originate {
     duration: SimDuration,
 }
 
-/// One ARQ-tracked outbound message.
-#[derive(Debug, Clone)]
-struct MonPending {
-    dst: NodeId,
-    msg: MonMsg,
-    attempt: u32,
-    /// The local-skyline snapshot that becomes the acked state when this
-    /// delta is acknowledged (`None` for re-query replies).
-    snapshot: Option<BTreeMap<TupleId, Tuple>>,
-}
-
 /// One originator answer snapshot, taken every epoch.
 #[derive(Debug, Clone)]
 pub struct EpochView {
@@ -255,7 +245,7 @@ pub struct EpochView {
     /// Mean age (s) of the freshest applied report per remote device at
     /// snapshot time (devices never heard from count from `t0`).
     pub staleness_s: f64,
-    /// Oracle coverage, filled by the harness ([`score_epoch`]).
+    /// Oracle coverage, filled by the harness ([`crate::verify::score_epoch`]).
     pub completeness: Option<f64>,
     /// View members the oracle rejects, filled by the harness.
     pub spurious: u64,
@@ -281,7 +271,6 @@ pub struct MonitorApp {
     m: usize,
     mode: MonitorMode,
     mon: MonitorConfig,
-    dist: DistConfig,
     /// This device's sites: stable id, attribute tuple (location fields
     /// encode the id), and position offset relative to the device.
     sites: Vec<(TupleId, Tuple, (f64, f64))>,
@@ -299,9 +288,10 @@ pub struct MonitorApp {
     acked: BTreeMap<TupleId, Tuple>,
     full_needed: bool,
     last_sent_epoch: Option<u64>,
-    inflight: Option<u64>,
-    next_seq: u64,
-    pending: HashMap<u64, MonPending>,
+    /// The one delta awaiting its ack: its sequence number and the
+    /// local-skyline snapshot that becomes the acked state when it lands.
+    inflight: Option<(u64, BTreeMap<TupleId, Tuple>)>,
+    arq: Arq<MonMsg>,
     tick_armed: bool,
     done: bool,
 
@@ -334,10 +324,6 @@ pub struct MonitorApp {
     pub lease_expired: u64,
     /// Cancellations processed.
     pub cancelled_events: u64,
-    /// ARQ retransmissions.
-    pub arq_retries: u64,
-    /// ARQ-tracked messages abandoned after max retries.
-    pub arq_exhausted: u64,
     /// Duplicate deltas re-acked without folding.
     pub duplicates_suppressed: u64,
     /// Routing-level delivery failures reported to this app.
@@ -370,7 +356,6 @@ impl MonitorApp {
             m,
             mode,
             mon,
-            dist,
             sites,
             originate: None,
             spec: None,
@@ -382,8 +367,7 @@ impl MonitorApp {
             full_needed: true,
             last_sent_epoch: None,
             inflight: None,
-            next_seq: 0,
-            pending: HashMap::new(),
+            arq: Arq::new(dist.arq, id, mtoken::ARQ),
             tick_armed: false,
             done: false,
             fold: LiveSkyline::new(),
@@ -402,8 +386,6 @@ impl MonitorApp {
             deltas_applied: 0,
             lease_expired: 0,
             cancelled_events: 0,
-            arq_retries: 0,
-            arq_exhausted: 0,
             duplicates_suppressed: 0,
             delivery_failures: 0,
             msgs_sent: 0,
@@ -423,111 +405,104 @@ impl MonitorApp {
         self.spec.as_ref().map(|s| qid(s.key))
     }
 
-    fn broadcast(&mut self, ctx: &mut NodeCtx<MonMsg>, msg: MonMsg) {
-        let bytes = msg.wire_size();
+    fn count_sent(&mut self, bytes: usize) {
         self.msgs_sent += 1;
         self.bytes_sent += bytes as u64;
+    }
+
+    fn broadcast(&mut self, ctx: &mut NodeCtx<MonMsg>, msg: MonMsg) {
+        let bytes = msg.wire_size();
+        self.count_sent(bytes);
         ctx.broadcast(msg, bytes);
     }
 
-    fn unicast(&mut self, ctx: &mut NodeCtx<MonMsg>, dst: NodeId, msg: MonMsg) {
-        let bytes = msg.wire_size();
-        self.msgs_sent += 1;
-        self.bytes_sent += bytes as u64;
-        ctx.send_unicast(dst, msg, bytes);
+    /// The acknowledged (or, with ARQ off, optimistically sent) delta's
+    /// snapshot becomes the state the next delta is diffed against.
+    fn commit(&mut self, snapshot: BTreeMap<TupleId, Tuple>, delta: &MonMsg) {
+        self.acked = snapshot;
+        if matches!(delta, MonMsg::Delta { full: true, .. }) {
+            self.full_needed = false;
+        }
     }
 
-    fn arq_delay(&self, seq: u64, attempt: u32) -> SimDuration {
-        let a = &self.dist.arq;
-        let backoff =
-            SimDuration((a.base_timeout.0 as f64 * a.backoff.powi(attempt as i32 - 1)) as u64);
-        backoff + splitmix_jitter(self.id, seq, attempt, a.max_jitter)
-    }
-
-    /// Sends a delta/reply; when ARQ is on it is tracked and retried, when
-    /// off the snapshot commits optimistically at send time.
+    /// Sends a delta/reply under the next ARQ sequence number and returns
+    /// it. A delta comes with the local-skyline `snapshot` it describes
+    /// and is exclusive: it stays the one in flight until acked or
+    /// abandoned. With ARQ off (sequence 0) nothing will ever be acked, so
+    /// the snapshot commits at send time.
     fn send_tracked(
         &mut self,
         ctx: &mut NodeCtx<MonMsg>,
         dst: NodeId,
         mut msg: MonMsg,
         snapshot: Option<BTreeMap<TupleId, Tuple>>,
-        exclusive: bool,
     ) -> u64 {
-        if !self.dist.arq.enabled {
-            if let Some(snap) = snapshot {
-                let full = matches!(msg, MonMsg::Delta { full: true, .. });
-                self.acked = snap;
-                if full {
-                    self.full_needed = false;
-                }
-            }
-            self.unicast(ctx, dst, msg);
-            return 0;
+        let seq = self.arq.next_seq();
+        if let MonMsg::Delta { seq: s, .. } | MonMsg::Reply { seq: s, .. } = &mut msg {
+            *s = seq;
         }
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        match &mut msg {
-            MonMsg::Delta { seq: s, .. } | MonMsg::Reply { seq: s, .. } => *s = seq,
-            _ => {}
+        match snapshot {
+            Some(snap) if seq == 0 => self.commit(snap, &msg),
+            Some(snap) => self.inflight = Some((seq, snap)),
+            None => {}
         }
-        self.pending
-            .insert(seq, MonPending { dst, msg: msg.clone(), attempt: 1, snapshot });
-        if exclusive {
-            self.inflight = Some(seq);
-        }
-        ctx.set_timer(self.arq_delay(seq, 1), mtoken::ARQ | seq);
-        self.unicast(ctx, dst, msg);
+        let bytes = msg.wire_size();
+        self.count_sent(bytes);
+        self.arq.send(ctx, dst, msg, bytes, seq, self.qid_opt());
         seq
     }
 
     fn on_arq_timeout(&mut self, ctx: &mut NodeCtx<MonMsg>, seq: u64) {
-        let Some(mut p) = self.pending.remove(&seq) else { return };
-        if p.attempt > self.dist.arq.max_retries {
-            self.arq_exhausted += 1;
-            ctx.trace(self.qid_opt(), QueryEvent::ArqExhausted { seq });
-            if self.inflight == Some(seq) {
-                self.inflight = None;
+        let bump = |m: &mut MonMsg| {
+            if let MonMsg::Delta { retries, .. } | MonMsg::Reply { retries, .. } = m {
+                *retries += 1;
             }
-            // The acked-state chain is broken: force a resync snapshot.
-            self.full_needed = true;
-            return;
+        };
+        match self.arq.on_timeout(ctx, seq, bump) {
+            ArqTimeout::Settled => {}
+            ArqTimeout::Retried { bytes } => self.count_sent(bytes),
+            ArqTimeout::Exhausted { .. } => {
+                self.inflight.take_if(|(s, _)| *s == seq);
+                // The acked-state chain is broken: force a resync snapshot.
+                self.full_needed = true;
+            }
         }
-        p.attempt += 1;
-        self.arq_retries += 1;
-        match &mut p.msg {
-            MonMsg::Delta { retries, .. } | MonMsg::Reply { retries, .. } => *retries += 1,
-            _ => {}
-        }
-        ctx.trace(
-            self.qid_opt(),
-            QueryEvent::ArqRetry { seq, attempt: p.attempt - 1, bytes: p.msg.wire_size() },
-        );
-        self.unicast(ctx, p.dst, p.msg.clone());
-        ctx.set_timer(self.arq_delay(seq, p.attempt), mtoken::ARQ | seq);
-        self.pending.insert(seq, p);
     }
 
     fn on_ack(&mut self, seq: u64) {
-        if seq == 0 {
-            return;
-        }
-        let Some(p) = self.pending.remove(&seq) else { return };
-        if self.inflight == Some(seq) {
-            self.inflight = None;
-        }
-        if let Some(snap) = p.snapshot {
-            let full = matches!(p.msg, MonMsg::Delta { full: true, .. });
-            self.acked = snap;
-            if full {
-                self.full_needed = false;
-            }
+        let Some(msg) = self.arq.cancel(seq) else { return };
+        if let Some((_, snapshot)) = self.inflight.take_if(|(s, _)| *s == seq) {
+            self.commit(snapshot, &msg);
         }
     }
 
     fn send_ack(&mut self, ctx: &mut NodeCtx<MonMsg>, dst: NodeId, seq: u64) {
         if seq != 0 {
-            self.unicast(ctx, dst, MonMsg::Ack { seq });
+            let msg = MonMsg::Ack { seq };
+            let bytes = msg.wire_size();
+            self.count_sent(bytes);
+            ctx.send_unicast(dst, msg, bytes);
+        }
+    }
+
+    /// Counts and traces one `Registered` event (install or renewal).
+    fn trace_registered(&mut self, ctx: &mut NodeCtx<MonMsg>, spec: &MonSpec) {
+        self.registered_events += 1;
+        ctx.trace(
+            Some(qid(spec.key)),
+            QueryEvent::Registered {
+                radius_m: spec.radius,
+                ttl_s: spec.ttl.as_secs_f64(),
+                period_s: spec.period.as_secs_f64(),
+            },
+        );
+    }
+
+    /// Removes `id` from the fold; a miss is a fold-consistency bug and is
+    /// counted, not hidden.
+    fn fold_remove(&mut self, id: &TupleId) {
+        if !self.fold.remove(id) {
+            self.fold_remove_misses += 1;
         }
     }
 
@@ -588,7 +563,6 @@ impl MonitorApp {
         }
         let spec = MonSpec {
             key: o.key,
-            origin: self.id,
             center: Point::new(ctx.position.x, ctx.position.y),
             radius: o.radius,
             t0: ctx.now,
@@ -596,15 +570,7 @@ impl MonitorApp {
             ttl: self.mon.ttl,
             requery: self.mode == MonitorMode::Requery,
         };
-        self.registered_events += 1;
-        ctx.trace(
-            Some(qid(spec.key)),
-            QueryEvent::Registered {
-                radius_m: spec.radius,
-                ttl_s: spec.ttl.as_secs_f64(),
-                period_s: spec.period.as_secs_f64(),
-            },
-        );
+        self.trace_registered(ctx, &spec);
         self.flood_register(ctx, &spec, 0);
         if !spec.requery {
             ctx.set_timer(spec.ttl.mul_f64(0.5), mtoken::RENEW);
@@ -639,45 +605,25 @@ impl MonitorApp {
         self.cancelled_events += 1;
         ctx.trace(Some(qid(spec.key)), QueryEvent::Cancelled { epoch: e });
         self.broadcast(ctx, MonMsg::Cancel { key: spec.key });
-        self.record = Some(self.make_record(&spec, Some(ctx.now), false, None));
+        let mut rec = self.make_record(&spec);
+        rec.completed = Some(ctx.now);
+        self.record = Some(rec);
     }
 
-    fn make_record(
-        &self,
-        spec: &MonSpec,
-        completed: Option<SimTime>,
-        timed_out: bool,
-        timeout_cause: Option<TimeoutCause>,
-    ) -> QueryRecord {
-        let mut contributors: Vec<usize> = self.last_applied.keys().copied().collect();
-        contributors.push(self.id);
-        contributors.sort_unstable();
-        contributors.dedup();
-        QueryRecord {
-            key: spec.key,
-            issued: spec.t0,
-            completed,
-            timed_out,
-            responded: self.last_applied.len(),
-            drr: DrrAccumulator::default(),
-            result_len: self.fold.len(),
-            response_seconds: None,
-            pos: spec.center,
-            radius: spec.radius,
-            result: self.fold.result(),
-            contributors,
-            retries: self.applied_retries,
-            duplicates: self.duplicates_suppressed,
-            reissues: 0,
-            timeout_cause,
-            completeness: None,
-            spurious: 0,
-            epochs: self.views.len() as u64,
-            epoch_completeness: None,
-            staleness_s: None,
-            result_sources: Vec::new(),
-            spurious_sites: Vec::new(),
-        }
+    /// The originator's record as of now, not yet closed.
+    fn make_record(&self, spec: &MonSpec) -> QueryRecord {
+        let mut rec = QueryRecord::open(spec.key, spec.t0, spec.center, spec.radius);
+        rec.contributors = self.last_applied.keys().copied().collect();
+        rec.contributors.push(self.id);
+        rec.contributors.sort_unstable();
+        rec.contributors.dedup();
+        rec.responded = self.last_applied.len();
+        rec.result_len = self.fold.len();
+        rec.result = self.fold.result();
+        rec.retries = self.applied_retries;
+        rec.duplicates = self.duplicates_suppressed;
+        rec.epochs = self.views.len() as u64;
+        rec
     }
 
     /// Shared epoch tick: record ground truth, then act per role.
@@ -755,11 +701,11 @@ impl MonitorApp {
         let msg =
             MonMsg::Delta { key: spec.key, epoch: e, adds, removes, full, seq: 0, retries: 0 };
         let bytes = msg.wire_size();
-        let seq = self.send_tracked(ctx, spec.origin, msg, Some(local.clone()), true);
+        let seq = self.send_tracked(ctx, spec.key.origin, msg, Some(local.clone()));
         ctx.trace(
             Some(qid(spec.key)),
             QueryEvent::DeltaSent {
-                to: spec.origin,
+                to: spec.key.origin,
                 epoch: e,
                 adds: n_adds,
                 removes: n_removes,
@@ -785,10 +731,8 @@ impl MonitorApp {
     ) {
         // Fold the originator's own contribution directly (no self-send).
         let old = std::mem::take(&mut self.own_ids);
-        for id in &old {
-            if !local.contains_key(id) && !self.fold.remove(id) {
-                self.fold_remove_misses += 1;
-            }
+        for id in old.iter().filter(|id| !local.contains_key(id)) {
+            self.fold_remove(id);
         }
         let old_set: HashSet<TupleId> = old.iter().copied().collect();
         for (id, t) in local {
@@ -816,9 +760,7 @@ impl MonitorApp {
                 .collect();
             for d in stale {
                 for id in self.contributions.remove(&d).unwrap_or_default() {
-                    if !self.fold.remove(&id) {
-                        self.fold_remove_misses += 1;
-                    }
+                    self.fold_remove(&id);
                 }
                 self.needs_full.insert(d);
             }
@@ -843,19 +785,9 @@ impl MonitorApp {
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_register(
-        &mut self,
-        ctx: &mut NodeCtx<MonMsg>,
-        key: QueryKey,
-        center: Point,
-        radius: f64,
-        t0: SimTime,
-        period: SimDuration,
-        ttl: SimDuration,
-        round: u32,
-        requery: bool,
-    ) {
+    /// A registration flood (`heard`, round `round`) arrived.
+    fn on_register(&mut self, ctx: &mut NodeCtx<MonMsg>, heard: MonSpec, round: u32) {
+        let (key, requery) = (heard.key, heard.requery);
         if self.done || key.origin == self.id {
             return;
         }
@@ -865,41 +797,22 @@ impl MonitorApp {
         }
         self.last_round = Some(round);
         // Relay the flood first; registration state changes below.
-        let relay = MonMsg::Register { key, center, radius, t0, period, ttl, round, requery };
-        self.broadcast(ctx, relay);
+        self.flood_register(ctx, &heard, round);
         let install = self.spec.is_none();
         if install {
-            self.spec =
-                Some(MonSpec { key, origin: key.origin, center, radius, t0, period, ttl, requery });
             self.watch = None;
             self.last_local = None;
             self.full_needed = true;
         }
-        let spec = self.spec.clone().expect("just installed");
+        let spec = self.spec.get_or_insert(heard).clone();
+        // A lease install or renewal is a `Registered` event every round;
+        // a re-query poll only when it installs.
+        if !requery || install {
+            self.trace_registered(ctx, &spec);
+        }
         if !requery {
-            // Install or renew the lease; both are `Registered` events.
-            self.lease_expires = Some(ctx.now + ttl);
-            self.registered_events += 1;
-            ctx.trace(
-                Some(qid(key)),
-                QueryEvent::Registered {
-                    radius_m: radius,
-                    ttl_s: ttl.as_secs_f64(),
-                    period_s: period.as_secs_f64(),
-                },
-            );
+            self.lease_expires = Some(ctx.now + spec.ttl);
         } else {
-            if install {
-                self.registered_events += 1;
-                ctx.trace(
-                    Some(qid(key)),
-                    QueryEvent::Registered {
-                        radius_m: radius,
-                        ttl_s: ttl.as_secs_f64(),
-                        period_s: period.as_secs_f64(),
-                    },
-                );
-            }
             // Answer this poll round with the full local skyline.
             let local = self.local_skyline(ctx.position, &spec);
             let tuples: Vec<(TupleId, Tuple)> =
@@ -908,11 +821,11 @@ impl MonitorApp {
             let epoch = u64::from(round);
             let msg = MonMsg::Reply { key, epoch, tuples, seq: 0, retries: 0 };
             let bytes = msg.wire_size();
-            let seq = self.send_tracked(ctx, spec.origin, msg, None, false);
+            let seq = self.send_tracked(ctx, spec.key.origin, msg, None);
             ctx.trace(
                 Some(qid(key)),
                 QueryEvent::DeltaSent {
-                    to: spec.origin,
+                    to: spec.key.origin,
                     epoch,
                     adds: n,
                     removes: 0,
@@ -947,7 +860,52 @@ impl MonitorApp {
         }
         self.lease_expires = None;
         self.inflight = None;
-        self.pending.clear();
+        self.arq.clear();
+    }
+
+    /// The open registration, when this node is the live originator of
+    /// `key` (anything else ignores deltas and replies).
+    fn originating(&self, key: QueryKey) -> Option<MonSpec> {
+        if self.originate.is_none() || self.done {
+            return None;
+        }
+        self.spec.clone().filter(|spec| spec.key == key)
+    }
+
+    /// `true` when `from` has no applied report at or after `epoch` yet.
+    fn is_news(&self, from: NodeId, epoch: u64) -> bool {
+        self.last_applied.get(&from).is_none_or(|&(le, _)| epoch > le)
+    }
+
+    /// Books one folded delta/reply: freshness, retry accounting, trace.
+    #[allow(clippy::too_many_arguments)]
+    fn book_applied(
+        &mut self,
+        ctx: &mut NodeCtx<MonMsg>,
+        spec: &MonSpec,
+        from: NodeId,
+        epoch: u64,
+        retries: u32,
+        (adds, removes): (usize, usize),
+        heartbeat: bool,
+    ) {
+        let at = epoch_at(spec, epoch);
+        self.last_applied.insert(from, (epoch, at));
+        self.delta_age_us.record(ctx.now.since(at).as_micros());
+        self.applied_retries += u64::from(retries);
+        self.deltas_applied += 1;
+        ctx.trace(
+            Some(qid(spec.key)),
+            QueryEvent::DeltaApplied { from, epoch, adds, removes, heartbeat },
+        );
+    }
+
+    /// A retransmission of an already-applied delta/reply (its ack was
+    /// lost): counted, and re-acked by the caller so the sender's chain
+    /// can advance.
+    fn book_duplicate(&mut self, ctx: &mut NodeCtx<MonMsg>, key: QueryKey, from: NodeId, seq: u64) {
+        self.duplicates_suppressed += 1;
+        ctx.trace(Some(qid(key)), QueryEvent::DuplicateSuppressed { from, seq });
     }
 
     /// Originator: fold one device delta.
@@ -964,35 +922,23 @@ impl MonitorApp {
         seq: u64,
         retries: u32,
     ) {
-        if self.originate.is_none() || self.done {
-            return;
-        }
-        let Some(spec) = self.spec.clone() else { return };
-        if spec.key != key {
-            return;
-        }
-        let q = Some(qid(key));
+        let Some(spec) = self.originating(key) else { return };
         if !full && self.needs_full.contains(&from) {
             // The device was retracted; its incremental chain is
             // meaningless until a full resync. Not acking deliberately
             // exhausts its ARQ, which forces exactly that.
             return;
         }
-        let known = self.last_applied.get(&from).map(|&(le, _)| le);
-        if full || known.is_none_or(|le| epoch > le) {
+        if full || self.is_news(from, epoch) {
             let mut ids = self.contributions.remove(&from).unwrap_or_default();
             if full {
                 for id in ids.drain(..) {
-                    if !self.fold.remove(&id) {
-                        self.fold_remove_misses += 1;
-                    }
+                    self.fold_remove(&id);
                 }
                 self.needs_full.remove(&from);
             }
             for id in &removes {
-                if !self.fold.remove(id) {
-                    self.fold_remove_misses += 1;
-                }
+                self.fold_remove(id);
                 ids.retain(|x| x != id);
             }
             for (id, t) in &adds {
@@ -1000,26 +946,11 @@ impl MonitorApp {
                 ids.push(*id);
             }
             self.contributions.insert(from, ids);
-            self.last_applied.insert(from, (epoch, epoch_at(&spec, epoch)));
-            self.delta_age_us.record(ctx.now.since(epoch_at(&spec, epoch)).as_micros());
-            self.applied_retries += u64::from(retries);
-            self.deltas_applied += 1;
             let heartbeat = adds.is_empty() && removes.is_empty() && !full;
-            ctx.trace(
-                q,
-                QueryEvent::DeltaApplied {
-                    from,
-                    epoch,
-                    adds: adds.len(),
-                    removes: removes.len(),
-                    heartbeat,
-                },
-            );
+            let counts = (adds.len(), removes.len());
+            self.book_applied(ctx, &spec, from, epoch, retries, counts, heartbeat);
         } else {
-            // A retransmission of an already-applied delta (its ack was
-            // lost): re-ack so the sender's chain can advance.
-            self.duplicates_suppressed += 1;
-            ctx.trace(q, QueryEvent::DuplicateSuppressed { from, seq });
+            self.book_duplicate(ctx, key, from, seq);
         }
         self.send_ack(ctx, from, seq);
     }
@@ -1036,44 +967,20 @@ impl MonitorApp {
         seq: u64,
         retries: u32,
     ) {
-        if self.originate.is_none() || self.done {
-            return;
-        }
-        let Some(spec) = self.spec.clone() else { return };
-        if spec.key != key {
-            return;
-        }
-        let q = Some(qid(key));
-        let known = self.last_applied.get(&from).map(|&(le, _)| le);
-        if known.is_none_or(|le| epoch > le) {
+        let Some(spec) = self.originating(key) else { return };
+        if self.is_news(from, epoch) {
             let old = self.contributions.remove(&from).unwrap_or_default();
-            let n_removes = old.len();
             for id in &old {
-                if !self.fold.remove(id) {
-                    self.fold_remove_misses += 1;
-                }
+                self.fold_remove(id);
             }
             for (id, t) in &tuples {
                 self.fold.insert(*id, t.clone());
             }
             self.contributions.insert(from, tuples.iter().map(|(id, _)| *id).collect());
-            self.last_applied.insert(from, (epoch, epoch_at(&spec, epoch)));
-            self.delta_age_us.record(ctx.now.since(epoch_at(&spec, epoch)).as_micros());
-            self.applied_retries += u64::from(retries);
-            self.deltas_applied += 1;
-            ctx.trace(
-                q,
-                QueryEvent::DeltaApplied {
-                    from,
-                    epoch,
-                    adds: tuples.len(),
-                    removes: n_removes,
-                    heartbeat: false,
-                },
-            );
+            let counts = (tuples.len(), old.len());
+            self.book_applied(ctx, &spec, from, epoch, retries, counts, false);
         } else {
-            self.duplicates_suppressed += 1;
-            ctx.trace(q, QueryEvent::DuplicateSuppressed { from, seq });
+            self.book_duplicate(ctx, key, from, seq);
         }
         self.send_ack(ctx, from, seq);
     }
@@ -1088,7 +995,8 @@ impl Application<MonMsg> for MonitorApp {
     fn on_message(&mut self, ctx: &mut NodeCtx<MonMsg>, meta: MsgMeta, payload: MonMsg) {
         match payload {
             MonMsg::Register { key, center, radius, t0, period, ttl, round, requery } => {
-                self.on_register(ctx, key, center, radius, t0, period, ttl, round, requery);
+                let heard = MonSpec { key, center, radius, t0, period, ttl, requery };
+                self.on_register(ctx, heard, round);
             }
             MonMsg::Cancel { key } => self.on_cancel(ctx, key),
             MonMsg::Delta { key, epoch, adds, removes, full, seq, retries } => {
@@ -1129,19 +1037,14 @@ impl Application<MonMsg> for MonitorApp {
         self.full_needed = true;
         self.last_sent_epoch = None;
         self.inflight = None;
-        self.pending.clear();
+        self.arq.clear();
         if self.originate.is_some() {
             // The monitor dies with its originator; close the record so
             // the run stays accountable. (`views`/`truth` are measurement
             // output and survive.)
             if let Some(spec) = self.spec.take() {
                 if self.record.is_none() {
-                    self.record = Some(self.make_record(
-                        &spec,
-                        None,
-                        true,
-                        Some(TimeoutCause::OriginatorCrash),
-                    ));
+                    self.record = Some(self.make_record(&spec).lost_to_crash());
                 }
                 self.done = true;
             }
@@ -1160,384 +1063,6 @@ impl Application<MonMsg> for MonitorApp {
         if let Some(spec) = self.spec.clone() {
             self.arm_tick(ctx, &spec);
         }
-    }
-}
-
-/// One monitoring experiment: a `g × g` device grid, each device carrying
-/// `sites_per_device` sites that move with it, one originator (node 0)
-/// running a standing range skyline for `duration_s`.
-#[derive(Debug, Clone)]
-pub struct MonitorExperiment {
-    /// Devices per grid side (`m = g²`).
-    pub g: usize,
-    /// Sites carried per device.
-    pub sites_per_device: usize,
-    /// Non-spatial attribute dimensionality.
-    pub dim: usize,
-    /// Attribute distribution.
-    pub distribution: datagen::Distribution,
-    /// Deployment area.
-    pub space: datagen::SpatialExtent,
-    /// Monitored range radius (m) around the originator's issue position.
-    pub radius: f64,
-    /// Freeze mobility.
-    pub frozen: bool,
-    /// Radio model.
-    pub radio: RadioConfig,
-    /// Neighbour discovery mode.
-    pub neighbor_mode: NeighborMode,
-    /// Runtime timers + ARQ parameters (tracing lives here).
-    pub dist: DistConfig,
-    /// Monitoring-protocol knobs.
-    pub mon: MonitorConfig,
-    /// Delta protocol or naive re-query baseline.
-    pub mode: MonitorMode,
-    /// Registration issue time (s).
-    pub start_s: f64,
-    /// Monitoring duration until cancel (s).
-    pub duration_s: f64,
-    /// Post-cancel drain (s).
-    pub drain_s: f64,
-    /// Scripted faults (none by default).
-    pub fault_plan: Option<FaultPlan>,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl MonitorExperiment {
-    /// Small mobile defaults with full tracing enabled.
-    pub fn defaults(g: usize, mode: MonitorMode, seed: u64) -> Self {
-        MonitorExperiment {
-            g,
-            sites_per_device: 4,
-            dim: 2,
-            distribution: datagen::Distribution::Independent,
-            space: datagen::SpatialExtent::PAPER,
-            radius: 300.0,
-            frozen: false,
-            radio: RadioConfig::default(),
-            neighbor_mode: NeighborMode::Oracle,
-            dist: DistConfig { trace: crate::config::TraceConfig::full(), ..DistConfig::default() },
-            mon: MonitorConfig::default(),
-            mode,
-            start_s: 30.0,
-            duration_s: 600.0,
-            drain_s: 120.0,
-            fault_plan: None,
-            seed,
-        }
-    }
-}
-
-/// Aggregated outcome of one monitoring run.
-#[derive(Debug)]
-pub struct MonitorOutcome {
-    /// The originator's closed query record, with the monitoring columns
-    /// filled.
-    pub record: QueryRecord,
-    /// Per-epoch views, scored against the reconstructed oracle.
-    pub views: Vec<EpochView>,
-    /// `Registered` events (installs + renewals) across all nodes.
-    pub registered: u64,
-    /// Non-heartbeat deltas / replies sent.
-    pub deltas_sent: u64,
-    /// Zero-change heartbeats sent.
-    pub heartbeats_sent: u64,
-    /// Deltas folded at the originator.
-    pub deltas_applied: u64,
-    /// Lease expiries across all devices.
-    pub lease_expired: u64,
-    /// Cancellations processed across all nodes.
-    pub cancelled: u64,
-    /// ARQ retransmissions.
-    pub arq_retries: u64,
-    /// ARQ-tracked messages abandoned.
-    pub arq_exhausted: u64,
-    /// Duplicate deltas re-acked without folding.
-    pub duplicates_suppressed: u64,
-    /// Routing-level delivery failures.
-    pub delivery_failures: u64,
-    /// `LiveSkyline::remove` misses — any value above 0 is a bug.
-    pub fold_remove_misses: u64,
-    /// Application messages sent (floods, deltas, replies, acks).
-    pub messages_sent: u64,
-    /// Application payload bytes sent.
-    pub bytes_sent: u64,
-    /// Mean per-epoch oracle coverage over all views.
-    pub mean_epoch_completeness: Option<f64>,
-    /// Mean view staleness (s).
-    pub mean_staleness_s: Option<f64>,
-    /// Total spurious view members across epochs.
-    pub spurious_total: u64,
-    /// Total radio energy (J).
-    pub total_energy_joules: f64,
-    /// Raw network counters.
-    pub net: NetStats,
-    /// Per-query event log (when tracing was enabled).
-    pub query_trace: Option<QueryTraceLog>,
-    /// Frame-level radio log (when frame tracing was enabled).
-    pub frame_trace: Option<FrameTraceLog>,
-    /// Age of folded deltas/replies at apply time (µs since epoch tick).
-    pub delta_age_hist: PowHistogram,
-}
-
-// The bench sweep fans monitoring cells across worker threads.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<MonitorExperiment>();
-    assert_send_sync::<MonitorOutcome>();
-};
-
-/// Deterministic per-site offset from the carrying device, within ±60 m.
-fn site_offset(seed: u64, device: usize, slot: usize) -> (f64, f64) {
-    let mut h = seed ^ ((device as u64) << 32) ^ (slot as u64) ^ 0x5EED_0FF5;
-    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^= h >> 31;
-    let dx = ((h & 0xFFFF) as f64 / 65_535.0 - 0.5) * 120.0;
-    let dy = (((h >> 16) & 0xFFFF) as f64 / 65_535.0 - 0.5) * 120.0;
-    (dx, dy)
-}
-
-/// Runs one monitoring experiment end to end and scores every epoch view
-/// against the oracle reconstructed from in-situ device recordings.
-pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
-    let m = exp.g * exp.g;
-    let k = exp.sites_per_device.max(1);
-    let data =
-        datagen::DataSpec::manet_experiment(m * k, exp.dim, exp.distribution, exp.seed).generate();
-    let part = datagen::GridPartitioner::new(exp.g, exp.space).partition(&data);
-
-    let mobility = if exp.frozen {
-        MobilityConfig::frozen()
-    } else {
-        MobilityConfig {
-            width: exp.space.width,
-            height: exp.space.height,
-            ..MobilityConfig::paper()
-        }
-    };
-
-    let mut sim: Simulator<MonMsg, MonitorApp> = Simulator::new(exp.radio, exp.seed);
-    sim.set_neighbor_mode(exp.neighbor_mode);
-    if exp.dist.trace.enabled {
-        sim.enable_query_trace(exp.dist.trace.per_node_capacity);
-        if exp.dist.trace.frames {
-            sim.enable_trace(exp.dist.trace.frames_capacity);
-        }
-    }
-    // Sites encode their id in the tuple's location fields (dominance
-    // never reads them); geometric positions ride on the device.
-    let mut site_attrs: HashMap<TupleId, Vec<f64>> = HashMap::new();
-    for i in 0..m {
-        let sites: Vec<(TupleId, Tuple, (f64, f64))> = (0..k)
-            .map(|j| {
-                let attrs = data[i * k + j].attrs.clone();
-                let id = TupleId(i as u64, j as u64);
-                site_attrs.insert(id, attrs.clone());
-                (id, Tuple::new(i as f64, j as f64, attrs), site_offset(exp.seed, i, j))
-            })
-            .collect();
-        let mut app = MonitorApp::new(i, m, exp.mode, exp.mon, exp.dist, sites);
-        if i == 0 {
-            app.set_originator(
-                QueryKey { origin: 0, cnt: 0 },
-                exp.radius,
-                SimDuration::from_secs_f64(exp.duration_s),
-            );
-        }
-        let c = part.cell_center(i);
-        sim.add_node(Pos::new(c.x, c.y), mobility, app, exp.seed ^ 0xA5A5);
-    }
-    sim.schedule_app_timer(0, SimTime::from_secs_f64(exp.start_s), mtoken::START);
-    if let Some(plan) = &exp.fault_plan {
-        sim.install_fault_plan(plan);
-    }
-    sim.run_until(SimTime::from_secs_f64(exp.start_s + exp.duration_s + exp.drain_s));
-
-    // Reconstruct the per-epoch oracle from the devices' in-situ truth
-    // recordings: the constrained skyline of the union of every (live)
-    // device's local skyline at that epoch — the paper's distributivity
-    // property, applied per epoch.
-    let truths: Vec<Vec<(u64, Vec<TupleId>)>> = (0..m).map(|i| sim.app(i).truth.clone()).collect();
-    let mut views = sim.app(0).views.clone();
-    for v in &mut views {
-        let mut merger = SkylineMerger::new();
-        for tr in &truths {
-            if let Ok(idx) = tr.binary_search_by_key(&v.epoch, |&(e, _)| e) {
-                for id in &tr[idx].1 {
-                    let attrs = site_attrs.get(id).expect("recorded id has attrs").clone();
-                    merger.insert(Tuple::new(id.0 as f64, id.1 as f64, attrs));
-                }
-            }
-        }
-        let mut oracle: Vec<TupleId> =
-            merger.into_result().iter().map(|t| TupleId(t.x as u64, t.y as u64)).collect();
-        oracle.sort_unstable();
-        let (completeness, spurious) = score_epoch(&v.ids, &oracle);
-        v.completeness = Some(completeness);
-        v.spurious = spurious;
-    }
-
-    let mut record = sim.app_mut(0).record.take().unwrap_or_else(|| QueryRecord {
-        key: QueryKey { origin: 0, cnt: 0 },
-        issued: SimTime::from_secs_f64(exp.start_s),
-        completed: None,
-        timed_out: true,
-        responded: 0,
-        drr: DrrAccumulator::default(),
-        result_len: 0,
-        response_seconds: None,
-        pos: {
-            let c = part.cell_center(0);
-            Point::new(c.x, c.y)
-        },
-        radius: exp.radius,
-        result: Vec::new(),
-        contributors: Vec::new(),
-        retries: 0,
-        duplicates: 0,
-        reissues: 0,
-        timeout_cause: Some(TimeoutCause::OriginatorCrash),
-        completeness: None,
-        spurious: 0,
-        epochs: 0,
-        epoch_completeness: None,
-        staleness_s: None,
-        result_sources: Vec::new(),
-        spurious_sites: Vec::new(),
-    });
-
-    let mean = |xs: &[f64]| {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(xs.iter().sum::<f64>() / xs.len() as f64)
-        }
-    };
-    let comps: Vec<f64> = views.iter().filter_map(|v| v.completeness).collect();
-    let stales: Vec<f64> = views.iter().map(|v| v.staleness_s).collect();
-    record.epochs = views.len() as u64;
-    record.epoch_completeness = mean(&comps);
-    record.staleness_s = mean(&stales);
-
-    let mut out = MonitorOutcome {
-        record,
-        views,
-        registered: 0,
-        deltas_sent: 0,
-        heartbeats_sent: 0,
-        deltas_applied: 0,
-        lease_expired: 0,
-        cancelled: 0,
-        arq_retries: 0,
-        arq_exhausted: 0,
-        duplicates_suppressed: 0,
-        delivery_failures: 0,
-        fold_remove_misses: 0,
-        messages_sent: 0,
-        bytes_sent: 0,
-        mean_epoch_completeness: None,
-        mean_staleness_s: None,
-        spurious_total: 0,
-        total_energy_joules: sim.total_energy_joules(),
-        net: *sim.stats(),
-        query_trace: None,
-        frame_trace: None,
-        delta_age_hist: PowHistogram::new(),
-    };
-    for i in 0..m {
-        let a = sim.app(i);
-        out.delta_age_hist.merge(&a.delta_age_us);
-        out.registered += a.registered_events;
-        out.deltas_sent += a.deltas_sent;
-        out.heartbeats_sent += a.heartbeats_sent;
-        out.deltas_applied += a.deltas_applied;
-        out.lease_expired += a.lease_expired;
-        out.cancelled += a.cancelled_events;
-        out.arq_retries += a.arq_retries;
-        out.arq_exhausted += a.arq_exhausted;
-        out.duplicates_suppressed += a.duplicates_suppressed;
-        out.delivery_failures += a.delivery_failures;
-        out.fold_remove_misses += a.fold_remove_misses;
-        out.messages_sent += a.msgs_sent;
-        out.bytes_sent += a.bytes_sent;
-    }
-    out.mean_epoch_completeness = out.record.epoch_completeness;
-    out.mean_staleness_s = out.record.staleness_s;
-    out.spurious_total = out.views.iter().map(|v| v.spurious).sum();
-    out.query_trace = sim.take_query_trace();
-    out.frame_trace = sim.take_frame_trace();
-    out
-}
-
-/// Zero-drift verification for monitoring runs: recomputes the
-/// [`TraceAggregates`] from the event log and reconciles them — exactly —
-/// against the runtime counters, checks that every `DeltaApplied` has a
-/// matching `DeltaSent` from that device for that epoch, and (when frame
-/// tracing was on) reconciles frame counts against [`NetStats`]. Any
-/// mismatch is drift: either the trace lies or the counters do.
-pub fn verify_monitor_drift(out: &MonitorOutcome) -> Result<TraceAggregates, String> {
-    let log = out
-        .query_trace
-        .as_ref()
-        .ok_or_else(|| "monitor drift check requires an enabled query trace".to_string())?;
-    if log.dropped > 0 {
-        return Err(format!(
-            "query trace dropped {} records; zero-drift guarantee void (raise per_node_capacity)",
-            log.dropped
-        ));
-    }
-    let agg = trace_aggregates(log);
-    let mut errs: Vec<String> = Vec::new();
-    let mut check = |name: &str, traced: u64, counted: u64| {
-        if traced != counted {
-            errs.push(format!("{name}: trace says {traced}, counters say {counted}"));
-        }
-    };
-    check("registered", agg.registered, out.registered);
-    check("delta_sent", agg.delta_sent, out.deltas_sent + out.heartbeats_sent);
-    check("delta_heartbeats", agg.delta_heartbeats, out.heartbeats_sent);
-    check("delta_applied", agg.delta_applied, out.deltas_applied);
-    check("lease_expired", agg.lease_expired, out.lease_expired);
-    check("cancelled", agg.cancelled, out.cancelled);
-    check("arq_retries", agg.arq_retries, out.arq_retries);
-    check("arq_exhausted", agg.arq_exhausted, out.arq_exhausted);
-    check("duplicates_suppressed", agg.duplicates_suppressed, out.duplicates_suppressed);
-    check("delivery_failures", agg.delivery_failures, out.delivery_failures);
-    check("node_crashes", agg.crashes, out.net.node_crashes);
-    check("node_revivals", agg.revivals, out.net.node_revivals);
-
-    // Every applied delta must have been sent: match (device, epoch,
-    // heartbeat) across the log.
-    let mut sent: HashSet<(usize, u64, bool)> = HashSet::new();
-    for r in &log.records {
-        if let QueryEvent::DeltaSent { epoch, heartbeat, .. } = r.event {
-            sent.insert((r.node, epoch, heartbeat));
-        }
-    }
-    for r in &log.records {
-        if let QueryEvent::DeltaApplied { from, epoch, heartbeat, .. } = r.event {
-            if !sent.contains(&(from, epoch, heartbeat)) {
-                errs.push(format!(
-                    "delta applied from device {from} for epoch {epoch} was never sent"
-                ));
-            }
-        }
-    }
-
-    if let Some(frames) = out.frame_trace.as_ref() {
-        errs.extend(verify_frames(frames, &out.net));
-    }
-    if errs.is_empty() {
-        Ok(agg)
-    } else {
-        Err(format!(
-            "monitor drift detected ({} checks failed):\n  {}",
-            errs.len(),
-            errs.join("\n  ")
-        ))
     }
 }
 
@@ -1613,8 +1138,9 @@ mod tests {
 #[cfg(test)]
 mod model_tests {
     use super::*;
-    use manet_sim::mobility::MobilityState;
+    use manet_sim::mobility::{MobilityConfig, MobilityState};
     use proptest::prelude::*;
+    use skyline_core::SkylineMerger;
 
     const M: usize = 6; // devices 1..M report to originator 0
     const K: usize = 3;

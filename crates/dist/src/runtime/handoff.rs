@@ -1,0 +1,250 @@
+//! The mobility-driven data-redistribution extension: the probe / accept /
+//! transfer / ack handshake that migrates a relation toward its data, and
+//! the device↔data locality sampling that measures whether it helped.
+
+use device_storage::{DeviceRelation, HybridRelation};
+use manet_sim::engine::NodeCtx;
+use manet_sim::{NodeId, SimDuration, SimTime};
+use skyline_core::region::Point;
+use skyline_core::Tuple;
+
+use super::{token, ProtoMsg};
+use crate::config::DistConfig;
+
+/// Configuration of the **mobility-driven data redistribution** extension —
+/// the paper's second future-work direction ("extend the current strategies
+/// to retain good performance while incorporating the redistribution of
+/// local relations due to device mobility").
+///
+/// Mechanism: every `interval`, a device that has drifted away from its
+/// data (distance from its position to its relation's MBR centre above
+/// `min_gain_m`) probes its one-hop neighbours; a neighbour that is at
+/// least `min_gain_m` closer to that data centre — and whose own load stays
+/// under `capacity_factor ×` the network-average partition size — offers to
+/// host. The relation then *migrates* with a two-phase transfer (keep until
+/// acked), so radio loss can duplicate data (harmless: partitions may
+/// overlap) but never destroy it.
+#[derive(Debug, Clone, Copy)]
+pub struct HandoffConfig {
+    /// Probe period.
+    pub interval: SimDuration,
+    /// A host's tuple count may not exceed this multiple of the average
+    /// initial partition size.
+    pub capacity_factor: f64,
+    /// Minimum locality improvement (metres) worth a migration.
+    pub min_gain_m: f64,
+}
+
+impl Default for HandoffConfig {
+    fn default() -> Self {
+        HandoffConfig {
+            interval: SimDuration::from_secs_f64(300.0),
+            capacity_factor: 3.0,
+            min_gain_m: 150.0,
+        }
+    }
+}
+
+/// Handoff protocol state on one device.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+enum HandoffState {
+    #[default]
+    Idle,
+    /// Probed; waiting for the first volunteer until the deadline.
+    AwaitAccept(SimTime),
+    /// Volunteered; waiting for the relation until the deadline.
+    AwaitTransfer(SimTime),
+    /// Shipped the relation; waiting for the ack until the deadline.
+    AwaitAck(SimTime),
+}
+
+/// One device's side of the redistribution extension. Every method that
+/// reads or replaces the relation takes it as an argument: the partition
+/// belongs to the device, only the handshake state lives here.
+#[derive(Default)]
+pub(super) struct Handoff {
+    /// `None` = the extension is off (the paper's pinned relations).
+    pub(super) cfg: Option<HandoffConfig>,
+    state: HandoffState,
+    /// Maximum tuples this device may host (set with `cfg`).
+    pub(super) capacity: usize,
+    /// Completed outbound migrations (relation shipped and acked away).
+    pub(super) migrations_out: u64,
+    /// Cached centre of the relation's MBR (`None` = empty relation).
+    pub(super) centroid: Option<Point>,
+    /// Accumulated device↔data distance samples (time-averaged locality).
+    pub(super) locality_sum_m: f64,
+    /// Number of locality samples taken.
+    pub(super) locality_samples: u64,
+}
+
+fn here(ctx: &NodeCtx<ProtoMsg>) -> Point {
+    Point::new(ctx.position.x, ctx.position.y)
+}
+
+fn tuples_of(relation: &HybridRelation) -> Vec<Tuple> {
+    (0..relation.len()).map(|i| relation.tuple(i)).collect()
+}
+
+impl Handoff {
+    pub(super) fn new(relation: &HybridRelation) -> Self {
+        let mut h = Handoff::default();
+        h.recompute_centroid(relation);
+        h
+    }
+
+    fn recompute_centroid(&mut self, relation: &HybridRelation) {
+        let n = relation.len();
+        if n == 0 {
+            self.centroid = None;
+            return;
+        }
+        let mut mbr = skyline_core::region::Mbr::empty();
+        for i in 0..n {
+            mbr.extend(relation.tuple(i).location());
+        }
+        self.centroid =
+            Some(Point::new((mbr.x_min + mbr.x_max) / 2.0, (mbr.y_min + mbr.y_max) / 2.0));
+    }
+
+    pub(super) fn sample_locality(&mut self, ctx: &NodeCtx<ProtoMsg>) {
+        if let Some(c) = self.centroid {
+            self.locality_sum_m += here(ctx).dist(c);
+            self.locality_samples += 1;
+        }
+    }
+
+    /// Sends one handshake message and arms the state's deadline.
+    fn step(
+        &mut self,
+        ctx: &mut NodeCtx<ProtoMsg>,
+        to: Option<NodeId>,
+        msg: ProtoMsg,
+        wait: SimDuration,
+        next: fn(SimTime) -> HandoffState,
+    ) {
+        let bytes = msg.wire_size();
+        match to {
+            Some(dst) => ctx.send_unicast(dst, msg, bytes),
+            None => ctx.broadcast(msg, bytes),
+        }
+        self.state = next(ctx.now + wait);
+        ctx.set_timer(wait, token::HANDOFF_TIMEOUT);
+    }
+
+    /// The periodic tick; `busy` = the device has a query of its own open.
+    pub(super) fn tick(
+        &mut self,
+        ctx: &mut NodeCtx<ProtoMsg>,
+        relation: &HybridRelation,
+        dist: &DistConfig,
+        busy: bool,
+    ) {
+        let Some(cfg) = self.cfg else { return };
+        // Re-arm the periodic tick first.
+        ctx.set_timer(cfg.interval, token::HANDOFF_TICK);
+        if self.state != HandoffState::Idle || busy {
+            return;
+        }
+        let Some(centroid) = self.centroid else { return };
+        let pos = here(ctx);
+        if pos.dist(centroid) < cfg.min_gain_m {
+            return; // still close enough to our data
+        }
+        let msg = ProtoMsg::HandoffProbe { pos, centroid, n_tuples: relation.len() };
+        self.step(ctx, None, msg, dist.handoff_accept_timeout, HandoffState::AwaitAccept);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn on_probe(
+        &mut self,
+        ctx: &mut NodeCtx<ProtoMsg>,
+        relation: &HybridRelation,
+        dist: &DistConfig,
+        from: NodeId,
+        pos: Point,
+        centroid: Point,
+        n_tuples: usize,
+    ) {
+        let Some(cfg) = self.cfg else { return };
+        if self.state != HandoffState::Idle {
+            return;
+        }
+        if relation.len() + n_tuples > self.capacity {
+            return; // would overload this host
+        }
+        let gain = pos.dist(centroid) - here(ctx).dist(centroid);
+        if gain < cfg.min_gain_m {
+            return; // not meaningfully closer to the data
+        }
+        let wait = dist.handoff_transfer_timeout;
+        self.step(ctx, Some(from), ProtoMsg::HandoffAccept, wait, HandoffState::AwaitTransfer);
+    }
+
+    pub(super) fn on_accept(
+        &mut self,
+        ctx: &mut NodeCtx<ProtoMsg>,
+        relation: &HybridRelation,
+        dist: &DistConfig,
+        from: NodeId,
+    ) {
+        if !matches!(self.state, HandoffState::AwaitAccept(_)) {
+            return; // late volunteer; someone else won or we timed out
+        }
+        let msg = ProtoMsg::HandoffTransfer { tuples: tuples_of(relation) };
+        // Keep our copy until the ack: loss may duplicate data (partitions
+        // are allowed to overlap) but never destroys it.
+        self.step(ctx, Some(from), msg, dist.handoff_ack_timeout, HandoffState::AwaitAck);
+    }
+
+    pub(super) fn on_transfer(
+        &mut self,
+        ctx: &mut NodeCtx<ProtoMsg>,
+        relation: &mut HybridRelation,
+        from: NodeId,
+        tuples: Vec<Tuple>,
+    ) {
+        if !matches!(self.state, HandoffState::AwaitTransfer(_)) {
+            return; // unsolicited or timed out — refuse silently
+        }
+        let mut mine = tuples_of(relation);
+        // Drop exact duplicates (a retransmitted migration).
+        for t in tuples {
+            if !mine.iter().any(|m| m.same_site(&t)) {
+                mine.push(t);
+            }
+        }
+        *relation = HybridRelation::new(mine);
+        self.recompute_centroid(relation);
+        self.state = HandoffState::Idle;
+        let msg = ProtoMsg::HandoffAck;
+        let bytes = msg.wire_size();
+        ctx.send_unicast(from, msg, bytes);
+    }
+
+    pub(super) fn on_ack(&mut self, relation: &mut HybridRelation) {
+        if matches!(self.state, HandoffState::AwaitAck(_)) {
+            *relation = HybridRelation::new(Vec::new());
+            self.recompute_centroid(relation);
+            self.migrations_out += 1;
+            self.state = HandoffState::Idle;
+        }
+    }
+
+    pub(super) fn on_timeout(&mut self, now: SimTime) {
+        let expired = match self.state {
+            HandoffState::Idle => false,
+            HandoffState::AwaitAccept(d)
+            | HandoffState::AwaitTransfer(d)
+            | HandoffState::AwaitAck(d) => now >= d,
+        };
+        if expired {
+            self.state = HandoffState::Idle;
+        }
+    }
+
+    /// A crash forgets the handshake in progress; the relation survives.
+    pub(super) fn on_crash(&mut self) {
+        self.state = HandoffState::Idle;
+    }
+}

@@ -222,7 +222,6 @@ mod tests {
 
     #[test]
     fn score_records_quantifies_misses_and_spurious_separately() {
-        use crate::metrics::DrrAccumulator;
         use crate::query::QueryKey;
         use crate::runtime::QueryRecord;
         use manet_sim::SimTime;
@@ -231,29 +230,16 @@ mod tests {
         let b = Tuple::new(1.0, 0.0, vec![9.0, 1.0]);
         let partitions = vec![vec![a.clone()], vec![b.clone()]];
         let mk = |result: Vec<Tuple>, contributors: Vec<usize>| QueryRecord {
-            key: QueryKey { origin: 0, cnt: 0 },
-            issued: SimTime(0),
-            completed: None,
-            timed_out: false,
             responded: contributors.len().saturating_sub(1),
-            drr: DrrAccumulator::default(),
             result_len: result.len(),
-            response_seconds: None,
-            pos: Point::new(0.0, 0.0),
-            radius: f64::INFINITY,
             result,
             contributors,
-            retries: 0,
-            duplicates: 0,
-            reissues: 0,
-            timeout_cause: None,
-            completeness: None,
-            spurious: 0,
-            epochs: 0,
-            epoch_completeness: None,
-            staleness_s: None,
-            result_sources: Vec::new(),
-            spurious_sites: Vec::new(),
+            ..QueryRecord::open(
+                QueryKey { origin: 0, cnt: 0 },
+                SimTime(0),
+                Point::new(0.0, 0.0),
+                f64::INFINITY,
+            )
         };
         // Device 1 crashed: its tuple is missing. That halves completeness
         // but is NOT spurious — the contributing oracle (device 0 only)
