@@ -27,8 +27,13 @@
 //! sequence: every cached answer must equal a from-scratch constrained
 //! skyline recompute over the authoritative site set, and every cell's
 //! `LiveSkyline` must pass its own bucket-partition proof.
+//!
+//! A reader of one epoch needs the answers only, so
+//! [`SkylineDiagram::freeze`] hands out a [`FrozenAnswers`] table that
+//! shares each cell's id list with the diagram until a delta changes it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::live::LiveSkyline;
 use crate::region::{Point, QueryRegion};
@@ -147,28 +152,50 @@ pub struct DiagramStats {
 
 /// A materialized cell: its live constrained skyline plus the cached
 /// canonical answer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Cell {
     region: QueryRegion,
     live: LiveSkyline,
-    /// Sorted canonical answer ids, kept equal to `live.result_ids()`.
-    answer: Vec<TupleId>,
-    /// Epoch marker of the last answer change (or the materialization).
-    refreshed_at: u64,
+    /// Kept equal to `live.result_ids()`; re-allocated only when a delta
+    /// actually changes it, so frozen views share it until then.
+    cached: CellAnswer,
 }
 
-/// A cached answer as served to a reader.
+/// A cached answer as served to a reader. Cloning shares the id list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellAnswer {
     /// Skyline tuple identities, sorted.
-    pub ids: Vec<TupleId>,
-    /// Epoch marker of the last time this answer changed.
+    pub ids: Arc<[TupleId]>,
+    /// Epoch marker of the last time this answer changed (or of the
+    /// materialization).
     pub refreshed_at: u64,
+}
+
+/// The cached answers of a diagram as of one [`SkylineDiagram::freeze`]:
+/// what a reader needs of an epoch, without the site set or the
+/// `LiveSkyline`s. Later deltas never show through — the diagram replaces
+/// a changed answer's id list, it never writes into a shared one.
+#[derive(Debug)]
+pub struct FrozenAnswers {
+    cells: BTreeMap<CellKey, CellAnswer>,
+}
+
+impl FrozenAnswers {
+    /// The answer `key`'s cell held at the freeze, or `None` when the
+    /// cell was not materialized then.
+    pub fn answer(&self, key: CellKey) -> Option<&CellAnswer> {
+        self.cells.get(&key)
+    }
+
+    /// Every frozen `(cell, answer)`, ascending by key.
+    pub fn iter(&self) -> impl Iterator<Item = (&CellKey, &CellAnswer)> {
+        self.cells.iter()
+    }
 }
 
 /// A per-device (or originator-merged) range-skyline diagram over a live
 /// site set.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SkylineDiagram {
     cfg: DiagramConfig,
     /// Authoritative live site set (id → current tuple).
@@ -238,17 +265,13 @@ impl SkylineDiagram {
     /// The cached answer for `key`, or `None` when the cell is not
     /// materialized.
     pub fn answer(&self, key: CellKey) -> Option<CellAnswer> {
-        self.cells
-            .get(&key)
-            .map(|c| CellAnswer { ids: c.answer.clone(), refreshed_at: c.refreshed_at })
+        self.cells.get(&key).map(|c| c.cached.clone())
     }
 
-    /// The full tuples behind a cached answer (`None` when the cell is
-    /// not materialized). Tuples come from the authoritative site set, so
-    /// they are current by construction.
-    pub fn answer_tuples(&self, key: CellKey) -> Option<Vec<Tuple>> {
-        let cell = self.cells.get(&key)?;
-        Some(cell.answer.iter().map(|id| self.sites[id].clone()).collect())
+    /// Freezes every cached answer: one pointer copy per materialized
+    /// cell, no site or `LiveSkyline` is cloned.
+    pub fn freeze(&self) -> FrozenAnswers {
+        FrozenAnswers { cells: self.cells.iter().map(|(k, c)| (*k, c.cached.clone())).collect() }
     }
 
     /// Materializes `key`'s cell with a fresh constrained-skyline compute
@@ -265,18 +288,11 @@ impl SkylineDiagram {
                     live.insert(*id, t.clone());
                 }
             }
-            let answer = live.result_ids();
+            let cached = CellAnswer { ids: live.result_ids().into(), refreshed_at: epoch };
             self.stats.cells_materialized += 1;
-            self.cells.insert(key, Cell { region, live, answer, refreshed_at: epoch });
+            self.cells.insert(key, Cell { region, live, cached });
         }
-        let c = &self.cells[&key];
-        CellAnswer { ids: c.answer.clone(), refreshed_at: c.refreshed_at }
-    }
-
-    /// True when `key` has a materialized cell (a cached answer) —
-    /// cheaper than [`Self::answer`], which clones the id list.
-    pub fn is_materialized(&self, key: CellKey) -> bool {
-        self.cells.contains_key(&key)
+        self.cells[&key].cached.clone()
     }
 
     /// Drops a materialized cell (TTL eviction or explicit). Returns
@@ -297,7 +313,7 @@ impl SkylineDiagram {
         let stale: Vec<CellKey> = self
             .cells
             .iter()
-            .filter(|(_, c)| c.refreshed_at < cutoff)
+            .filter(|(_, c)| c.cached.refreshed_at < cutoff)
             .map(|(k, _)| *k)
             .collect();
         for k in &stale {
@@ -362,9 +378,8 @@ impl SkylineDiagram {
         for key in touched {
             let cell = self.cells.get_mut(&key).expect("touched cells are materialized");
             let fresh = cell.live.result_ids();
-            if fresh != cell.answer {
-                cell.answer = fresh;
-                cell.refreshed_at = epoch;
+            if fresh[..] != cell.cached.ids[..] {
+                cell.cached = CellAnswer { ids: fresh.into(), refreshed_at: epoch };
                 report.invalidated.push(key);
             }
         }
@@ -384,9 +399,9 @@ impl SkylineDiagram {
             cell.live
                 .check_invariants()
                 .map_err(|e| format!("cell {key:?}: live skyline broken: {e}"))?;
-            let cached = &cell.answer;
+            let cached = &cell.cached.ids[..];
             let live_ids = cell.live.result_ids();
-            if *cached != live_ids {
+            if *cached != live_ids[..] {
                 return Err(format!(
                     "cell {key:?}: cached answer diverged from its live skyline \
                      ({} vs {} ids)",
@@ -401,7 +416,7 @@ impl SkylineDiagram {
                 }
             }
             let recomputed = fresh.result_ids();
-            if *cached != recomputed {
+            if *cached != recomputed[..] {
                 return Err(format!(
                     "cell {key:?}: cached answer != fresh recompute ({} vs {} ids)",
                     cached.len(),
@@ -469,7 +484,7 @@ mod tests {
             v.sort_unstable();
             v
         };
-        assert_eq!(ans.ids, expect);
+        assert_eq!(ans.ids[..], expect[..]);
         assert_eq!(d.cell_count(), 1);
         // Second materialize is a cache hit, not a recompute.
         d.materialize(key, 5);
@@ -519,7 +534,7 @@ mod tests {
         d.materialize(key, 0);
         let id = TupleId(3, 1);
         d.apply(&SkyDelta { adds: vec![(id, t(50.0, 50.0, &[5.0]))], removes: vec![] }, 1);
-        assert_eq!(d.answer(key).unwrap().ids, vec![id]);
+        assert_eq!(d.answer(key).unwrap().ids[..], [id]);
         // Same id re-added with a new position outside the cell: the cell
         // must retract the stale copy.
         d.apply(&SkyDelta { adds: vec![(id, t(5000.0, 5000.0, &[5.0]))], removes: vec![] }, 2);
@@ -589,17 +604,31 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_an_independent_snapshot() {
+    fn frozen_view_is_an_independent_snapshot_that_shares_untouched_answers() {
         let mut d = SkylineDiagram::with_sites(cfg(), vec![t(50.0, 50.0, &[1.0])]);
-        let key = d.key_for(Point::new(50.0, 50.0), 100.0);
-        d.materialize(key, 0);
-        let snap = d.clone();
-        d.apply(
+        let near = d.key_for(Point::new(50.0, 50.0), 100.0);
+        let far = d.key_for(Point::new(5000.0, 5000.0), 100.0);
+        d.materialize(near, 0);
+        d.materialize(far, 0);
+        let before = d.freeze();
+        let rep = d.apply(
             &SkyDelta { adds: vec![(TupleId(1, 1), t(40.0, 40.0, &[0.1]))], removes: vec![] },
             1,
         );
-        assert_ne!(d.answer(key), snap.answer(key), "snapshot must not see later deltas");
-        snap.check_invariants().unwrap();
+        assert_eq!(rep.invalidated, vec![near]);
+        let after = d.freeze();
+        assert_ne!(d.answer(near).as_ref(), before.answer(near), "no later delta shows through");
+        assert_eq!(before.answer(near).unwrap().refreshed_at, 0);
+        assert_eq!(after.answer(near), d.answer(near).as_ref());
+        // The untouched cell is one allocation shared by writer and views.
+        let shared = |v: &FrozenAnswers| v.answer(far).unwrap().ids.clone();
+        assert!(Arc::ptr_eq(&shared(&before), &shared(&after)));
+        assert!(Arc::ptr_eq(&shared(&after), &d.answer(far).unwrap().ids));
+        // A cell materialized after the freeze is absent from the view.
+        let late = d.key_for(Point::new(50.0, 50.0), 250.0);
+        d.materialize(late, 1);
+        assert!(after.answer(late).is_none());
+        assert_eq!(after.iter().count(), 2);
         d.check_invariants().unwrap();
     }
 }

@@ -48,7 +48,8 @@ pub mod vdr;
 
 pub use block::{kernel_for, strict_kernel_for, DomKernel, TupleBlock};
 pub use diagram::{
-    ApplyReport, CellAnswer, CellKey, DiagramConfig, DiagramStats, SkyDelta, SkylineDiagram,
+    ApplyReport, CellAnswer, CellKey, DiagramConfig, DiagramStats, FrozenAnswers, SkyDelta,
+    SkylineDiagram,
 };
 pub use dominance::{dominates, DominanceTest};
 pub use live::{LiveSkyline, RangeDelta, RangeWatch};

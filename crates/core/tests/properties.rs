@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use skyline_core::algo::{self, oracle, Algorithm};
+use skyline_core::diagram::{DiagramConfig, FrozenAnswers, SkyDelta, SkylineDiagram};
 use skyline_core::dominance::{dominates, paper_strict_dominates_rest};
 use skyline_core::region::{Mbr, Point, QueryRegion};
 use skyline_core::vdr::{select_filter, vdr_volume, FilterTest, UpperBounds};
@@ -458,6 +459,97 @@ proptest! {
             ls.check_invariants().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
             let inside: Vec<TupleId> = watch.members();
             prop_assert_eq!(ls.live_len(), inside.len(), "step {}", step);
+        }
+    }
+
+    #[test]
+    fn frozen_diagram_views_stay_pinned_to_their_epoch_and_share_untouched_answers(
+        cells in prop::collection::vec((0u16..400, 0u16..400, 0usize..3), 2..8),
+        epochs in prop::collection::vec(
+            prop::collection::vec(
+                (0u64..16, 0u16..400, 0u16..400, prop::collection::vec(0u16..12, 2), any::<bool>()),
+                0..5,
+            ),
+            1..16,
+        ),
+    ) {
+        // A serving snapshot is a `freeze()` kept while the writer moves
+        // on. Freeze after every delta, keep every view, and hold each one
+        // to the site set of its own epoch once all deltas are in; between
+        // neighbours, an answer the delta did not invalidate must be the
+        // same allocation, not an equal copy.
+        let cfg = DiagramConfig::new(100.0, vec![80.0, 200.0, 500.0]);
+        let mut d = SkylineDiagram::new(cfg.clone());
+        let mut keys: Vec<_> = cells
+            .iter()
+            .map(|&(x, y, band)| {
+                cfg.key_for(Point::new(f64::from(x), f64::from(y)), cfg.radius_bands[band])
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        // Half the cells exist from the start, the rest arrive one an epoch.
+        let (early, late) = keys.split_at(keys.len() / 2);
+        for &k in early {
+            d.materialize(k, 0);
+        }
+        type Sites = std::collections::BTreeMap<TupleId, Tuple>;
+        let mut sites = Sites::new();
+        let mut views: Vec<(FrozenAnswers, Sites)> = vec![(d.freeze(), sites.clone())];
+        for (i, ops) in epochs.into_iter().enumerate() {
+            let epoch = i as u64 + 1;
+            if let Some(&k) = late.get(i) {
+                d.materialize(k, epoch - 1);
+            }
+            let before = d.freeze();
+            let mut delta = SkyDelta::default();
+            for (raw, x, y, attrs, remove) in ops {
+                let id = TupleId(raw, 0);
+                if remove {
+                    delta.removes.push(id);
+                } else {
+                    let attrs = attrs.into_iter().map(f64::from).collect();
+                    delta.adds.push((id, Tuple::new(f64::from(x), f64::from(y), attrs)));
+                }
+            }
+            // The diagram's contract: removes first, then adds in order, a
+            // re-add replacing the live state.
+            for id in &delta.removes {
+                sites.remove(id);
+            }
+            sites.extend(delta.adds.iter().cloned());
+            let report = d.apply(&delta, epoch);
+            let after = d.freeze();
+            for (key, old) in before.iter() {
+                let new = after.answer(*key).expect("nothing evicts");
+                if report.invalidated.contains(key) {
+                    prop_assert!(old.ids != new.ids, "epoch {} {:?}: same answer", epoch, key);
+                    prop_assert_eq!(new.refreshed_at, epoch);
+                } else {
+                    prop_assert!(
+                        std::sync::Arc::ptr_eq(&old.ids, &new.ids),
+                        "epoch {} {:?}: an untouched answer was copied", epoch, key
+                    );
+                    prop_assert_eq!(old.refreshed_at, new.refreshed_at);
+                }
+            }
+            views.push((after, sites.clone()));
+        }
+        d.check_invariants().map_err(TestCaseError::fail)?;
+        for (epoch, (view, sites_then)) in views.iter().enumerate() {
+            prop_assert_eq!(view.iter().count(), early.len() + late.len().min(epoch));
+            let (ids, data): (Vec<TupleId>, Vec<Tuple>) =
+                sites_then.iter().map(|(id, t)| (*id, t.clone())).unzip();
+            for (key, ans) in view.iter() {
+                let region = cfg.canonical_query(*key);
+                let mut expect: Vec<TupleId> =
+                    constrained::skyline_indices(&data, &region, Algorithm::Bnl)
+                        .into_iter()
+                        .map(|i| ids[i])
+                        .collect();
+                expect.sort_unstable();
+                prop_assert_eq!(&ans.ids[..], &expect[..], "view of epoch {} {:?}", epoch, key);
+            }
         }
     }
 }

@@ -8,10 +8,10 @@
 //! **snapshot-per-epoch** state:
 //!
 //! * **Lock-free reads.** Each epoch publishes an immutable
-//!   [`Snapshot`] (frozen diagram clone + a query backend built from the
-//!   same site set) into an epoch-pinned slot ring; readers load the
-//!   current `Arc` with one atomic acquire and never take a lock on the
-//!   hot path.
+//!   [`Snapshot`] (the diagram's frozen answer table + the site list a
+//!   cold miss builds its query backend from) into an epoch-pinned slot
+//!   ring; readers load the current `Arc` with one atomic acquire and
+//!   never take a lock on the hot path.
 //! * **Request batching.** [`ServeEngine::serve_batch`] groups requests
 //!   by diagram cell, so `n` clients in the same cell cost one lookup
 //!   (and at most one cold compute — grouping *is* the single-flight).
@@ -20,10 +20,9 @@
 //!   the cell's canonical query point, serves the result, and back-fills
 //!   the writer diagram at the next epoch ingest.
 //! * **TTL + delta invalidation.** [`ServeEngine::ingest_epoch`] applies
-//!   a [`SkyDelta`] (e.g. adapted from the PR 5 monitor registry via
-//!   [`ServeEngine::ingest_monitor`]) through the diagram's
-//!   intersection test, evicts cells whose answer outlived
-//!   `ttl_epochs`, and publishes the next snapshot.
+//!   a [`SkyDelta`] through the diagram's intersection test, evicts
+//!   cells whose answer outlived `ttl_epochs`, and publishes the next
+//!   snapshot.
 //!
 //! Every serving action is traced (`CacheHit` / `CacheMiss` /
 //! `CellInvalidated`) and [`verify_serve_drift`] demands the trace
@@ -31,7 +30,7 @@
 //! discipline the simulator enforces.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use datagen::SpatialExtent;
@@ -39,12 +38,13 @@ use device_storage::HybridRelation;
 use manet_sim::trace::QueryTraceState;
 use manet_sim::{QueryEvent, QueryTraceLog, SimTime};
 use sim_obs::PowHistogram;
-use skyline_core::diagram::{ApplyReport, CellKey, DiagramConfig, SkyDelta, SkylineDiagram};
+use skyline_core::diagram::{
+    ApplyReport, CellKey, DiagramConfig, FrozenAnswers, SkyDelta, SkylineDiagram,
+};
 use skyline_core::region::Point;
 use skyline_core::{Tuple, TupleId};
 
 use crate::config::StrategyConfig;
-use crate::monitor::MonMsg;
 use crate::static_net::{grid_network_from_global, StaticGridNetwork};
 use crate::trace::{trace_aggregates, TraceAggregates};
 
@@ -94,14 +94,21 @@ impl Default for ServeConfig {
     }
 }
 
-/// One immutable epoch of serving state.
+/// One immutable epoch of serving state: only what readers read. The
+/// `LiveSkyline`s stay with the writer.
 pub struct Snapshot {
     /// Epoch this snapshot describes.
     pub epoch: u64,
-    /// Frozen diagram (materialized cells + cached answers).
-    diagram: SkylineDiagram,
-    /// Cold-path backend over the same site set.
-    backend: StaticGridNetwork<HybridRelation>,
+    /// Cached answers of the cells materialized at this epoch; a cell's
+    /// id list is shared with the writer and the neighbouring epochs
+    /// until a delta changes it.
+    answers: FrozenAnswers,
+    /// The epoch's site set, shared with neighbouring epochs that an
+    /// empty delta separates.
+    sites: Arc<[Tuple]>,
+    /// Cold-path backend over `sites`, built by this epoch's first cold
+    /// miss — an epoch that never misses builds none.
+    backend: OnceLock<StaticGridNetwork<HybridRelation>>,
 }
 
 /// Epoch-pinned snapshot publication: an append-only slot log with an
@@ -187,6 +194,8 @@ pub struct ServeStats {
     pub tuples_served: u64,
     /// Epochs ingested (excluding the construction epoch 0).
     pub epochs: u64,
+    /// Cold-path backends built: one per epoch that took a cold miss.
+    pub backend_builds: u64,
     /// Per-request staleness in epochs.
     pub staleness: PowHistogram,
 }
@@ -204,6 +213,7 @@ impl ServeStats {
             backfills: 0,
             tuples_served: 0,
             epochs: 0,
+            backend_builds: 0,
             staleness: PowHistogram::new(),
         }
     }
@@ -213,6 +223,9 @@ impl ServeStats {
 struct Writer {
     epoch: u64,
     diagram: SkylineDiagram,
+    /// The diagram's site set as snapshots share it, re-listed by an
+    /// ingest whose delta is not empty.
+    sites: Arc<[Tuple]>,
 }
 
 /// Coordinator-side accounting (stats + trace + pending backfills).
@@ -227,7 +240,7 @@ struct Ledger {
 
 /// Per-group outcome of a batch worker.
 struct GroupResult {
-    ids: Vec<TupleId>,
+    ids: Arc<[TupleId]>,
     cached: bool,
     age: u64,
     /// `true` when this group ran the cold compute (as opposed to
@@ -237,7 +250,7 @@ struct GroupResult {
 
 /// Cold answers computed this epoch, keyed `(epoch, cell)`: later
 /// batches in the same epoch reuse them instead of re-flooding.
-type ColdAnswers = BTreeMap<(u64, CellKey), Arc<Vec<TupleId>>>;
+type ColdAnswers = BTreeMap<(u64, CellKey), Arc<[TupleId]>>;
 
 /// The embeddable serving front end. One writer ([`ingest_epoch`]
 /// [`ServeEngine::ingest_epoch`]) and any number of batch readers;
@@ -248,6 +261,8 @@ pub struct ServeEngine {
     writer: Mutex<Writer>,
     ledger: Mutex<Ledger>,
     cold: Mutex<ColdAnswers>,
+    /// Bumped inside each snapshot's backend initialiser.
+    backend_builds: AtomicU64,
 }
 
 impl ServeEngine {
@@ -255,19 +270,21 @@ impl ServeEngine {
     /// snapshot.
     pub fn new(cfg: ServeConfig, seed: Vec<Tuple>) -> Self {
         let diagram = SkylineDiagram::with_sites(cfg.diagram.clone(), seed);
+        let sites = site_list(&diagram);
         let trace_cap = cfg.trace_capacity;
         let engine = ServeEngine {
             ring: SnapshotRing::new(cfg.slots),
-            writer: Mutex::new(Writer { epoch: 0, diagram }),
+            writer: Mutex::new(Writer { epoch: 0, diagram, sites }),
             ledger: Mutex::new(Ledger {
                 stats: ServeStats::new(),
                 trace: QueryTraceState::new(trace_cap),
                 pending: BTreeSet::new(),
             }),
             cold: Mutex::new(BTreeMap::new()),
+            backend_builds: AtomicU64::new(0),
             cfg,
         };
-        engine.publish_locked(&engine.writer.lock().expect("writer lock").diagram, 0);
+        engine.publish_locked(&engine.writer.lock().expect("writer lock"));
         engine
     }
 
@@ -283,7 +300,10 @@ impl ServeEngine {
 
     /// Deterministic lifetime counters.
     pub fn stats(&self) -> ServeStats {
-        self.ledger.lock().expect("ledger lock").stats.clone()
+        ServeStats {
+            backend_builds: self.backend_builds.load(Ordering::Relaxed),
+            ..self.ledger.lock().expect("ledger lock").stats.clone()
+        }
     }
 
     /// Drains the serve trace into a log (call once, at the end of the
@@ -300,11 +320,15 @@ impl ServeEngine {
         self.writer.lock().expect("writer lock").diagram.check_invariants()
     }
 
-    fn publish_locked(&self, diagram: &SkylineDiagram, epoch: u64) {
-        let tuples: Vec<Tuple> = diagram.sites().map(|(_, t)| t.clone()).collect();
-        let backend = grid_network_from_global(&tuples, self.cfg.backend_g, self.cfg.space);
-        self.ring
-            .publish(Arc::new(Snapshot { epoch, diagram: diagram.clone(), backend }));
+    /// Publishes the writer's state: a pointer copy per materialized
+    /// cell plus one for the site list.
+    fn publish_locked(&self, w: &Writer) {
+        self.ring.publish(Arc::new(Snapshot {
+            epoch: w.epoch,
+            answers: w.diagram.freeze(),
+            sites: w.sites.clone(),
+            backend: OnceLock::new(),
+        }));
     }
 
     /// Ingests one epoch's site delta: back-fills cold keys from the
@@ -340,28 +364,15 @@ impl ServeEngine {
         led.stats.cells_skipped += report.cells_skipped;
         led.stats.evictions += w.diagram.evict_stale(epoch, self.cfg.ttl_epochs).len() as u64;
         led.stats.epochs += 1;
-
-        self.publish_locked(&w.diagram, epoch);
-        report
-    }
-
-    /// Adapts a monitor-registry message into an epoch ingest: a
-    /// [`MonMsg::Delta`] becomes a [`SkyDelta`] (a `full` resync first
-    /// retracts every tracked site absent from the snapshot). Other
-    /// message kinds are not site-set changes and return `None`.
-    pub fn ingest_monitor(&self, msg: &MonMsg) -> Option<ApplyReport> {
-        let MonMsg::Delta { adds, removes, full, .. } = msg else {
-            return None;
-        };
-        let mut delta = SkyDelta { adds: adds.clone(), removes: removes.clone() };
-        if *full {
-            let keep: BTreeSet<TupleId> = adds.iter().map(|(id, _)| *id).collect();
-            let w = self.writer.lock().expect("writer lock");
-            delta
-                .removes
-                .extend(w.diagram.sites().map(|(id, _)| *id).filter(|id| !keep.contains(id)));
+        if !delta.is_empty() {
+            w.sites = site_list(&w.diagram);
         }
-        Some(self.ingest_epoch(&delta))
+
+        // Cold answers of earlier epochs will not be asked for again.
+        self.cold.lock().expect("cold lock").retain(|&(e, _), _| e >= epoch);
+
+        self.publish_locked(&w);
+        report
     }
 
     /// Answers a batch of `(origin, radius)` requests against the
@@ -385,7 +396,7 @@ impl ServeEngine {
         // the work. The pool only pays off when some group carries a real
         // backend query, so spawn only then. Either path resolves the
         // same groups to the same results — determinism is unaffected.
-        let any_cold = keys.iter().any(|&k| !snap.diagram.is_materialized(k));
+        let any_cold = keys.iter().any(|&k| snap.answers.answer(k).is_none());
         if !any_cold || self.cfg.threads <= 1 {
             for (i, &key) in keys.iter().enumerate() {
                 let group_size = groups[&key].len() as u64;
@@ -463,7 +474,7 @@ impl ServeEngine {
             for &req in members {
                 answers[req] = Some(ServedAnswer {
                     key: *key,
-                    ids: gr.ids.clone(),
+                    ids: gr.ids.to_vec(),
                     cached: gr.cached,
                     age: gr.age,
                     epoch: snap.epoch,
@@ -477,10 +488,10 @@ impl ServeEngine {
     fn resolve(&self, snap: &Snapshot, key: CellKey, group_size: u64) -> GroupResult {
         let mut span = sim_obs::span!("serve::lookup");
         span.add_units(group_size);
-        if let Some(ans) = snap.diagram.answer(key) {
+        if let Some(ans) = snap.answers.answer(key) {
             return GroupResult {
                 age: snap.epoch - ans.refreshed_at.min(snap.epoch),
-                ids: ans.ids,
+                ids: ans.ids.clone(),
                 cached: true,
                 computed_now: false,
             };
@@ -489,26 +500,27 @@ impl ServeEngine {
         // real backend query at the canonical query point. Grouping
         // guarantees one resolver per key per batch, so no flight races.
         if let Some(ids) = self.cold.lock().expect("cold lock").get(&(snap.epoch, key)) {
-            return GroupResult {
-                ids: ids.as_ref().clone(),
-                cached: false,
-                age: 0,
-                computed_now: false,
-            };
+            return GroupResult { ids: ids.clone(), cached: false, age: 0, computed_now: false };
         }
+        // Concurrent cold groups of one snapshot wait on the one build.
+        let backend = snap.backend.get_or_init(|| {
+            self.backend_builds.fetch_add(1, Ordering::Relaxed);
+            grid_network_from_global(&snap.sites, self.cfg.backend_g, self.cfg.space)
+        });
         let region = self.cfg.diagram.canonical_query(key);
-        let origin = snap.backend.nearest_device(region.center);
-        let out =
-            snap.backend
-                .run_query_at(origin, region.center, region.radius, &self.cfg.strategy);
+        let origin = backend.nearest_device(region.center);
+        let out = backend.run_query_at(origin, region.center, region.radius, &self.cfg.strategy);
         let mut ids: Vec<TupleId> = out.result.iter().map(TupleId::site).collect();
         ids.sort_unstable();
-        self.cold
-            .lock()
-            .expect("cold lock")
-            .insert((snap.epoch, key), Arc::new(ids.clone()));
+        let ids: Arc<[TupleId]> = ids.into();
+        self.cold.lock().expect("cold lock").insert((snap.epoch, key), ids.clone());
         GroupResult { ids, cached: false, age: 0, computed_now: true }
     }
+}
+
+/// The diagram's live sites, in id order.
+fn site_list(diagram: &SkylineDiagram) -> Arc<[Tuple]> {
+    diagram.sites().map(|(_, t)| t.clone()).collect()
 }
 
 /// Reconciles a serve trace against the engine's counters: hit, miss,
@@ -702,6 +714,7 @@ mod tests {
         let (a4, s4) = drive(&e4);
         assert_eq!(a1, a4, "served answers must be thread-count independent");
         assert_eq!(s1, s4, "counters must be thread-count independent");
+        assert!(s1.backend_builds > 0, "the drive must exercise the lazy backend: {s1:?}");
         let (l1, l4) = (e1.take_trace(), e4.take_trace());
         assert_eq!(l1.records.len(), l4.records.len());
         assert!(l1
@@ -733,32 +746,51 @@ mod tests {
     }
 
     #[test]
-    fn monitor_deltas_drive_the_diagram() {
-        let sites = seed_sites(600, 2, 9);
-        let engine = ServeEngine::new(cfg(1), sites);
-        let q = (Point::new(500.0, 500.0), 200.0);
-        engine.serve_batch(&[q]);
-        engine.ingest_epoch(&SkyDelta::default());
-        let key = engine.serve_batch(&[q])[0].key;
+    fn cold_answers_of_past_epochs_are_dropped() {
+        let sites = seed_sites(800, 2, 13);
+        let engine = ServeEngine::new(cfg(2), sites);
+        for epoch in 0..5u64 {
+            // A fresh pair of cells every epoch, so every epoch misses.
+            let x = 60.0 + 125.0 * epoch as f64;
+            engine.serve_batch(&[(Point::new(x, 60.0), 100.0), (Point::new(x, 60.0), 200.0)]);
+            let cold = engine.cold.lock().unwrap();
+            assert_eq!(cold.len(), 2, "epoch {epoch}");
+            assert!(cold.keys().all(|&(e, _)| e == epoch), "epoch {epoch} holds past keys");
+            drop(cold);
+            engine.ingest_epoch(&SkyDelta::default());
+            assert!(engine.cold.lock().unwrap().is_empty());
+        }
+        assert_eq!(engine.stats().misses, 10);
+    }
 
-        let winner = Tuple::new(510.0, 490.0, vec![0.0, 0.0]);
-        let msg = MonMsg::Delta {
-            key: crate::query::QueryKey { origin: 0, cnt: 0 },
-            epoch: 1,
-            adds: vec![(TupleId::site(&winner), winner.clone())],
+    #[test]
+    fn a_backend_is_built_once_and_only_by_an_epoch_that_misses() {
+        let sites = seed_sites(1_000, 2, 29);
+        let engine = ServeEngine::new(cfg(4), sites);
+        assert_eq!(engine.stats().backend_builds, 0, "publishing builds nothing");
+        // Two cold groups in one batch, resolved by the pool: one build.
+        let qs = [(Point::new(300.0, 300.0), 100.0), (Point::new(700.0, 700.0), 200.0)];
+        let out = engine.serve_batch(&qs);
+        assert!(out.iter().all(|a| !a.cached));
+        assert_eq!(engine.stats().misses, 2);
+        assert_eq!(engine.stats().backend_builds, 1);
+        // A third cold cell of the same epoch reuses that backend.
+        engine.serve_batch(&[(Point::new(500.0, 500.0), 400.0)]);
+        assert_eq!(engine.stats().backend_builds, 1);
+        // Epochs served entirely from the cache build none, churn or not.
+        let churn = Tuple::new(310.0, 310.0, vec![0.0, 0.0]);
+        engine.ingest_epoch(&SkyDelta {
+            adds: vec![(TupleId::site(&churn), churn.clone())],
             removes: vec![],
-            full: false,
-            seq: 0,
-            retries: 0,
-        };
-        let report = engine.ingest_monitor(&msg).expect("deltas apply");
-        assert!(report.invalidated.contains(&key));
-        assert_eq!(engine.serve_batch(&[q])[0].ids, vec![TupleId::site(&winner)]);
-
-        // Register/Cancel messages are not site-set changes.
-        assert!(engine
-            .ingest_monitor(&MonMsg::Cancel { key: crate::query::QueryKey { origin: 0, cnt: 0 } })
-            .is_none());
-        engine.check_invariants().unwrap();
+        });
+        for _ in 0..3 {
+            assert!(engine.serve_batch(&qs).iter().all(|a| a.cached));
+            engine.ingest_epoch(&SkyDelta::default());
+        }
+        assert_eq!(engine.stats().backend_builds, 1);
+        // The next miss builds over its own epoch's sites.
+        let late = engine.serve_batch(&[(Point::new(310.0, 310.0), 400.0)]);
+        assert!(late[0].ids.contains(&TupleId::site(&churn)));
+        assert_eq!(engine.stats().backend_builds, 2);
     }
 }
