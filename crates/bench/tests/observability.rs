@@ -114,10 +114,13 @@ fn span_profile_deterministic_columns_are_jobs_invariant() {
         sim_obs::set_enabled(false);
         let rep = ProfileReport::collect_and_reset();
         assert!(!outs.is_empty() && !sky.is_empty());
-        rep
+        // Every BF callback that reads `ctx.neighbors()` (issue, relay,
+        // re-issue) also floods, so app broadcasts bound the reads.
+        let app_neighbor_reads: u64 = outs.iter().map(|o| o.net.app_broadcasts_sent).sum();
+        (rep, app_neighbor_reads)
     };
-    let rep1 = profile_of("span_jobs1", 1);
-    let rep4 = profile_of("span_jobs4", 4);
+    let (rep1, app_neighbor_reads) = profile_of("span_jobs1", 1);
+    let (rep4, _) = profile_of("span_jobs4", 4);
     let _ = sweep::take_stage_records();
     // calls/bytes/units are pure functions of the simulated work and merge
     // by addition — identical at any worker count. wall_ns is volatile and
@@ -127,6 +130,18 @@ fn span_profile_deterministic_columns_are_jobs_invariant() {
         let row = rep1.row(name).unwrap_or_else(|| panic!("span `{name}` never fired"));
         assert!(row.calls > 0);
     }
+    // Neighbourhoods are built on demand: one grid query per broadcast
+    // transmission (receiver pruning) plus one per callback that reads its
+    // neighbour list — never one per delivered frame.
+    let calls = |name| rep1.row(name).expect("span fired").calls;
+    assert!(
+        calls("grid::query") <= calls("radio::tx") + app_neighbor_reads,
+        "grid::query fired {} times for {} transmissions + {} neighbour reads ({} deliveries)",
+        calls("grid::query"),
+        calls("radio::tx"),
+        app_neighbor_reads,
+        calls("radio::deliver"),
+    );
     let bnl = rep1.row("core::block_bnl").expect("kernel span fired");
     assert!(bnl.calls > 0 && bnl.units > 0);
 }

@@ -410,13 +410,10 @@ impl DeviceApp {
         self.bf_rounds.insert(spec.key, 0);
 
         let (sk_org, filters) = self.device.originate(&spec, &self.cfg);
+        let neighbors = ctx.neighbors().len();
         ctx.trace(
             Some(qid(spec.key)),
-            QueryEvent::Issued {
-                radius_m: radius,
-                neighbors: ctx.neighbors().len(),
-                filters: filters.len(),
-            },
+            QueryEvent::Issued { radius_m: radius, neighbors, filters: filters.len() },
         );
         for f in &filters {
             ctx.trace(Some(qid(spec.key)), QueryEvent::FilterAttached { vdr: f.vdr });
@@ -489,10 +486,8 @@ impl DeviceApp {
         aq.round += 1;
         let (spec, filters, round) = (aq.spec, aq.filters.clone(), aq.round);
         self.bf_rounds.insert(spec.key, round);
-        ctx.trace(
-            Some(qid(spec.key)),
-            QueryEvent::Reissued { round: u32::from(round), neighbors: ctx.neighbors().len() },
-        );
+        let neighbors = ctx.neighbors().len();
+        ctx.trace(Some(qid(spec.key)), QueryEvent::Reissued { round: u32::from(round), neighbors });
         self.flood(ctx, spec, filters, round, 0);
         ctx.set_timer(self.dist.reissue_delay, token::REISSUE | u64::from(cnt));
     }

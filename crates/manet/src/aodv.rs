@@ -28,8 +28,11 @@
 //! Omitted (not needed for the paper's workloads): intermediate-node
 //! RREP replies, precursor lists with targeted RERR delivery, local
 //! repair, and hello messages (neighbourhood sensing is physical — the
-//! engine answers "is X in range" directly, modelling an idealized
-//! beacon protocol).
+//! engine answers "is X in range" directly, through the `link_up`
+//! predicate [`AodvState::on_frame`] is handed: one point check for the
+//! one next hop a forwarded packet needs, modelling an idealized beacon
+//! protocol; under `NeighborMode::Beacon` the same predicate reads the
+//! engine's HELLO table instead).
 //!
 //! The state machine is engine-agnostic: every handler returns
 //! [`LinkCmd`]s that the engine turns into frames, timers, and
@@ -333,14 +336,16 @@ impl<P: Clone> AodvState<P> {
         ]
     }
 
-    /// Handles a received frame. `is_neighbor` answers whether a node is
-    /// currently within radio range (idealized beaconing).
+    /// Handles a received frame. `link_up` answers whether the link from
+    /// this node to a given next hop is usable right now; it is asked at
+    /// most once, and only when a data packet is forwarded along a live
+    /// route, so the engine evaluates it on demand.
     pub fn on_frame(
         &mut self,
         link_from: NodeId,
         frame: Frame<P>,
         now: SimTime,
-        is_neighbor: &dyn Fn(NodeId) -> bool,
+        link_up: impl FnOnce(NodeId) -> bool,
     ) -> Vec<LinkCmd<P>> {
         let mut span = sim_obs::span!("aodv::on_frame");
         span.add_bytes(frame.bytes() as u64);
@@ -349,7 +354,7 @@ impl<P: Clone> AodvState<P> {
         self.offer_unknown_seq(link_from, link_from, 1, now);
         match frame {
             Frame::Aodv(msg) => self.on_aodv(link_from, msg, now),
-            Frame::Data(pkt) => self.on_data(link_from, pkt, now, is_neighbor),
+            Frame::Data(pkt) => self.on_data(link_from, pkt, now, link_up),
             Frame::Bcast { .. } | Frame::Hello => {
                 unreachable!("broadcasts and beacons are delivered by the engine, not AODV")
             }
@@ -417,7 +422,7 @@ impl<P: Clone> AodvState<P> {
         link_from: NodeId,
         mut pkt: DataPacket<P>,
         now: SimTime,
-        is_neighbor: &dyn Fn(NodeId) -> bool,
+        link_up: impl FnOnce(NodeId) -> bool,
     ) -> Vec<LinkCmd<P>> {
         // Gratuitous-RREP-style refresh: the packet's journey so far is a
         // working reverse path toward its source.
@@ -433,7 +438,7 @@ impl<P: Clone> AodvState<P> {
         // Forward along the route; detect broken links at forwarding time
         // (modelling link-layer feedback).
         if let Some(nh) = self.next_hop(pkt.dst, now) {
-            if is_neighbor(nh) {
+            if link_up(nh) {
                 self.refresh(pkt.dst, now);
                 return vec![LinkCmd::SendTo(nh, Frame::Data(pkt))];
             }
@@ -441,7 +446,7 @@ impl<P: Clone> AodvState<P> {
             // §6.11) so the RERR also kills neighbours' equally-fresh
             // copies of the route, then salvage the packet behind a
             // targeted rediscovery instead of dropping it.
-            let mut cmds = vec![self.break_route(pkt.dst, now)];
+            let mut cmds = vec![self.break_route(pkt.dst)];
             let dst = pkt.dst;
             let discovering = self.pending.contains_key(&dst);
             self.pending.entry(dst).or_default().push(pkt);
@@ -469,7 +474,7 @@ impl<P: Clone> AodvState<P> {
     /// Invalidates the route to `dst` after link-layer failure, bumping
     /// its sequence number (RFC 3561 §6.11), and builds the RERR
     /// broadcast advertising the bumped number.
-    fn break_route(&mut self, dst: NodeId, _now: SimTime) -> LinkCmd<P> {
+    fn break_route(&mut self, dst: NodeId) -> LinkCmd<P> {
         let r = self.routes.get_mut(&dst).expect("break_route follows next_hop()");
         r.valid = false;
         if r.seq_known {
@@ -572,7 +577,7 @@ mod tests {
             dst: 5,
             hop_count: 2,
         });
-        let cmds = d.on_frame(4, rreq, SimTime::ZERO, &ALWAYS);
+        let cmds = d.on_frame(4, rreq, SimTime::ZERO, ALWAYS);
         assert!(matches!(
             cmds[0],
             LinkCmd::SendTo(4, Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, .. }))
@@ -585,13 +590,13 @@ mod tests {
     fn intermediate_rebroadcasts_once() {
         let mut i = state(2);
         let rreq = AodvMessage::Rreq { rreq_id: 7, origin: 0, origin_seq: 1, dst: 5, hop_count: 0 };
-        let c1 = i.on_frame(0, Frame::Aodv(rreq.clone()), SimTime::ZERO, &ALWAYS);
+        let c1 = i.on_frame(0, Frame::Aodv(rreq.clone()), SimTime::ZERO, ALWAYS);
         assert!(matches!(
             c1[0],
             LinkCmd::Broadcast(Frame::Aodv(AodvMessage::Rreq { hop_count: 1, .. }))
         ));
         // Duplicate flood member is suppressed.
-        let c2 = i.on_frame(1, Frame::Aodv(rreq), SimTime::ZERO, &ALWAYS);
+        let c2 = i.on_frame(1, Frame::Aodv(rreq), SimTime::ZERO, ALWAYS);
         assert!(c2.is_empty());
     }
 
@@ -600,7 +605,7 @@ mod tests {
         let mut a = state(0);
         a.send(5, 42, 100, SimTime::ZERO);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 2, hop_count: 1 });
-        let cmds = a.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        let cmds = a.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         assert_eq!(cmds.len(), 1);
         assert!(matches!(&cmds[0], LinkCmd::SendTo(3, Frame::Data(p)) if p.payload == 42));
         assert_eq!(a.next_hop(5, SimTime::ZERO), Some(3));
@@ -611,9 +616,9 @@ mod tests {
         let mut i = state(2);
         // Reverse route to origin 0 exists via node 1 (learned from an RREQ).
         let rreq = AodvMessage::Rreq { rreq_id: 0, origin: 0, origin_seq: 1, dst: 5, hop_count: 0 };
-        i.on_frame(1, Frame::Aodv(rreq), SimTime::ZERO, &ALWAYS);
+        i.on_frame(1, Frame::Aodv(rreq), SimTime::ZERO, ALWAYS);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 2, hop_count: 0 });
-        let cmds = i.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        let cmds = i.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         assert!(matches!(
             cmds[0],
             LinkCmd::SendTo(1, Frame::Aodv(AodvMessage::Rrep { hop_count: 1, .. }))
@@ -627,9 +632,9 @@ mod tests {
         let mut i = state(2);
         // Install a route to 5 via 3.
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 2, hop_count: 0 });
-        i.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        i.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         let pkt = DataPacket { src: 0, dst: 5, id: 0, hops: 1, payload: 1u32, bytes: 10 };
-        let cmds = i.on_data(1, pkt, SimTime::ZERO, &NEVER);
+        let cmds = i.on_data(1, pkt, SimTime::ZERO, NEVER);
         assert!(matches!(
             cmds[0],
             LinkCmd::Broadcast(Frame::Aodv(AodvMessage::Rerr { dst: 5, .. }))
@@ -643,9 +648,9 @@ mod tests {
         // neighbour holding the same seq through us would keep its route.
         let mut i = state(2);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 7, hop_count: 0 });
-        i.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        i.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         let pkt = DataPacket { src: 0, dst: 5, id: 0, hops: 1, payload: 1u32, bytes: 10 };
-        let cmds = i.on_data(1, pkt, SimTime::ZERO, &NEVER);
+        let cmds = i.on_data(1, pkt, SimTime::ZERO, NEVER);
         let LinkCmd::Broadcast(Frame::Aodv(AodvMessage::Rerr { dst: 5, dst_seq })) = cmds[0] else {
             panic!("expected RERR, got {:?}", cmds[0]);
         };
@@ -655,9 +660,9 @@ mod tests {
         // pre-break seq must invalidate on hearing it.
         let mut n = state(9);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 9, dst: 5, dst_seq: 7, hop_count: 1 });
-        n.on_frame(2, rrep, SimTime::ZERO, &ALWAYS);
+        n.on_frame(2, rrep, SimTime::ZERO, ALWAYS);
         assert!(n.has_route(5, SimTime::ZERO));
-        n.on_frame(2, Frame::Aodv(AodvMessage::Rerr { dst: 5, dst_seq }), SimTime::ZERO, &ALWAYS);
+        n.on_frame(2, Frame::Aodv(AodvMessage::Rerr { dst: 5, dst_seq }), SimTime::ZERO, ALWAYS);
         assert!(!n.has_route(5, SimTime::ZERO), "equally-fresh stale route must die");
     }
 
@@ -665,9 +670,9 @@ mod tests {
     fn link_break_salvages_packet_behind_targeted_rediscovery() {
         let mut i = state(2);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 2, hop_count: 0 });
-        i.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        i.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         let pkt = DataPacket { src: 0, dst: 5, id: 0, hops: 1, payload: 42u32, bytes: 10 };
-        let cmds = i.on_data(1, pkt, SimTime::ZERO, &NEVER);
+        let cmds = i.on_data(1, pkt, SimTime::ZERO, NEVER);
         // RERR, then a fresh RREQ for the same destination plus its timer.
         assert!(matches!(cmds[0], LinkCmd::Broadcast(Frame::Aodv(AodvMessage::Rerr { .. }))));
         assert!(matches!(
@@ -677,7 +682,7 @@ mod tests {
         assert!(matches!(cmds[2], LinkCmd::SetTimer(_, AodvTimer::RreqTimeout { dst: 5, .. })));
         // Rediscovery succeeds: the salvaged packet flows via the new hop.
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 2, dst: 5, dst_seq: 9, hop_count: 0 });
-        let cmds = i.on_frame(4, rrep, SimTime::ZERO, &ALWAYS);
+        let cmds = i.on_frame(4, rrep, SimTime::ZERO, ALWAYS);
         assert!(
             matches!(&cmds[0], LinkCmd::SendTo(4, Frame::Data(p)) if p.payload == 42),
             "salvaged packet must be re-sent, got {cmds:?}"
@@ -689,7 +694,7 @@ mod tests {
         // A relay with no route at all must not lose the packet silently.
         let mut i = state(2);
         let pkt = DataPacket { src: 0, dst: 5, id: 0, hops: 1, payload: 1u32, bytes: 10 };
-        let cmds = i.on_data(0, pkt, SimTime::ZERO, &ALWAYS);
+        let cmds = i.on_data(0, pkt, SimTime::ZERO, ALWAYS);
         assert!(
             matches!(&cmds[0], LinkCmd::DropForwarded(p) if p.src == 0),
             "relay drop must be DropForwarded (no app callback), got {cmds:?}"
@@ -698,10 +703,10 @@ mod tests {
         // With an expired entry the RERR goes out too, seq bumped.
         let mut j = state(2);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 4, hop_count: 0 });
-        j.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        j.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         let later = SimTime::ZERO + SimDuration::from_secs_f64(10.0);
         let pkt = DataPacket { src: 0, dst: 5, id: 1, hops: 1, payload: 1u32, bytes: 10 };
-        let cmds = j.on_data(0, pkt, later, &ALWAYS);
+        let cmds = j.on_data(0, pkt, later, ALWAYS);
         assert!(matches!(
             cmds[0],
             LinkCmd::Broadcast(Frame::Aodv(AodvMessage::Rerr { dst: 5, dst_seq: 5 }))
@@ -716,9 +721,9 @@ mod tests {
         i.send(5, 1, 10, SimTime::ZERO);
         // A forwarded packet salvaged into the same pending queue.
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 2, hop_count: 0 });
-        i.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        i.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         let pkt = DataPacket { src: 0, dst: 5, id: 0, hops: 1, payload: 2u32, bytes: 10 };
-        i.on_data(1, pkt, SimTime::ZERO, &NEVER);
+        i.on_data(1, pkt, SimTime::ZERO, NEVER);
         let cmds = i.on_timer(
             AodvTimer::RreqTimeout { dst: 5, attempt: 3 },
             SimTime::ZERO + SimDuration::from_secs_f64(10.0),
@@ -739,14 +744,9 @@ mod tests {
     fn rerr_invalidates_matching_route() {
         let mut a = state(0);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 2, hop_count: 0 });
-        a.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        a.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         assert!(a.has_route(5, SimTime::ZERO));
-        a.on_frame(
-            3,
-            Frame::Aodv(AodvMessage::Rerr { dst: 5, dst_seq: 2 }),
-            SimTime::ZERO,
-            &ALWAYS,
-        );
+        a.on_frame(3, Frame::Aodv(AodvMessage::Rerr { dst: 5, dst_seq: 2 }), SimTime::ZERO, ALWAYS);
         assert!(!a.has_route(5, SimTime::ZERO));
     }
 
@@ -754,7 +754,7 @@ mod tests {
     fn routes_expire_lazily() {
         let mut a = state(0);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 2, hop_count: 0 });
-        a.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        a.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         let later = SimTime::ZERO + SimDuration::from_secs_f64(10.0);
         assert!(!a.has_route(5, later), "route must expire after 3 s idle");
     }
@@ -778,7 +778,7 @@ mod tests {
         let mut a = state(0);
         a.send(5, 42, 100, SimTime::ZERO);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 2, hop_count: 0 });
-        a.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        a.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         let cmds = a.on_timer(AodvTimer::RreqTimeout { dst: 5, attempt: 1 }, SimTime(1));
         assert!(cmds.is_empty());
     }
@@ -790,11 +790,11 @@ mod tests {
         let mk = |dst_seq, hop_count| {
             Frame::Aodv(AodvMessage::Rrep { origin: 9, dst: 5, dst_seq, hop_count })
         };
-        a.on_frame(3, mk(2, 1), now, &ALWAYS); // via 3, 2 hops, seq 2
+        a.on_frame(3, mk(2, 1), now, ALWAYS); // via 3, 2 hops, seq 2
         assert_eq!(a.next_hop(5, now), Some(3));
-        a.on_frame(4, mk(2, 5), now, &ALWAYS); // same seq, longer → ignored
+        a.on_frame(4, mk(2, 5), now, ALWAYS); // same seq, longer → ignored
         assert_eq!(a.next_hop(5, now), Some(3));
-        a.on_frame(4, mk(3, 5), now, &ALWAYS); // fresher seq → wins
+        a.on_frame(4, mk(3, 5), now, ALWAYS); // fresher seq → wins
         assert_eq!(a.next_hop(5, now), Some(4));
     }
 
@@ -805,7 +805,7 @@ mod tests {
             7,
             Frame::Aodv(AodvMessage::Rerr { dst: 99, dst_seq: 0 }),
             SimTime::ZERO,
-            &ALWAYS,
+            ALWAYS,
         );
         assert_eq!(a.next_hop(7, SimTime::ZERO), Some(7));
     }
@@ -814,15 +814,15 @@ mod tests {
     fn seen_rreq_expires_and_stays_bounded() {
         let mut i = state(2);
         let rreq = AodvMessage::Rreq { rreq_id: 7, origin: 0, origin_seq: 1, dst: 5, hop_count: 0 };
-        let c1 = i.on_frame(0, Frame::Aodv(rreq.clone()), SimTime::ZERO, &ALWAYS);
+        let c1 = i.on_frame(0, Frame::Aodv(rreq.clone()), SimTime::ZERO, ALWAYS);
         assert!(matches!(c1[0], LinkCmd::Broadcast(_)));
         // Within PATH_DISCOVERY_TIME: suppressed.
         let just_before = SimTime::ZERO + SimDuration::from_secs_f64(5.0);
-        assert!(i.on_frame(1, Frame::Aodv(rreq.clone()), just_before, &ALWAYS).is_empty());
+        assert!(i.on_frame(1, Frame::Aodv(rreq.clone()), just_before, ALWAYS).is_empty());
         // After expiry the same flood id is processed again (a rebooted
         // origin reusing ids must not be deaf-spotted forever)...
         let after = SimTime::ZERO + SimDuration::from_secs_f64(12.0);
-        let c2 = i.on_frame(1, Frame::Aodv(rreq), after, &ALWAYS);
+        let c2 = i.on_frame(1, Frame::Aodv(rreq), after, ALWAYS);
         assert!(matches!(c2[0], LinkCmd::Broadcast(_)), "expired entry must not suppress");
         // ...and the periodic sweep keeps the cache bounded: feed one
         // flood per second for a while; live entries span at most
@@ -832,7 +832,7 @@ mod tests {
             let at = SimTime(k * 1_000_000);
             let rreq =
                 AodvMessage::Rreq { rreq_id: k, origin: 9, origin_seq: 1, dst: 5, hop_count: 0 };
-            j.on_frame(1, Frame::Aodv(rreq), at, &ALWAYS);
+            j.on_frame(1, Frame::Aodv(rreq), at, ALWAYS);
         }
         assert!(
             j.seen_rreq.len() <= 2 * 6 + 4,
@@ -849,20 +849,20 @@ mod tests {
         // sequence number must survive both steps.
         let mut a = state(0);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 9, hop_count: 1 });
-        a.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        a.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         // Route to 5 expires…
         let later = SimTime::ZERO + SimDuration::from_secs_f64(5.0);
         assert!(!a.has_route(5, later));
         // …then we overhear node 5 directly: revives the entry as 1-hop.
-        a.on_frame(5, Frame::Aodv(AodvMessage::Rerr { dst: 99, dst_seq: 0 }), later, &ALWAYS);
+        a.on_frame(5, Frame::Aodv(AodvMessage::Rerr { dst: 99, dst_seq: 0 }), later, ALWAYS);
         assert_eq!(a.next_hop(5, later), Some(5));
         // A stale RREP (seq 4 < 9) must not win, now or ever.
         let stale = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 4, hop_count: 3 });
-        a.on_frame(7, stale, later, &ALWAYS);
+        a.on_frame(7, stale, later, ALWAYS);
         assert_eq!(a.next_hop(5, later), Some(5), "stale RREP must not replace the route");
         // A genuinely fresher RREP still wins.
         let fresh = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 10, hop_count: 3 });
-        a.on_frame(7, fresh, later, &ALWAYS);
+        a.on_frame(7, fresh, later, ALWAYS);
         assert_eq!(a.next_hop(5, later), Some(7));
     }
 
@@ -883,7 +883,7 @@ mod tests {
         // reverse path toward its source.
         let mut d = state(5);
         let pkt = DataPacket { src: 0, dst: 5, id: 0, hops: 2, payload: 1u32, bytes: 10 };
-        let cmds = d.on_data(3, pkt, SimTime::ZERO, &ALWAYS);
+        let cmds = d.on_data(3, pkt, SimTime::ZERO, ALWAYS);
         assert!(matches!(cmds[0], LinkCmd::DeliverUp(_)));
         assert_eq!(d.next_hop(0, SimTime::ZERO), Some(3), "reverse route to src via relay");
     }
@@ -892,13 +892,13 @@ mod tests {
     fn priming_never_downgrades_a_known_seq() {
         let mut a = state(0);
         let rrep = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 9, hop_count: 2 });
-        a.on_frame(3, rrep, SimTime::ZERO, &ALWAYS);
+        a.on_frame(3, rrep, SimTime::ZERO, ALWAYS);
         // Priming a shorter path re-points the route…
         a.offer_app_route(5, 8, 1, SimTime::ZERO);
         assert_eq!(a.next_hop(5, SimTime::ZERO), Some(8));
         // …but the seq floor survives: a stale RREP still loses.
         let stale = Frame::Aodv(AodvMessage::Rrep { origin: 0, dst: 5, dst_seq: 8, hop_count: 1 });
-        a.on_frame(7, stale, SimTime::ZERO, &ALWAYS);
+        a.on_frame(7, stale, SimTime::ZERO, ALWAYS);
         assert_eq!(a.next_hop(5, SimTime::ZERO), Some(8));
     }
 }

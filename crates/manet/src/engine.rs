@@ -6,6 +6,13 @@
 //! context records commands (send, broadcast, timers) that the engine
 //! executes after the callback returns, which keeps borrows simple and the
 //! event order deterministic.
+//!
+//! Neighbour discovery is demand-driven. Two parties may ask: AODV, which
+//! needs one link checked when it forwards data along a route (a point
+//! test, `Geometry::link_up`), and the application, whose
+//! [`NodeCtx::neighbors`] builds the list on its first call inside a
+//! callback. A delivered frame whose handlers ask neither question costs
+//! no grid query and no position lookups beyond its own.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,15 +110,25 @@ pub struct NodeCtx<'a, P> {
     pub id: NodeId,
     /// This node's current position.
     pub position: Pos,
-    neighbors: &'a [NodeId],
+    geo: &'a mut Geometry,
+    /// The neighbour list, once somebody has asked for it.
+    neighbors: Option<Vec<NodeId>>,
     cmds: Vec<AppCmd<P>>,
     qtrace: Option<&'a mut QueryTraceState>,
 }
 
 impl<'a, P> NodeCtx<'a, P> {
-    /// Nodes currently within radio range (idealized beaconing).
-    pub fn neighbors(&self) -> &[NodeId] {
-        self.neighbors
+    /// This node's one-hop neighbours under the simulator's
+    /// [`NeighborMode`], ascending by id. Built on the first call inside a
+    /// callback and reused by later calls (time and link state cannot
+    /// change while the callback runs); a callback that never asks pays
+    /// nothing.
+    pub fn neighbors(&mut self) -> &[NodeId] {
+        self.neighbors.get_or_insert_with(|| {
+            let mut list = Vec::new();
+            self.geo.neighbors_into(self.id, self.now, &mut list);
+            list
+        })
     }
 
     /// `true` when per-query tracing is enabled. Use to skip building
@@ -178,21 +195,22 @@ enum Event<P> {
 }
 
 struct NodeEntry<P, A> {
-    mobility: MobilityState,
     aodv: AodvState<P>,
     app: A,
-    /// Beacon mode: (neighbour id, last-heard time), sorted by id so the
-    /// neighbour view is produced by a filter instead of a per-call sort.
-    heard: Vec<(NodeId, SimTime)>,
 }
 
-/// The simulator.
-pub struct Simulator<P, A> {
-    nodes: Vec<NodeEntry<P, A>>,
-    queue: EventQueue<Event<P>>,
+/// Who is where, who is up and who can hear whom: everything a link or
+/// neighbourhood question needs, and nothing of the per-node protocol
+/// state in [`NodeEntry`]. It is one struct so that `dispatch` can lend it
+/// to AODV's link predicate, and `run_app` to the [`NodeCtx`], while
+/// `nodes[i].aodv` / `nodes[i].app` are mutably borrowed beside it — which
+/// is what lets both questions be answered on demand instead of ahead of
+/// every callback.
+struct Geometry {
     radio: RadioConfig,
-    rng: StdRng,
-    stats: NetStats,
+    neighbor_mode: NeighborMode,
+    /// Per-node mobility model.
+    mobility: Vec<MobilityState>,
     /// Lazily cached positions; entry `i` is exact when `pos_stamp[i]`
     /// equals the current event time (see [`Self::pos_of`]).
     positions: Vec<Pos>,
@@ -207,24 +225,156 @@ pub struct Simulator<P, A> {
     grid_period: SimDuration,
     /// Fastest speed any node can move at (0 for all-static networks).
     max_speed: f64,
-    /// Reusable buffer for neighbour lists (avoids per-event allocation).
-    nbr_scratch: Vec<NodeId>,
     /// Reusable buffer for grid candidate sets.
     cand_scratch: Vec<NodeId>,
-    /// Joules consumed by each node's radio (tx + rx).
-    energy_j: Vec<f64>,
     /// Per-node up/down status (fault injection; all up by default).
     up: Vec<bool>,
-    /// Per-node crash epoch; bumped on crash to invalidate stale timers.
-    epochs: Vec<u64>,
     /// Links currently severed by a fault plan, as normalized (lo, hi) pairs.
     severed: std::collections::HashSet<(NodeId, NodeId)>,
+    /// Beacon mode, per node: (neighbour id, last-heard time), sorted by id
+    /// so the neighbour view is produced by a filter instead of a per-call
+    /// sort and a link check is one binary search.
+    heard: Vec<Vec<(NodeId, SimTime)>>,
+}
+
+impl Geometry {
+    /// The exact position of `node` at event time `now`, computed at most
+    /// once per (node, event time) via the stamp cache. Random-waypoint
+    /// positions are pure functions of time for monotone queries (legs are
+    /// drawn lazily from a per-node RNG), so computing them on demand is
+    /// bit-identical to refreshing every node at every dispatch.
+    fn pos_of(&mut self, node: NodeId, now: SimTime) -> Pos {
+        if self.pos_stamp[node] != now {
+            let m = &mut self.mobility[node];
+            self.positions[node] = match m.peek(now) {
+                Some(p) => p,
+                None => m.position_at(now),
+            };
+            self.pos_stamp[node] = now;
+        }
+        self.positions[node]
+    }
+
+    /// Refreshes the spatial grid once per `grid_period`. Runs before every
+    /// event, so at any query the snapshot is younger than one period and
+    /// [`Self::grid_slack`] bounds the drift.
+    fn maybe_sweep(&mut self, now: SimTime) {
+        if self.max_speed <= 0.0 {
+            return; // static network: insert-time positions never drift
+        }
+        if now.since(self.grid_last_sweep) < self.grid_period {
+            return;
+        }
+        let mut span = sim_obs::span!("grid::sweep");
+        span.add_units(self.mobility.len() as u64);
+        for i in 0..self.mobility.len() {
+            let p = self.pos_of(i, now);
+            self.grid.update(i, p);
+        }
+        self.grid_last_sweep = now;
+    }
+
+    /// Upper bound on how far any node may have moved since the grid
+    /// snapshot; queries widen their radius by this much so the candidate
+    /// set is a guaranteed superset of the truly in-range nodes.
+    fn grid_slack(&self, now: SimTime) -> f64 {
+        self.max_speed * now.since(self.grid_last_sweep).as_secs_f64()
+    }
+
+    /// Fills `out` (cleared first) with a sorted superset of the nodes
+    /// within radio range of `p` at `now`; callers re-filter with exact
+    /// positions.
+    fn candidates_into(&self, p: Pos, now: SimTime, out: &mut Vec<NodeId>) {
+        self.grid.query_into(p, self.radio.range_m + self.grid_slack(now), out);
+    }
+
+    fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+        (a.min(b), a.max(b))
+    }
+
+    fn link_severed(&self, a: NodeId, b: NodeId) -> bool {
+        !self.severed.is_empty() && self.severed.contains(&Self::link_key(a, b))
+    }
+
+    /// Is `b` a one-hop neighbour of `a` at `now`? The membership test of
+    /// [`Self::neighbors_into`] for a single node, without building the
+    /// list: two positions and a distance in oracle mode, one binary
+    /// search in beacon mode.
+    fn link_up(&mut self, a: NodeId, b: NodeId, now: SimTime) -> bool {
+        match self.neighbor_mode {
+            NeighborMode::Oracle => {
+                if a == b || !self.up[b] || self.link_severed(a, b) {
+                    return false;
+                }
+                let (pa, pb) = (self.pos_of(a, now), self.pos_of(b, now));
+                self.radio.in_range(pa, pb)
+            }
+            NeighborMode::Beacon { expiry, .. } => {
+                let heard = &self.heard[a];
+                heard.binary_search_by_key(&b, |e| e.0).is_ok_and(|i| heard[i].1 + expiry > now)
+            }
+        }
+    }
+
+    /// Fills `out` (cleared first) with `node`'s one-hop neighbours,
+    /// ascending by id.
+    fn neighbors_into(&mut self, node: NodeId, now: SimTime, out: &mut Vec<NodeId>) {
+        out.clear();
+        match self.neighbor_mode {
+            NeighborMode::Oracle => {
+                // The oracle reflects the physical truth: crashed nodes and
+                // severed links are invisible, which is how routing observes
+                // churn (forwarding toward a vanished neighbour trips the
+                // AODV link-break path). The grid supplies a sorted superset
+                // of candidates; the exact in-range re-check with fresh
+                // positions reproduces the brute-force scan bit-for-bit.
+                let p = self.pos_of(node, now);
+                let mut cand = std::mem::take(&mut self.cand_scratch);
+                self.candidates_into(p, now, &mut cand);
+                for &j in &cand {
+                    if j == node || !self.up[j] || self.link_severed(node, j) {
+                        continue;
+                    }
+                    let pj = self.pos_of(j, now);
+                    if self.radio.in_range(p, pj) {
+                        out.push(j);
+                    }
+                }
+                self.cand_scratch = cand;
+            }
+            NeighborMode::Beacon { expiry, .. } => {
+                // Beacon views lag reality on purpose: a crashed neighbour
+                // stays listed until its entry expires, as it would in a
+                // real 802.11 MANET. `heard` is sorted by id, so filtering
+                // preserves ascending order without a per-call sort.
+                out.extend(
+                    self.heard[node]
+                        .iter()
+                        .filter(|&&(_, heard)| heard + expiry > now)
+                        .map(|&(n, _)| n),
+                );
+            }
+        }
+    }
+}
+
+/// The simulator.
+pub struct Simulator<P, A> {
+    nodes: Vec<NodeEntry<P, A>>,
+    queue: EventQueue<Event<P>>,
+    /// Positions, liveness and links (see [`Geometry`]).
+    geo: Geometry,
+    rng: StdRng,
+    stats: NetStats,
+    /// Joules consumed by each node's radio (tx + rx).
+    energy_j: Vec<f64>,
+    /// Per-node crash epoch; bumped on crash to invalidate stale timers.
+    epochs: Vec<u64>,
     /// Extra per-frame loss probability from an active radio degradation.
     extra_loss: f64,
     /// Frames currently in the air: scheduled `Deliver` events not yet
     /// dispatched (a gauge input).
     inflight_frames: u64,
-    neighbor_mode: NeighborMode,
     beacons_started: bool,
     trace: Option<EventTrace>,
     qtrace: Option<QueryTraceState>,
@@ -233,28 +383,30 @@ pub struct Simulator<P, A> {
 impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     /// Creates a simulator with the given radio model and RNG seed.
     pub fn new(radio: RadioConfig, seed: u64) -> Self {
-        let grid = SpatialGrid::new(radio.range_m);
         Simulator {
             nodes: Vec::new(),
             queue: EventQueue::new(),
-            radio,
+            geo: Geometry {
+                grid: SpatialGrid::new(radio.range_m),
+                radio,
+                neighbor_mode: NeighborMode::Oracle,
+                mobility: Vec::new(),
+                positions: Vec::new(),
+                pos_stamp: Vec::new(),
+                grid_last_sweep: SimTime::ZERO,
+                grid_period: SimDuration::ZERO,
+                max_speed: 0.0,
+                cand_scratch: Vec::new(),
+                up: Vec::new(),
+                severed: std::collections::HashSet::new(),
+                heard: Vec::new(),
+            },
             rng: StdRng::seed_from_u64(seed),
             stats: NetStats::default(),
-            positions: Vec::new(),
-            pos_stamp: Vec::new(),
-            grid,
-            grid_last_sweep: SimTime::ZERO,
-            grid_period: SimDuration::ZERO,
-            max_speed: 0.0,
-            nbr_scratch: Vec::new(),
-            cand_scratch: Vec::new(),
             energy_j: Vec::new(),
-            up: Vec::new(),
             epochs: Vec::new(),
-            severed: std::collections::HashSet::new(),
             extra_loss: 0.0,
             inflight_frames: 0,
-            neighbor_mode: NeighborMode::Oracle,
             beacons_started: false,
             trace: None,
             qtrace: None,
@@ -300,7 +452,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
 
     /// Selects the neighbour-discovery mode (before running).
     pub fn set_neighbor_mode(&mut self, mode: NeighborMode) {
-        self.neighbor_mode = mode;
+        self.geo.neighbor_mode = mode;
     }
 
     /// Adds a node at `start`, returning its id. Mobility randomness is
@@ -319,22 +471,21 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
             Some(p) => p,
             None => state.position_at(now),
         };
-        self.nodes.push(NodeEntry {
-            mobility: state,
-            aodv: AodvState::new(id, AodvConfig::default()),
-            app,
-            heard: Vec::new(),
-        });
-        self.positions.push(p0);
-        self.pos_stamp.push(now);
-        self.grid.insert(id, p0);
-        if mobility.max_speed() > self.max_speed {
-            self.max_speed = mobility.max_speed();
-            self.grid_period =
-                SimDuration::from_secs_f64(GRID_SLACK_FACTOR * self.radio.range_m / self.max_speed);
+        self.nodes
+            .push(NodeEntry { aodv: AodvState::new(id, AodvConfig::default()), app });
+        let geo = &mut self.geo;
+        geo.mobility.push(state);
+        geo.positions.push(p0);
+        geo.pos_stamp.push(now);
+        geo.grid.insert(id, p0);
+        if mobility.max_speed() > geo.max_speed {
+            geo.max_speed = mobility.max_speed();
+            geo.grid_period =
+                SimDuration::from_secs_f64(GRID_SLACK_FACTOR * geo.radio.range_m / geo.max_speed);
         }
+        geo.up.push(true);
+        geo.heard.push(Vec::new());
         self.energy_j.push(0.0);
-        self.up.push(true);
         self.epochs.push(0);
         id
     }
@@ -364,7 +515,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
 
     /// `true` when `node` is currently up (not crashed).
     pub fn is_up(&self, node: NodeId) -> bool {
-        self.up[node]
+        self.geo.up[node]
     }
 
     /// Number of nodes.
@@ -400,7 +551,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     /// Spatial-grid shape: `(occupied_cells, max_bucket_len)` over the
     /// current bounded-staleness snapshot (a gauge input).
     pub fn grid_stats(&self) -> (usize, usize) {
-        (self.grid.occupied_cells(), self.grid.max_bucket_len())
+        (self.geo.grid.occupied_cells(), self.geo.grid.max_bucket_len())
     }
 
     /// Frames currently in the air — `Deliver` events scheduled but not
@@ -428,7 +579,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     /// Position of `node` at the current time.
     pub fn position(&mut self, node: NodeId) -> Pos {
         let now = self.queue.now();
-        self.nodes[node].mobility.position_at(now)
+        self.geo.mobility[node].position_at(now)
     }
 
     /// Position of `node` at an arbitrary time `t` (not after the node's
@@ -440,7 +591,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     /// the node's current leg — the common case for high-frequency range
     /// probes — and only steps the model otherwise.
     pub fn position_at(&mut self, node: NodeId, t: SimTime) -> Pos {
-        let m = &mut self.nodes[node].mobility;
+        let m = &mut self.geo.mobility[node];
         match m.peek(t) {
             Some(p) => p,
             None => m.position_at(t),
@@ -461,7 +612,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         if !self.beacons_started {
             self.beacons_started = true;
-            if let NeighborMode::Beacon { period, .. } = self.neighbor_mode {
+            if let NeighborMode::Beacon { period, .. } = self.geo.neighbor_mode {
                 // Stagger initial beacons across one period.
                 let n = self.nodes.len().max(1) as f64;
                 for i in 0..self.nodes.len() {
@@ -487,108 +638,15 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         self.run_until(SimTime(u64::MAX))
     }
 
-    /// The exact position of `node` at event time `now`, computed at most
-    /// once per (node, event time) via the stamp cache. Random-waypoint
-    /// positions are pure functions of time for monotone queries (legs are
-    /// drawn lazily from a per-node RNG), so computing them on demand is
-    /// bit-identical to refreshing every node at every dispatch.
-    fn pos_of(&mut self, node: NodeId, now: SimTime) -> Pos {
-        if self.pos_stamp[node] != now {
-            let m = &mut self.nodes[node].mobility;
-            self.positions[node] = match m.peek(now) {
-                Some(p) => p,
-                None => m.position_at(now),
-            };
-            self.pos_stamp[node] = now;
-        }
-        self.positions[node]
-    }
-
-    /// Refreshes the spatial grid once per `grid_period`. Runs before every
-    /// event, so at any query the snapshot is younger than one period and
-    /// [`Self::grid_slack`] bounds the drift.
-    fn maybe_sweep(&mut self, now: SimTime) {
-        if self.max_speed <= 0.0 {
-            return; // static network: insert-time positions never drift
-        }
-        if now.since(self.grid_last_sweep) < self.grid_period {
-            return;
-        }
-        let mut span = sim_obs::span!("grid::sweep");
-        span.add_units(self.nodes.len() as u64);
-        for i in 0..self.nodes.len() {
-            let p = self.pos_of(i, now);
-            self.grid.update(i, p);
-        }
-        self.grid_last_sweep = now;
-    }
-
-    /// Upper bound on how far any node may have moved since the grid
-    /// snapshot; queries widen their radius by this much so the candidate
-    /// set is a guaranteed superset of the truly in-range nodes.
-    fn grid_slack(&self, now: SimTime) -> f64 {
-        self.max_speed * now.since(self.grid_last_sweep).as_secs_f64()
-    }
-
-    fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        (a.min(b), a.max(b))
-    }
-
-    fn link_severed(&self, a: NodeId, b: NodeId) -> bool {
-        !self.severed.is_empty() && self.severed.contains(&Self::link_key(a, b))
-    }
-
-    /// Fills `out` (cleared first) with `node`'s one-hop neighbours,
-    /// ascending by id.
-    fn neighbors_into(&mut self, node: NodeId, now: SimTime, out: &mut Vec<NodeId>) {
-        out.clear();
-        match self.neighbor_mode {
-            NeighborMode::Oracle => {
-                // The oracle reflects the physical truth: crashed nodes and
-                // severed links are invisible, which is how routing observes
-                // churn (forwarding toward a vanished neighbour trips the
-                // AODV link-break path). The grid supplies a sorted superset
-                // of candidates; the exact in-range re-check with fresh
-                // positions reproduces the brute-force scan bit-for-bit.
-                let p = self.pos_of(node, now);
-                let mut cand = std::mem::take(&mut self.cand_scratch);
-                self.grid.query_into(p, self.radio.range_m + self.grid_slack(now), &mut cand);
-                for &j in &cand {
-                    if j == node || !self.up[j] || self.link_severed(node, j) {
-                        continue;
-                    }
-                    let pj = self.pos_of(j, now);
-                    if self.radio.in_range(p, pj) {
-                        out.push(j);
-                    }
-                }
-                self.cand_scratch = cand;
-            }
-            NeighborMode::Beacon { expiry, .. } => {
-                // Beacon views lag reality on purpose: a crashed neighbour
-                // stays listed until its entry expires, as it would in a
-                // real 802.11 MANET. `heard` is sorted by id, so filtering
-                // preserves ascending order without a per-call sort.
-                out.extend(
-                    self.nodes[node]
-                        .heard
-                        .iter()
-                        .filter(|&&(_, heard)| heard + expiry > now)
-                        .map(|&(n, _)| n),
-                );
-            }
-        }
-    }
-
     fn dispatch(&mut self, now: SimTime, ev: Event<P>) {
-        self.maybe_sweep(now);
+        self.geo.maybe_sweep(now);
         match ev {
             Event::Deliver { to, link_from, frame } => {
                 self.inflight_frames -= 1;
                 let mut span = sim_obs::span!("radio::deliver");
                 span.add_bytes(frame.bytes() as u64);
                 span.add_units(1);
-                if !self.up[to] {
+                if !self.geo.up[to] {
                     // Crashed mid-flight: the frame dies on a silent radio.
                     self.stats.frames_dropped_node_down += 1;
                     self.stats.frames_lost += 1;
@@ -608,7 +666,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                 );
                 match frame {
                     Frame::Hello => {
-                        let heard = &mut self.nodes[to].heard;
+                        let heard = &mut self.geo.heard[to];
                         match heard.binary_search_by_key(&link_from, |e| e.0) {
                             Ok(i) => heard[i].1 = now,
                             Err(i) => heard.insert(i, (link_from, now)),
@@ -620,26 +678,24 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                         self.run_app(to, now, |app, ctx| app.on_message(ctx, meta, payload));
                     }
                     other => {
-                        let mut is_nbr_list = std::mem::take(&mut self.nbr_scratch);
-                        self.neighbors_into(to, now, &mut is_nbr_list);
-                        let cmds = {
-                            let is_neighbor = |n: NodeId| is_nbr_list.binary_search(&n).is_ok();
-                            self.nodes[to].aodv.on_frame(link_from, other, now, &is_neighbor)
-                        };
-                        // Return the buffer before executing commands so a
-                        // nested `run_app` can reuse it.
-                        self.nbr_scratch = is_nbr_list;
+                        // AODV asks about one next hop, and only when it
+                        // forwards data along a live route: answer that
+                        // question instead of listing the neighbourhood.
+                        let geo = &mut self.geo;
+                        let cmds = self.nodes[to]
+                            .aodv
+                            .on_frame(link_from, other, now, |nh| geo.link_up(to, nh, now));
                         self.execute_link_cmds(to, now, cmds);
                     }
                 }
             }
             Event::AppTimer { node, token, epoch } => {
-                if self.up[node] && epoch == self.epochs[node] {
+                if self.geo.up[node] && epoch == self.epochs[node] {
                     self.run_app(node, now, |app, ctx| app.on_timer(ctx, token));
                 }
             }
             Event::AodvTimer { node, timer, epoch } => {
-                if self.up[node] && epoch == self.epochs[node] {
+                if self.geo.up[node] && epoch == self.epochs[node] {
                     let cmds = self.nodes[node].aodv.on_timer(timer, now);
                     self.execute_link_cmds(node, now, cmds);
                 }
@@ -647,10 +703,10 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
             Event::Beacon { node } => {
                 // The beacon chain survives crashes (a down node just stays
                 // silent), so beaconing resumes by itself after a revive.
-                if self.up[node] {
+                if self.geo.up[node] {
                     self.transmit_broadcast(node, now, Frame::Hello);
                 }
-                if let NeighborMode::Beacon { period, .. } = self.neighbor_mode {
+                if let NeighborMode::Beacon { period, .. } = self.geo.neighbor_mode {
                     self.queue.schedule(now + period, Event::Beacon { node });
                 }
             }
@@ -661,17 +717,17 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     fn apply_fault(&mut self, now: SimTime, action: FaultAction) {
         match action {
             FaultAction::Crash(n) => {
-                if !self.up[n] {
+                if !self.geo.up[n] {
                     return; // already down
                 }
-                self.up[n] = false;
+                self.geo.up[n] = false;
                 self.epochs[n] += 1;
                 self.stats.node_crashes += 1;
                 // Volatile state dies: routing tables, duplicate caches,
                 // buffered packets, the beacon-heard map, and whatever the
                 // application drops in its hook. The application object
                 // itself (the storage partition) survives.
-                self.nodes[n].heard.clear();
+                self.geo.heard[n].clear();
                 self.nodes[n].aodv.reset();
                 self.nodes[n].app.on_crash();
                 self.trace_event(now, TraceEvent::NodeCrashed { node: n });
@@ -680,20 +736,20 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                 self.qtrace_record(now, n, QueryEvent::Crashed);
             }
             FaultAction::Revive(n) => {
-                if self.up[n] {
+                if self.geo.up[n] {
                     return; // never crashed, or already revived
                 }
-                self.up[n] = true;
+                self.geo.up[n] = true;
                 self.stats.node_revivals += 1;
                 self.trace_event(now, TraceEvent::NodeRevived { node: n });
                 self.qtrace_record(now, n, QueryEvent::Revived);
                 self.run_app(n, now, |app, ctx| app.on_revive(ctx));
             }
             FaultAction::SeverLink(a, b) => {
-                self.severed.insert(Self::link_key(a, b));
+                self.geo.severed.insert(Geometry::link_key(a, b));
             }
             FaultAction::RestoreLink(a, b) => {
-                self.severed.remove(&Self::link_key(a, b));
+                self.geo.severed.remove(&Geometry::link_key(a, b));
             }
             FaultAction::DegradeRadio { extra_loss } => self.extra_loss = extra_loss,
             FaultAction::RestoreRadio => self.extra_loss = 0.0,
@@ -705,25 +761,23 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     where
         F: FnOnce(&mut A, &mut NodeCtx<P>),
     {
-        if !self.up[node] {
+        if !self.geo.up[node] {
             return;
         }
-        let mut neighbors = std::mem::take(&mut self.nbr_scratch);
-        self.neighbors_into(node, now, &mut neighbors);
-        let position = self.pos_of(node, now);
+        let position = self.geo.pos_of(node, now);
         let mut ctx = NodeCtx {
             now,
             id: node,
             position,
-            neighbors: &neighbors,
+            geo: &mut self.geo,
+            neighbors: None,
             cmds: Vec::new(),
             qtrace: self.qtrace.as_mut(),
         };
-        // `ctx` borrows locals plus the `qtrace` field, so borrowing the
+        // `ctx` borrows the `geo` and `qtrace` fields, so borrowing the
         // app out of `self.nodes` stays a disjoint field borrow.
         f(&mut self.nodes[node].app, &mut ctx);
         let cmds = ctx.cmds;
-        self.nbr_scratch = neighbors;
         for cmd in cmds {
             match cmd {
                 AppCmd::Unicast { dst, payload, bytes } => {
@@ -794,7 +848,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     }
 
     fn transmit_unicast(&mut self, from: NodeId, to: NodeId, now: SimTime, frame: Frame<P>) {
-        if !self.up[from] {
+        if !self.geo.up[from] {
             return; // a dead node's queued commands transmit nothing
         }
         let mut span = sim_obs::span!("radio::tx");
@@ -805,38 +859,38 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
             now,
             TraceEvent::FrameSent { from, tag: Self::tag_of(&frame), bytes: frame.bytes() },
         );
-        self.energy_j[from] += self.radio.energy.tx_joules(frame.bytes());
-        if self.link_severed(from, to) {
+        self.energy_j[from] += self.geo.radio.energy.tx_joules(frame.bytes());
+        if self.geo.link_severed(from, to) {
             self.stats.frames_blocked_link_down += 1;
             self.stats.frames_lost += 1;
             self.trace_lost(now, from, &frame, LossCause::LinkDown);
             return;
         }
-        let pf = self.pos_of(from, now);
-        let pt = self.pos_of(to, now);
-        if !self.radio.frame_received(pf, pt, &mut self.rng)
-            || self.radio.lost(&mut self.rng)
+        let pf = self.geo.pos_of(from, now);
+        let pt = self.geo.pos_of(to, now);
+        if !self.geo.radio.frame_received(pf, pt, &mut self.rng)
+            || self.geo.radio.lost(&mut self.rng)
             || self.degrade_lost()
         {
             self.stats.frames_lost += 1;
             self.trace_lost(now, from, &frame, LossCause::Radio);
             return;
         }
-        if !self.up[to] {
+        if !self.geo.up[to] {
             // Transmitted into the void; receiver pays nothing.
             self.stats.frames_dropped_node_down += 1;
             self.stats.frames_lost += 1;
             self.trace_lost(now, from, &frame, LossCause::NodeDown);
             return;
         }
-        self.energy_j[to] += self.radio.energy.rx_joules(frame.bytes());
-        let delay = self.radio.tx_delay(frame.bytes(), &mut self.rng);
+        self.energy_j[to] += self.geo.radio.energy.rx_joules(frame.bytes());
+        let delay = self.geo.radio.tx_delay(frame.bytes(), &mut self.rng);
         self.inflight_frames += 1;
         self.queue.schedule(now + delay, Event::Deliver { to, link_from: from, frame });
     }
 
     fn transmit_broadcast(&mut self, from: NodeId, now: SimTime, frame: Frame<P>) {
-        if !self.up[from] {
+        if !self.geo.up[from] {
             return;
         }
         let mut span = sim_obs::span!("radio::tx");
@@ -849,29 +903,29 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         );
         // One transmission regardless of receiver count; every in-range
         // node pays reception.
-        self.energy_j[from] += self.radio.energy.tx_joules(frame.bytes());
-        let delay = self.radio.tx_delay(frame.bytes(), &mut self.rng);
-        let p = self.pos_of(from, now);
-        if self.radio.deterministic_reception() {
+        self.energy_j[from] += self.geo.radio.energy.tx_joules(frame.bytes());
+        let delay = self.geo.radio.tx_delay(frame.bytes(), &mut self.rng);
+        let p = self.geo.pos_of(from, now);
+        if self.geo.radio.deterministic_reception() {
             // Unit disk: reception equals `in_range` and draws no RNG, so
             // the receiver loop can be pruned to the grid's candidate set.
             // Candidates come back sorted ascending — the same receiver
             // order as the full 0..n scan — and loss rolls happen only for
             // truly in-range receivers in both formulations, so the random
             // stream is untouched.
-            let mut cand = std::mem::take(&mut self.cand_scratch);
-            self.grid.query_into(p, self.radio.range_m + self.grid_slack(now), &mut cand);
+            let mut cand = std::mem::take(&mut self.geo.cand_scratch);
+            self.geo.candidates_into(p, now, &mut cand);
             for &to in &cand {
                 if to == from {
                     continue;
                 }
-                let pt = self.pos_of(to, now);
-                if !self.radio.in_range(p, pt) {
+                let pt = self.geo.pos_of(to, now);
+                if !self.geo.radio.in_range(p, pt) {
                     continue;
                 }
                 self.deliver_broadcast_copy(from, to, now, delay, &frame);
             }
-            self.cand_scratch = cand;
+            self.geo.cand_scratch = cand;
         } else {
             // Shadowing models roll the dice for every node, so every node
             // must be visited to keep the RNG stream well-defined.
@@ -879,8 +933,8 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                 if to == from {
                     continue;
                 }
-                let pt = self.pos_of(to, now);
-                if !self.radio.frame_received(p, pt, &mut self.rng) {
+                let pt = self.geo.pos_of(to, now);
+                if !self.geo.radio.frame_received(p, pt, &mut self.rng) {
                     continue;
                 }
                 self.deliver_broadcast_copy(from, to, now, delay, &frame);
@@ -900,24 +954,24 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         delay: SimDuration,
         frame: &Frame<P>,
     ) {
-        if self.link_severed(from, to) {
+        if self.geo.link_severed(from, to) {
             self.stats.frames_blocked_link_down += 1;
             self.stats.frames_lost += 1;
             self.trace_lost(now, from, frame, LossCause::LinkDown);
             return;
         }
-        if self.radio.lost(&mut self.rng) || self.degrade_lost() {
+        if self.geo.radio.lost(&mut self.rng) || self.degrade_lost() {
             self.stats.frames_lost += 1;
             self.trace_lost(now, from, frame, LossCause::Radio);
             return;
         }
-        if !self.up[to] {
+        if !self.geo.up[to] {
             self.stats.frames_dropped_node_down += 1;
             self.stats.frames_lost += 1;
             self.trace_lost(now, from, frame, LossCause::NodeDown);
             return;
         }
-        self.energy_j[to] += self.radio.energy.rx_joules(frame.bytes());
+        self.energy_j[to] += self.geo.radio.energy.rx_joules(frame.bytes());
         self.inflight_frames += 1;
         self.queue
             .schedule(now + delay, Event::Deliver { to, link_from: from, frame: frame.clone() });
@@ -982,15 +1036,29 @@ mod tests {
         let p = sim.position_at(node, now);
         let mut out = Vec::new();
         for j in 0..sim.num_nodes() {
-            if j == node || !sim.up[j] || sim.link_severed(node, j) {
+            if j == node || !sim.geo.up[j] || sim.geo.link_severed(node, j) {
                 continue;
             }
             let pj = sim.position_at(j, now);
-            if sim.radio.in_range(p, pj) {
+            if sim.geo.radio.in_range(p, pj) {
                 out.push(j);
             }
         }
         out
+    }
+
+    /// The beacon view, verbatim: a linear scan of the heard table for
+    /// entries younger than `expiry`.
+    fn beacon_view(
+        sim: &Simulator<(), Idle>,
+        node: NodeId,
+        now: SimTime,
+        expiry: SimDuration,
+    ) -> Vec<NodeId> {
+        let heard = &sim.geo.heard[node];
+        (0..sim.num_nodes())
+            .filter(|&j| heard.iter().any(|&(n, at)| n == j && at + expiry > now))
+            .collect()
     }
 
     proptest! {
@@ -999,7 +1067,11 @@ mod tests {
         /// The spatial grid is an *index*, not a semantics change: at any
         /// point of a run with mobility, crashes/revivals, and severed
         /// links, grid-backed neighbour discovery returns exactly the
-        /// brute-force oracle set, in the same (ascending) order.
+        /// brute-force oracle set, in the same (ascending) order — and the
+        /// point predicate AODV forwards by, `link_up(i, j)`, is exactly
+        /// membership of `j` in that list, for every ordered pair. The
+        /// beacon arm holds both to the heard table instead, expiry
+        /// included.
         #[test]
         fn grid_neighbors_equal_brute_force_under_churn(
             seed in 0u64..1_000,
@@ -1010,64 +1082,150 @@ mod tests {
                 (any::<prop::sample::Index>(), any::<prop::sample::Index>(), 1u64..150, 10u64..80),
                 0..4),
         ) {
-            // Dense-ish area relative to an 80 m range, fast waypoint
-            // turnover so the run crosses many grid sweeps and cell moves.
-            let radio = RadioConfig { range_m: 80.0, ..RadioConfig::default() };
-            let mobility = MobilityConfig {
-                width: 300.0,
-                height: 300.0,
-                pause: SimDuration::from_secs_f64(1.0),
-                ..MobilityConfig::paper()
-            };
-            let mut sim: Simulator<(), Idle> = Simulator::new(radio, seed);
-            for i in 0..n {
-                let x = 300.0 * (i as f64 * 0.37).fract();
-                let y = 300.0 * (i as f64 * 0.71).fract();
-                sim.add_node(Pos::new(x, y), mobility, Idle, seed ^ 0xA5A5);
-            }
-            let mut plan = FaultPlan::new();
-            for &(node, at, down) in &crashes {
-                let node = node.index(n);
-                plan = plan
-                    .crash_at(node, SimTime::from_secs_f64(at as f64))
-                    .revive_at(node, SimTime::from_secs_f64((at + down) as f64));
-            }
-            for &(a, b, from, len) in &severs {
-                let (a, b) = (a.index(n), b.index(n));
-                if a != b {
-                    plan = plan.sever_link(
-                        a,
-                        b,
-                        SimTime::from_secs_f64(from as f64),
-                        SimTime::from_secs_f64((from + len) as f64),
-                    );
-                }
-            }
-            sim.install_fault_plan(&plan);
-            // A steady event stream so sweeps and lazy positions are
-            // exercised between checkpoints.
-            for k in 0..200 {
-                sim.schedule_app_timer(0, SimTime::from_secs_f64(k as f64), k);
-            }
-
-            let mut got = Vec::new();
-            for checkpoint in [3.0, 17.0, 48.0, 90.0, 151.0, 199.0] {
-                sim.run_until(SimTime::from_secs_f64(checkpoint));
-                let now = sim.now();
+            let expiry = SimDuration::from_secs_f64(2.5);
+            let beacon = NeighborMode::Beacon { period: SimDuration::from_secs_f64(1.0), expiry };
+            for mode in [NeighborMode::Oracle, beacon] {
+                // Dense-ish area relative to an 80 m range, fast waypoint
+                // turnover so the run crosses many grid sweeps and cell moves.
+                let radio = RadioConfig { range_m: 80.0, ..RadioConfig::default() };
+                let mobility = MobilityConfig {
+                    width: 300.0,
+                    height: 300.0,
+                    pause: SimDuration::from_secs_f64(1.0),
+                    ..MobilityConfig::paper()
+                };
+                let mut sim: Simulator<(), Idle> = Simulator::new(radio, seed);
+                sim.set_neighbor_mode(mode);
                 for i in 0..n {
-                    sim.neighbors_into(i, now, &mut got);
-                    let want = brute_oracle(&mut sim, i, now);
-                    prop_assert_eq!(
-                        &got, &want,
-                        "node {} diverged at t={:?} (checkpoint {})", i, now, checkpoint
-                    );
-                    // Re-querying must be idempotent (pure index read).
-                    let first = got.clone();
-                    sim.neighbors_into(i, now, &mut got);
-                    prop_assert_eq!(&got, &first);
+                    let x = 300.0 * (i as f64 * 0.37).fract();
+                    let y = 300.0 * (i as f64 * 0.71).fract();
+                    sim.add_node(Pos::new(x, y), mobility, Idle, seed ^ 0xA5A5);
+                }
+                let mut plan = FaultPlan::new();
+                for &(node, at, down) in &crashes {
+                    let node = node.index(n);
+                    plan = plan
+                        .crash_at(node, SimTime::from_secs_f64(at as f64))
+                        .revive_at(node, SimTime::from_secs_f64((at + down) as f64));
+                }
+                for &(a, b, from, len) in &severs {
+                    let (a, b) = (a.index(n), b.index(n));
+                    if a != b {
+                        plan = plan.sever_link(
+                            a,
+                            b,
+                            SimTime::from_secs_f64(from as f64),
+                            SimTime::from_secs_f64((from + len) as f64),
+                        );
+                    }
+                }
+                sim.install_fault_plan(&plan);
+                // A steady event stream so sweeps and lazy positions are
+                // exercised between checkpoints.
+                for k in 0..200 {
+                    sim.schedule_app_timer(0, SimTime::from_secs_f64(k as f64), k);
+                }
+
+                let mut got = Vec::new();
+                for checkpoint in [3.0, 17.0, 48.0, 90.0, 151.0, 199.0] {
+                    sim.run_until(SimTime::from_secs_f64(checkpoint));
+                    let now = sim.now();
+                    for i in 0..n {
+                        sim.geo.neighbors_into(i, now, &mut got);
+                        let want = match mode {
+                            NeighborMode::Oracle => brute_oracle(&mut sim, i, now),
+                            NeighborMode::Beacon { .. } => beacon_view(&sim, i, now, expiry),
+                        };
+                        prop_assert_eq!(
+                            &got, &want,
+                            "{:?}: node {} diverged at t={:?} (checkpoint {})",
+                            mode, i, now, checkpoint
+                        );
+                        // Re-querying must be idempotent (pure index read).
+                        let first = got.clone();
+                        sim.geo.neighbors_into(i, now, &mut got);
+                        prop_assert_eq!(&got, &first);
+                        for j in 0..n {
+                            prop_assert_eq!(
+                                sim.geo.link_up(i, j, now), want.contains(&j),
+                                "{:?}: link_up({}, {}) disagrees with the list at t={:?}",
+                                mode, i, j, now
+                            );
+                        }
+                    }
+                }
+                if let NeighborMode::Beacon { .. } = mode {
+                    // Long after the last beacon every entry has expired.
+                    let far = sim.now() + SimDuration::from_secs_f64(1.0e6);
+                    for i in 0..n {
+                        for j in 0..n {
+                            prop_assert!(!sim.geo.link_up(i, j, far));
+                        }
+                    }
                 }
             }
         }
+    }
+
+    /// Records every neighbour list it is shown: two reads in the timer
+    /// callback, then one in the nested callback of a self-send.
+    #[derive(Default)]
+    struct Reader {
+        reads: Vec<Vec<NodeId>>,
+    }
+    impl Application<()> for Reader {
+        fn on_message(&mut self, ctx: &mut NodeCtx<()>, _meta: MsgMeta, _payload: ()) {
+            self.reads.push(ctx.neighbors().to_vec());
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<()>, _token: u64) {
+            self.reads.push(ctx.neighbors().to_vec());
+            self.reads.push(ctx.neighbors().to_vec());
+            ctx.send_unicast(ctx.id, (), 8);
+        }
+    }
+
+    /// The lazily built `ctx.neighbors()` is the list `neighbors_into`
+    /// returns at that event time: on the first read, on a repeated read in
+    /// the same callback, and in a nested callback at the same event time —
+    /// with mobility, a crashed node and a severed link in play.
+    #[test]
+    fn lazy_ctx_neighbors_match_neighbors_into_at_event_time() {
+        let radio = RadioConfig { range_m: 120.0, ..RadioConfig::default() };
+        let mobility = MobilityConfig {
+            width: 300.0,
+            height: 300.0,
+            pause: SimDuration::from_secs_f64(1.0),
+            ..MobilityConfig::paper()
+        };
+        let mut sim: Simulator<(), Reader> = Simulator::new(radio, 21);
+        for i in 0..12 {
+            let x = 300.0 * (i as f64 * 0.37).fract();
+            let y = 300.0 * (i as f64 * 0.71).fract();
+            sim.add_node(Pos::new(x, y), mobility, Reader::default(), 4);
+        }
+        let end = SimTime::from_secs_f64(100.0);
+        sim.install_fault_plan(
+            &FaultPlan::new().crash_at(1, SimTime::from_secs_f64(2.0)).sever_link(
+                0,
+                2,
+                SimTime::from_secs_f64(2.0),
+                end,
+            ),
+        );
+        let mut seen = std::collections::HashSet::new();
+        for at in [5.0, 20.0, 47.0, 80.0] {
+            let at = SimTime::from_secs_f64(at);
+            sim.schedule_app_timer(0, at, 0);
+            sim.run_until(at);
+            assert_eq!(sim.now(), at);
+            let mut want = Vec::new();
+            sim.geo.neighbors_into(0, at, &mut want);
+            assert!(!want.contains(&1) && !want.contains(&2), "crashed / severed peers hidden");
+            let reads = std::mem::take(&mut sim.app_mut(0).reads);
+            assert_eq!(reads, vec![want.clone(); 3], "reads at t={at:?}");
+            seen.insert(want);
+        }
+        assert!(seen.len() > 1, "mobility must change the neighbourhood between reads");
     }
 
     /// The gauge accessors read engine state without touching it: the
@@ -1111,13 +1269,13 @@ mod tests {
         let now = sim.now();
         let mut nbrs = Vec::new();
         // Node 1 hears 0 and 2 (within 250 m); node 3 is isolated.
-        sim.neighbors_into(1, now, &mut nbrs);
+        sim.geo.neighbors_into(1, now, &mut nbrs);
         assert_eq!(nbrs, vec![0, 2]);
-        assert!(sim.nodes[1].heard.windows(2).all(|w| w[0].0 < w[1].0));
-        sim.neighbors_into(3, now, &mut nbrs);
+        assert!(sim.geo.heard[1].windows(2).all(|w| w[0].0 < w[1].0));
+        sim.geo.neighbors_into(3, now, &mut nbrs);
         assert!(nbrs.is_empty());
         // Far in the future every entry has expired.
-        sim.neighbors_into(1, SimTime::from_secs_f64(1.0e6), &mut nbrs);
+        sim.geo.neighbors_into(1, SimTime::from_secs_f64(1.0e6), &mut nbrs);
         assert!(nbrs.is_empty());
     }
 }
