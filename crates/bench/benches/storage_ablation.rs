@@ -46,7 +46,7 @@ fn bench_skip_check(c: &mut Criterion) {
     let mut q = LocalQuery::plain(QueryRegion::unbounded());
     q.filter = Some(skyline_core::vdr::FilterTuple::new(vec![-1.0, -1.0], &bounds));
     group.bench_function("dominating_filter_skip", |b| {
-        b.iter(|| black_box(hybrid.local_skyline(&q).skipped))
+        b.iter(|| black_box(hybrid.local_skyline(&q).skip))
     });
     group.finish();
 }

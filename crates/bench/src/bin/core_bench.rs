@@ -1,6 +1,7 @@
 //! **Core-kernel driver**: regenerates `BENCH_core.json` (the dominance
-//! kernel + neighbour-discovery micro-benchmarks) without the rest of
-//! `run_all` — see [`msq_bench::corebench`] for the design.
+//! kernel, neighbour-discovery and relation-build micro-benchmarks)
+//! without the rest of `run_all` — see [`msq_bench::corebench`] for the
+//! design.
 //!
 //! The grid is scale-independent (the committed baseline carries
 //! `"scale": "Quick"`), so this binary is what CI's perf gate runs to
@@ -13,6 +14,7 @@ use msq_bench::provenance::Provenance;
 fn main() {
     let records = msq_bench::corebench::run(20_000);
     let neighbors = msq_bench::corebench::neighbor_discovery();
+    let builds = msq_bench::corebench::relation_build();
     println!("== Core: dominance kernels ==");
     println!(
         "{:>5} {:>8} {:>12} {:>10} {:>10} {:>12}",
@@ -29,10 +31,29 @@ fn main() {
     for r in &neighbors {
         println!("{:>7} {:>9} {:>10.3} {:>10.3}", r.nodes, r.neighbors, r.grid_ms, r.scan_ms);
     }
+    println!("\n== Core: hybrid relation build ==");
+    println!(
+        "{:>5} {:>8} {:>10} {:>13} {:>10}  domain_sizes",
+        "dims", "tuples", "build_ms", "ns_per_tuple", "sort_attr"
+    );
+    for r in &builds {
+        println!(
+            "{:>5} {:>8} {:>10.3} {:>13.1} {:>10}  {:?}",
+            r.dims,
+            r.tuples,
+            r.build_ms,
+            r.ns_per_tuple(),
+            r.sort_attr,
+            r.domain_sizes
+        );
+    }
     if std::env::args().any(|a| a == "--json") {
         let path = "BENCH_core.json";
         let prov = Provenance::collect(msq_bench::Scale::Quick, 1);
-        match std::fs::write(path, msq_bench::corebench::to_json(&prov, &records, &neighbors)) {
+        match std::fs::write(
+            path,
+            msq_bench::corebench::to_json(&prov, &records, &neighbors, &builds),
+        ) {
             Ok(()) => println!("[json] wrote {path}"),
             Err(e) => eprintln!("[json] failed to write {path}: {e}"),
         }

@@ -77,7 +77,11 @@ fn main() {
 
         let records = msq_bench::corebench::run(20_000);
         let neighbors = msq_bench::corebench::neighbor_discovery();
-        write_file("BENCH_core.json", &msq_bench::corebench::to_json(&prov, &records, &neighbors));
+        let builds = msq_bench::corebench::relation_build();
+        write_file(
+            "BENCH_core.json",
+            &msq_bench::corebench::to_json(&prov, &records, &neighbors, &builds),
+        );
     }
 }
 

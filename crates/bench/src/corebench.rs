@@ -1,13 +1,16 @@
-//! Core dominance-kernel micro-benchmark feeding `BENCH_core.json`.
+//! Core micro-benchmarks feeding `BENCH_core.json`.
 //!
 //! Times BNL over the legacy representation (`&[Tuple]`, one heap
 //! `Vec<f64>` per tuple) against the contiguous [`TupleBlock`] scan with
 //! dimension-specialized kernels, at d = 2..=5, and reports the dominance
-//! test count per configuration. `run_all --json` serializes the records;
-//! the Criterion bench `dominance_block` covers the same ground
+//! test count per configuration; spatial-grid against linear-scan
+//! neighbour discovery; and the [`HybridRelation`] build (the set-up cost
+//! every experiment pays once per device). `run_all --json` serializes the
+//! records; the Criterion bench `dominance_block` covers the kernels
 //! interactively.
 
 use datagen::{DataSpec, Distribution};
+use device_storage::{DeviceRelation, HybridRelation};
 use manet_sim::grid::SpatialGrid;
 use manet_sim::Pos;
 use skyline_core::algo::bnl;
@@ -164,19 +167,88 @@ pub fn neighbor_discovery() -> Vec<NeighborRecord> {
         .collect()
 }
 
-/// Renders both micro-benchmarks as the `BENCH_core.json` machine
+/// One relation shape of the storage-build benchmark.
+#[derive(Debug, Clone)]
+pub struct BuildRecord {
+    /// Attribute count.
+    pub dims: usize,
+    /// Relation cardinality.
+    pub tuples: usize,
+    /// Distinct values per attribute.
+    pub domain_sizes: Vec<usize>,
+    /// Attribute the rows were sorted on.
+    pub sort_attr: usize,
+    /// Bytes of the packed ID columns.
+    pub id_bytes: usize,
+    /// Fastest of [`BUILD_REPS`] builds, wall milliseconds.
+    pub build_ms: f64,
+}
+
+impl BuildRecord {
+    /// Build cost per stored tuple, nanoseconds.
+    pub fn ns_per_tuple(&self) -> f64 {
+        self.build_ms * 1e6 / self.tuples as f64
+    }
+}
+
+/// Builds timed per shape; the fastest is reported, so a millisecond-sized
+/// measurement survives a shared CI host.
+const BUILD_REPS: usize = 5;
+
+/// Times `HybridRelation::from(&[Tuple])` at d ∈ {2, 4, 5} on one device's
+/// share of the paper-size MANET relation (6 000 tuples) and on the
+/// local-scan relation size (20 000), MANET-experiment attributes
+/// (1 000-value domains, two-byte IDs).
+pub fn relation_build() -> Vec<BuildRecord> {
+    let mut out = Vec::new();
+    for dims in [2usize, 4, 5] {
+        for tuples in [6_000usize, 20_000] {
+            let data = DataSpec::manet_experiment(tuples, dims, Distribution::Independent, 0xB01D)
+                .generate();
+            let mut build_ms = f64::INFINITY;
+            let mut rel = HybridRelation::from(data.as_slice()); // untimed warm-up
+            for _ in 0..BUILD_REPS {
+                let t0 = Instant::now();
+                rel = std::hint::black_box(HybridRelation::from(std::hint::black_box(&data[..])));
+                build_ms = build_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+            }
+            let domain_sizes: Vec<usize> = (0..dims).map(|j| rel.domain(j).len()).collect();
+            // storage_bytes = locations + packed IDs + domain values + MBR.
+            let id_bytes = rel.storage_bytes()
+                - 16 * rel.len()
+                - 8 * domain_sizes.iter().sum::<usize>()
+                - 4 * 8;
+            out.push(BuildRecord {
+                dims,
+                tuples,
+                domain_sizes,
+                sort_attr: rel.sort_attribute(),
+                id_bytes,
+                build_ms,
+            });
+        }
+    }
+    out
+}
+
+/// Revision of this file's deterministic grid (the other baselines share
+/// [`crate::provenance::GRID_REV`]): rev 3 added the `kind: build` rows.
+const GRID_REV: u64 = 3;
+
+/// Renders the micro-benchmarks as the `BENCH_core.json` machine
 /// baseline: provenance header, deterministic `grid` rows tagged with a
-/// `kind` (dominance-test counts and skyline/neighbour sizes are
-/// seed-determined), then volatile wall-clock `timings` rows keyed by the
-/// same coordinates.
+/// `kind` (dominance-test counts, skyline/neighbour sizes and the built
+/// relation's shape are seed-determined), then volatile wall-clock
+/// `timings` rows keyed by the same coordinates.
 pub fn to_json(
     prov: &Provenance,
     records: &[KernelRecord],
     neighbors: &[NeighborRecord],
+    builds: &[BuildRecord],
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"core\",\n");
-    out.push_str(&prov.header());
+    out.push_str(&prov.header_at(GRID_REV));
     out.push_str("  \"algorithm\": \"bnl\",\n");
     let write_rows = |out: &mut String, rows: Vec<String>| {
         for (i, row) in rows.iter().enumerate() {
@@ -201,6 +273,13 @@ pub fn to_json(
             r.nodes, r.queries, r.neighbors,
         )
     }));
+    rows.extend(builds.iter().map(|r| {
+        format!(
+            "{{\"kind\": \"build\", \"dims\": {}, \"tuples\": {}, \"domain_sizes\": {:?}, \
+             \"sort_attr\": {}, \"id_bytes\": {}}}",
+            r.dims, r.tuples, r.domain_sizes, r.sort_attr, r.id_bytes,
+        )
+    }));
     write_rows(&mut out, rows);
     out.push_str("  ],\n");
     out.push_str("  \"timings\": [\n");
@@ -221,6 +300,16 @@ pub fn to_json(
             r.nodes, r.queries, r.grid_ms, r.scan_ms,
         )
     }));
+    rows.extend(builds.iter().map(|r| {
+        format!(
+            "{{\"kind\": \"build\", \"dims\": {}, \"tuples\": {}, \
+             \"build_ms\": {:.3}, \"ns_per_tuple\": {:.1}}}",
+            r.dims,
+            r.tuples,
+            r.build_ms,
+            r.ns_per_tuple(),
+        )
+    }));
     write_rows(&mut out, rows);
     out.push_str("  ]\n}\n");
     out
@@ -239,6 +328,28 @@ mod tests {
             assert!(r.dominance_tests > 0);
             assert!(r.tuple_ms >= 0.0 && r.block_ms >= 0.0);
         }
+    }
+
+    #[test]
+    fn build_rows_cover_the_grid_and_describe_the_relation() {
+        let recs = relation_build();
+        let shapes: Vec<(usize, usize)> = recs.iter().map(|r| (r.dims, r.tuples)).collect();
+        assert_eq!(
+            shapes,
+            vec![(2, 6_000), (2, 20_000), (4, 6_000), (4, 20_000), (5, 6_000), (5, 20_000)]
+        );
+        for r in &recs {
+            assert_eq!(r.domain_sizes.len(), r.dims);
+            // 1 000-value domains: past byte IDs, within two-byte IDs.
+            assert!(r.domain_sizes.iter().all(|&n| (257..=1000).contains(&n)), "{r:?}");
+            assert_eq!(r.id_bytes, 2 * r.dims * r.tuples);
+            assert_eq!(r.domain_sizes[r.sort_attr], *r.domain_sizes.iter().max().unwrap());
+            assert!(r.build_ms.is_finite() && r.build_ms > 0.0);
+        }
+        let json = to_json(&Provenance::collect(crate::Scale::Quick, 1), &[], &[], &recs);
+        let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
+        assert_eq!(doc.get("grid").and_then(sim_obs::JsonValue::as_array).unwrap().len(), 6);
+        assert!(json.contains("\"grid_rev\": 3,"));
     }
 
     #[test]

@@ -18,7 +18,9 @@ use std::process::Command;
 use crate::Scale;
 
 /// Revision of the deterministic grids across all BENCH baselines. Bump
-/// when any emitter's `grid` schema or swept cell list changes.
+/// when the shared layout changes; an emitter whose own `grid` schema or
+/// swept cell list changes stamps its own revision
+/// ([`Provenance::header_at`] — `corebench` is at 3).
 ///
 /// * rev 1 — the pre-header baselines (implicit; files without a
 ///   `grid_rev` field).
@@ -75,9 +77,16 @@ impl Provenance {
     /// CI strip patterns already drop (`jobs`) or new ones (`git_commit`,
     /// `rustc`) that are constant within one CI run.
     pub fn header(&self) -> String {
+        self.header_at(GRID_REV)
+    }
+
+    /// [`Self::header`] for an emitter whose grid moved on its own: a new
+    /// row in one baseline must not make every other committed baseline
+    /// incomparable with its fresh re-run.
+    pub fn header_at(&self, grid_rev: u64) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "  \"scale\": \"{:?}\",", self.scale);
-        let _ = writeln!(out, "  \"grid_rev\": {GRID_REV},");
+        let _ = writeln!(out, "  \"grid_rev\": {grid_rev},");
         let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
         let _ = writeln!(out, "  \"git_commit\": \"{}\",", self.git_commit);
         let _ = writeln!(out, "  \"rustc\": \"{}\",", self.rustc);

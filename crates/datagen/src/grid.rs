@@ -9,6 +9,8 @@
 //! well, producing the `R_i ∩ R_j ≠ ∅` overlaps the problem statement
 //! allows — used by tests of duplicate elimination.
 
+use std::borrow::Borrow;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use skyline_core::region::Mbr;
@@ -99,21 +101,37 @@ impl GridPartitioner {
         cy * self.g + cx
     }
 
-    /// Partitions `data` into `g²` local relations.
+    /// Partitions `data` into `g²` local relations, cloning every tuple
+    /// into its cell.
     pub fn partition(&self, data: &[Tuple]) -> Partitioned {
+        self.scatter(data.iter(), Tuple::clone)
+    }
+
+    /// Like [`Self::partition`], but moves the tuples of a global relation
+    /// the caller no longer needs into their cells. Same partitions, same
+    /// overlap draws.
+    pub fn partition_owned(&self, data: Vec<Tuple>) -> Partitioned {
+        self.scatter(data.into_iter(), |t| t)
+    }
+
+    fn scatter<T: Borrow<Tuple>>(
+        &self,
+        data: impl Iterator<Item = T>,
+        into_cell: impl Fn(T) -> Tuple,
+    ) -> Partitioned {
         let m = self.g * self.g;
         let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); m];
         let mut rng = StdRng::seed_from_u64(self.seed);
         for t in data {
-            let cell = self.cell_of(t.location());
-            parts[cell].push(t.clone());
+            let cell = self.cell_of(t.borrow().location());
             if self.overlap > 0.0 && rng.random_range(0.0..1.0) < self.overlap {
                 let neighbors = self.neighbor_cells(cell);
                 if !neighbors.is_empty() {
                     let pick = neighbors[rng.random_range(0..neighbors.len())];
-                    parts[pick].push(t.clone());
+                    parts[pick].push(t.borrow().clone());
                 }
             }
+            parts[cell].push(into_cell(t));
         }
         let cells = (0..m).map(|i| self.cell_rect(i)).collect();
         Partitioned { parts, cells, g: self.g }
@@ -189,6 +207,16 @@ mod tests {
         let total: usize = part.parts.iter().map(Vec::len).sum();
         assert!(total > 1000, "overlap should copy tuples ({total})");
         assert!(total < 2000);
+    }
+
+    #[test]
+    fn owned_partitioning_moves_into_the_same_cells() {
+        for p in [
+            GridPartitioner::new(4, SpatialExtent::PAPER),
+            GridPartitioner::new(3, SpatialExtent::PAPER).with_overlap(0.5, 9),
+        ] {
+            assert_eq!(p.partition_owned(data()).parts, p.partition(&data()).parts);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! One mobile device: its local relation, duplicate-suppression log, and
 //! local query execution under the active strategy.
 
-use device_storage::{DeviceRelation, LocalQuery, LocalSkylineOutcome};
+use device_storage::{DeviceRelation, LocalQuery, LocalSkylineOutcome, SkipCause};
 use skyline_core::vdr::{select_filters, FilterTuple, MultiFilterSelection};
 use skyline_core::Tuple;
 
@@ -75,9 +75,10 @@ impl<R: DeviceRelation> Device<R> {
         let mut out = self.relation.local_skyline(&query);
 
         // Shadow accounting: a filter-skip hides |SK_i|; recompute it
-        // without the filter, for metrics only.
+        // without the filter, for metrics only. A spatial miss has nothing
+        // to recover — no stored site is in range.
         let mut unreduced_len = out.unreduced_len;
-        if out.skipped && cfg.shadow_accounting && !spec.region().misses_relation(&self.relation) {
+        if out.skip == Some(SkipCause::FilterDominance) && cfg.shadow_accounting {
             let shadow =
                 LocalQuery { dominance: cfg.dominance, ..LocalQuery::plain(spec.region()) };
             unreduced_len = self.relation.local_skyline(&shadow).unreduced_len;
@@ -89,7 +90,7 @@ impl<R: DeviceRelation> Device<R> {
             reply: std::mem::take(&mut out.skyline),
             unreduced_len,
             forward_filters,
-            skipped: out.skipped,
+            skipped: out.skip.is_some(),
             stats: out.stats,
         }
     }
@@ -193,36 +194,12 @@ impl<R: DeviceRelation> Device<R> {
     }
 }
 
-/// Extension used by shadow accounting: does the query region miss the
-/// relation entirely? (Then the skip was spatial and `|SK_i| = 0` is
-/// truthful.)
-trait RegionMiss {
-    fn misses_relation<R: DeviceRelation>(&self, rel: &R) -> bool;
-}
-
-impl RegionMiss for skyline_core::region::QueryRegion {
-    fn misses_relation<R: DeviceRelation>(&self, rel: &R) -> bool {
-        if rel.is_empty() {
-            return true;
-        }
-        // Cheap conservative check via a scan-free probe: ask the relation
-        // for one tuple's location only when small; otherwise rely on the
-        // relation's own skip logic having been spatial. We reconstruct the
-        // MBR from the relation's tuples lazily (diagnostic path, metrics
-        // only — not charged to virtual time).
-        let mut mbr = skyline_core::region::Mbr::empty();
-        for i in 0..rel.len() {
-            let t = rel.tuple(i);
-            mbr.extend(t.location());
-        }
-        self.misses(&mbr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use device_storage::HybridRelation;
+    use device_storage::{
+        DomainRelation, FlatRelation, HybridRelation, RingRelation, SpatialRelation, StorageModel,
+    };
     use skyline_core::region::Point;
     use skyline_core::vdr::{BoundsMode, UpperBounds};
     use skyline_core::Tuple;
@@ -351,6 +328,93 @@ mod tests {
         assert!(out.reply.is_empty());
         assert_eq!(out.unreduced_len, 4);
         assert!(out.participated);
+    }
+
+    /// A relation whose rows cannot be materialized from outside: `tuple()`
+    /// (and with it the default `location()`) panics. Whatever the guards
+    /// and shadow accounting need, they must get from the storage layer's
+    /// own answer.
+    struct NoRowAccess(Box<dyn DeviceRelation>);
+
+    impl DeviceRelation for NoRowAccess {
+        fn model(&self) -> StorageModel {
+            self.0.model()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn tuple(&self, i: usize) -> Tuple {
+            panic!("row {i} materialized behind an O(1) guard")
+        }
+        fn lower_bounds(&self) -> Option<Vec<f64>> {
+            self.0.lower_bounds()
+        }
+        fn upper_bounds(&self) -> Option<UpperBounds> {
+            self.0.upper_bounds()
+        }
+        fn storage_bytes(&self) -> usize {
+            self.0.storage_bytes()
+        }
+        fn local_skyline(&self, query: &LocalQuery) -> LocalSkylineOutcome {
+            self.0.local_skyline(query)
+        }
+    }
+
+    /// `r1()` under every storage model, rows inaccessible.
+    fn guarded_models() -> Vec<Device<NoRowAccess>> {
+        let models: Vec<Box<dyn DeviceRelation>> = vec![
+            Box::new(HybridRelation::new(r1())),
+            Box::new(FlatRelation::new(r1())),
+            Box::new(DomainRelation::new(r1())),
+            Box::new(RingRelation::new(r1())),
+            Box::new(SpatialRelation::new(r1())),
+        ];
+        models.into_iter().map(|m| Device::new(1, NoRowAccess(m))).collect()
+    }
+
+    #[test]
+    fn spatial_miss_reads_no_row_under_any_model() {
+        let spec = QuerySpec::new(2, 0, Point::new(5000.0, 5000.0), 10.0);
+        let cfg = exact_cfg(FilterStrategy::Single);
+        assert!(cfg.shadow_accounting);
+        let f = FilterTuple::new(vec![1.0, 1.0], &UpperBounds::new(vec![200.0, 10.0]));
+        for dev in guarded_models() {
+            let model = dev.relation.model();
+            let out = dev.process(&spec, std::slice::from_ref(&f), &cfg);
+            assert_eq!(out.unreduced_len, 0, "{model:?}");
+            assert!(!out.participated, "{model:?}");
+            // Flat storage keeps no MBR: it scans and finds nothing in range.
+            assert_eq!(out.skipped, model != StorageModel::Flat, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn filter_skip_reads_no_row_and_keeps_the_drr_denominator_under_any_model() {
+        // The filter dominates all of r1: hybrid's guard 2 skips the scan,
+        // the other models scan and eliminate. Either way |SK_1| — the DRR
+        // denominator — is the unfiltered scan's, and nobody reads a row.
+        let spec = QuerySpec::new(2, 0, Point::new(10.0, 1.0), f64::INFINITY);
+        let cfg = exact_cfg(FilterStrategy::Single);
+        let f = FilterTuple::new(vec![1.0, 1.0], &UpperBounds::new(vec![200.0, 10.0]));
+        for dev in guarded_models() {
+            let model = dev.relation.model();
+            let unfiltered =
+                LocalQuery { dominance: cfg.dominance, ..LocalQuery::plain(spec.region()) };
+            let want = dev.relation.local_skyline(&unfiltered).unreduced_len;
+            assert!(want > 0);
+            let out = dev.process(&spec, std::slice::from_ref(&f), &cfg);
+            assert_eq!(out.unreduced_len, want, "{model:?}");
+            assert!(out.participated && out.reply.is_empty(), "{model:?}");
+            assert_eq!(out.skipped, model == StorageModel::Hybrid, "{model:?}");
+
+            let blind = StrategyConfig { shadow_accounting: false, ..cfg.clone() };
+            let out = dev.process(&spec, std::slice::from_ref(&f), &blind);
+            let hidden = model == StorageModel::Hybrid;
+            assert_eq!(out.unreduced_len, if hidden { 0 } else { want }, "{model:?}");
+        }
     }
 
     #[test]

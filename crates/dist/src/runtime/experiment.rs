@@ -357,8 +357,8 @@ pub(crate) fn new_simulator<P: Clone + 'static, A: Application<P>>(
 
 /// Runs one MANET experiment end to end.
 pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
-    let global = exp.data.generate();
-    let part = datagen::GridPartitioner::new(exp.g, exp.data.space).partition(&global);
+    let part =
+        datagen::GridPartitioner::new(exp.g, exp.data.space).partition_owned(exp.data.generate());
     let m = part.num_devices();
 
     let workload = datagen::WorkloadSpec {
@@ -376,7 +376,7 @@ pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
         new_simulator(exp.radio, exp.seed, exp.neighbor_mode, &exp.dist.trace);
     let avg_partition = exp.data.cardinality / m.max(1);
     for i in 0..m {
-        let rel = HybridRelation::new(part.parts[i].clone());
+        let rel = HybridRelation::from(part.parts[i].as_slice());
         let mut app =
             DeviceApp::new(i, rel, exp.strategy.clone(), exp.forwarding, exp.cost, m, exp.dist);
         if let Some(h) = exp.handoff {

@@ -94,17 +94,10 @@ impl Handoff {
     }
 
     fn recompute_centroid(&mut self, relation: &HybridRelation) {
-        let n = relation.len();
-        if n == 0 {
-            self.centroid = None;
-            return;
-        }
-        let mut mbr = skyline_core::region::Mbr::empty();
-        for i in 0..n {
-            mbr.extend(relation.tuple(i).location());
-        }
-        self.centroid =
-            Some(Point::new((mbr.x_min + mbr.x_max) / 2.0, (mbr.y_min + mbr.y_max) / 2.0));
+        self.centroid = relation
+            .mbr()
+            .filter(|mbr| !mbr.is_empty())
+            .map(|mbr| Point::new((mbr.x_min + mbr.x_max) / 2.0, (mbr.y_min + mbr.y_max) / 2.0));
     }
 
     pub(super) fn sample_locality(&mut self, ctx: &NodeCtx<ProtoMsg>) {

@@ -258,14 +258,16 @@ impl<R: DeviceRelation> StaticGridNetwork<R> {
     /// Centralized ground truth for a query centred at an arbitrary
     /// position (the serving layer's canonical cell centres).
     pub fn ground_truth_at(&self, origin: usize, pos: Point, d: f64) -> Vec<Tuple> {
-        let spec = QuerySpec::new(origin, 0, pos, d);
+        let region = QuerySpec::new(origin, 0, pos, d).region();
         let mut merger = SkylineMerger::new();
         for dev in &self.devices {
-            for i in 0..dev.relation.len() {
-                let t = dev.relation.tuple(i);
-                if spec.region().contains(t.location()) {
-                    merger.insert(t);
-                }
+            let rel = &dev.relation;
+            if rel.mbr().is_some_and(|mbr| region.misses(&mbr)) {
+                continue;
+            }
+            // Only in-range rows are materialized.
+            for i in (0..rel.len()).filter(|&i| region.contains(rel.location(i))) {
+                merger.insert(rel.tuple(i));
             }
         }
         merger.into_result()
@@ -282,7 +284,7 @@ pub fn grid_network_from_global(
     let part = datagen::GridPartitioner::new(g, space).partition(global);
     let positions: Vec<Point> = (0..part.num_devices()).map(|i| part.cell_center(i)).collect();
     let relations: Vec<HybridRelation> =
-        part.parts.iter().map(|p| HybridRelation::new(p.clone())).collect();
+        part.parts.iter().map(|p| HybridRelation::from(p.as_slice())).collect();
     StaticGridNetwork::new(relations, positions, g)
 }
 

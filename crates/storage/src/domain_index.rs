@@ -32,6 +32,35 @@ impl AttributeDomain {
         AttributeDomain { values: v }
     }
 
+    /// Builds the domain of one attribute **and** every row's ID in it from
+    /// a single sort: `assign(row, id)` is called once per input position
+    /// (fewer than 2³² of them — the caller checks its row count).
+    /// `keyed` is scratch the caller reuses across attributes.
+    ///
+    /// Values are keyed by the integer whose order is `f64::total_cmp`'s, so
+    /// the sort compares plain `u64`s, two values share an ID exactly when
+    /// their bit patterns are equal (`-0.0` and `+0.0` stay distinct), and
+    /// the result equals [`Self::build`] followed by [`Self::id_of`] per row.
+    pub(crate) fn encode(
+        values: impl Iterator<Item = f64>,
+        keyed: &mut Vec<(u64, u32)>,
+        mut assign: impl FnMut(usize, u32),
+    ) -> Self {
+        keyed.clear();
+        keyed.extend(values.enumerate().map(|(row, v)| (total_order_key(v), row as u32)));
+        keyed.sort_unstable();
+        let mut domain: Vec<f64> = Vec::new();
+        let mut last = None;
+        for &(key, row) in keyed.iter() {
+            if last != Some(key) {
+                domain.push(value_of_key(key));
+                last = Some(key);
+            }
+            assign(row as usize, (domain.len() - 1) as u32);
+        }
+        AttributeDomain { values: domain }
+    }
+
     /// Number of distinct values.
     #[inline]
     pub fn len(&self) -> usize {
@@ -87,6 +116,21 @@ impl AttributeDomain {
     pub fn storage_bytes(&self) -> usize {
         self.values.len() * 8
     }
+}
+
+/// Maps an `f64` to the `u64` whose unsigned order is `f64::total_cmp`'s:
+/// negative values have all bits flipped, the rest only the sign bit.
+#[inline]
+fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// Inverse of [`total_order_key`].
+#[inline]
+fn value_of_key(key: u64) -> f64 {
+    let mask = if key >> 63 == 1 { 1 << 63 } else { u64::MAX };
+    f64::from_bits(key ^ mask)
 }
 
 /// A column of attribute IDs with adaptive width.
@@ -215,6 +259,43 @@ mod tests {
         assert_eq!(d.id_of(2.0), 1);
         assert_eq!(d.id_of(f64::NAN), 2, "NaN is findable, not fatal");
         assert_eq!(d.rank_of(3.0), 2, "finite ranks unaffected by the NaN");
+    }
+
+    #[test]
+    fn order_key_is_total_cmp_and_round_trips() {
+        let vals = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for &a in &vals {
+            assert_eq!(value_of_key(total_order_key(a)).to_bits(), a.to_bits());
+            for &b in &vals {
+                assert_eq!(total_order_key(a).cmp(&total_order_key(b)), a.total_cmp(&b));
+            }
+        }
+    }
+
+    #[test]
+    fn encode_equals_build_then_id_of() {
+        let vals = [3.0, -0.0, 1.0, 0.0, 3.0, f64::NAN, 1.0, -7.5];
+        let mut ids = vec![u32::MAX; vals.len()];
+        let d = AttributeDomain::encode(vals.iter().copied(), &mut Vec::new(), |r, id| ids[r] = id);
+        let reference = AttributeDomain::build(vals);
+        assert_eq!(d.values.len(), reference.values.len());
+        for (a, b) in d.values.iter().zip(&reference.values) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for (r, &v) in vals.iter().enumerate() {
+            assert_eq!(ids[r], reference.id_of(v), "row {r}");
+        }
     }
 
     #[test]

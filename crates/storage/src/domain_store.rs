@@ -14,7 +14,9 @@ use skyline_core::region::{Mbr, Point};
 use skyline_core::vdr::{select_filter, FilterTuple};
 use skyline_core::Tuple;
 
-use crate::traits::{DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, StorageModel};
+use crate::traits::{
+    DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause, StorageModel,
+};
 
 /// A local relation in domain storage.
 #[derive(Debug, Clone)]
@@ -98,6 +100,14 @@ impl DeviceRelation for DomainRelation {
         Tuple::new(self.locs[i].x, self.locs[i].y, attrs)
     }
 
+    fn location(&self, i: usize) -> Point {
+        self.locs[i]
+    }
+
+    fn mbr(&self) -> Option<Mbr> {
+        Some(self.mbr)
+    }
+
     /// Unsorted domains: the minimum needs a scan, so no O(1) bounds.
     fn lower_bounds(&self) -> Option<Vec<f64>> {
         None
@@ -117,7 +127,7 @@ impl DeviceRelation for DomainRelation {
     fn local_skyline(&self, query: &LocalQuery) -> LocalSkylineOutcome {
         let mut stats = LocalStats::default();
         if query.region.misses(&self.mbr) {
-            return LocalSkylineOutcome::skipped();
+            return LocalSkylineOutcome::skipped(SkipCause::SpatialMiss);
         }
         let r2 = query.region.radius * query.region.radius;
         let center = query.region.center;
@@ -164,13 +174,7 @@ impl DeviceRelation for DomainRelation {
         let filter_candidate: Option<FilterTuple> =
             query.vdr_bounds.as_ref().and_then(|b| select_filter(&reduced, b));
 
-        LocalSkylineOutcome {
-            skyline: reduced,
-            unreduced_len,
-            skipped: false,
-            filter_candidate,
-            stats,
-        }
+        LocalSkylineOutcome { skyline: reduced, unreduced_len, skip: None, filter_candidate, stats }
     }
 }
 

@@ -8,7 +8,7 @@
 
 use skyline_core::dominance::dominates;
 use skyline_core::vdr::{select_filter, FilterTuple, UpperBounds};
-use skyline_core::Tuple;
+use skyline_core::{Point, Tuple};
 
 use crate::traits::{DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, StorageModel};
 
@@ -48,6 +48,10 @@ impl DeviceRelation for FlatRelation {
 
     fn tuple(&self, i: usize) -> Tuple {
         self.tuples[i].clone()
+    }
+
+    fn location(&self, i: usize) -> Point {
+        self.tuples[i].location()
     }
 
     /// Flat storage keeps no domain arrays: bounds would cost a full scan,
@@ -110,13 +114,7 @@ impl DeviceRelation for FlatRelation {
         let filter_candidate: Option<FilterTuple> =
             query.vdr_bounds.as_ref().and_then(|b| select_filter(&reduced, b));
 
-        LocalSkylineOutcome {
-            skyline: reduced,
-            unreduced_len,
-            skipped: false,
-            filter_candidate,
-            stats,
-        }
+        LocalSkylineOutcome { skyline: reduced, unreduced_len, skip: None, filter_candidate, stats }
     }
 }
 
@@ -142,7 +140,7 @@ mod tests {
         // (1,1) is out of range; (80,7) is dominated by (20,7).
         assert_eq!(out.skyline.len(), 2);
         assert_eq!(out.unreduced_len, 2);
-        assert!(!out.skipped);
+        assert_eq!(out.skip, None);
         assert_eq!(out.stats.in_range, 3);
         assert_eq!(out.stats.tuples_scanned, 4);
     }

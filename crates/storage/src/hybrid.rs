@@ -28,7 +28,9 @@ use skyline_core::vdr::{select_filter, FilterTuple};
 use skyline_core::{kernel_for, strict_kernel_for, DomKernel, DominanceTest, Tuple};
 
 use crate::domain_index::{AttributeDomain, IdArray};
-use crate::traits::{DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, StorageModel};
+use crate::traits::{
+    DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause, StorageModel,
+};
 
 /// One memoized window scan: the surviving row indices plus the exact
 /// [`LocalStats`] the scan accumulated, replayed verbatim on every hit so
@@ -120,39 +122,49 @@ impl Clone for HybridRelation {
     }
 }
 
-impl HybridRelation {
-    /// Builds hybrid storage from a set of tuples.
-    pub fn new(tuples: Vec<Tuple>) -> Self {
+impl From<&[Tuple]> for HybridRelation {
+    /// Builds hybrid storage from a set of tuples, reading them in place:
+    /// the only per-row state is one entry in a flat ID matrix.
+    fn from(tuples: &[Tuple]) -> Self {
         let dim = tuples.first().map_or(0, Tuple::dim);
         assert!(tuples.iter().all(|t| t.dim() == dim), "mixed dimensionality in relation");
         let rows = tuples.len();
+        assert!(u32::try_from(rows).is_ok(), "row numbers are kept as u32, like the IDs");
 
+        // One sort per attribute yields its domain and, in the same walk,
+        // every row's ID: `ids[r * dim + j]`, input row order.
+        let mut ids = vec![0u32; rows * dim];
+        let mut keyed = Vec::with_capacity(rows);
         let domains: Vec<AttributeDomain> = (0..dim)
-            .map(|j| AttributeDomain::build(tuples.iter().map(|t| t.attrs[j])))
-            .collect();
-
-        // Raw (unsorted) id matrix, row-major.
-        let raw_ids: Vec<Vec<u32>> = tuples
-            .iter()
-            .map(|t| (0..dim).map(|j| domains[j].id_of(t.attrs[j])).collect())
+            .map(|j| {
+                let column = tuples.iter().map(|t| t.attrs[j]);
+                AttributeDomain::encode(column, &mut keyed, |r, id| ids[r * dim + j] = id)
+            })
             .collect();
 
         // "We choose the attribute with the largest number of distinct
         // values as the attribute to be sorted on."
         let sort_attr = (0..dim).max_by_key(|&j| domains[j].len()).unwrap_or(0);
 
-        let mut order: Vec<usize> = (0..rows).collect();
-        order.sort_by_key(|&r| {
-            let primary = if dim > 0 { raw_ids[r][sort_attr] } else { 0 };
-            let sum: u64 = raw_ids[r].iter().map(|&v| u64::from(v)).sum();
-            (primary, sum, r)
-        });
+        // Row order: ascending (sort ID, Σ IDs, input row). The keys are
+        // computed once, and the input row makes them distinct.
+        let mut order: Vec<(u32, u64, u32)> = (0..rows)
+            .map(|r| {
+                let row = &ids[r * dim..(r + 1) * dim];
+                let primary = row.get(sort_attr).copied().unwrap_or(0);
+                (primary, row.iter().map(|&v| u64::from(v)).sum(), r as u32)
+            })
+            .collect();
+        order.sort_unstable();
 
-        let locs: Vec<Point> = order.iter().map(|&r| tuples[r].location()).collect();
+        let locs: Vec<Point> =
+            order.iter().map(|&(_, _, r)| tuples[r as usize].location()).collect();
+        let mut column: Vec<u32> = Vec::with_capacity(rows);
         let columns: Vec<IdArray> = (0..dim)
             .map(|j| {
-                let ids: Vec<u32> = order.iter().map(|&r| raw_ids[r][j]).collect();
-                IdArray::pack(&ids, domains[j].len())
+                column.clear();
+                column.extend(order.iter().map(|&(_, _, r)| ids[r as usize * dim + j]));
+                IdArray::pack(&column, domains[j].len())
             })
             .collect();
         let mbr = Mbr::of_points(locs.iter().copied());
@@ -165,10 +177,9 @@ impl HybridRelation {
             .take(dim)
             .collect();
         let mut arena = Vec::with_capacity(rows * dim);
-        for r in 0..rows {
-            for &j in &perm {
-                arena.push(f64::from(columns[j].get(r)));
-            }
+        for &(_, _, r) in &order {
+            let row = &ids[r as usize * dim..(r as usize + 1) * dim];
+            arena.extend(perm.iter().map(|&j| f64::from(row[j])));
         }
 
         HybridRelation {
@@ -183,10 +194,13 @@ impl HybridRelation {
             cache: Mutex::new(WindowCache::default()),
         }
     }
+}
 
-    /// The relation's MBR.
-    pub fn mbr(&self) -> &Mbr {
-        &self.mbr
+impl HybridRelation {
+    /// Builds hybrid storage from a set of tuples (see the `From<&[Tuple]>`
+    /// impl; the build never needs to own its input).
+    pub fn new(tuples: Vec<Tuple>) -> Self {
+        Self::from(tuples.as_slice())
     }
 
     /// Which attribute the rows are sorted on.
@@ -271,6 +285,72 @@ impl HybridRelation {
         CachedScan { window, stats }
     }
 
+    /// The construction the one-pass build replaced — sort + dedup per
+    /// domain, a binary search per value, a row sort that re-sums on every
+    /// comparison — kept as the reference the build tests compare against.
+    #[cfg(test)]
+    fn build_reference(tuples: Vec<Tuple>) -> Self {
+        let dim = tuples.first().map_or(0, Tuple::dim);
+        assert!(tuples.iter().all(|t| t.dim() == dim), "mixed dimensionality in relation");
+        let rows = tuples.len();
+
+        let domains: Vec<AttributeDomain> = (0..dim)
+            .map(|j| AttributeDomain::build(tuples.iter().map(|t| t.attrs[j])))
+            .collect();
+
+        // Raw (unsorted) id matrix, row-major.
+        let raw_ids: Vec<Vec<u32>> = tuples
+            .iter()
+            .map(|t| (0..dim).map(|j| domains[j].id_of(t.attrs[j])).collect())
+            .collect();
+
+        // "We choose the attribute with the largest number of distinct
+        // values as the attribute to be sorted on."
+        let sort_attr = (0..dim).max_by_key(|&j| domains[j].len()).unwrap_or(0);
+
+        let mut order: Vec<usize> = (0..rows).collect();
+        order.sort_by_key(|&r| {
+            let primary = if dim > 0 { raw_ids[r][sort_attr] } else { 0 };
+            let sum: u64 = raw_ids[r].iter().map(|&v| u64::from(v)).sum();
+            (primary, sum, r)
+        });
+
+        let locs: Vec<Point> = order.iter().map(|&r| tuples[r].location()).collect();
+        let columns: Vec<IdArray> = (0..dim)
+            .map(|j| {
+                let ids: Vec<u32> = order.iter().map(|&r| raw_ids[r][j]).collect();
+                IdArray::pack(&ids, domains[j].len())
+            })
+            .collect();
+        let mbr = Mbr::of_points(locs.iter().copied());
+
+        // Scan arena: non-sorted attributes first, the sorted attribute
+        // last, so the strict test is a prefix comparison.
+        let perm: Vec<usize> = (0..dim)
+            .filter(|&j| j != sort_attr)
+            .chain(std::iter::once(sort_attr))
+            .take(dim)
+            .collect();
+        let mut arena = Vec::with_capacity(rows * dim);
+        for r in 0..rows {
+            for &j in &perm {
+                arena.push(f64::from(columns[j].get(r)));
+            }
+        }
+
+        HybridRelation {
+            locs,
+            columns,
+            domains,
+            mbr,
+            sort_attr,
+            rows,
+            dim,
+            arena,
+            cache: Mutex::new(WindowCache::default()),
+        }
+    }
+
     /// `a` dominates `b` in ID space under the given test. IDs are rank
     /// positions in sorted domains, so ID dominance ⟺ value dominance.
     /// The production scan runs the equivalent arena kernels; this per-pair
@@ -331,6 +411,14 @@ impl DeviceRelation for HybridRelation {
         self.materialize(i)
     }
 
+    fn location(&self, i: usize) -> Point {
+        self.locs[i]
+    }
+
+    fn mbr(&self) -> Option<Mbr> {
+        Some(self.mbr)
+    }
+
     fn lower_bounds(&self) -> Option<Vec<f64>> {
         if self.rows == 0 {
             return None;
@@ -362,7 +450,7 @@ impl DeviceRelation for HybridRelation {
 
         // Guard 1: MBR vs query region (O(1)).
         if query.region.misses(&self.mbr) {
-            return LocalSkylineOutcome::skipped();
+            return LocalSkylineOutcome::skipped(SkipCause::SpatialMiss);
         }
 
         // Guard 2: does any filter dominate the virtual best corner? (O(n)
@@ -371,7 +459,7 @@ impl DeviceRelation for HybridRelation {
             if let Some(lower) = self.lower_bounds() {
                 stats.value_comparisons += self.dim as u64;
                 if query.skips_relation(&lower) {
-                    return LocalSkylineOutcome::skipped();
+                    return LocalSkylineOutcome::skipped(SkipCause::FilterDominance);
                 }
             }
         }
@@ -422,13 +510,7 @@ impl DeviceRelation for HybridRelation {
         let filter_candidate: Option<FilterTuple> =
             query.vdr_bounds.as_ref().and_then(|b| select_filter(&reduced, b));
 
-        LocalSkylineOutcome {
-            skyline: reduced,
-            unreduced_len,
-            skipped: false,
-            filter_candidate,
-            stats,
-        }
+        LocalSkylineOutcome { skyline: reduced, unreduced_len, skip: None, filter_candidate, stats }
     }
 }
 
@@ -548,7 +630,7 @@ mod tests {
         let h = HybridRelation::new(table2());
         let q = LocalQuery::plain(QueryRegion::new(Point::new(1000.0, 1000.0), 5.0));
         let out = h.local_skyline(&q);
-        assert!(out.skipped);
+        assert_eq!(out.skip, Some(SkipCause::SpatialMiss));
         assert_eq!(out.stats.tuples_scanned, 0);
     }
 
@@ -562,7 +644,11 @@ mod tests {
             ..LocalQuery::plain(QueryRegion::unbounded())
         };
         let out = h.local_skyline(&q);
-        assert!(out.skipped, "filter (10,1) beats domain minima (20,3)");
+        assert_eq!(
+            out.skip,
+            Some(SkipCause::FilterDominance),
+            "filter (10,1) beats domain minima (20,3)"
+        );
     }
 
     #[test]
@@ -576,7 +662,7 @@ mod tests {
             ..LocalQuery::plain(QueryRegion::unbounded())
         };
         let out = h.local_skyline(&q);
-        assert!(!out.skipped);
+        assert_eq!(out.skip, None);
         // h21 = (60, 3) strictly eliminates h14 = (80, 4) but not h16 =
         // (100, 3) (rating ties) under the paper's strict test.
         assert_eq!(out.unreduced_len, 4);
@@ -687,6 +773,129 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Everything the build decides, compared field by field. Domain values
+    /// go by bit pattern: `==` would equate `-0.0` with `+0.0` and reject
+    /// NaN against itself.
+    fn assert_same_build(got: &HybridRelation, want: &HybridRelation, what: &str) {
+        assert_eq!((got.rows, got.dim), (want.rows, want.dim), "{what}: shape");
+        assert_eq!(got.sort_attribute(), want.sort_attribute(), "{what}: sort attribute");
+        for j in 0..want.dim {
+            let bits = |h: &HybridRelation| -> Vec<u64> {
+                (0..h.domain(j).len())
+                    .map(|i| h.domain(j).value_of(i as u32).to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(got), bits(want), "{what}: domain {j}");
+        }
+        for r in 0..want.rows {
+            assert_eq!(got.row_ids(r), want.row_ids(r), "{what}: ids of row {r}");
+        }
+        assert_eq!(got.columns, want.columns, "{what}: packed columns (incl. width)");
+        assert_eq!(got.locs, want.locs, "{what}: locations");
+        assert_eq!(got.arena, want.arena, "{what}: arena");
+        assert_eq!(got.mbr, want.mbr, "{what}: mbr");
+        assert_eq!(got.storage_bytes(), want.storage_bytes(), "{what}: storage bytes");
+    }
+
+    /// Checks the one-pass build, from a slice and from a vector, against
+    /// the retained reference construction.
+    fn check_build(data: Vec<Tuple>, what: &str) {
+        let want = HybridRelation::build_reference(data.clone());
+        assert_same_build(&HybridRelation::from(data.as_slice()), &want, what);
+        assert_same_build(&HybridRelation::new(data), &want, what);
+    }
+
+    #[test]
+    fn build_matches_reference_on_empty_single_and_duplicate_rows() {
+        check_build(Vec::new(), "no rows");
+        for dim in 0..=8 {
+            let row = |i: usize| Tuple::new(i as f64, 1.0, vec![4.0; dim]);
+            check_build(vec![row(0)], &format!("one row, d={dim}"));
+            check_build((0..40).map(row).collect(), &format!("identical rows, d={dim}"));
+        }
+        for dim in 1..=8 {
+            check_build(mixed_data(500, dim, 3, 0xD0_u64 + dim as u64), &format!("mod 3, d={dim}"));
+        }
+    }
+
+    #[test]
+    fn build_matches_reference_across_id_widths() {
+        // 256 / 257 and 65 536 / 65 537 distinct values sit on either side
+        // of the u8→u16 and u16→u32 column widths; the second attribute
+        // stays narrow so one relation mixes widths.
+        for distinct in [256usize, 257, 65_536, 65_537] {
+            let data: Vec<Tuple> = (0..distinct + 3)
+                .map(|i| {
+                    let a = ((i * 7919) % distinct) as f64;
+                    Tuple::new(i as f64, 0.0, vec![a, (i % 5) as f64])
+                })
+                .collect();
+            let h = HybridRelation::from(data.as_slice());
+            assert_eq!(h.domain(0).len(), distinct);
+            let width = if distinct <= 256 {
+                1
+            } else if distinct <= 65_536 {
+                2
+            } else {
+                4
+            };
+            assert_eq!((h.columns[0].id_width(), h.columns[1].id_width()), (width, 1));
+            check_build(data, &format!("{distinct} distinct"));
+        }
+    }
+
+    #[test]
+    fn signed_zeros_and_nans_keep_their_own_ids() {
+        let data = vec![
+            Tuple::new(0.0, 0.0, vec![0.0, f64::NAN]),
+            Tuple::new(1.0, 0.0, vec![-0.0, 1.0]),
+            Tuple::new(2.0, 0.0, vec![0.0, f64::NAN]),
+            Tuple::new(3.0, 0.0, vec![-1.0, f64::INFINITY]),
+        ];
+        let h = HybridRelation::from(data.as_slice());
+        // -1.0 < -0.0 < +0.0 under total_cmp: three IDs, not two.
+        assert_eq!(h.domain(0).len(), 3);
+        assert!(h.domain(0).value_of(1).is_sign_negative() && h.domain(0).value_of(1) == 0.0);
+        // NaN ranks after +∞ and is one value however often it occurs.
+        assert_eq!(h.domain(1).len(), 3);
+        assert!(h.domain(1).value_of(2).is_nan());
+        check_build(data, "signed zeros and NaNs");
+    }
+
+    /// Attribute values for the build property test: a small palette (heavy
+    /// duplication) that includes both zeros, both infinities and NaN.
+    const PALETTE: [f64; 10] =
+        [-0.0, 0.0, 1.0, -1.0, 2.5, 1e-300, -1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        #[test]
+        fn build_matches_reference(
+            dim in 1usize..=8,
+            wide in proptest::prelude::any::<bool>(),
+            codes in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0u16..2000, 8),
+                0..120,
+            ),
+        ) {
+            // A `wide` case draws from 2 000 values, the others from the
+            // palette, so ties, special values and long domains all occur.
+            let data: Vec<Tuple> = codes
+                .iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    let attrs = row[..dim]
+                        .iter()
+                        .map(|&c| if wide { f64::from(c) } else { PALETTE[c as usize % PALETTE.len()] })
+                        .collect();
+                    Tuple::new((i % 9) as f64, (i / 9) as f64, attrs)
+                })
+                .collect();
+            check_build(data, "property");
         }
     }
 

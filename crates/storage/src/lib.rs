@@ -42,7 +42,9 @@ pub use hybrid::HybridRelation;
 pub use persist::{decode_relation, encode_relation, DecodeError};
 pub use ring_store::RingRelation;
 pub use spatial_index::SpatialRelation;
-pub use traits::{DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, StorageModel};
+pub use traits::{
+    DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause, StorageModel,
+};
 
 /// NaN-safe lexicographic ordering on attribute vectors (`f64::total_cmp`
 /// per element), for canonicalizing skylines in equivalence tests.

@@ -13,7 +13,9 @@ use skyline_core::region::{Mbr, Point};
 use skyline_core::vdr::{select_filter, FilterTuple};
 use skyline_core::Tuple;
 
-use crate::traits::{DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, StorageModel};
+use crate::traits::{
+    DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause, StorageModel,
+};
 
 /// Per-attribute ring structure.
 #[derive(Debug, Clone)]
@@ -120,6 +122,14 @@ impl DeviceRelation for RingRelation {
         Tuple::new(self.locs[i].x, self.locs[i].y, attrs)
     }
 
+    fn location(&self, i: usize) -> Point {
+        self.locs[i]
+    }
+
+    fn mbr(&self) -> Option<Mbr> {
+        Some(self.mbr)
+    }
+
     fn lower_bounds(&self) -> Option<Vec<f64>> {
         None
     }
@@ -139,7 +149,7 @@ impl DeviceRelation for RingRelation {
     fn local_skyline(&self, query: &LocalQuery) -> LocalSkylineOutcome {
         let mut stats = LocalStats::default();
         if query.region.misses(&self.mbr) {
-            return LocalSkylineOutcome::skipped();
+            return LocalSkylineOutcome::skipped(SkipCause::SpatialMiss);
         }
         let r2 = query.region.radius * query.region.radius;
         let center = query.region.center;
@@ -185,13 +195,7 @@ impl DeviceRelation for RingRelation {
         let filter_candidate: Option<FilterTuple> =
             query.vdr_bounds.as_ref().and_then(|b| select_filter(&reduced, b));
 
-        LocalSkylineOutcome {
-            skyline: reduced,
-            unreduced_len,
-            skipped: false,
-            filter_candidate,
-            stats,
-        }
+        LocalSkylineOutcome { skyline: reduced, unreduced_len, skip: None, filter_candidate, stats }
     }
 }
 

@@ -12,12 +12,14 @@
 //! index degenerates to a scan with extra overhead.
 
 use skyline_core::dominance::dominates;
-use skyline_core::region::{Mbr, QueryRegion};
+use skyline_core::region::{Mbr, Point, QueryRegion};
 use skyline_core::rtree::{NdBox, RTree};
 use skyline_core::vdr::{select_filter, FilterTuple, UpperBounds};
 use skyline_core::Tuple;
 
-use crate::traits::{DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, StorageModel};
+use crate::traits::{
+    DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause, StorageModel,
+};
 
 /// A local relation with a spatial R-tree over site locations.
 #[derive(Debug)]
@@ -83,6 +85,14 @@ impl DeviceRelation for SpatialRelation {
         self.tuples[i].clone()
     }
 
+    fn location(&self, i: usize) -> Point {
+        self.tuples[i].location()
+    }
+
+    fn mbr(&self) -> Option<Mbr> {
+        Some(self.mbr)
+    }
+
     fn lower_bounds(&self) -> Option<Vec<f64>> {
         None // values are unsorted; only the spatial dimension is indexed
     }
@@ -100,7 +110,7 @@ impl DeviceRelation for SpatialRelation {
     fn local_skyline(&self, query: &LocalQuery) -> LocalSkylineOutcome {
         let mut stats = LocalStats::default();
         if query.region.misses(&self.mbr) {
-            return LocalSkylineOutcome::skipped();
+            return LocalSkylineOutcome::skipped(SkipCause::SpatialMiss);
         }
         let candidates = self.in_range(&query.region, &mut stats);
         stats.in_range = candidates.len() as u64;
@@ -138,13 +148,7 @@ impl DeviceRelation for SpatialRelation {
         let filter_candidate: Option<FilterTuple> =
             query.vdr_bounds.as_ref().and_then(|b| select_filter(&reduced, b));
 
-        LocalSkylineOutcome {
-            skyline: reduced,
-            unreduced_len,
-            skipped: false,
-            filter_candidate,
-            stats,
-        }
+        LocalSkylineOutcome { skyline: reduced, unreduced_len, skip: None, filter_candidate, stats }
     }
 }
 
@@ -218,7 +222,7 @@ mod tests {
     fn mbr_miss_short_circuits() {
         let spatial = SpatialRelation::new(grid_data(100));
         let q = LocalQuery::plain(QueryRegion::new(Point::new(-500.0, -500.0), 10.0));
-        assert!(spatial.local_skyline(&q).skipped);
+        assert_eq!(spatial.local_skyline(&q).skip, Some(SkipCause::SpatialMiss));
     }
 
     #[test]

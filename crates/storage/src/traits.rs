@@ -1,6 +1,6 @@
 //! The interface every storage model exposes to the distributed layer.
 
-use skyline_core::region::QueryRegion;
+use skyline_core::region::{Mbr, Point, QueryRegion};
 use skyline_core::vdr::{FilterTest, FilterTuple, UpperBounds};
 use skyline_core::{DominanceTest, Tuple};
 
@@ -94,6 +94,18 @@ pub struct LocalStats {
     pub pointer_hops: u64,
 }
 
+/// Which Fig. 4 guard let a relation answer without scanning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SkipCause {
+    /// Guard 1: the query region misses the relation's MBR. No stored site
+    /// is in range, so `|SK_i| = 0` is the truth.
+    SpatialMiss,
+    /// Guard 2: a filter dominates the virtual best corner of the local
+    /// domains. In-range data exists but was never scanned, so
+    /// `unreduced_len` is unknown (reported as 0).
+    FilterDominance,
+}
+
 /// Result of one device-local skyline query.
 #[derive(Debug, Clone)]
 pub struct LocalSkylineOutcome {
@@ -102,9 +114,10 @@ pub struct LocalSkylineOutcome {
     /// `|SK_i|`: size of the unreduced local skyline (before the filtering
     /// tuple was applied) — the denominator of the paper's DRR formula.
     pub unreduced_len: usize,
-    /// `true` when the whole relation was skipped (MBR miss, or the filter
-    /// dominated the virtual best corner of the local domains).
-    pub skipped: bool,
+    /// The guard that skipped the whole relation, if one did. The storage
+    /// layer knows which guard fired; callers that account for skipped
+    /// data (shadow DRR) read it here instead of probing the relation.
+    pub skip: Option<SkipCause>,
     /// The locally best filter candidate (max VDR over the reduced skyline),
     /// already compared against the incoming filter by the caller's rules.
     /// `None` when `vdr_bounds` was `None` or the skyline is empty.
@@ -115,11 +128,11 @@ pub struct LocalSkylineOutcome {
 
 impl LocalSkylineOutcome {
     /// An outcome for a device that skipped the query entirely.
-    pub fn skipped() -> Self {
+    pub fn skipped(cause: SkipCause) -> Self {
         LocalSkylineOutcome {
             skyline: Vec::new(),
             unreduced_len: 0,
-            skipped: true,
+            skip: Some(cause),
             filter_candidate: None,
             stats: LocalStats::default(),
         }
@@ -146,6 +159,19 @@ pub trait DeviceRelation {
 
     /// Materializes row `i` (test/diagnostic path; not used by queries).
     fn tuple(&self, i: usize) -> Tuple;
+
+    /// Site location of row `i`. Every model stores locations inline, so
+    /// implementations answer without materializing the row.
+    fn location(&self, i: usize) -> Point {
+        self.tuple(i).location()
+    }
+
+    /// The MBR of the stored sites, if the model keeps it as O(1) constants
+    /// (flat storage does not — that is the paper's point). Empty relations
+    /// report [`Mbr::empty`].
+    fn mbr(&self) -> Option<Mbr> {
+        None
+    }
 
     /// Per-attribute local minima `l_j`, if the model can provide them in
     /// O(1) (hybrid keeps sorted domains; flat returns `None` — that is the
@@ -174,6 +200,12 @@ impl<T: DeviceRelation + ?Sized> DeviceRelation for Box<T> {
     }
     fn tuple(&self, i: usize) -> Tuple {
         (**self).tuple(i)
+    }
+    fn location(&self, i: usize) -> Point {
+        (**self).location(i)
+    }
+    fn mbr(&self) -> Option<Mbr> {
+        (**self).mbr()
     }
     fn lower_bounds(&self) -> Option<Vec<f64>> {
         (**self).lower_bounds()
@@ -204,7 +236,6 @@ pub fn filter_skips_relation(filter: &FilterTuple, lower: &[f64], test: FilterTe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_core::Point;
 
     #[test]
     fn plain_query_defaults() {
@@ -232,7 +263,8 @@ mod tests {
 
     #[test]
     fn skipped_outcome_is_empty() {
-        let o = LocalSkylineOutcome::skipped();
-        assert!(o.skipped && o.skyline.is_empty() && o.unreduced_len == 0);
+        let o = LocalSkylineOutcome::skipped(SkipCause::SpatialMiss);
+        assert_eq!(o.skip, Some(SkipCause::SpatialMiss));
+        assert!(o.skyline.is_empty() && o.unreduced_len == 0);
     }
 }

@@ -9,7 +9,7 @@ use skyline_core::{DominanceTest, Tuple};
 
 use device_storage::{
     DeviceRelation, DomainRelation, FlatRelation, HybridRelation, LocalQuery, RingRelation,
-    SpatialRelation,
+    SkipCause, SpatialRelation,
 };
 
 fn relation(max: usize, dim: usize) -> impl Strategy<Value = Vec<Tuple>> {
@@ -85,7 +85,7 @@ proptest! {
         // answer after filter application must be empty too.
         let hybrid = HybridRelation::new(data.clone());
         let out = hybrid.local_skyline(&q);
-        if out.skipped && !q.region.misses(hybrid.mbr()) {
+        if out.skip == Some(SkipCause::FilterDominance) {
             let flat = FlatRelation::new(data);
             let ref_out = flat.local_skyline(&q);
             prop_assert!(ref_out.skyline.is_empty(),
@@ -131,6 +131,27 @@ proptest! {
         for (i, t) in data.iter().enumerate() {
             prop_assert_eq!(&domain.tuple(i).attrs, &t.attrs);
             prop_assert_eq!(&ring.tuple(i).attrs, &t.attrs);
+        }
+    }
+
+    #[test]
+    fn stored_locations_and_mbr_match_the_materialized_rows(data in relation(50, 2)) {
+        let models: Vec<Box<dyn DeviceRelation>> = vec![
+            Box::new(FlatRelation::new(data.clone())),
+            Box::new(HybridRelation::new(data.clone())),
+            Box::new(DomainRelation::new(data.clone())),
+            Box::new(RingRelation::new(data.clone())),
+            Box::new(SpatialRelation::new(data.clone())),
+        ];
+        let want = skyline_core::region::Mbr::of_points(data.iter().map(Tuple::location));
+        for m in &models {
+            for i in 0..m.len() {
+                prop_assert_eq!(m.location(i), m.tuple(i).location(), "{:?} row {}", m.model(), i);
+            }
+            match m.mbr() {
+                None => prop_assert_eq!(m.model(), device_storage::StorageModel::Flat),
+                Some(mbr) => prop_assert_eq!(mbr, want),
+            }
         }
     }
 

@@ -47,8 +47,8 @@ fn main() {
     let out = hybrid.local_skyline(&q);
     println!(
         "\nhybrid skip check: a dominating filter skips the scan entirely \
-         (scanned {} tuples, skipped = {})",
-        out.stats.tuples_scanned, out.skipped
+         (scanned {} tuples, skip = {:?})",
+        out.stats.tuples_scanned, out.skip
     );
 }
 
