@@ -1,5 +1,6 @@
 //! **Core-kernel driver**: regenerates `BENCH_core.json` (the dominance
-//! kernel, neighbour-discovery and relation-build micro-benchmarks)
+//! kernel, neighbour-discovery, relation-build, Fig. 4 scan and
+//! originator-merge micro-benchmarks)
 //! without the rest of `run_all` — see [`msq_bench::corebench`] for the
 //! design.
 //!
@@ -15,6 +16,7 @@ fn main() {
     let records = msq_bench::corebench::run(20_000);
     let neighbors = msq_bench::corebench::neighbor_discovery();
     let builds = msq_bench::corebench::relation_build();
+    let (scans, merges) = msq_bench::corebench::data_path(20_000);
     println!("== Core: dominance kernels ==");
     println!(
         "{:>5} {:>8} {:>12} {:>10} {:>10} {:>12}",
@@ -47,12 +49,64 @@ fn main() {
             r.domain_sizes
         );
     }
+    println!("\n== Core: Fig. 4 scan (strict test) ==");
+    println!(
+        "{:>5} {:>4} {:>8} {:>10} {:>9} {:>10} {:>14} {:>9} {:>12}",
+        "dims",
+        "dist",
+        "tuples",
+        "region",
+        "in_range",
+        "window_len",
+        "id_comparisons",
+        "scan_ms",
+        "ns_per_probe"
+    );
+    for r in &scans {
+        println!(
+            "{:>5} {:>4} {:>8} {:>10} {:>9} {:>10} {:>14} {:>9.3} {:>12.3}",
+            r.dims,
+            r.dist,
+            r.tuples,
+            r.region,
+            r.in_range,
+            r.window_len,
+            r.id_comparisons,
+            r.scan_ms,
+            r.ns_per_probe()
+        );
+    }
+    println!("\n== Core: originator merge (own + reply skylines) ==");
+    println!(
+        "{:>5} {:>4} {:>8} {:>8} {:>6} {:>17} {:>9} {:>13}",
+        "dims",
+        "dist",
+        "tuples",
+        "inserts",
+        "kept",
+        "dominated_removed",
+        "merge_ms",
+        "ns_per_insert"
+    );
+    for r in &merges {
+        println!(
+            "{:>5} {:>4} {:>8} {:>8} {:>6} {:>17} {:>9.3} {:>13.1}",
+            r.dims,
+            r.dist,
+            r.tuples,
+            r.inserts,
+            r.kept,
+            r.dominated_removed,
+            r.merge_ms,
+            r.ns_per_insert()
+        );
+    }
     if std::env::args().any(|a| a == "--json") {
         let path = "BENCH_core.json";
         let prov = Provenance::collect(msq_bench::Scale::Quick, 1);
         match std::fs::write(
             path,
-            msq_bench::corebench::to_json(&prov, &records, &neighbors, &builds),
+            msq_bench::corebench::to_json(&prov, &records, &neighbors, &builds, (&scans, &merges)),
         ) {
             Ok(()) => println!("[json] wrote {path}"),
             Err(e) => eprintln!("[json] failed to write {path}: {e}"),

@@ -78,9 +78,10 @@ fn main() {
         let records = msq_bench::corebench::run(20_000);
         let neighbors = msq_bench::corebench::neighbor_discovery();
         let builds = msq_bench::corebench::relation_build();
+        let (scans, merges) = msq_bench::corebench::data_path(20_000);
         write_file(
             "BENCH_core.json",
-            &msq_bench::corebench::to_json(&prov, &records, &neighbors, &builds),
+            &msq_bench::corebench::to_json(&prov, &records, &neighbors, &builds, (&scans, &merges)),
         );
     }
 }

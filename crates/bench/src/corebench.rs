@@ -4,18 +4,19 @@
 //! `Vec<f64>` per tuple) against the contiguous [`TupleBlock`] scan with
 //! dimension-specialized kernels, at d = 2..=5, and reports the dominance
 //! test count per configuration; spatial-grid against linear-scan
-//! neighbour discovery; and the [`HybridRelation`] build (the set-up cost
-//! every experiment pays once per device). `run_all --json` serializes the
-//! records; the Criterion bench `dominance_block` covers the kernels
-//! interactively.
+//! neighbour discovery; the [`HybridRelation`] build (the set-up cost
+//! every experiment pays once per device); and the data path of one query
+//! exchange — the Fig. 4 scan of a relation and the originator's merge of
+//! two local skylines. `run_all --json` serializes the records; the
+//! Criterion bench `dominance_block` covers the kernels interactively.
 
 use datagen::{DataSpec, Distribution};
-use device_storage::{DeviceRelation, HybridRelation};
+use device_storage::{DeviceRelation, HybridRelation, LocalQuery};
 use manet_sim::grid::SpatialGrid;
 use manet_sim::Pos;
 use skyline_core::algo::bnl;
 use skyline_core::dominance::dominates;
-use skyline_core::{Tuple, TupleBlock};
+use skyline_core::{DominanceTest, Point, QueryRegion, SkylineMerger, Tuple, TupleBlock};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -180,7 +181,7 @@ pub struct BuildRecord {
     pub sort_attr: usize,
     /// Bytes of the packed ID columns.
     pub id_bytes: usize,
-    /// Fastest of [`BUILD_REPS`] builds, wall milliseconds.
+    /// Fastest of [`TIMED_REPS`] builds, wall milliseconds.
     pub build_ms: f64,
 }
 
@@ -191,9 +192,9 @@ impl BuildRecord {
     }
 }
 
-/// Builds timed per shape; the fastest is reported, so a millisecond-sized
-/// measurement survives a shared CI host.
-const BUILD_REPS: usize = 5;
+/// Runs timed per shape (builds, scans, merges); the fastest is reported,
+/// so a millisecond-sized measurement survives a shared CI host.
+const TIMED_REPS: usize = 5;
 
 /// Times `HybridRelation::from(&[Tuple])` at d ∈ {2, 4, 5} on one device's
 /// share of the paper-size MANET relation (6 000 tuples) and on the
@@ -207,7 +208,7 @@ pub fn relation_build() -> Vec<BuildRecord> {
                 .generate();
             let mut build_ms = f64::INFINITY;
             let mut rel = HybridRelation::from(data.as_slice()); // untimed warm-up
-            for _ in 0..BUILD_REPS {
+            for _ in 0..TIMED_REPS {
                 let t0 = Instant::now();
                 rel = std::hint::black_box(HybridRelation::from(std::hint::black_box(&data[..])));
                 build_ms = build_ms.min(t0.elapsed().as_secs_f64() * 1e3);
@@ -231,20 +232,150 @@ pub fn relation_build() -> Vec<BuildRecord> {
     out
 }
 
+/// One `(dims, distribution, region)` cell of the Fig. 4 scan benchmark.
+#[derive(Debug, Clone)]
+pub struct ScanRecord {
+    /// Attribute count.
+    pub dims: usize,
+    /// `"IN"` (independent) or `"AC"` (anti-correlated).
+    pub dist: &'static str,
+    /// Relation cardinality.
+    pub tuples: usize,
+    /// `"r500"` or `"unbounded"`.
+    pub region: &'static str,
+    /// Rows inside the region.
+    pub in_range: u64,
+    /// Rows the scan kept (the unreduced local skyline).
+    pub window_len: usize,
+    /// Window probes the scan counted.
+    pub id_comparisons: u64,
+    /// Fastest of [`TIMED_REPS`] evaluations, wall milliseconds.
+    pub scan_ms: f64,
+}
+
+impl ScanRecord {
+    /// Scan cost per counted window probe, nanoseconds.
+    pub fn ns_per_probe(&self) -> f64 {
+        self.scan_ms * 1e6 / self.id_comparisons.max(1) as f64
+    }
+}
+
+/// One `(dims, distribution)` cell of the originator-merge benchmark.
+#[derive(Debug, Clone)]
+pub struct MergeRecord {
+    /// Attribute count.
+    pub dims: usize,
+    /// `"IN"` or `"AC"`.
+    pub dist: &'static str,
+    /// Cardinality of each of the two relations.
+    pub tuples: usize,
+    /// Tuples offered: the originator's own skyline plus the reply.
+    pub inserts: usize,
+    /// Members of the merged skyline.
+    pub kept: usize,
+    /// Offered tuples the merge rejected or evicted.
+    pub dominated_removed: u64,
+    /// Fastest of [`TIMED_REPS`] merges, wall milliseconds.
+    pub merge_ms: f64,
+}
+
+impl MergeRecord {
+    /// Merge cost per offered tuple, nanoseconds.
+    pub fn ns_per_insert(&self) -> f64 {
+        self.merge_ms * 1e6 / self.inserts.max(1) as f64
+    }
+}
+
+/// Data seeds of the two neighbours in [`data_path`].
+const PAIR_SEEDS: [u64; 2] = [0x5CA4, 0x5CA5];
+
+/// Times the data path of one exchange between two neighbours holding
+/// `tuples` MANET-experiment tuples each, at d ∈ {2, 4, 5} × {IN, AC}: the
+/// Fig. 4 scan (the protocol's strict test) of the first relation within
+/// 500 m of the centre and unbounded, and the merge of both relations'
+/// unbounded local skylines. Every scan runs on a fresh clone, so the
+/// unbounded one is never answered from the relation's window memo.
+pub fn data_path(tuples: usize) -> (Vec<ScanRecord>, Vec<MergeRecord>) {
+    let regions = [
+        ("r500", QueryRegion::new(Point::new(500.0, 500.0), 500.0)),
+        ("unbounded", QueryRegion::unbounded()),
+    ];
+    let query =
+        |region| LocalQuery { dominance: DominanceTest::PaperStrict, ..LocalQuery::plain(region) };
+    let (mut scans, mut merges) = (Vec::new(), Vec::new());
+    for dims in [2usize, 4, 5] {
+        for (dist, distribution) in
+            [("IN", Distribution::Independent), ("AC", Distribution::AntiCorrelated)]
+        {
+            let relation = |seed| {
+                let data = DataSpec::manet_experiment(tuples, dims, distribution, seed).generate();
+                HybridRelation::from(data.as_slice())
+            };
+            let (a, b) = (relation(PAIR_SEEDS[0]), relation(PAIR_SEEDS[1]));
+            for (region, shape) in regions {
+                let mut scan_ms = f64::INFINITY;
+                let mut out = a.local_skyline(&query(shape)); // untimed warm-up
+                for _ in 0..TIMED_REPS {
+                    let cold = a.clone();
+                    let t0 = Instant::now();
+                    out = std::hint::black_box(cold.local_skyline(&query(shape)));
+                    scan_ms = scan_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+                }
+                scans.push(ScanRecord {
+                    dims,
+                    dist,
+                    tuples,
+                    region,
+                    in_range: out.stats.in_range,
+                    window_len: out.unreduced_len,
+                    id_comparisons: out.stats.id_comparisons,
+                    scan_ms,
+                });
+            }
+
+            let own = a.local_skyline(&query(QueryRegion::unbounded())).skyline;
+            let reply = b.local_skyline(&query(QueryRegion::unbounded())).skyline;
+            let inserts = own.len() + reply.len();
+            let mut merge_ms = f64::INFINITY;
+            let mut merger = SkylineMerger::new();
+            for _ in 0..TIMED_REPS {
+                let (own, reply) = (own.clone(), reply.clone());
+                let t0 = Instant::now();
+                merger = SkylineMerger::with_seed(own);
+                merger.insert_batch(reply);
+                merge_ms = merge_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+            }
+            merges.push(MergeRecord {
+                dims,
+                dist,
+                tuples,
+                inserts,
+                kept: merger.len(),
+                dominated_removed: merger.dominated_removed,
+                merge_ms,
+            });
+        }
+    }
+    (scans, merges)
+}
+
 /// Revision of this file's deterministic grid (the other baselines share
-/// [`crate::provenance::GRID_REV`]): rev 3 added the `kind: build` rows.
-const GRID_REV: u64 = 3;
+/// [`crate::provenance::GRID_REV`]): rev 3 added the `kind: build` rows,
+/// rev 4 the `kind: scan` and `kind: merge` rows.
+const GRID_REV: u64 = 4;
 
 /// Renders the micro-benchmarks as the `BENCH_core.json` machine
 /// baseline: provenance header, deterministic `grid` rows tagged with a
-/// `kind` (dominance-test counts, skyline/neighbour sizes and the built
-/// relation's shape are seed-determined), then volatile wall-clock
-/// `timings` rows keyed by the same coordinates.
+/// `kind` (dominance-test counts, skyline/neighbour sizes, the built
+/// relation's shape and the scan's and merge's counters are
+/// seed-determined), then volatile wall-clock `timings` rows keyed by the
+/// same coordinates.
 pub fn to_json(
     prov: &Provenance,
     records: &[KernelRecord],
     neighbors: &[NeighborRecord],
     builds: &[BuildRecord],
+    (scans, merges): (&[ScanRecord], &[MergeRecord]),
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"core\",\n");
@@ -280,6 +411,21 @@ pub fn to_json(
             r.dims, r.tuples, r.domain_sizes, r.sort_attr, r.id_bytes,
         )
     }));
+    rows.extend(scans.iter().map(|r| {
+        format!(
+            "{{\"kind\": \"scan\", \"dims\": {}, \"dist\": \"{}\", \"tuples\": {}, \
+             \"region\": \"{}\", \"in_range\": {}, \"window_len\": {}, \
+             \"id_comparisons\": {}}}",
+            r.dims, r.dist, r.tuples, r.region, r.in_range, r.window_len, r.id_comparisons,
+        )
+    }));
+    rows.extend(merges.iter().map(|r| {
+        format!(
+            "{{\"kind\": \"merge\", \"dims\": {}, \"dist\": \"{}\", \"tuples\": {}, \
+             \"inserts\": {}, \"kept\": {}, \"dominated_removed\": {}}}",
+            r.dims, r.dist, r.tuples, r.inserts, r.kept, r.dominated_removed,
+        )
+    }));
     write_rows(&mut out, rows);
     out.push_str("  ],\n");
     out.push_str("  \"timings\": [\n");
@@ -308,6 +454,29 @@ pub fn to_json(
             r.tuples,
             r.build_ms,
             r.ns_per_tuple(),
+        )
+    }));
+    rows.extend(scans.iter().map(|r| {
+        format!(
+            "{{\"kind\": \"scan\", \"dims\": {}, \"dist\": \"{}\", \"tuples\": {}, \
+             \"region\": \"{}\", \"scan_ms\": {:.3}, \"ns_per_probe\": {:.3}}}",
+            r.dims,
+            r.dist,
+            r.tuples,
+            r.region,
+            r.scan_ms,
+            r.ns_per_probe(),
+        )
+    }));
+    rows.extend(merges.iter().map(|r| {
+        format!(
+            "{{\"kind\": \"merge\", \"dims\": {}, \"dist\": \"{}\", \"tuples\": {}, \
+             \"merge_ms\": {:.3}, \"ns_per_insert\": {:.1}}}",
+            r.dims,
+            r.dist,
+            r.tuples,
+            r.merge_ms,
+            r.ns_per_insert(),
         )
     }));
     write_rows(&mut out, rows);
@@ -346,10 +515,85 @@ mod tests {
             assert_eq!(r.domain_sizes[r.sort_attr], *r.domain_sizes.iter().max().unwrap());
             assert!(r.build_ms.is_finite() && r.build_ms > 0.0);
         }
-        let json = to_json(&Provenance::collect(crate::Scale::Quick, 1), &[], &[], &recs);
+        let prov = Provenance::collect(crate::Scale::Quick, 1);
+        let json = to_json(&prov, &[], &[], &recs, (&[], &[]));
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("grid").and_then(sim_obs::JsonValue::as_array).unwrap().len(), 6);
-        assert!(json.contains("\"grid_rev\": 3,"));
+        assert!(json.contains("\"grid_rev\": 4,"));
+    }
+
+    /// The Fig. 4 loop written out over public accessors: row IDs in
+    /// storage order, strict `<` on every attribute but the sorted one.
+    fn reference_scan(rel: &HybridRelation, region: &QueryRegion) -> (u64, usize, u64) {
+        let ids: Vec<Vec<u32>> = (0..rel.len()).map(|r| rel.row_ids(r)).collect();
+        let sort_attr = rel.sort_attribute();
+        let strictly_less =
+            |w: usize, t: usize| (0..rel.dim()).all(|j| j == sort_attr || ids[w][j] < ids[t][j]);
+        let (mut in_range, mut id_comparisons) = (0u64, 0u64);
+        let mut window: Vec<usize> = Vec::new();
+        for t in (0..rel.len()).filter(|&t| region.contains(rel.location(t))) {
+            in_range += 1;
+            let dominator = window.iter().position(|&w| strictly_less(w, t));
+            id_comparisons += dominator.map_or(window.len(), |at| at + 1) as u64;
+            if dominator.is_none() {
+                window.push(t);
+            }
+        }
+        (in_range, window.len(), id_comparisons)
+    }
+
+    #[test]
+    fn scan_and_merge_rows_cover_the_grid_and_match_the_reference_loops() {
+        const TUPLES: usize = 2_500;
+        let (scans, merges) = data_path(TUPLES);
+        let shapes: Vec<(usize, &str)> = merges.iter().map(|r| (r.dims, r.dist)).collect();
+        assert_eq!(shapes, vec![(2, "IN"), (2, "AC"), (4, "IN"), (4, "AC"), (5, "IN"), (5, "AC")]);
+        let cells: Vec<(usize, &str, &str)> =
+            scans.iter().map(|r| (r.dims, r.dist, r.region)).collect();
+        let expect: Vec<(usize, &str, &str)> = shapes
+            .iter()
+            .flat_map(|&(d, dist)| [(d, dist, "r500"), (d, dist, "unbounded")])
+            .collect();
+        assert_eq!(cells, expect);
+
+        for (pair, merge) in scans.chunks(2).zip(&merges) {
+            let distribution = match merge.dist {
+                "IN" => Distribution::Independent,
+                _ => Distribution::AntiCorrelated,
+            };
+            let generate = |seed| {
+                DataSpec::manet_experiment(TUPLES, merge.dims, distribution, seed).generate()
+            };
+            let (a, b) = (generate(PAIR_SEEDS[0]), generate(PAIR_SEEDS[1]));
+            let rel = HybridRelation::from(a.as_slice());
+            for (scan, region) in pair
+                .iter()
+                .zip([QueryRegion::new(Point::new(500.0, 500.0), 500.0), QueryRegion::unbounded()])
+            {
+                assert_eq!(
+                    (scan.in_range, scan.window_len, scan.id_comparisons),
+                    reference_scan(&rel, &region),
+                    "{scan:?}"
+                );
+                assert!(scan.in_range <= TUPLES as u64 && scan.scan_ms > 0.0);
+            }
+            assert_eq!(pair[1].in_range, TUPLES as u64, "unbounded scans every row");
+
+            // The nested-loop merge of the two strict-test skylines keeps
+            // the skyline of their union; sites are unique, so nothing is
+            // dropped as a duplicate.
+            let union: Vec<Tuple> = a.into_iter().chain(b).collect();
+            assert_eq!(merge.kept, legacy_bnl(&union).len(), "{merge:?}");
+            assert_eq!(merge.inserts as u64, merge.kept as u64 + merge.dominated_removed);
+            assert!(merge.inserts >= pair[1].window_len && merge.merge_ms > 0.0);
+        }
+
+        let prov = Provenance::collect(crate::Scale::Quick, 1);
+        let json = to_json(&prov, &[], &[], &[], (&scans, &merges));
+        let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
+        for section in ["grid", "timings"] {
+            assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 18);
+        }
     }
 
     #[test]

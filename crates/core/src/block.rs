@@ -57,46 +57,6 @@ pub fn kernel_for(dims: usize) -> DomKernel {
     }
 }
 
-/// Fixed-width strict-everywhere test: `true` iff the first row is strictly
-/// smaller than the second on *every* attribute. This is the elimination
-/// test of the paper's Fig. 4 scan (applied to the non-sorted attributes)
-/// and of its filtering tuples.
-#[inline(always)]
-fn strict_all_fixed<const D: usize>(a: &[f64], b: &[f64]) -> bool {
-    let a: &[f64; D] = a[..D].try_into().expect("row narrower than kernel width");
-    let b: &[f64; D] = b[..D].try_into().expect("row narrower than kernel width");
-    let mut all = true;
-    let mut k = 0;
-    while k < D {
-        all &= a[k] < b[k];
-        k += 1;
-    }
-    all
-}
-
-/// Generic strict-everywhere fallback for widths without a monomorphized
-/// kernel. An empty row is vacuously "strictly smaller everywhere" — the
-/// `D = 0` degenerate never reaches a scan (zero-attribute relations skip
-/// dominance entirely) but keeping the convention explicit avoids a panic.
-fn strict_all_generic(a: &[f64], b: &[f64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x < y)
-}
-
-/// Returns the strict-everywhere kernel for rows of width `dims`:
-/// monomorphized for d = 1..=5, the generic loop otherwise. Callers that
-/// compare only a prefix of a wider row (e.g. the hybrid scan skipping its
-/// sorted attribute) pass the prefix width and prefix slices.
-pub fn strict_kernel_for(dims: usize) -> DomKernel {
-    match dims {
-        1 => strict_all_fixed::<1>,
-        2 => strict_all_fixed::<2>,
-        3 => strict_all_fixed::<3>,
-        4 => strict_all_fixed::<4>,
-        5 => strict_all_fixed::<5>,
-        _ => strict_all_generic,
-    }
-}
-
 /// A relation's non-spatial attributes in one row-major arena.
 ///
 /// Row `i` occupies `values[i * dims .. (i + 1) * dims]`. Row indices are
@@ -253,30 +213,6 @@ mod tests {
         assert!(!kernel(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]));
         // Dominance through a partial tie still holds.
         assert!(kernel(&[1.0, 2.0, 3.0], &[1.0, 2.0, 4.0]));
-    }
-
-    #[test]
-    fn strict_kernels_agree_with_pairwise_lt_at_every_width() {
-        for d in 1..=6usize {
-            let kernel = strict_kernel_for(d);
-            let base: Vec<f64> = (0..d).map(|k| k as f64).collect();
-            let worse: Vec<f64> = base.iter().map(|v| v + 1.0).collect();
-            let mut tied = worse.clone();
-            tied[d - 1] = base[d - 1]; // one tie breaks strictness
-            assert!(kernel(&base, &worse), "d={d}: strictly smaller everywhere");
-            assert!(!kernel(&worse, &base), "d={d}: strictly larger everywhere");
-            assert!(!kernel(&base, &base), "d={d}: equal rows never pass");
-            assert!(!kernel(&base, &tied), "d={d}: a single tie breaks strict-all");
-        }
-    }
-
-    #[test]
-    fn strict_kernel_on_prefix_ignores_suffix() {
-        // The hybrid scan permutes its sorted attribute to the end of the
-        // row and tests only the first dims-1 entries.
-        let kernel = strict_kernel_for(2);
-        assert!(kernel(&[1.0, 2.0, 99.0], &[3.0, 4.0, 0.0]));
-        assert!(!kernel(&[1.0, 5.0, 0.0], &[3.0, 4.0, 99.0]));
     }
 
     #[test]

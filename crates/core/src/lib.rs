@@ -46,7 +46,7 @@ pub mod rtree;
 pub mod tuple;
 pub mod vdr;
 
-pub use block::{kernel_for, strict_kernel_for, DomKernel, TupleBlock};
+pub use block::{kernel_for, DomKernel, TupleBlock};
 pub use diagram::{
     ApplyReport, CellAnswer, CellKey, DiagramConfig, DiagramStats, FrozenAnswers, SkyDelta,
     SkylineDiagram,

@@ -13,10 +13,133 @@
 //! and uses [`LiveSkyline`](crate::LiveSkyline) instead, which parks every
 //! dominated tuple in its dominator's bucket and promotes on removal.
 
-use crate::block::kernel_for;
 use crate::dominance::dominates;
 use crate::tuple::{Tuple, TupleId};
 use std::collections::HashSet;
+
+/// How a member row relates to an incoming tuple.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Relation {
+    /// The member dominates the incoming tuple.
+    Dominates,
+    /// The incoming tuple dominates the member.
+    Dominated,
+    Incomparable,
+}
+
+/// Both dominance directions in one pass over a width-`D` row. Tracks
+/// whether any attribute of the row is strictly smaller (`any_lt`) or
+/// strictly larger (`any_gt`) than the candidate's; `dominates(row, t)` is
+/// then `any_lt && !any_gt` and `dominates(t, row)` is `any_gt && !any_lt`.
+#[inline(always)]
+fn relate<const D: usize>(row: &[f64], t: &[f64]) -> Relation {
+    let row: &[f64; D] = row.try_into().expect("arena row narrower than sweep width");
+    let t: &[f64; D] = t.try_into().expect("candidate narrower than sweep width");
+    let mut any_lt = false;
+    let mut any_gt = false;
+    let mut k = 0;
+    while k < D {
+        any_lt |= row[k] < t[k];
+        any_gt |= row[k] > t[k];
+        k += 1;
+    }
+    match (any_lt, any_gt) {
+        (true, false) => Relation::Dominates,
+        (false, true) => Relation::Dominated,
+        _ => Relation::Incomparable,
+    }
+}
+
+/// [`relate`] at the rows' width: monomorphized for d = 1..=5, the generic
+/// test in both directions otherwise.
+#[inline(always)]
+fn relate_rows(row: &[f64], t: &[f64]) -> Relation {
+    match t.len() {
+        1 => relate::<1>(row, t),
+        2 => relate::<2>(row, t),
+        3 => relate::<3>(row, t),
+        4 => relate::<4>(row, t),
+        5 => relate::<5>(row, t),
+        _ if dominates(row, t) => Relation::Dominates,
+        _ if dominates(t, row) => Relation::Dominated,
+        _ => Relation::Incomparable,
+    }
+}
+
+/// Signatures swept per "could anything here matter?" reduction; the
+/// reduction is branch-free over the block, so it vectorises.
+const SWEEP_BLOCK: usize = 16;
+
+/// The map from a member's attributes to its one-word signature.
+///
+/// The word holds `dims` fields of `fw = 64 / dims` bits, attribute `k` in
+/// field `k`: `(v - lo[k]) * scale[k]` clamped to the field's low `fw - 1`
+/// bits, its top (guard) bit left clear. `lo` and `scale` are finite and
+/// `scale ≥ 0`, so the map is monotone under float `<=` on every
+/// attribute: a row can dominate `t` only if its signature is `≤` `t`'s in
+/// every field, and `t` can evict a row only the other way round. Values
+/// outside the range the map was fitted to clamp to a field's ends, which
+/// keeps it monotone and only costs selectivity. Setting every guard in
+/// the minuend lets one 64-bit subtraction compare all fields: a field
+/// keeps its guard exactly when its subtrahend is not larger, and no
+/// borrow leaves a field. `guards == 0` (no room for a value bit and a
+/// guard per attribute) makes every comparison pass.
+#[derive(Debug, Default, Clone)]
+struct Signing {
+    lo: Vec<f64>,
+    scale: Vec<f64>,
+    fw: u32,
+    guards: u64,
+    /// Member count the map was last fitted to; doubling it refits.
+    fitted_rows: usize,
+}
+
+impl Signing {
+    /// Fits the map to the per-attribute range of `arena`'s `rows` rows of
+    /// width `dims` (NaN never enters the arena).
+    fn fit(dims: usize, arena: &[f64], rows: usize) -> Self {
+        let fw = if dims == 0 { 0 } else { 64 / dims as u32 };
+        if fw < 2 {
+            return Signing { fitted_rows: rows, ..Signing::default() };
+        }
+        let field_max = ((1u64 << (fw - 1)) - 1) as f64;
+        let (lo, scale) = (0..dims)
+            .map(|k| {
+                let finite = || arena.iter().skip(k).step_by(dims).filter(|v| v.is_finite());
+                let lo = finite().copied().fold(f64::INFINITY, f64::min);
+                let hi = finite().copied().fold(f64::NEG_INFINITY, f64::max);
+                let scale = field_max / (hi - lo);
+                if scale.is_finite() && scale > 0.0 {
+                    (lo, scale)
+                } else {
+                    (0.0, 0.0)
+                }
+            })
+            .unzip();
+        let guards = (0..dims as u32).map(|k| 1u64 << (k * fw + fw - 1)).sum();
+        Signing { lo, scale, fw, guards, fitted_rows: rows }
+    }
+
+    fn sign(&self, attrs: &[f64]) -> u64 {
+        if self.guards == 0 {
+            return 0;
+        }
+        let field_max = (1u64 << (self.fw - 1)) - 1;
+        let mut sig = 0;
+        for (k, &v) in attrs.iter().enumerate() {
+            // `as` saturates (and sends a 0 · ∞ NaN to 0): still monotone.
+            let field = (((v - self.lo[k]) * self.scale[k]) as u64).min(field_max);
+            sig |= field << (k as u32 * self.fw);
+        }
+        sig
+    }
+
+    /// `a ≤ b` in every field.
+    #[inline(always)]
+    fn le(&self, a: u64, b: u64) -> bool {
+        (b | self.guards).wrapping_sub(a) & self.guards == self.guards
+    }
+}
 
 /// What a [`sweep`] pass over the current members decided about an
 /// incoming tuple.
@@ -30,47 +153,25 @@ enum Sweep {
     Clean,
 }
 
-/// One fused pass over the arena deciding an insert's fate. Tracks, per
-/// row, whether any attribute is strictly smaller (`any_lt`) or strictly
-/// larger (`any_gt`) than the candidate's; `dominates(row, t)` is then
-/// `any_lt && !any_gt` and `dominates(t, row)` is `any_gt && !any_lt` —
-/// exactly the reference test, including its NaN behaviour (a NaN pair is
-/// neither `<` nor `>`, i.e. "no worse" in both directions). Fusing both
-/// directions halves the memory passes and removes the per-row indirect
-/// kernel call of the two-kernel formulation.
+/// One pass over the members, in scan order, deciding an insert's fate.
+/// Only rows whose signature is fieldwise `≤` or `≥` the candidate's can
+/// dominate it or be evicted by it; `relate` runs on those alone.
 #[inline(always)]
-fn sweep<const D: usize>(arena: &[f64], t: &[f64]) -> Sweep {
-    let t: &[f64; D] = t[..D].try_into().expect("candidate narrower than sweep width");
-    for (i, row) in arena.chunks_exact(D).enumerate() {
-        let row: &[f64; D] = row.try_into().expect("arena row narrower than sweep width");
-        let mut any_lt = false;
-        let mut any_gt = false;
-        let mut k = 0;
-        while k < D {
-            any_lt |= row[k] < t[k];
-            any_gt |= row[k] > t[k];
-            k += 1;
+fn sweep(sigs: &[u64], signing: &Signing, t_sig: u64, relate: impl Fn(usize) -> Relation) -> Sweep {
+    let comparable = |s: u64| signing.le(s, t_sig) | signing.le(t_sig, s);
+    for (b, block) in sigs.chunks(SWEEP_BLOCK).enumerate() {
+        if !block.iter().fold(false, |any, &s| any | comparable(s)) {
+            continue;
         }
-        if any_lt && !any_gt {
-            return Sweep::Dominated(i);
-        }
-        if any_gt && !any_lt {
-            return Sweep::EvictFrom(i);
-        }
-    }
-    Sweep::Clean
-}
-
-/// Width-generic fallback sweep for dimensionalities without a
-/// monomorphized instance.
-fn sweep_generic(arena: &[f64], t: &[f64], d: usize) -> Sweep {
-    let kernel = kernel_for(d);
-    for (i, row) in arena.chunks_exact(d.max(1)).enumerate() {
-        if kernel(row, t) {
-            return Sweep::Dominated(i);
-        }
-        if kernel(t, row) {
-            return Sweep::EvictFrom(i);
+        for (i, &s) in block.iter().enumerate() {
+            if comparable(s) {
+                let row = b * SWEEP_BLOCK + i;
+                match relate(row) {
+                    Relation::Dominates => return Sweep::Dominated(row),
+                    Relation::Dominated => return Sweep::EvictFrom(row),
+                    Relation::Incomparable => {}
+                }
+            }
         }
     }
     Sweep::Clean
@@ -88,18 +189,19 @@ fn site_key(x: f64, y: f64) -> (u64, u64) {
 
 /// Running merge state on the query originator.
 ///
-/// Internally the members' attributes are mirrored in a row-major arena so
-/// the per-insert dominance sweep runs a fused, monomorphized pass over
-/// contiguous memory instead of chasing each member's heap-allocated
-/// `attrs`, and accepted sites are indexed in a hash set so the duplicate
-/// check is O(1). The arena's *scan order* is decoupled from the result
-/// order through the `who` mapping: whenever a member rejects an incoming
-/// tuple it is promoted halfway to the front of the scan, so frequent
-/// killers cluster at the start and most rejected inserts die within a few
-/// rows instead of halfway through the antichain. Results, result order,
-/// and the public counters are identical to the reference nested loop —
-/// only the internal visiting order changes, and dominance outcomes are
-/// order-independent over an antichain.
+/// Internally the members' attributes are mirrored in a row-major arena,
+/// and each member's one-word signature (`Signing`) beside it, so the
+/// per-insert dominance sweep skims contiguous words and runs the exact
+/// test only on the few rows a signature cannot rule out; accepted sites
+/// are indexed in a hash set so the duplicate check is O(1). The arena's
+/// *scan order* is decoupled from the result order through the `who`
+/// mapping: whenever a member rejects an incoming tuple it is promoted
+/// halfway to the front of the scan, so frequent killers cluster at the
+/// start and most rejected inserts die within a few rows instead of
+/// halfway through the antichain. Results, result order, and the public
+/// counters are identical to the reference nested loop — only the internal
+/// visiting order changes, and dominance outcomes are order-independent
+/// over an antichain.
 ///
 /// ```
 /// use skyline_core::{SkylineMerger, Tuple};
@@ -111,19 +213,29 @@ fn site_key(x: f64, y: f64) -> (u64, u64) {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct SkylineMerger {
+    /// Members in insertion order. Between the public entry points it
+    /// holds live members only; inside one, entries listed in `evicted`
+    /// are dead and await [`Self::compact`].
     current: Vec<Tuple>,
-    /// Row-major member attributes in scan order (row width `dims`);
-    /// unused once `mixed` is set.
+    /// Indices into `current` evicted since the last compaction.
+    evicted: Vec<u32>,
+    /// Row-major live-member attributes in scan order (row width `dims`);
+    /// unused once `reference_only` is set.
     arena: Vec<f64>,
     /// `who[row]` = index into `current` of the member at that arena row.
     who: Vec<u32>,
+    /// `sigs[row]` = that member's signature under `signing`.
+    sigs: Vec<u64>,
+    signing: Signing,
     /// Attribute width the arena was built for (set by the first insert).
     dims: usize,
-    /// Set when inserts with differing attribute widths were mixed; the
-    /// merger then falls back to the reference tuple-at-a-time path, whose
-    /// zip-based `dominates` matches the historical behaviour exactly.
-    mixed: bool,
-    /// Site index of the current members (NaN-sited members excluded).
+    /// Set by an insert the arena cannot take — a differing attribute
+    /// width (rows would disagree), or a NaN attribute (dominance stops
+    /// being transitive, so the members stop being an antichain and the
+    /// visiting order starts to matter). The merger then stays on the
+    /// reference tuple-at-a-time path.
+    reference_only: bool,
+    /// Site index of the live members (NaN-sited members excluded).
     sites: HashSet<(u64, u64)>,
     /// Duplicates dropped so far (for metrics: overlap between partitions).
     pub duplicates_removed: u64,
@@ -153,16 +265,29 @@ impl SkylineMerger {
 
     /// Appends `t` as a new member, updating every index. New members
     /// enter at the back of the scan order; they earn a front slot by
-    /// rejecting inserts.
-    fn push_member(&mut self, t: Tuple) {
+    /// rejecting inserts. `t_sig` is `t`'s signature under the current
+    /// map, which is refitted here once the member count has doubled.
+    fn push_member(&mut self, t: Tuple, t_sig: u64) {
         if !t.x.is_nan() && !t.y.is_nan() {
             self.sites.insert(site_key(t.x, t.y));
         }
-        if !self.mixed {
+        if !self.reference_only {
             self.who.push(self.current.len() as u32);
             self.arena.extend_from_slice(&t.attrs);
+            self.sigs.push(t_sig);
+            if self.who.len() >= 2 * self.signing.fitted_rows {
+                self.resign();
+            }
         }
         self.current.push(t);
+    }
+
+    /// Refits the signature map to the live members and re-signs them all.
+    fn resign(&mut self) {
+        self.signing = Signing::fit(self.dims, &self.arena, self.who.len());
+        let signing = &self.signing;
+        let rows = self.arena.chunks_exact(self.dims.max(1));
+        self.sigs.iter_mut().zip(rows).for_each(|(sig, row)| *sig = signing.sign(row));
     }
 
     /// Promotes the arena row that just rejected an insert halfway toward
@@ -177,110 +302,126 @@ impl SkylineMerger {
             self.arena.swap(row * d + k, to * d + k);
         }
         self.who.swap(row, to);
+        self.sigs.swap(row, to);
     }
 
     /// Inserts one incoming tuple. Returns `true` when the tuple was
     /// accepted into the current skyline.
     pub fn insert(&mut self, t: Tuple) -> bool {
+        let accepted = self.insert_deferred(t);
+        self.compact();
+        accepted
+    }
+
+    /// [`Self::insert`] that leaves the members it evicts in `current`,
+    /// listed in `evicted`, for the caller to [`Self::compact`] away.
+    fn insert_deferred(&mut self, t: Tuple) -> bool {
         // Duplicate site check first: an exact copy of an already accepted
         // site must not be compared for dominance with itself.
         if self.is_duplicate(&t) {
             self.duplicates_removed += 1;
             return false;
         }
-        if self.current.is_empty() && !self.mixed {
+        if self.who.is_empty() && !self.reference_only {
+            // No live member: adopt the newcomer's width.
             self.dims = t.attrs.len();
+            self.signing = Signing::fit(self.dims, &[], 0);
         }
-        if self.mixed || t.attrs.len() != self.dims {
+        if self.reference_only || t.attrs.len() != self.dims || t.attrs.iter().any(|v| v.is_nan()) {
             return self.insert_reference(t);
         }
 
         let d = self.dims;
         let ta = t.attrs.as_slice();
+        let t_sig = self.signing.sign(ta);
+        let arena = &self.arena;
+        let relate_row = |row: usize| relate_rows(&arena[row * d..(row + 1) * d], ta);
 
-        // Phase 1: sweep until something decides t's fate. `current` is an
-        // antichain and dominance is transitive, so a member dominating `t`
-        // and a member dominated by `t` cannot coexist — whichever is seen
-        // first settles which phase-2 arm runs.
-        let first = match match d {
-            1 => sweep::<1>(&self.arena, ta),
-            2 => sweep::<2>(&self.arena, ta),
-            3 => sweep::<3>(&self.arena, ta),
-            4 => sweep::<4>(&self.arena, ta),
-            5 => sweep::<5>(&self.arena, ta),
-            _ => sweep_generic(&self.arena, ta, d),
-        } {
+        // Phase 1: sweep until something decides t's fate. The members are
+        // an antichain and dominance is transitive, so a member dominating
+        // `t` and a member dominated by `t` cannot coexist — whichever is
+        // seen first settles which phase-2 arm runs.
+        let first = match sweep(&self.sigs, &self.signing, t_sig, relate_row) {
             Sweep::Dominated(row) => {
                 self.dominated_removed += 1;
                 self.promote(row);
                 return false;
             }
             Sweep::Clean => {
-                self.push_member(t);
+                self.push_member(t, t_sig);
                 return true;
             }
             Sweep::EvictFrom(first) => first,
         };
 
-        // Phase 2: `t` is accepted and evicts the members it dominates.
-        // Scan order and result order differ, so evictions are collected as
-        // a mask over `current`, both mirrors are compacted preserving
-        // their own orders, and `who` is remapped.
-        let kernel = kernel_for(d);
-        let n_rows = self.who.len();
-        let mut dead = vec![false; self.current.len()];
-        for row in first..n_rows {
-            let r = &self.arena[row * d..(row + 1) * d];
-            if kernel(ta, r) {
-                let c = &self.current[self.who[row] as usize];
+        // Phase 2: `t` is accepted and evicts the members it dominates. The
+        // scan-ordered mirrors are compacted in place as the sweep passes;
+        // `current` only records who died.
+        let mut write = first;
+        for row in first..self.who.len() {
+            let member = self.who[row];
+            let evicts = self.signing.le(t_sig, self.sigs[row])
+                && relate_rows(&self.arena[row * d..(row + 1) * d], ta) == Relation::Dominated;
+            if evicts {
+                let c = &self.current[member as usize];
                 if !c.x.is_nan() && !c.y.is_nan() {
                     self.sites.remove(&site_key(c.x, c.y));
                 }
                 self.dominated_removed += 1;
-                dead[self.who[row] as usize] = true;
-            }
-        }
-        // Compact the scan-ordered mirrors.
-        let mut write = first;
-        for row in first..n_rows {
-            if !dead[self.who[row] as usize] {
+                self.evicted.push(member);
+            } else {
                 if write != row {
                     self.arena.copy_within(row * d..(row + 1) * d, write * d);
-                    self.who[write] = self.who[row];
+                    self.who[write] = member;
+                    self.sigs[write] = self.sigs[row];
                 }
                 write += 1;
             }
         }
         self.arena.truncate(write * d);
         self.who.truncate(write);
-        // Compact `current` (insertion order preserved) and remap `who`.
-        let mut new_index = vec![0u32; dead.len()];
-        let mut kept = 0u32;
-        for (idx, &dd) in dead.iter().enumerate() {
-            new_index[idx] = kept;
-            kept += !dd as u32;
+        self.sigs.truncate(write);
+        self.push_member(t, t_sig);
+        true
+    }
+
+    /// Drops the members evicted since the last compaction from `current`
+    /// (insertion order preserved) and remaps `who`.
+    fn compact(&mut self) {
+        if self.evicted.is_empty() {
+            return;
         }
-        let mut idx = 0;
+        const DEAD: u32 = u32::MAX;
+        let mut new_index = vec![0u32; self.current.len()];
+        for &member in &self.evicted {
+            new_index[member as usize] = DEAD;
+        }
+        self.evicted.clear();
+        let (mut old, mut kept) = (0, 0);
         self.current.retain(|_| {
-            let keep = !dead[idx];
-            idx += 1;
+            let keep = new_index[old] != DEAD;
+            if keep {
+                new_index[old] = kept;
+                kept += 1;
+            }
+            old += 1;
             keep
         });
         for w in &mut self.who {
             *w = new_index[*w as usize];
         }
-        self.push_member(t);
-        true
     }
 
-    /// The reference nested-loop insert, used when attribute widths are
-    /// mixed (the arena rows would disagree on width). Semantically this is
+    /// The reference nested-loop insert, used once an insert arrived that
+    /// the arena cannot take (see `reference_only`). Semantically this is
     /// the historical implementation verbatim; once entered, the merger
     /// stays on this path.
     fn insert_reference(&mut self, t: Tuple) -> bool {
-        self.mixed = true;
+        self.compact();
+        self.reference_only = true;
         self.arena.clear();
         self.who.clear();
+        self.sigs.clear();
         let mut dominated = false;
         let before = self.current.len();
         let sites = &mut self.sites;
@@ -305,7 +446,7 @@ impl SkylineMerger {
             self.dominated_removed += 1;
             false
         } else {
-            self.push_member(t);
+            self.push_member(t, 0);
             true
         }
     }
@@ -313,8 +454,9 @@ impl SkylineMerger {
     /// Inserts every tuple of an incoming local result.
     pub fn insert_batch<I: IntoIterator<Item = Tuple>>(&mut self, batch: I) {
         for t in batch {
-            self.insert(t);
+            self.insert_deferred(t);
         }
+        self.compact();
     }
 
     /// Removes the member whose static-site identity ([`TupleId::site`]) is
@@ -338,11 +480,13 @@ impl SkylineMerger {
                 if !c.x.is_nan() && !c.y.is_nan() {
                     self.sites.insert(site_key(c.x, c.y));
                 }
-                if !self.mixed {
+                if !self.reference_only {
                     self.arena.extend_from_slice(&c.attrs);
                     self.who.push(i as u32);
                 }
             }
+            self.sigs.resize(self.who.len(), 0);
+            self.resign();
         }
         removed
     }
@@ -479,10 +623,10 @@ mod tests {
     }
 
     impl ReferenceMerger {
-        fn insert(&mut self, t: Tuple) {
+        fn insert(&mut self, t: Tuple) -> bool {
             if self.current.iter().any(|c| c.same_site(&t)) {
                 self.duplicates_removed += 1;
-                return;
+                return false;
             }
             let mut dominated = false;
             let before = self.current.len();
@@ -503,7 +647,317 @@ mod tests {
             } else {
                 self.current.push(t);
             }
+            !dominated
         }
+
+        fn remove(&mut self, id: &TupleId) -> bool {
+            let before = self.current.len();
+            self.current.retain(|c| TupleId::site(c) != *id);
+            self.current.len() < before
+        }
+    }
+
+    /// Tuples by bit pattern: `==` would reject a NaN against itself and
+    /// equate `-0.0` with `+0.0`.
+    fn bits(tuples: &[Tuple]) -> Vec<(u64, u64, Vec<u64>)> {
+        let attr_bits = |t: &Tuple| t.attrs.iter().map(|v| v.to_bits()).collect();
+        tuples.iter().map(|t| (t.x.to_bits(), t.y.to_bits(), attr_bits(t))).collect()
+    }
+
+    /// The merger and the nested loop, fed the same operations and compared
+    /// after every one of them.
+    #[derive(Default)]
+    struct Pair {
+        fast: SkylineMerger,
+        slow: ReferenceMerger,
+        ops: usize,
+    }
+
+    impl Pair {
+        fn insert(&mut self, t: Tuple) {
+            assert_eq!(self.fast.insert(t.clone()), self.slow.insert(t), "op {}", self.ops);
+            self.check();
+        }
+
+        fn insert_batch(&mut self, batch: Vec<Tuple>) {
+            self.fast.insert_batch(batch.iter().cloned());
+            for t in batch {
+                self.slow.insert(t);
+            }
+            self.check();
+        }
+
+        fn remove(&mut self, id: &TupleId) {
+            assert_eq!(self.fast.remove(id), self.slow.remove(id), "op {}", self.ops);
+            self.check();
+        }
+
+        fn check(&mut self) {
+            let (fast, slow, op) = (&self.fast, &self.slow, self.ops);
+            assert_eq!(bits(fast.result()), bits(&slow.current), "result after op {op}");
+            assert_eq!(fast.len(), slow.current.len(), "len after op {op}");
+            assert_eq!(fast.is_empty(), slow.current.is_empty(), "is_empty after op {op}");
+            assert_eq!(fast.duplicates_removed, slow.duplicates_removed, "duplicates, op {op}");
+            assert_eq!(fast.dominated_removed, slow.dominated_removed, "dominated, op {op}");
+            // The mirrors describe exactly the live members.
+            assert!(fast.evicted.is_empty(), "compacted after op {op}");
+            if !fast.reference_only {
+                let d = fast.dims;
+                assert_eq!(fast.who.len(), fast.current.len(), "op {op}");
+                assert_eq!(fast.sigs.len(), fast.who.len(), "op {op}");
+                assert_eq!(fast.arena.len(), fast.who.len() * d, "op {op}");
+                let mut seen = vec![false; fast.current.len()];
+                for (row, &member) in fast.who.iter().enumerate() {
+                    assert!(!std::mem::replace(&mut seen[member as usize], true), "op {op}");
+                    let attrs = &fast.current[member as usize].attrs;
+                    assert_eq!(&fast.arena[row * d..(row + 1) * d], attrs.as_slice(), "op {op}");
+                    assert_eq!(fast.sigs[row], fast.signing.sign(attrs), "op {op}");
+                }
+            }
+            self.ops += 1;
+        }
+    }
+
+    /// Deterministic operation streams for [`Pair`].
+    struct Stream {
+        state: u64,
+        dim: usize,
+        next_site: u32,
+    }
+
+    impl Stream {
+        fn below(&mut self, n: u64) -> u64 {
+            self.state =
+                self.state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.state >> 33) % n
+        }
+
+        /// A tuple at a fresh site (one in eight re-uses an old one) whose
+        /// attributes come from `value(self, k)`.
+        fn tuple(&mut self, mut value: impl FnMut(&mut Self, usize) -> f64) -> Tuple {
+            let site = if self.below(8) == 0 {
+                self.below(u64::from(self.next_site) + 1) as u32
+            } else {
+                self.next_site += 1;
+                self.next_site
+            };
+            let attrs = (0..self.dim).map(|k| value(self, k)).collect();
+            Tuple::new(f64::from(site % 64), f64::from(site / 64), attrs)
+        }
+
+        /// Few distinct values: ties, dominance chains, multi-member
+        /// evictions.
+        fn dense(&mut self) -> Tuple {
+            self.tuple(|s, _| s.below(7) as f64)
+        }
+
+        /// Near the plane `Σ attrs = const`: long antichains, so member
+        /// counts run through several re-sign thresholds.
+        fn antichain(&mut self, spread: f64) -> Tuple {
+            let r = self.below(10_000) as f64 / 10_000.0;
+            self.tuple(|s, k| match k {
+                0 => r * spread,
+                1 => (1.0 - r) * spread,
+                _ => s.below(1000) as f64 * spread / 1000.0,
+            })
+        }
+
+        /// Infinities, both zeros and magnitudes far outside anything the
+        /// signature map was fitted to.
+        fn extreme(&mut self) -> Tuple {
+            const PALETTE: [f64; 8] =
+                [f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1e300, -1e300, 5e-324, 3.5];
+            self.tuple(|s, _| PALETTE[s.below(8) as usize])
+        }
+
+        fn run(&mut self, pair: &mut Pair, steps: usize, nan: bool) {
+            for step in 0..steps {
+                // The value range widens as the stream runs, so late
+                // tuples clamp against a map fitted to early ones.
+                let spread = [1.0, 50.0, 1e6][step * 3 / steps];
+                let one = |s: &mut Self| match s.below(10) {
+                    0..=3 => s.dense(),
+                    4..=7 => s.antichain(spread),
+                    8 => s.extreme(),
+                    _ if nan => s.tuple(|s, _| [f64::NAN, 1.0, 4.0][s.below(3) as usize]),
+                    _ => s.antichain(-spread),
+                };
+                match self.below(20) {
+                    0..=8 => pair.insert(one(self)),
+                    9..=15 => {
+                        let len = self.below(40) as usize;
+                        pair.insert_batch((0..len).map(|_| one(self)).collect());
+                    }
+                    _ => {
+                        // An existing member most of the time, a stranger
+                        // otherwise.
+                        let members = pair.slow.current.len() as u64;
+                        let id = if members > 0 && self.below(4) > 0 {
+                            TupleId::site(&pair.slow.current[self.below(members) as usize])
+                        } else {
+                            TupleId::site(&Tuple::new(-1.0, -1.0, vec![]))
+                        };
+                        pair.remove(&id);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merger_matches_nested_loop_on_interleaved_operations() {
+        // d = 40 leaves no room for a signature field: the same sweep, with
+        // every row passing its prefilter.
+        for dim in [1, 2, 3, 4, 5, 6, 9, 40] {
+            let mut pair = Pair::default();
+            let mut stream = Stream { state: 0xA11CE + dim as u64, dim, next_site: 0 };
+            stream.run(&mut pair, 260, false);
+            assert!(!pair.fast.reference_only, "d={dim}: stayed on the arena path");
+            assert!(pair.fast.signing.fitted_rows > 0 || pair.fast.is_empty());
+        }
+    }
+
+    #[test]
+    fn merger_matches_nested_loop_once_nan_attributes_arrive() {
+        // A NaN candidate can be dominated by one member while dominating
+        // another — (7, 4) ≻ (NaN, 5) ≻ (3, 6), yet (7, 4) ⊁ (3, 6) — so the
+        // nested loop's visiting order becomes part of the answer.
+        let mut pair = Pair::default();
+        pair.insert(Tuple::new(0.0, 0.0, vec![3.0, 6.0]));
+        pair.insert(Tuple::new(1.0, 0.0, vec![7.0, 4.0]));
+        pair.insert(Tuple::new(2.0, 0.0, vec![f64::NAN, 5.0]));
+        assert_eq!(pair.fast.result(), &[Tuple::new(1.0, 0.0, vec![7.0, 4.0])]);
+        assert_eq!(pair.fast.dominated_removed, 2);
+
+        for dim in [1, 2, 3, 5, 7] {
+            let mut pair = Pair::default();
+            let mut stream = Stream { state: 0xBAD_F00D + dim as u64, dim, next_site: 0 };
+            stream.run(&mut pair, 200, true);
+            assert!(pair.fast.reference_only, "d={dim}: a NaN attribute arrived");
+        }
+    }
+
+    #[test]
+    fn eviction_inside_a_batch_survives_the_switch_to_the_reference_path() {
+        // The batch evicts two members (deferred), then a NaN attribute
+        // forces the reference path while those evictions are pending —
+        // and there evicts (1, 9) before (2, 2) rejects it.
+        let mut pair = Pair::default();
+        pair.insert_batch(vec![
+            Tuple::new(0.0, 0.0, vec![5.0, 5.0]),
+            Tuple::new(1.0, 0.0, vec![6.0, 4.0]),
+            Tuple::new(2.0, 0.0, vec![1.0, 9.0]),
+        ]);
+        pair.insert_batch(vec![
+            Tuple::new(3.0, 0.0, vec![2.0, 2.0]),
+            Tuple::new(4.0, 0.0, vec![f64::NAN, 7.0]),
+            Tuple::new(5.0, 0.0, vec![0.5, 8.0]),
+        ]);
+        assert!(pair.fast.reference_only);
+        assert_eq!(pair.fast.len(), 2);
+        assert_eq!(pair.fast.dominated_removed, 4);
+    }
+
+    #[test]
+    fn resign_thresholds_are_crossed_inside_one_batch() {
+        // One batch grows an antichain from nothing through every doubling
+        // up to 256 members; a second one, far outside the fitted range,
+        // clamps every field and then evicts the lot.
+        let mut pair = Pair::default();
+        let chain = |i: u32, scale: f64| {
+            Tuple::new(f64::from(i), scale, vec![f64::from(i) * scale, f64::from(300 - i) * scale])
+        };
+        pair.insert_batch((0..300).map(|i| chain(i, 1.0)).collect());
+        assert_eq!(pair.fast.len(), 300);
+        assert_eq!(pair.fast.signing.fitted_rows, 256);
+        pair.insert_batch((0..300).map(|i| chain(i, -1e9)).collect());
+        assert_eq!(pair.fast.len(), 300, "the second chain evicted the first");
+        pair.insert(Tuple::new(-5.0, 0.0, vec![f64::NEG_INFINITY, f64::NEG_INFINITY]));
+        assert_eq!(pair.fast.len(), 1);
+        assert_eq!(pair.fast.dominated_removed, 600);
+    }
+
+    #[test]
+    fn other_widths_after_the_merger_was_emptied_or_swept() {
+        let mut pair = Pair::default();
+        pair.insert_batch(
+            (0..20)
+                .map(|i| Tuple::new(f64::from(i), 0.0, vec![f64::from(i), f64::from(20 - i)]))
+                .collect(),
+        );
+        // One tuple evicts every member …
+        let sweeper = Tuple::new(50.0, 0.0, vec![-1.0, -1.0]);
+        pair.insert(sweeper.clone());
+        assert_eq!(pair.fast.len(), 1);
+        // … a wider one at its site is only a duplicate …
+        pair.insert(Tuple::new(50.0, 0.0, vec![0.0, 0.0, 0.0]));
+        assert_eq!(pair.fast.duplicates_removed, 1);
+        // … and once it is removed the merger adopts the next width and
+        // signs for it.
+        pair.remove(&TupleId::site(&sweeper));
+        pair.insert_batch(
+            (0..20)
+                .map(|i| Tuple::new(f64::from(i), 1.0, vec![f64::from(i), f64::from(20 - i), 3.0]))
+                .collect(),
+        );
+        assert_eq!((pair.fast.len(), pair.fast.dims), (20, 3));
+        assert!(!pair.fast.reference_only);
+
+        // Genuinely mixed widths compare zipped prefixes on the reference
+        // path; `dominates` debug-asserts equal widths, so only optimised
+        // builds can run that comparison.
+        if !cfg!(debug_assertions) {
+            pair.insert_batch(vec![
+                Tuple::new(0.0, 2.0, vec![-1.0, -1.0, 2.0]),
+                Tuple::new(1.0, 2.0, vec![-2.0, 30.0]),
+                Tuple::new(2.0, 2.0, vec![-3.0, -3.0, -3.0, 0.0]),
+            ]);
+            assert!(pair.fast.reference_only);
+        }
+    }
+
+    #[test]
+    fn signature_order_follows_attribute_order() {
+        // a ≤ b on every attribute ⇒ sign(a) ≤ sign(b) in every field, for
+        // values inside, outside and at the ends of the fitted range.
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -7.5,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0,
+            2.0,
+            2.0000000001,
+            9.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        for dims in [1usize, 2, 5, 8, 32] {
+            let arena: Vec<f64> = (0..4 * dims).map(|i| [1.0, 2.0, 9.0, -7.5][i / dims]).collect();
+            let signing = Signing::fit(dims, &arena, 4);
+            assert_ne!(signing.guards, 0);
+            for (i, &lo) in values.iter().enumerate() {
+                for &hi in &values[i..] {
+                    let (a, b) = (signing.sign(&vec![lo; dims]), signing.sign(&vec![hi; dims]));
+                    assert!(signing.le(a, b), "d={dims}: sign({lo}) ≤ sign({hi})");
+                    assert_eq!(signing.le(b, a), a == b, "d={dims}: {lo} vs {hi}");
+                }
+            }
+            // Fields are independent: raising one attribute never lowers
+            // another field, and a mixed pair is ≤ in neither direction.
+            if dims > 1 {
+                let mut up = vec![1.0; dims];
+                up[0] = 9.0;
+                let mut down = vec![9.0; dims];
+                down[0] = 1.0;
+                let (a, b) = (signing.sign(&up), signing.sign(&down));
+                assert!(!signing.le(a, b) && !signing.le(b, a), "d={dims}");
+            }
+        }
+        assert_eq!(Signing::fit(33, &[0.0; 33], 1).guards, 0, "33 fields do not fit");
+        assert_eq!(Signing::fit(0, &[], 5).guards, 0);
     }
 
     #[test]

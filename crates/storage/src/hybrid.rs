@@ -14,7 +14,9 @@
 //!   break ties by the sum of all IDs so that a dominating row is *always*
 //!   scanned before every row it dominates — this makes the scan exact even
 //!   under the full dominance test (the paper's strict test does not need
-//!   it, but costs nothing).
+//!   it, but costs nothing);
+//! * one derived machine word per row packing the row's IDs
+//!   (`SigLayout`), so a window probe of the scan is a 64-bit subtract.
 //!
 //! The Fig. 4 query pipeline: MBR miss check → filter-dominates-domain-minima
 //! check (skip the whole relation in O(n) attribute comparisons) → ID-based
@@ -25,7 +27,7 @@ use std::sync::Mutex;
 
 use skyline_core::region::{Mbr, Point};
 use skyline_core::vdr::{select_filter, FilterTuple};
-use skyline_core::{kernel_for, strict_kernel_for, DomKernel, DominanceTest, Tuple};
+use skyline_core::{DominanceTest, Tuple};
 
 use crate::domain_index::{AttributeDomain, IdArray};
 use crate::traits::{
@@ -60,6 +62,114 @@ fn cache_slot(test: DominanceTest) -> usize {
     }
 }
 
+/// Window entries probed per "does anything here pass?" reduction. The
+/// reduction is branch-free over the block, so it vectorises; the first
+/// passing entry is then located inside the block, which keeps the counted
+/// comparisons those of the entry-at-a-time loop.
+const PROBE_BLOCK: usize = 16;
+
+/// The word test of one [`DominanceTest`] (see [`SigLayout`]): a window
+/// signature `w` passes against a candidate signature `t` iff
+/// `(((t | guards) - borrow) - w) & tested == tested`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Probe {
+    /// Guard bits of the fields the test compares; 0 lets everything pass.
+    tested: u64,
+    /// Lowest bit of every tested field when the test is strict `<` and
+    /// decided exactly by the word, else 0 (`≤`).
+    borrow: u64,
+    /// `true` when no tested field drops ID bits: a pass *is* the test
+    /// (plus `w != t` under full dominance). Otherwise a pass is only
+    /// necessary and [`HybridRelation::id_dominates`] confirms it.
+    exact: bool,
+}
+
+impl Probe {
+    /// What a window signature is subtracted from when row signature `sig`
+    /// is the candidate.
+    #[inline]
+    fn minuend(&self, guards: u64, sig: u64) -> u64 {
+        (sig | guards).wrapping_sub(self.borrow)
+    }
+
+    /// The word test: every tested field of `w` is `<` (strict) or `≤` the
+    /// candidate's.
+    #[inline]
+    fn passes(&self, minuend: u64, w: u64) -> bool {
+        minuend.wrapping_sub(w) & self.tested == self.tested
+    }
+}
+
+/// How a row's attribute IDs pack into its one-word scan signature.
+///
+/// The word holds `dim` fields of `fw = 64 / dim` bits, non-sorted
+/// attributes first and the sorted attribute last, so the paper's strict
+/// test reads a prefix. A field keeps `id >> shift` in its low `fw - 1`
+/// bits — `shift` is 0 whenever the attribute's domain fits — and leaves
+/// its top *guard* bit clear. Setting every guard in the minuend makes one
+/// 64-bit subtraction compare all fields at once: a field's guard survives
+/// exactly when its subtrahend is not larger, and since a guarded field is
+/// at least `2^(fw-1) - 1` and a stored field at most that, no borrow ever
+/// leaves a field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SigLayout {
+    /// `(attribute, shift)` per field, lowest field first; empty when the
+    /// word cannot give `dim` fields a value bit and a guard each.
+    fields: Vec<(usize, u32)>,
+    /// Field width in bits.
+    fw: u32,
+    /// Guard bit of every field.
+    guards: u64,
+    /// The word test per dominance test, indexed by [`cache_slot`].
+    probes: [Probe; 2],
+}
+
+impl SigLayout {
+    fn new(domains: &[AttributeDomain], sort_attr: usize) -> Self {
+        let dim = domains.len();
+        let fw = if dim == 0 { 0 } else { 64 / dim as u32 };
+        if fw < 2 {
+            // Every probe passes and `id_dominates` decides.
+            return SigLayout { fields: Vec::new(), fw, guards: 0, probes: [Probe::default(); 2] };
+        }
+        let fields: Vec<(usize, u32)> = (0..dim)
+            .filter(|&j| j != sort_attr)
+            .chain(std::iter::once(sort_attr))
+            .map(|j| {
+                let id_bits = u64::BITS - (domains[j].len().max(1) as u64 - 1).leading_zeros();
+                (j, id_bits.saturating_sub(fw - 1))
+            })
+            .collect();
+        let guard = |k: usize| 1u64 << (k as u32 * fw + fw - 1);
+        let probe = |tested: std::ops::Range<usize>, strict: bool| {
+            let exact = fields[tested.clone()].iter().all(|&(_, shift)| shift == 0);
+            Probe {
+                tested: tested.clone().map(guard).sum(),
+                borrow: if strict && exact {
+                    tested.map(|k| 1u64 << (k as u32 * fw)).sum()
+                } else {
+                    0
+                },
+                exact,
+            }
+        };
+        let mut probes = [Probe::default(); 2];
+        probes[cache_slot(DominanceTest::Full)] = probe(0..dim, false);
+        // Fig. 4 skips the sorted attribute; a 1-attribute relation has no
+        // "rest" and tests the sorted attribute itself.
+        probes[cache_slot(DominanceTest::PaperStrict)] = probe(0..(dim - 1).max(1), true);
+        SigLayout { fields, fw, guards: (0..dim).map(guard).sum(), probes }
+    }
+
+    /// The signature of a row from its IDs in attribute order.
+    fn sign(&self, ids: &[u32]) -> u64 {
+        self.fields
+            .iter()
+            .zip(0u32..)
+            .fold(0, |sig, (&(j, shift), k)| sig | u64::from(ids[j] >> shift) << (k * self.fw))
+    }
+}
+
 /// A local relation in the paper's hybrid storage model.
 ///
 /// ```
@@ -89,15 +199,12 @@ pub struct HybridRelation {
     sort_attr: usize,
     rows: usize,
     dim: usize,
-    /// Row-major scan arena: every row's attribute IDs widened to `f64`
-    /// (u32 → f64 is exact), with the columns permuted so the sorted
-    /// attribute sits **last**. The Fig. 4 scan then runs the contiguous
-    /// [`TupleBlock`](skyline_core::TupleBlock)-style kernels over plain
-    /// slices — full dominance over the whole row, the paper's strict test
-    /// over the first `dim - 1` entries — instead of dispatching on the
-    /// packed column width per comparison. IDs compare exactly like the
-    /// packed integers, so results are bit-identical to [`Self::id_dominates`].
-    arena: Vec<f64>,
+    /// One machine word per row, derived from `columns`: the row's IDs
+    /// packed as [`SigLayout`] describes, which is what the Fig. 4 scan
+    /// probes instead of dispatching on the packed column width per
+    /// comparison.
+    sig: Vec<u64>,
+    layout: SigLayout,
     /// Memoized unbounded-region windows (see [`WindowCache`]). Interior
     /// mutability keeps [`DeviceRelation::local_skyline`]'s `&self`
     /// signature; the mutex is uncontended (relations are per-device).
@@ -114,7 +221,8 @@ impl Clone for HybridRelation {
             sort_attr: self.sort_attr,
             rows: self.rows,
             dim: self.dim,
-            arena: self.arena.clone(),
+            sig: self.sig.clone(),
+            layout: self.layout.clone(),
             // The memo is derived state; a clone starts cold and re-earns
             // identical entries on first use.
             cache: Mutex::new(WindowCache::default()),
@@ -169,18 +277,11 @@ impl From<&[Tuple]> for HybridRelation {
             .collect();
         let mbr = Mbr::of_points(locs.iter().copied());
 
-        // Scan arena: non-sorted attributes first, the sorted attribute
-        // last, so the strict test is a prefix comparison.
-        let perm: Vec<usize> = (0..dim)
-            .filter(|&j| j != sort_attr)
-            .chain(std::iter::once(sort_attr))
-            .take(dim)
+        let layout = SigLayout::new(&domains, sort_attr);
+        let sig: Vec<u64> = order
+            .iter()
+            .map(|&(_, _, r)| layout.sign(&ids[r as usize * dim..(r as usize + 1) * dim]))
             .collect();
-        let mut arena = Vec::with_capacity(rows * dim);
-        for &(_, _, r) in &order {
-            let row = &ids[r as usize * dim..(r as usize + 1) * dim];
-            arena.extend(perm.iter().map(|&j| f64::from(row[j])));
-        }
 
         HybridRelation {
             locs,
@@ -190,7 +291,8 @@ impl From<&[Tuple]> for HybridRelation {
             sort_attr,
             rows,
             dim,
-            arena,
+            sig,
+            layout,
             cache: Mutex::new(WindowCache::default()),
         }
     }
@@ -240,40 +342,89 @@ impl HybridRelation {
         );
     }
 
-    /// The scan kernel and comparison width for a dominance test: full
-    /// dominance runs over the whole permuted row; the paper's strict test
-    /// skips the sorted attribute, i.e. compares the `dim - 1` prefix (a
-    /// 1-attribute relation falls back to a strict test on the sorted
-    /// attribute itself, exactly as [`Self::id_dominates`] does).
-    fn scan_kernel(&self, test: DominanceTest) -> (DomKernel, usize) {
-        match test {
-            DominanceTest::Full => (kernel_for(self.dim), self.dim),
-            DominanceTest::PaperStrict if self.dim == 1 => (strict_kernel_for(1), 1),
-            DominanceTest::PaperStrict => (strict_kernel_for(self.dim - 1), self.dim - 1),
-        }
-    }
-
-    /// The Fig. 4 window scan over the presorted arena: returns the
+    /// The Fig. 4 window scan over the presorted rows: returns the
     /// surviving row indices and the stats the scan accumulated.
+    ///
+    /// Each in-range row probes the window front to back until an entry
+    /// dominates it, one counted ID comparison per entry probed. The probe
+    /// itself is the word test of [`SigLayout`] over the window's
+    /// signatures, a block at a time.
     fn scan_window(&self, region: &skyline_core::QueryRegion, test: DominanceTest) -> CachedScan {
         let mut stats = LocalStats::default();
         let unbounded = region.radius.is_infinite();
         let r2 = region.radius * region.radius;
         let center = region.center;
-        let dim = self.dim;
-        let (kernel, width) = if dim > 0 { self.scan_kernel(test) } else { (kernel_for(0), 0) };
+        let probe = self.layout.probes[cache_slot(test)];
         let mut window: Vec<usize> = Vec::new();
+        let mut window_sig: Vec<u64> = Vec::new();
         for row in 0..self.rows {
             stats.tuples_scanned += 1;
             if !unbounded && self.locs[row].dist2(center) > r2 {
                 continue;
             }
             stats.in_range += 1;
-            let cand = &self.arena[row * dim..row * dim + width];
+            let sig = self.sig[row];
+            let minuend = probe.minuend(self.layout.guards, sig);
+            let mut dominator = None;
+            'probe: for (b, block) in window_sig.chunks(PROBE_BLOCK).enumerate() {
+                if !block.iter().fold(false, |any, &w| any | probe.passes(minuend, w)) {
+                    continue;
+                }
+                for (i, &w) in block.iter().enumerate() {
+                    let at = b * PROBE_BLOCK + i;
+                    if probe.passes(minuend, w) && self.confirms(window[at], row, test) {
+                        dominator = Some(at);
+                        break 'probe;
+                    }
+                }
+            }
+            match dominator {
+                Some(at) => stats.id_comparisons += at as u64 + 1,
+                None => {
+                    stats.id_comparisons += window.len() as u64;
+                    window.push(row);
+                    window_sig.push(sig);
+                }
+            }
+        }
+        CachedScan { window, stats }
+    }
+
+    /// Row `a`'s signature passed the word test against row `b`: does `a`
+    /// dominate `b`? An exact pass already is the strict test, and is full
+    /// dominance unless the rows tie everywhere.
+    #[inline]
+    fn confirms(&self, a: usize, b: usize, test: DominanceTest) -> bool {
+        if self.layout.probes[cache_slot(test)].exact {
+            test == DominanceTest::PaperStrict || self.sig[a] != self.sig[b]
+        } else {
+            self.id_dominates(a, b, test)
+        }
+    }
+
+    /// [`Self::scan_window`] as the plain entry-at-a-time loop over
+    /// [`Self::id_dominates`] — the Fig. 4 reference the signature scan is
+    /// tested against, window and counters alike.
+    #[cfg(test)]
+    fn scan_window_reference(
+        &self,
+        region: &skyline_core::QueryRegion,
+        test: DominanceTest,
+    ) -> CachedScan {
+        let mut stats = LocalStats::default();
+        let mut window: Vec<usize> = Vec::new();
+        for row in 0..self.rows {
+            stats.tuples_scanned += 1;
+            if !region.radius.is_infinite()
+                && self.locs[row].dist2(region.center) > region.radius * region.radius
+            {
+                continue;
+            }
+            stats.in_range += 1;
             let mut dominated = false;
             for &w in &window {
                 stats.id_comparisons += 1;
-                if kernel(&self.arena[w * dim..w * dim + width], cand) {
+                if self.id_dominates(w, row, test) {
                     dominated = true;
                     break;
                 }
@@ -324,19 +475,10 @@ impl HybridRelation {
             .collect();
         let mbr = Mbr::of_points(locs.iter().copied());
 
-        // Scan arena: non-sorted attributes first, the sorted attribute
-        // last, so the strict test is a prefix comparison.
-        let perm: Vec<usize> = (0..dim)
-            .filter(|&j| j != sort_attr)
-            .chain(std::iter::once(sort_attr))
-            .take(dim)
+        let layout = SigLayout::new(&domains, sort_attr);
+        let sig: Vec<u64> = (0..rows)
+            .map(|r| layout.sign(&columns.iter().map(|c| c.get(r)).collect::<Vec<u32>>()))
             .collect();
-        let mut arena = Vec::with_capacity(rows * dim);
-        for r in 0..rows {
-            for &j in &perm {
-                arena.push(f64::from(columns[j].get(r)));
-            }
-        }
 
         HybridRelation {
             locs,
@@ -346,16 +488,16 @@ impl HybridRelation {
             sort_attr,
             rows,
             dim,
-            arena,
+            sig,
+            layout,
             cache: Mutex::new(WindowCache::default()),
         }
     }
 
     /// `a` dominates `b` in ID space under the given test. IDs are rank
     /// positions in sorted domains, so ID dominance ⟺ value dominance.
-    /// The production scan runs the equivalent arena kernels; this per-pair
-    /// form is kept as the reference the tests compare against.
-    #[cfg(test)]
+    /// The scan asks this only about window entries whose signature passed
+    /// a word test that could not decide on its own.
     #[inline]
     fn id_dominates(&self, a: usize, b: usize, test: DominanceTest) -> bool {
         match test {
@@ -374,21 +516,16 @@ impl HybridRelation {
             }
             // Fig. 4: skip the sorted attribute, require strict `<` on the
             // rest. Sound because the scan guarantees a.id_sort <= b.id_sort.
+            // A 1-attribute relation has no "rest" and compares the sorted
+            // attribute itself; without attributes nothing dominates.
             DominanceTest::PaperStrict => {
-                for (j, col) in self.columns.iter().enumerate() {
-                    if j == self.sort_attr {
-                        continue;
-                    }
-                    if col.get(a) >= col.get(b) {
-                        return false;
-                    }
-                }
-                // A 1-attribute relation has no "rest": fall back to a
-                // strict comparison on the sorted attribute itself.
-                if self.dim == 1 {
-                    return self.columns[0].get(a) < self.columns[0].get(b);
-                }
-                true
+                let skipped = if self.dim == 1 { usize::MAX } else { self.sort_attr };
+                self.dim > 0
+                    && self
+                        .columns
+                        .iter()
+                        .enumerate()
+                        .all(|(j, col)| j == skipped || col.get(a) < col.get(b))
             }
         }
     }
@@ -437,8 +574,9 @@ impl DeviceRelation for HybridRelation {
 
     fn storage_bytes(&self) -> usize {
         // The paper's storage model: packed IDs + domains + locations. The
-        // scan arena is a derived acceleration structure (recomputable from
-        // the columns) and is deliberately excluded, like any other cache.
+        // signature word is a derived acceleration structure (recomputable
+        // from the columns) and is deliberately excluded, like any other
+        // cache.
         let locs = self.locs.len() * 16;
         let ids: usize = self.columns.iter().map(IdArray::storage_bytes).sum();
         let domains: usize = self.domains.iter().map(AttributeDomain::storage_bytes).sum();
@@ -464,8 +602,8 @@ impl DeviceRelation for HybridRelation {
             }
         }
 
-        // ID-based SFS scan in the presorted row order, over the contiguous
-        // kernel arena. Unbounded regions (the static `Q_ds` evaluations)
+        // ID-based SFS scan in the presorted row order, over the row
+        // signatures. Unbounded regions (the static `Q_ds` evaluations)
         // memoize the window per dominance test: the scan ignores filters,
         // so repeated queries replay the stored indices — and the stored
         // stats, byte for byte — instead of rescanning.
@@ -747,32 +885,198 @@ mod tests {
             .collect()
     }
 
+    /// `distinct` values per attribute, every one of them present (so the
+    /// domain size is exact), strongly correlated across attributes so rows
+    /// dominate each other, and every row stored twice at different sites.
+    fn spread_data(dim: usize, distinct: usize) -> Vec<Tuple> {
+        (0..2 * distinct)
+            .map(|i| {
+                let attrs = (0..dim).map(|k| ((i * 7919 + k * 31) % distinct) as f64).collect();
+                Tuple::new((i % 50) as f64, (i / 50) as f64, attrs)
+            })
+            .collect()
+    }
+
+    const BOTH_TESTS: [DominanceTest; 2] = [DominanceTest::Full, DominanceTest::PaperStrict];
+
+    /// The word test followed by its confirm step, for one ordered pair.
+    fn word_dominates(h: &HybridRelation, a: usize, b: usize, test: DominanceTest) -> bool {
+        let probe = h.layout.probes[cache_slot(test)];
+        probe.passes(probe.minuend(h.layout.guards, h.sig[b]), h.sig[a]) && h.confirms(a, b, test)
+    }
+
     #[test]
-    fn arena_kernel_scan_matches_id_dominates_reference() {
-        // The production scan runs contiguous f64 kernels over widened IDs;
-        // the reference pairwise test dispatches on the packed columns.
-        // They must agree pair-for-pair and window-for-window.
-        for dim in 1..=5 {
-            for test in [DominanceTest::Full, DominanceTest::PaperStrict] {
-                let h = HybridRelation::new(mixed_data(300, dim, 7, dim as u64));
-                let (kernel, width) = h.scan_kernel(test);
+    fn word_test_matches_id_dominates_pairwise() {
+        // The production probe subtracts packed words; the reference
+        // pairwise test dispatches on the packed columns. They must agree
+        // on every ordered pair — the strict test is only *sound* when the
+        // scan order guarantees a's sort ID ≤ b's, but the predicates must
+        // agree unconditionally. 33 attributes leave no room for a value
+        // bit and a guard per field; 200 values at d = 8 overflow the 7-bit
+        // fields, so a pass there is only necessary.
+        for (dim, modulo) in
+            [(1, 7), (2, 7), (3, 7), (4, 7), (5, 7), (6, 5), (8, 3), (8, 200), (33, 2)]
+        {
+            let h = HybridRelation::new(mixed_data(300, dim, modulo, dim as u64));
+            for test in BOTH_TESTS {
+                let probe = h.layout.probes[cache_slot(test)];
+                assert_eq!(probe.exact, dim <= 8 && modulo <= 128, "dim {dim} mod {modulo}");
                 for a in 0..h.len() {
                     for b in 0..h.len() {
-                        let via_kernel = kernel(
-                            &h.arena[a * dim..a * dim + width],
-                            &h.arena[b * dim..b * dim + width],
-                        );
-                        // The strict test is only sound when the scan order
-                        // guarantees a's sort ID ≤ b's; compare all pairs
-                        // anyway — the predicates must agree unconditionally.
                         assert_eq!(
-                            via_kernel,
+                            word_dominates(&h, a, b, test),
                             h.id_dominates(a, b, test),
-                            "dim {dim} {test:?} rows {a},{b}"
+                            "dim {dim} mod {modulo} {test:?} rows {a},{b}"
                         );
                     }
                 }
             }
+        }
+    }
+
+    /// The signature scan against the Fig. 4 reference loop: same window
+    /// (indices and order), same counters, for both dominance tests over
+    /// an unbounded, a partial and an empty region.
+    fn check_scan(data: Vec<Tuple>, what: &str) -> HybridRelation {
+        let h = HybridRelation::new(data);
+        let regions = [
+            QueryRegion::unbounded(),
+            QueryRegion::new(Point::new(20.0, 6.0), 14.5),
+            QueryRegion::new(Point::new(-40.0, -40.0), 1.0),
+        ];
+        for test in BOTH_TESTS {
+            for region in &regions {
+                let got = h.scan_window(region, test);
+                let want = h.scan_window_reference(region, test);
+                assert_eq!(got.window, want.window, "{what}: {test:?} r={} window", region.radius);
+                assert_eq!(got.stats, want.stats, "{what}: {test:?} r={} stats", region.radius);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn signature_scan_matches_fig4_reference_at_every_width() {
+        check_scan(Vec::new(), "no rows");
+        check_scan((0..30).map(|i| Tuple::new(i as f64, 0.0, Vec::new())).collect(), "d=0");
+        // 33 and 70 attributes: `fw` of 1 and 0, no usable field.
+        for dim in (1..=8).chain([33, 70]) {
+            for modulo in [1, 3, 40] {
+                // More rows than one probe block can decide, ties on every
+                // attribute, and whole rows repeated.
+                let mut data = mixed_data(260, dim, modulo, 0x5CA_u64 + dim as u64);
+                data.extend(mixed_data(90, dim, modulo, 0x5CA_u64 + dim as u64));
+                let h = check_scan(data, &format!("d={dim} mod {modulo}"));
+                assert_eq!(h.layout.fields.len(), if dim <= 32 { dim } else { 0 });
+            }
+        }
+    }
+
+    #[test]
+    fn signature_scan_matches_fig4_reference_when_fields_drop_id_bits() {
+        // (d, distinct): one value below, at and beyond what a field holds
+        // (2^(fw-1): 2 048 at d = 5, 512 at d = 6, 128 at d = 8).
+        for (dim, distinct) in
+            [(5, 2047), (5, 2048), (5, 2049), (6, 513), (8, 128), (8, 129), (8, 700)]
+        {
+            let mut data = spread_data(dim, distinct);
+            data.extend(mixed_data(400, dim, distinct as u64, 0xB0C));
+            let h = check_scan(data, &format!("d={dim}, {distinct} values"));
+            assert!((0..dim).all(|j| h.domain(j).len() == distinct));
+            let capacity = 1usize << (64 / dim - 1);
+            for test in BOTH_TESTS {
+                assert_eq!(h.layout.probes[cache_slot(test)].exact, distinct <= capacity);
+            }
+        }
+        // Only the sorted attribute outgrows its field: the strict test
+        // never reads it and stays exact, full dominance must confirm.
+        let data: Vec<Tuple> = (0..3000)
+            .map(|i| {
+                let narrow = (1..5).map(|k| ((i * (k + 2)) % 9) as f64);
+                let attrs = std::iter::once(((i * 7919) % 2500) as f64).chain(narrow).collect();
+                Tuple::new((i % 50) as f64, (i / 50) as f64, attrs)
+            })
+            .collect();
+        let h = check_scan(data, "wide sorted attribute");
+        assert_eq!(h.sort_attribute(), 0);
+        assert!(h.layout.probes[cache_slot(DominanceTest::PaperStrict)].exact);
+        assert!(!h.layout.probes[cache_slot(DominanceTest::Full)].exact);
+    }
+
+    #[test]
+    fn a_full_field_beside_an_empty_one_borrows_nothing() {
+        // Domains of exactly 2^(fw-1) values, so the largest ID fills its
+        // field; then every row mixing only the extreme IDs 0 and max. A
+        // borrow escaping a zero field would flip its neighbour's verdict.
+        for dim in [5usize, 6, 8] {
+            let top = (1usize << (64 / dim - 1)) - 1;
+            let mut data = spread_data(dim, top + 1);
+            for pattern in 0..1usize << dim {
+                let attrs = (0..dim).map(|k| if pattern >> k & 1 == 1 { top as f64 } else { 0.0 });
+                data.push(Tuple::new(pattern as f64, 99.0, attrs.collect()));
+            }
+            let h = check_scan(data, &format!("extremes, d={dim}"));
+            for test in BOTH_TESTS {
+                assert!(h.layout.probes[cache_slot(test)].exact);
+            }
+            let extremes: Vec<usize> = (0..h.len())
+                .filter(|&r| h.row_ids(r).iter().all(|&id| id == 0 || id == top as u32))
+                .collect();
+            assert!(extremes.len() >= 1 << dim);
+            for &a in &extremes {
+                for &b in &extremes {
+                    for test in BOTH_TESTS {
+                        assert_eq!(word_dominates(&h, a, b, test), h.id_dominates(a, b, test));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Integer attributes in `0..1000` scattered around the plane
+    /// `Σ attrs = const` — the anti-correlated family, where skylines are
+    /// large — at uniform sites of the 1000 × 1000 extent.
+    fn anti_correlated(n: usize, dim: usize, seed: u64) -> Vec<Tuple> {
+        let mut state = seed;
+        let mut unit = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        (0..n)
+            .map(|_| {
+                let (x, y) = (unit() * 1000.0, unit() * 1000.0);
+                let raw: Vec<f64> = (0..dim).map(|_| unit()).collect();
+                let plane = dim as f64 * (0.45 + 0.1 * unit()) / raw.iter().sum::<f64>();
+                Tuple::new(
+                    x,
+                    y,
+                    raw.iter().map(|v| (v * plane * 1000.0).floor().min(999.0)).collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scan_counts_are_those_recorded_before_the_signature() {
+        // (id_comparisons, window length) per query, recorded with the
+        // f64-arena scan this relation's signature scan replaced: the
+        // rewrite changes what a probe costs, never how many are counted.
+        let h = HybridRelation::new(anti_correlated(2000, 4, 2006));
+        let near = QueryRegion::new(Point::new(500.0, 500.0), 500.0);
+        let expect = [
+            (DominanceTest::Full, near, (603_057, 841)),
+            (DominanceTest::Full, QueryRegion::unbounded(), (914_440, 1025)),
+            (DominanceTest::PaperStrict, near, (812_223, 1007)),
+            (DominanceTest::PaperStrict, QueryRegion::unbounded(), (1_227_498, 1225)),
+        ];
+        for (dominance, region, pinned) in expect {
+            let out = h.local_skyline(&LocalQuery { dominance, ..LocalQuery::plain(region) });
+            assert_eq!(
+                (out.stats.id_comparisons, out.unreduced_len),
+                pinned,
+                "{dominance:?} r={}",
+                region.radius
+            );
         }
     }
 
@@ -795,7 +1099,8 @@ mod tests {
         }
         assert_eq!(got.columns, want.columns, "{what}: packed columns (incl. width)");
         assert_eq!(got.locs, want.locs, "{what}: locations");
-        assert_eq!(got.arena, want.arena, "{what}: arena");
+        assert_eq!(got.layout, want.layout, "{what}: signature layout");
+        assert_eq!(got.sig, want.sig, "{what}: signatures");
         assert_eq!(got.mbr, want.mbr, "{what}: mbr");
         assert_eq!(got.storage_bytes(), want.storage_bytes(), "{what}: storage bytes");
     }
@@ -896,6 +1201,29 @@ mod tests {
                 })
                 .collect();
             check_build(data, "property");
+        }
+
+        #[test]
+        fn signature_scan_matches_fig4_reference(
+            dim in 1usize..=9,
+            pick in 0usize..6,
+            codes in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0u16..2000, 9),
+                0..160,
+            ),
+        ) {
+            // d = 9 has 6 value bits a field: 140 values and up are bucketed
+            // there, 600 and up at d = 6..=8 too.
+            let modulo = [2u16, 5, 60, 140, 600, 2000][pick];
+            let data: Vec<Tuple> = codes
+                .iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    let attrs = row[..dim].iter().map(|&c| f64::from(c % modulo)).collect();
+                    Tuple::new((i % 50) as f64, (i / 50) as f64, attrs)
+                })
+                .collect();
+            check_scan(data, "property");
         }
     }
 
