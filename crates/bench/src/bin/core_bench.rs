@@ -1,6 +1,6 @@
 //! **Core-kernel driver**: regenerates `BENCH_core.json` (the dominance
-//! kernel, neighbour-discovery, relation-build, Fig. 4 scan and
-//! originator-merge micro-benchmarks)
+//! kernel, neighbour-discovery, relation-build, Fig. 4 scan,
+//! originator-merge and broadcast-storm micro-benchmarks)
 //! without the rest of `run_all` — see [`msq_bench::corebench`] for the
 //! design.
 //!
@@ -17,6 +17,7 @@ fn main() {
     let neighbors = msq_bench::corebench::neighbor_discovery();
     let builds = msq_bench::corebench::relation_build();
     let (scans, merges) = msq_bench::corebench::data_path(20_000);
+    let radios = msq_bench::corebench::radio_storm(&[10, 20]);
     println!("== Core: dominance kernels ==");
     println!(
         "{:>5} {:>8} {:>12} {:>10} {:>10} {:>12}",
@@ -101,12 +102,42 @@ fn main() {
             r.ns_per_insert()
         );
     }
+    println!("\n== Core: broadcast storm (frozen lattice, relay-once floods) ==");
+    println!(
+        "{:>4} {:>13} {:>13} {:>11} {:>12} {:>9} {:>15}",
+        "g",
+        "payload_bytes",
+        "transmissions",
+        "deliveries",
+        "wheel_events",
+        "storm_ms",
+        "ns_per_delivery"
+    );
+    for r in &radios {
+        println!(
+            "{:>4} {:>13} {:>13} {:>11} {:>12} {:>9.3} {:>15.1}",
+            r.g,
+            r.payload_bytes,
+            r.transmissions,
+            r.deliveries,
+            r.wheel_events,
+            r.storm_ms,
+            r.ns_per_delivery()
+        );
+    }
     if std::env::args().any(|a| a == "--json") {
         let path = "BENCH_core.json";
         let prov = Provenance::collect(msq_bench::Scale::Quick, 1);
         match std::fs::write(
             path,
-            msq_bench::corebench::to_json(&prov, &records, &neighbors, &builds, (&scans, &merges)),
+            msq_bench::corebench::to_json(
+                &prov,
+                &records,
+                &neighbors,
+                &builds,
+                (&scans, &merges),
+                &radios,
+            ),
         ) {
             Ok(()) => println!("[json] wrote {path}"),
             Err(e) => eprintln!("[json] failed to write {path}: {e}"),

@@ -79,9 +79,17 @@ fn main() {
         let neighbors = msq_bench::corebench::neighbor_discovery();
         let builds = msq_bench::corebench::relation_build();
         let (scans, merges) = msq_bench::corebench::data_path(20_000);
+        let radios = msq_bench::corebench::radio_storm(&[10, 20]);
         write_file(
             "BENCH_core.json",
-            &msq_bench::corebench::to_json(&prov, &records, &neighbors, &builds, (&scans, &merges)),
+            &msq_bench::corebench::to_json(
+                &prov,
+                &records,
+                &neighbors,
+                &builds,
+                (&scans, &merges),
+                &radios,
+            ),
         );
     }
 }

@@ -5,15 +5,19 @@
 //! dimension-specialized kernels, at d = 2..=5, and reports the dominance
 //! test count per configuration; spatial-grid against linear-scan
 //! neighbour discovery; the [`HybridRelation`] build (the set-up cost
-//! every experiment pays once per device); and the data path of one query
+//! every experiment pays once per device); the data path of one query
 //! exchange — the Fig. 4 scan of a relation and the originator's merge of
-//! two local skylines. `run_all --json` serializes the records; the
-//! Criterion bench `dominance_block` covers the kernels interactively.
+//! two local skylines; and the event/radio path — a broadcast storm on a
+//! frozen lattice, at two payload weights. `run_all --json` serializes the
+//! records; the Criterion bench `dominance_block` covers the kernels
+//! interactively.
 
 use datagen::{DataSpec, Distribution};
 use device_storage::{DeviceRelation, HybridRelation, LocalQuery};
 use manet_sim::grid::SpatialGrid;
-use manet_sim::Pos;
+use manet_sim::{
+    Application, MobilityConfig, MsgMeta, NodeCtx, Pos, RadioConfig, SimTime, Simulator,
+};
 use skyline_core::algo::bnl;
 use skyline_core::dominance::dominates;
 use skyline_core::{DominanceTest, Point, QueryRegion, SkylineMerger, Tuple, TupleBlock};
@@ -359,23 +363,107 @@ pub fn data_path(tuples: usize) -> (Vec<ScanRecord>, Vec<MergeRecord>) {
     (scans, merges)
 }
 
+/// One `(g, payload)` cell of the broadcast-storm benchmark.
+#[derive(Debug, Clone)]
+pub struct RadioRecord {
+    /// Lattice side: `g × g` nodes.
+    pub g: usize,
+    /// `size_of` the application payload type (and its wire size).
+    pub payload_bytes: usize,
+    /// Frames handed to the radio: every node relays every flood once.
+    pub transmissions: u64,
+    /// Frame copies delivered to a receiver.
+    pub deliveries: u64,
+    /// Events the timer wheel was asked to hold (origination timers
+    /// included).
+    pub wheel_events: u64,
+    /// Fastest of [`TIMED_REPS`] storms, wall milliseconds.
+    pub storm_ms: f64,
+}
+
+impl RadioRecord {
+    /// Storm cost per delivered copy, nanoseconds.
+    pub fn ns_per_delivery(&self) -> f64 {
+        self.storm_ms * 1e6 / self.deliveries.max(1) as f64
+    }
+}
+
+/// Relay-once flooding of an `N`-word payload whose first word names the
+/// flood's origin: the paper's BF forward phase with the skyline work
+/// taken out, so what remains is the engine.
+struct Storm<const N: usize> {
+    relayed: Vec<bool>,
+}
+
+impl<const N: usize> Application<[u64; N]> for Storm<N> {
+    fn on_message(&mut self, ctx: &mut NodeCtx<[u64; N]>, _meta: MsgMeta, payload: [u64; N]) {
+        if !std::mem::replace(&mut self.relayed[payload[0] as usize], true) {
+            ctx.broadcast(payload, 8 * N);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut NodeCtx<[u64; N]>, _token: u64) {
+        self.relayed[ctx.id] = true;
+        ctx.broadcast([ctx.id as u64; N], 8 * N);
+    }
+}
+
+fn storm_cell<const N: usize>(g: usize) -> RadioRecord {
+    let n = g * g;
+    let storm = || {
+        let mut sim: Simulator<[u64; N], Storm<N>> = Simulator::new(RadioConfig::default(), 0x570);
+        for i in 0..n {
+            let p = Pos::new((i % g) as f64 * 100.0, (i / g) as f64 * 100.0);
+            sim.add_node(p, MobilityConfig::frozen(), Storm { relayed: vec![false; n] }, 1);
+            // One origination a millisecond: neighbouring floods overlap.
+            sim.schedule_app_timer(i, SimTime(i as u64 * 1_000), 0);
+        }
+        let t0 = Instant::now();
+        sim.run_to_completion();
+        (t0.elapsed().as_secs_f64() * 1e3, sim)
+    };
+    let (mut storm_ms, sim) = storm();
+    for _ in 1..TIMED_REPS {
+        storm_ms = storm_ms.min(storm().0);
+    }
+    assert_eq!(sim.stats().frames_sent, (n * n) as u64, "every node relays every flood once");
+    RadioRecord {
+        g,
+        payload_bytes: std::mem::size_of::<[u64; N]>(),
+        transmissions: sim.stats().frames_sent,
+        deliveries: sim.copies_scheduled(),
+        wheel_events: sim.events_scheduled(),
+        storm_ms,
+    }
+}
+
+/// Times a broadcast storm on frozen, lossless `g × g` lattices at the
+/// paper's density (100 m pitch, 250 m range): every node originates one
+/// flood and relays every other node's once, with a 16-byte and a 200-byte
+/// payload type — the same events either way, so the gap between the two
+/// rows is what a payload's weight costs the event core.
+pub fn radio_storm(sides: &[usize]) -> Vec<RadioRecord> {
+    sides.iter().flat_map(|&g| [storm_cell::<2>(g), storm_cell::<25>(g)]).collect()
+}
+
 /// Revision of this file's deterministic grid (the other baselines share
 /// [`crate::provenance::GRID_REV`]): rev 3 added the `kind: build` rows,
-/// rev 4 the `kind: scan` and `kind: merge` rows.
-const GRID_REV: u64 = 4;
+/// rev 4 the `kind: scan` and `kind: merge` rows, rev 5 the `kind: radio`
+/// rows.
+const GRID_REV: u64 = 5;
 
 /// Renders the micro-benchmarks as the `BENCH_core.json` machine
 /// baseline: provenance header, deterministic `grid` rows tagged with a
 /// `kind` (dominance-test counts, skyline/neighbour sizes, the built
-/// relation's shape and the scan's and merge's counters are
-/// seed-determined), then volatile wall-clock `timings` rows keyed by the
-/// same coordinates.
+/// relation's shape, the scan's and merge's counters and the storm's
+/// frame and event counts are seed-determined), then volatile wall-clock
+/// `timings` rows keyed by the same coordinates.
 pub fn to_json(
     prov: &Provenance,
     records: &[KernelRecord],
     neighbors: &[NeighborRecord],
     builds: &[BuildRecord],
     (scans, merges): (&[ScanRecord], &[MergeRecord]),
+    radios: &[RadioRecord],
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"core\",\n");
@@ -424,6 +512,13 @@ pub fn to_json(
             "{{\"kind\": \"merge\", \"dims\": {}, \"dist\": \"{}\", \"tuples\": {}, \
              \"inserts\": {}, \"kept\": {}, \"dominated_removed\": {}}}",
             r.dims, r.dist, r.tuples, r.inserts, r.kept, r.dominated_removed,
+        )
+    }));
+    rows.extend(radios.iter().map(|r| {
+        format!(
+            "{{\"kind\": \"radio\", \"g\": {}, \"payload_bytes\": {}, \"transmissions\": {}, \
+             \"deliveries\": {}, \"wheel_events\": {}}}",
+            r.g, r.payload_bytes, r.transmissions, r.deliveries, r.wheel_events,
         )
     }));
     write_rows(&mut out, rows);
@@ -479,6 +574,16 @@ pub fn to_json(
             r.ns_per_insert(),
         )
     }));
+    rows.extend(radios.iter().map(|r| {
+        format!(
+            "{{\"kind\": \"radio\", \"g\": {}, \"payload_bytes\": {}, \
+             \"storm_ms\": {:.3}, \"ns_per_delivery\": {:.1}}}",
+            r.g,
+            r.payload_bytes,
+            r.storm_ms,
+            r.ns_per_delivery(),
+        )
+    }));
     write_rows(&mut out, rows);
     out.push_str("  ]\n}\n");
     out
@@ -516,10 +621,10 @@ mod tests {
             assert!(r.build_ms.is_finite() && r.build_ms > 0.0);
         }
         let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &[], &[], &recs, (&[], &[]));
+        let json = to_json(&prov, &[], &[], &recs, (&[], &[]), &[]);
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("grid").and_then(sim_obs::JsonValue::as_array).unwrap().len(), 6);
-        assert!(json.contains("\"grid_rev\": 4,"));
+        assert!(json.contains("\"grid_rev\": 5,"));
     }
 
     /// The Fig. 4 loop written out over public accessors: row IDs in
@@ -589,11 +694,41 @@ mod tests {
         }
 
         let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &[], &[], &[], (&scans, &merges));
+        let json = to_json(&prov, &[], &[], &[], (&scans, &merges), &[]);
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
             assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 18);
         }
+    }
+
+    /// A 4 × 4 lattice is one radio neighbourhood short of complete
+    /// (corners 424 m apart): the counts are closed-form, and the payload
+    /// type changes none of them.
+    #[test]
+    fn radio_rows_count_one_wheel_event_per_transmission() {
+        let recs = radio_storm(&[4]);
+        assert_eq!(recs.iter().map(|r| r.payload_bytes).collect::<Vec<_>>(), vec![16, 200]);
+        let in_range = |a: usize, b: usize| {
+            let (dx, dy) = ((a % 4).abs_diff(b % 4), (a / 4).abs_diff(b / 4));
+            a != b && dx * dx + dy * dy <= 6 // 250 m on a 100 m pitch
+        };
+        let degree_sum =
+            (0..16).map(|a| (0..16).filter(|&b| in_range(a, b)).count()).sum::<usize>();
+        for r in &recs {
+            assert_eq!((r.g, r.transmissions), (4, 256), "{r:?}");
+            assert_eq!(r.deliveries, 16 * degree_sum as u64, "every node transmits 16 times");
+            assert_eq!(r.wheel_events, 256 + 16, "one per transmission, one per origination timer");
+            assert!(r.storm_ms > 0.0 && r.ns_per_delivery() > 0.0);
+        }
+        let prov = Provenance::collect(crate::Scale::Quick, 1);
+        let json = to_json(&prov, &[], &[], &[], (&[], &[]), &recs);
+        let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
+        for section in ["grid", "timings"] {
+            assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 2);
+        }
+        assert!(json.contains(
+            "\"kind\": \"radio\", \"g\": 4, \"payload_bytes\": 200, \"transmissions\": 256,"
+        ));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! to subsystems (`wheel::cascade`, `grid::query`, `aodv::*`,
 //! `radio::deliver`, `core::*`, `serve::lookup`, `diagram::materialize`,
 //! `diagram::invalidate`); the report names the
-//! top subsystems by wall share, prints the full hotspot table, the query
+//! top subsystems by wall share, prints the full hotspot table, the wheel
+//! events the run scheduled per transmission and per delivery, the query
 //! latency histograms, and the engine gauge summary.
 //!
 //! Wall shares are *attribution*, not exclusive time — spans nest, so the
@@ -116,6 +117,20 @@ pub fn hist_line(name: &str, h: &PowHistogram, unit: &str) -> String {
     }
 }
 
+/// What the run asked of the timer wheel, against what the radio did: one
+/// wheel event per transmission with a receiver (plus timers), however
+/// many copies it delivers. Deterministic — a column of the report that
+/// no host can move.
+pub fn wheel_line(outcome: &ManetOutcome) -> String {
+    let per = |n: u64| outcome.wheel_events as f64 / n.max(1) as f64;
+    format!(
+        "wheel events scheduled: {} ({:.2} per transmission, {:.2} per delivery)",
+        outcome.wheel_events,
+        per(outcome.net.frames_sent),
+        per(outcome.frame_copies),
+    )
+}
+
 /// Renders the full report: scenario line, narrative, hotspot table,
 /// latency histograms, gauge summary.
 pub fn render(run: &PerfRun) -> String {
@@ -129,6 +144,7 @@ pub fn render(run: &PerfRun) -> String {
     );
     let _ = writeln!(out, "{}\n", narrative(&run.profile, 3));
     out.push_str(&run.profile.render());
+    let _ = writeln!(out, "\n{}", wheel_line(&run.outcome));
 
     let s = &run.serve;
     let _ = writeln!(
@@ -241,6 +257,21 @@ mod tests {
                 "span `{name}` missing from the serve segment profile"
             );
         }
+    }
+
+    /// The `--g 8` smoke cell: a broadcast is one wheel event, so the
+    /// wheel holds fewer events than the radio delivers copies — which one
+    /// event per copy plus the timers (over half the events of a
+    /// 64-device cell) can never do.
+    #[test]
+    fn wheel_line_counts_transmissions_not_copies() {
+        let outcome = run_experiment(&scalebench::experiment(&pinned_cell(8)));
+        assert!(outcome.net.frames_sent > 0 && outcome.frame_copies > outcome.net.frames_sent);
+        let line = wheel_line(&outcome);
+        assert!(line.starts_with("wheel events scheduled: "), "{line}");
+        let per_delivery = outcome.wheel_events as f64 / outcome.frame_copies as f64;
+        assert!(per_delivery < 0.8, "{line}");
+        assert!(line.ends_with(&format!("{per_delivery:.2} per delivery)")), "{line}");
     }
 
     #[test]

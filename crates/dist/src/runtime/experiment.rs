@@ -315,6 +315,11 @@ pub struct ManetOutcome {
     pub reply_latency_hist: PowHistogram,
     /// Engine gauge series (populated when [`ObsConfig::gauges`]).
     pub gauges: Option<GaugeLog>,
+    /// Events the engine's timer wheel was asked to hold over the run
+    /// (transmissions with a receiver, timers, beacon ticks, faults).
+    pub wheel_events: u64,
+    /// Frame copies those events delivered or dropped on arrival.
+    pub frame_copies: u64,
 }
 
 // The sweep harness fans experiment cells across worker threads; the
@@ -553,6 +558,8 @@ pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
         reply_hops_hist: merged(|a| &a.reply_hops),
         reply_latency_hist: merged(|a| &a.reply_latency_us),
         gauges,
+        wheel_events: sim.events_scheduled(),
+        frame_copies: sim.copies_scheduled(),
         records,
     }
 }

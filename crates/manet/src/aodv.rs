@@ -38,8 +38,7 @@
 //! [`LinkCmd`]s that the engine turns into frames, timers, and
 //! application up-calls. That keeps AODV unit-testable without a radio.
 
-use std::collections::HashMap;
-
+use crate::dethash::DetHashMap;
 use crate::packet::{AodvMessage, DataPacket, Frame, NodeId};
 use crate::time::{SimDuration, SimTime};
 
@@ -127,16 +126,16 @@ pub struct AodvState<P> {
     seq: u64,
     next_rreq_id: u64,
     next_packet_id: u64,
-    routes: HashMap<NodeId, Route>,
+    routes: DetHashMap<NodeId, Route>,
     /// RREQ duplicate cache: (origin, rreq_id) → expiry. Entries outlive
     /// their usefulness by at most one purge period, so the cache is
     /// bounded by the RREQ arrival rate × 2 × PATH_DISCOVERY_TIME
     /// instead of growing for the life of the node.
-    seen_rreq: HashMap<(NodeId, u64), SimTime>,
+    seen_rreq: DetHashMap<(NodeId, u64), SimTime>,
     /// Next deterministic sweep of expired `seen_rreq` entries.
     seen_rreq_purge_at: SimTime,
     /// Packets waiting for a route, per destination.
-    pending: HashMap<NodeId, Vec<DataPacket<P>>>,
+    pending: DetHashMap<NodeId, Vec<DataPacket<P>>>,
     /// Statistics: control messages originated or forwarded by this node.
     pub control_messages: u64,
 }
@@ -150,10 +149,10 @@ impl<P: Clone> AodvState<P> {
             seq: 0,
             next_rreq_id: 0,
             next_packet_id: 0,
-            routes: HashMap::new(),
-            seen_rreq: HashMap::new(),
+            routes: DetHashMap::default(),
+            seen_rreq: DetHashMap::default(),
             seen_rreq_purge_at: SimTime::ZERO,
-            pending: HashMap::new(),
+            pending: DetHashMap::default(),
             control_messages: 0,
         }
     }

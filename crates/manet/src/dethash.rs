@@ -1,0 +1,35 @@
+//! Fixed-key hashing for the simulator's point-lookup tables: the keys are
+//! node ids, id pairs and grid cells (one to two machine words, made by the
+//! simulator, never read from outside the program), so a
+//! rotate-xor-multiply per word replaces `std`'s per-process-seeded SipHash.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Word-at-a-time multiplicative hasher (Fibonacci constant, Fx-style mix).
+#[derive(Default, Clone, Copy)]
+pub struct DetHasher(u64);
+
+impl Hasher for DetHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`DetHasher`]. **Point lookups only**
+/// (`get`/`insert`/`remove`/`entry`, and the order-free `retain`, `clear`,
+/// `len`, `max`): the hash is the same in every process, but anything that
+/// iterates in an order that can reach the simulation takes a `BTreeMap`.
+pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DetHasher>>;
+
+/// The set twin of [`DetHashMap`]; the same rule applies.
+pub type DetHashSet<K> = HashSet<K, BuildHasherDefault<DetHasher>>;

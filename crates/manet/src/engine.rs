@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::aodv::{AodvConfig, AodvState, AodvTimer, LinkCmd};
+use crate::dethash::DetHashSet;
 use crate::events::EventQueue;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::grid::SpatialGrid;
@@ -184,13 +185,33 @@ impl<'a, P> NodeCtx<'a, P> {
 }
 
 enum Event<P> {
-    Deliver { to: NodeId, link_from: NodeId, frame: Frame<P> },
+    /// One transmission landing: every receiver that survived the
+    /// transmit-time gates, in receiver order — `earlier` (empty, and
+    /// allocation-free, for a unicast) then `last`, who takes the frame
+    /// itself while the others get clones. The frame sits behind a pointer
+    /// so a wheel entry stays one cache line whatever the payload weighs.
+    Deliver {
+        link_from: NodeId,
+        earlier: Vec<NodeId>,
+        last: NodeId,
+        frame: Box<Frame<P>>,
+    },
     // Timers carry the arming node's epoch: a crash bumps the epoch, so
     // timers armed before it fire as no-ops — volatile state dies with
     // the node instead of resurrecting through the queue.
-    AppTimer { node: NodeId, token: u64, epoch: u64 },
-    AodvTimer { node: NodeId, timer: AodvTimer, epoch: u64 },
-    Beacon { node: NodeId },
+    AppTimer {
+        node: NodeId,
+        token: u64,
+        epoch: u64,
+    },
+    AodvTimer {
+        node: NodeId,
+        timer: AodvTimer,
+        epoch: u64,
+    },
+    Beacon {
+        node: NodeId,
+    },
     Fault(FaultAction),
 }
 
@@ -230,7 +251,7 @@ struct Geometry {
     /// Per-node up/down status (fault injection; all up by default).
     up: Vec<bool>,
     /// Links currently severed by a fault plan, as normalized (lo, hi) pairs.
-    severed: std::collections::HashSet<(NodeId, NodeId)>,
+    severed: DetHashSet<(NodeId, NodeId)>,
     /// Beacon mode, per node: (neighbour id, last-heard time), sorted by id
     /// so the neighbour view is produced by a filter instead of a per-call
     /// sort and a link check is one binary search.
@@ -372,9 +393,10 @@ pub struct Simulator<P, A> {
     epochs: Vec<u64>,
     /// Extra per-frame loss probability from an active radio degradation.
     extra_loss: f64,
-    /// Frames currently in the air: scheduled `Deliver` events not yet
-    /// dispatched (a gauge input).
-    inflight_frames: u64,
+    /// Frame copies ever put in the air (the receivers of every scheduled
+    /// `Deliver` event) and how many of them have landed since.
+    copies_scheduled: u64,
+    copies_landed: u64,
     beacons_started: bool,
     trace: Option<EventTrace>,
     qtrace: Option<QueryTraceState>,
@@ -398,7 +420,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                 max_speed: 0.0,
                 cand_scratch: Vec::new(),
                 up: Vec::new(),
-                severed: std::collections::HashSet::new(),
+                severed: DetHashSet::default(),
                 heard: Vec::new(),
             },
             rng: StdRng::seed_from_u64(seed),
@@ -406,7 +428,8 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
             energy_j: Vec::new(),
             epochs: Vec::new(),
             extra_loss: 0.0,
-            inflight_frames: 0,
+            copies_scheduled: 0,
+            copies_landed: 0,
             beacons_started: false,
             trace: None,
             qtrace: None,
@@ -538,9 +561,19 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         self.energy_j[node]
     }
 
-    /// Number of pending events in the queue (a gauge input).
+    /// Number of pending events in the queue (a gauge input; sampled as
+    /// `wheel.pending`). A transmission in flight is one event however many
+    /// receivers it has — [`Self::inflight_frames`] counts the copies.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Events ever scheduled: the queue's running sequence number. One per
+    /// transmission that reached at least one receiver, one per timer,
+    /// beacon tick and fault action — deterministic, and the denominator
+    /// that says what a delivered copy costs the wheel.
+    pub fn events_scheduled(&self) -> u64 {
+        self.queue.scheduled()
     }
 
     /// Occupied timer-wheel slots across all levels (a gauge input).
@@ -554,10 +587,18 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         (self.geo.grid.occupied_cells(), self.geo.grid.max_bucket_len())
     }
 
-    /// Frames currently in the air — `Deliver` events scheduled but not
-    /// yet dispatched (a gauge input).
+    /// Frame copies currently in the air — one per receiver of every
+    /// scheduled, not yet dispatched transmission (a gauge input; sampled
+    /// as `radio.inflight`).
     pub fn inflight_frames(&self) -> u64 {
-        self.inflight_frames
+        self.copies_scheduled - self.copies_landed
+    }
+
+    /// Frame copies ever scheduled for delivery: one per receiver that
+    /// survived the transmit-time gates. With [`Self::events_scheduled`]
+    /// it says how many copies one wheel event carries.
+    pub fn copies_scheduled(&self) -> u64 {
+        self.copies_scheduled
     }
 
     /// Total radio energy (joules) across all nodes.
@@ -608,7 +649,9 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     }
 
     /// Runs until the queue is empty or the clock passes `horizon`.
-    /// Returns the number of events processed.
+    /// Returns the number of events processed — a transmission counts
+    /// once, whatever its receiver count: all its copies land at one
+    /// timestamp, so a horizon never splits them.
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
         if !self.beacons_started {
             self.beacons_started = true;
@@ -641,53 +684,15 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     fn dispatch(&mut self, now: SimTime, ev: Event<P>) {
         self.geo.maybe_sweep(now);
         match ev {
-            Event::Deliver { to, link_from, frame } => {
-                self.inflight_frames -= 1;
-                let mut span = sim_obs::span!("radio::deliver");
-                span.add_bytes(frame.bytes() as u64);
-                span.add_units(1);
-                if !self.geo.up[to] {
-                    // Crashed mid-flight: the frame dies on a silent radio.
-                    self.stats.frames_dropped_node_down += 1;
-                    self.stats.frames_lost += 1;
-                    self.trace_event(
-                        now,
-                        TraceEvent::FrameLost {
-                            from: link_from,
-                            tag: Self::tag_of(&frame),
-                            cause: LossCause::NodeDown,
-                        },
-                    );
-                    return;
+            Event::Deliver { link_from, earlier, last, frame } => {
+                // Whatever a handler schedules while the batch is being
+                // delivered carries a later sequence number than the batch,
+                // so it runs after the last copy — exactly as if each copy
+                // were an event of its own with the next sequence number.
+                for &to in &earlier {
+                    self.deliver_copy(to, link_from, now, (*frame).clone());
                 }
-                self.trace_event(
-                    now,
-                    TraceEvent::FrameDelivered { to, from: link_from, tag: Self::tag_of(&frame) },
-                );
-                match frame {
-                    Frame::Hello => {
-                        let heard = &mut self.geo.heard[to];
-                        match heard.binary_search_by_key(&link_from, |e| e.0) {
-                            Ok(i) => heard[i].1 = now,
-                            Err(i) => heard.insert(i, (link_from, now)),
-                        }
-                    }
-                    Frame::Bcast { src, payload, bytes: _ } => {
-                        self.stats.app_broadcasts_received += 1;
-                        let meta = MsgMeta { src, link_from, broadcast: true, hops: 1 };
-                        self.run_app(to, now, |app, ctx| app.on_message(ctx, meta, payload));
-                    }
-                    other => {
-                        // AODV asks about one next hop, and only when it
-                        // forwards data along a live route: answer that
-                        // question instead of listing the neighbourhood.
-                        let geo = &mut self.geo;
-                        let cmds = self.nodes[to]
-                            .aodv
-                            .on_frame(link_from, other, now, |nh| geo.link_up(to, nh, now));
-                        self.execute_link_cmds(to, now, cmds);
-                    }
-                }
+                self.deliver_copy(last, link_from, now, *frame);
             }
             Event::AppTimer { node, token, epoch } => {
                 if self.geo.up[node] && epoch == self.epochs[node] {
@@ -711,6 +716,49 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                 }
             }
             Event::Fault(action) => self.apply_fault(now, action),
+        }
+    }
+
+    /// One receiver's copy of a transmission arriving.
+    fn deliver_copy(&mut self, to: NodeId, link_from: NodeId, now: SimTime, frame: Frame<P>) {
+        self.copies_landed += 1;
+        let mut span = sim_obs::span!("radio::deliver");
+        span.add_bytes(frame.bytes() as u64);
+        span.add_units(1);
+        if !self.geo.up[to] {
+            // Crashed mid-flight: the frame dies on a silent radio.
+            self.stats.frames_dropped_node_down += 1;
+            self.stats.frames_lost += 1;
+            self.trace_lost(now, link_from, &frame, LossCause::NodeDown);
+            return;
+        }
+        self.trace_event(
+            now,
+            TraceEvent::FrameDelivered { to, from: link_from, tag: Self::tag_of(&frame) },
+        );
+        match frame {
+            Frame::Hello => {
+                let heard = &mut self.geo.heard[to];
+                match heard.binary_search_by_key(&link_from, |e| e.0) {
+                    Ok(i) => heard[i].1 = now,
+                    Err(i) => heard.insert(i, (link_from, now)),
+                }
+            }
+            Frame::Bcast { src, payload, bytes: _ } => {
+                self.stats.app_broadcasts_received += 1;
+                let meta = MsgMeta { src, link_from, broadcast: true, hops: 1 };
+                self.run_app(to, now, |app, ctx| app.on_message(ctx, meta, payload));
+            }
+            other => {
+                // AODV asks about one next hop, and only when it
+                // forwards data along a live route: answer that
+                // question instead of listing the neighbourhood.
+                let geo = &mut self.geo;
+                let cmds = self.nodes[to]
+                    .aodv
+                    .on_frame(link_from, other, now, |nh| geo.link_up(to, nh, now));
+                self.execute_link_cmds(to, now, cmds);
+            }
         }
     }
 
@@ -885,8 +933,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         }
         self.energy_j[to] += self.geo.radio.energy.rx_joules(frame.bytes());
         let delay = self.geo.radio.tx_delay(frame.bytes(), &mut self.rng);
-        self.inflight_frames += 1;
-        self.queue.schedule(now + delay, Event::Deliver { to, link_from: from, frame });
+        self.schedule_delivery(now + delay, from, Vec::new(), to, frame);
     }
 
     fn transmit_broadcast(&mut self, from: NodeId, now: SimTime, frame: Frame<P>) {
@@ -906,6 +953,9 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         self.energy_j[from] += self.geo.radio.energy.tx_joules(frame.bytes());
         let delay = self.geo.radio.tx_delay(frame.bytes(), &mut self.rng);
         let p = self.geo.pos_of(from, now);
+        // Receivers that pass every gate, in receiver order: the whole
+        // transmission becomes one wheel entry.
+        let mut receivers = Vec::new();
         if self.geo.radio.deterministic_reception() {
             // Unit disk: reception equals `in_range` and draws no RNG, so
             // the receiver loop can be pruned to the grid's candidate set.
@@ -923,7 +973,9 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                 if !self.geo.radio.in_range(p, pt) {
                     continue;
                 }
-                self.deliver_broadcast_copy(from, to, now, delay, &frame);
+                if self.broadcast_copy_survives(from, to, now, &frame) {
+                    receivers.push(to);
+                }
             }
             self.geo.cand_scratch = cand;
         } else {
@@ -937,44 +989,62 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                 if !self.geo.radio.frame_received(p, pt, &mut self.rng) {
                     continue;
                 }
-                self.deliver_broadcast_copy(from, to, now, delay, &frame);
+                if self.broadcast_copy_survives(from, to, now, &frame) {
+                    receivers.push(to);
+                }
             }
+        }
+        // A broadcast nobody survives to hear schedules nothing.
+        if let Some(last) = receivers.pop() {
+            self.schedule_delivery(now + delay, from, receivers, last, frame);
         }
     }
 
-    /// Per-receiver tail of a broadcast, after the reception gate. Copy
+    /// Per-receiver tail of a broadcast, after the reception gate: `true`
+    /// when the copy will arrive (and the receiver has paid for it). Copy
     /// losses are accounted exactly like unicast losses (counter + traced
     /// cause), so trace-derived loss counts reconstruct `NetStats`
     /// regardless of frame kind.
-    fn deliver_broadcast_copy(
+    fn broadcast_copy_survives(
         &mut self,
         from: NodeId,
         to: NodeId,
         now: SimTime,
-        delay: SimDuration,
         frame: &Frame<P>,
-    ) {
+    ) -> bool {
         if self.geo.link_severed(from, to) {
             self.stats.frames_blocked_link_down += 1;
             self.stats.frames_lost += 1;
             self.trace_lost(now, from, frame, LossCause::LinkDown);
-            return;
+            return false;
         }
         if self.geo.radio.lost(&mut self.rng) || self.degrade_lost() {
             self.stats.frames_lost += 1;
             self.trace_lost(now, from, frame, LossCause::Radio);
-            return;
+            return false;
         }
         if !self.geo.up[to] {
             self.stats.frames_dropped_node_down += 1;
             self.stats.frames_lost += 1;
             self.trace_lost(now, from, frame, LossCause::NodeDown);
-            return;
+            return false;
         }
         self.energy_j[to] += self.geo.radio.energy.rx_joules(frame.bytes());
-        self.inflight_frames += 1;
-        self.queue
-            .schedule(now + delay, Event::Deliver { to, link_from: from, frame: frame.clone() });
+        true
+    }
+
+    /// Files one transmission: the only place a `Deliver` event is built.
+    fn schedule_delivery(
+        &mut self,
+        at: SimTime,
+        link_from: NodeId,
+        earlier: Vec<NodeId>,
+        last: NodeId,
+        frame: Frame<P>,
+    ) {
+        self.copies_scheduled += earlier.len() as u64 + 1;
+        let frame = Box::new(frame);
+        self.queue.schedule(at, Event::Deliver { link_from, earlier, last, frame });
     }
 
     fn count_frame(&mut self, frame: &Frame<P>) {
@@ -1251,6 +1321,18 @@ mod tests {
         assert_eq!(sim.inflight_frames(), 0);
         assert_eq!(sim.pending_events(), 3);
         assert!(sim.wheel_occupied_slots() >= 1);
+    }
+
+    /// A wheel entry is one cache line whatever the application's payload
+    /// weighs: the frame rides behind a pointer, and a broadcast's receiver
+    /// list is a `Vec` header, so the slot deques (which keep their
+    /// high-water capacity) and every cascade refile move 64 bytes.
+    #[test]
+    fn wheel_entry_is_one_cache_line_for_any_payload() {
+        type Heavy = Event<[u8; 200]>;
+        const { assert!(std::mem::size_of::<Frame<[u8; 200]>>() > 200) };
+        const { assert!(EventQueue::<Heavy>::ENTRY_BYTES <= 64) };
+        assert_eq!(EventQueue::<Heavy>::ENTRY_BYTES, EventQueue::<Event<()>>::ENTRY_BYTES);
     }
 
     /// Beacon mode keeps `heard` sorted: the neighbour view needs no

@@ -12,8 +12,14 @@
 //! "earliest occupied slot" a `trailing_zeros`, so `schedule` is O(1)
 //! and `pop` is amortized O(levels) — replacing the previous
 //! `BinaryHeap`'s O(log n) comparisons per operation, which dominated
-//! the engine at 1000+ devices where a broadcast burst schedules one
-//! delivery per receiver.
+//! the engine at 1000+ devices.
+//!
+//! An entry is moved whole — written at `schedule`, re-written by every
+//! cascade refile, read at `pop` — and slot deques keep their high-water
+//! capacity, so the payload type should be small: the engine keeps its
+//! event at 48 bytes (a frame rides behind a pointer, a broadcast is one
+//! entry carrying its receiver list), which makes an entry one 64-byte
+//! cache line ([`EventQueue::ENTRY_BYTES`]).
 //!
 //! Ordering is identical to the heap it replaced: strictly by
 //! `(at, seq)`. Two facts make the FIFO tie-break hold without ever
@@ -92,6 +98,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one pending event occupies in a slot deque: the payload plus
+    /// its `(time, sequence)` key.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Scheduled<E>>();
+
     /// Empty queue at time zero.
     pub fn new() -> Self {
         Self::default()
@@ -212,6 +222,11 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Events ever scheduled (the running sequence number).
+    pub fn scheduled(&self) -> u64 {
+        self.next_seq
     }
 
     /// Number of occupied wheel slots across all levels — how spread-out

@@ -10,13 +10,11 @@
 //! a guaranteed superset of the true in-range set; an exact re-filter with
 //! fresh positions then reproduces the brute-force answer bit-for-bit.
 //!
-//! Determinism: buckets are only ever addressed by key (the `HashMap`'s
-//! iteration order is never observed), bucket contents are kept sorted by
-//! node id, and query results are sorted before return — identical runs
-//! produce identical candidate orders regardless of hash seeding.
+//! Determinism: buckets are only ever addressed by key (the map's
+//! iteration order is never observed — see [`DetHashMap`]), bucket contents
+//! are kept sorted by node id, and query results are sorted before return.
 
-use std::collections::HashMap;
-
+use crate::dethash::DetHashMap;
 use crate::mobility::Pos;
 use crate::packet::NodeId;
 
@@ -26,7 +24,7 @@ pub struct SpatialGrid {
     /// Cell edge length (m).
     cell: f64,
     /// Cell → node ids inside it, each bucket sorted ascending.
-    buckets: HashMap<(i64, i64), Vec<NodeId>>,
+    buckets: DetHashMap<(i64, i64), Vec<NodeId>>,
     /// Per-node current cell (indexed by node id).
     node_cell: Vec<(i64, i64)>,
 }
@@ -39,7 +37,7 @@ impl SpatialGrid {
     /// Panics on a non-positive or non-finite cell size.
     pub fn new(cell: f64) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "invalid grid cell size {cell}");
-        SpatialGrid { cell, buckets: HashMap::new(), node_cell: Vec::new() }
+        SpatialGrid { cell, buckets: DetHashMap::default(), node_cell: Vec::new() }
     }
 
     /// Number of tracked nodes.
