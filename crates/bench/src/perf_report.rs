@@ -61,9 +61,9 @@ pub struct PerfRun {
 /// table covers the front end too (`serve::lookup`,
 /// `diagram::materialize`, `diagram::invalidate`): one smoke cell of the
 /// serve grid — cold pass, cached repeats, churn invalidation — proven
-/// exact by [`servebench::run_cell`] before it reports.
+/// exact by [`servebench::run_horizon`] before it reports.
 pub fn serve_segment() -> servebench::CellMetrics {
-    servebench::run_cell(&servebench::smoke_cells()[0]).metrics
+    servebench::run_horizon(&servebench::smoke_cells()[0]).metrics
 }
 
 /// Runs the pinned scenario with full instrumentation: spans enabled

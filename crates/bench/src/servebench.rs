@@ -8,7 +8,10 @@
 //! then repeatedly **cached** across the remaining epochs, with
 //! `churn` sites added/retired per epoch through
 //! [`ServeEngine::ingest_epoch`] so invalidation, TTL eviction, and
-//! staleness all exercise on the hot path.
+//! staleness all exercise on the hot path. A second engine of the same
+//! config then serves the pool twice inside its cold epoch and times the
+//! second pass (**reuse**: every answer memoized, none materialized) —
+//! the arm one batch per epoch never reaches.
 //!
 //! Everything but wall time is deterministic: the engine's worker count
 //! is fixed by [`ServeConfig`] (never by `--jobs`), counters settle in
@@ -143,6 +146,9 @@ pub struct CellReport {
     pub cold_requests: u64,
     /// Requests across the cached batches.
     pub cached_requests: u64,
+    /// Wall seconds of the pool served a second time inside a cold epoch
+    /// (every answer memoized by the first pass), on a separate engine.
+    pub reuse_seconds: f64,
 }
 
 impl CellReport {
@@ -154,6 +160,11 @@ impl CellReport {
     /// Cached-path throughput (requests/sec of the repeat batches).
     pub fn cached_qps(&self) -> f64 {
         self.cached_requests as f64 / self.cached_seconds.max(1e-9)
+    }
+
+    /// Throughput of a repeat batch inside the cold epoch (requests/sec).
+    pub fn reuse_qps(&self) -> f64 {
+        self.cold_requests as f64 / self.reuse_seconds.max(1e-9)
     }
 
     /// cached_qps / cold_qps — the headline serving speedup.
@@ -190,16 +201,38 @@ fn churn_site(state: &mut u64, dim: usize) -> Tuple {
     Tuple::new(x, y, attrs)
 }
 
-/// Runs one cell end to end and proves it exact: serves the pool cold,
-/// then cached under churn, and finishes with the invariant check and
-/// the trace/counter reconciliation.
-pub fn run_cell(cell: &ServeCell) -> CellReport {
+/// A cell's seed, site relation and client pool.
+fn cell_inputs(cell: &ServeCell) -> (u64, Vec<Tuple>, Vec<(Point, f64)>) {
     let seed = SEED ^ ((cell.clients as u64) << 32) ^ ((cell.churn as u64) << 16) ^ cell.epochs;
     let relation =
         DataSpec::manet_experiment(cell.sites, cell.dim, Distribution::Independent, seed)
             .generate();
+    (seed, relation, client_pool(cell, seed ^ 0xC11E))
+}
+
+/// Runs one cell end to end: the horizon of [`run_horizon`], then the arm
+/// one batch per epoch never reaches — the pool asked for again inside a
+/// cold epoch, every answer computed and memoized by the first pass. A
+/// second engine of the same config takes it, so the grid counters stay
+/// those of the horizon.
+pub fn run_cell(cell: &ServeCell) -> CellReport {
+    let (_, relation, pool) = cell_inputs(cell);
+    let twin = ServeEngine::new(engine_config(cell), relation);
+    twin.serve_batch(&pool);
+    let t0 = Instant::now();
+    twin.serve_batch(&pool);
+    let reuse_seconds = t0.elapsed().as_secs_f64();
+    CellReport { reuse_seconds, ..run_horizon(cell) }
+}
+
+/// Runs one cell's horizon on one engine and proves it exact: serves the
+/// pool cold, then cached under churn, and finishes with the invariant
+/// check and the trace/counter reconciliation. `reuse_seconds` is left
+/// at zero; `perf_report` profiles this, so its span table counts one
+/// engine.
+pub fn run_horizon(cell: &ServeCell) -> CellReport {
+    let (seed, relation, pool) = cell_inputs(cell);
     let engine = ServeEngine::new(engine_config(cell), relation);
-    let pool = client_pool(cell, seed ^ 0xC11E);
 
     let t_cell = Instant::now();
     let t0 = Instant::now();
@@ -244,6 +277,7 @@ pub fn run_cell(cell: &ServeCell) -> CellReport {
         cached_seconds,
         cold_requests: cell.clients as u64,
         cached_requests: cell.clients as u64 * (cell.epochs - 1),
+        reuse_seconds: 0.0,
     }
 }
 
@@ -283,7 +317,9 @@ pub fn run(scale: Scale) -> Vec<CellReport> {
     let reports = compute(&cells(scale), sweep::jobs_from_args(), "serve_grid");
     print_table(&reports);
     println!("\nexpected shape: the cold pass pays one real BF/EXT flood per distinct");
-    println!("diagram cell; every repeat epoch is a lock-free snapshot lookup, so");
+    println!("diagram cell (reuse_qps: the same pool again before the next ingest,");
+    println!("answered from the epoch's memoized cold answers without a thread or a");
+    println!("flood); every repeat epoch is a lock-free snapshot lookup, so");
     println!("cached_qps sits orders of magnitude above cold_qps. Churn rows show");
     println!("invalidations (answers refreshed in place, still served cached) and");
     println!("the TTL backstop shows up as periodic evictions + re-misses in the");
@@ -295,7 +331,7 @@ pub fn run(scale: Scale) -> Vec<CellReport> {
 /// `--smoke` grid, which is too small to warrant its own layout).
 pub fn print_table(reports: &[CellReport]) {
     println!(
-        "{:>8} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>6} {:>11} {:>11} {:>9}",
+        "{:>8} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>6} {:>11} {:>11} {:>11} {:>9}",
         "clients",
         "churn",
         "epochs",
@@ -305,13 +341,14 @@ pub fn print_table(reports: &[CellReport]) {
         "invald",
         "p99age",
         "cold_qps",
+        "reuse_qps",
         "cached_qps",
         "speedup"
     );
     for r in reports {
         let m = &r.metrics;
         println!(
-            "{:>8} {:>6} {:>7} {:>8} {:>7.3} {:>7} {:>7} {:>6} {:>11.0} {:>11.0} {:>9.1}",
+            "{:>8} {:>6} {:>7} {:>8} {:>7.3} {:>7} {:>7} {:>6} {:>11.0} {:>11.0} {:>11.0} {:>9.1}",
             m.clients,
             m.churn,
             m.epochs,
@@ -321,6 +358,7 @@ pub fn print_table(reports: &[CellReport]) {
             m.invalidations,
             m.stale_p99,
             r.cold_qps(),
+            r.reuse_qps(),
             r.cached_qps(),
             r.speedup(),
         );
@@ -377,14 +415,17 @@ pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
         let _ = writeln!(
             out,
             "    {{\"clients\": {}, \"churn\": {}, \"seconds\": {:.3}, \
-             \"cold_ms\": {:.3}, \"cached_ms\": {:.3}, \"cold_qps\": {:.0}, \
-             \"cached_qps\": {:.0}, \"speedup\": {:.1}}}{sep}",
+             \"cold_ms\": {:.3}, \"reuse_ms\": {:.3}, \"cached_ms\": {:.3}, \
+             \"cold_qps\": {:.0}, \"reuse_qps\": {:.0}, \"cached_qps\": {:.0}, \
+             \"speedup\": {:.1}}}{sep}",
             r.metrics.clients,
             r.metrics.churn,
             r.seconds,
             r.cold_seconds * 1e3,
+            r.reuse_seconds * 1e3,
             r.cached_seconds * 1e3,
             r.cold_qps(),
+            r.reuse_qps(),
             r.cached_qps(),
             r.speedup(),
         );
@@ -442,6 +483,40 @@ mod tests {
         }
     }
 
+    fn test_provenance() -> Provenance {
+        Provenance {
+            scale: Scale::Quick,
+            jobs: 4,
+            git_commit: "abc1234".to_string(),
+            rustc: "rustc 1.80.0".to_string(),
+        }
+    }
+
+    /// The smoke grid rows as the commit before the reuse pass (and the
+    /// sorted-run read path) wrote them.
+    const SMOKE_GRID_ROWS: [&str; 2] = [
+        r#"{"clients": 16, "churn": 4, "epochs": 8, "sites": 800, "dim": 3, "lookups": 128, "hits": 112, "misses": 16, "hit_ratio": 0.875000, "invalidations": 59, "cells_touched": 151, "evictions": 0, "backfills": 16, "tuples_served": 1219, "stale_p50": 1, "stale_p99": 7, "stale_max": 7, "stale_sum": 114}"#,
+        r#"{"clients": 64, "churn": 4, "epochs": 8, "sites": 800, "dim": 3, "lookups": 512, "hits": 456, "misses": 56, "hit_ratio": 0.890625, "invalidations": 235, "cells_touched": 569, "evictions": 0, "backfills": 56, "tuples_served": 6008, "stale_p50": 1, "stale_p99": 7, "stale_max": 7, "stale_sum": 408}"#,
+    ];
+
+    #[test]
+    fn the_reuse_pass_leaves_the_grid_byte_identical() {
+        let prov = test_provenance();
+        let grid_of = |reports: &[CellReport]| {
+            let json = to_json(&prov, reports);
+            let (from, to) = (json.find("\"grid\"").unwrap(), json.find("\"timings\"").unwrap());
+            json[from..to].to_string()
+        };
+        let with: Vec<CellReport> = smoke_cells().iter().map(run_cell).collect();
+        let without: Vec<CellReport> = smoke_cells().iter().map(run_horizon).collect();
+        assert!(with.iter().all(|r| r.reuse_seconds > 0.0));
+        assert!(without.iter().all(|r| r.reuse_seconds == 0.0));
+        assert_eq!(grid_of(&with), grid_of(&without));
+        for row in SMOKE_GRID_ROWS {
+            assert!(grid_of(&with).contains(row), "grid row moved: {row}");
+        }
+    }
+
     #[test]
     fn json_separates_deterministic_grid_from_volatile_timings() {
         let r = CellReport {
@@ -470,19 +545,16 @@ mod tests {
             cached_seconds: 0.6,
             cold_requests: 64,
             cached_requests: 1_472,
+            reuse_seconds: 0.001,
         };
-        let prov = Provenance {
-            scale: Scale::Quick,
-            jobs: 4,
-            git_commit: "abc1234".to_string(),
-            rustc: "rustc 1.80.0".to_string(),
-        };
+        let prov = test_provenance();
         let json = to_json(&prov, &[r]);
         assert!(json.starts_with("{\n") && json.ends_with("}\n"));
         assert!(json.contains("\"bench\": \"serve\""));
         assert!(json.contains("\"grid_rev\""));
         assert!(json.contains("\"hit_ratio\": 0.976600"));
         assert!(json.contains("\"speedup\""));
+        assert!(json.contains("\"reuse_ms\": 1.000, ") && json.contains("\"reuse_qps\": 64000, "));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Volatile wall-clock data never shares a line with grid metrics,
         // so CI can `grep -v` it and byte-compare the rest.

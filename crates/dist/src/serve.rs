@@ -17,8 +17,10 @@
 //!   (and at most one cold compute — grouping *is* the single-flight).
 //! * **Cold-miss fallback.** A request for an unmaterialized cell runs a
 //!   real BF/EXT query through [`StaticGridNetwork::run_query_at`] at
-//!   the cell's canonical query point, serves the result, and back-fills
-//!   the writer diagram at the next epoch ingest.
+//!   the cell's canonical query point, serves the result, memoizes it
+//!   for the epoch's later batches, and back-fills the writer diagram at
+//!   the next epoch ingest. Only these queries ever run on worker
+//!   threads; a batch with fewer than two of them runs on its caller.
 //! * **TTL + delta invalidation.** [`ServeEngine::ingest_epoch`] applies
 //!   a [`SkyDelta`] through the diagram's intersection test, evicts
 //!   cells whose answer outlived `ttl_epochs`, and publishes the next
@@ -31,7 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use datagen::SpatialExtent;
 use device_storage::HybridRelation;
@@ -142,12 +144,22 @@ impl SnapshotRing {
         self.current.store(idx + 1, Ordering::Release);
     }
 
-    /// The current snapshot (lock-free).
-    fn current(&self) -> Option<Arc<Snapshot>> {
+    /// The current snapshot's slot (lock-free).
+    fn slot(&self) -> Option<&Arc<Snapshot>> {
         match self.current.load(Ordering::Acquire) {
             0 => None,
-            n => self.slots[n - 1].get().cloned(),
+            n => self.slots[n - 1].get(),
         }
+    }
+
+    /// The current snapshot, pinned for as long as the caller holds it.
+    fn current(&self) -> Option<Arc<Snapshot>> {
+        self.slot().cloned()
+    }
+
+    /// Epoch of the current snapshot, read through the slot.
+    fn epoch(&self) -> Option<u64> {
+        self.slot().map(|snap| snap.epoch)
     }
 }
 
@@ -238,7 +250,7 @@ struct Ledger {
     pending: BTreeSet<CellKey>,
 }
 
-/// Per-group outcome of a batch worker.
+/// How one cell group of a batch was answered.
 struct GroupResult {
     ids: Arc<[TupleId]>,
     cached: bool,
@@ -246,6 +258,27 @@ struct GroupResult {
     /// `true` when this group ran the cold compute (as opposed to
     /// reusing one from an earlier batch in the same epoch).
     computed_now: bool,
+}
+
+/// The requests of one batch that quantize to the same cell.
+struct Group {
+    key: CellKey,
+    /// Requests in the group.
+    len: u64,
+    /// `None` until one of the three resolve steps answers the cell.
+    result: Option<GroupResult>,
+}
+
+/// A batch after [`ServeEngine::plan`]: grouped, and answered as far as
+/// reading the snapshot and the epoch's cold answers can.
+struct BatchPlan {
+    /// One group per distinct cell, ascending by key.
+    groups: Vec<Group>,
+    /// `group_of[i]` indexes request `i`'s group.
+    group_of: Vec<usize>,
+    /// Indices of the groups no one has an answer for yet: the batch's
+    /// real backend queries.
+    backend: Vec<usize>,
 }
 
 /// Cold answers computed this epoch, keyed `(epoch, cell)`: later
@@ -295,7 +328,7 @@ impl ServeEngine {
 
     /// Current snapshot epoch.
     pub fn epoch(&self) -> u64 {
-        self.ring.current().map(|s| s.epoch).unwrap_or(0)
+        self.ring.epoch().unwrap_or(0)
     }
 
     /// Deterministic lifetime counters.
@@ -376,132 +409,164 @@ impl ServeEngine {
     }
 
     /// Answers a batch of `(origin, radius)` requests against the
-    /// current snapshot. Requests are grouped by diagram cell; groups
-    /// are resolved by a pool of `cfg.threads` workers doing lock-free
-    /// snapshot reads (a cold group issues one real backend query).
-    /// Counters and traces are settled by the coordinator in cell order,
-    /// so every output is bit-identical regardless of thread count.
+    /// current snapshot. Requests are grouped by diagram cell and each
+    /// group is resolved once: from the snapshot, else from this epoch's
+    /// memoized cold answers, else by a real backend query — only the
+    /// last kind is ever handed to worker threads. Counters and traces
+    /// are settled by the coordinator in cell order, so every output is
+    /// bit-identical regardless of thread count.
     pub fn serve_batch(&self, requests: &[(Point, f64)]) -> Vec<ServedAnswer> {
         let snap = self.ring.current().expect("constructor publishes epoch 0");
+        let BatchPlan { mut groups, group_of, backend } = self.plan(&snap, requests);
 
-        let mut groups: BTreeMap<CellKey, Vec<usize>> = BTreeMap::new();
-        for (i, &(origin, radius)) in requests.iter().enumerate() {
-            groups.entry(self.cfg.diagram.key_for(origin, radius)).or_default().push(i);
-        }
-        let keys: Vec<CellKey> = groups.keys().copied().collect();
-
-        let results: Vec<OnceLock<GroupResult>> = keys.iter().map(|_| OnceLock::new()).collect();
-        // Pure-cached batches (every key materialized in the snapshot)
-        // resolve in microseconds; spawning the pool would cost more than
-        // the work. The pool only pays off when some group carries a real
-        // backend query, so spawn only then. Either path resolves the
-        // same groups to the same results — determinism is unaffected.
-        let any_cold = keys.iter().any(|&k| snap.answers.answer(k).is_none());
-        if !any_cold || self.cfg.threads <= 1 {
-            for (i, &key) in keys.iter().enumerate() {
-                let group_size = groups[&key].len() as u64;
-                results[i]
-                    .set(self.resolve(&snap, key, group_size))
-                    .ok()
-                    .expect("one resolver per group");
+        // Whoever runs a group's backend query, the answer lands in its
+        // group before anything is settled.
+        let query = |&g: &usize| (g, self.query_backend(&snap, &groups[g]));
+        let computed: Vec<(usize, GroupResult)> = match self.pool_workers(backend.len()) {
+            0 => backend.iter().map(query).collect(),
+            workers => {
+                let cursor = AtomicUsize::new(0);
+                let next = || backend.get(cursor.fetch_add(1, Ordering::Relaxed));
+                std::thread::scope(|s| {
+                    let pool: Vec<_> = (0..workers)
+                        .map(|_| {
+                            s.spawn(|| std::iter::from_fn(next).map(query).collect::<Vec<_>>())
+                        })
+                        .collect();
+                    pool.into_iter()
+                        .flat_map(|w| w.join().expect("serve worker panicked"))
+                        .collect()
+                })
             }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..self.cfg.threads.max(1) {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&key) = keys.get(i) else { break };
-                        let group_size = groups[&key].len() as u64;
-                        results[i]
-                            .set(self.resolve(&snap, key, group_size))
-                            .ok()
-                            .expect("one worker per group");
-                    });
-                }
-            });
+        };
+        for (g, result) in computed {
+            groups[g].result = Some(result);
         }
 
         // Settle accounting in deterministic cell order.
-        let mut led = self.ledger.lock().expect("ledger lock");
-        let mut answers: Vec<Option<ServedAnswer>> = vec![None; requests.len()];
-        for (i, key) in keys.iter().enumerate() {
-            let gr = results[i].get().expect("worker resolved the group");
-            let members = &groups[key];
-            let n = members.len() as u64;
+        let epoch = snap.epoch;
+        let node = self.cfg.origin_node;
+        let mut guard = self.ledger.lock().expect("ledger lock");
+        let led = &mut *guard;
+        for group in &groups {
+            let gr = group.result.as_ref().expect("every group resolved");
+            let (n, tuples) = (group.len, gr.ids.len());
             led.stats.lookups += n;
-            led.stats.tuples_served += gr.ids.len() as u64 * n;
-            let tuples = gr.ids.len();
+            led.stats.tuples_served += tuples as u64 * n;
+            // First resolution of a cold cell this epoch: one miss (the
+            // real query), the rest of the group rides it.
+            let hits = n - u64::from(gr.computed_now);
             if gr.computed_now {
-                // First resolution of a cold cell this epoch: one miss
-                // (the real query), the rest of the group rides it.
                 led.stats.misses += 1;
-                led.stats.hits += n - 1;
                 led.trace.record(
-                    SimTime(snap.epoch),
-                    self.cfg.origin_node,
+                    SimTime(epoch),
+                    node,
                     None,
-                    QueryEvent::CacheMiss { epoch: snap.epoch, tuples },
+                    QueryEvent::CacheMiss { epoch, tuples },
                 );
                 led.stats.staleness.record(0);
-                for _ in 1..n {
-                    led.trace.record(
-                        SimTime(snap.epoch),
-                        self.cfg.origin_node,
-                        None,
-                        QueryEvent::CacheHit { epoch: snap.epoch, age: 0, tuples },
-                    );
-                    led.stats.staleness.record(0);
-                }
-                led.pending.insert(*key);
-            } else {
-                led.stats.hits += n;
-                for _ in 0..n {
-                    led.trace.record(
-                        SimTime(snap.epoch),
-                        self.cfg.origin_node,
-                        None,
-                        QueryEvent::CacheHit { epoch: snap.epoch, age: gr.age, tuples },
-                    );
-                    led.stats.staleness.record(gr.age);
-                }
-                if !gr.cached {
-                    // Cold answer reused from an earlier batch: still
-                    // awaiting back-fill.
-                    led.pending.insert(*key);
-                }
             }
-            for &req in members {
-                answers[req] = Some(ServedAnswer {
-                    key: *key,
+            led.stats.hits += hits;
+            for _ in 0..hits {
+                let hit = QueryEvent::CacheHit { epoch, age: gr.age, tuples };
+                led.trace.record(SimTime(epoch), node, None, hit);
+                led.stats.staleness.record(gr.age);
+            }
+            if !gr.cached {
+                // Computed now or reused from an earlier batch of this
+                // epoch: awaiting back-fill either way.
+                led.pending.insert(group.key);
+            }
+        }
+        drop(guard);
+
+        group_of
+            .iter()
+            .map(|&g| {
+                let gr = groups[g].result.as_ref().expect("every group resolved");
+                ServedAnswer {
+                    key: groups[g].key,
                     ids: gr.ids.to_vec(),
                     cached: gr.cached,
                     age: gr.age,
-                    epoch: snap.epoch,
-                });
-            }
-        }
-        answers.into_iter().map(|a| a.expect("every request grouped")).collect()
+                    epoch,
+                }
+            })
+            .collect()
     }
 
-    /// Resolves one cell group against the pinned snapshot.
-    fn resolve(&self, snap: &Snapshot, key: CellKey, group_size: u64) -> GroupResult {
-        let mut span = sim_obs::span!("serve::lookup");
-        span.add_units(group_size);
-        if let Some(ans) = snap.answers.answer(key) {
-            return GroupResult {
-                age: snap.epoch - ans.refreshed_at.min(snap.epoch),
-                ids: ans.ids.clone(),
-                cached: true,
-                computed_now: false,
+    /// The read-only part of resolving a batch. Requests are keyed once
+    /// and sorted, so a group is a run of equal keys and groups come out
+    /// ascending by key. Each group is probed once in the snapshot; one
+    /// the snapshot does not hold is probed in this epoch's memoized cold
+    /// answers, locked at the first such group and held to the end of the
+    /// batch; one that neither holds is left in `backend`.
+    fn plan(&self, snap: &Snapshot, requests: &[(Point, f64)]) -> BatchPlan {
+        let mut keyed: Vec<(CellKey, usize)> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, &(origin, radius))| (self.cfg.diagram.key_for(origin, radius), i))
+            .collect();
+        keyed.sort_unstable();
+
+        let mut groups: Vec<Group> = Vec::with_capacity(keyed.len());
+        let mut group_of = vec![0; keyed.len()];
+        let mut backend = Vec::new();
+        let mut cold: Option<MutexGuard<ColdAnswers>> = None;
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let key = run[0].0;
+            let mut span = sim_obs::span!("serve::lookup");
+            span.add_units(run.len() as u64);
+            for &(_, request) in run {
+                group_of[request] = groups.len();
+            }
+            let result = match snap.answers.answer(key) {
+                Some(ans) => Some(GroupResult {
+                    age: snap.epoch - ans.refreshed_at.min(snap.epoch),
+                    ids: ans.ids.clone(),
+                    cached: true,
+                    computed_now: false,
+                }),
+                None => cold
+                    .get_or_insert_with(|| self.cold.lock().expect("cold lock"))
+                    .get(&(snap.epoch, key))
+                    .map(|ids| GroupResult {
+                        ids: ids.clone(),
+                        cached: false,
+                        age: 0,
+                        computed_now: false,
+                    }),
             };
+            if result.is_none() {
+                // The span of an unanswered group is the one its backend
+                // query opens, so this one must not count a second call.
+                std::mem::forget(span);
+                backend.push(groups.len());
+            }
+            groups.push(Group { key, len: run.len() as u64, result });
         }
-        // Cold: reuse this epoch's earlier compute if any, else issue a
-        // real backend query at the canonical query point. Grouping
-        // guarantees one resolver per key per batch, so no flight races.
-        if let Some(ids) = self.cold.lock().expect("cold lock").get(&(snap.epoch, key)) {
-            return GroupResult { ids: ids.clone(), cached: false, age: 0, computed_now: false };
+        BatchPlan { groups, group_of, backend }
+    }
+
+    /// Worker threads for a batch with `backend_groups` real queries to
+    /// run; 0 = the caller runs them inline. A lone query gains nothing
+    /// from a thread, and no query needs more than one.
+    fn pool_workers(&self, backend_groups: usize) -> usize {
+        if backend_groups < 2 || self.cfg.threads < 2 {
+            0
+        } else {
+            self.cfg.threads.min(backend_groups)
         }
+    }
+
+    /// Runs the real BF/EXT query for a cell neither the snapshot nor
+    /// this epoch's cold answers hold, at the cell's canonical query
+    /// point, and memoizes the answer for the epoch's later batches.
+    /// Grouping guarantees one query per key per batch.
+    fn query_backend(&self, snap: &Snapshot, group: &Group) -> GroupResult {
+        let mut span = sim_obs::span!("serve::lookup");
+        span.add_units(group.len);
+        let key = group.key;
         // Concurrent cold groups of one snapshot wait on the one build.
         let backend = snap.backend.get_or_init(|| {
             self.backend_builds.fetch_add(1, Ordering::Relaxed);
@@ -569,6 +634,7 @@ pub fn verify_serve_drift(
 mod tests {
     use super::*;
     use datagen::{DataSpec, Distribution};
+    use proptest::prelude::*;
     use skyline_core::SkylineMerger;
 
     fn seed_sites(card: usize, dim: usize, seed: u64) -> Vec<Tuple> {
@@ -792,5 +858,292 @@ mod tests {
         let late = engine.serve_batch(&[(Point::new(310.0, 310.0), 400.0)]);
         assert!(late[0].ids.contains(&TupleId::site(&churn)));
         assert_eq!(engine.stats().backend_builds, 2);
+    }
+
+    /// The cells `plan` leaves for the backend when `requests` meet the
+    /// current snapshot.
+    fn backend_cells(engine: &ServeEngine, requests: &[(Point, f64)]) -> Vec<CellKey> {
+        let snap = engine.ring.current().unwrap();
+        let plan = engine.plan(&snap, requests);
+        plan.backend.iter().map(|&g| plan.groups[g].key).collect()
+    }
+
+    fn cells_of(engine: &ServeEngine, requests: &[(Point, f64)]) -> Vec<CellKey> {
+        let keys: BTreeSet<CellKey> =
+            requests.iter().map(|&(o, r)| engine.config().diagram.key_for(o, r)).collect();
+        keys.into_iter().collect()
+    }
+
+    #[test]
+    fn only_never_computed_cells_are_left_for_the_backend() {
+        let engine = ServeEngine::new(cfg(4), seed_sites(1_000, 2, 19));
+        // Twelve distinct cells, each asked for twice.
+        let pool: Vec<(Point, f64)> = (0..24)
+            .map(|i| (Point::new(130.0 * (i % 6) as f64 + 10.0, 300.0), [100.0, 200.0][i % 12 / 6]))
+            .collect();
+        assert_eq!(cells_of(&engine, &pool).len(), 12);
+
+        // An all-cold epoch: the first batch queries every cell, the
+        // second none — every answer is in the epoch's cold map.
+        assert_eq!(backend_cells(&engine, &pool), cells_of(&engine, &pool));
+        engine.serve_batch(&pool);
+        assert!(backend_cells(&engine, &pool).is_empty());
+        assert_eq!(engine.stats().misses, 12);
+        engine.serve_batch(&pool);
+        assert_eq!(engine.stats().misses, 12);
+
+        // A mixed batch: cells the snapshot holds, a cell an earlier
+        // batch of this epoch computed, and two nobody has computed.
+        engine.ingest_epoch(&SkyDelta::default());
+        let memoized = [(Point::new(800.0, 800.0), 100.0)];
+        engine.serve_batch(&memoized);
+        let fresh = [(Point::new(400.0, 800.0), 400.0), (Point::new(-40.0, 800.0), 100.0)];
+        let mixed: Vec<(Point, f64)> =
+            pool.iter().chain(&memoized).chain(&fresh).chain(&fresh).copied().collect();
+        assert_eq!(backend_cells(&engine, &mixed), cells_of(&engine, &fresh));
+        let out = engine.serve_batch(&mixed);
+        assert!(out[..24].iter().all(|a| a.cached) && out[24..].iter().all(|a| !a.cached));
+        assert_eq!(engine.stats().misses, 12 + 1 + 2);
+    }
+
+    #[test]
+    fn workers_are_spawned_for_two_or_more_backend_queries_only() {
+        let four = ServeEngine::new(cfg(4), seed_sites(200, 2, 19));
+        assert_eq!(four.pool_workers(0), 0);
+        assert_eq!(four.pool_workers(1), 0, "a lone query runs on the caller");
+        assert_eq!(four.pool_workers(2), 2, "never more workers than queries");
+        assert_eq!(four.pool_workers(9), 4);
+        assert_eq!(ServeEngine::new(cfg(1), seed_sites(200, 2, 19)).pool_workers(9), 0);
+        // The lone query of this batch is computed and memoized inline.
+        let q = [(Point::new(300.0, 300.0), 100.0)];
+        assert_eq!(backend_cells(&four, &q).len(), 1);
+        assert!(!four.serve_batch(&q)[0].cached);
+        assert!(backend_cells(&four, &q).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Batching changes no answer: a batch equals its requests served
+        /// one by one on a twin engine, whatever mix of cached, memoized
+        /// and never-computed cells it holds.
+        #[test]
+        fn a_batch_equals_its_requests_served_one_by_one(
+            requests in prop::collection::vec((-150.0..650.0f64, -150.0..650.0f64, 0usize..3), 0..200),
+        ) {
+            let requests: Vec<(Point, f64)> = requests
+                .into_iter()
+                .map(|(x, y, band)| (Point::new(x, y), [90.0, 180.0, 400.0][band]))
+                .collect();
+            let sites = seed_sites(300, 2, 31);
+            let (batched, twin) =
+                (ServeEngine::new(cfg(4), sites.clone()), ServeEngine::new(cfg(1), sites));
+            // Warm a corner of the plane so the batch also meets cached cells.
+            let warm: Vec<(Point, f64)> =
+                (0..9).map(|i| (Point::new(125.0 * (i % 3) as f64, 125.0 * (i / 3) as f64), 180.0)).collect();
+            for engine in [&batched, &twin] {
+                engine.serve_batch(&warm);
+                engine.ingest_epoch(&SkyDelta::default());
+            }
+
+            let answers = batched.serve_batch(&requests);
+            let singly: Vec<ServedAnswer> =
+                requests.iter().flat_map(|q| twin.serve_batch(std::slice::from_ref(q))).collect();
+            prop_assert_eq!(answers.len(), requests.len());
+            for (a, &(origin, radius)) in answers.iter().zip(&requests) {
+                prop_assert_eq!(a.key, batched.config().diagram.key_for(origin, radius));
+            }
+            prop_assert_eq!(&answers, &singly);
+            let (b, t) = (batched.stats(), twin.stats());
+            prop_assert_eq!(b.lookups, t.lookups);
+            prop_assert_eq!(b.hits + b.misses, t.hits + t.misses);
+            prop_assert_eq!(b.misses, t.misses);
+            prop_assert_eq!(b.tuples_served, t.tuples_served);
+        }
+    }
+
+    /// Everything one seeded horizon produced, plus `stats.misses` after
+    /// each batch (to tell a computing batch from a reusing one).
+    struct Drive {
+        batches: Vec<Vec<ServedAnswer>>,
+        misses_after: Vec<u64>,
+        stats: ServeStats,
+        log: QueryTraceLog,
+    }
+
+    /// Ten epochs over 96 clients on a 40 m lattice that reaches 300 m
+    /// outside the extent on every side (cells repeat inside a batch,
+    /// `ix`/`iy` go negative), `ttl_epochs` 3. Epoch 0 serves three
+    /// overlapping slices (compute, mixed, reuse only), an empty batch and
+    /// an all-one-cell batch; every later epoch adds or retires a
+    /// dominating site inside that one cell, so cells near it are
+    /// invalidated each epoch while the far ones age out and go cold
+    /// again; the last quarter of the pool first appears at epoch 5.
+    fn pinned_drive(threads: usize) -> Drive {
+        let mut c = cfg(threads);
+        c.ttl_epochs = 3;
+        let engine = ServeEngine::new(c, seed_sites(1_500, 3, 77));
+        let mut x = 0x5EED_u64;
+        let mut step = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let pool: Vec<(Point, f64)> = (0..96)
+            .map(|i| {
+                let px = (step() % 40) as f64 * 40.0 - 300.0;
+                let py = (step() % 40) as f64 * 40.0 - 300.0;
+                (Point::new(px, py), [90.0, 180.0, 400.0][i % 3])
+            })
+            .collect();
+        let one_cell: Vec<(Point, f64)> =
+            (0..9).map(|i| (Point::new(635.0 + i as f64, 390.0), 200.0)).collect();
+        let killer = |epoch: u64| {
+            Tuple::new(637.0 + epoch as f64, 392.0, vec![0.01 * (10 - epoch) as f64; 3])
+        };
+
+        let (mut batches, mut misses_after) = (Vec::new(), Vec::new());
+        let mut serve = |requests: &[(Point, f64)]| {
+            batches.push(engine.serve_batch(requests));
+            misses_after.push(engine.stats().misses);
+        };
+        serve(&pool[..48]);
+        serve(&pool[24..72]);
+        serve(&pool[..72]);
+        serve(&[]);
+        serve(&one_cell);
+        for epoch in 1..=9u64 {
+            let delta = if epoch % 2 == 1 {
+                let k = killer(epoch);
+                SkyDelta { adds: vec![(TupleId::site(&k), k)], removes: vec![] }
+            } else {
+                SkyDelta { adds: vec![], removes: vec![TupleId::site(&killer(epoch - 1))] }
+            };
+            engine.ingest_epoch(&delta);
+            serve(&pool[..48]);
+            serve(&pool[24..72]);
+            if epoch >= 5 {
+                serve(&pool[48..]);
+            }
+            serve(&one_cell);
+        }
+        engine.check_invariants().unwrap();
+        Drive { batches, misses_after, stats: engine.stats(), log: engine.take_trace() }
+    }
+
+    /// Folds every `ServedAnswer` field, the final `ServeStats` (histogram
+    /// included) and the whole trace record sequence into one word.
+    fn drive_digest(d: &Drive) -> u64 {
+        use manet_sim::dethash::DetHasher;
+        use std::hash::Hasher;
+        let mut h = DetHasher::default();
+        for batch in &d.batches {
+            h.write_usize(batch.len());
+            for a in batch {
+                h.write_u64(a.key.ix as i64 as u64);
+                h.write_u64(a.key.iy as i64 as u64);
+                h.write_u64(u64::from(a.key.band));
+                h.write_usize(a.ids.len());
+                for id in &a.ids {
+                    h.write_u64(id.0);
+                    h.write_u64(id.1);
+                }
+                h.write_u64(u64::from(a.cached));
+                h.write_u64(a.age);
+                h.write_u64(a.epoch);
+            }
+        }
+        let s = &d.stats;
+        for v in [
+            s.lookups,
+            s.hits,
+            s.misses,
+            s.invalidations,
+            s.cells_touched,
+            s.cells_skipped,
+            s.evictions,
+            s.backfills,
+            s.tuples_served,
+            s.epochs,
+            s.backend_builds,
+            s.staleness.count(),
+            s.staleness.sum(),
+        ] {
+            h.write_u64(v);
+        }
+        for (lo, hi, n) in s.staleness.nonzero_buckets() {
+            h.write_u64(lo);
+            h.write_u64(hi);
+            h.write_u64(n);
+        }
+        h.write_u64(d.log.dropped);
+        for r in &d.log.records {
+            h.write_u64(r.seq);
+            h.write_u64(r.at.0);
+            h.write_usize(r.node);
+            h.write_u64(u64::from(r.query.is_some()));
+            match r.event {
+                QueryEvent::CacheHit { epoch, age, tuples } => {
+                    [0, epoch, age, tuples as u64].iter().for_each(|&v| h.write_u64(v));
+                }
+                QueryEvent::CacheMiss { epoch, tuples } => {
+                    [1, epoch, tuples as u64].iter().for_each(|&v| h.write_u64(v));
+                }
+                QueryEvent::CellInvalidated { epoch, band } => {
+                    [2, epoch, band as u64].iter().for_each(|&v| h.write_u64(v));
+                }
+                ref other => panic!("not a serve event: {other:?}"),
+            }
+        }
+        h.finish()
+    }
+
+    /// Recorded at the commit before `serve_batch` grouped by sorted runs
+    /// and stopped spawning for memoized cold answers. A read-path change
+    /// that claims "same answers, counters and trace" reproduces it; it is
+    /// re-recorded only for an intended change of serving behaviour.
+    const PINNED_DRIVE_DIGEST: u64 = 4_042_134_066_441_189_743;
+
+    #[test]
+    fn pinned_drive_digest_is_reproduced_at_every_thread_count() {
+        for threads in [1, 2, 4] {
+            let d = pinned_drive(threads);
+            assert_eq!(drive_digest(&d), PINNED_DRIVE_DIGEST, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn pinned_drive_reaches_every_arm() {
+        let d = pinned_drive(2);
+        let distinct = |b: &[ServedAnswer]| b.iter().map(|a| a.key).collect::<BTreeSet<_>>().len();
+        let (b, m) = (&d.batches, &d.misses_after);
+        // Cold epoch 0: compute, then a mix of reuse and compute, then
+        // reuse only — nothing is materialized before the first ingest.
+        assert!(b[..3].iter().flatten().all(|a| !a.cached && a.epoch == 0));
+        assert!(distinct(&b[0]) < b[0].len(), "duplicate cells inside a batch");
+        assert_eq!(m[0], distinct(&b[0]) as u64, "the first batch computes each cell once");
+        assert!(m[1] > m[0] && m[1] - m[0] < distinct(&b[1]) as u64, "mixed: {m:?}");
+        assert_eq!(m[2], m[1], "the third batch only reuses");
+        assert!(b[3].is_empty() && m[3] == m[2]);
+        assert_eq!(distinct(&b[4]), 1, "all-one-cell batch");
+        assert_eq!(m[4], m[3] + 1);
+        let all = || b.iter().flatten();
+        assert!(all().any(|a| a.key.ix < 0) && all().any(|a| a.key.iy < 0));
+        // The whole pool was back-filled at epoch 1 or 5, so a later
+        // uncached answer is a TTL eviction served cold again.
+        assert!(d.stats.evictions > 0);
+        let went_cold = |a: &ServedAnswer| {
+            !a.cached && all().any(|e| e.key == a.key && e.cached && e.epoch < a.epoch)
+        };
+        assert!(all().any(went_cold), "no cell went cold again");
+        // Each epoch's delta lands inside the one-cell batch's cell.
+        assert!(d.stats.invalidations >= 9);
+        let last = b.last().unwrap();
+        assert!(last.iter().all(|a| a.cached && a.age == 0 && a.epoch == 9));
+        // Epoch 5's third batch (5 batches at epoch 0, 3 an epoch until
+        // then) mixes cached cells with the never-computed last quarter.
+        let wide = &b[5 + 4 * 3 + 2];
+        assert!(wide.len() == 48 && wide[0].epoch == 5);
+        assert!(wide.iter().any(|a| a.cached) && wide.iter().any(|a| !a.cached));
+        verify_serve_drift(&d.log, &d.stats).unwrap();
     }
 }

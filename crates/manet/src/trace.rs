@@ -710,6 +710,13 @@ mod query_trace_tests {
     use super::*;
     use crate::time::SimTime;
 
+    /// The serve tier writes one record per answered request, so this
+    /// size times the lookups of a horizon is its trace memory.
+    #[test]
+    fn a_record_is_at_most_112_bytes() {
+        assert!(std::mem::size_of::<QueryTraceRecord>() <= 112);
+    }
+
     #[test]
     fn rings_are_per_node_and_bounded() {
         let mut q = QueryTraceState::new(2);
