@@ -890,11 +890,14 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
 pub(crate) fn verify_frames(frames: &FrameTraceLog, net: &NetStats) -> Vec<String> {
     let mut errs = Vec::new();
     if frames.dropped > 0 {
-        errs.push(format!("frame trace dropped {} events", frames.dropped));
+        errs.push(format!(
+            "frame trace dropped {} events (raise TraceConfig::frames_capacity)",
+            frames.dropped
+        ));
         return errs;
     }
     let (mut sent, mut bytes, mut lost) = (0u64, 0u64, 0u64);
-    let mut by_tag: HashMap<FrameTag, u64> = HashMap::new();
+    let mut by_tag = [0u64; 4];
     let (mut down, mut severed) = (0u64, 0u64);
     let (mut crashed, mut revived) = (0u64, 0u64);
     let mut fwd_dropped = 0u64;
@@ -902,8 +905,8 @@ pub(crate) fn verify_frames(frames: &FrameTraceLog, net: &NetStats) -> Vec<Strin
         match *ev {
             TraceEvent::FrameSent { tag, bytes: b, .. } => {
                 sent += 1;
-                bytes += b as u64;
-                *by_tag.entry(tag).or_insert(0) += 1;
+                bytes += u64::from(b);
+                by_tag[tag as usize] += 1;
             }
             TraceEvent::FrameLost { cause, .. } => {
                 lost += 1;
@@ -926,10 +929,10 @@ pub(crate) fn verify_frames(frames: &FrameTraceLog, net: &NetStats) -> Vec<Strin
     };
     fcheck("sent", sent, net.frames_sent);
     fcheck("bytes", bytes, net.bytes_sent);
-    fcheck("aodv", by_tag.get(&FrameTag::Aodv).copied().unwrap_or(0), net.aodv_frames);
-    fcheck("data", by_tag.get(&FrameTag::Data).copied().unwrap_or(0), net.data_frames);
-    fcheck("bcast", by_tag.get(&FrameTag::Bcast).copied().unwrap_or(0), net.bcast_frames);
-    fcheck("hello", by_tag.get(&FrameTag::Hello).copied().unwrap_or(0), net.hello_frames);
+    fcheck("aodv", by_tag[FrameTag::Aodv as usize], net.aodv_frames);
+    fcheck("data", by_tag[FrameTag::Data as usize], net.data_frames);
+    fcheck("bcast", by_tag[FrameTag::Bcast as usize], net.bcast_frames);
+    fcheck("hello", by_tag[FrameTag::Hello as usize], net.hello_frames);
     fcheck("lost", lost, net.frames_lost);
     fcheck("lost_node_down", down, net.frames_dropped_node_down);
     fcheck("lost_link_down", severed, net.frames_blocked_link_down);

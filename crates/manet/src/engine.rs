@@ -27,8 +27,8 @@ use crate::packet::{DataPacket, Frame, NodeId};
 use crate::radio::RadioConfig;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{
-    EventTrace, FrameTag, FrameTraceLog, LossCause, NetStats, QueryEvent, QueryId, QueryTraceLog,
-    QueryTraceState, TraceEvent,
+    narrow, EventTrace, FrameTag, FrameTraceLog, LossCause, NetStats, QueryEvent, QueryId,
+    QueryTraceLog, QueryTraceState, TraceEvent,
 };
 
 /// Fraction of the radio range the grid snapshot may drift before a sweep:
@@ -447,11 +447,12 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     }
 
     /// Takes the frame-level trace out of the engine as a plain log (for
-    /// cross-checking against [`NetStats`]). Tracing stops.
+    /// cross-checking against [`NetStats`]). Tracing stops. The log is the
+    /// ring's own buffer, not a copy of it.
     pub fn take_frame_trace(&mut self) -> Option<FrameTraceLog> {
         self.trace
             .take()
-            .map(|t| FrameTraceLog { entries: t.entries().copied().collect(), dropped: t.dropped })
+            .map(|t| FrameTraceLog { dropped: t.dropped, entries: t.into_entries() })
     }
 
     /// Enables the structured per-query trace: one bounded ring of
@@ -734,7 +735,11 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         }
         self.trace_event(
             now,
-            TraceEvent::FrameDelivered { to, from: link_from, tag: Self::tag_of(&frame) },
+            TraceEvent::FrameDelivered {
+                to: narrow(to),
+                from: narrow(link_from),
+                tag: Self::tag_of(&frame),
+            },
         );
         match frame {
             Frame::Hello => {
@@ -778,7 +783,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                 self.geo.heard[n].clear();
                 self.nodes[n].aodv.reset();
                 self.nodes[n].app.on_crash();
-                self.trace_event(now, TraceEvent::NodeCrashed { node: n });
+                self.trace_event(now, TraceEvent::NodeCrashed { node: narrow(n) });
                 // `on_crash` gets no ctx (a dead node cannot act), so the
                 // engine records the terminal timeline marker itself.
                 self.qtrace_record(now, n, QueryEvent::Crashed);
@@ -789,7 +794,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                 }
                 self.geo.up[n] = true;
                 self.stats.node_revivals += 1;
-                self.trace_event(now, TraceEvent::NodeRevived { node: n });
+                self.trace_event(now, TraceEvent::NodeRevived { node: narrow(n) });
                 self.qtrace_record(now, n, QueryEvent::Revived);
                 self.run_app(n, now, |app, ctx| app.on_revive(ctx));
             }
@@ -883,7 +888,11 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
                     self.stats.data_drops_forwarded += 1;
                     self.trace_event(
                         now,
-                        TraceEvent::ForwardDropped { at: node, src: pkt.src, dst: pkt.dst },
+                        TraceEvent::ForwardDropped {
+                            at: narrow(node),
+                            src: narrow(pkt.src),
+                            dst: narrow(pkt.dst),
+                        },
                     );
                 }
             }
@@ -905,7 +914,11 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         self.count_frame(&frame);
         self.trace_event(
             now,
-            TraceEvent::FrameSent { from, tag: Self::tag_of(&frame), bytes: frame.bytes() },
+            TraceEvent::FrameSent {
+                from: narrow(from),
+                tag: Self::tag_of(&frame),
+                bytes: narrow(frame.bytes()),
+            },
         );
         self.energy_j[from] += self.geo.radio.energy.tx_joules(frame.bytes());
         if self.geo.link_severed(from, to) {
@@ -946,7 +959,11 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         self.count_frame(&frame);
         self.trace_event(
             now,
-            TraceEvent::FrameSent { from, tag: Self::tag_of(&frame), bytes: frame.bytes() },
+            TraceEvent::FrameSent {
+                from: narrow(from),
+                tag: Self::tag_of(&frame),
+                bytes: narrow(frame.bytes()),
+            },
         );
         // One transmission regardless of receiver count; every in-range
         // node pays reception.
@@ -1074,7 +1091,10 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
     }
 
     fn trace_lost(&mut self, at: SimTime, from: NodeId, frame: &Frame<P>, cause: LossCause) {
-        self.trace_event(at, TraceEvent::FrameLost { from, tag: Self::tag_of(frame), cause });
+        self.trace_event(
+            at,
+            TraceEvent::FrameLost { from: narrow(from), tag: Self::tag_of(frame), cause },
+        );
     }
 
     /// Engine-side query-trace record (crash/revive markers carry no query).

@@ -88,24 +88,27 @@ mod tests {
     }
 }
 
-/// Kinds of traced events (compact, no payloads).
+/// Kinds of traced events (compact, no payloads). Node ids and byte counts
+/// are `u32` so that one `(SimTime, TraceEvent)` ring record is 24 bytes
+/// (pinned below): a long monitoring run records over a million of them.
+/// The engine converts through `narrow`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A frame was handed to the radio.
     FrameSent {
         /// Transmitting node.
-        from: usize,
+        from: u32,
         /// Frame kind tag (see [`FrameTag`]).
         tag: FrameTag,
         /// Bytes on the air.
-        bytes: usize,
+        bytes: u32,
     },
     /// A frame arrived at a node.
     FrameDelivered {
         /// Receiving node.
-        to: usize,
+        to: u32,
         /// Link-layer sender.
-        from: usize,
+        from: u32,
         /// Frame kind tag.
         tag: FrameTag,
     },
@@ -114,7 +117,7 @@ pub enum TraceEvent {
     /// [`NetStats`] loss counters.
     FrameLost {
         /// Transmitting node.
-        from: usize,
+        from: u32,
         /// Frame kind tag.
         tag: FrameTag,
         /// Why the frame never arrived.
@@ -125,22 +128,35 @@ pub enum TraceEvent {
     /// [`NetStats::data_drops_forwarded`].
     ForwardDropped {
         /// The relay that dropped the packet.
-        at: usize,
+        at: u32,
         /// The packet's end-to-end source.
-        src: usize,
+        src: u32,
         /// The packet's unreachable destination.
-        dst: usize,
+        dst: u32,
     },
     /// A fault plan crashed a node.
     NodeCrashed {
         /// The node that went down.
-        node: usize,
+        node: u32,
     },
     /// A fault plan revived a node.
     NodeRevived {
         /// The node that came back up.
-        node: usize,
+        node: u32,
     },
+}
+
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 16);
+const _: () = assert!(std::mem::size_of::<(crate::time::SimTime, TraceEvent)>() == 24);
+
+/// Narrows a node id or byte count to a [`TraceEvent`] field. Nothing the
+/// engine simulates reaches 2³²; if something ever did, the field saturates
+/// rather than wraps, so zero-drift verification reports the sum as drift
+/// instead of reconciling against a silently wrong one.
+pub(crate) fn narrow(v: usize) -> u32 {
+    let n = u32::try_from(v).unwrap_or(u32::MAX);
+    debug_assert!(n as usize == v, "{v} does not fit a trace field");
+    n
 }
 
 /// Why a traced frame was lost (see [`TraceEvent::FrameLost`]).
@@ -182,7 +198,10 @@ pub struct EventTrace {
 }
 
 impl EventTrace {
-    /// A trace holding at most `capacity` events.
+    /// A trace holding at most `capacity` events. The whole ring is
+    /// reserved up front: pages nothing has been recorded into cost no
+    /// resident memory, whereas growing by doubling would hold the old and
+    /// the new buffer at once just when the trace is largest.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be positive");
         EventTrace {
@@ -204,6 +223,12 @@ impl EventTrace {
     /// Events currently retained, oldest first.
     pub fn entries(&self) -> impl Iterator<Item = &(crate::time::SimTime, TraceEvent)> {
         self.entries.iter()
+    }
+
+    /// The retained events, oldest first, in the ring's own buffer: no
+    /// copy when the ring never wrapped, an in-place rotation when it did.
+    pub fn into_entries(self) -> Vec<(crate::time::SimTime, TraceEvent)> {
+        Vec::from(self.entries)
     }
 
     /// Number of retained events.
@@ -239,7 +264,7 @@ mod trace_tests {
             t.record(
                 SimTime(i),
                 TraceEvent::FrameLost {
-                    from: i as usize,
+                    from: i as u32,
                     tag: FrameTag::Data,
                     cause: LossCause::Radio,
                 },
@@ -272,6 +297,18 @@ mod trace_tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         EventTrace::new(0);
+    }
+
+    #[test]
+    fn narrow_keeps_what_fits_and_saturates_past_it() {
+        assert_eq!(narrow(0), 0);
+        assert_eq!(narrow(u32::MAX as usize), u32::MAX);
+        // One past the field trips the debug assertion, so the saturating
+        // release behaviour is only reachable without it.
+        if !cfg!(debug_assertions) {
+            assert_eq!(narrow(u32::MAX as usize + 1), u32::MAX);
+            assert_eq!(narrow(usize::MAX), u32::MAX);
+        }
     }
 }
 
@@ -679,7 +716,7 @@ impl QueryTraceState {
         let dropped = self.dropped();
         let mut records: Vec<QueryTraceRecord> =
             self.nodes.into_iter().flat_map(|n| n.entries).collect();
-        records.sort_by_key(|r| r.seq);
+        records.sort_unstable_by_key(|r| r.seq);
         QueryTraceLog { records, dropped }
     }
 }
@@ -770,6 +807,34 @@ mod query_trace_tests {
         assert!(log.records.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(log.records[0].node, 3);
         assert_eq!(log.records[1].node, 1);
+    }
+
+    /// `seq` is unique, so the allocation-free unstable sort of `into_log`
+    /// must produce exactly what a stable sort of the rings would.
+    #[test]
+    fn stitching_interleaved_and_wrapped_rings_matches_a_stable_sort() {
+        let mut q = QueryTraceState::new(16);
+        let mut all = Vec::new();
+        for i in 0..60u64 {
+            // Node 0 gets every other record, 30 into a ring of 16, so it
+            // wraps; nodes 1-3 interleave with 10 each and do not.
+            let node = if i % 2 == 0 { 0 } else { 1 + (i as usize / 2) % 3 };
+            let ev = QueryEvent::LeaseExpired { epoch: i };
+            q.record(SimTime(i / 4), node, None, ev);
+            all.push(QueryTraceRecord { seq: i, at: SimTime(i / 4), node, query: None, event: ev });
+        }
+        // What the rings retain: each node's last 16 records.
+        let mut want: Vec<QueryTraceRecord> = (0..4usize)
+            .flat_map(|n| {
+                let mine: Vec<_> = all.iter().filter(|r| r.node == n).copied().collect();
+                mine[mine.len().saturating_sub(16)..].to_vec()
+            })
+            .collect();
+        want.sort_by_key(|r| r.seq);
+        let log = q.into_log();
+        assert_eq!(log.dropped, 30 - 16);
+        assert_eq!(log.records.len(), 16 + 3 * 10);
+        assert_eq!(log.records, want);
     }
 
     #[test]

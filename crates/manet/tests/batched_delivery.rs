@@ -91,7 +91,7 @@ fn frames_sent_from_inside_a_batch_land_after_its_last_receiver() {
         .entries
         .iter()
         .filter_map(|e| match e.1 {
-            TraceEvent::FrameDelivered { to, from, .. } => Some((from, to)),
+            TraceEvent::FrameDelivered { to, from, .. } => Some((from as NodeId, to as NodeId)),
             _ => None,
         })
         .collect();
