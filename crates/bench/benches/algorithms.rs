@@ -1,5 +1,5 @@
-//! Criterion microbench: the centralized baselines (BNL vs. SFS vs. D&C)
-//! the paper builds on, plus the bounded-window BNL variant modelling
+//! Criterion microbench: the two centralized algorithms the paper builds
+//! on (BNL vs. SFS), plus the bounded-window BNL variant modelling
 //! memory-constrained devices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -185,7 +185,7 @@ pub struct BuildRecord {
     pub sort_attr: usize,
     /// Bytes of the packed ID columns.
     pub id_bytes: usize,
-    /// Fastest of [`TIMED_REPS`] builds, wall milliseconds.
+    /// Fastest of `TIMED_REPS` builds, wall milliseconds.
     pub build_ms: f64,
 }
 
@@ -253,7 +253,7 @@ pub struct ScanRecord {
     pub window_len: usize,
     /// Window probes the scan counted.
     pub id_comparisons: u64,
-    /// Fastest of [`TIMED_REPS`] evaluations, wall milliseconds.
+    /// Fastest of `TIMED_REPS` evaluations, wall milliseconds.
     pub scan_ms: f64,
 }
 
@@ -279,7 +279,7 @@ pub struct MergeRecord {
     pub kept: usize,
     /// Offered tuples the merge rejected or evicted.
     pub dominated_removed: u64,
-    /// Fastest of [`TIMED_REPS`] merges, wall milliseconds.
+    /// Fastest of `TIMED_REPS` merges, wall milliseconds.
     pub merge_ms: f64,
 }
 
@@ -377,7 +377,7 @@ pub struct RadioRecord {
     /// Events the timer wheel was asked to hold (origination timers
     /// included).
     pub wheel_events: u64,
-    /// Fastest of [`TIMED_REPS`] storms, wall milliseconds.
+    /// Fastest of `TIMED_REPS` storms, wall milliseconds.
     pub storm_ms: f64,
 }
 

@@ -1,30 +1,24 @@
 //! Centralized skyline algorithms.
 //!
 //! The paper's local processing builds on two classics it cites:
-//! *Block-Nested-Loops* (BNL) and *Sort-Filter-Skyline* (SFS); the original
-//! skyline paper's *Divide-and-Conquer* (D&C) is also provided as a second
-//! baseline. All algorithms return **indices into the input slice**, in
-//! input order, so callers can avoid cloning tuples; [`materialize`] turns
-//! indices back into tuples.
+//! *Block-Nested-Loops* (BNL) over flat storage and *Sort-Filter-Skyline*
+//! (SFS), whose ID-based variant is the hybrid-storage scan. Both return
+//! **indices into the input slice**, in input order, so callers can avoid
+//! cloning tuples; [`materialize`] turns indices back into tuples.
 //!
 //! Every algorithm computes the exact skyline (verified against the
 //! [`oracle`] in unit and property tests). Equal-attribute tuples at
 //! different sites are all retained — they are incomparable under strict
 //! dominance and may be distinct sites.
 
-pub mod bbs;
-pub mod bitmap;
 pub mod bnl;
-pub mod dnc;
-pub mod index;
-pub mod nn;
 pub mod oracle;
 pub mod sfs;
 
 use crate::tuple::Tuple;
 
-/// Which centralized algorithm to run; lets call sites pick a baseline
-/// without generics.
+/// Which centralized algorithm to run; lets call sites pick one without
+/// generics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
     /// Block-nested-loops [Börzsönyi et al., ICDE 2001].
@@ -32,41 +26,18 @@ pub enum Algorithm {
     Bnl,
     /// Sort-filter-skyline [Chomicki et al., ICDE 2003].
     Sfs,
-    /// Divide-and-conquer [Börzsönyi et al., ICDE 2001].
-    Dnc,
-    /// Bitmap [Tan, Eng, Ooi — VLDB 2001].
-    Bitmap,
-    /// Index (data transformation + sorted lists) [Tan, Eng, Ooi — VLDB 2001].
-    Index,
-    /// Branch-and-bound skyline over an R-tree [Papadias et al., SIGMOD 2003].
-    Bbs,
-    /// Nearest-neighbor skyline [Kossmann et al., VLDB 2002].
-    Nn,
 }
 
 impl Algorithm {
     /// Every implemented algorithm, for exhaustive comparisons in tests
     /// and benches.
-    pub const ALL: [Algorithm; 7] = [
-        Algorithm::Bnl,
-        Algorithm::Sfs,
-        Algorithm::Dnc,
-        Algorithm::Bitmap,
-        Algorithm::Index,
-        Algorithm::Bbs,
-        Algorithm::Nn,
-    ];
+    pub const ALL: [Algorithm; 2] = [Algorithm::Bnl, Algorithm::Sfs];
 
     /// Runs the selected algorithm.
     pub fn skyline_indices(self, data: &[Tuple]) -> Vec<usize> {
         match self {
             Algorithm::Bnl => bnl::skyline_indices(data),
             Algorithm::Sfs => sfs::skyline_indices(data),
-            Algorithm::Dnc => dnc::skyline_indices(data),
-            Algorithm::Bitmap => bitmap::skyline_indices(data),
-            Algorithm::Index => index::skyline_indices(data),
-            Algorithm::Bbs => bbs::skyline_indices(data),
-            Algorithm::Nn => nn::skyline_indices(data),
         }
     }
 }

@@ -13,7 +13,7 @@
 //! pointers, so an inner loop pays one indirect call but no per-comparison
 //! dispatch on `dims`.
 //!
-//! The `&[Tuple]` entry points in `algo::{bnl, sfs, dnc}` remain the public
+//! The `&[Tuple]` entry points in `algo::{bnl, sfs}` remain the public
 //! API; they now build a block and run the block scan underneath.
 
 use crate::dominance::dominates;

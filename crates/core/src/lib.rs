@@ -4,8 +4,8 @@
 //! Against Mobile Lightweight Devices in MANETs"* (Huang, Jensen, Lu, Ooi).
 //!
 //! This crate is substrate-free: it defines the tuple model, dominance
-//! relations, classic centralized skyline algorithms (BNL, SFS, D&C) used as
-//! baselines by the paper, the *constrained* (spatially restricted) skyline,
+//! relations, the two centralized skyline algorithms the paper builds on
+//! (BNL and SFS), the *constrained* (spatially restricted) skyline,
 //! and the *dominating region* (VDR) computations that drive the paper's
 //! filtering-tuple strategy.
 //!
@@ -42,7 +42,6 @@ pub mod dominance;
 pub mod live;
 pub mod merge;
 pub mod region;
-pub mod rtree;
 pub mod tuple;
 pub mod vdr;
 

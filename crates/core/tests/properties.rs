@@ -198,44 +198,6 @@ proptest! {
     }
 
     #[test]
-    fn rtree_best_first_emits_all_points_in_l1_order(data in relation(80, 3)) {
-        use skyline_core::rtree::{RTree, Visit};
-        let points: Vec<Vec<f64>> = data.iter().map(|t| t.attrs.clone()).collect();
-        let tree = RTree::bulk_load(&points);
-        let mut order: Vec<(u32, f64)> = Vec::new();
-        tree.best_first(|v| {
-            if let Visit::Point { index, mindist } = v {
-                order.push((index, mindist));
-            }
-            true
-        });
-        prop_assert_eq!(order.len(), points.len());
-        for w in order.windows(2) {
-            prop_assert!(w[0].1 <= w[1].1 + 1e-9);
-        }
-        // Every index exactly once, and keys are the true L1 sums.
-        let mut seen: Vec<u32> = order.iter().map(|&(i, _)| i).collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..points.len() as u32).collect::<Vec<_>>());
-        for (i, d) in order {
-            let sum: f64 = points[i as usize].iter().sum();
-            prop_assert!((sum - d).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn rtree_root_box_covers_everything(data in relation(80, 4)) {
-        use skyline_core::rtree::RTree;
-        prop_assume!(!data.is_empty());
-        let points: Vec<Vec<f64>> = data.iter().map(|t| t.attrs.clone()).collect();
-        let tree = RTree::bulk_load(&points);
-        let bounds = tree.bounds().expect("non-empty");
-        for p in &points {
-            prop_assert!(bounds.contains(p));
-        }
-    }
-
-    #[test]
     fn greedy_multi_filter_first_pick_is_max_vdr(data in relation(60, 2), k in 1usize..5) {
         use skyline_core::vdr::select_filters_greedy;
         let bounds = UpperBounds::new(vec![50.0, 50.0]);
@@ -285,12 +247,11 @@ proptest! {
 
     #[test]
     fn block_algorithms_match_tuple_algorithms(data in relation(60, 4)) {
-        use skyline_core::algo::{bnl, dnc, sfs};
+        use skyline_core::algo::{bnl, sfs};
         let block = skyline_core::TupleBlock::from_tuples(&data);
         let expect = oracle::skyline_indices(&data);
         prop_assert_eq!(bnl::block_skyline_indices(&block), expect.clone());
         prop_assert_eq!(sfs::block_skyline_indices(&block), expect.clone());
-        prop_assert_eq!(dnc::block_skyline_indices(&block), expect.clone());
         let (counted, tests) = bnl::block_skyline_indices_counted(&block);
         prop_assert_eq!(counted, expect);
         if data.len() > 1 {

@@ -198,7 +198,7 @@ impl<R: DeviceRelation> Device<R> {
 mod tests {
     use super::*;
     use device_storage::{
-        DomainRelation, FlatRelation, HybridRelation, RingRelation, SpatialRelation, StorageModel,
+        DomainRelation, FlatRelation, HybridRelation, RingRelation, StorageModel,
     };
     use skyline_core::region::Point;
     use skyline_core::vdr::{BoundsMode, UpperBounds};
@@ -370,7 +370,6 @@ mod tests {
             Box::new(FlatRelation::new(r1())),
             Box::new(DomainRelation::new(r1())),
             Box::new(RingRelation::new(r1())),
-            Box::new(SpatialRelation::new(r1())),
         ];
         models.into_iter().map(|m| Device::new(1, NoRowAccess(m))).collect()
     }

@@ -121,181 +121,3 @@ mod tests {
         assert_eq!(a.drr(true), 0.3);
     }
 }
-
-/// Renders per-query records as CSV (one line per query) for offline
-/// analysis — issue/completion times, responses, DRR terms, result sizes,
-/// and the robustness scorecard (completeness, retries, duplicates,
-/// re-issues, timeout cause). The original column prefix is stable; new
-/// columns only append.
-pub fn records_to_csv(records: &[crate::runtime::QueryRecord]) -> String {
-    // The column prefix through `timeout_cause` is frozen (consumers parse
-    // by position); the monitoring columns only append after it.
-    let mut out = String::from(
-        "origin,cnt,issued_s,completed_s,timed_out,responded,result_len,\
-         sum_unreduced,sum_sent,participants,response_s,\
-         completeness,spurious,retries,duplicates,reissues,timeout_cause,\
-         epochs,epoch_completeness,staleness_s,spurious_from\n",
-    );
-    for r in records {
-        let cause = match r.timeout_cause {
-            None => "",
-            Some(crate::runtime::TimeoutCause::OriginatorCrash) => "originator_crash",
-            Some(crate::runtime::TimeoutCause::NoResponses) => "no_responses",
-            Some(crate::runtime::TimeoutCause::PartialResponses) => "partial_responses",
-        };
-        // Spurious-cause attribution: each offending site with the device
-        // whose reply first carried it (`?` = unattributable). Semicolon-
-        // joined so the cell stays comma-free.
-        let spurious_from = r
-            .spurious_sites
-            .iter()
-            .map(|s| {
-                let who = if s.first_from == usize::MAX {
-                    "?".to_string()
-                } else {
-                    s.first_from.to_string()
-                };
-                format!("{who}@{:?}/{:?}", s.x, s.y)
-            })
-            .collect::<Vec<_>>()
-            .join(";");
-        out.push_str(&format!(
-            "{},{},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            r.key.origin,
-            r.key.cnt,
-            r.issued.as_secs_f64(),
-            r.completed.map_or(String::new(), |c| format!("{:.6}", c.as_secs_f64())),
-            r.timed_out,
-            r.responded,
-            r.result_len,
-            r.drr.sum_unreduced,
-            r.drr.sum_sent,
-            r.drr.participants,
-            r.response_seconds.map_or(String::new(), |s| format!("{s:.6}")),
-            r.completeness.map_or(String::new(), |c| format!("{c:.6}")),
-            r.spurious,
-            r.retries,
-            r.duplicates,
-            r.reissues,
-            cause,
-            r.epochs,
-            r.epoch_completeness.map_or(String::new(), |c| format!("{c:.6}")),
-            r.staleness_s.map_or(String::new(), |s| format!("{s:.6}")),
-            spurious_from,
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-    use crate::query::QueryKey;
-    use crate::runtime::{QueryRecord, TimeoutCause};
-    use manet_sim::SimTime;
-    use skyline_core::region::Point;
-
-    fn blank_record() -> QueryRecord {
-        QueryRecord {
-            timed_out: true,
-            result_len: 1,
-            contributors: vec![0],
-            ..QueryRecord::open(
-                QueryKey { origin: 0, cnt: 0 },
-                SimTime::ZERO,
-                Point::new(0.0, 0.0),
-                100.0,
-            )
-        }
-    }
-
-    #[test]
-    fn records_csv_has_header_and_rows() {
-        let rec = QueryRecord {
-            key: QueryKey { origin: 3, cnt: 1 },
-            issued: SimTime::from_secs_f64(10.0),
-            completed: Some(SimTime::from_secs_f64(12.5)),
-            timed_out: false,
-            responded: 7,
-            drr: {
-                let mut d = DrrAccumulator::default();
-                d.add(10, 6);
-                d
-            },
-            result_len: 4,
-            response_seconds: Some(2.5),
-            completeness: Some(0.75),
-            spurious: 0,
-            retries: 2,
-            duplicates: 1,
-            reissues: 1,
-            ..blank_record()
-        };
-        let csv = records_to_csv(&[rec]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("origin,cnt,"));
-        // The pre-scorecard column prefix is stable …
-        assert!(lines[1].starts_with("3,1,10.000000,12.500000,false,7,4,10,6,1,2.500000"));
-        // … and the scorecard + monitoring columns append after it.
-        assert_eq!(
-            lines[1],
-            "3,1,10.000000,12.500000,false,7,4,10,6,1,2.500000,0.750000,0,2,1,1,,0,,,"
-        );
-    }
-
-    #[test]
-    fn timed_out_records_leave_blanks_and_name_the_cause() {
-        let rec =
-            QueryRecord { timeout_cause: Some(TimeoutCause::OriginatorCrash), ..blank_record() };
-        let csv = records_to_csv(&[rec]);
-        let row = csv.lines().nth(1).unwrap();
-        assert!(row.contains(",true,"));
-        assert!(row.contains("originator_crash"));
-        // Unscored completeness stays blank, like the other optionals.
-        assert!(row.contains(",,0,0,0,0,"));
-    }
-
-    #[test]
-    fn csv_prefix_is_byte_identical_to_pre_monitor_schema() {
-        // The exact header and row bytes emitted before the monitoring
-        // columns existed. Append-only evolution: both must be literal
-        // prefixes of today's output.
-        let old_header = "origin,cnt,issued_s,completed_s,timed_out,responded,result_len,\
-                          sum_unreduced,sum_sent,participants,response_s,\
-                          completeness,spurious,retries,duplicates,reissues,timeout_cause";
-        let old_row = "0,0,0.000000,,true,0,1,0,0,0,,,0,0,0,0,";
-        let csv = records_to_csv(&[blank_record()]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with(old_header), "header prefix changed:\n{}", lines[0]);
-        assert!(lines[1].starts_with(old_row), "row prefix changed:\n{}", lines[1]);
-    }
-
-    #[test]
-    fn monitoring_columns_render_when_filled() {
-        let rec = QueryRecord {
-            epochs: 12,
-            epoch_completeness: Some(0.9375),
-            staleness_s: Some(17.25),
-            ..blank_record()
-        };
-        let row_owner = records_to_csv(&[rec]);
-        let row = row_owner.lines().nth(1).unwrap();
-        assert!(row.ends_with(",12,0.937500,17.250000,"), "{row}");
-    }
-
-    #[test]
-    fn spurious_attribution_column_names_the_offender() {
-        let rec = QueryRecord {
-            spurious: 2,
-            spurious_sites: vec![
-                crate::verify::SpuriousSite { x: 10.0, y: 20.5, first_from: 7 },
-                crate::verify::SpuriousSite { x: 1.0, y: 2.0, first_from: usize::MAX },
-            ],
-            ..blank_record()
-        };
-        let row_owner = records_to_csv(&[rec]);
-        let row = row_owner.lines().nth(1).unwrap();
-        assert!(row.ends_with(",7@10.0/20.5;?@1.0/2.0"), "{row}");
-    }
-}

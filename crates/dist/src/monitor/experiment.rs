@@ -18,7 +18,7 @@ use super::{mtoken, EpochView, MonMsg, MonitorApp, MonitorConfig, MonitorMode};
 use crate::config::DistConfig;
 use crate::query::QueryKey;
 use crate::runtime::{mobility_for, new_simulator, QueryRecord};
-use crate::trace::{trace_aggregates, verify_frames, TraceAggregates};
+use crate::trace::{verify_frames, DriftCheck, TraceAggregates};
 use crate::verify::score_epoch;
 
 /// One monitoring experiment: a `g × g` device grid, each device carrying
@@ -285,35 +285,20 @@ pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
 /// tracing was on) reconciles frame counts against [`NetStats`]. Any
 /// mismatch is drift: either the trace lies or the counters do.
 pub fn verify_monitor_drift(out: &MonitorOutcome) -> Result<TraceAggregates, String> {
-    let log = out
-        .query_trace
-        .as_ref()
-        .ok_or_else(|| "monitor drift check requires an enabled query trace".to_string())?;
-    if log.dropped > 0 {
-        return Err(format!(
-            "query trace dropped {} records; zero-drift guarantee void (raise per_node_capacity)",
-            log.dropped
-        ));
-    }
-    let agg = trace_aggregates(log);
-    let mut errs: Vec<String> = Vec::new();
-    let mut check = |name: &str, traced: u64, counted: u64| {
-        if traced != counted {
-            errs.push(format!("{name}: trace says {traced}, counters say {counted}"));
-        }
-    };
-    check("registered", agg.registered, out.registered);
-    check("delta_sent", agg.delta_sent, out.deltas_sent + out.heartbeats_sent);
-    check("delta_heartbeats", agg.delta_heartbeats, out.heartbeats_sent);
-    check("delta_applied", agg.delta_applied, out.deltas_applied);
-    check("lease_expired", agg.lease_expired, out.lease_expired);
-    check("cancelled", agg.cancelled, out.cancelled);
-    check("arq_retries", agg.arq_retries, out.arq_retries);
-    check("arq_exhausted", agg.arq_exhausted, out.arq_exhausted);
-    check("duplicates_suppressed", agg.duplicates_suppressed, out.duplicates_suppressed);
-    check("delivery_failures", agg.delivery_failures, out.delivery_failures);
-    check("node_crashes", agg.crashes, out.net.node_crashes);
-    check("node_revivals", agg.revivals, out.net.node_revivals);
+    let mut d = DriftCheck::open(out.query_trace.as_ref(), "TraceConfig::per_node_capacity")?;
+    let (log, agg) = (d.log, d.agg);
+    d.check("registered", agg.registered, out.registered);
+    d.check("delta_sent", agg.delta_sent, out.deltas_sent + out.heartbeats_sent);
+    d.check("delta_heartbeats", agg.delta_heartbeats, out.heartbeats_sent);
+    d.check("delta_applied", agg.delta_applied, out.deltas_applied);
+    d.check("lease_expired", agg.lease_expired, out.lease_expired);
+    d.check("cancelled", agg.cancelled, out.cancelled);
+    d.check("arq_retries", agg.arq_retries, out.arq_retries);
+    d.check("arq_exhausted", agg.arq_exhausted, out.arq_exhausted);
+    d.check("duplicates_suppressed", agg.duplicates_suppressed, out.duplicates_suppressed);
+    d.check("delivery_failures", agg.delivery_failures, out.delivery_failures);
+    d.check("node_crashes", agg.crashes, out.net.node_crashes);
+    d.check("node_revivals", agg.revivals, out.net.node_revivals);
 
     // Every applied delta must have been sent: match (device, epoch,
     // heartbeat) across the log.
@@ -326,7 +311,7 @@ pub fn verify_monitor_drift(out: &MonitorOutcome) -> Result<TraceAggregates, Str
     for r in &log.records {
         if let QueryEvent::DeltaApplied { from, epoch, heartbeat, .. } = r.event {
             if !sent.contains(&(from, epoch, heartbeat)) {
-                errs.push(format!(
+                d.errs.push(format!(
                     "delta applied from device {from} for epoch {epoch} was never sent"
                 ));
             }
@@ -334,15 +319,15 @@ pub fn verify_monitor_drift(out: &MonitorOutcome) -> Result<TraceAggregates, Str
     }
 
     if let Some(frames) = out.frame_trace.as_ref() {
-        errs.extend(verify_frames(frames, &out.net));
+        d.errs.extend(verify_frames(frames, &out.net));
     }
-    if errs.is_empty() {
+    if d.errs.is_empty() {
         Ok(agg)
     } else {
         Err(format!(
             "monitor drift detected ({} checks failed):\n  {}",
-            errs.len(),
-            errs.join("\n  ")
+            d.errs.len(),
+            d.errs.join("\n  ")
         ))
     }
 }

@@ -71,7 +71,7 @@ const QUERY_LOG_WINDOW: usize = 32;
 /// window) worst-case space.
 ///
 /// A query is fresh exactly when its `cnt` is not in its originator's
-/// window (see [`QUERY_LOG_WINDOW`] for why a window rather than the
+/// window (see `QUERY_LOG_WINDOW` for why a window rather than the
 /// paper's single latest value). Counters wrap at 256 and "can be reset at
 /// regular intervals"; membership rather than greater-than makes
 /// wrap-around harmless.

@@ -48,7 +48,7 @@ use skyline_core::{Tuple, TupleId};
 
 use crate::config::StrategyConfig;
 use crate::static_net::{grid_network_from_global, StaticGridNetwork};
-use crate::trace::{trace_aggregates, TraceAggregates};
+use crate::trace::{DriftCheck, TraceAggregates};
 
 /// Configuration of a [`ServeEngine`].
 #[derive(Debug, Clone)]
@@ -285,8 +285,8 @@ struct BatchPlan {
 /// batches in the same epoch reuse them instead of re-flooding.
 type ColdAnswers = BTreeMap<(u64, CellKey), Arc<[TupleId]>>;
 
-/// The embeddable serving front end. One writer ([`ingest_epoch`]
-/// [`ServeEngine::ingest_epoch`]) and any number of batch readers;
+/// The embeddable serving front end. One writer
+/// ([`ServeEngine::ingest_epoch`]) and any number of batch readers;
 /// reads are lock-free against the pinned snapshot.
 pub struct ServeEngine {
     cfg: ServeConfig,
@@ -596,24 +596,13 @@ pub fn verify_serve_drift(
     log: &QueryTraceLog,
     stats: &ServeStats,
 ) -> Result<TraceAggregates, String> {
-    if log.dropped > 0 {
-        return Err(format!(
-            "serve trace dropped {} records (ring overflow voids the zero-drift guarantee)",
-            log.dropped
-        ));
-    }
-    let agg = trace_aggregates(log);
-    let mut errs: Vec<String> = Vec::new();
-    let mut check = |name: &str, traced: u64, counted: u64| {
-        if traced != counted {
-            errs.push(format!("{name}: trace says {traced}, counters say {counted}"));
-        }
-    };
-    check("cache_hits", agg.cache_hits, stats.hits);
-    check("cache_misses", agg.cache_misses, stats.misses);
-    check("cells_invalidated", agg.cells_invalidated, stats.invalidations);
-    check("lookups", agg.cache_hits + agg.cache_misses, stats.lookups);
-    check("staleness_count", stats.staleness.count(), stats.lookups);
+    let mut d = DriftCheck::open(Some(log), "ServeConfig::trace_capacity")?;
+    let agg = d.agg;
+    d.check("cache_hits", agg.cache_hits, stats.hits);
+    d.check("cache_misses", agg.cache_misses, stats.misses);
+    d.check("cells_invalidated", agg.cells_invalidated, stats.invalidations);
+    d.check("lookups", agg.cache_hits + agg.cache_misses, stats.lookups);
+    d.check("staleness_count", stats.staleness.count(), stats.lookups);
     let traced_age: u64 = log
         .records
         .iter()
@@ -622,11 +611,11 @@ pub fn verify_serve_drift(
             _ => 0,
         })
         .sum();
-    check("staleness_sum", traced_age, stats.staleness.sum());
-    if errs.is_empty() {
+    d.check("staleness_sum", traced_age, stats.staleness.sum());
+    if d.errs.is_empty() {
         Ok(agg)
     } else {
-        Err(errs.join("; "))
+        Err(d.errs.join("; "))
     }
 }
 
@@ -801,7 +790,7 @@ mod tests {
         engine.serve_batch(&qs);
         engine.ingest_epoch(&SkyDelta::default());
         engine.serve_batch(&qs);
-        let log = engine.take_trace();
+        let mut log = engine.take_trace();
         let stats = engine.stats();
         let agg = verify_serve_drift(&log, &stats).unwrap();
         assert_eq!(agg.cache_hits + agg.cache_misses, stats.lookups);
@@ -809,6 +798,11 @@ mod tests {
         bad.hits += 1;
         let err = verify_serve_drift(&log, &bad).unwrap_err();
         assert!(err.contains("cache_hits"), "{err}");
+
+        // A lossy ring voids the guarantee and names the knob to raise.
+        log.dropped = 3;
+        let err = verify_serve_drift(&log, &stats).unwrap_err();
+        assert!(err.contains("ServeConfig::trace_capacity"), "{err}");
     }
 
     #[test]

@@ -183,56 +183,6 @@ impl<R: DeviceRelation> StaticGridNetwork<R> {
         best
     }
 
-    /// Like [`StaticGridNetwork::run_query`] but walking the grid
-    /// depth-first — the static analogue of the MANET DF token, useful for
-    /// apples-to-apples forwarding comparisons without mobility noise. The
-    /// filter evolves along the walk exactly as the token carries it.
-    pub fn run_query_depth_first(
-        &self,
-        origin: usize,
-        d: f64,
-        cfg: &StrategyConfig,
-    ) -> StaticQueryOutcome {
-        let spec = QuerySpec::new(origin, 0, self.positions[origin], d);
-        let (sk_org, mut filters) = self.devices[origin].originate(&spec, cfg);
-        let mut merger = SkylineMerger::with_seed(sk_org);
-        let mut metrics = QueryMetrics::default();
-        let mut drr = DrrAccumulator::default();
-
-        let mut visited = vec![false; self.devices.len()];
-        visited[origin] = true;
-        // Explicit DFS stack; each push models one token transfer.
-        let mut stack: Vec<usize> = vec![origin];
-        while let Some(&top) = stack.last() {
-            let next = self.neighbors(top).into_iter().find(|&n| !visited[n]);
-            match next {
-                Some(i) => {
-                    visited[i] = true;
-                    metrics.forward_messages += 1;
-                    let out = self.devices[i].process(&spec, &filters, cfg);
-                    drr.add(out.unreduced_len, out.reply.len());
-                    metrics.tuples_transferred += out.reply.len() as u64;
-                    metrics.bytes_transferred +=
-                        out.reply.iter().map(Tuple::wire_size).sum::<usize>() as u64;
-                    metrics.devices_responded += 1;
-                    merger.insert_batch(out.reply);
-                    filters = out.forward_filters;
-                    stack.push(i);
-                }
-                None => {
-                    stack.pop();
-                    if !stack.is_empty() {
-                        metrics.forward_messages += 1; // token backtracks
-                    }
-                }
-            }
-        }
-
-        metrics.result_messages = 1; // the token returns once
-        metrics.drr = drr;
-        StaticQueryOutcome { result: merger.into_result(), metrics }
-    }
-
     /// Runs the paper's pre-test protocol: every device originates once
     /// (distance ignored), metrics averaged over all `m` queries. Returns
     /// the merged DRR accumulator.
@@ -384,24 +334,6 @@ mod tests {
         for mode in [BoundsMode::Exact, BoundsMode::Over, BoundsMode::Under] {
             let out = net.run_query(4, f64::INFINITY, &cfg(FilterStrategy::Dynamic, mode, 3));
             assert_eq!(sorted_keys(out.result), expect.clone(), "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn depth_first_walk_matches_breadth_first_results() {
-        let net = network(3000, 2, 4, Distribution::Independent);
-        let cfg = cfg(FilterStrategy::Dynamic, BoundsMode::Exact, 2);
-        for origin in [0, 5, 15] {
-            let bf = net.run_query(origin, f64::INFINITY, &cfg);
-            let df = net.run_query_depth_first(origin, f64::INFINITY, &cfg);
-            assert_eq!(
-                sorted_keys(bf.result),
-                sorted_keys(df.result),
-                "origin {origin}: traversal order must not change the answer"
-            );
-            // DF visits all 15 peers too, with backtracking transfers.
-            assert_eq!(df.metrics.devices_responded, 15);
-            assert!(df.metrics.forward_messages >= 15);
         }
     }
 

@@ -353,7 +353,7 @@ const CSV_COLUMNS: [&str; 37] = [
 ];
 
 /// One CSV row per record with the stable wide schema
-/// (`seq,t_us,node,origin,cnt,event,` + [`CSV_COLUMNS`]).
+/// (`seq,t_us,node,origin,cnt,event,` + `CSV_COLUMNS`).
 pub fn trace_to_csv(log: &QueryTraceLog) -> String {
     let mut out = String::from("seq,t_us,node,origin,cnt,event");
     for c in CSV_COLUMNS {
@@ -688,6 +688,39 @@ pub fn trace_aggregates(log: &QueryTraceLog) -> TraceAggregates {
     agg
 }
 
+/// The preamble every zero-drift verifier shares: a lossless log, the
+/// [`TraceAggregates`] recomputed from it, and the accumulator that the
+/// `check(name, traced, counted)` reconciliations write into.
+pub(crate) struct DriftCheck<'a> {
+    pub log: &'a QueryTraceLog,
+    pub agg: TraceAggregates,
+    pub errs: Vec<String>,
+}
+
+impl<'a> DriftCheck<'a> {
+    /// Refuses a log that was not collected, or a lossy one (its ring
+    /// overflowed, which voids the guarantee); `capacity` names the knob
+    /// that sizes the ring.
+    pub(crate) fn open(log: Option<&'a QueryTraceLog>, capacity: &str) -> Result<Self, String> {
+        let log = log.ok_or("query trace was not collected (set TraceConfig::enabled)")?;
+        if log.dropped > 0 {
+            return Err(format!(
+                "query trace dropped {} records; ring overflow voids the zero-drift guarantee \
+                 (raise {capacity})",
+                log.dropped
+            ));
+        }
+        Ok(DriftCheck { log, agg: trace_aggregates(log), errs: Vec::new() })
+    }
+
+    /// Records a drift when the traced and counted values differ.
+    pub(crate) fn check(&mut self, name: &str, traced: u64, counted: u64) {
+        if traced != counted {
+            self.errs.push(format!("{name}: trace says {traced}, counters say {counted}"));
+        }
+    }
+}
+
 #[derive(Debug, Default, Clone)]
 struct PerQuery {
     issued: u64,
@@ -707,18 +740,8 @@ struct PerQuery {
 /// guarantee and fails the check — raise the capacities in
 /// [`TraceConfig`](crate::config::TraceConfig) instead.
 pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> {
-    let Some(log) = out.query_trace.as_ref() else {
-        return Err("query trace was not collected (TraceConfig::enabled = false)".into());
-    };
-    let mut errs: Vec<String> = Vec::new();
-    if log.dropped > 0 {
-        return Err(format!(
-            "query trace dropped {} records (ring overflow voids the zero-drift guarantee)",
-            log.dropped
-        ));
-    }
-
-    let agg = trace_aggregates(log);
+    let mut d = DriftCheck::open(out.query_trace.as_ref(), "TraceConfig::per_node_capacity")?;
+    let (log, agg) = (d.log, d.agg);
     let mut per: HashMap<QueryId, PerQuery> = HashMap::new();
     for r in &log.records {
         if let Some(q) = r.query {
@@ -736,39 +759,38 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
         }
     }
 
-    let mut check = |name: &str, traced: u64, counted: u64| {
-        if traced != counted {
-            errs.push(format!("{name}: trace says {traced}, counters say {counted}"));
-        }
-    };
-    check("arq_retries", agg.arq_retries, out.arq_retries);
-    check("arq_exhausted", agg.arq_exhausted, out.arq_exhausted);
-    check("duplicates_suppressed", agg.duplicates_suppressed, out.duplicates_suppressed);
-    check("delivery_failures", agg.delivery_failures, out.delivery_failures);
-    check("node_crashes", agg.crashes, out.net.node_crashes);
-    check("node_revivals", agg.revivals, out.net.node_revivals);
+    d.check("arq_retries", agg.arq_retries, out.arq_retries);
+    d.check("arq_exhausted", agg.arq_exhausted, out.arq_exhausted);
+    d.check("duplicates_suppressed", agg.duplicates_suppressed, out.duplicates_suppressed);
+    d.check("delivery_failures", agg.delivery_failures, out.delivery_failures);
+    d.check("node_crashes", agg.crashes, out.net.node_crashes);
+    d.check("node_revivals", agg.revivals, out.net.node_revivals);
     // Adversarial traffic and its defensive refusals are counted in three
     // places — the app counters, the engine's NetStats, and the trace —
     // and all three must agree exactly.
-    check("attack_frames_sent", agg.attack_frames_sent, out.attack_frames_sent);
-    check("attack_frames_dropped", agg.attack_frames_dropped, out.attack_frames_dropped);
-    check("app_frames_rejected", agg.attack_frames_dropped, out.net.app_frames_rejected);
-    check("filters_rejected", agg.filters_rejected, out.filters_rejected);
-    check("reputation_penalties", agg.reputation_penalties, out.reputation_penalties);
+    d.check("attack_frames_sent", agg.attack_frames_sent, out.attack_frames_sent);
+    d.check("attack_frames_dropped", agg.attack_frames_dropped, out.attack_frames_dropped);
+    d.check("app_frames_rejected", agg.attack_frames_dropped, out.net.app_frames_rejected);
+    d.check("filters_rejected", agg.filters_rejected, out.filters_rejected);
+    d.check("reputation_penalties", agg.reputation_penalties, out.reputation_penalties);
     // Serving events are recorded only by `serve::ServeEngine` (which
     // reconciles them via `verify_serve_drift`); an engine run must not
     // have produced any.
-    check("cache_hits (engine run)", agg.cache_hits, 0);
-    check("cache_misses (engine run)", agg.cache_misses, 0);
-    check("cells_invalidated (engine run)", agg.cells_invalidated, 0);
+    d.check("cache_hits (engine run)", agg.cache_hits, 0);
+    d.check("cache_misses (engine run)", agg.cache_misses, 0);
+    d.check("cells_invalidated (engine run)", agg.cells_invalidated, 0);
     // Every BF flood counts one message per recipient; every DF transfer
     // counts one. Emission and counter bump share a callback, so equality
     // is exact even across crashes.
-    check("forward_messages", agg.forward_recipients + agg.token_sent, out.total_forward_messages);
+    d.check(
+        "forward_messages",
+        agg.forward_recipients + agg.token_sent,
+        out.total_forward_messages,
+    );
     // Replies are counted at creation but traced at stash flush; a crash in
     // between loses the send, never the count.
     if agg.reply_sent > out.total_result_messages {
-        errs.push(format!(
+        d.errs.push(format!(
             "result_messages: trace says {} sends, counters created only {}",
             agg.reply_sent, out.total_result_messages
         ));
@@ -780,10 +802,10 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
         let empty = PerQuery::default();
         let p = per.get(&q).unwrap_or(&empty);
         if p.issued != 1 {
-            errs.push(format!("{label}: {} issued events (want 1)", p.issued));
+            d.errs.push(format!("{label}: {} issued events (want 1)", p.issued));
         }
         if p.reissued != u64::from(rec.reissues) {
-            errs.push(format!(
+            d.errs.push(format!(
                 "{label}: {} reissued events, record says {}",
                 p.reissued, rec.reissues
             ));
@@ -793,11 +815,11 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
             // so the trace must not contain a finalized event — the engine's
             // `crashed` marker is the terminal record.
             if !p.finalized.is_empty() {
-                errs.push(format!("{label}: finalized event despite originator crash"));
+                d.errs.push(format!("{label}: finalized event despite originator crash"));
             }
         } else {
             let &[f] = p.finalized.as_slice() else {
-                errs.push(format!(
+                d.errs.push(format!(
                     "{label}: {} finalized events (want exactly 1)",
                     p.finalized.len()
                 ));
@@ -832,7 +854,7 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
                 || sum_sent != rec.drr.sum_sent
                 || participants != rec.drr.participants
             {
-                errs.push(format!("{label}: finalized event disagrees with the query record"));
+                d.errs.push(format!("{label}: finalized event disagrees with the query record"));
             }
         }
         // BF-only reconstruction: a token walk reports no per-reply events
@@ -840,7 +862,7 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
         // finalized copy-check above).
         if p.token_sent == 0 {
             if p.accepted.len() != rec.responded {
-                errs.push(format!(
+                d.errs.push(format!(
                     "{label}: {} accepted replies, record says {} responders",
                     p.accepted.len(),
                     rec.responded
@@ -848,7 +870,7 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
             }
             let retries: u64 = p.accepted.iter().map(|a| u64::from(a.3)).sum();
             if retries != rec.retries {
-                errs.push(format!(
+                d.errs.push(format!(
                     "{label}: accepted replies carry {retries} retries, record says {}",
                     rec.retries
                 ));
@@ -863,7 +885,7 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
                 }
             }
             if (su, ss, np) != (rec.drr.sum_unreduced, rec.drr.sum_sent, rec.drr.participants) {
-                errs.push(format!(
+                d.errs.push(format!(
                     "{label}: DRR from events ({su},{ss},{np}) != record ({},{},{})",
                     rec.drr.sum_unreduced, rec.drr.sum_sent, rec.drr.participants
                 ));
@@ -872,13 +894,13 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
     }
 
     if let Some(frames) = out.frame_trace.as_ref() {
-        errs.extend(verify_frames(frames, &out.net));
+        d.errs.extend(verify_frames(frames, &out.net));
     }
 
-    if errs.is_empty() {
+    if d.errs.is_empty() {
         Ok(agg)
     } else {
-        Err(errs.join("; "))
+        Err(d.errs.join("; "))
     }
 }
 

@@ -159,6 +159,12 @@ fn injected_drift_is_caught() {
     out.query_trace.as_mut().unwrap().dropped = 3;
     let err = verify_monitor_drift(&out).expect_err("dropped records must void the check");
     assert!(err.contains("dropped"), "{err}");
+    assert!(err.contains("TraceConfig::per_node_capacity"), "{err}");
+
+    // No trace at all is refused too, rather than vacuously passing.
+    out.query_trace = None;
+    let err = verify_monitor_drift(&out).expect_err("an uncollected trace must not verify");
+    assert!(err.contains("TraceConfig::enabled"), "{err}");
 }
 
 #[test]

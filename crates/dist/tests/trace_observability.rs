@@ -132,6 +132,12 @@ fn verifier_detects_injected_drift() {
     out.records[0].responded += 1;
     let err = verify_zero_drift(&out).expect_err("drifted record must fail");
     assert!(err.contains("query "), "{err}");
+    out.records[0].responded -= 1;
+
+    // A lossy ring voids the guarantee loudly and names the knob to raise.
+    out.query_trace.as_mut().unwrap().dropped = 3;
+    let err = verify_zero_drift(&out).expect_err("dropped records must void the check");
+    assert!(err.contains("TraceConfig::per_node_capacity"), "{err}");
 }
 
 /// Tracing is opt-in: the default config collects nothing, and the
@@ -144,7 +150,8 @@ fn tracing_disabled_collects_nothing() {
     let out = run_experiment(&exp);
     assert!(out.query_trace.is_none());
     assert!(out.frame_trace.is_none());
-    assert!(verify_zero_drift(&out).is_err());
+    let err = verify_zero_drift(&out).expect_err("an uncollected trace must not verify");
+    assert!(err.contains("TraceConfig::enabled"), "{err}");
 }
 
 /// Tracing must not perturb the simulation: identical seeds produce

@@ -276,7 +276,7 @@ pub mod strategies {
     use super::{StdRngAlias, Strategy};
     use rand::Rng;
 
-    /// Length specification for [`vec`]: an exact size or a range.
+    /// Length specification for [`vec()`]: an exact size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -302,7 +302,7 @@ pub mod strategies {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -19,8 +19,6 @@
 //! * [`RingRelation`] — "ring storage" [PicoDBMS, VLDB 2000], rejected
 //!   because reading a value must traverse an intra-relation pointer chain;
 //!   also implemented for the ablation bench.
-//! * [`SpatialRelation`] — flat tuples plus an R-tree over locations,
-//!   probing the cost of the paper's "no extra index" assumption.
 //!
 //! All models implement [`DeviceRelation`] and must produce identical query
 //! answers; they differ only in space and time. That equivalence is enforced
@@ -32,7 +30,6 @@ pub mod flat;
 pub mod hybrid;
 pub mod persist;
 pub mod ring_store;
-pub mod spatial_index;
 pub mod traits;
 
 pub use domain_index::{AttributeDomain, IdArray};
@@ -41,7 +38,6 @@ pub use flat::FlatRelation;
 pub use hybrid::HybridRelation;
 pub use persist::{decode_relation, encode_relation, DecodeError};
 pub use ring_store::RingRelation;
-pub use spatial_index::SpatialRelation;
 pub use traits::{
     DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause, StorageModel,
 };

@@ -16,9 +16,6 @@ pub enum StorageModel {
     Domain,
     /// Ring storage (PicoDBMS; ablation only).
     Ring,
-    /// Flat tuples plus a spatial R-tree over locations (ablation of the
-    /// paper's no-index assumption).
-    SpatialIndex,
 }
 
 /// Everything a device needs to answer one local skyline request.

@@ -9,7 +9,7 @@ use skyline_core::{DominanceTest, Tuple};
 
 use device_storage::{
     DeviceRelation, DomainRelation, FlatRelation, HybridRelation, LocalQuery, RingRelation,
-    SkipCause, SpatialRelation,
+    SkipCause,
 };
 
 fn relation(max: usize, dim: usize) -> impl Strategy<Value = Vec<Tuple>> {
@@ -69,14 +69,12 @@ proptest! {
         let flat = FlatRelation::new(data.clone());
         let hybrid = HybridRelation::new(data.clone());
         let domain = DomainRelation::new(data.clone());
-        let ring = RingRelation::new(data.clone());
-        let spatial = SpatialRelation::new(data);
+        let ring = RingRelation::new(data);
 
         let expect = sorted_keys(flat.local_skyline(&q).skyline);
         prop_assert_eq!(sorted_keys(hybrid.local_skyline(&q).skyline), expect.clone(), "hybrid");
         prop_assert_eq!(sorted_keys(domain.local_skyline(&q).skyline), expect.clone(), "domain");
-        prop_assert_eq!(sorted_keys(ring.local_skyline(&q).skyline), expect.clone(), "ring");
-        prop_assert_eq!(sorted_keys(spatial.local_skyline(&q).skyline), expect, "spatial");
+        prop_assert_eq!(sorted_keys(ring.local_skyline(&q).skyline), expect, "ring");
     }
 
     #[test]
@@ -141,7 +139,6 @@ proptest! {
             Box::new(HybridRelation::new(data.clone())),
             Box::new(DomainRelation::new(data.clone())),
             Box::new(RingRelation::new(data.clone())),
-            Box::new(SpatialRelation::new(data.clone())),
         ];
         let want = skyline_core::region::Mbr::of_points(data.iter().map(Tuple::location));
         for m in &models {

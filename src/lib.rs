@@ -9,7 +9,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `skyline-core` | tuple model, dominance, BNL/SFS/D&C, constrained skyline, VDR filtering |
+//! | [`core`] | `skyline-core` | tuple model, dominance, BNL/SFS, constrained skyline, VDR filtering |
 //! | [`storage`] | `device-storage` | flat / hybrid (ID-based) / domain / ring storage, Fig. 4 local skyline |
 //! | [`datagen`] | `datagen` | IN/CO/AC generators, grid partitioning, paper example data, workloads |
 //! | [`manet`] | `manet-sim` | discrete-event MANET simulator: random waypoint, unit-disk radio, AODV |

@@ -1,10 +1,9 @@
 //! Workspace-level tests of the non-paper extensions working together:
-//! clustered data, multi-filter banks, spatially indexed devices, and the
+//! clustered data, multi-filter banks, relation images, and the
 //! verification API.
 
 use mobiskyline::dist::verify::verify_static_query;
 use mobiskyline::prelude::*;
-use mobiskyline::storage::SpatialRelation;
 
 fn clustered_spec(seed: u64) -> DataSpec {
     DataSpec {
@@ -52,24 +51,6 @@ fn multi_filter_strategy_is_exact_on_clustered_data() {
 }
 
 #[test]
-fn spatially_indexed_devices_answer_distributed_queries() {
-    let spec = clustered_spec(21);
-    let data = spec.generate();
-    let part = GridPartitioner::new(3, SpatialExtent::PAPER).partition(&data);
-    let relations: Vec<SpatialRelation> =
-        part.parts.iter().map(|p| SpatialRelation::new(p.clone())).collect();
-    let positions: Vec<Point> = (0..9).map(|i| part.cell_center(i)).collect();
-    let net = StaticGridNetwork::new(relations, positions, 3);
-    let cfg = StrategyConfig {
-        bounds_mode: BoundsMode::Exact,
-        exact_bounds: spec.global_upper_bounds(),
-        ..StrategyConfig::default()
-    };
-    let report = verify_static_query(&net, 4, 250.0, &cfg);
-    assert!(report.is_exact(), "{report:?}");
-}
-
-#[test]
 fn relation_images_round_trip_through_devices() {
     // datagen → encode → decode → device → query: the full "sync a device
     // over a cable" path.
@@ -97,21 +78,4 @@ fn relation_images_round_trip_through_devices() {
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b);
-}
-
-#[test]
-fn progressive_bbs_streams_device_results() {
-    // A device could ship its first k skyline points before finishing.
-    use mobiskyline::core::algo::bbs::ProgressiveBbs;
-    use mobiskyline::core::rtree::RTree;
-    let data = clustered_spec(41).generate();
-    let points: Vec<Vec<f64>> = data.iter().map(|t| t.attrs.clone()).collect();
-    let tree = RTree::bulk_load(&points);
-    let first3: Vec<usize> = ProgressiveBbs::new(&data, &tree).take(3).collect();
-    assert_eq!(first3.len(), 3);
-    // All three are genuine skyline members.
-    let full = constrained::skyline_indices(&data, &QueryRegion::unbounded(), Algorithm::Bbs);
-    for i in first3 {
-        assert!(full.contains(&i));
-    }
 }
