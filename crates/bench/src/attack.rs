@@ -33,10 +33,9 @@ use manet_sim::{
     AttackConfig, AttackKind, AttackPlan, ChurnConfig, FaultPlan, SimDuration, SimTime,
 };
 use skyline_core::vdr::BoundsMode;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::provenance::Provenance;
+use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::Scale;
 
@@ -374,72 +373,43 @@ pub fn run(scale: Scale) -> Vec<CellReport> {
 }
 
 /// Renders the scorecard as the `BENCH_attack.json` machine baseline:
-/// provenance header, deterministic `grid` rows (bit-identical across job
-/// counts), then volatile wall-clock `timings` rows keyed by the same cell
-/// coordinates.
+/// one row per cell, keyed by `(arm, attack, defense, churn, loss)`; every
+/// count in `grid`, the cell's wall clock in `timings`.
 pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
     let scale = prov.scale;
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"attack\",\n");
-    out.push_str(&prov.header());
-    let _ = writeln!(out, "  \"devices\": {},", GRID * GRID);
-    let _ = writeln!(out, "  \"cardinality\": {},", scale.attack_cardinality());
-    let _ = writeln!(out, "  \"sim_seconds\": {},", scale.attack_sim_seconds());
-    let _ = writeln!(out, "  \"attack_fraction\": {ATTACK_FRACTION},");
-    out.push_str("  \"grid\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let resp = r.mean_response_seconds.map_or("null".to_string(), |s| format!("{s:.3}"));
-        let fmt_or_null = |v: f64| {
-            if v.is_finite() {
-                format!("{v:.6}")
-            } else {
-                "null".to_string()
-            }
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"arm\": \"{}\", \"attack\": \"{}\", \"defense\": {}, \"churn\": {}, \
-             \"loss\": {}, \"queries\": {}, \"mean_completeness\": {}, \
-             \"mean_honest_completeness\": {}, \"min_honest_completeness\": {}, \
-             \"spurious\": {}, \"timeout_fraction\": {:.6}, \"frames_sent\": {}, \
-             \"result_messages\": {}, \"attack_frames_sent\": {}, \
-             \"attack_frames_dropped\": {}, \"filters_rejected\": {}, \
-             \"reputation_penalties\": {}, \"defense_effectiveness\": {:.6}, \
-             \"mean_response_seconds\": {resp}}}{sep}",
-            r.arm,
-            r.attack,
-            r.defense,
-            r.churn,
-            r.loss,
-            r.queries,
-            fmt_or_null(r.mean_completeness),
-            fmt_or_null(r.mean_honest_completeness),
-            fmt_or_null(r.min_honest_completeness),
-            r.spurious,
-            r.timeout_fraction,
-            r.frames_sent,
-            r.result_messages,
-            r.attack_frames_sent,
-            r.attack_frames_dropped,
-            r.filters_rejected,
-            r.reputation_penalties,
-            r.defense_effectiveness,
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"timings\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"arm\": \"{}\", \"attack\": \"{}\", \"defense\": {}, \"churn\": {}, \
-             \"loss\": {}, \"seconds\": {:.3}}}{sep}",
-            r.arm, r.attack, r.defense, r.churn, r.loss, r.seconds,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let header = [
+        ("devices", Value::from(GRID * GRID)),
+        ("cardinality", Value::from(scale.attack_cardinality())),
+        ("sim_seconds", Value::Float(scale.attack_sim_seconds())),
+        ("attack_fraction", Value::Float(ATTACK_FRACTION)),
+    ];
+    let rows: Vec<Row> = reports.iter().map(row).collect();
+    baseline_json("attack", prov, GRID_REV, &header, &rows)
+}
+
+fn row(r: &CellReport) -> Row {
+    vec![
+        label("arm", r.arm),
+        label("attack", r.attack),
+        label("defense", Value::Bool(r.defense)),
+        label("churn", Value::Float(r.churn)),
+        label("loss", Value::Float(r.loss)),
+        det("queries", r.queries),
+        det("mean_completeness", Value::Fixed(r.mean_completeness, 6)),
+        det("mean_honest_completeness", Value::Fixed(r.mean_honest_completeness, 6)),
+        det("min_honest_completeness", Value::Fixed(r.min_honest_completeness, 6)),
+        det("spurious", r.spurious),
+        det("timeout_fraction", Value::Fixed(r.timeout_fraction, 6)),
+        det("frames_sent", r.frames_sent),
+        det("result_messages", r.result_messages),
+        det("attack_frames_sent", r.attack_frames_sent),
+        det("attack_frames_dropped", r.attack_frames_dropped),
+        det("filters_rejected", r.filters_rejected),
+        det("reputation_penalties", r.reputation_penalties),
+        det("defense_effectiveness", Value::Fixed(r.defense_effectiveness, 6)),
+        det("mean_response_seconds", Value::Fixed(r.mean_response_seconds.unwrap_or(f64::NAN), 3)),
+        vol("seconds", Value::Fixed(r.seconds, 3)),
+    ]
 }
 
 #[cfg(test)]
@@ -727,24 +697,19 @@ mod tests {
             mean_response_seconds: None,
             seconds: 2.5,
         };
-        let prov = Provenance {
-            scale: Scale::Quick,
-            jobs: 2,
-            git_commit: "abc1234".to_string(),
-            rustc: "rustc 1.80.0".to_string(),
-        };
-        let json = to_json(&prov, &[r]);
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
+        let json = to_json(&Provenance::fixture(), &[r]);
+        let (grid, timings) = crate::provenance::sections(&json);
         assert!(json.contains("\"bench\": \"attack\""));
-        assert!(json.contains("\"grid_rev\""));
-        assert!(json.contains("\"jobs\": 2"));
-        assert!(json.contains("\"defense_effectiveness\": 1.375000"));
-        assert!(json.contains("\"mean_response_seconds\": null"));
-        assert!(json.contains("\"grid\": [\n"));
-        assert!(json.contains("\"timings\": [\n"));
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
+        assert!(json.contains("\"sim_seconds\": 600,\n  \"attack_fraction\": 0.25,"));
+        assert!(grid.contains(
+            "{\"arm\": \"EXT-BF\", \"attack\": \"filter_poison\", \"defense\": true, \
+             \"churn\": 0.2, \"loss\": 0.1, \"queries\": 16,"
+        ));
+        assert!(grid.contains("\"defense_effectiveness\": 1.375000,"));
+        assert!(grid.contains("\"mean_response_seconds\": null}"));
+        assert!(timings.contains(
+            "{\"arm\": \"EXT-BF\", \"attack\": \"filter_poison\", \"defense\": true, \
+             \"churn\": 0.2, \"loss\": 0.1, \"seconds\": 2.500}"
+        ));
     }
 }

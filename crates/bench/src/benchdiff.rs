@@ -11,10 +11,11 @@
 //!   schema moved under the comparison. Volatile header fields (`jobs`,
 //!   `git_commit`, `rustc`) deliberately do **not** refuse — the whole
 //!   point is comparing runs across commits and worker counts.
-//! * **Drift** — any deterministic `grid` row differs in any field, or the
-//!   row counts differ. Deterministic data has no tolerance: a single
-//!   changed dominance count or completeness digit is a real behavioural
-//!   change (or a seed/schema bug) and fails the diff.
+//! * **Drift** — any deterministic `grid` row differs in any field, the
+//!   grid or timings row counts differ, or a candidate timings row lacks a
+//!   wall-clock field the baseline's has. Deterministic data has no
+//!   tolerance: a single changed dominance count or completeness digit is
+//!   a real behavioural change (or a seed/schema bug) and fails the diff.
 //! * **Regression** — a wall-clock field in `timings` (`seconds`,
 //!   `total_seconds`, `*_ms`) grew beyond the tolerance band
 //!   `baseline × (1 + tol) + floor`. Only slowdowns fail; speedups pass.
@@ -194,17 +195,23 @@ pub fn diff_with(
     }
 
     // Timings compare by index — valid once the grids matched, since both
-    // arrays are emitted in grid order.
+    // arrays are emitted in grid order. Outside prefix mode a timings row
+    // or wall-clock value the candidate lacks is drift, not a pass.
     let b_tim = baseline.get("timings").and_then(JsonValue::as_array).unwrap_or(&[]);
     let c_tim = candidate.get("timings").and_then(JsonValue::as_array).unwrap_or(&[]);
+    if !prefix && b_tim.len() != c_tim.len() {
+        report
+            .drift
+            .push(format!("timings row count changed: {} -> {}", b_tim.len(), c_tim.len()));
+    }
     for (i, (b, c)) in b_tim.iter().zip(c_tim).enumerate() {
         let (Some(bm), Some(_)) = (b.as_object(), c.as_object()) else { continue };
         for (key, bv) in bm {
-            if !is_wall_clock(key) {
-                continue;
-            }
-            let (Some(base), Some(cand)) = (bv.as_f64(), c.get(key).and_then(JsonValue::as_f64))
-            else {
+            let Some(base) = bv.as_f64().filter(|_| is_wall_clock(key)) else { continue };
+            let Some(cand) = c.get(key).and_then(JsonValue::as_f64) else {
+                if !prefix {
+                    report.drift.push(format!("timings[{i}] ({}): `{key}` missing", row_label(b)));
+                }
                 continue;
             };
             let limit = base * (1.0 + tol) + ABS_FLOOR;
@@ -390,6 +397,27 @@ mod tests {
             .replace("  \"jobs\"", "  \"total_seconds\": 900.0,\n  \"jobs\"");
         assert!(!diff_texts(&base, &cand, 0.5).unwrap().passed());
         assert!(diff_texts_with(&base, &cand, 0.5, true).unwrap().passed());
+    }
+
+    #[test]
+    fn timings_row_count_change_is_drift() {
+        let base =
+            doc(2, r#"{"g": 10}"#, r#"{"g": 10, "seconds": 1.0}, {"g": 10, "seconds": 2.0}"#);
+        let cand = doc(2, r#"{"g": 10}"#, r#"{"g": 10, "seconds": 1.0}"#);
+        let rep = diff_texts(&base, &cand, 0.5).unwrap();
+        assert_eq!(rep.drift, ["timings row count changed: 2 -> 1"], "{rep:?}");
+        // A Quick re-run in prefix mode has fewer rows by construction.
+        assert!(diff_texts_with(&base, &cand, 0.5, true).unwrap().passed());
+    }
+
+    #[test]
+    fn missing_wall_clock_key_is_drift() {
+        let base = doc(2, r#"{"g": 10}"#, r#"{"g": 10, "seconds": 1.0, "cold_ms": 3.0}"#);
+        let cand = doc(2, r#"{"g": 10}"#, r#"{"g": 10, "cold_ms": 3.0}"#);
+        let rep = diff_texts(&base, &cand, 0.5).unwrap();
+        assert_eq!(rep.drift, ["timings[0] (g=10): `seconds` missing"], "{rep:?}");
+        let nulled = cand.replace("{\"g\": 10, ", "{\"g\": 10, \"seconds\": null, ");
+        assert!(!diff_texts(&base, &nulled, 0.5).unwrap().passed());
     }
 
     #[test]

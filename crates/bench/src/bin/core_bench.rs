@@ -10,9 +10,9 @@
 //!
 //! Usage: `cargo run --release -p msq-bench --bin core_bench [--json]`
 
-use msq_bench::provenance::Provenance;
+use msq_bench::provenance::{write_baseline, Provenance};
 
-fn main() {
+fn main() -> Result<(), String> {
     let records = msq_bench::corebench::run(20_000);
     let neighbors = msq_bench::corebench::neighbor_discovery();
     let builds = msq_bench::corebench::relation_build();
@@ -126,21 +126,16 @@ fn main() {
         );
     }
     if std::env::args().any(|a| a == "--json") {
-        let path = "BENCH_core.json";
         let prov = Provenance::collect(msq_bench::Scale::Quick, 1);
-        match std::fs::write(
-            path,
-            msq_bench::corebench::to_json(
-                &prov,
-                &records,
-                &neighbors,
-                &builds,
-                (&scans, &merges),
-                &radios,
-            ),
-        ) {
-            Ok(()) => println!("[json] wrote {path}"),
-            Err(e) => eprintln!("[json] failed to write {path}: {e}"),
-        }
+        let json = msq_bench::corebench::to_json(
+            &prov,
+            &records,
+            &neighbors,
+            &builds,
+            (&scans, &merges),
+            &radios,
+        );
+        write_baseline("BENCH_core.json", &json)?;
     }
+    Ok(())
 }

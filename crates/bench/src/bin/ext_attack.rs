@@ -7,16 +7,16 @@
 //! `--json` additionally writes `BENCH_attack.json` to the current
 //! directory.
 
-fn main() {
+fn main() -> Result<(), String> {
     let scale = msq_bench::Scale::from_args();
     let reports = msq_bench::attack::run(scale);
     if std::env::args().any(|a| a == "--json") {
-        let path = "BENCH_attack.json";
         let jobs = msq_bench::sweep::jobs_from_args();
         let prov = msq_bench::provenance::Provenance::collect(scale, jobs);
-        match std::fs::write(path, msq_bench::attack::to_json(&prov, &reports)) {
-            Ok(()) => println!("[json] wrote {path}"),
-            Err(e) => eprintln!("[json] failed to write {path}: {e}"),
-        }
+        msq_bench::provenance::write_baseline(
+            "BENCH_attack.json",
+            &msq_bench::attack::to_json(&prov, &reports),
+        )?;
     }
+    Ok(())
 }

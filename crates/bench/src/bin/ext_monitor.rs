@@ -7,16 +7,16 @@
 //! `--json` additionally writes `BENCH_monitor.json` to the current
 //! directory.
 
-fn main() {
+fn main() -> Result<(), String> {
     let scale = msq_bench::Scale::from_args();
     let reports = msq_bench::monitor::run(scale);
     if std::env::args().any(|a| a == "--json") {
-        let path = "BENCH_monitor.json";
         let jobs = msq_bench::sweep::jobs_from_args();
         let prov = msq_bench::provenance::Provenance::collect(scale, jobs);
-        match std::fs::write(path, msq_bench::monitor::to_json(&prov, &reports)) {
-            Ok(()) => println!("[json] wrote {path}"),
-            Err(e) => eprintln!("[json] failed to write {path}: {e}"),
-        }
+        msq_bench::provenance::write_baseline(
+            "BENCH_monitor.json",
+            &msq_bench::monitor::to_json(&prov, &reports),
+        )?;
     }
+    Ok(())
 }

@@ -13,10 +13,10 @@
 
 use datagen::Distribution;
 use msq_bench::manet_figs::Metric;
-use msq_bench::provenance::Provenance;
+use msq_bench::provenance::{write_baseline, Provenance};
 use msq_bench::sweep;
 
-fn main() {
+fn main() -> Result<(), String> {
     let scale = msq_bench::Scale::from_args();
     let jobs = sweep::jobs_from_args();
     let json = std::env::args().any(|a| a == "--json");
@@ -68,19 +68,19 @@ fn main() {
     if json {
         let prov = Provenance::collect(scale, jobs);
         let stages = sweep::take_stage_records();
-        write_file("BENCH_sweep.json", &sweep::to_json(&prov, total.as_secs_f64(), &stages));
-        write_file("BENCH_chaos.json", &msq_bench::chaos::to_json(&prov, &chaos));
-        write_file("BENCH_attack.json", &msq_bench::attack::to_json(&prov, &attack));
-        write_file("BENCH_monitor.json", &msq_bench::monitor::to_json(&prov, &monitor));
-        write_file("BENCH_scale.json", &msq_bench::scalebench::to_json(&prov, &scalebench));
-        write_file("BENCH_serve.json", &msq_bench::servebench::to_json(&prov, &serve));
+        write_baseline("BENCH_sweep.json", &sweep::to_json(&prov, total.as_secs_f64(), &stages))?;
+        write_baseline("BENCH_chaos.json", &msq_bench::chaos::to_json(&prov, &chaos))?;
+        write_baseline("BENCH_attack.json", &msq_bench::attack::to_json(&prov, &attack))?;
+        write_baseline("BENCH_monitor.json", &msq_bench::monitor::to_json(&prov, &monitor))?;
+        write_baseline("BENCH_scale.json", &msq_bench::scalebench::to_json(&prov, &scalebench))?;
+        write_baseline("BENCH_serve.json", &msq_bench::servebench::to_json(&prov, &serve))?;
 
         let records = msq_bench::corebench::run(20_000);
         let neighbors = msq_bench::corebench::neighbor_discovery();
         let builds = msq_bench::corebench::relation_build();
         let (scans, merges) = msq_bench::corebench::data_path(20_000);
         let radios = msq_bench::corebench::radio_storm(&[10, 20]);
-        write_file(
+        write_baseline(
             "BENCH_core.json",
             &msq_bench::corebench::to_json(
                 &prov,
@@ -90,13 +90,7 @@ fn main() {
                 (&scans, &merges),
                 &radios,
             ),
-        );
+        )?;
     }
-}
-
-fn write_file(path: &str, content: &str) {
-    match std::fs::write(path, content) {
-        Ok(()) => println!("[json] wrote {path}"),
-        Err(e) => eprintln!("[json] failed to write {path}: {e}"),
-    }
+    Ok(())
 }

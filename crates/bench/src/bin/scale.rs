@@ -11,7 +11,7 @@
 
 use msq_bench::{scalebench, sweep};
 
-fn main() {
+fn main() -> Result<(), String> {
     let scale = msq_bench::Scale::from_args();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let jobs = sweep::jobs_from_args();
@@ -22,11 +22,11 @@ fn main() {
         scalebench::run(scale)
     };
     if std::env::args().any(|a| a == "--json") {
-        let path = "BENCH_scale.json";
         let prov = msq_bench::provenance::Provenance::collect(scale, jobs);
-        match std::fs::write(path, scalebench::to_json(&prov, &reports)) {
-            Ok(()) => println!("[json] wrote {path}"),
-            Err(e) => eprintln!("[json] failed to write {path}: {e}"),
-        }
+        msq_bench::provenance::write_baseline(
+            "BENCH_scale.json",
+            &scalebench::to_json(&prov, &reports),
+        )?;
     }
+    Ok(())
 }

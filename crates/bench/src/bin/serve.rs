@@ -11,7 +11,7 @@
 
 use msq_bench::{servebench, sweep};
 
-fn main() {
+fn main() -> Result<(), String> {
     let scale = msq_bench::Scale::from_args();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let jobs = sweep::jobs_from_args();
@@ -24,11 +24,11 @@ fn main() {
         servebench::run(scale)
     };
     if std::env::args().any(|a| a == "--json") {
-        let path = "BENCH_serve.json";
         let prov = msq_bench::provenance::Provenance::collect(scale, jobs);
-        match std::fs::write(path, servebench::to_json(&prov, &reports)) {
-            Ok(()) => println!("[json] wrote {path}"),
-            Err(e) => eprintln!("[json] failed to write {path}: {e}"),
-        }
+        msq_bench::provenance::write_baseline(
+            "BENCH_serve.json",
+            &servebench::to_json(&prov, &reports),
+        )?;
     }
+    Ok(())
 }

@@ -26,10 +26,9 @@ use dist_skyline::cost_model::DeviceCostModel;
 use dist_skyline::runtime::{run_experiment, ManetExperiment, ManetOutcome};
 use manet_sim::{ChurnConfig, FaultPlan, SimDuration, SimTime};
 use skyline_core::vdr::BoundsMode;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::provenance::Provenance;
+use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::Scale;
 
@@ -273,63 +272,46 @@ pub fn run(scale: Scale) -> Vec<CellReport> {
     reports
 }
 
-/// Renders the scorecard as the `BENCH_chaos.json` machine baseline:
-/// provenance header, deterministic `grid` rows (bit-identical across job
-/// counts), then volatile wall-clock `timings` rows keyed by the same cell
-/// coordinates.
+/// Renders the scorecard as the `BENCH_chaos.json` machine baseline: one
+/// row per cell, keyed by `(arm, churn, loss)`; every count in `grid`, the
+/// cell's wall clock in `timings`.
 pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
     let scale = prov.scale;
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"chaos\",\n");
-    out.push_str(&prov.header());
-    let _ = writeln!(out, "  \"devices\": {},", GRID * GRID);
-    let _ = writeln!(out, "  \"cardinality\": {},", scale.chaos_cardinality());
-    let _ = writeln!(out, "  \"sim_seconds\": {},", scale.chaos_sim_seconds());
-    out.push_str("  \"grid\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let resp = r.mean_response_seconds.map_or("null".to_string(), |s| format!("{s:.3}"));
-        let _ = writeln!(
-            out,
-            "    {{\"arm\": \"{}\", \"churn\": {}, \"loss\": {}, \"arq\": {}, \
-             \"queries\": {}, \"mean_completeness\": {:.6}, \"min_completeness\": {:.6}, \
-             \"spurious\": {}, \"timeout_fraction\": {:.6}, \
-             \"timeouts\": {{\"originator_crash\": {}, \"no_responses\": {}, \"partial\": {}}}, \
-             \"arq_retries\": {}, \"arq_exhausted\": {}, \"duplicates_suppressed\": {}, \
-             \"delivery_failures\": {}, \"reissues\": {}, \"node_crashes\": {}, \
-             \"mean_response_seconds\": {resp}}}{sep}",
-            r.arm,
-            r.churn,
-            r.loss,
-            r.arq,
-            r.queries,
-            r.mean_completeness,
-            r.min_completeness,
-            r.spurious,
-            r.timeout_fraction,
-            r.timeouts_originator_crash,
-            r.timeouts_no_responses,
-            r.timeouts_partial,
-            r.arq_retries,
-            r.arq_exhausted,
-            r.duplicates_suppressed,
-            r.delivery_failures,
-            r.reissues,
-            r.node_crashes,
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"timings\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"arm\": \"{}\", \"churn\": {}, \"loss\": {}, \"seconds\": {:.3}}}{sep}",
-            r.arm, r.churn, r.loss, r.seconds,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let header = [
+        ("devices", Value::from(GRID * GRID)),
+        ("cardinality", Value::from(scale.chaos_cardinality())),
+        ("sim_seconds", Value::Float(scale.chaos_sim_seconds())),
+    ];
+    let rows: Vec<Row> = reports.iter().map(row).collect();
+    baseline_json("chaos", prov, GRID_REV, &header, &rows)
+}
+
+fn row(r: &CellReport) -> Row {
+    let timeouts = [
+        ("originator_crash", Value::from(r.timeouts_originator_crash)),
+        ("no_responses", Value::from(r.timeouts_no_responses)),
+        ("partial", Value::from(r.timeouts_partial)),
+    ];
+    vec![
+        label("arm", r.arm),
+        label("churn", Value::Float(r.churn)),
+        label("loss", Value::Float(r.loss)),
+        det("arq", Value::Bool(r.arq)),
+        det("queries", r.queries),
+        det("mean_completeness", Value::Fixed(r.mean_completeness, 6)),
+        det("min_completeness", Value::Fixed(r.min_completeness, 6)),
+        det("spurious", r.spurious),
+        det("timeout_fraction", Value::Fixed(r.timeout_fraction, 6)),
+        det("timeouts", Value::Object(timeouts.into())),
+        det("arq_retries", r.arq_retries),
+        det("arq_exhausted", r.arq_exhausted),
+        det("duplicates_suppressed", r.duplicates_suppressed),
+        det("delivery_failures", r.delivery_failures),
+        det("reissues", r.reissues),
+        det("node_crashes", r.node_crashes),
+        det("mean_response_seconds", Value::Fixed(r.mean_response_seconds.unwrap_or(f64::NAN), 3)),
+        vol("seconds", Value::Fixed(r.seconds, 3)),
+    ]
 }
 
 #[cfg(test)]
@@ -407,32 +389,19 @@ mod tests {
             mean_response_seconds: None,
             seconds: 1.25,
         };
-        let prov = Provenance {
-            scale: Scale::Quick,
-            jobs: 2,
-            git_commit: "abc1234".to_string(),
-            rustc: "rustc 1.80.0".to_string(),
-        };
-        let json = to_json(&prov, &[r]);
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
+        let json = to_json(&Provenance::fixture(), &[r]);
+        let (grid, timings) = crate::provenance::sections(&json);
         assert!(json.contains("\"bench\": \"chaos\""));
-        assert!(json.contains("\"grid_rev\""));
-        assert!(json.contains("\"jobs\": 2"));
-        assert!(json.contains("\"mean_response_seconds\": null"));
-        assert!(json.contains("\"spurious\": 0"));
-        assert!(json.contains("\"grid\": [\n"));
-        assert!(json.contains("\"timings\": [\n"));
-        // Volatile wall-clock never shares a line with deterministic cell
-        // data: `"seconds"` keys appear only in `timings` rows.
-        for line in json.lines() {
-            if line.contains("\"seconds\":") {
-                assert!(!line.contains("completeness"), "mixed line: {line}");
-            }
-        }
-        // Balanced braces — the hand-rolled writer must not mismatch.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
+        assert!(
+            json.contains("\"devices\": 16,\n  \"cardinality\": 5000,\n  \"sim_seconds\": 600,")
+        );
+        assert!(grid.contains("{\"arm\": \"EXT\", \"churn\": 0.2, \"loss\": 0.1, \"arq\": true,"));
+        assert!(grid.contains(
+            "\"timeouts\": {\"originator_crash\": 1, \"no_responses\": 0, \"partial\": 1}"
+        ));
+        assert!(grid.contains("\"spurious\": 0,"));
+        assert!(grid.contains("\"mean_response_seconds\": null}"));
+        assert!(timings
+            .contains("{\"arm\": \"EXT\", \"churn\": 0.2, \"loss\": 0.1, \"seconds\": 1.250}"));
     }
 }

@@ -21,10 +21,9 @@ use manet_sim::{
 use skyline_core::algo::bnl;
 use skyline_core::dominance::dominates;
 use skyline_core::{DominanceTest, Point, QueryRegion, SkylineMerger, Tuple, TupleBlock};
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::provenance::Provenance;
+use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value};
 
 /// One `(dims, representation)` comparison.
 #[derive(Debug, Clone)]
@@ -452,11 +451,11 @@ pub fn radio_storm(sides: &[usize]) -> Vec<RadioRecord> {
 const GRID_REV: u64 = 5;
 
 /// Renders the micro-benchmarks as the `BENCH_core.json` machine
-/// baseline: provenance header, deterministic `grid` rows tagged with a
-/// `kind` (dominance-test counts, skyline/neighbour sizes, the built
-/// relation's shape, the scan's and merge's counters and the storm's
-/// frame and event counts are seed-determined), then volatile wall-clock
-/// `timings` rows keyed by the same coordinates.
+/// baseline: one row per record, tagged with a `kind` and keyed by its
+/// shape. Dominance-test counts, skyline/neighbour sizes, the built
+/// relation's shape, the scan's and merge's counters and the storm's frame
+/// and event counts are seed-determined and go in `grid`; wall clock and
+/// the per-unit costs derived from it go in `timings`.
 pub fn to_json(
     prov: &Provenance,
     records: &[KernelRecord],
@@ -465,128 +464,94 @@ pub fn to_json(
     (scans, merges): (&[ScanRecord], &[MergeRecord]),
     radios: &[RadioRecord],
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"core\",\n");
-    out.push_str(&prov.header_at(GRID_REV));
-    out.push_str("  \"algorithm\": \"bnl\",\n");
-    let write_rows = |out: &mut String, rows: Vec<String>| {
-        for (i, row) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(out, "    {row}{sep}");
-        }
-    };
-    out.push_str("  \"grid\": [\n");
-    let mut rows: Vec<String> = records
+    let rows: Vec<Row> = records
         .iter()
-        .map(|r| {
-            format!(
-                "{{\"kind\": \"kernel\", \"dims\": {}, \"tuples\": {}, \
-                 \"dominance_tests\": {}, \"skyline_len\": {}}}",
-                r.dims, r.tuples, r.dominance_tests, r.skyline_len,
-            )
-        })
+        .map(kernel_row)
+        .chain(neighbors.iter().map(neighbor_row))
+        .chain(builds.iter().map(build_row))
+        .chain(scans.iter().map(scan_row))
+        .chain(merges.iter().map(merge_row))
+        .chain(radios.iter().map(radio_row))
         .collect();
-    rows.extend(neighbors.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"neighbors\", \"nodes\": {}, \"queries\": {}, \"neighbors\": {}}}",
-            r.nodes, r.queries, r.neighbors,
-        )
-    }));
-    rows.extend(builds.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"build\", \"dims\": {}, \"tuples\": {}, \"domain_sizes\": {:?}, \
-             \"sort_attr\": {}, \"id_bytes\": {}}}",
-            r.dims, r.tuples, r.domain_sizes, r.sort_attr, r.id_bytes,
-        )
-    }));
-    rows.extend(scans.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"scan\", \"dims\": {}, \"dist\": \"{}\", \"tuples\": {}, \
-             \"region\": \"{}\", \"in_range\": {}, \"window_len\": {}, \
-             \"id_comparisons\": {}}}",
-            r.dims, r.dist, r.tuples, r.region, r.in_range, r.window_len, r.id_comparisons,
-        )
-    }));
-    rows.extend(merges.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"merge\", \"dims\": {}, \"dist\": \"{}\", \"tuples\": {}, \
-             \"inserts\": {}, \"kept\": {}, \"dominated_removed\": {}}}",
-            r.dims, r.dist, r.tuples, r.inserts, r.kept, r.dominated_removed,
-        )
-    }));
-    rows.extend(radios.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"radio\", \"g\": {}, \"payload_bytes\": {}, \"transmissions\": {}, \
-             \"deliveries\": {}, \"wheel_events\": {}}}",
-            r.g, r.payload_bytes, r.transmissions, r.deliveries, r.wheel_events,
-        )
-    }));
-    write_rows(&mut out, rows);
-    out.push_str("  ],\n");
-    out.push_str("  \"timings\": [\n");
-    let mut rows: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"kind\": \"kernel\", \"dims\": {}, \"tuples\": {}, \
-                 \"tuple_ms\": {:.3}, \"block_ms\": {:.3}}}",
-                r.dims, r.tuples, r.tuple_ms, r.block_ms,
-            )
-        })
-        .collect();
-    rows.extend(neighbors.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"neighbors\", \"nodes\": {}, \"queries\": {}, \
-             \"grid_ms\": {:.3}, \"scan_ms\": {:.3}}}",
-            r.nodes, r.queries, r.grid_ms, r.scan_ms,
-        )
-    }));
-    rows.extend(builds.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"build\", \"dims\": {}, \"tuples\": {}, \
-             \"build_ms\": {:.3}, \"ns_per_tuple\": {:.1}}}",
-            r.dims,
-            r.tuples,
-            r.build_ms,
-            r.ns_per_tuple(),
-        )
-    }));
-    rows.extend(scans.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"scan\", \"dims\": {}, \"dist\": \"{}\", \"tuples\": {}, \
-             \"region\": \"{}\", \"scan_ms\": {:.3}, \"ns_per_probe\": {:.3}}}",
-            r.dims,
-            r.dist,
-            r.tuples,
-            r.region,
-            r.scan_ms,
-            r.ns_per_probe(),
-        )
-    }));
-    rows.extend(merges.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"merge\", \"dims\": {}, \"dist\": \"{}\", \"tuples\": {}, \
-             \"merge_ms\": {:.3}, \"ns_per_insert\": {:.1}}}",
-            r.dims,
-            r.dist,
-            r.tuples,
-            r.merge_ms,
-            r.ns_per_insert(),
-        )
-    }));
-    rows.extend(radios.iter().map(|r| {
-        format!(
-            "{{\"kind\": \"radio\", \"g\": {}, \"payload_bytes\": {}, \
-             \"storm_ms\": {:.3}, \"ns_per_delivery\": {:.1}}}",
-            r.g,
-            r.payload_bytes,
-            r.storm_ms,
-            r.ns_per_delivery(),
-        )
-    }));
-    write_rows(&mut out, rows);
-    out.push_str("  ]\n}\n");
-    out
+    baseline_json("core", prov, GRID_REV, &[("algorithm", Value::from("bnl"))], &rows)
+}
+
+fn kernel_row(r: &KernelRecord) -> Row {
+    vec![
+        label("kind", "kernel"),
+        label("dims", r.dims),
+        label("tuples", r.tuples),
+        det("dominance_tests", r.dominance_tests),
+        det("skyline_len", r.skyline_len),
+        vol("tuple_ms", Value::Fixed(r.tuple_ms, 3)),
+        vol("block_ms", Value::Fixed(r.block_ms, 3)),
+    ]
+}
+
+fn neighbor_row(r: &NeighborRecord) -> Row {
+    vec![
+        label("kind", "neighbors"),
+        label("nodes", r.nodes),
+        label("queries", r.queries),
+        det("neighbors", r.neighbors),
+        vol("grid_ms", Value::Fixed(r.grid_ms, 3)),
+        vol("scan_ms", Value::Fixed(r.scan_ms, 3)),
+    ]
+}
+
+fn build_row(r: &BuildRecord) -> Row {
+    vec![
+        label("kind", "build"),
+        label("dims", r.dims),
+        label("tuples", r.tuples),
+        det("domain_sizes", Value::List(r.domain_sizes.iter().map(|&n| n.into()).collect())),
+        det("sort_attr", r.sort_attr),
+        det("id_bytes", r.id_bytes),
+        vol("build_ms", Value::Fixed(r.build_ms, 3)),
+        vol("ns_per_tuple", Value::Fixed(r.ns_per_tuple(), 1)),
+    ]
+}
+
+fn scan_row(r: &ScanRecord) -> Row {
+    vec![
+        label("kind", "scan"),
+        label("dims", r.dims),
+        label("dist", r.dist),
+        label("tuples", r.tuples),
+        label("region", r.region),
+        det("in_range", r.in_range),
+        det("window_len", r.window_len),
+        det("id_comparisons", r.id_comparisons),
+        vol("scan_ms", Value::Fixed(r.scan_ms, 3)),
+        vol("ns_per_probe", Value::Fixed(r.ns_per_probe(), 3)),
+    ]
+}
+
+fn merge_row(r: &MergeRecord) -> Row {
+    vec![
+        label("kind", "merge"),
+        label("dims", r.dims),
+        label("dist", r.dist),
+        label("tuples", r.tuples),
+        det("inserts", r.inserts),
+        det("kept", r.kept),
+        det("dominated_removed", r.dominated_removed),
+        vol("merge_ms", Value::Fixed(r.merge_ms, 3)),
+        vol("ns_per_insert", Value::Fixed(r.ns_per_insert(), 1)),
+    ]
+}
+
+fn radio_row(r: &RadioRecord) -> Row {
+    vec![
+        label("kind", "radio"),
+        label("g", r.g),
+        label("payload_bytes", r.payload_bytes),
+        det("transmissions", r.transmissions),
+        det("deliveries", r.deliveries),
+        det("wheel_events", r.wheel_events),
+        vol("storm_ms", Value::Fixed(r.storm_ms, 3)),
+        vol("ns_per_delivery", Value::Fixed(r.ns_per_delivery(), 1)),
+    ]
 }
 
 #[cfg(test)]

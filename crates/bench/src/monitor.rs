@@ -26,10 +26,9 @@ use dist_skyline::monitor::{
     run_monitor_experiment, verify_monitor_drift, MonitorExperiment, MonitorMode, MonitorOutcome,
 };
 use manet_sim::{ChurnConfig, FaultPlan, SimDuration, SimTime};
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::provenance::Provenance;
+use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::Scale;
 
@@ -288,62 +287,42 @@ pub fn run(scale: Scale) -> Vec<CellReport> {
     reports
 }
 
-/// Renders the sweep as the `BENCH_monitor.json` machine baseline:
-/// provenance header, deterministic `grid` rows (bit-identical across job
-/// counts; CI diffs them with the volatile lines stripped), then volatile
-/// wall-clock `timings` rows keyed by the same cell coordinates.
+/// Renders the sweep as the `BENCH_monitor.json` machine baseline: one
+/// row per cell, keyed by `(mode, period_s, churn, loss)`; every count in
+/// `grid`, the cell's wall clock in `timings`.
 pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
     let scale = prov.scale;
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"monitor\",\n");
-    out.push_str(&prov.header());
-    let _ = writeln!(out, "  \"devices\": {},", scale.monitor_grid() * scale.monitor_grid());
-    let _ = writeln!(out, "  \"duration_seconds\": {},", scale.monitor_duration_seconds());
-    out.push_str("  \"grid\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"mode\": \"{}\", \"period_s\": {}, \"churn\": {}, \"loss\": {}, \
-             \"epochs\": {}, \"mean_completeness\": {:.6}, \"min_completeness\": {:.6}, \
-             \"spurious\": {}, \"mean_staleness_s\": {:.3}, \
-             \"messages\": {}, \"bytes\": {}, \"deltas_sent\": {}, \"heartbeats\": {}, \
-             \"deltas_applied\": {}, \"arq_retries\": {}, \"arq_exhausted\": {}, \
-             \"lease_expired\": {}, \"node_crashes\": {}, \"energy_j\": {:.3}}}{sep}",
-            r.mode,
-            r.period_s,
-            r.churn,
-            r.loss,
-            r.epochs,
-            r.mean_completeness,
-            r.min_completeness,
-            r.spurious,
-            r.mean_staleness_s,
-            r.messages,
-            r.bytes,
-            r.deltas_sent,
-            r.heartbeats,
-            r.deltas_applied,
-            r.arq_retries,
-            r.arq_exhausted,
-            r.lease_expired,
-            r.node_crashes,
-            r.energy_j,
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"timings\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"mode\": \"{}\", \"period_s\": {}, \"churn\": {}, \"loss\": {}, \
-             \"seconds\": {:.3}}}{sep}",
-            r.mode, r.period_s, r.churn, r.loss, r.seconds,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let header = [
+        ("devices", Value::from(scale.monitor_grid() * scale.monitor_grid())),
+        ("duration_seconds", Value::Float(scale.monitor_duration_seconds())),
+    ];
+    let rows: Vec<Row> = reports.iter().map(row).collect();
+    baseline_json("monitor", prov, GRID_REV, &header, &rows)
+}
+
+fn row(r: &CellReport) -> Row {
+    vec![
+        label("mode", r.mode),
+        label("period_s", Value::Float(r.period_s)),
+        label("churn", Value::Float(r.churn)),
+        label("loss", Value::Float(r.loss)),
+        det("epochs", r.epochs),
+        det("mean_completeness", Value::Fixed(r.mean_completeness, 6)),
+        det("min_completeness", Value::Fixed(r.min_completeness, 6)),
+        det("spurious", r.spurious),
+        det("mean_staleness_s", Value::Fixed(r.mean_staleness_s, 3)),
+        det("messages", r.messages),
+        det("bytes", r.bytes),
+        det("deltas_sent", r.deltas_sent),
+        det("heartbeats", r.heartbeats),
+        det("deltas_applied", r.deltas_applied),
+        det("arq_retries", r.arq_retries),
+        det("arq_exhausted", r.arq_exhausted),
+        det("lease_expired", r.lease_expired),
+        det("node_crashes", r.node_crashes),
+        det("energy_j", Value::Fixed(r.energy_j, 3)),
+        vol("seconds", Value::Fixed(r.seconds, 3)),
+    ]
 }
 
 #[cfg(test)]
@@ -455,22 +434,20 @@ mod tests {
             energy_j: 1.25,
             seconds: 0.75,
         };
-        let prov = Provenance {
-            scale: Scale::Quick,
-            jobs: 4,
-            git_commit: "abc1234".to_string(),
-            rustc: "rustc 1.80.0".to_string(),
-        };
-        let json = to_json(&prov, &[r]);
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
+        let json = to_json(&Provenance::fixture(), &[r]);
+        let (grid, timings) = crate::provenance::sections(&json);
         assert!(json.contains("\"bench\": \"monitor\""));
-        assert!(json.contains("\"grid_rev\""));
-        assert!(json.contains("\"jobs\": 4"));
-        assert!(json.contains("\"mode\": \"delta\""));
-        assert!(json.contains("\"heartbeats\": 25"));
-        assert!(json.contains("\"grid\": [\n"));
-        assert!(json.contains("\"timings\": [\n"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(json.contains("\"devices\": 16,\n  \"duration_seconds\": 600,"));
+        assert!(grid.contains(
+            "{\"mode\": \"delta\", \"period_s\": 30, \"churn\": 0.25, \"loss\": 0.1, \
+             \"epochs\": 20,"
+        ));
+        assert!(grid.contains("\"heartbeats\": 25,"));
+        assert!(grid.contains("\"node_crashes\": 3, \"energy_j\": 1.250}"));
+        assert!(!grid.contains("fold_remove_misses"));
+        assert!(timings.contains(
+            "{\"mode\": \"delta\", \"period_s\": 30, \"churn\": 0.25, \"loss\": 0.1, \
+             \"seconds\": 0.750}"
+        ));
     }
 }

@@ -1,16 +1,19 @@
-//! Provenance header shared by every `BENCH_*.json` baseline.
+//! The one writer of every `BENCH_*.json` baseline, and the provenance
+//! header it opens with.
 //!
-//! Each baseline opens with the same header block: the bench name (written
-//! by the emitter), then the scale, the **grid revision**, and the
-//! volatile run context (worker count, git commit, rustc version). The
-//! grid revision is bumped whenever the deterministic `grid` schema or the
-//! swept cell list changes, so [`crate::benchdiff`] can refuse
+//! Each baseline opens with the same header block: the bench name, the
+//! scale, the **grid revision**, and the volatile run context (worker
+//! count, git commit, rustc version), then the bench's own header fields.
+//! The grid revision is bumped whenever the deterministic `grid` schema or
+//! the swept cell list changes, so [`crate::benchdiff`] can refuse
 //! apples-to-oranges comparisons instead of reporting every row as drift.
 //!
-//! Layout contract (shared with the CI strip-diff): deterministic fields
-//! (`scale`, `grid_rev`) and volatile fields (`jobs`, `git_commit`,
-//! `rustc`) never share a line, so `grep -v` can drop the volatile ones
-//! and byte-compare the rest across worker counts.
+//! A bench declares each cell once, as a `Row` of ordered
+//! `(key, value, tag)` columns; `baseline_json` splits it. The `grid`
+//! row is the cell's `Label` and `Det` columns, the `timings` row its
+//! `Label` and `Vol` columns, each in declared order. `bench_diff`
+//! compares the grid exactly and bands the wall-clock timings, so a
+//! column's tag is the whole of the deterministic/volatile contract.
 
 use std::fmt::Write as _;
 use std::process::Command;
@@ -19,8 +22,8 @@ use crate::Scale;
 
 /// Revision of the deterministic grids across all BENCH baselines. Bump
 /// when the shared layout changes; an emitter whose own `grid` schema or
-/// swept cell list changes stamps its own revision
-/// ([`Provenance::header_at`] — `corebench` is at 3).
+/// swept cell list changes passes its own revision to `baseline_json`
+/// (`corebench` is at 5).
 ///
 /// * rev 1 — the pre-header baselines (implicit; files without a
 ///   `grid_rev` field).
@@ -71,27 +74,179 @@ impl Provenance {
             rustc: first_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".to_string()),
         }
     }
+}
 
-    /// Renders the header lines every emitter writes right after its
-    /// `"bench"` line. One field per line; volatile fields carry names the
-    /// CI strip patterns already drop (`jobs`) or new ones (`git_commit`,
-    /// `rustc`) that are constant within one CI run.
-    pub fn header(&self) -> String {
-        self.header_at(GRID_REV)
-    }
+/// Which of a baseline's two arrays a column lands in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tag {
+    /// A cell coordinate: in both arrays, so a timings row names its cell.
+    Label,
+    /// A deterministic outcome: `grid` only.
+    Det,
+    /// Wall clock, or derived from it: `timings` only.
+    Vol,
+}
 
-    /// [`Self::header`] for an emitter whose grid moved on its own: a new
-    /// row in one baseline must not make every other committed baseline
-    /// incomparable with its fresh re-run.
-    pub fn header_at(&self, grid_rev: u64) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "  \"scale\": \"{:?}\",", self.scale);
-        let _ = writeln!(out, "  \"grid_rev\": {grid_rev},");
-        let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(out, "  \"git_commit\": \"{}\",", self.git_commit);
-        let _ = writeln!(out, "  \"rustc\": \"{}\",", self.rustc);
-        out
+/// One column's value. Every non-finite float renders as `null`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Value {
+    /// An integer.
+    Int(u64),
+    /// A float at a fixed number of decimals (`{:.N}`).
+    Fixed(f64, usize),
+    /// A float in its shortest round-trip form (`{}`): grid axes such as
+    /// a churn fraction.
+    Float(f64),
+    /// A boolean.
+    Bool(bool),
+    /// A string, escaped on output.
+    Str(String),
+    /// A list, rendered `[a, b]`.
+    List(Vec<Value>),
+    /// A nested object, rendered `{"k": v, …}` in declared order.
+    Object(Vec<(&'static str, Value)>),
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::Int(n)
     }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::Int(n as u64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+/// One `(key, value, tag)` column of a [`Row`].
+type Column = (&'static str, Value, Tag);
+
+/// One cell of a baseline, as ordered columns.
+pub(crate) type Row = Vec<Column>;
+
+/// A [`Tag::Label`] column.
+pub(crate) fn label(key: &'static str, value: impl Into<Value>) -> Column {
+    (key, value.into(), Tag::Label)
+}
+
+/// A [`Tag::Det`] column.
+pub(crate) fn det(key: &'static str, value: impl Into<Value>) -> Column {
+    (key, value.into(), Tag::Det)
+}
+
+/// A [`Tag::Vol`] column.
+pub(crate) fn vol(key: &'static str, value: impl Into<Value>) -> Column {
+    (key, value.into(), Tag::Vol)
+}
+
+/// Minimal JSON string escaping: quote, backslash and control characters.
+fn json_string(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out + "\""
+}
+
+impl Value {
+    fn render(&self) -> String {
+        match self {
+            Value::Int(n) => n.to_string(),
+            Value::Fixed(x, decimals) if x.is_finite() => format!("{x:.decimals$}"),
+            Value::Float(x) if x.is_finite() => x.to_string(),
+            Value::Fixed(..) | Value::Float(_) => "null".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Str(s) => json_string(s),
+            Value::List(items) => {
+                format!("[{}]", items.iter().map(Value::render).collect::<Vec<_>>().join(", "))
+            }
+            Value::Object(fields) => object(fields.iter().map(|(key, value)| (*key, value))),
+        }
+    }
+}
+
+/// Renders `{"k": v, …}` on one line.
+fn object<'a>(fields: impl Iterator<Item = (&'a str, &'a Value)>) -> String {
+    let fields: Vec<String> = fields
+        .map(|(key, value)| format!("{}: {}", json_string(key), value.render()))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// Renders a baseline: the provenance header stamped at `grid_rev`, the
+/// bench's `header` fields, then one `grid` and one `timings` row per
+/// [`Row`] (see the module docs for the split). One field or row per line.
+pub(crate) fn baseline_json(
+    bench: &str,
+    prov: &Provenance,
+    grid_rev: u64,
+    header: &[(&'static str, Value)],
+    rows: &[Row],
+) -> String {
+    let stamp = [
+        ("bench", Value::from(bench)),
+        ("scale", Value::Str(format!("{:?}", prov.scale))),
+        ("grid_rev", Value::Int(grid_rev)),
+        ("jobs", Value::from(prov.jobs)),
+        ("git_commit", Value::from(prov.git_commit.as_str())),
+        ("rustc", Value::from(prov.rustc.as_str())),
+    ];
+    let mut out = String::from("{\n");
+    for (key, value) in stamp.iter().chain(header) {
+        let _ = writeln!(out, "  {}: {},", json_string(key), value.render());
+    }
+    for (section, keep, close) in [("grid", Tag::Det, "  ],\n"), ("timings", Tag::Vol, "  ]\n}\n")]
+    {
+        let _ = writeln!(out, "  \"{section}\": [");
+        for (i, row) in rows.iter().enumerate() {
+            let columns = row.iter().filter(|(_, _, tag)| *tag == Tag::Label || *tag == keep);
+            let sep = if i + 1 < rows.len() { "," } else { "" };
+            let _ =
+                writeln!(out, "    {}{sep}", object(columns.map(|(key, value, _)| (*key, value))));
+        }
+        out.push_str(close);
+    }
+    out
+}
+
+/// Writes a rendered baseline to `path`. The `Err` names the path, and a
+/// binary returns it from `main`, so a failed write fails the run.
+pub fn write_baseline(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("failed to write {path}: {e}"))?;
+    println!("[json] wrote {path}");
+    Ok(())
+}
+
+#[cfg(test)]
+impl Provenance {
+    /// The header every writer test stamps.
+    pub(crate) fn fixture() -> Provenance {
+        Provenance {
+            scale: Scale::Quick,
+            jobs: 4,
+            git_commit: "abc1234".to_string(),
+            rustc: "rustc 1.80.0".to_string(),
+        }
+    }
+}
+
+/// A rendered baseline's `grid` and `timings` arrays, as text.
+#[cfg(test)]
+pub(crate) fn sections(json: &str) -> (&str, &str) {
+    let (grid, timings) = (json.find("\"grid\": [").unwrap(), json.find("\"timings\": [").unwrap());
+    (&json[grid..timings], &json[timings..])
 }
 
 #[cfg(test)]
@@ -100,22 +255,381 @@ mod tests {
 
     #[test]
     fn header_keeps_volatile_and_deterministic_fields_on_separate_lines() {
-        let p = Provenance {
-            scale: Scale::Quick,
-            jobs: 4,
-            git_commit: "abc1234".to_string(),
-            rustc: "rustc 1.80.0".to_string(),
-        };
-        let h = p.header();
-        assert!(h.contains("\"scale\": \"Quick\",\n"));
-        assert!(h.contains(&format!("\"grid_rev\": {GRID_REV},\n")));
-        assert!(h.contains("\"jobs\": 4,\n"));
-        assert!(h.contains("\"git_commit\": \"abc1234\",\n"));
-        for line in h.lines() {
+        let json = baseline_json("unit", &Provenance::fixture(), GRID_REV, &[], &[]);
+        assert!(json.starts_with("{\n  \"bench\": \"unit\",\n  \"scale\": \"Quick\",\n"));
+        assert!(json.contains(&format!("\n  \"grid_rev\": {GRID_REV},\n")));
+        assert!(json.contains("\n  \"jobs\": 4,\n"));
+        assert!(json.contains("\n  \"git_commit\": \"abc1234\",\n"));
+        assert!(json.contains("\n  \"rustc\": \"rustc 1.80.0\",\n"));
+        for line in json.lines() {
             let volatile =
                 line.contains("jobs") || line.contains("git_commit") || line.contains("rustc");
             let deterministic = line.contains("scale") || line.contains("grid_rev");
             assert!(!(volatile && deterministic), "mixed line: {line}");
+        }
+    }
+
+    /// Every value kind, every tag and both separators through the one
+    /// writer: what each bench's own test no longer re-checks.
+    #[test]
+    fn writer_renders_every_value_and_splits_rows_by_tag() {
+        let row = |name: &str, x: f64| {
+            vec![
+                label("name", name),
+                label("axis", Value::Float(x)),
+                det("count", 7usize),
+                vol("seconds", Value::Fixed(x, 3)),
+                det("ok", Value::Bool(true)),
+                det("nested", Value::Object(vec![("a", Value::Int(1)), ("b", Value::Float(x))])),
+                det("list", Value::List(vec![Value::Int(2), Value::Fixed(x, 1)])),
+                det("empty", Value::List(Vec::new())),
+                vol("rate", Value::Fixed(-x, 1)),
+            ]
+        };
+        let header =
+            [("total_seconds", Value::Fixed(2.0, 3)), ("missing", Value::Fixed(f64::NAN, 2))];
+        let rows = [
+            row("a\"b\\c\nd\u{1}", 0.25),
+            row("nan", f64::NAN),
+            row("inf", f64::INFINITY),
+            row("-inf", f64::NEG_INFINITY),
+        ];
+        let json = baseline_json("unit", &Provenance::fixture(), 9, &header, &rows);
+        let (grid, timings) = sections(&json);
+        assert!(json.starts_with("{\n") && json.ends_with("  ]\n}\n"));
+        assert!(json.contains("\n  \"grid_rev\": 9,\n"));
+        assert!(json.contains("\n  \"total_seconds\": 2.000,\n  \"missing\": null,\n  \"grid\""));
+        // Label and Det columns in declared order; escaped strings; a
+        // nested object and lists rendered inline.
+        assert!(grid.contains(
+            "    {\"name\": \"a\\\"b\\\\c\\nd\\u0001\", \"axis\": 0.25, \"count\": 7, \"ok\": true, \
+             \"nested\": {\"a\": 1, \"b\": 0.25}, \"list\": [2, 0.2], \"empty\": []},\n"
+        ));
+        assert!(timings.contains(
+            "    {\"name\": \"a\\\"b\\\\c\\nd\\u0001\", \"axis\": 0.25, \"seconds\": 0.250, \
+             \"rate\": -0.2},\n"
+        ));
+        // Every non-finite float is `null`, whatever its variant or depth.
+        for name in ["nan", "inf", "-inf"] {
+            assert!(grid.contains(&format!(
+                "{{\"name\": \"{name}\", \"axis\": null, \"count\": 7, \"ok\": true, \
+                 \"nested\": {{\"a\": 1, \"b\": null}}, \"list\": [2, null], \"empty\": []}}"
+            )));
+            assert!(timings.contains(&format!(
+                "{{\"name\": \"{name}\", \"axis\": null, \"seconds\": null, \"rate\": null}}"
+            )));
+        }
+        assert!(!json.contains("NaN") && !json.contains("inf,"));
+        // One row per line; the last row of each array has no separator.
+        for section in [grid, timings] {
+            let lines: Vec<&str> = section.lines().filter(|l| l.starts_with("    {")).collect();
+            assert_eq!(lines.len(), rows.len());
+            assert!(lines[..3].iter().all(|l| l.ends_with("},")));
+            assert!(lines[3].ends_with('}'), "{}", lines[3]);
+        }
+        // Det columns never reach timings, Vol columns never reach grid.
+        assert!(!grid.contains("seconds") && !grid.contains("rate"));
+        assert!(!timings.contains("count") && !timings.contains("nested"));
+        let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
+        let arr = |k| doc.get(k).and_then(sim_obs::JsonValue::as_array).map(<[_]>::len);
+        assert_eq!((arr("grid"), arr("timings")), (Some(4), Some(4)));
+        // An empty grid still renders both arrays.
+        let empty = baseline_json("unit", &Provenance::fixture(), 9, &[], &[]);
+        assert!(empty.ends_with("\n  \"grid\": [\n  ],\n  \"timings\": [\n  ]\n}\n"), "{empty}");
+    }
+
+    #[test]
+    fn write_baseline_reports_a_failed_write() {
+        let err = write_baseline("/nonexistent-dir/for/sure/BENCH_unit.json", "{}\n").unwrap_err();
+        assert!(err.contains("failed to write /nonexistent-dir/for/sure/BENCH_unit.json"), "{err}");
+    }
+
+    /// Each bench's `to_json` over a fixed two-row fixture (a `None`/NaN
+    /// row wherever the writer renders `null`), keyed by bench name.
+    fn golden_fixtures() -> Vec<(&'static str, String)> {
+        use crate::{attack, chaos, corebench, monitor, scalebench, servebench, sweep};
+        let prov = Provenance::fixture();
+
+        let stages = [
+            sweep::StageRecord { name: "fig5a".to_string(), cells: 5, seconds: 1.5, jobs: 4 },
+            sweep::StageRecord {
+                name: "fig\"8\\b".to_string(),
+                cells: 12,
+                seconds: 0.0004,
+                jobs: 2,
+            },
+        ];
+
+        let chaos_a = chaos::CellReport {
+            arm: "EXT",
+            churn: 0.2,
+            loss: 0.1,
+            arq: true,
+            queries: 16,
+            mean_completeness: 0.9,
+            min_completeness: 0.5,
+            spurious: 0,
+            timeout_fraction: 0.125,
+            timeouts_originator_crash: 1,
+            timeouts_no_responses: 0,
+            timeouts_partial: 1,
+            arq_retries: 7,
+            arq_exhausted: 1,
+            duplicates_suppressed: 2,
+            delivery_failures: 3,
+            reissues: 1,
+            node_crashes: 3,
+            mean_response_seconds: None,
+            seconds: 1.25,
+        };
+        let chaos_b = chaos::CellReport {
+            arm: "EXT/noARQ",
+            churn: 0.0,
+            loss: 0.0,
+            arq: false,
+            mean_completeness: 1.0,
+            min_completeness: 0.987_654_321,
+            timeout_fraction: 0.0,
+            mean_response_seconds: Some(12.345_6),
+            seconds: 0.000_4,
+            ..chaos_a.clone()
+        };
+
+        let attack_a = attack::CellReport {
+            arm: "EXT-BF",
+            attack: "filter_poison",
+            defense: true,
+            churn: 0.2,
+            loss: 0.1,
+            queries: 16,
+            mean_completeness: 0.9,
+            mean_honest_completeness: 0.95,
+            min_honest_completeness: 0.5,
+            spurious: 0,
+            timeout_fraction: 0.125,
+            frames_sent: 1234,
+            result_messages: 99,
+            attack_frames_sent: 40,
+            attack_frames_dropped: 55,
+            filters_rejected: 7,
+            reputation_penalties: 12,
+            defense_effectiveness: 1.375,
+            mean_response_seconds: None,
+            seconds: 2.5,
+        };
+        let attack_b = attack::CellReport {
+            arm: "EXT-DF",
+            attack: "none",
+            defense: false,
+            churn: 0.0,
+            loss: 0.0,
+            mean_completeness: f64::NAN,
+            mean_honest_completeness: f64::NAN,
+            min_honest_completeness: f64::INFINITY,
+            mean_response_seconds: Some(3.141_9),
+            seconds: 17.000_5,
+            ..attack_a.clone()
+        };
+
+        let monitor_a = monitor::CellReport {
+            mode: "delta",
+            period_s: 30.0,
+            churn: 0.25,
+            loss: 0.1,
+            epochs: 20,
+            mean_completeness: 0.97,
+            min_completeness: 0.8,
+            spurious: 0,
+            mean_staleness_s: 31.5,
+            messages: 420,
+            bytes: 31_000,
+            deltas_sent: 60,
+            heartbeats: 25,
+            deltas_applied: 58,
+            arq_retries: 7,
+            arq_exhausted: 1,
+            lease_expired: 0,
+            fold_remove_misses: 0,
+            node_crashes: 3,
+            energy_j: 1.25,
+            seconds: 0.75,
+        };
+        let monitor_b = monitor::CellReport {
+            mode: "requery",
+            period_s: 15.0,
+            churn: 0.0,
+            loss: 0.0,
+            mean_staleness_s: 2.000_5,
+            energy_j: 0.123_456,
+            seconds: 3.0,
+            ..monitor_a.clone()
+        };
+
+        let scale_a = scalebench::CellReport {
+            metrics: scalebench::CellMetrics {
+                g: 32,
+                devices: 1024,
+                cardinality: 10_000,
+                dim: 2,
+                queries: 4,
+                drr: 0.5,
+                timeout_fraction: 0.0,
+                mean_response_seconds: Some(12.0),
+                forward_messages: 4096,
+                result_messages: 4096,
+                frames_sent: 100_000,
+                aodv_frames: 50_000,
+                aodv_frames_per_device: 48.828,
+                energy_j: 123.0,
+            },
+            seconds: 9.87,
+        };
+        let scale_b = scalebench::CellReport {
+            metrics: scalebench::CellMetrics {
+                g: 4,
+                devices: 16,
+                drr: 0.123_456_789,
+                timeout_fraction: 0.25,
+                mean_response_seconds: None,
+                aodv_frames_per_device: 0.000_05,
+                ..scale_a.metrics.clone()
+            },
+            seconds: 0.123_4,
+        };
+
+        let serve_a = servebench::CellReport {
+            metrics: servebench::CellMetrics {
+                clients: 64,
+                churn: 8,
+                epochs: 24,
+                sites: 2_000,
+                dim: 3,
+                lookups: 1_536,
+                hits: 1_500,
+                misses: 36,
+                hit_ratio: 0.9766,
+                invalidations: 40,
+                cells_touched: 200,
+                evictions: 3,
+                backfills: 39,
+                tuples_served: 30_000,
+                stale_p50: 2,
+                stale_p99: 8,
+                stale_max: 15,
+                stale_sum: 3_000,
+            },
+            seconds: 1.5,
+            cold_seconds: 0.9,
+            cached_seconds: 0.6,
+            cold_requests: 64,
+            cached_requests: 1_472,
+            reuse_seconds: 0.001,
+        };
+        let serve_b = servebench::CellReport {
+            metrics: servebench::CellMetrics {
+                clients: 16,
+                churn: 0,
+                hit_ratio: 0.875,
+                ..serve_a.metrics.clone()
+            },
+            seconds: 0.25,
+            cold_seconds: 0.2,
+            cached_seconds: 0.0,
+            reuse_seconds: 0.0,
+            ..serve_a.clone()
+        };
+
+        let kernels = [corebench::KernelRecord {
+            dims: 3,
+            tuples: 20_000,
+            tuple_ms: 12.345_6,
+            block_ms: 1.5,
+            dominance_tests: 123_456,
+            skyline_len: 77,
+        }];
+        let neighbors = [corebench::NeighborRecord {
+            nodes: 100,
+            queries: 100,
+            grid_ms: 0.05,
+            scan_ms: 0.25,
+            neighbors: 1_642,
+        }];
+        let builds = [
+            corebench::BuildRecord {
+                dims: 2,
+                tuples: 6_000,
+                domain_sizes: vec![999, 1000],
+                sort_attr: 1,
+                id_bytes: 24_000,
+                build_ms: 0.456,
+            },
+            corebench::BuildRecord {
+                dims: 0,
+                tuples: 1,
+                domain_sizes: Vec::new(),
+                sort_attr: 0,
+                id_bytes: 0,
+                build_ms: 0.001,
+            },
+        ];
+        let scans = [corebench::ScanRecord {
+            dims: 4,
+            dist: "AC",
+            tuples: 20_000,
+            region: "r500",
+            in_range: 15_000,
+            window_len: 321,
+            id_comparisons: 9_876_543,
+            scan_ms: 3.25,
+        }];
+        let merges = [corebench::MergeRecord {
+            dims: 5,
+            dist: "IN",
+            tuples: 20_000,
+            inserts: 800,
+            kept: 600,
+            dominated_removed: 200,
+            merge_ms: 0.333,
+        }];
+        let radios = [corebench::RadioRecord {
+            g: 10,
+            payload_bytes: 200,
+            transmissions: 10_000,
+            deliveries: 170_000,
+            wheel_events: 10_100,
+            storm_ms: 12.75,
+        }];
+
+        vec![
+            ("sweep", sweep::to_json(&prov, 2.0, &stages)),
+            ("chaos", chaos::to_json(&prov, &[chaos_a, chaos_b])),
+            ("attack", attack::to_json(&prov, &[attack_a, attack_b])),
+            ("monitor", monitor::to_json(&prov, &[monitor_a, monitor_b])),
+            ("scale", scalebench::to_json(&prov, &[scale_a, scale_b])),
+            ("serve", servebench::to_json(&prov, &[serve_a, serve_b])),
+            (
+                "core",
+                corebench::to_json(
+                    &prov,
+                    &kernels,
+                    &neighbors,
+                    &builds,
+                    (&scans, &merges),
+                    &radios,
+                ),
+            ),
+        ]
+    }
+
+    /// The byte-identity proof: each `golden/baseline_<bench>.json` is
+    /// the output of that bench's hand-rolled writer on this fixture,
+    /// recorded before the writers were folded into [`baseline_json`].
+    #[test]
+    fn every_bench_reproduces_its_recorded_golden() {
+        for (bench, json) in golden_fixtures() {
+            let path = format!("{}/golden/baseline_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+            let golden = std::fs::read_to_string(&path).expect("golden recorded");
+            assert_eq!(json, golden, "{bench} moved off its golden");
         }
     }
 

@@ -22,18 +22,17 @@
 //! Everything but wall time is deterministic: same seeds → same
 //! [`CellMetrics`], bit-for-bit, at any `--jobs`. The JSON therefore
 //! separates the deterministic `grid` rows from the volatile `timings`
-//! rows, and CI diffs jobs-1 vs jobs-N output with the volatile lines
-//! stripped.
+//! rows, and CI's `bench_diff` of jobs-1 vs jobs-N output compares the
+//! grid exactly and bands the timings.
 //!
 //! Usage: `cargo run --release -p msq-bench --bin scale [--full]
 //! [--jobs N] [--json] [--smoke]`
 
 use datagen::{Distribution, SpatialExtent};
 use dist_skyline::runtime::{run_experiment, ManetExperiment, ManetOutcome};
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::provenance::Provenance;
+use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::Scale;
 
@@ -230,59 +229,39 @@ pub fn run(scale: Scale) -> Vec<CellReport> {
     reports
 }
 
-/// Renders the reports as the `BENCH_scale.json` machine baseline.
-///
-/// Deterministic cell metrics live under `"grid"`; wall-clock data
-/// (`"jobs"`, `"total_seconds"`, `"cells_per_sec"`, `"timings"`) sits on
-/// separate lines so CI can strip it and byte-compare the rest across job
-/// counts.
+/// Renders the reports as the `BENCH_scale.json` machine baseline: one
+/// row per cell, keyed by `(g, cardinality, dim)`; the [`CellMetrics`] in
+/// `grid`, the cell's wall clock in `timings`.
 pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
     let total: f64 = reports.iter().map(|r| r.seconds).sum();
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"scale\",\n");
-    out.push_str(&prov.header());
-    let _ = writeln!(out, "  \"total_seconds\": {total:.3},");
-    let _ = writeln!(out, "  \"cells\": {},", reports.len());
-    let _ = writeln!(out, "  \"cells_per_sec\": {:.4},", reports.len() as f64 / total.max(1e-9));
-    out.push_str("  \"grid\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let m = &r.metrics;
-        let resp = m.mean_response_seconds.map_or("null".to_string(), |s| format!("{s:.3}"));
-        let _ = writeln!(
-            out,
-            "    {{\"g\": {}, \"devices\": {}, \"cardinality\": {}, \"dim\": {}, \
-             \"queries\": {}, \"drr\": {:.6}, \"timeout_fraction\": {:.6}, \
-             \"mean_response_s\": {resp}, \"forward_messages\": {}, \
-             \"result_messages\": {}, \"frames_sent\": {}, \"aodv_frames\": {}, \
-             \"aodv_frames_per_device\": {:.4}, \"energy_j\": {:.3}}}{sep}",
-            m.g,
-            m.devices,
-            m.cardinality,
-            m.dim,
-            m.queries,
-            m.drr,
-            m.timeout_fraction,
-            m.forward_messages,
-            m.result_messages,
-            m.frames_sent,
-            m.aodv_frames,
-            m.aodv_frames_per_device,
-            m.energy_j,
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"timings\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"g\": {}, \"cardinality\": {}, \"dim\": {}, \"seconds\": {:.3}}}{sep}",
-            r.metrics.g, r.metrics.cardinality, r.metrics.dim, r.seconds,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let header = [
+        ("total_seconds", Value::Fixed(total, 3)),
+        ("cells", Value::from(reports.len())),
+        ("cells_per_sec", Value::Fixed(reports.len() as f64 / total.max(1e-9), 4)),
+    ];
+    let rows: Vec<Row> = reports.iter().map(row).collect();
+    baseline_json("scale", prov, GRID_REV, &header, &rows)
+}
+
+fn row(r: &CellReport) -> Row {
+    let m = &r.metrics;
+    vec![
+        label("g", m.g),
+        det("devices", m.devices),
+        label("cardinality", m.cardinality),
+        label("dim", m.dim),
+        det("queries", m.queries),
+        det("drr", Value::Fixed(m.drr, 6)),
+        det("timeout_fraction", Value::Fixed(m.timeout_fraction, 6)),
+        det("mean_response_s", Value::Fixed(m.mean_response_seconds.unwrap_or(f64::NAN), 3)),
+        det("forward_messages", m.forward_messages),
+        det("result_messages", m.result_messages),
+        det("frames_sent", m.frames_sent),
+        det("aodv_frames", m.aodv_frames),
+        det("aodv_frames_per_device", Value::Fixed(m.aodv_frames_per_device, 4)),
+        det("energy_j", Value::Fixed(m.energy_j, 3)),
+        vol("seconds", Value::Fixed(r.seconds, 3)),
+    ]
 }
 
 #[cfg(test)]
@@ -376,29 +355,16 @@ mod tests {
             },
             seconds: 9.87,
         };
-        let prov = Provenance {
-            scale: Scale::Quick,
-            jobs: 4,
-            git_commit: "abc1234".to_string(),
-            rustc: "rustc 1.80.0".to_string(),
-        };
-        let json = to_json(&prov, &[r]);
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
+        let json = to_json(&Provenance::fixture(), &[r]);
+        let (grid, timings) = crate::provenance::sections(&json);
         assert!(json.contains("\"bench\": \"scale\""));
-        assert!(json.contains("\"jobs\": 4"));
-        assert!(json.contains("\"grid_rev\""));
-        assert!(json.contains("\"devices\": 1024"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Volatile wall-clock data never shares a line with grid metrics,
-        // so CI can `grep -v` it and byte-compare the rest.
-        for line in json.lines() {
-            let volatile =
-                line.contains("seconds") || line.contains("jobs\"") || line.contains("per_sec");
-            assert!(
-                !(volatile && line.contains("frames_sent")),
-                "volatile and deterministic data share a line: {line}"
-            );
-        }
+        assert!(json
+            .contains("\"total_seconds\": 9.870,\n  \"cells\": 1,\n  \"cells_per_sec\": 0.1013,"));
+        assert!(grid.contains("{\"g\": 32, \"devices\": 1024, \"cardinality\": 10000, \"dim\": 2,"));
+        assert!(grid.contains("\"mean_response_s\": 12.000,"));
+        assert!(grid.contains("\"aodv_frames_per_device\": 48.8280, \"energy_j\": 123.000}"));
+        assert!(
+            timings.contains("{\"g\": 32, \"cardinality\": 10000, \"dim\": 2, \"seconds\": 9.870}")
+        );
     }
 }

@@ -31,10 +31,9 @@ use skyline_core::diagram::SkyDelta;
 use skyline_core::region::Point;
 use skyline_core::{Tuple, TupleId};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::provenance::Provenance;
+use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::Scale;
 
@@ -365,73 +364,46 @@ pub fn print_table(reports: &[CellReport]) {
     }
 }
 
-/// Renders the reports as the `BENCH_serve.json` machine baseline.
-///
-/// Deterministic cell metrics live under `"grid"`; wall-clock data
-/// (`"jobs"`, `"total_seconds"`, throughput) sits on separate lines so CI
-/// can strip it and byte-compare the rest across job counts.
+/// Renders the reports as the `BENCH_serve.json` machine baseline: one
+/// row per cell, keyed by `(clients, churn)`; the [`CellMetrics`] in
+/// `grid`, the wall clock and the throughput derived from it in `timings`.
 pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
     let total: f64 = reports.iter().map(|r| r.seconds).sum();
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"serve\",\n");
-    out.push_str(&prov.header());
-    let _ = writeln!(out, "  \"total_seconds\": {total:.3},");
-    let _ = writeln!(out, "  \"cells\": {},", reports.len());
-    out.push_str("  \"grid\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let m = &r.metrics;
-        let _ = writeln!(
-            out,
-            "    {{\"clients\": {}, \"churn\": {}, \"epochs\": {}, \"sites\": {}, \
-             \"dim\": {}, \"lookups\": {}, \"hits\": {}, \"misses\": {}, \
-             \"hit_ratio\": {:.6}, \"invalidations\": {}, \"cells_touched\": {}, \
-             \"evictions\": {}, \"backfills\": {}, \"tuples_served\": {}, \
-             \"stale_p50\": {}, \"stale_p99\": {}, \"stale_max\": {}, \"stale_sum\": {}}}{sep}",
-            m.clients,
-            m.churn,
-            m.epochs,
-            m.sites,
-            m.dim,
-            m.lookups,
-            m.hits,
-            m.misses,
-            m.hit_ratio,
-            m.invalidations,
-            m.cells_touched,
-            m.evictions,
-            m.backfills,
-            m.tuples_served,
-            m.stale_p50,
-            m.stale_p99,
-            m.stale_max,
-            m.stale_sum,
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"timings\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        let sep = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"clients\": {}, \"churn\": {}, \"seconds\": {:.3}, \
-             \"cold_ms\": {:.3}, \"reuse_ms\": {:.3}, \"cached_ms\": {:.3}, \
-             \"cold_qps\": {:.0}, \"reuse_qps\": {:.0}, \"cached_qps\": {:.0}, \
-             \"speedup\": {:.1}}}{sep}",
-            r.metrics.clients,
-            r.metrics.churn,
-            r.seconds,
-            r.cold_seconds * 1e3,
-            r.reuse_seconds * 1e3,
-            r.cached_seconds * 1e3,
-            r.cold_qps(),
-            r.reuse_qps(),
-            r.cached_qps(),
-            r.speedup(),
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let header = [("total_seconds", Value::Fixed(total, 3)), ("cells", Value::from(reports.len()))];
+    let rows: Vec<Row> = reports.iter().map(row).collect();
+    baseline_json("serve", prov, GRID_REV, &header, &rows)
+}
+
+fn row(r: &CellReport) -> Row {
+    let m = &r.metrics;
+    vec![
+        label("clients", m.clients),
+        label("churn", m.churn),
+        det("epochs", m.epochs),
+        det("sites", m.sites),
+        det("dim", m.dim),
+        det("lookups", m.lookups),
+        det("hits", m.hits),
+        det("misses", m.misses),
+        det("hit_ratio", Value::Fixed(m.hit_ratio, 6)),
+        det("invalidations", m.invalidations),
+        det("cells_touched", m.cells_touched),
+        det("evictions", m.evictions),
+        det("backfills", m.backfills),
+        det("tuples_served", m.tuples_served),
+        det("stale_p50", m.stale_p50),
+        det("stale_p99", m.stale_p99),
+        det("stale_max", m.stale_max),
+        det("stale_sum", m.stale_sum),
+        vol("seconds", Value::Fixed(r.seconds, 3)),
+        vol("cold_ms", Value::Fixed(r.cold_seconds * 1e3, 3)),
+        vol("reuse_ms", Value::Fixed(r.reuse_seconds * 1e3, 3)),
+        vol("cached_ms", Value::Fixed(r.cached_seconds * 1e3, 3)),
+        vol("cold_qps", Value::Fixed(r.cold_qps(), 0)),
+        vol("reuse_qps", Value::Fixed(r.reuse_qps(), 0)),
+        vol("cached_qps", Value::Fixed(r.cached_qps(), 0)),
+        vol("speedup", Value::Fixed(r.speedup(), 1)),
+    ]
 }
 
 #[cfg(test)]
@@ -483,15 +455,6 @@ mod tests {
         }
     }
 
-    fn test_provenance() -> Provenance {
-        Provenance {
-            scale: Scale::Quick,
-            jobs: 4,
-            git_commit: "abc1234".to_string(),
-            rustc: "rustc 1.80.0".to_string(),
-        }
-    }
-
     /// The smoke grid rows as the commit before the reuse pass (and the
     /// sorted-run read path) wrote them.
     const SMOKE_GRID_ROWS: [&str; 2] = [
@@ -501,11 +464,9 @@ mod tests {
 
     #[test]
     fn the_reuse_pass_leaves_the_grid_byte_identical() {
-        let prov = test_provenance();
         let grid_of = |reports: &[CellReport]| {
-            let json = to_json(&prov, reports);
-            let (from, to) = (json.find("\"grid\"").unwrap(), json.find("\"timings\"").unwrap());
-            json[from..to].to_string()
+            let json = to_json(&Provenance::fixture(), reports);
+            crate::provenance::sections(&json).0.to_string()
         };
         let with: Vec<CellReport> = smoke_cells().iter().map(run_cell).collect();
         let without: Vec<CellReport> = smoke_cells().iter().map(run_horizon).collect();
@@ -547,26 +508,17 @@ mod tests {
             cached_requests: 1_472,
             reuse_seconds: 0.001,
         };
-        let prov = test_provenance();
-        let json = to_json(&prov, &[r]);
-        assert!(json.starts_with("{\n") && json.ends_with("}\n"));
+        let json = to_json(&Provenance::fixture(), &[r]);
+        let (grid, timings) = crate::provenance::sections(&json);
         assert!(json.contains("\"bench\": \"serve\""));
-        assert!(json.contains("\"grid_rev\""));
-        assert!(json.contains("\"hit_ratio\": 0.976600"));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"reuse_ms\": 1.000, ") && json.contains("\"reuse_qps\": 64000, "));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Volatile wall-clock data never shares a line with grid metrics,
-        // so CI can `grep -v` it and byte-compare the rest.
-        for line in json.lines() {
-            let volatile = line.contains("seconds")
-                || line.contains("jobs\"")
-                || line.contains("_ms")
-                || line.contains("qps");
-            assert!(
-                !(volatile && line.contains("hit_ratio")),
-                "volatile and deterministic data share a line: {line}"
-            );
-        }
+        assert!(json.contains("\"total_seconds\": 1.500,\n  \"cells\": 1,\n  \"grid\""));
+        assert!(grid.contains("{\"clients\": 64, \"churn\": 8, \"epochs\": 24,"));
+        assert!(grid.contains("\"hit_ratio\": 0.976600,"));
+        assert!(grid.contains("\"stale_max\": 15, \"stale_sum\": 3000}"));
+        assert!(timings.contains(
+            "{\"clients\": 64, \"churn\": 8, \"seconds\": 1.500, \"cold_ms\": 900.000, \
+             \"reuse_ms\": 1.000, \"cached_ms\": 600.000, \"cold_qps\": 71, \"reuse_qps\": 64000, \
+             \"cached_qps\": 2453, \"speedup\": 34.5}"
+        ));
     }
 }

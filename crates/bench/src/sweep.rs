@@ -18,12 +18,11 @@
 //! process-global registry that `run_all --json` drains into
 //! `BENCH_sweep.json`.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::provenance::Provenance;
+use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 
 /// One timed sweep stage, as reported in `BENCH_sweep.json`.
 #[derive(Debug, Clone)]
@@ -135,62 +134,28 @@ pub fn run_stage<T: Sync, R: Send>(
 }
 
 /// Renders the drained stage records as the `BENCH_sweep.json` machine
-/// baseline: provenance header, deterministic `grid` rows (stage name and
-/// cell count — the sweep's shape), then volatile wall-clock `timings`
-/// rows keyed by stage name.
+/// baseline: one row per stage, its name and cell count in `grid` (the
+/// sweep's shape), its wall clock in `timings`.
 pub fn to_json(prov: &Provenance, total_seconds: f64, stages: &[StageRecord]) -> String {
     let cells: usize = stages.iter().map(|s| s.cells).sum();
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"sweep\",\n");
-    out.push_str(&prov.header());
-    let _ = writeln!(out, "  \"cells\": {cells},");
-    let _ = writeln!(out, "  \"total_seconds\": {total_seconds:.3},");
-    let _ = writeln!(out, "  \"cells_per_sec\": {:.3},", cells as f64 / total_seconds.max(1e-9));
-    out.push_str("  \"grid\": [\n");
-    for (i, s) in stages.iter().enumerate() {
-        let sep = if i + 1 < stages.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": {}, \"cells\": {}}}{sep}",
-            json_string(&s.name),
-            s.cells,
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"timings\": [\n");
-    for (i, s) in stages.iter().enumerate() {
-        let sep = if i + 1 < stages.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"name\": {}, \"seconds\": {:.3}, \"cells_per_sec\": {:.3}, \"jobs\": {}}}{sep}",
-            json_string(&s.name),
-            s.seconds,
-            s.cells as f64 / s.seconds.max(1e-9),
-            s.jobs,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Minimal JSON string escaping (the stage names are ASCII identifiers,
-/// but quote/backslash safety is cheap).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let header = [
+        ("cells", Value::from(cells)),
+        ("total_seconds", Value::Fixed(total_seconds, 3)),
+        ("cells_per_sec", Value::Fixed(cells as f64 / total_seconds.max(1e-9), 3)),
+    ];
+    let rows: Vec<Row> = stages
+        .iter()
+        .map(|s| {
+            vec![
+                label("name", s.name.as_str()),
+                det("cells", s.cells),
+                vol("seconds", Value::Fixed(s.seconds, 3)),
+                vol("cells_per_sec", Value::Fixed(s.cells as f64 / s.seconds.max(1e-9), 3)),
+                vol("jobs", s.jobs),
+            ]
+        })
+        .collect();
+    baseline_json("sweep", prov, GRID_REV, &header, &rows)
 }
 
 #[cfg(test)]
@@ -242,31 +207,17 @@ mod tests {
 
     #[test]
     fn json_separates_stage_shape_from_wall_clock() {
-        let prov = Provenance {
-            scale: crate::Scale::Quick,
-            jobs: 4,
-            git_commit: "abc1234".to_string(),
-            rustc: "rustc 1.80.0".to_string(),
-        };
         let stages =
             vec![StageRecord { name: "fig5a".to_string(), cells: 5, seconds: 1.5, jobs: 4 }];
-        let json = to_json(&prov, 2.0, &stages);
+        let json = to_json(&Provenance::fixture(), 2.0, &stages);
+        let (grid, timings) = crate::provenance::sections(&json);
         assert!(json.contains("\"bench\": \"sweep\""));
-        assert!(json.contains("\"grid_rev\""));
-        assert!(json.contains("{\"name\": \"fig5a\", \"cells\": 5}"));
-        assert!(json.contains("\"seconds\": 1.500"));
-        // Grid rows never carry wall-clock; timings rows never carry cells.
-        for line in json.lines() {
-            if line.contains("\"cells\":") && line.starts_with("    {") {
-                assert!(!line.contains("seconds"), "mixed line: {line}");
-            }
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert!(json
+            .contains("\"cells\": 5,\n  \"total_seconds\": 2.000,\n  \"cells_per_sec\": 2.500,"));
+        assert!(grid.contains("{\"name\": \"fig5a\", \"cells\": 5}"));
+        assert!(timings.contains(
+            "{\"name\": \"fig5a\", \"seconds\": 1.500, \"cells_per_sec\": 3.333, \"jobs\": 4}"
+        ));
     }
 
     #[test]

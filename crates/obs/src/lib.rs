@@ -15,7 +15,8 @@
 //!   reports is split the way `BENCH_scale.json` splits `grid` from
 //!   `timings`: counts, bytes, and sim-time are pure functions of the
 //!   seeds and bit-identical at any `--jobs`; wall-clock time is volatile
-//!   and lives on separate lines/rows so comparators can strip it.
+//!   and lives in separate rows, so `bench_diff` can compare the
+//!   deterministic part exactly and band the timings.
 //! * **Order-free merging.** Histograms and span accumulators merge by
 //!   integer addition, so any interleaving of worker threads produces the
 //!   same totals — the property the `--jobs 1` vs `--jobs 4` bit-identity
