@@ -9,8 +9,6 @@
 //! well, producing the `R_i ∩ R_j ≠ ∅` overlaps the problem statement
 //! allows — used by tests of duplicate elimination.
 
-use std::borrow::Borrow;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use skyline_core::region::Mbr;
@@ -52,8 +50,7 @@ impl Partitioned {
     /// Centre point of device `i`'s cell — used as the device's initial
     /// position in the simulations.
     pub fn cell_center(&self, i: usize) -> Point {
-        let c = &self.cells[i];
-        Point::new((c.x_min + c.x_max) / 2.0, (c.y_min + c.y_max) / 2.0)
+        center(&self.cells[i])
     }
 
     /// Grid-adjacency (4-neighbourhood) of device `i` — the forwarding
@@ -76,6 +73,10 @@ impl Partitioned {
         }
         out
     }
+}
+
+fn center(c: &Mbr) -> Point {
+    Point::new((c.x_min + c.x_max) / 2.0, (c.y_min + c.y_max) / 2.0)
 }
 
 impl GridPartitioner {
@@ -104,37 +105,45 @@ impl GridPartitioner {
     /// Partitions `data` into `g²` local relations, cloning every tuple
     /// into its cell.
     pub fn partition(&self, data: &[Tuple]) -> Partitioned {
-        self.scatter(data.iter(), Tuple::clone)
+        let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); self.g * self.g];
+        self.assign(data.iter().map(Tuple::location), |cell, row| {
+            parts[cell].push(data[row].clone());
+        });
+        let cells = (0..parts.len()).map(|i| self.cell_rect(i)).collect();
+        Partitioned { parts, cells, g: self.g }
     }
 
-    /// Like [`Self::partition`], but moves the tuples of a global relation
-    /// the caller no longer needs into their cells. Same partitions, same
-    /// overlap draws.
-    pub fn partition_owned(&self, data: Vec<Tuple>) -> Partitioned {
-        self.scatter(data.into_iter(), |t| t)
+    /// The partition of rows sited at `locs`, as one row-index list per
+    /// cell, each in input order: `cell_rows(locs)[i]` names the rows
+    /// [`Self::partition`] puts in `parts[i]`, in the same order, with the
+    /// same overlap draws.
+    pub fn cell_rows(&self, locs: &[Point]) -> Vec<Vec<u32>> {
+        assert!(u32::try_from(locs.len()).is_ok(), "row numbers are kept as u32");
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); self.g * self.g];
+        self.assign(locs.iter().copied(), |cell, row| rows[cell].push(row as u32));
+        rows
     }
 
-    fn scatter<T: Borrow<Tuple>>(
-        &self,
-        data: impl Iterator<Item = T>,
-        into_cell: impl Fn(T) -> Tuple,
-    ) -> Partitioned {
-        let m = self.g * self.g;
-        let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); m];
+    /// The partition rule: `put(cell, row)` for every cell row `row` is
+    /// stored in, rows in input order — a neighbour's copy, when the
+    /// overlap draw makes one, before the row's own cell.
+    fn assign(&self, locs: impl Iterator<Item = Point>, mut put: impl FnMut(usize, usize)) {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        for t in data {
-            let cell = self.cell_of(t.borrow().location());
+        for (row, p) in locs.enumerate() {
+            let cell = self.cell_of(p);
             if self.overlap > 0.0 && rng.random_range(0.0..1.0) < self.overlap {
                 let neighbors = self.neighbor_cells(cell);
                 if !neighbors.is_empty() {
-                    let pick = neighbors[rng.random_range(0..neighbors.len())];
-                    parts[pick].push(t.borrow().clone());
+                    put(neighbors[rng.random_range(0..neighbors.len())], row);
                 }
             }
-            parts[cell].push(into_cell(t));
+            put(cell, row);
         }
-        let cells = (0..m).map(|i| self.cell_rect(i)).collect();
-        Partitioned { parts, cells, g: self.g }
+    }
+
+    /// Centre point of cell `i` — where the simulations place device `i`.
+    pub fn cell_center(&self, i: usize) -> Point {
+        center(&self.cell_rect(i))
     }
 
     /// The rectangle of cell `i`.
@@ -210,12 +219,27 @@ mod tests {
     }
 
     #[test]
-    fn owned_partitioning_moves_into_the_same_cells() {
+    fn cell_rows_name_the_partitioned_tuples_in_order() {
+        let data = data();
+        let locs: Vec<Point> = data.iter().map(Tuple::location).collect();
         for p in [
             GridPartitioner::new(4, SpatialExtent::PAPER),
             GridPartitioner::new(3, SpatialExtent::PAPER).with_overlap(0.5, 9),
         ] {
-            assert_eq!(p.partition_owned(data()).parts, p.partition(&data()).parts);
+            let part = p.partition(&data);
+            let rows = p.cell_rows(&locs);
+            assert_eq!(rows.len(), part.num_devices());
+            for (i, cell) in rows.iter().enumerate() {
+                let tuples: Vec<Tuple> = cell.iter().map(|&r| data[r as usize].clone()).collect();
+                assert_eq!(tuples, part.parts[i], "cell {i}, overlap {}", p.overlap);
+                assert!(cell.windows(2).all(|w| w[0] < w[1]), "cell {i} not in input order");
+                assert_eq!(p.cell_center(i), part.cell_center(i));
+            }
+            if p.overlap == 0.0 {
+                let mut all: Vec<u32> = rows.concat();
+                all.sort_unstable();
+                assert!(all.iter().copied().eq(0..data.len() as u32), "disjoint and complete");
+            }
         }
     }
 

@@ -10,7 +10,8 @@
 //!   locations;
 //! * uniform-grid partitioning of a global relation into `g × g` local
 //!   relations, one per mobile device (optionally with overlap, to exercise
-//!   duplicate elimination);
+//!   duplicate elimination) — as tuples, or as row-index lists over a
+//!   relation generated as [`Columns`];
 //! * the paper's worked hotel examples (Tables 2–5) verbatim;
 //! * query workloads (each device issues 1–5 queries at random times).
 //!
@@ -31,7 +32,7 @@ pub mod hotels;
 pub mod spatial;
 pub mod workload;
 
-pub use distributions::{DataSpec, Distribution};
+pub use distributions::{Columns, DataSpec, Distribution};
 pub use grid::{GridPartitioner, Partitioned};
 pub use spatial::{SpatialExtent, SpatialPattern};
 pub use workload::{QueryRequest, WorkloadSpec};

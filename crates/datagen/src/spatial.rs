@@ -2,8 +2,8 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use sim_obs::dethash::DetHashSet;
 use skyline_core::Point;
-use std::collections::HashSet;
 
 /// How sites are placed in the extent.
 ///
@@ -21,7 +21,8 @@ pub enum SpatialPattern {
     Clustered {
         /// Number of hotspots.
         clusters: usize,
-        /// Per-axis standard deviation of the offsets (m).
+        /// Per-axis standard deviation of the offsets (m); finite and
+        /// positive.
         sigma: f64,
     },
 }
@@ -76,12 +77,22 @@ impl SpatialExtent {
     ) -> Vec<Point> {
         let centers: Vec<Point> = match pattern {
             SpatialPattern::Uniform => Vec::new(),
-            SpatialPattern::Clustered { clusters, .. } => {
+            SpatialPattern::Clustered { clusters, sigma } => {
                 assert!(clusters > 0, "need at least one cluster");
+                // A zero spread puts every site of a cluster on its centre
+                // and a NaN one clamps every draw to the same bits: either
+                // way fewer than `n` distinct sites exist and the loop
+                // below would never end.
+                assert!(
+                    sigma.is_finite() && sigma > 0.0,
+                    "SpatialPattern::Clustered sigma must be finite and > 0, got {sigma}"
+                );
                 (0..clusters).map(|_| self.sample(rng)).collect()
             }
         };
-        let mut seen: HashSet<(u64, u64)> = HashSet::with_capacity(n);
+        // Insert-only, so the hasher cannot change which sites are drawn.
+        let mut seen: DetHashSet<(u64, u64)> =
+            DetHashSet::with_capacity_and_hasher(n, Default::default());
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
             let p = match pattern {
@@ -113,6 +124,7 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     #[test]
     fn samples_stay_in_extent() {
@@ -165,6 +177,21 @@ mod tests {
         assert!(pts.iter().all(|&p| e.contains(p)));
         let set: HashSet<(u64, u64)> = pts.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect();
         assert_eq!(set.len(), pts.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be finite and > 0")]
+    fn clustered_without_spread_is_rejected_instead_of_hanging() {
+        // Two centres cannot hold three distinct sites at zero spread.
+        let pattern = SpatialPattern::Clustered { clusters: 2, sigma: 0.0 };
+        SpatialExtent::PAPER.sample_unique_pattern(3, pattern, &mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be finite and > 0")]
+    fn clustered_with_nan_spread_is_rejected_instead_of_hanging() {
+        let pattern = SpatialPattern::Clustered { clusters: 4, sigma: f64::NAN };
+        SpatialExtent::PAPER.sample_unique_pattern(3, pattern, &mut StdRng::seed_from_u64(1));
     }
 
     #[test]

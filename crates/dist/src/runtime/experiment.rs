@@ -362,9 +362,15 @@ pub(crate) fn new_simulator<P: Clone + 'static, A: Application<P>>(
 
 /// Runs one MANET experiment end to end.
 pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
-    let part =
-        datagen::GridPartitioner::new(exp.g, exp.data.space).partition_owned(exp.data.generate());
-    let m = part.num_devices();
+    // Each device's relation is built straight from the generated columns
+    // and its cell's row list; no `Tuple` is made per row.
+    let grid = datagen::GridPartitioner::new(exp.g, exp.data.space);
+    let columns = exp.data.generate_columns();
+    let cells = grid.cell_rows(&columns.locs);
+    let m = cells.len();
+    let relations = cells
+        .iter()
+        .map(|rows| HybridRelation::from_columns(&columns.locs, &columns.attrs, columns.dim, rows));
 
     let workload = datagen::WorkloadSpec {
         num_devices: exp.querying_devices.unwrap_or(m).min(m),
@@ -380,8 +386,7 @@ pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
     let mut sim: Simulator<ProtoMsg, DeviceApp> =
         new_simulator(exp.radio, exp.seed, exp.neighbor_mode, &exp.dist.trace);
     let avg_partition = exp.data.cardinality / m.max(1);
-    for i in 0..m {
-        let rel = HybridRelation::from(part.parts[i].as_slice());
+    for (i, rel) in relations.enumerate() {
         let mut app =
             DeviceApp::new(i, rel, exp.strategy.clone(), exp.forwarding, exp.cost, m, exp.dist);
         if let Some(h) = exp.handoff {
@@ -394,9 +399,17 @@ pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
             .map(|q| (SimTime::from_secs_f64(q.at_seconds), q.radius))
             .collect();
         app.set_requests(reqs);
-        let c = part.cell_center(i);
+        let c = grid.cell_center(i);
         sim.add_node(Pos::new(c.x, c.y), mobility, app, exp.seed ^ 0xA5A5);
     }
+    // The oracle scores against per-device tuples; nothing else needs them.
+    let oracle_parts: Option<Vec<Vec<Tuple>>> = exp.compute_completeness.then(|| {
+        cells
+            .iter()
+            .map(|rows| rows.iter().map(|&r| columns.tuple(r as usize)).collect())
+            .collect()
+    });
+    drop((columns, cells));
     // Kick each device's first request at its desired time.
     for q in &workload {
         // Only the first timer per device matters for ordering; extra ISSUE
@@ -478,8 +491,8 @@ pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
 
     let mut records: Vec<QueryRecord> = apps().flat_map(|a| a.records.iter().cloned()).collect();
     let (mut mean_completeness, mut min_completeness) = (None, None);
-    if exp.compute_completeness {
-        crate::verify::score_records(&mut records, &part.parts);
+    if let Some(parts) = &oracle_parts {
+        crate::verify::score_records(&mut records, parts);
         let scored: Vec<f64> = records.iter().filter_map(|r| r.completeness).collect();
         if !scored.is_empty() {
             mean_completeness = Some(scored.iter().sum::<f64>() / scored.len() as f64);

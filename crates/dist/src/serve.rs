@@ -1027,7 +1027,7 @@ mod tests {
     /// Folds every `ServedAnswer` field, the final `ServeStats` (histogram
     /// included) and the whole trace record sequence into one word.
     fn drive_digest(d: &Drive) -> u64 {
-        use manet_sim::dethash::DetHasher;
+        use sim_obs::dethash::DetHasher;
         use std::hash::Hasher;
         let mut h = DetHasher::default();
         for batch in &d.batches {

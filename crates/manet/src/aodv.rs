@@ -38,9 +38,9 @@
 //! [`LinkCmd`]s that the engine turns into frames, timers, and
 //! application up-calls. That keeps AODV unit-testable without a radio.
 
-use crate::dethash::DetHashMap;
 use crate::packet::{AodvMessage, DataPacket, Frame, NodeId};
 use crate::time::{SimDuration, SimTime};
+use sim_obs::dethash::DetHashMap;
 
 /// Forwarding cap for data packets: a salvaged packet that keeps finding
 /// new routes must still die eventually (the IP TTL's job in real AODV).

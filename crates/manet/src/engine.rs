@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::aodv::{AodvConfig, AodvState, AodvTimer, LinkCmd};
-use crate::dethash::DetHashSet;
 use crate::events::EventQueue;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::grid::SpatialGrid;
@@ -30,6 +29,7 @@ use crate::trace::{
     narrow, EventTrace, FrameTag, FrameTraceLog, LossCause, NetStats, QueryEvent, QueryId,
     QueryTraceLog, QueryTraceState, TraceEvent,
 };
+use sim_obs::dethash::DetHashSet;
 
 /// Fraction of the radio range the grid snapshot may drift before a sweep:
 /// queries widen their search box by at most this fraction of the range, so

@@ -14,9 +14,9 @@
 //! iteration order is never observed — see [`DetHashMap`]), bucket contents
 //! are kept sorted by node id, and query results are sorted before return.
 
-use crate::dethash::DetHashMap;
 use crate::mobility::Pos;
 use crate::packet::NodeId;
+use sim_obs::dethash::DetHashMap;
 
 /// A uniform grid over node positions; see the module docs.
 #[derive(Debug, Clone)]

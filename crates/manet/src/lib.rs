@@ -16,8 +16,6 @@
 //! * [`grid`] — the bounded-staleness spatial hash grid behind O(degree)
 //!   neighbour discovery at scale;
 //! * [`aodv`] — on-demand route discovery (RFC 3561 core);
-//! * [`dethash`] — the fixed-key hasher behind the point-lookup tables of
-//!   [`aodv`], [`grid`] and [`engine`];
 //! * [`engine`] — the simulator: applications implement
 //!   [`engine::Application`] and exchange typed payloads via
 //!   routed unicast and one-hop broadcast;
@@ -52,7 +50,6 @@
 //! ```
 
 pub mod aodv;
-pub mod dethash;
 pub mod engine;
 pub mod events;
 pub mod fault;

@@ -1,8 +1,10 @@
 //! # sim-obs
 //!
 //! The simulator's observability layer (DESIGN.md §13): profiling spans,
-//! engine time-series gauges, power-of-two latency histograms, and the
-//! minimal JSON reader behind the `bench_diff` comparator.
+//! engine time-series gauges, power-of-two latency histograms, the
+//! minimal JSON reader behind the `bench_diff` comparator, and the
+//! fixed-key hasher ([`dethash`]) the simulator's lookup tables and the
+//! data generator's site guard share.
 //!
 //! Design contract, shared by every piece:
 //!
@@ -35,6 +37,7 @@
 //! sim_obs::set_enabled(false);
 //! ```
 
+pub mod dethash;
 pub mod gauge;
 pub mod hist;
 pub mod json;

@@ -13,6 +13,8 @@
 //! each domain contains 100 distinct values, we use byte type IDs");
 //! [`IdArray`] picks u8/u16/u32 automatically.
 
+use crate::radix;
+
 /// The sorted distinct values of one attribute on one device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeDomain {
@@ -35,20 +37,23 @@ impl AttributeDomain {
     /// Builds the domain of one attribute **and** every row's ID in it from
     /// a single sort: `assign(row, id)` is called once per input position
     /// (fewer than 2³² of them — the caller checks its row count).
-    /// `keyed` is scratch the caller reuses across attributes.
+    /// `keyed` and `scratch` are buffers the caller reuses across
+    /// attributes.
     ///
     /// Values are keyed by the integer whose order is `f64::total_cmp`'s, so
-    /// the sort compares plain `u64`s, two values share an ID exactly when
-    /// their bit patterns are equal (`-0.0` and `+0.0` stay distinct), and
-    /// the result equals [`Self::build`] followed by [`Self::id_of`] per row.
+    /// the sort is a radix sort of plain `u64`s, two values share an ID
+    /// exactly when their bit patterns are equal (`-0.0` and `+0.0` stay
+    /// distinct), and the result equals [`Self::build`] followed by
+    /// [`Self::id_of`] per row.
     pub(crate) fn encode(
         values: impl Iterator<Item = f64>,
         keyed: &mut Vec<(u64, u32)>,
+        scratch: &mut Vec<(u64, u32)>,
         mut assign: impl FnMut(usize, u32),
     ) -> Self {
         keyed.clear();
         keyed.extend(values.enumerate().map(|(row, v)| (total_order_key(v), row as u32)));
-        keyed.sort_unstable();
+        radix::sort_pairs(keyed, scratch);
         let mut domain: Vec<f64> = Vec::new();
         let mut last = None;
         for &(key, row) in keyed.iter() {
@@ -285,16 +290,35 @@ mod tests {
 
     #[test]
     fn encode_equals_build_then_id_of() {
-        let vals = [3.0, -0.0, 1.0, 0.0, 3.0, f64::NAN, 1.0, -7.5];
-        let mut ids = vec![u32::MAX; vals.len()];
-        let d = AttributeDomain::encode(vals.iter().copied(), &mut Vec::new(), |r, id| ids[r] = id);
-        let reference = AttributeDomain::build(vals);
-        assert_eq!(d.values.len(), reference.values.len());
-        for (a, b) in d.values.iter().zip(&reference.values) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (r, &v) in vals.iter().enumerate() {
-            assert_eq!(ids[r], reference.id_of(v), "row {r}");
+        let short = vec![3.0, -0.0, 1.0, 0.0, 3.0, f64::NAN, 1.0, -7.5];
+        // Past the radix cutoff: the same specials among repeated integers
+        // and a spread of magnitudes, so many key bits vary.
+        let long: Vec<f64> = (0..radix::RADIX_CUTOFF as u32 * 5)
+            .map(|i| match i % 13 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::NAN,
+                3 => f64::from(i % 7) * 1e-3 - 2.0,
+                4 => f64::from(i).powi(5),
+                _ => f64::from(i * 7919 % 40),
+            })
+            .collect();
+        let constant = vec![2.5; radix::RADIX_CUTOFF * 2];
+        for vals in [short, long, constant] {
+            let mut ids = vec![u32::MAX; vals.len()];
+            let (mut keyed, mut scratch) = (Vec::new(), Vec::new());
+            let d =
+                AttributeDomain::encode(vals.iter().copied(), &mut keyed, &mut scratch, |r, id| {
+                    ids[r] = id
+                });
+            let reference = AttributeDomain::build(vals.iter().copied());
+            assert_eq!(d.values.len(), reference.values.len());
+            for (a, b) in d.values.iter().zip(&reference.values) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            for (r, &v) in vals.iter().enumerate() {
+                assert_eq!(ids[r], reference.id_of(v), "{} values, row {r}", vals.len());
+            }
         }
     }
 

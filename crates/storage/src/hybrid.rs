@@ -30,6 +30,7 @@ use skyline_core::vdr::{select_filter, FilterTuple};
 use skyline_core::{DominanceTest, Tuple};
 
 use crate::domain_index::{AttributeDomain, IdArray};
+use crate::radix;
 use crate::traits::{
     DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause, StorageModel,
 };
@@ -231,56 +232,111 @@ impl Clone for HybridRelation {
 }
 
 impl From<&[Tuple]> for HybridRelation {
-    /// Builds hybrid storage from a set of tuples, reading them in place:
-    /// the only per-row state is one entry in a flat ID matrix.
+    /// Builds hybrid storage from a set of tuples, reading them in place.
     fn from(tuples: &[Tuple]) -> Self {
         let dim = tuples.first().map_or(0, Tuple::dim);
         assert!(tuples.iter().all(|t| t.dim() == dim), "mixed dimensionality in relation");
-        let rows = tuples.len();
+        Self::build(tuples.len(), dim, |r| tuples[r].location(), |r, j| tuples[r].attrs[j])
+    }
+}
+
+impl HybridRelation {
+    /// Builds hybrid storage from a set of tuples (see the `From<&[Tuple]>`
+    /// impl; the build never needs to own its input).
+    pub fn new(tuples: Vec<Tuple>) -> Self {
+        Self::from(tuples.as_slice())
+    }
+
+    /// Builds hybrid storage over the rows `rows` of a relation held as
+    /// columns — site `locs[r]` and attributes `attrs[r * dim..(r + 1) *
+    /// dim]` for row `r` — without a `Tuple` per row. The result equals
+    /// `From<&[Tuple]>` over those rows materialized in the order given.
+    pub fn from_columns(locs: &[Point], attrs: &[f64], dim: usize, rows: &[u32]) -> Self {
+        assert_eq!(attrs.len(), locs.len() * dim, "attrs must hold dim values per site");
+        // Like a tuple slice, an empty selection has no attributes.
+        let dim = if rows.is_empty() { 0 } else { dim };
+        let row = |r: usize| rows[r] as usize;
+        Self::build(rows.len(), dim, |r| locs[row(r)], |r, j| attrs[row(r) * dim + j])
+    }
+
+    /// The one build: `rows` rows of `dim` attributes, row `r` sited at
+    /// `loc(r)` with attribute `j` equal to `attr(r, j)`.
+    fn build(
+        rows: usize,
+        dim: usize,
+        loc: impl Fn(usize) -> Point,
+        attr: impl Fn(usize, usize) -> f64,
+    ) -> Self {
         assert!(u32::try_from(rows).is_ok(), "row numbers are kept as u32, like the IDs");
 
+        // One walk over the input, in row order, gathers the sites and the
+        // values column by column; every later pass reads these instead of
+        // going back to a source whose rows may lie far apart.
+        let mut sites: Vec<Point> = Vec::with_capacity(rows);
+        let mut values = vec![0.0; rows * dim];
+        for r in 0..rows {
+            sites.push(loc(r));
+            for j in 0..dim {
+                values[j * rows + r] = attr(r, j);
+            }
+        }
+
         // One sort per attribute yields its domain and, in the same walk,
-        // every row's ID: `ids[r * dim + j]`, input row order.
+        // every row's ID: `ids[j * rows + r]`, input row order.
         let mut ids = vec![0u32; rows * dim];
-        let mut keyed = Vec::with_capacity(rows);
+        let (mut keyed, mut scratch) = (Vec::with_capacity(rows), Vec::new());
         let domains: Vec<AttributeDomain> = (0..dim)
             .map(|j| {
-                let column = tuples.iter().map(|t| t.attrs[j]);
-                AttributeDomain::encode(column, &mut keyed, |r, id| ids[r * dim + j] = id)
+                let column = j * rows..(j + 1) * rows;
+                let out = &mut ids[column.clone()];
+                let values = values[column].iter().copied();
+                AttributeDomain::encode(values, &mut keyed, &mut scratch, |r, id| out[r] = id)
             })
             .collect();
+        drop(values);
+        let id = |r: u32, j: usize| ids[j * rows + r as usize];
 
         // "We choose the attribute with the largest number of distinct
         // values as the attribute to be sorted on."
         let sort_attr = (0..dim).max_by_key(|&j| domains[j].len()).unwrap_or(0);
 
-        // Row order: ascending (sort ID, Σ IDs, input row). The keys are
-        // computed once, and the input row makes them distinct.
-        let mut order: Vec<(u32, u64, u32)> = (0..rows)
-            .map(|r| {
-                let row = &ids[r * dim..(r + 1) * dim];
-                let primary = row.get(sort_attr).copied().unwrap_or(0);
-                (primary, row.iter().map(|&v| u64::from(v)).sum(), r as u32)
-            })
-            .collect();
-        order.sort_unstable();
+        // Row order: ascending (sort ID, Σ IDs, input row), the first two
+        // packed into one word — below the largest sum, the sort ID above
+        // it — and sorted with the encode's buffers. Input rows ascend, so
+        // ties stay in row order.
+        let bits = |max: usize| usize::BITS - max.leading_zeros();
+        let sum_bits = bits(domains.iter().map(|d| d.len().saturating_sub(1)).sum());
+        let primary_bits = bits(domains.get(sort_attr).map_or(0, |d| d.len().saturating_sub(1)));
+        assert!(primary_bits + sum_bits < u64::BITS, "(sort ID, Σ IDs) must fit one word");
+        let mut order = keyed;
+        order.clear();
+        order.extend((0..rows as u32).map(|r| {
+            let primary = if dim == 0 { 0 } else { id(r, sort_attr) };
+            let sum: u64 = (0..dim).map(|j| u64::from(id(r, j))).sum();
+            (u64::from(primary) << sum_bits | sum, r)
+        }));
+        radix::sort_pairs(&mut order, &mut scratch);
+        drop(scratch);
 
-        let locs: Vec<Point> =
-            order.iter().map(|&(_, _, r)| tuples[r as usize].location()).collect();
+        let locs: Vec<Point> = order.iter().map(|&(_, r)| sites[r as usize]).collect();
         let mut column: Vec<u32> = Vec::with_capacity(rows);
         let columns: Vec<IdArray> = (0..dim)
             .map(|j| {
                 column.clear();
-                column.extend(order.iter().map(|&(_, _, r)| ids[r as usize * dim + j]));
+                column.extend(order.iter().map(|&(_, r)| id(r, j)));
                 IdArray::pack(&column, domains[j].len())
             })
             .collect();
         let mbr = Mbr::of_points(locs.iter().copied());
 
         let layout = SigLayout::new(&domains, sort_attr);
+        let mut row_ids = vec![0u32; dim];
         let sig: Vec<u64> = order
             .iter()
-            .map(|&(_, _, r)| layout.sign(&ids[r as usize * dim..(r as usize + 1) * dim]))
+            .map(|&(_, r)| {
+                row_ids.iter_mut().enumerate().for_each(|(j, v)| *v = id(r, j));
+                layout.sign(&row_ids)
+            })
             .collect();
 
         HybridRelation {
@@ -295,14 +351,6 @@ impl From<&[Tuple]> for HybridRelation {
             layout,
             cache: Mutex::new(WindowCache::default()),
         }
-    }
-}
-
-impl HybridRelation {
-    /// Builds hybrid storage from a set of tuples (see the `From<&[Tuple]>`
-    /// impl; the build never needs to own its input).
-    pub fn new(tuples: Vec<Tuple>) -> Self {
-        Self::from(tuples.as_slice())
     }
 
     /// Which attribute the rows are sorted on.
@@ -1113,13 +1161,28 @@ mod tests {
         assert_same_build(&HybridRelation::new(data), &want, what);
     }
 
+    /// Checks `from_columns` over the rows `keep` picks against the tuple
+    /// build over the same rows materialized.
+    fn check_columns(data: &[Tuple], keep: impl Fn(usize) -> bool, what: &str) {
+        let dim = data.first().map_or(3, Tuple::dim);
+        let locs: Vec<Point> = data.iter().map(Tuple::location).collect();
+        let attrs: Vec<f64> = data.iter().flat_map(|t| t.attrs.iter().copied()).collect();
+        let rows: Vec<u32> = (0..data.len() as u32).filter(|&r| keep(r as usize)).collect();
+        let subset: Vec<Tuple> = rows.iter().map(|&r| data[r as usize].clone()).collect();
+        let got = HybridRelation::from_columns(&locs, &attrs, dim, &rows);
+        let what = format!("{what}, columns over {} of {} rows", rows.len(), data.len());
+        assert_same_build(&got, &HybridRelation::from(subset.as_slice()), &what);
+    }
+
     #[test]
     fn build_matches_reference_on_empty_single_and_duplicate_rows() {
         check_build(Vec::new(), "no rows");
         for dim in 0..=8 {
             let row = |i: usize| Tuple::new(i as f64, 1.0, vec![4.0; dim]);
             check_build(vec![row(0)], &format!("one row, d={dim}"));
-            check_build((0..40).map(row).collect(), &format!("identical rows, d={dim}"));
+            for n in [40, 2 * radix::RADIX_CUTOFF] {
+                check_build((0..n).map(row).collect(), &format!("{n} identical rows, d={dim}"));
+            }
         }
         for dim in 1..=8 {
             check_build(mixed_data(500, dim, 3, 0xD0_u64 + dim as u64), &format!("mod 3, d={dim}"));
@@ -1130,7 +1193,9 @@ mod tests {
     fn build_matches_reference_across_id_widths() {
         // 256 / 257 and 65 536 / 65 537 distinct values sit on either side
         // of the u8→u16 and u16→u32 column widths; the second attribute
-        // stays narrow so one relation mixes widths.
+        // stays narrow so one relation mixes widths. Below the radix cutoff
+        // a relation holds too few rows for a wide column, so the small
+        // case is a sparse column selection of each.
         for distinct in [256usize, 257, 65_536, 65_537] {
             let data: Vec<Tuple> = (0..distinct + 3)
                 .map(|i| {
@@ -1148,7 +1213,11 @@ mod tests {
                 4
             };
             assert_eq!((h.columns[0].id_width(), h.columns[1].id_width()), (width, 1));
-            check_build(data, &format!("{distinct} distinct"));
+            let what = format!("{distinct} distinct");
+            let sparse = data.len().div_ceil(radix::RADIX_CUTOFF - 10);
+            check_columns(&data, |r| r % sparse == 0, &what);
+            check_columns(&data, |r| r % 3 != 1, &what);
+            check_build(data, &what);
         }
     }
 
@@ -1184,11 +1253,17 @@ mod tests {
             wide in proptest::prelude::any::<bool>(),
             codes in proptest::prop::collection::vec(
                 proptest::prop::collection::vec(0u16..2000, 8),
-                0..120,
+                0..3 * radix::RADIX_CUTOFF,
+            ),
+            keep in proptest::prop::collection::vec(
+                proptest::prelude::any::<bool>(),
+                3 * radix::RADIX_CUTOFF,
             ),
         ) {
             // A `wide` case draws from 2 000 values, the others from the
             // palette, so ties, special values and long domains all occur.
+            // Relations and column selections fall on both sides of the
+            // radix cutoff.
             let data: Vec<Tuple> = codes
                 .iter()
                 .enumerate()
@@ -1200,6 +1275,7 @@ mod tests {
                     Tuple::new((i % 9) as f64, (i / 9) as f64, attrs)
                 })
                 .collect();
+            check_columns(&data, |r| keep[r], "property");
             check_build(data, "property");
         }
 

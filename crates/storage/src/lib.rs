@@ -29,6 +29,7 @@ pub mod domain_store;
 pub mod flat;
 pub mod hybrid;
 pub mod persist;
+mod radix;
 pub mod ring_store;
 pub mod traits;
 
