@@ -1,6 +1,7 @@
 //! **Core-kernel driver**: regenerates `BENCH_core.json` (the dominance
 //! kernel, neighbour-discovery, relation-build, Fig. 4 scan,
-//! originator-merge and broadcast-storm micro-benchmarks)
+//! originator-merge, broadcast-storm and storage-ablation
+//! micro-benchmarks)
 //! without the rest of `run_all` — see [`msq_bench::corebench`] for the
 //! design.
 //!
@@ -18,6 +19,7 @@ fn main() -> Result<(), String> {
     let builds = msq_bench::corebench::relation_build();
     let (scans, merges) = msq_bench::corebench::data_path(20_000);
     let radios = msq_bench::corebench::radio_storm(&[10, 20]);
+    let storages = msq_bench::corebench::storage_ablation(10_000);
     println!("== Core: dominance kernels ==");
     println!(
         "{:>5} {:>8} {:>12} {:>10} {:>10} {:>12}",
@@ -125,6 +127,37 @@ fn main() -> Result<(), String> {
             r.ns_per_delivery()
         );
     }
+    println!("\n== Core: storage ablation (Section 4.1, unbounded local skyline) ==");
+    println!(
+        "{:>4} {:>7} {:>6} {:>5} {:>7} {:>11} {:>17} {:>14} {:>12} {:>13} {:>9}",
+        "dist",
+        "model",
+        "test",
+        "dims",
+        "tuples",
+        "skyline_len",
+        "value_comparisons",
+        "id_comparisons",
+        "pointer_hops",
+        "storage_bytes",
+        "scan_ms"
+    );
+    for r in &storages {
+        println!(
+            "{:>4} {:>7} {:>6} {:>5} {:>7} {:>11} {:>17} {:>14} {:>12} {:>13} {:>9.3}",
+            r.dist,
+            r.model,
+            r.test,
+            r.dims,
+            r.tuples,
+            r.skyline_len,
+            r.value_comparisons,
+            r.id_comparisons,
+            r.pointer_hops,
+            r.storage_bytes,
+            r.scan_ms
+        );
+    }
     if std::env::args().any(|a| a == "--json") {
         let prov = Provenance::collect(msq_bench::Scale::Quick, 1);
         let json = msq_bench::corebench::to_json(
@@ -134,6 +167,7 @@ fn main() -> Result<(), String> {
             &builds,
             (&scans, &merges),
             &radios,
+            &storages,
         );
         write_baseline("BENCH_core.json", &json)?;
     }

@@ -7,16 +7,15 @@
 //! `--json` additionally writes `PROFILE_g<N>.json` (the span profile in
 //! the shared grid/timings schema) to the current directory.
 
-fn main() {
+use msq_bench::provenance::write_baseline;
+
+fn main() -> Result<(), String> {
     let g = msq_bench::perf_report::g_from_args();
     let run = msq_bench::perf_report::run(g);
     print!("{}", msq_bench::perf_report::render(&run));
     if std::env::args().any(|a| a == "--json") {
-        let path = format!("PROFILE_g{g}.json");
-        let scenario = format!("scale_g{g}");
-        match std::fs::write(&path, run.profile.to_json(&scenario)) {
-            Ok(()) => println!("[json] wrote {path}"),
-            Err(e) => eprintln!("[json] failed to write {path}: {e}"),
-        }
+        let json = run.profile.to_json(&format!("scale_g{g}"));
+        write_baseline(&format!("PROFILE_g{g}.json"), &json)?;
     }
+    Ok(())
 }

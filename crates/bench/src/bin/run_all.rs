@@ -80,6 +80,7 @@ fn main() -> Result<(), String> {
         let builds = msq_bench::corebench::relation_build();
         let (scans, merges) = msq_bench::corebench::data_path(20_000);
         let radios = msq_bench::corebench::radio_storm(&[10, 20]);
+        let storages = msq_bench::corebench::storage_ablation(10_000);
         write_baseline(
             "BENCH_core.json",
             &msq_bench::corebench::to_json(
@@ -89,6 +90,7 @@ fn main() -> Result<(), String> {
                 &builds,
                 (&scans, &merges),
                 &radios,
+                &storages,
             ),
         )?;
     }

@@ -12,13 +12,14 @@
 
 use dist_skyline::{trace_to_csv, trace_to_jsonl};
 use manet_sim::QueryId;
+use msq_bench::provenance::write_baseline;
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let focus = arg_value("--query").map(|s| {
         let (o, c) = s
             .split_once(':')
@@ -34,15 +35,10 @@ fn main() {
 
     let log = out.query_trace.as_ref().expect("scenario enables tracing");
     if let Some(path) = arg_value("--jsonl") {
-        match std::fs::write(&path, trace_to_jsonl(log)) {
-            Ok(()) => println!("[jsonl] wrote {path}"),
-            Err(e) => eprintln!("[jsonl] failed to write {path}: {e}"),
-        }
+        write_baseline(&path, &trace_to_jsonl(log))?;
     }
     if let Some(path) = arg_value("--csv") {
-        match std::fs::write(&path, trace_to_csv(log)) {
-            Ok(()) => println!("[csv] wrote {path}"),
-            Err(e) => eprintln!("[csv] failed to write {path}: {e}"),
-        }
+        write_baseline(&path, &trace_to_csv(log))?;
     }
+    Ok(())
 }

@@ -1,6 +1,6 @@
 //! Argument parsing for the `msq` command-line tool — a tiny hand-rolled
 //! `--key value` parser (the workspace deliberately avoids dependencies
-//! beyond rand/proptest/criterion).
+//! beyond rand/proptest).
 
 use datagen::Distribution;
 use dist_skyline::config::{FilterStrategy, Forwarding};

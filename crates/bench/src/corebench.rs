@@ -7,13 +7,17 @@
 //! neighbour discovery; the [`HybridRelation`] build (the set-up cost
 //! every experiment pays once per device); the data path of one query
 //! exchange — the Fig. 4 scan of a relation and the originator's merge of
-//! two local skylines; and the event/radio path — a broadcast storm on a
-//! frozen lattice, at two payload weights. `run_all --json` serializes the
-//! records; the Criterion bench `dominance_block` covers the kernels
-//! interactively.
+//! two local skylines; the event/radio path — a broadcast storm on a
+//! frozen lattice, at two payload weights; and the §4.1 storage ablation —
+//! one unbounded local skyline on flat, hybrid, domain and ring storage,
+//! plus hybrid under the Fig. 4 strict test. `core_bench --json` and
+//! `run_all --json` serialize the records.
 
 use datagen::{DataSpec, Distribution};
-use device_storage::{DeviceRelation, HybridRelation, LocalQuery};
+use device_storage::{
+    DeviceRelation, DomainRelation, FlatRelation, HybridRelation, LocalQuery, LocalSkylineOutcome,
+    RingRelation,
+};
 use manet_sim::grid::SpatialGrid;
 use manet_sim::{
     Application, MobilityConfig, MsgMeta, NodeCtx, Pos, RadioConfig, SimTime, Simulator,
@@ -289,6 +293,22 @@ impl MergeRecord {
     }
 }
 
+/// Runs `query` once untimed, then `TIMED_REPS` times, each on a fresh
+/// clone of `rel` so an unbounded scan is never answered from a hybrid
+/// relation's window memo. Returns the outcome and the fastest run's wall
+/// milliseconds.
+fn cold_scan<R: DeviceRelation + Clone>(rel: &R, query: &LocalQuery) -> (LocalSkylineOutcome, f64) {
+    let mut scan_ms = f64::INFINITY;
+    let mut out = rel.local_skyline(query);
+    for _ in 0..TIMED_REPS {
+        let cold = rel.clone();
+        let t0 = Instant::now();
+        out = std::hint::black_box(cold.local_skyline(query));
+        scan_ms = scan_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    (out, scan_ms)
+}
+
 /// Data seeds of the two neighbours in [`data_path`].
 const PAIR_SEEDS: [u64; 2] = [0x5CA4, 0x5CA5];
 
@@ -316,14 +336,7 @@ pub fn data_path(tuples: usize) -> (Vec<ScanRecord>, Vec<MergeRecord>) {
             };
             let (a, b) = (relation(PAIR_SEEDS[0]), relation(PAIR_SEEDS[1]));
             for (region, shape) in regions {
-                let mut scan_ms = f64::INFINITY;
-                let mut out = a.local_skyline(&query(shape)); // untimed warm-up
-                for _ in 0..TIMED_REPS {
-                    let cold = a.clone();
-                    let t0 = Instant::now();
-                    out = std::hint::black_box(cold.local_skyline(&query(shape)));
-                    scan_ms = scan_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-                }
+                let (out, scan_ms) = cold_scan(&a, &query(shape));
                 scans.push(ScanRecord {
                     dims,
                     dist,
@@ -444,18 +457,101 @@ pub fn radio_storm(sides: &[usize]) -> Vec<RadioRecord> {
     sides.iter().flat_map(|&g| [storm_cell::<2>(g), storm_cell::<25>(g)]).collect()
 }
 
+/// One `(dist, model, test)` cell of the §4.1 storage ablation.
+#[derive(Debug, Clone)]
+pub struct StorageRecord {
+    /// `"flat"`, `"hybrid"`, `"domain"` or `"ring"`.
+    pub model: &'static str,
+    /// `"full"` (exact skyline) or `"strict"` (Fig. 4's rest-dimension
+    /// test; hybrid only — the other models always run the full test).
+    pub test: &'static str,
+    /// `"IN"` or `"AC"`.
+    pub dist: &'static str,
+    /// Attribute count.
+    pub dims: usize,
+    /// Relation cardinality.
+    pub tuples: usize,
+    /// Tuples the scan returned.
+    pub skyline_len: usize,
+    /// Dominance tests between raw values.
+    pub value_comparisons: u64,
+    /// Dominance tests between attribute IDs.
+    pub id_comparisons: u64,
+    /// Value dereferences through a pointer or chain hop.
+    pub pointer_hops: u64,
+    /// The model's storage footprint, bytes.
+    pub storage_bytes: usize,
+    /// Fastest of `TIMED_REPS` scans, wall milliseconds.
+    pub scan_ms: f64,
+}
+
+/// Data seed of [`storage_ablation`]'s relations.
+const ABLATION_SEED: u64 = 21;
+
+/// Times one unbounded local skyline over `tuples` two-attribute
+/// local-experiment tuples (100-value domains), IN and AC, on each storage
+/// model under the full test, and on hybrid storage under the strict test
+/// too: Section 4.1 rejects domain and ring storage because every value
+/// access chases a pointer, and `pointer_hops` counts the chase. Timed as
+/// [`data_path`]'s scans are.
+pub fn storage_ablation(tuples: usize) -> Vec<StorageRecord> {
+    let mut out = Vec::new();
+    for (dist, distribution) in
+        [("IN", Distribution::Independent), ("AC", Distribution::AntiCorrelated)]
+    {
+        let data = DataSpec::local_experiment(tuples, 2, distribution, ABLATION_SEED).generate();
+        let hybrid = HybridRelation::from(data.as_slice());
+        out.extend([
+            storage_cell("flat", &FlatRelation::new(data.clone()), DominanceTest::Full, dist),
+            storage_cell("hybrid", &hybrid, DominanceTest::Full, dist),
+            storage_cell("hybrid", &hybrid, DominanceTest::PaperStrict, dist),
+            storage_cell("domain", &DomainRelation::new(data.clone()), DominanceTest::Full, dist),
+            storage_cell("ring", &RingRelation::new(data), DominanceTest::Full, dist),
+        ]);
+    }
+    out
+}
+
+/// One model's unbounded scan under `test`.
+fn storage_cell<R: DeviceRelation + Clone>(
+    model: &'static str,
+    rel: &R,
+    test: DominanceTest,
+    dist: &'static str,
+) -> StorageRecord {
+    let query = LocalQuery { dominance: test, ..LocalQuery::plain(QueryRegion::unbounded()) };
+    let (out, scan_ms) = cold_scan(rel, &query);
+    StorageRecord {
+        model,
+        test: match test {
+            DominanceTest::Full => "full",
+            DominanceTest::PaperStrict => "strict",
+        },
+        dist,
+        dims: rel.dim(),
+        tuples: rel.len(),
+        skyline_len: out.skyline.len(),
+        value_comparisons: out.stats.value_comparisons,
+        id_comparisons: out.stats.id_comparisons,
+        pointer_hops: out.stats.pointer_hops,
+        storage_bytes: rel.storage_bytes(),
+        scan_ms,
+    }
+}
+
 /// Revision of this file's deterministic grid (the other baselines share
 /// [`crate::provenance::GRID_REV`]): rev 3 added the `kind: build` rows,
 /// rev 4 the `kind: scan` and `kind: merge` rows, rev 5 the `kind: radio`
-/// rows.
-const GRID_REV: u64 = 5;
+/// rows, rev 6 the `kind: storage` rows.
+const GRID_REV: u64 = 6;
 
 /// Renders the micro-benchmarks as the `BENCH_core.json` machine
 /// baseline: one row per record, tagged with a `kind` and keyed by its
 /// shape. Dominance-test counts, skyline/neighbour sizes, the built
-/// relation's shape, the scan's and merge's counters and the storm's frame
-/// and event counts are seed-determined and go in `grid`; wall clock and
-/// the per-unit costs derived from it go in `timings`.
+/// relation's shape, the scan's and merge's counters, the storm's frame
+/// and event counts and the storage models' work counters and footprints
+/// are seed-determined and go in `grid`; wall clock and the per-unit costs
+/// derived from it go in `timings`.
 pub fn to_json(
     prov: &Provenance,
     records: &[KernelRecord],
@@ -463,6 +559,7 @@ pub fn to_json(
     builds: &[BuildRecord],
     (scans, merges): (&[ScanRecord], &[MergeRecord]),
     radios: &[RadioRecord],
+    storages: &[StorageRecord],
 ) -> String {
     let rows: Vec<Row> = records
         .iter()
@@ -472,6 +569,7 @@ pub fn to_json(
         .chain(scans.iter().map(scan_row))
         .chain(merges.iter().map(merge_row))
         .chain(radios.iter().map(radio_row))
+        .chain(storages.iter().map(storage_row))
         .collect();
     baseline_json("core", prov, GRID_REV, &[("algorithm", Value::from("bnl"))], &rows)
 }
@@ -554,6 +652,23 @@ fn radio_row(r: &RadioRecord) -> Row {
     ]
 }
 
+fn storage_row(r: &StorageRecord) -> Row {
+    vec![
+        label("kind", "storage"),
+        label("model", r.model),
+        label("test", r.test),
+        label("dist", r.dist),
+        label("dims", r.dims),
+        label("tuples", r.tuples),
+        det("skyline_len", r.skyline_len),
+        det("value_comparisons", r.value_comparisons),
+        det("id_comparisons", r.id_comparisons),
+        det("pointer_hops", r.pointer_hops),
+        det("storage_bytes", r.storage_bytes),
+        vol("scan_ms", Value::Fixed(r.scan_ms, 3)),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,10 +701,10 @@ mod tests {
             assert!(r.build_ms.is_finite() && r.build_ms > 0.0);
         }
         let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &[], &[], &recs, (&[], &[]), &[]);
+        let json = to_json(&prov, &[], &[], &recs, (&[], &[]), &[], &[]);
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("grid").and_then(sim_obs::JsonValue::as_array).unwrap().len(), 6);
-        assert!(json.contains("\"grid_rev\": 5,"));
+        assert!(json.contains("\"grid_rev\": 6,"));
     }
 
     /// The Fig. 4 loop written out over public accessors: row IDs in
@@ -659,10 +774,59 @@ mod tests {
         }
 
         let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &[], &[], &[], (&scans, &merges), &[]);
+        let json = to_json(&prov, &[], &[], &[], (&scans, &merges), &[], &[]);
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
             assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 18);
+        }
+    }
+
+    #[test]
+    fn storage_rows_cover_the_grid_and_order_the_models() {
+        let recs = storage_ablation(2_000);
+        let cells: Vec<(&str, &str, &str)> =
+            recs.iter().map(|r| (r.dist, r.model, r.test)).collect();
+        let expect: Vec<(&str, &str, &str)> = ["IN", "AC"]
+            .into_iter()
+            .flat_map(|dist| {
+                [
+                    (dist, "flat", "full"),
+                    (dist, "hybrid", "full"),
+                    (dist, "hybrid", "strict"),
+                    (dist, "domain", "full"),
+                    (dist, "ring", "full"),
+                ]
+            })
+            .collect();
+        assert_eq!(cells, expect);
+
+        for per_dist in recs.chunks(5) {
+            let [flat, hybrid, strict, domain, ring] = per_dist else { unreachable!() };
+            assert!(per_dist.iter().all(|r| (r.dims, r.tuples) == (2, 2_000)), "{per_dist:?}");
+            // Every model answers the full test exactly.
+            for r in [hybrid, domain, ring] {
+                assert_eq!(r.skyline_len, flat.skyline_len, "{r:?}");
+            }
+            // Only the rejected models chase pointers, ring storage most.
+            assert_eq!((flat.pointer_hops, hybrid.pointer_hops, strict.pointer_hops), (0, 0, 0));
+            assert!(0 < domain.pointer_hops && domain.pointer_hops < ring.pointer_hops);
+            // Hybrid compares IDs, every other model raw values.
+            for r in [hybrid, strict] {
+                assert!(r.value_comparisons == 0 && r.id_comparisons > 0, "{r:?}");
+            }
+            for r in [flat, domain, ring] {
+                assert!(r.value_comparisons > 0 && r.id_comparisons == 0, "{r:?}");
+            }
+            // The strict test may keep tuples the full test drops.
+            assert!(strict.skyline_len >= hybrid.skyline_len);
+            assert!(per_dist.iter().all(|r| r.storage_bytes > 0 && r.scan_ms > 0.0));
+        }
+
+        let prov = Provenance::collect(crate::Scale::Quick, 1);
+        let json = to_json(&prov, &[], &[], &[], (&[], &[]), &[], &recs);
+        let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
+        for section in ["grid", "timings"] {
+            assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 10);
         }
     }
 
@@ -686,7 +850,7 @@ mod tests {
             assert!(r.storm_ms > 0.0 && r.ns_per_delivery() > 0.0);
         }
         let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &[], &[], &[], (&[], &[]), &recs);
+        let json = to_json(&prov, &[], &[], &[], (&[], &[]), &recs, &[]);
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
             assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 2);

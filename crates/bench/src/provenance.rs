@@ -599,6 +599,19 @@ mod tests {
             wheel_events: 10_100,
             storm_ms: 12.75,
         }];
+        let storages = [corebench::StorageRecord {
+            model: "ring",
+            test: "full",
+            dist: "AC",
+            dims: 2,
+            tuples: 10_000,
+            skyline_len: 22,
+            value_comparisons: 1_234_567,
+            id_comparisons: 0,
+            pointer_hops: 14_933_994,
+            storage_bytes: 281_234,
+            scan_ms: 58.812_4,
+        }];
 
         vec![
             ("sweep", sweep::to_json(&prov, 2.0, &stages)),
@@ -616,6 +629,7 @@ mod tests {
                     &builds,
                     (&scans, &merges),
                     &radios,
+                    &storages,
                 ),
             ),
         ]

@@ -4,15 +4,9 @@
 //! scheme, we use the simple BNL algorithm since no multi-dimensional index
 //! or sort order is assumed to be available on a mobile device").
 //!
-//! Two variants:
-//!
-//! * [`skyline_indices`] — the common in-memory formulation with an
-//!   unbounded window (one pass);
-//! * [`skyline_indices_windowed`] — the faithful multi-pass formulation with
-//!   a bounded window, modelling a device whose working memory holds only
-//!   `window` candidate tuples. Overflowing tuples are deferred to the next
-//!   pass, exactly as BNL spills to a temp file. Used by the memory-pressure
-//!   ablation bench.
+//! The in-memory formulation with an unbounded window (one pass), over
+//! tuples ([`skyline_indices`]) or a contiguous block
+//! ([`block_skyline_indices`]).
 
 use crate::block::TupleBlock;
 use crate::tuple::Tuple;
@@ -84,81 +78,6 @@ pub fn block_skyline_indices_counted(block: &TupleBlock) -> (Vec<usize>, u64) {
     (window, tests)
 }
 
-/// Multi-pass BNL with a window of at most `window` candidates.
-///
-/// Tuples that are incomparable to a full window are written to the
-/// "overflow" set and reconsidered in the next pass; window members that
-/// survive a whole pass in which they were inserted before any overflow
-/// tuple was read are confirmed skyline points. We use the simple
-/// timestamping scheme from the original paper.
-///
-/// # Panics
-/// Panics when `window == 0`.
-pub fn skyline_indices_windowed(data: &[Tuple], window: usize) -> Vec<usize> {
-    assert!(window > 0, "BNL window must hold at least one tuple");
-    let block = TupleBlock::from_tuples(data);
-    let dom = block.kernel();
-    let mut result: Vec<usize> = Vec::new();
-    // Current input for this pass: indices into `data`.
-    let mut input: Vec<usize> = (0..data.len()).collect();
-
-    while !input.is_empty() {
-        // (index, timestamp) pairs; the timestamp is the position in the
-        // pass at which the tuple entered the window.
-        let mut win: Vec<(usize, usize)> = Vec::with_capacity(window);
-        let mut overflow: Vec<usize> = Vec::new();
-        let mut first_overflow_pos: Option<usize> = None;
-
-        for (pos, &idx) in input.iter().enumerate() {
-            let t = block.row(idx);
-            let mut dominated = false;
-            win.retain(|&(w, _)| {
-                if dominated {
-                    return true;
-                }
-                if dom(block.row(w), t) {
-                    dominated = true;
-                    true
-                } else {
-                    !dom(t, block.row(w))
-                }
-            });
-            if dominated {
-                continue;
-            }
-            if win.len() < window {
-                win.push((idx, pos));
-            } else {
-                if first_overflow_pos.is_none() {
-                    first_overflow_pos = Some(pos);
-                }
-                overflow.push(idx);
-            }
-        }
-
-        // Window members inserted before the first overflow tuple was read
-        // have been compared against every surviving tuple of the pass: they
-        // are skyline points. Later insertions must be replayed with the
-        // overflow (they may be dominated by a tuple that overflowed before
-        // they entered). Replayed members go *in front* so they are seen
-        // before the tuples they have not yet been compared with.
-        let cutoff = first_overflow_pos.unwrap_or(usize::MAX);
-        let mut next_input: Vec<usize> = Vec::new();
-        for &(idx, ts) in &win {
-            if ts < cutoff {
-                result.push(idx);
-            } else {
-                next_input.push(idx);
-            }
-        }
-        next_input.extend(overflow);
-        input = next_input;
-    }
-
-    result.sort_unstable();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,31 +98,6 @@ mod tests {
     fn matches_oracle_on_anti_correlated() {
         let data = anti_correlated(300);
         assert_eq!(skyline_indices(&data), oracle::skyline_indices(&data));
-    }
-
-    #[test]
-    fn windowed_matches_unbounded_for_various_windows() {
-        let data = anti_correlated(200);
-        let expect = skyline_indices(&data);
-        for w in [1, 2, 3, 7, 16, 64, 1024] {
-            assert_eq!(skyline_indices_windowed(&data, w), expect, "window {w}");
-        }
-    }
-
-    #[test]
-    fn windowed_handles_all_skyline_input() {
-        // Every tuple is a skyline point; forces maximal overflow churn.
-        let data: Vec<Tuple> = (0..50)
-            .map(|i| Tuple::new(i as f64, 0.0, vec![i as f64, (49 - i) as f64]))
-            .collect();
-        let expect: Vec<usize> = (0..50).collect();
-        assert_eq!(skyline_indices_windowed(&data, 4), expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn windowed_rejects_zero_window() {
-        skyline_indices_windowed(&[], 0);
     }
 
     #[test]

@@ -80,15 +80,6 @@ proptest! {
     }
 
     #[test]
-    fn windowed_bnl_matches_for_any_window(data in relation(40, 2), window in 1usize..8) {
-        let expect = skyline_core::algo::bnl::skyline_indices(&data);
-        prop_assert_eq!(
-            skyline_core::algo::bnl::skyline_indices_windowed(&data, window),
-            expect
-        );
-    }
-
-    #[test]
     fn skyline_members_are_mutually_non_dominating(data in relation(60, 3)) {
         let sky = Algorithm::Bnl.skyline_indices(&data);
         for &i in &sky {

@@ -6,6 +6,9 @@
 //! (no locks on the hot path) that is folded into a process-global
 //! accumulator when the thread exits or [`flush_thread`] runs.
 //! [`ProfileReport::collect_and_reset`] snapshots and clears the global.
+//! A thread's exit fold runs in its thread-local destructor, which
+//! `JoinHandle::join` waits for and `std::thread::scope`'s implicit wait
+//! does not: join a worker before collecting what it recorded.
 //!
 //! Determinism: `calls`, `bytes`, and `units` are pure functions of the
 //! simulated work, merge by addition, and are therefore bit-identical
@@ -80,8 +83,10 @@ fn flush_rows(rows: &mut Vec<Acc>) {
 }
 
 /// Folds the calling thread's span table into the global accumulator.
-/// Worker threads flush automatically on exit; the collecting thread
-/// flushes inside [`ProfileReport::collect_and_reset`].
+/// Worker threads flush automatically on exit — observed by
+/// `JoinHandle::join`, not by the end of a `std::thread::scope` alone;
+/// the collecting thread flushes inside
+/// [`ProfileReport::collect_and_reset`].
 pub fn flush_thread() {
     TLS.with(|t| flush_rows(&mut t.borrow_mut().rows));
 }
@@ -314,24 +319,37 @@ mod tests {
         assert_eq!(row.units, 6);
     }
 
+    /// Rows fold when a worker's thread-local table is destroyed, which
+    /// `join()` waits for and the scope's implicit wait does not; the
+    /// rounds make a lost fold show in one run.
     #[test]
     fn worker_thread_spans_fold_into_the_collector() {
         let _l = TEST_LOCK.lock().unwrap();
         crate::set_enabled(true);
         let _ = ProfileReport::collect_and_reset();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let mut g = crate::span!("test::worker");
-                    g.add_units(10);
+        let rounds: Vec<Option<(u64, u64)>> = (0..20)
+            .map(|_| {
+                std::thread::scope(|s| {
+                    let workers: Vec<_> = (0..4)
+                        .map(|_| {
+                            s.spawn(|| {
+                                let mut g = crate::span!("test::worker");
+                                g.add_units(10);
+                            })
+                        })
+                        .collect();
+                    for w in workers {
+                        w.join().expect("worker panicked");
+                    }
                 });
-            }
-        });
+                let rep = ProfileReport::collect_and_reset();
+                rep.row("test::worker").map(|row| (row.calls, row.units))
+            })
+            .collect();
         crate::set_enabled(false);
-        let rep = ProfileReport::collect_and_reset();
-        let row = rep.row("test::worker").expect("workers flushed on exit");
-        assert_eq!(row.calls, 4);
-        assert_eq!(row.units, 40);
+        for (round, folded) in rounds.iter().enumerate() {
+            assert_eq!(*folded, Some((4, 40)), "round {round}: workers flushed on exit");
+        }
     }
 
     #[test]

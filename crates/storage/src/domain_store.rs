@@ -8,7 +8,7 @@
 //! pointers. Section 4.1 rejects this scheme because of exactly that extra
 //! indirection; it is implemented here so the rejection is measurable
 //! (the [`LocalStats::pointer_hops`](crate::traits::LocalStats) counter and
-//! the `storage_ablation` bench).
+//! the `kind: storage` rows of `BENCH_core.json`).
 
 use skyline_core::region::{Mbr, Point};
 use skyline_core::vdr::{select_filter, FilterTuple};
