@@ -2,7 +2,7 @@
 //! roles × lightweight defenses swept across forwarding arms and fault
 //! points, with every answer scored against the sequential oracle.
 //!
-//! The chaos scorecard (`ext_chaos`) measures what *faults* cost; this
+//! The chaos scorecard (`msq ext chaos`) measures what *faults* cost; this
 //! grid measures what *adversaries* cost and what the defenses buy back.
 //! Each cell freezes the same 4×4 topology, compromises a seeded quarter
 //! of the population with one [`AttackKind`] — query-flood spammers,
@@ -22,8 +22,7 @@
 //! own queries are collateral of reputation isolation), which is why the
 //! scorecard reports honest-only completeness alongside the overall mean.
 //!
-//! Usage: `cargo run --release -p msq-bench --bin ext_attack [--full]
-//! [--jobs N] [--json]`
+//! Usage: `msq ext attack [--full] [--jobs N] [--json]`
 
 use datagen::Distribution;
 use dist_skyline::config::{DefenseConfig, FilterStrategy, Forwarding, StrategyConfig};
@@ -37,7 +36,7 @@ use std::time::Instant;
 
 use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
-use crate::Scale;
+use crate::{RunOpts, Scale};
 
 /// Master seed shared by every cell.
 const SEED: u64 = 0xA77C;
@@ -324,16 +323,16 @@ pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
 }
 
 /// Runs the grid, prints the scorecard, and returns the reports (shared by
-/// `ext_attack` and `run_all`).
-pub fn run(scale: Scale) -> Vec<CellReport> {
-    let card = scale.attack_cardinality();
+/// `msq ext attack` and `msq all`).
+pub fn run(o: &RunOpts) -> Vec<CellReport> {
+    let card = o.scale.attack_cardinality();
     println!(
         "== Extension: adversarial chaos grid ({card} tuples, {} devices, \
          {:.0}% compromised in attacked rows) ==\n",
         GRID * GRID,
         ATTACK_FRACTION * 100.0
     );
-    let reports = compute(scale, sweep::jobs_from_args(), "ext_attack");
+    let reports = compute(o.scale, o.jobs, "ext_attack");
 
     println!(
         "{:<7} {:>13} {:>4} {:>11} {:>8} {:>8} {:>9} {:>10} {:>9} {:>8}",

@@ -22,8 +22,8 @@
 //!   `jobs` and `cells_per_sec` in timings rows are ignored (derived or
 //!   environment-bound).
 //!
-//! **Prefix mode** ([`diff_with`] with `prefix = true`, the binary's
-//! `--prefix` flag) adapts the rules for CI's quick-vs-committed gate: a
+//! **Prefix mode** ([`diff_with`] with `prefix = true`, `msq diff
+//! --prefix`) adapts the rules for CI's quick-vs-committed gate: a
 //! Quick re-run's grid is a strict prefix of the committed Full grid
 //! (same cells, same seeds, fewer rows), so prefix mode exempts `scale`
 //! from the identity check, compares grid and timings rows index-wise
@@ -31,8 +31,8 @@
 //! drift), and skips the top-level wall-clock fields (a subset run's
 //! total is incomparable).
 //!
-//! The `bench_diff` binary maps these to exit codes: 0 pass, 1
-//! drift/regression, 2 refusal.
+//! `msq diff` maps these to exit codes: 0 pass, 1 drift/regression, 2
+//! refusal.
 
 use sim_obs::JsonValue;
 
@@ -40,6 +40,11 @@ use sim_obs::JsonValue;
 /// added on top of the relative band, so sub-100 ms cells aren't failed on
 /// scheduler noise.
 pub const ABS_FLOOR: f64 = 0.1;
+
+/// Default relative tolerance on wall-clock fields (`msq diff --tol`):
+/// ±50 % absorbs machine-to-machine and load variance; order-of-magnitude
+/// regressions still fail.
+pub const DEFAULT_TOL: f64 = 0.5;
 
 /// Outcome of a successful (non-refused) comparison.
 #[derive(Debug, Clone, Default)]
@@ -136,7 +141,7 @@ pub fn diff_with(
             _ => {
                 return Err(format!(
                     "refusing to compare: `{field}` missing (pre-rev-{} baseline? regenerate \
-                     with `run_all --json`)",
+                     with `msq all --json`)",
                     crate::provenance::GRID_REV
                 ));
             }

@@ -1,115 +1,34 @@
-//! `msq` — the command-line front end: one-off distributed queries, MANET
-//! simulations, and relation-image generation.
+//! `msq` — the one command-line front end: the paper's figures, the
+//! extension experiments, the `BENCH_*.json` benches and their tools, and
+//! one-off queries, simulations and relation images. `msq help` lists the
+//! subcommands ([`msq_bench::cli::HELP`]).
 //!
 //! ```text
-//! msq query    --cardinality 50000 --grid 5 --origin 12 --d 250 --strategy dynamic
-//! msq simulate --grid 5 --forwarding df --seconds 1800
-//! msq datagen  --cardinality 100000 --dist ac --out /tmp/rel.msq
+//! msq fig 12 --jobs 4 --csv results/csv
+//! msq ext chaos --json
+//! msq diff BENCH_core.json /tmp/x/BENCH_core.json --tol 1.5
+//! msq query --cardinality 50000 --grid 5 --origin 12 --d 250 --strategy dynamic
 //! ```
+//!
+//! Exit codes: 0 success, 1 a failed run (a file that could not be
+//! written, or `msq diff` drift), 2 a usage error (reported before any
+//! work runs) or `msq diff` inputs that cannot be compared.
 
-use datagen::{DataSpec, SpatialExtent};
-use dist_skyline::config::StrategyConfig;
-use dist_skyline::runtime::{run_experiment, ManetExperiment};
-use dist_skyline::static_net::grid_network_from_global;
-use msq_bench::cli::{self, Command, DataArgs};
-use skyline_core::vdr::BoundsMode;
+use std::process::ExitCode;
 
-fn spec_of(d: &DataArgs) -> DataSpec {
-    DataSpec::manet_experiment(d.cardinality, d.dim, d.distribution, d.seed)
-}
+use msq_bench::{cli, commands};
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match cli::parse(&args) {
+    let cmd = match cli::parse(&args) {
+        Ok(cmd) => cmd,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", cli::HELP);
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
-        Ok(Command::Help) => print!("{}", cli::HELP),
-        Ok(Command::Query(q)) => {
-            let spec = spec_of(&q.data);
-            let net = grid_network_from_global(&spec.generate(), q.g, SpatialExtent::PAPER);
-            let cfg = StrategyConfig {
-                filter: q.strategy,
-                bounds_mode: BoundsMode::Exact,
-                exact_bounds: spec.global_upper_bounds(),
-                ..StrategyConfig::default()
-            };
-            let out = net.run_query(q.origin, q.d, &cfg);
-            println!(
-                "skyline of {} sites within d={} of device {} ({} devices):",
-                out.result.len(),
-                q.d,
-                q.origin,
-                net.len()
-            );
-            for t in &out.result {
-                println!("  ({:8.2}, {:8.2})  {:?}", t.x, t.y, t.attrs);
-            }
-            let m = &out.metrics;
-            println!(
-                "\ntuples {}  bytes {}  forwards {}  DRR {:.3}",
-                m.tuples_transferred,
-                m.bytes_transferred,
-                m.forward_messages,
-                m.drr.drr(true)
-            );
-        }
-        Ok(Command::Simulate(s)) => {
-            let mut exp = ManetExperiment::paper_defaults(
-                s.g,
-                s.data.cardinality,
-                s.data.dim,
-                s.data.distribution,
-                s.d,
-                s.data.seed,
-            );
-            exp.forwarding = s.forwarding;
-            exp.sim_seconds = s.seconds;
-            exp.frozen = s.frozen;
-            let out = run_experiment(&exp);
-            println!(
-                "{} queries ({} timed out), DRR {:.3}",
-                out.records.len(),
-                (out.timeout_fraction * out.records.len() as f64).round() as usize,
-                out.drr
-            );
-            if let Some(rt) = out.mean_response_seconds {
-                println!(
-                    "response time: mean {rt:.3} s, p50 {:.3} s, p95 {:.3} s",
-                    out.p50_response_seconds.unwrap_or(f64::NAN),
-                    out.p95_response_seconds.unwrap_or(f64::NAN)
-                );
-            }
-            println!(
-                "forward msgs/query {:.1}, result msgs/query {:.1}, {:.4} J/query",
-                out.mean_forward_messages, out.mean_result_messages, out.energy_per_query_joules
-            );
-            let n = out.net;
-            println!(
-                "network: {} frames ({} AODV / {} data / {} bcast), {:.1} kB, {:.0}% delivery",
-                n.frames_sent,
-                n.aodv_frames,
-                n.data_frames,
-                n.bcast_frames,
-                n.bytes_sent as f64 / 1024.0,
-                n.unicast_delivery_ratio() * 100.0
-            );
-        }
-        Ok(Command::Datagen(d)) => {
-            let data = spec_of(&d.data).generate();
-            let img = device_storage::encode_relation(&data);
-            if let Err(e) = std::fs::write(&d.out, &img) {
-                eprintln!("error: cannot write {}: {e}", d.out);
-                std::process::exit(1);
-            }
-            println!(
-                "wrote {} tuples ({} B image, {:.1}% of raw) to {}",
-                data.len(),
-                img.len(),
-                100.0 * img.len() as f64 / (data.len().max(1) * 8 * (d.data.dim + 2)) as f64,
-                d.out
-            );
-        }
-    }
+    };
+    commands::execute(cmd).unwrap_or_else(|e| {
+        eprintln!("Error: {e}");
+        ExitCode::FAILURE
+    })
 }

@@ -17,8 +17,7 @@
 //! baseline with the recovery machinery disabled, so the scorecard shows
 //! what the hardening buys on identical seeds.
 //!
-//! Usage: `cargo run --release -p msq-bench --bin ext_chaos [--full]
-//! [--jobs N] [--json]`
+//! Usage: `msq ext chaos [--full] [--jobs N] [--json]`
 
 use datagen::Distribution;
 use dist_skyline::config::{DistConfig, FilterStrategy, StrategyConfig};
@@ -30,7 +29,7 @@ use std::time::Instant;
 
 use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
-use crate::Scale;
+use crate::{RunOpts, Scale};
 
 /// Master seed shared by every cell (the fault-plan seed varies per cell
 /// so different grid points see different victims).
@@ -230,14 +229,14 @@ pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
 }
 
 /// Runs the grid, prints the scorecard tables, and returns the reports
-/// (shared by `ext_chaos` and `run_all`).
-pub fn run(scale: Scale) -> Vec<CellReport> {
-    let card = scale.chaos_cardinality();
+/// (shared by `msq ext chaos` and `msq all`).
+pub fn run(o: &RunOpts) -> Vec<CellReport> {
+    let card = o.scale.chaos_cardinality();
     println!(
         "== Extension: chaos scorecard ({card} tuples, {} devices, frozen grid) ==\n",
         GRID * GRID
     );
-    let reports = compute(scale, sweep::jobs_from_args(), "ext_chaos");
+    let reports = compute(o.scale, o.jobs, "ext_chaos");
     let names: Vec<String> = arms().iter().map(|a| a.name.to_string()).collect();
     let per_point = names.len();
 

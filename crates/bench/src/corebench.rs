@@ -10,8 +10,8 @@
 //! two local skylines; the event/radio path — a broadcast storm on a
 //! frozen lattice, at two payload weights; and the §4.1 storage ablation —
 //! one unbounded local skyline on flat, hybrid, domain and ring storage,
-//! plus hybrid under the Fig. 4 strict test. `core_bench --json` and
-//! `run_all --json` serialize the records.
+//! plus hybrid under the Fig. 4 strict test. `msq core --json` and
+//! `msq all --json` serialize the records.
 
 use datagen::{DataSpec, Distribution};
 use device_storage::{
@@ -27,7 +27,7 @@ use skyline_core::dominance::dominates;
 use skyline_core::{DominanceTest, Point, QueryRegion, SkylineMerger, Tuple, TupleBlock};
 use std::time::Instant;
 
-use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value};
+use crate::provenance::{baseline_json, det, label, print_rows, vol, Provenance, Row, Value};
 
 /// One `(dims, representation)` comparison.
 #[derive(Debug, Clone)]
@@ -552,26 +552,73 @@ const GRID_REV: u64 = 6;
 /// and event counts and the storage models' work counters and footprints
 /// are seed-determined and go in `grid`; wall clock and the per-unit costs
 /// derived from it go in `timings`.
-pub fn to_json(
-    prov: &Provenance,
-    records: &[KernelRecord],
-    neighbors: &[NeighborRecord],
-    builds: &[BuildRecord],
-    (scans, merges): (&[ScanRecord], &[MergeRecord]),
-    radios: &[RadioRecord],
-    storages: &[StorageRecord],
-) -> String {
-    let rows: Vec<Row> = records
-        .iter()
-        .map(kernel_row)
-        .chain(neighbors.iter().map(neighbor_row))
-        .chain(builds.iter().map(build_row))
-        .chain(scans.iter().map(scan_row))
-        .chain(merges.iter().map(merge_row))
-        .chain(radios.iter().map(radio_row))
-        .chain(storages.iter().map(storage_row))
-        .collect();
+pub fn to_json(prov: &Provenance, suite: &Suite) -> String {
+    let rows: Vec<Row> = suite.families().into_iter().flat_map(|(_, rows)| rows).collect();
     baseline_json("core", prov, GRID_REV, &[("algorithm", Value::from("bnl"))], &rows)
+}
+
+/// Every core micro-benchmark, measured once: what `msq core` prints and
+/// `BENCH_core.json` holds.
+#[derive(Debug, Default)]
+pub struct Suite {
+    /// Dominance kernels (`kind: kernel`).
+    pub records: Vec<KernelRecord>,
+    /// Neighbour discovery (`kind: neighbors`).
+    pub neighbors: Vec<NeighborRecord>,
+    /// Hybrid relation build (`kind: build`).
+    pub builds: Vec<BuildRecord>,
+    /// Fig. 4 scan (`kind: scan`).
+    pub scans: Vec<ScanRecord>,
+    /// Originator merge (`kind: merge`).
+    pub merges: Vec<MergeRecord>,
+    /// Broadcast storm (`kind: radio`).
+    pub radios: Vec<RadioRecord>,
+    /// §4.1 storage ablation (`kind: storage`).
+    pub storages: Vec<StorageRecord>,
+}
+
+impl Suite {
+    /// Runs every micro-benchmark at the committed baseline's sizes.
+    pub fn measure() -> Suite {
+        let records = run(20_000);
+        let neighbors = neighbor_discovery();
+        let builds = relation_build();
+        let (scans, merges) = data_path(20_000);
+        let radios = radio_storm(&[10, 20]);
+        let storages = storage_ablation(10_000);
+        Suite { records, neighbors, builds, scans, merges, radios, storages }
+    }
+
+    /// The row families, in `BENCH_core.json` order, each under the
+    /// title `msq core` prints it with.
+    fn families(&self) -> [(&'static str, Vec<Row>); 7] {
+        [
+            ("dominance kernels", self.records.iter().map(kernel_row).collect()),
+            ("neighbour discovery", self.neighbors.iter().map(neighbor_row).collect()),
+            ("hybrid relation build", self.builds.iter().map(build_row).collect()),
+            ("Fig. 4 scan (strict test)", self.scans.iter().map(scan_row).collect()),
+            (
+                "originator merge (own + reply skylines)",
+                self.merges.iter().map(merge_row).collect(),
+            ),
+            (
+                "broadcast storm (frozen lattice, relay-once floods)",
+                self.radios.iter().map(radio_row).collect(),
+            ),
+            (
+                "storage ablation (Section 4.1, unbounded local skyline)",
+                self.storages.iter().map(storage_row).collect(),
+            ),
+        ]
+    }
+
+    /// Prints one table per row family, with the columns its
+    /// `BENCH_core.json` rows hold.
+    pub fn print(&self) {
+        for (title, rows) in self.families() {
+            print_rows(&format!("Core: {title}"), &rows);
+        }
+    }
 }
 
 fn kernel_row(r: &KernelRecord) -> Row {
@@ -701,7 +748,7 @@ mod tests {
             assert!(r.build_ms.is_finite() && r.build_ms > 0.0);
         }
         let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &[], &[], &recs, (&[], &[]), &[], &[]);
+        let json = to_json(&prov, &Suite { builds: recs, ..Suite::default() });
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("grid").and_then(sim_obs::JsonValue::as_array).unwrap().len(), 6);
         assert!(json.contains("\"grid_rev\": 6,"));
@@ -774,7 +821,7 @@ mod tests {
         }
 
         let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &[], &[], &[], (&scans, &merges), &[], &[]);
+        let json = to_json(&prov, &Suite { scans, merges, ..Suite::default() });
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
             assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 18);
@@ -823,7 +870,7 @@ mod tests {
         }
 
         let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &[], &[], &[], (&[], &[]), &[], &recs);
+        let json = to_json(&prov, &Suite { storages: recs, ..Suite::default() });
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
             assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 10);
@@ -850,7 +897,7 @@ mod tests {
             assert!(r.storm_ms > 0.0 && r.ns_per_delivery() > 0.0);
         }
         let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &[], &[], &[], (&[], &[]), &recs, &[]);
+        let json = to_json(&prov, &Suite { radios: recs, ..Suite::default() });
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
             assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 2);

@@ -18,8 +18,8 @@ use skyline_core::Tuple;
 use std::time::Instant;
 
 use crate::sweep;
-use crate::table::{csv_dir_from_args, Table};
-use crate::Scale;
+use crate::table::Table;
+use crate::RunOpts;
 
 /// Fig. 5 cells measure *wall time* on this host, so they always run with
 /// `jobs = 1`: timing cells concurrently would make them contend for cores
@@ -63,7 +63,7 @@ fn dataset(card: usize, dim: usize, dist: Distribution) -> Vec<Tuple> {
 }
 
 /// Panel (a): cardinality sweep.
-pub fn panel_a(scale: Scale, reps: usize) {
+pub fn panel_a(o: &RunOpts, reps: usize) -> std::io::Result<()> {
     let series: Vec<String> = ["HS-IN", "FS-IN", "HS-AC", "FS-AC"]
         .iter()
         .flat_map(|s| [format!("{s} host ms"), format!("{s} iPAQ s")])
@@ -74,7 +74,7 @@ pub fn panel_a(scale: Scale, reps: usize) {
         "cardinality",
         series,
     );
-    let cards = scale.local_cardinalities();
+    let cards = o.scale.local_cardinalities();
     let cells: Vec<(usize, Distribution)> = cards
         .iter()
         .flat_map(|&card| {
@@ -93,13 +93,13 @@ pub fn panel_a(scale: Scale, reps: usize) {
     for (card, pair) in cards.iter().zip(rows.chunks(2)) {
         t.push(card, pair.concat());
     }
-    t.emit(csv_dir_from_args().as_deref());
+    t.emit(o.csv.as_deref())
 }
 
 /// Panel (b): dimensionality sweep (averaged over IN and AC, as in the
 /// paper: "we show the average costs of both distributions").
-pub fn panel_b(scale: Scale, reps: usize) {
-    let card = scale.local_dim_cardinality();
+pub fn panel_b(o: &RunOpts, reps: usize) -> std::io::Result<()> {
+    let card = o.scale.local_dim_cardinality();
     let mut t = Table::new(
         "fig5b",
         format!(
@@ -108,7 +108,7 @@ pub fn panel_b(scale: Scale, reps: usize) {
         "dims",
         vec!["HS host ms".into(), "HS iPAQ s".into(), "FS host ms".into(), "FS iPAQ s".into()],
     );
-    let dims = scale.dimensionalities();
+    let dims = o.scale.dimensionalities();
     let cells: Vec<(usize, Distribution)> = dims
         .iter()
         .flat_map(|&dim| {
@@ -128,7 +128,7 @@ pub fn panel_b(scale: Scale, reps: usize) {
         let avg: Vec<f64> = (0..4).map(|k| pair[0][k] / 2.0 + pair[1][k] / 2.0).collect();
         t.push(dim, avg);
     }
-    t.emit(csv_dir_from_args().as_deref());
+    t.emit(o.csv.as_deref())
 }
 
 #[cfg(test)]

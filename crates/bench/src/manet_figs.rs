@@ -10,8 +10,8 @@ use dist_skyline::config::Forwarding;
 use dist_skyline::runtime::{run_experiment, ManetExperiment, ManetOutcome};
 
 use crate::sweep;
-use crate::table::{csv_dir_from_args, Table};
-use crate::Scale;
+use crate::table::Table;
+use crate::{RunOpts, Scale};
 
 /// What a panel reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,81 +100,84 @@ pub fn compute_rows(
 }
 
 fn emit_panel(
+    o: &RunOpts,
     id: String,
     title: String,
     x_name: &str,
-    scale: Scale,
     dist: Distribution,
     metric: Metric,
     specs: &[RowSpec],
-) {
-    let mut t = Table::new(id.clone(), title, x_name, series_names(scale));
-    for (label, vals) in compute_rows(scale, dist, metric, specs, &id, sweep::jobs_from_args()) {
+) -> std::io::Result<()> {
+    let mut t = Table::new(id.clone(), title, x_name, series_names(o.scale));
+    for (label, vals) in compute_rows(o.scale, dist, metric, specs, &id, o.jobs) {
         t.push(label, vals);
     }
-    t.emit(csv_dir_from_args().as_deref());
+    t.emit(o.csv.as_deref())
 }
 
 /// Panel (a): metric vs. global cardinality.
-pub fn panel_a(scale: Scale, dist: Distribution, metric: Metric, fig: &str) {
-    let g = scale.manet_grid();
-    let specs: Vec<RowSpec> = scale
+pub fn panel_a(o: &RunOpts, dist: Distribution, metric: Metric, fig: &str) -> std::io::Result<()> {
+    let g = o.scale.manet_grid();
+    let specs: Vec<RowSpec> = o
+        .scale
         .manet_cardinalities()
         .into_iter()
         .map(|card| RowSpec { label: card.to_string(), g, card, dim: 2 })
         .collect();
     emit_panel(
+        o,
         format!("{}a_{metric:?}_{dist:?}", fig.to_lowercase().replace([' ', '.'], "")),
         format!("{fig}(a) — {metric:?} vs. cardinality ({dist:?}, 2 attrs, {} devices)", g * g),
         "cardinality",
-        scale,
         dist,
         metric,
         &specs,
-    );
+    )
 }
 
 /// Panel (b): metric vs. dimensionality. The quick scale shrinks the
 /// relation as dimensionality grows (see [`Scale`]); the row label shows
 /// the cardinality actually used.
-pub fn panel_b(scale: Scale, dist: Distribution, metric: Metric, fig: &str) {
-    let g = scale.manet_grid();
-    let specs: Vec<RowSpec> = scale
+pub fn panel_b(o: &RunOpts, dist: Distribution, metric: Metric, fig: &str) -> std::io::Result<()> {
+    let g = o.scale.manet_grid();
+    let specs: Vec<RowSpec> = o
+        .scale
         .dimensionalities()
         .into_iter()
         .map(|dim| {
-            let card = scale.manet_cardinality_for_dim(dim);
+            let card = o.scale.manet_cardinality_for_dim(dim);
             RowSpec { label: format!("{dim}@{card}"), g, card, dim }
         })
         .collect();
     emit_panel(
+        o,
         format!("{}b_{metric:?}_{dist:?}", fig.to_lowercase().replace([' ', '.'], "")),
         format!("{fig}(b) — {metric:?} vs. dimensionality ({dist:?}, {} devices)", g * g),
         "dims@card",
-        scale,
         dist,
         metric,
         &specs,
-    );
+    )
 }
 
 /// Panel (c): metric vs. number of devices.
-pub fn panel_c(scale: Scale, dist: Distribution, metric: Metric, fig: &str) {
-    let card = scale.manet_fixed_cardinality();
-    let specs: Vec<RowSpec> = scale
+pub fn panel_c(o: &RunOpts, dist: Distribution, metric: Metric, fig: &str) -> std::io::Result<()> {
+    let card = o.scale.manet_fixed_cardinality();
+    let specs: Vec<RowSpec> = o
+        .scale
         .grid_sides()
         .into_iter()
         .map(|g| RowSpec { label: (g * g).to_string(), g, card, dim: 2 })
         .collect();
     emit_panel(
+        o,
         format!("{}c_{metric:?}_{dist:?}", fig.to_lowercase().replace([' ', '.'], "")),
         format!("{fig}(c) — {metric:?} vs. devices ({dist:?}, {card} tuples, 2 attrs)"),
         "devices",
-        scale,
         dist,
         metric,
         &specs,
-    );
+    )
 }
 
 #[cfg(test)]

@@ -10,20 +10,20 @@ use dist_skyline::config::Forwarding;
 use dist_skyline::runtime::{run_experiment, ManetExperiment};
 
 use crate::sweep;
-use crate::table::{csv_dir_from_args, Table};
-use crate::Scale;
+use crate::table::Table;
+use crate::RunOpts;
 
 /// Runs the Fig. 12 sweep: the `grid sides × {BF, DF}` cell grid goes
 /// through the sweep harness.
-pub fn run(scale: Scale) {
-    let card = scale.manet_fixed_cardinality();
+pub fn run(o: &RunOpts) -> std::io::Result<()> {
+    let card = o.scale.manet_fixed_cardinality();
     let mut t = Table::new(
         "fig12",
         format!("Fig. 12 — query message count vs. devices ({card} tuples, 2 attrs, d = 250)"),
         "devices",
         vec!["BF".into(), "DF".into(), "BF aodv".into(), "DF aodv".into()],
     );
-    let sides = scale.grid_sides();
+    let sides = o.scale.grid_sides();
     let cells: Vec<ManetExperiment> = sides
         .iter()
         .flat_map(|&g| {
@@ -37,12 +37,12 @@ pub fn run(scale: Scale) {
                     0x000F_1612,
                 );
                 exp.forwarding = fwd;
-                exp.sim_seconds = scale.sim_seconds();
+                exp.sim_seconds = o.scale.sim_seconds();
                 exp
             })
         })
         .collect();
-    let outs = sweep::run_stage("fig12", sweep::jobs_from_args(), &cells, run_experiment);
+    let outs = sweep::run_stage("fig12", o.jobs, &cells, run_experiment);
     for (g, pair) in sides.iter().zip(outs.chunks(2)) {
         let aodv = |i: usize| {
             let out = &pair[i];
@@ -53,7 +53,7 @@ pub fn run(scale: Scale) {
             vec![pair[0].mean_forward_messages, pair[1].mean_forward_messages, aodv(0), aodv(1)],
         );
     }
-    t.emit(csv_dir_from_args().as_deref());
+    t.emit(o.csv.as_deref())
 }
 
 #[cfg(test)]

@@ -19,8 +19,7 @@
 //! period and equal fidelity, `delta` must send strictly fewer messages
 //! and bytes than `requery`.
 //!
-//! Usage: `cargo run --release -p msq-bench --bin ext_monitor [--full]
-//! [--jobs N] [--json]`
+//! Usage: `msq ext monitor [--full] [--jobs N] [--json]`
 
 use dist_skyline::monitor::{
     run_monitor_experiment, verify_monitor_drift, MonitorExperiment, MonitorMode, MonitorOutcome,
@@ -30,7 +29,7 @@ use std::time::Instant;
 
 use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
-use crate::Scale;
+use crate::{RunOpts, Scale};
 
 /// Master seed shared by every cell.
 const SEED: u64 = 0x300A;
@@ -211,15 +210,15 @@ pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
 }
 
 /// Runs the grid, prints the comparison tables, and returns the reports
-/// (shared by `ext_monitor` and `run_all`).
-pub fn run(scale: Scale) -> Vec<CellReport> {
-    let g = scale.monitor_grid();
+/// (shared by `msq ext monitor` and `msq all`).
+pub fn run(o: &RunOpts) -> Vec<CellReport> {
+    let g = o.scale.monitor_grid();
     println!(
         "== Extension: continuous monitoring vs re-query ({} devices, mobile, {:.0} s standing query) ==\n",
         g * g,
-        scale.monitor_duration_seconds()
+        o.scale.monitor_duration_seconds()
     );
-    let reports = compute(scale, sweep::jobs_from_args(), "ext_monitor");
+    let reports = compute(o.scale, o.jobs, "ext_monitor");
     let names: Vec<String> = modes().iter().map(|(n, _)| n.to_string()).collect();
     let per_point = names.len();
 

@@ -18,8 +18,9 @@
 //! shares answer "where would optimisation effort land" rather than
 //! summing to 100 %.
 //!
-//! Usage: `cargo run --release -p msq-bench --bin perf_report [--g N]
-//! [--json]`
+//! Usage: `msq perf [--g N] [--json]` (`--g` at least 2, default
+//! [`DEFAULT_G`]; `--json` writes `PROFILE_g<N>.json`, the span profile in
+//! the shared grid/timings schema, to the current directory).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -177,21 +178,6 @@ pub fn render(run: &PerfRun) -> String {
         }
     }
     out
-}
-
-/// Reads `--g N` from the process arguments (default [`DEFAULT_G`]).
-///
-/// # Panics
-/// Panics when the argument is present but not a positive integer.
-pub fn g_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match args.windows(2).find(|w| w[0] == "--g") {
-        Some(w) => match w[1].parse::<usize>() {
-            Ok(n) if n >= 2 => n,
-            _ => panic!("--g expects an integer >= 2, got `{}`", w[1]),
-        },
-        None => DEFAULT_G,
-    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,8 @@ pub struct Provenance {
     pub scale: Scale,
     /// Worker threads the sweep ran with (volatile).
     pub jobs: usize,
-    /// Abbreviated git commit of the working tree, or `"unknown"`.
+    /// Abbreviated git commit of the working tree, `<sha>-dirty` when
+    /// tracked files differ from it, or `"unknown"`.
     pub git_commit: String,
     /// `rustc --version` of the toolchain, or `"unknown"`.
     pub rustc: String,
@@ -66,13 +67,33 @@ impl Provenance {
     /// back to `"unknown"` so baselines can still be written in stripped
     /// environments.
     pub fn collect(scale: Scale, jobs: usize) -> Provenance {
+        let git_commit = match first_line("git", &["rev-parse", "--short", "HEAD"]) {
+            // `git diff --quiet` exits 1 exactly when tracked files differ.
+            Some(sha) => commit_stamp(
+                &sha,
+                Command::new("git")
+                    .args(["diff", "--quiet", "HEAD"])
+                    .status()
+                    .is_ok_and(|s| s.code() == Some(1)),
+            ),
+            None => "unknown".to_string(),
+        };
         Provenance {
             scale,
             jobs,
-            git_commit: first_line("git", &["rev-parse", "--short", "HEAD"])
-                .unwrap_or_else(|| "unknown".to_string()),
+            git_commit,
             rustc: first_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".to_string()),
         }
+    }
+}
+
+/// The `git_commit` stamp: the commit, marked `-dirty` when the run's
+/// tracked files were not the commit's.
+fn commit_stamp(sha: &str, dirty: bool) -> String {
+    if dirty {
+        format!("{sha}-dirty")
+    } else {
+        sha.to_string()
     }
 }
 
@@ -185,6 +206,40 @@ fn object<'a>(fields: impl Iterator<Item = (&'a str, &'a Value)>) -> String {
     format!("{{{}}}", fields.join(", "))
 }
 
+/// Prints `rows` as an aligned text table under `title`: a header of
+/// column keys, then one line per row, each column as wide as its widest
+/// cell. Strings print bare.
+pub(crate) fn print_rows(title: &str, rows: &[Row]) {
+    let Some(first) = rows.first() else { return };
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|(_, value, _)| match value {
+                    Value::Str(s) => s.clone(),
+                    value => value.render(),
+                })
+                .collect()
+        })
+        .collect();
+    let widths: Vec<usize> = (0..first.len())
+        .map(|i| cells.iter().map(|row| row[i].len()).fold(first[i].0.len(), usize::max))
+        .collect();
+    let line = |cells: Vec<&str>| {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(cell, width)| format!("{cell:>width$}"))
+            .collect();
+        padded.join(" ")
+    };
+    println!("\n== {title} ==");
+    println!("{}", line(first.iter().map(|(key, ..)| *key).collect()));
+    for row in &cells {
+        println!("{}", line(row.iter().map(String::as_str).collect()));
+    }
+}
+
 /// Renders a baseline: the provenance header stamped at `grid_rev`, the
 /// bench's `header` fields, then one `grid` and one `timings` row per
 /// [`Row`] (see the module docs for the split). One field or row per line.
@@ -221,8 +276,8 @@ pub(crate) fn baseline_json(
     out
 }
 
-/// Writes a rendered baseline to `path`. The `Err` names the path, and a
-/// binary returns it from `main`, so a failed write fails the run.
+/// Writes a rendered baseline to `path`. The `Err` names the path, and
+/// `msq` exits 1 on it, so a failed write fails the run.
 pub fn write_baseline(path: &str, text: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("failed to write {path}: {e}"))?;
     println!("[json] wrote {path}");
@@ -539,7 +594,7 @@ mod tests {
             ..serve_a.clone()
         };
 
-        let kernels = [corebench::KernelRecord {
+        let kernels = vec![corebench::KernelRecord {
             dims: 3,
             tuples: 20_000,
             tuple_ms: 12.345_6,
@@ -547,14 +602,14 @@ mod tests {
             dominance_tests: 123_456,
             skyline_len: 77,
         }];
-        let neighbors = [corebench::NeighborRecord {
+        let neighbors = vec![corebench::NeighborRecord {
             nodes: 100,
             queries: 100,
             grid_ms: 0.05,
             scan_ms: 0.25,
             neighbors: 1_642,
         }];
-        let builds = [
+        let builds = vec![
             corebench::BuildRecord {
                 dims: 2,
                 tuples: 6_000,
@@ -572,7 +627,7 @@ mod tests {
                 build_ms: 0.001,
             },
         ];
-        let scans = [corebench::ScanRecord {
+        let scans = vec![corebench::ScanRecord {
             dims: 4,
             dist: "AC",
             tuples: 20_000,
@@ -582,7 +637,7 @@ mod tests {
             id_comparisons: 9_876_543,
             scan_ms: 3.25,
         }];
-        let merges = [corebench::MergeRecord {
+        let merges = vec![corebench::MergeRecord {
             dims: 5,
             dist: "IN",
             tuples: 20_000,
@@ -591,7 +646,7 @@ mod tests {
             dominated_removed: 200,
             merge_ms: 0.333,
         }];
-        let radios = [corebench::RadioRecord {
+        let radios = vec![corebench::RadioRecord {
             g: 10,
             payload_bytes: 200,
             transmissions: 10_000,
@@ -599,7 +654,7 @@ mod tests {
             wheel_events: 10_100,
             storm_ms: 12.75,
         }];
-        let storages = [corebench::StorageRecord {
+        let storages = vec![corebench::StorageRecord {
             model: "ring",
             test: "full",
             dist: "AC",
@@ -624,12 +679,15 @@ mod tests {
                 "core",
                 corebench::to_json(
                     &prov,
-                    &kernels,
-                    &neighbors,
-                    &builds,
-                    (&scans, &merges),
-                    &radios,
-                    &storages,
+                    &corebench::Suite {
+                        records: kernels,
+                        neighbors,
+                        builds,
+                        scans,
+                        merges,
+                        radios,
+                        storages,
+                    },
                 ),
             ),
         ]
@@ -645,6 +703,12 @@ mod tests {
             let golden = std::fs::read_to_string(&path).expect("golden recorded");
             assert_eq!(json, golden, "{bench} moved off its golden");
         }
+    }
+
+    #[test]
+    fn a_dirty_tree_is_stamped() {
+        assert_eq!(commit_stamp("abc1234", false), "abc1234");
+        assert_eq!(commit_stamp("abc1234", true), "abc1234-dirty");
     }
 
     #[test]

@@ -11,15 +11,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses process arguments: `--full` selects [`Scale::Full`].
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-
     /// Fig. 5(a): local-relation cardinalities (paper: 10K … 100K).
     pub fn local_cardinalities(self) -> Vec<usize> {
         match self {
@@ -123,7 +114,7 @@ impl Scale {
         vec![100.0, 250.0, 500.0]
     }
 
-    /// Chaos scorecard (`ext_chaos`): global cardinality. Deliberately
+    /// Chaos scorecard (`msq ext chaos`): global cardinality. Deliberately
     /// modest — every query is additionally scored against the sequential
     /// oracle, and the grid has 30 cells.
     pub fn chaos_cardinality(self) -> usize {
@@ -143,7 +134,7 @@ impl Scale {
         }
     }
 
-    /// Adversarial grid (`ext_attack`): global cardinality. Modest like
+    /// Adversarial grid (`msq ext attack`): global cardinality. Modest like
     /// the chaos grid — every cell is oracle-scored and the grid is wide.
     pub fn attack_cardinality(self) -> usize {
         match self {
@@ -160,7 +151,7 @@ impl Scale {
         }
     }
 
-    /// Monitoring sweep (`ext_monitor`): grid side (`m = g²` devices).
+    /// Monitoring sweep (`msq ext monitor`): grid side (`m = g²` devices).
     pub fn monitor_grid(self) -> usize {
         match self {
             Scale::Quick => 4,
@@ -178,7 +169,7 @@ impl Scale {
         }
     }
 
-    /// Scale bench (`scale` driver): grid sides, `m = g²` devices at
+    /// Scale bench (`msq scale`): grid sides, `m = g²` devices at
     /// constant density (the area grows with the network). `g = 10` is the
     /// paper's largest network (the 1× anchor); the Quick top end is a
     /// 1024-device end-to-end query, `Full` extends through 4096 to the

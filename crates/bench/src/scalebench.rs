@@ -25,8 +25,7 @@
 //! rows, and CI's `bench_diff` of jobs-1 vs jobs-N output compares the
 //! grid exactly and bands the timings.
 //!
-//! Usage: `cargo run --release -p msq-bench --bin scale [--full]
-//! [--jobs N] [--json] [--smoke]`
+//! Usage: `msq scale [--full] [--jobs N] [--json] [--smoke]`
 
 use datagen::{Distribution, SpatialExtent};
 use dist_skyline::runtime::{run_experiment, ManetExperiment, ManetOutcome};
@@ -34,7 +33,7 @@ use std::time::Instant;
 
 use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
-use crate::Scale;
+use crate::{RunOpts, Scale};
 
 /// Master seed for every cell (the data/workload seeds derive from it plus
 /// the cell coordinates, so cells are independent but reproducible).
@@ -185,8 +184,8 @@ pub fn compute(grid: &[ScaleCell], jobs: usize, stage: &str) -> Vec<CellReport> 
 }
 
 /// Runs the grid, prints the scaling table, and returns the reports
-/// (shared by the `scale` binary and `run_all`).
-pub fn run(scale: Scale) -> Vec<CellReport> {
+/// (shared by `msq scale` and `msq all`).
+pub fn run(o: &RunOpts) -> Vec<CellReport> {
     println!("== Scale: constant-density networks, unbounded-radius queries ==\n");
     println!(
         "{:>6} {:>8} {:>7} {:>4} {:>8} {:>6} {:>9} {:>12} {:>10} {:>10}",
@@ -201,7 +200,7 @@ pub fn run(scale: Scale) -> Vec<CellReport> {
         "aodv/dev",
         "seconds"
     );
-    let reports = compute(&cells(scale), sweep::jobs_from_args(), "scale_devices");
+    let reports = compute(&cells(o.scale), o.jobs, "scale_devices");
     for r in &reports {
         let m = &r.metrics;
         println!(

@@ -22,8 +22,7 @@
 //! rows from the volatile `timings` rows — which carry the headline
 //! numbers: cold vs cached queries/sec and their ratio.
 //!
-//! Usage: `cargo run --release -p msq-bench --bin serve [--full]
-//! [--jobs N] [--json] [--smoke]`
+//! Usage: `msq serve [--full] [--jobs N] [--json] [--smoke]`
 
 use datagen::{DataSpec, Distribution};
 use dist_skyline::{verify_serve_drift, ServeConfig, ServeEngine, ServeStats};
@@ -35,7 +34,7 @@ use std::time::Instant;
 
 use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
 use crate::sweep;
-use crate::Scale;
+use crate::{RunOpts, Scale};
 
 /// Master seed; per-cell seeds derive from it plus the cell coordinates.
 const SEED: u64 = 0x5E27E;
@@ -310,10 +309,10 @@ pub fn compute(grid: &[ServeCell], jobs: usize, stage: &str) -> Vec<CellReport> 
 }
 
 /// Runs the grid, prints the serving table, and returns the reports
-/// (shared by the `serve` binary and `run_all`).
-pub fn run(scale: Scale) -> Vec<CellReport> {
+/// (shared by `msq serve` and `msq all`).
+pub fn run(o: &RunOpts) -> Vec<CellReport> {
     println!("== Serve: diagram-cache front end, cold vs cached throughput ==\n");
-    let reports = compute(&cells(scale), sweep::jobs_from_args(), "serve_grid");
+    let reports = compute(&cells(o.scale), o.jobs, "serve_grid");
     print_table(&reports);
     println!("\nexpected shape: the cold pass pays one real BF/EXT flood per distinct");
     println!("diagram cell (reuse_qps: the same pool again before the next ingest,");

@@ -12,8 +12,8 @@ use dist_skyline::static_net::grid_network_from_global;
 use skyline_core::vdr::BoundsMode;
 
 use crate::sweep;
-use crate::table::{csv_dir_from_args, Table};
-use crate::Scale;
+use crate::table::Table;
+use crate::RunOpts;
 
 /// The six series of Figs. 6–7.
 pub fn series_names() -> Vec<String> {
@@ -98,62 +98,66 @@ fn average_rows(
 }
 
 fn emit_panel(
+    o: &RunOpts,
     id: String,
     title: String,
     x_name: &str,
     labels: Vec<String>,
     rows: &[(usize, usize, usize, Distribution, u64)],
-) {
+) -> std::io::Result<()> {
     let mut t = Table::new(id.clone(), title, x_name, series_names());
-    let values = average_rows(rows, &id, sweep::jobs_from_args());
+    let values = average_rows(rows, &id, o.jobs);
     for (label, vals) in labels.into_iter().zip(values) {
         t.push(label, vals);
     }
-    t.emit(csv_dir_from_args().as_deref());
+    t.emit(o.csv.as_deref())
 }
 
 /// Panel (a): DRR vs. global cardinality (2 attrs, 5×5 devices).
-pub fn panel_a(scale: Scale, dist: Distribution, fig: &str) {
-    let cards = scale.global_cardinalities();
+pub fn panel_a(o: &RunOpts, dist: Distribution, fig: &str) -> std::io::Result<()> {
+    let cards = o.scale.global_cardinalities();
     emit_panel(
+        o,
         format!("{}a_{dist:?}", fig.to_lowercase().replace([' ', '.'], "")),
         format!("{fig}(a) — DRR vs. global cardinality ({dist:?}, 2 attrs, 25 devices)"),
         "cardinality",
         cards.iter().map(|c| c.to_string()).collect(),
         &cards.iter().map(|&card| (card, 2, 5, dist, 0x6a)).collect::<Vec<_>>(),
-    );
+    )
 }
 
 /// Panel (b): DRR vs. dimensionality (5×5 devices). The quick scale
-/// shrinks the relation as dimensionality grows (see [`Scale`]); the row
+/// shrinks the relation as dimensionality grows (see [`crate::Scale`]); the row
 /// label shows the cardinality actually used.
-pub fn panel_b(scale: Scale, dist: Distribution, fig: &str) {
-    let dims = scale.dimensionalities();
+pub fn panel_b(o: &RunOpts, dist: Distribution, fig: &str) -> std::io::Result<()> {
+    let dims = o.scale.dimensionalities();
     emit_panel(
+        o,
         format!("{}b_{dist:?}", fig.to_lowercase().replace([' ', '.'], "")),
         format!("{fig}(b) — DRR vs. dimensionality ({dist:?}, 25 devices)"),
         "dims@card",
         dims.iter()
-            .map(|&dim| format!("{dim}@{}", scale.global_cardinality_for_dim(dim)))
+            .map(|&dim| format!("{dim}@{}", o.scale.global_cardinality_for_dim(dim)))
             .collect(),
         &dims
             .iter()
-            .map(|&dim| (scale.global_cardinality_for_dim(dim), dim, 5, dist, 0x6b))
+            .map(|&dim| (o.scale.global_cardinality_for_dim(dim), dim, 5, dist, 0x6b))
             .collect::<Vec<_>>(),
-    );
+    )
 }
 
 /// Panel (c): DRR vs. number of devices (fixed cardinality, 2 attrs).
-pub fn panel_c(scale: Scale, dist: Distribution, fig: &str) {
-    let card = scale.global_fixed_cardinality();
-    let sides = scale.grid_sides();
+pub fn panel_c(o: &RunOpts, dist: Distribution, fig: &str) -> std::io::Result<()> {
+    let card = o.scale.global_fixed_cardinality();
+    let sides = o.scale.grid_sides();
     emit_panel(
+        o,
         format!("{}c_{dist:?}", fig.to_lowercase().replace([' ', '.'], "")),
         format!("{fig}(c) — DRR vs. devices ({dist:?}, {card} tuples, 2 attrs)"),
         "devices",
         sides.iter().map(|&g| (g * g).to_string()).collect(),
         &sides.iter().map(|&g| (card, 2, g, dist, 0x6c)).collect::<Vec<_>>(),
-    );
+    )
 }
 
 #[cfg(test)]

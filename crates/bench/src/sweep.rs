@@ -9,13 +9,14 @@
 //! the sequential run regardless of scheduling.
 //!
 //! The worker pool is a work-stealing index over `std::thread::scope` (the
-//! workspace builds offline; no rayon). `--jobs N` selects the pool size,
-//! defaulting to all cores; `--jobs 1` is the legacy sequential path (the
-//! items are mapped on the caller's thread, no pool is spun up).
+//! workspace builds offline; no rayon). [`crate::RunOpts::jobs`] (`--jobs
+//! N` on the command line) selects the pool size, defaulting to all cores;
+//! `1` is the legacy sequential path (the items are mapped on the caller's
+//! thread, no pool is spun up).
 //!
 //! [`run_stage`] wraps `parallel_map` with wall-clock accounting: each
 //! named stage's cell count, elapsed seconds, and job count land in a
-//! process-global registry that `run_all --json` drains into
+//! process-global registry that `msq all --json` drains into
 //! `BENCH_sweep.json`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,25 +43,6 @@ static STAGES: Mutex<Vec<StageRecord>> = Mutex::new(Vec::new());
 /// Drains and returns every stage recorded so far (in execution order).
 pub fn take_stage_records() -> Vec<StageRecord> {
     std::mem::take(&mut STAGES.lock().expect("stage registry poisoned"))
-}
-
-/// Reads `--jobs N` from the process arguments; defaults to all cores.
-///
-/// # Panics
-/// Panics when the argument is present but not a positive integer — a
-/// malformed job count silently running sequentially would be worse.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match args.windows(2).find(|w| w[0] == "--jobs") {
-        Some(w) => match w[1].parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("--jobs expects a positive integer, got `{}`", w[1]),
-        },
-        None if args.last().is_some_and(|a| a == "--jobs") => {
-            panic!("--jobs expects a positive integer, got nothing")
-        }
-        None => default_jobs(),
-    }
 }
 
 /// All cores, as reported by the OS (1 when unknown).

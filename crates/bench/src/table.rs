@@ -1,8 +1,8 @@
 //! Result tables: pretty stdout rendering plus optional CSV export.
 //!
-//! Every figure binary builds [`Table`]s; passing `--csv <dir>` on the
-//! command line makes each table also land as a CSV file named after its
-//! id, ready for plotting.
+//! Every figure panel builds [`Table`]s; a run with a CSV directory
+//! ([`crate::RunOpts::csv`], `--csv <dir>` on the command line) also
+//! writes each table as a CSV file named after its id, ready for plotting.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -94,14 +94,19 @@ impl Table {
     }
 
     /// Prints the table and, when `csv_dir` is set, writes the CSV too.
-    pub fn emit(&self, csv_dir: Option<&Path>) {
+    /// A failed write is returned, naming the table, so the run fails.
+    pub fn emit(&self, csv_dir: Option<&Path>) -> std::io::Result<()> {
         self.print();
         if let Some(dir) = csv_dir {
-            match self.write_csv(dir) {
-                Ok(p) => println!("[csv] {}", p.display()),
-                Err(e) => eprintln!("[csv] failed to write {}: {e}", self.id),
-            }
+            let path = self.write_csv(dir).map_err(|e| {
+                std::io::Error::new(
+                    e.kind(),
+                    format!("failed to write {}.csv in {}: {e}", self.id, dir.display()),
+                )
+            })?;
+            println!("[csv] {}", path.display());
         }
+        Ok(())
     }
 }
 
@@ -112,12 +117,6 @@ fn csv_escape(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-/// Reads `--csv <dir>` from the process arguments.
-pub fn csv_dir_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2).find(|w| w[0] == "--csv").map(|w| PathBuf::from(&w[1]))
 }
 
 #[cfg(test)]
@@ -154,6 +153,16 @@ mod tests {
         let content = std::fs::read_to_string(&p).unwrap();
         assert!(content.starts_with("x,a,b"));
         std::fs::remove_file(p).ok();
+    }
+
+    #[test]
+    fn emit_returns_a_failed_csv_write() {
+        // A directory cannot be created under a regular file, even by root.
+        let file = std::env::temp_dir().join("msq_table_emit_not_a_dir");
+        std::fs::write(&file, "").expect("writable temp dir");
+        let err = sample().emit(Some(&file.join("csv"))).expect_err("write must fail");
+        assert!(err.to_string().contains("failed to write t1.csv"), "{err}");
+        std::fs::remove_file(file).ok();
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! zero-drift invariant ([`dist_skyline::verify_zero_drift`]): the
 //! timeline shown is the same history the scorecard counted, exactly.
 //!
-//! Usage: `cargo run --release -p msq-bench --bin trace_query
-//! [--query O:C] [--jsonl PATH] [--csv PATH]`
+//! Usage: `msq trace [--query O:C] [--jsonl PATH] [--csv PATH]`
 
 use datagen::Distribution;
 use dist_skyline::config::{FilterStrategy, StrategyConfig, TraceConfig};
@@ -137,7 +136,7 @@ mod tests {
     /// The committed golden: the exact JSONL export of the pinned
     /// scenario. Regenerate after *intentional* protocol or trace-schema
     /// changes with
-    /// `cargo run --release -p msq-bench --bin trace_query -- \
+    /// `cargo run --release -p msq-bench --bin msq -- trace \
     ///  --jsonl crates/bench/golden/trace_query.jsonl`
     /// and review the diff like any other behavioral change.
     #[test]
@@ -150,7 +149,7 @@ mod tests {
         assert!(
             jsonl == golden,
             "trace JSONL drifted from the golden — if the protocol change is \
-             intentional, regenerate with the trace_query binary (see test doc)"
+             intentional, regenerate with `msq trace --jsonl` (see test doc)"
         );
     }
 

@@ -218,7 +218,7 @@ impl ObsConfig {
 /// Lightweight defenses against adversarial participants (DESIGN.md §11).
 /// Everything defaults to **off** so honest runs are bit-identical to the
 /// pre-adversarial runtime; `DefenseConfig::all()` is the hardened profile
-/// the `ext_attack` grid benches.
+/// the `msq ext attack` grid benches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefenseConfig {
     /// Per-originator token-bucket rate limiting of query floods: a *fresh*

@@ -47,7 +47,7 @@
 //! The naive baseline ([`MonitorMode::Requery`]) re-floods the query every
 //! epoch and has every device answer with its complete local skyline —
 //! the message-cost yardstick the delta protocol is measured against in
-//! `ext_monitor`.
+//! `msq ext monitor`.
 //!
 //! This file is the protocol ([`MonitorApp`]); `experiment.rs` is the
 //! harness around it ([`run_monitor_experiment`], [`verify_monitor_drift`]).

@@ -59,7 +59,7 @@ impl QuerySpec {
 /// (AODV discovery plus ARQ backoff can keep copies of a query circulating
 /// for ~15 s) makes every still-circulating copy of its *previous* query
 /// look fresh again the moment the slot moves on, and each re-freshened
-/// copy is re-served and re-broadcast — the `ext_attack` query-flood role
+/// copy is re-served and re-broadcast — the `msq ext attack` query-flood role
 /// turned this into an unbounded event cascade. A window deep enough to
 /// cover every cnt that can plausibly still be in flight (settle time ×
 /// flood rate, with margin) keeps stale copies recognized until they die

@@ -1,4 +1,4 @@
-//! A minimal recursive-descent JSON reader for the `bench_diff`
+//! A minimal recursive-descent JSON reader for the `msq diff`
 //! comparator. The build environment has no registry access, so this is
 //! the in-tree stand-in for a JSON crate: it reads exactly the dialect
 //! the bench emitters produce (objects, arrays, strings without exotic

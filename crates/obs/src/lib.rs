@@ -2,7 +2,7 @@
 //!
 //! The simulator's observability layer (DESIGN.md §13): profiling spans,
 //! engine time-series gauges, power-of-two latency histograms, the
-//! minimal JSON reader behind the `bench_diff` comparator, and the
+//! minimal JSON reader behind the `msq diff` comparator, and the
 //! fixed-key hasher ([`dethash`]) the simulator's lookup tables and the
 //! data generator's site guard share.
 //!
@@ -17,7 +17,7 @@
 //!   reports is split the way `BENCH_scale.json` splits `grid` from
 //!   `timings`: counts, bytes, and sim-time are pure functions of the
 //!   seeds and bit-identical at any `--jobs`; wall-clock time is volatile
-//!   and lives in separate rows, so `bench_diff` can compare the
+//!   and lives in separate rows, so `msq diff` can compare the
 //!   deterministic part exactly and band the timings.
 //! * **Order-free merging.** Histograms and span accumulators merge by
 //!   integer addition, so any interleaving of worker threads produces the
