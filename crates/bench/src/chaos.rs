@@ -63,7 +63,6 @@ pub fn arms() -> Vec<Arm> {
         filter: FilterStrategy::Dynamic,
         bounds_mode: mode,
         exact_bounds: vec![1000.0; 2],
-        over_factor: 2.0,
         ..StrategyConfig::default()
     };
     vec![

@@ -159,7 +159,6 @@ fn run_cell(cell: &Cell) -> CellOut {
         bounds_mode: BoundsMode::Exact,
         exact_bounds: vec![1000.0, 1000.0],
         multi_selection: cell.selection,
-        ..StrategyConfig::default()
     };
     let mut out = CellOut { drr: DrrAccumulator::default(), tuples: 0, queries: 0 };
     for origin in 0..net.len() {

@@ -334,7 +334,6 @@ mod tests {
         exp.g = 3;
         exp.sites_per_device = 3;
         exp.duration_s = 240.0;
-        exp.drain_s = 60.0;
         if let Some(_plan) = exp.fault_plan.take() {
             exp.fault_plan = Some(FaultPlan::random_churn(&ChurnConfig {
                 nodes: 9,

@@ -31,7 +31,6 @@ fn strategies(dim: usize) -> Vec<StrategyConfig> {
                 filter,
                 bounds_mode: mode,
                 exact_bounds: vec![1000.0; dim],
-                over_factor: 2.0,
                 ..StrategyConfig::default()
             });
         }

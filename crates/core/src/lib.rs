@@ -55,4 +55,4 @@ pub use live::{LiveSkyline, RangeDelta, RangeWatch};
 pub use merge::SkylineMerger;
 pub use region::{Mbr, Point, QueryRegion};
 pub use tuple::{Tuple, TupleId};
-pub use vdr::{vdr_volume, BoundsMode, FilterTest, FilterTuple, MultiFilterSelection, UpperBounds};
+pub use vdr::{vdr_volume, BoundsMode, FilterTuple, MultiFilterSelection, UpperBounds};

@@ -86,32 +86,6 @@ pub fn vdr_volume(attrs: &[f64], bounds: &UpperBounds) -> f64 {
     attrs.iter().zip(&bounds.0).map(|(&p, &b)| (b - p).max(0.0)).product()
 }
 
-/// The test a device applies when using the filter tuple to drop local
-/// skyline members (last loop of Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterTest {
-    /// The paper's test: strict `<` on *every* attribute
-    /// (`∀ l : tp_flt.p_l < sp_k.p_l`). Conservative; never drops ties.
-    #[default]
-    StrictAll,
-    /// Full dominance (`≤` everywhere, `<` somewhere). Prunes strictly more
-    /// while remaining sound, because the filter is a real tuple that will
-    /// reach the originator anyway. Used by the ablation bench.
-    Dominance,
-}
-
-impl FilterTest {
-    /// `true` when a filter with attributes `f` eliminates a tuple with
-    /// attributes `t` under this test.
-    #[inline]
-    pub fn eliminates(self, f: &[f64], t: &[f64]) -> bool {
-        match self {
-            FilterTest::StrictAll => f.iter().zip(t).all(|(&fv, &tv)| fv < tv),
-            FilterTest::Dominance => dominates(f, t),
-        }
-    }
-}
-
 /// A filtering tuple in flight: its attribute vector plus the VDR volume it
 /// was selected with (so relays can compare pruning potential without
 /// re-deriving bounds).
@@ -192,7 +166,6 @@ pub fn select_filters_greedy(
     bounds: &UpperBounds,
     k: usize,
     reference: &[Tuple],
-    test: FilterTest,
 ) -> Vec<FilterTuple> {
     if k == 0 || skyline.is_empty() {
         return Vec::new();
@@ -200,7 +173,7 @@ pub fn select_filters_greedy(
     let mut chosen: Vec<FilterTuple> = Vec::with_capacity(k);
     let first = select_filter(skyline, bounds).expect("non-empty skyline");
     let mut covered: Vec<bool> =
-        reference.iter().map(|t| test.eliminates(&first.attrs, &t.attrs)).collect();
+        reference.iter().map(|t| dominates(&first.attrs, &t.attrs)).collect();
     chosen.push(first);
 
     while chosen.len() < k {
@@ -212,7 +185,7 @@ pub fn select_filters_greedy(
             let gain = reference
                 .iter()
                 .zip(&covered)
-                .filter(|(r, &c)| !c && test.eliminates(&t.attrs, &r.attrs))
+                .filter(|(r, &c)| !c && dominates(&t.attrs, &r.attrs))
                 .count();
             let vdr = vdr_volume(&t.attrs, bounds);
             let better = match best {
@@ -232,7 +205,7 @@ pub fn select_filters_greedy(
             break;
         }
         for (c, r) in covered.iter_mut().zip(reference) {
-            if !*c && test.eliminates(&t.attrs, &r.attrs) {
+            if !*c && dominates(&t.attrs, &r.attrs) {
                 *c = true;
             }
         }
@@ -241,9 +214,9 @@ pub fn select_filters_greedy(
     chosen
 }
 
-/// `true` when any filter in `filters` eliminates `attrs` under `test`.
-pub fn any_eliminates(filters: &[FilterTuple], attrs: &[f64], test: FilterTest) -> bool {
-    filters.iter().any(|f| test.eliminates(&f.attrs, attrs))
+/// `true` when any filter in `filters` dominates `attrs`.
+pub fn any_eliminates(filters: &[FilterTuple], attrs: &[f64]) -> bool {
+    filters.iter().any(|f| dominates(&f.attrs, attrs))
 }
 
 /// *Which* tuples make the best filter bank — the second half of the
@@ -272,14 +245,13 @@ pub fn select_filters(
     bounds: &UpperBounds,
     k: usize,
     reference: &[Tuple],
-    test: FilterTest,
 ) -> Vec<FilterTuple> {
     if k == 0 || skyline.is_empty() {
         return Vec::new();
     }
     match selection {
         MultiFilterSelection::GreedyCoverage => {
-            select_filters_greedy(skyline, bounds, k, reference, test)
+            select_filters_greedy(skyline, bounds, k, reference)
         }
         MultiFilterSelection::TopVdr => {
             let mut scored: Vec<(f64, &Tuple)> =
@@ -353,25 +325,20 @@ mod tests {
 
     #[test]
     fn filter_eliminates_h14_and_h16() {
-        // h21 = (60, 3) eliminates h14 = (80, 4) and h16 = (100, 3)?
-        // Under the paper's strict test h16 ties on rating, so only full
-        // dominance removes it; the paper's prose says h21 "eliminates h14
-        // and h16" — with ratings 3 vs 3 the strict test keeps h16, and the
-        // printed claim relies on dominance semantics. We model both.
+        // The paper's prose: h21 = (60, 3) "eliminates h14 and h16". h16 =
+        // (100, 3) ties h21 on rating, so the claim needs dominance
+        // semantics (Fig. 4's strict `<` on every attribute would keep it).
         let f = [60.0, 3.0];
         let h14 = [80.0, 4.0];
         let h16 = [100.0, 3.0];
-        assert!(FilterTest::StrictAll.eliminates(&f, &h14));
-        assert!(!FilterTest::StrictAll.eliminates(&f, &h16));
-        assert!(FilterTest::Dominance.eliminates(&f, &h14));
-        assert!(FilterTest::Dominance.eliminates(&f, &h16));
+        assert!(dominates(&f, &h14));
+        assert!(dominates(&f, &h16));
     }
 
     #[test]
     fn strict_test_never_removes_equal_tuples() {
         let f = [60.0, 3.0];
-        assert!(!FilterTest::StrictAll.eliminates(&f, &f));
-        assert!(!FilterTest::Dominance.eliminates(&f, &f));
+        assert!(!dominates(&f, &f), "a filter never drops a tuple equal to itself");
     }
 
     #[test]
@@ -446,7 +413,7 @@ mod tests {
     fn greedy_k1_matches_single_selection() {
         let b = UpperBounds::new(vec![200.0, 10.0]);
         let sky = m2_skyline();
-        let multi = select_filters_greedy(&sky, &b, 1, &sky, FilterTest::Dominance);
+        let multi = select_filters_greedy(&sky, &b, 1, &sky);
         let single = select_filter(&sky, &b).unwrap();
         assert_eq!(multi.len(), 1);
         assert_eq!(multi[0].attrs, single.attrs);
@@ -460,7 +427,7 @@ mod tests {
         let sky = vec![Tuple::new(0.0, 0.0, vec![1.0, 9.0]), Tuple::new(1.0, 0.0, vec![9.0, 1.0])];
         let reference =
             vec![Tuple::new(2.0, 0.0, vec![2.0, 9.5]), Tuple::new(3.0, 0.0, vec![9.5, 2.0])];
-        let picks = select_filters_greedy(&sky, &b, 2, &reference, FilterTest::Dominance);
+        let picks = select_filters_greedy(&sky, &b, 2, &reference);
         assert_eq!(picks.len(), 2, "second filter adds coverage, so it is kept");
         let attrs: Vec<&[f64]> = picks.iter().map(|f| f.attrs.as_slice()).collect();
         assert!(attrs.contains(&[1.0, 9.0].as_slice()));
@@ -477,7 +444,7 @@ mod tests {
             Tuple::new(2.0, 0.0, vec![2.0, 1.0]),
         ];
         let reference = vec![Tuple::new(3.0, 0.0, vec![5.0, 5.0])];
-        let picks = select_filters_greedy(&sky, &b, 3, &reference, FilterTest::Dominance);
+        let picks = select_filters_greedy(&sky, &b, 3, &reference);
         assert_eq!(
             picks.len(),
             1,
@@ -499,17 +466,16 @@ mod tests {
     #[test]
     fn greedy_handles_empty_inputs() {
         let b = UpperBounds::new(vec![10.0]);
-        assert!(select_filters_greedy(&[], &b, 3, &[], FilterTest::Dominance).is_empty());
+        assert!(select_filters_greedy(&[], &b, 3, &[]).is_empty());
         let sky = vec![Tuple::new(0.0, 0.0, vec![1.0])];
-        assert!(select_filters_greedy(&sky, &b, 0, &[], FilterTest::Dominance).is_empty());
+        assert!(select_filters_greedy(&sky, &b, 0, &[]).is_empty());
     }
 
     #[test]
     fn top_vdr_selection_orders_by_volume() {
         let b = UpperBounds::new(vec![200.0, 10.0]);
         let sky = m2_skyline();
-        let picks =
-            select_filters(MultiFilterSelection::TopVdr, &sky, &b, 2, &[], FilterTest::Dominance);
+        let picks = select_filters(MultiFilterSelection::TopVdr, &sky, &b, 2, &[]);
         assert_eq!(picks.len(), 2);
         assert_eq!(picks[0].attrs, vec![60.0, 3.0], "h21 (VDR 980) first");
         assert_eq!(picks[1].attrs, vec![90.0, 2.0], "h22 (VDR 880) second");
@@ -525,14 +491,7 @@ mod tests {
             Tuple::new(1.0, 0.0, vec![10.0, 50.0]), // near the first
             Tuple::new(2.0, 0.0, vec![60.0, 5.0]),  // the far corner
         ];
-        let picks = select_filters(
-            MultiFilterSelection::MaxSpread,
-            &sky,
-            &b,
-            2,
-            &[],
-            FilterTest::Dominance,
-        );
+        let picks = select_filters(MultiFilterSelection::MaxSpread, &sky, &b, 2, &[]);
         assert_eq!(picks.len(), 2);
         // First pick = max VDR = (5,60): (95*40=3800) vs (10,50): 90*50=4500
         // vs (60,5): 40*95=3800 → actually (10,50) wins.
@@ -548,9 +507,9 @@ mod tests {
             MultiFilterSelection::GreedyCoverage,
             MultiFilterSelection::MaxSpread,
         ] {
-            assert!(select_filters(sel, &[], &b, 3, &[], FilterTest::Dominance).is_empty());
+            assert!(select_filters(sel, &[], &b, 3, &[]).is_empty());
             let sky = vec![Tuple::new(0.0, 0.0, vec![1.0]), Tuple::new(1.0, 0.0, vec![2.0])];
-            let picks = select_filters(sel, &sky, &b, 1, &sky, FilterTest::Dominance);
+            let picks = select_filters(sel, &sky, &b, 1, &sky);
             assert_eq!(picks.len(), 1, "{sel:?}");
             assert_eq!(picks[0].attrs, vec![1.0], "{sel:?}: k=1 is the max-VDR tuple");
         }
@@ -561,10 +520,10 @@ mod tests {
         let b = UpperBounds::new(vec![10.0, 10.0]);
         let filters =
             vec![FilterTuple::new(vec![1.0, 9.0], &b), FilterTuple::new(vec![9.0, 1.0], &b)];
-        assert!(any_eliminates(&filters, &[2.0, 9.5], FilterTest::Dominance));
-        assert!(any_eliminates(&filters, &[9.5, 2.0], FilterTest::Dominance));
-        assert!(!any_eliminates(&filters, &[0.5, 0.5], FilterTest::Dominance));
-        assert!(!any_eliminates(&[], &[5.0, 5.0], FilterTest::Dominance));
+        assert!(any_eliminates(&filters, &[2.0, 9.5]));
+        assert!(any_eliminates(&filters, &[9.5, 2.0]));
+        assert!(!any_eliminates(&filters, &[0.5, 0.5]));
+        assert!(!any_eliminates(&[], &[5.0, 5.0]));
     }
 
     #[test]

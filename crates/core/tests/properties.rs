@@ -10,7 +10,7 @@ use skyline_core::algo::{self, oracle, Algorithm};
 use skyline_core::diagram::{DiagramConfig, FrozenAnswers, SkyDelta, SkylineDiagram};
 use skyline_core::dominance::{dominates, paper_strict_dominates_rest};
 use skyline_core::region::{Mbr, Point, QueryRegion};
-use skyline_core::vdr::{select_filter, vdr_volume, FilterTest, UpperBounds};
+use skyline_core::vdr::{select_filter, vdr_volume, UpperBounds};
 use skyline_core::{constrained, LiveSkyline, RangeWatch, SkylineMerger, Tuple, TupleId};
 
 /// Strategy: a relation of up to `max` tuples with `dim` attributes drawn
@@ -163,18 +163,14 @@ proptest! {
 
     #[test]
     fn filtering_is_sound(data in relation(60, 2)) {
-        // Whatever filter gets picked, applying it to a local skyline only
-        // removes tuples the filter dominates — i.e. tuples that cannot be
-        // in the global skyline that contains the filter tuple itself.
+        // The filter eliminates only tuples it dominates, and it is itself
+        // a skyline tuple — so it removes nothing from the skyline it was
+        // picked from: every tuple it drops is outside the global answer.
         let bounds = UpperBounds::new(vec![50.0, 50.0]);
         let sky = algo::materialize(&data, &Algorithm::Bnl.skyline_indices(&data));
         if let Some(f) = select_filter(&sky, &bounds) {
             for t in &sky {
-                for test in [FilterTest::StrictAll, FilterTest::Dominance] {
-                    if test.eliminates(&f.attrs, &t.attrs) {
-                        prop_assert!(dominates(&f.attrs, &t.attrs));
-                    }
-                }
+                prop_assert!(!dominates(&f.attrs, &t.attrs));
             }
         }
     }
@@ -193,7 +189,7 @@ proptest! {
         use skyline_core::vdr::select_filters_greedy;
         let bounds = UpperBounds::new(vec![50.0, 50.0]);
         let sky = algo::materialize(&data, &Algorithm::Sfs.skyline_indices(&data));
-        let picks = select_filters_greedy(&sky, &bounds, k, &data, FilterTest::Dominance);
+        let picks = select_filters_greedy(&sky, &bounds, k, &data);
         prop_assert!(picks.len() <= k);
         if let (Some(first), Some(single)) = (picks.first(), select_filter(&sky, &bounds)) {
             prop_assert_eq!(&first.attrs, &single.attrs, "k-first pick must equal the paper's choice");

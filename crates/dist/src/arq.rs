@@ -7,7 +7,7 @@
 //! [`Arq::send`]. The receiver acknowledges at application level; the
 //! sender feeds acks to [`Arq::cancel`] and its retransmission timer to
 //! [`Arq::on_timeout`], which retransmits with exponential backoff plus
-//! deterministic jitter until `max_retries` is spent and then hands the
+//! deterministic jitter until [`MAX_RETRIES`] are spent and then hands the
 //! message back as [`ArqTimeout::Exhausted`]. What happens next (DF token
 //! salvage, a monitoring full resync) is the caller's business, as is
 //! receiver-side duplicate suppression.
@@ -17,17 +17,27 @@ use std::collections::HashMap;
 use manet_sim::engine::NodeCtx;
 use manet_sim::{NodeId, QueryEvent, QueryId, SimDuration};
 
-use crate::config::ArqConfig;
+/// Wait before the first retransmission.
+const BASE_TIMEOUT: SimDuration = SimDuration::from_millis(2_000);
 
-/// Deterministic splitmix64 jitter in `[0, max)`, keyed on the sending
-/// device, the ARQ sequence number, and the attempt counter, so
+/// Multiplier applied to the timeout per retransmission (exponential
+/// backoff).
+const BACKOFF: f64 = 2.0;
+
+/// Upper bound (exclusive) on the deterministic per-(sender, seq, attempt)
+/// jitter added to every retransmission timeout.
+const MAX_JITTER: SimDuration = SimDuration::from_millis(300);
+
+/// Retransmissions after the initial send before the message is declared
+/// undeliverable.
+const MAX_RETRIES: u32 = 3;
+
+/// Deterministic splitmix64 jitter in `[0, MAX_JITTER)`, keyed on the
+/// sending device, the ARQ sequence number, and the attempt counter, so
 /// retransmission bursts de-synchronize without costing reproducibility.
-fn splitmix_jitter(device: usize, seq: u64, attempt: u32, max: SimDuration) -> SimDuration {
-    if max.0 == 0 {
-        return SimDuration(0);
-    }
+fn splitmix_jitter(device: usize, seq: u64, attempt: u32) -> SimDuration {
     let h = ((device as u64) << 40) ^ seq.rotate_left(17) ^ u64::from(attempt);
-    SimDuration(crate::splitmix64(h) % max.0)
+    SimDuration(crate::splitmix64(h) % MAX_JITTER.0)
 }
 
 /// One tracked message awaiting its ack.
@@ -49,7 +59,7 @@ pub(crate) enum ArqTimeout<M> {
     Settled,
     /// One more copy of `bytes` bytes went out and the timer is re-armed.
     Retried { bytes: usize },
-    /// `max_retries` retransmissions went unacknowledged: the message is
+    /// [`MAX_RETRIES`] retransmissions went unacknowledged: the message is
     /// abandoned and handed back.
     Exhausted { dst: NodeId, msg: M },
 }
@@ -57,7 +67,8 @@ pub(crate) enum ArqTimeout<M> {
 /// Sender-side ARQ state of one device.
 #[derive(Debug)]
 pub(crate) struct Arq<M> {
-    cfg: ArqConfig,
+    /// `false` sends every message untracked (the no-ARQ baseline).
+    enabled: bool,
     /// Owning device (jitter key).
     device: usize,
     /// The owner's timer-token channel for retransmission timers; the low
@@ -67,14 +78,14 @@ pub(crate) struct Arq<M> {
     pending: HashMap<u64, Pending<M>>,
     /// Retransmissions performed.
     pub(crate) retries: u64,
-    /// Tracked messages abandoned after `max_retries`.
+    /// Tracked messages abandoned after [`MAX_RETRIES`].
     pub(crate) exhausted: u64,
 }
 
 impl<M: Clone> Arq<M> {
-    pub(crate) fn new(cfg: ArqConfig, device: usize, timer_kind: u64) -> Self {
+    pub(crate) fn new(enabled: bool, device: usize, timer_kind: u64) -> Self {
         Arq {
-            cfg,
+            enabled,
             device,
             timer_kind,
             next_seq: 0,
@@ -87,7 +98,7 @@ impl<M: Clone> Arq<M> {
     /// The sequence number for the next tracked message: never 0 while ARQ
     /// is on, always 0 (= untracked, no ack expected) while it is off.
     pub(crate) fn next_seq(&mut self) -> u64 {
-        if self.cfg.enabled {
+        if self.enabled {
             self.next_seq += 1;
             self.next_seq
         } else {
@@ -98,9 +109,9 @@ impl<M: Clone> Arq<M> {
     /// Retransmission timeout for `attempt` (1 = the initial send):
     /// exponential backoff plus jitter.
     fn delay(&self, seq: u64, attempt: u32) -> SimDuration {
-        let scale = self.cfg.backoff.powi(attempt.saturating_sub(1) as i32);
-        SimDuration((self.cfg.base_timeout.0 as f64 * scale) as u64)
-            + splitmix_jitter(self.device, seq, attempt, self.cfg.max_jitter)
+        let scale = BACKOFF.powi(attempt.saturating_sub(1) as i32);
+        SimDuration((BASE_TIMEOUT.0 as f64 * scale) as u64)
+            + splitmix_jitter(self.device, seq, attempt)
     }
 
     /// Unicasts `msg`, registering it for retransmission when `seq` is
@@ -140,7 +151,7 @@ impl<M: Clone> Arq<M> {
         let Some(mut p) = self.pending.remove(&seq) else {
             return ArqTimeout::Settled;
         };
-        if p.attempt > self.cfg.max_retries {
+        if p.attempt > MAX_RETRIES {
             self.exhausted += 1;
             ctx.trace(p.query, QueryEvent::ArqExhausted { seq });
             return ArqTimeout::Exhausted { dst: p.dst, msg: p.msg };
@@ -241,11 +252,11 @@ mod tests {
     /// Two lossless, frozen nodes in range; node 0 fires `SEND` at each of
     /// `sends` seconds. Runs for two minutes (the default ARQ gives up
     /// after 2 + 4 + 8 + 16 s).
-    fn run(cfg: ArqConfig, acks: bool, sends: &[f64], faults: FaultPlan) -> Simulator<Msg, Peer> {
+    fn run(enabled: bool, acks: bool, sends: &[f64], faults: FaultPlan) -> Simulator<Msg, Peer> {
         let mut sim = Simulator::new(RadioConfig::default(), 1);
         for id in 0..2 {
             let peer = Peer {
-                arq: Arq::new(cfg, id, ARQ_TIMER),
+                arq: Arq::new(enabled, id, ARQ_TIMER),
                 acks,
                 received: Vec::new(),
                 seqs: Vec::new(),
@@ -263,38 +274,31 @@ mod tests {
 
     #[test]
     fn delay_is_deterministic_backs_off_and_bounds_jitter() {
-        let cfg = ArqConfig::default();
-        let arq: Arq<Msg> = Arq::new(cfg, 2, ARQ_TIMER);
-        let (base, jmax) = (cfg.base_timeout.0, cfg.max_jitter.0);
+        let arq: Arq<Msg> = Arq::new(true, 2, ARQ_TIMER);
+        let (base, jmax) = (BASE_TIMEOUT.0, MAX_JITTER.0);
         assert_eq!(arq.delay(5, 1), arq.delay(5, 1), "same inputs, same delay");
         for attempt in 1..=4u32 {
             let d = arq.delay(5, attempt).0;
-            let backed = (base as f64 * cfg.backoff.powi(attempt as i32 - 1)) as u64;
+            let backed = (base as f64 * BACKOFF.powi(attempt as i32 - 1)) as u64;
             assert!((backed..backed + jmax).contains(&d), "attempt {attempt}: {d}");
         }
         // Different sequence numbers de-synchronize.
-        assert_ne!(
-            splitmix_jitter(2, 1, 1, cfg.max_jitter),
-            splitmix_jitter(2, 2, 1, cfg.max_jitter)
-        );
-        assert_eq!(splitmix_jitter(2, 1, 1, SimDuration(0)), SimDuration(0));
+        assert_ne!(splitmix_jitter(2, 1, 1), splitmix_jitter(2, 2, 1));
     }
 
     #[test]
     fn attempt_zero_cannot_shorten_the_timeout() {
         // `backoff^(attempt - 1)` with a signed exponent would halve the
         // base timeout at attempt 0; the exponent saturates at 0 instead.
-        let cfg = ArqConfig::default();
-        let arq: Arq<Msg> = Arq::new(cfg, 0, ARQ_TIMER);
-        assert!(arq.delay(9, 0).0 >= cfg.base_timeout.0);
-        assert!(arq.delay(9, 0).0 < cfg.base_timeout.0 + cfg.max_jitter.0);
+        let arq: Arq<Msg> = Arq::new(true, 0, ARQ_TIMER);
+        assert!(arq.delay(9, 0).0 >= BASE_TIMEOUT.0);
+        assert!(arq.delay(9, 0).0 < BASE_TIMEOUT.0 + MAX_JITTER.0);
     }
 
     #[test]
     fn disabled_arq_hands_out_seq_zero_and_tracks_nothing() {
-        let cfg = ArqConfig { enabled: false, ..ArqConfig::default() };
         // The receiver never acks, yet nothing is ever retransmitted.
-        let sim = run(cfg, false, &[1.0], FaultPlan::new());
+        let sim = run(false, false, &[1.0], FaultPlan::new());
         let sender = sim.app(0);
         assert_eq!(sender.seqs, [0]);
         assert_eq!(sender.arq.backlog(), 0);
@@ -304,7 +308,7 @@ mod tests {
 
     #[test]
     fn ack_cancels_the_retry() {
-        let sim = run(ArqConfig::default(), true, &[1.0], FaultPlan::new());
+        let sim = run(true, true, &[1.0], FaultPlan::new());
         let sender = sim.app(0);
         assert_eq!(sender.seqs, [1], "sequence numbers start at 1 when ARQ is on");
         assert_eq!(sender.arq.backlog(), 0, "the ack settled the message");
@@ -315,17 +319,16 @@ mod tests {
 
     #[test]
     fn exactly_max_retries_retransmissions_then_exhausted() {
-        let cfg = ArqConfig::default();
-        let sim = run(cfg, false, &[1.0], FaultPlan::new());
+        let sim = run(true, false, &[1.0], FaultPlan::new());
         let sender = sim.app(0);
         let copies: Vec<Msg> =
-            (0..=cfg.max_retries).map(|retries| Msg::Data { seq: 1, retries }).collect();
-        assert_eq!(sim.app(1).received, copies, "the initial send plus max_retries copies");
-        assert_eq!(sender.arq.retries, u64::from(cfg.max_retries));
+            (0..=MAX_RETRIES).map(|retries| Msg::Data { seq: 1, retries }).collect();
+        assert_eq!(sim.app(1).received, copies, "the initial send plus MAX_RETRIES copies");
+        assert_eq!(sender.arq.retries, u64::from(MAX_RETRIES));
         assert_eq!(sender.arq.exhausted, 1);
         assert_eq!(
             sender.exhausted,
-            [(1, Msg::Data { seq: 1, retries: cfg.max_retries })],
+            [(1, Msg::Data { seq: 1, retries: MAX_RETRIES })],
             "the abandoned message comes back with its destination"
         );
         assert_eq!(sender.arq.backlog(), 0);
@@ -340,7 +343,7 @@ mod tests {
             SimTime::from_secs_f64(1.5),
             SimDuration::from_secs_f64(10.0),
         );
-        let sim = run(ArqConfig::default(), false, &[1.0], faults);
+        let sim = run(true, false, &[1.0], faults);
         let sender = sim.app(0);
         assert_eq!(sender.seqs, [1, 2], "a stale ack for seq 1 can never match the new send");
         let first: Vec<&Msg> = sim

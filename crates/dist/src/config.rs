@@ -1,8 +1,21 @@
-//! Strategy configuration: which of the paper's knobs a run uses.
+//! Run configuration: the settings experiments actually vary — the
+//! paper's strategy knobs, the protocol ablations (ARQ, re-issue, route
+//! priming), tracing, observability and the adversarial defenses.
+//!
+//! A value every run shares is not a setting: it is a named constant
+//! beside the code that reads it — the `OVER_FACTOR` bound scale here, the
+//! scan's dominance test in `device`, the protocol timers in `runtime`,
+//! the ARQ schedule in `arq`, the defense thresholds in
+//! `runtime::adversary`, the gauge cadence in `runtime::experiment`, the
+//! monitor's lease, heartbeat and drain in `monitor`, the serving
+//! backend's extent and strategy in `serve`, and AODV's timers in
+//! `manet_sim::aodv`.
 
-use manet_sim::SimDuration;
-use skyline_core::vdr::{BoundsMode, FilterTest, MultiFilterSelection, UpperBounds};
-use skyline_core::DominanceTest;
+use skyline_core::vdr::{BoundsMode, MultiFilterSelection, UpperBounds};
+
+/// `Over` multiplies the exact bounds by this factor (paper: "a
+/// pre-specified value larger than the global domain upper bound").
+const OVER_FACTOR: f64 = 2.0;
 
 /// How filtering tuples are used (Sections 3.1–3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,24 +70,6 @@ pub struct StrategyConfig {
     /// Exact global upper bounds `b_k` (needed for `Exact`, and as the base
     /// for `Over`).
     pub exact_bounds: Vec<f64>,
-    /// `Over` multiplies the exact bounds by this factor (paper: "a
-    /// pre-specified value larger than the global domain upper bound").
-    pub over_factor: f64,
-    /// The filter elimination test. The default is full dominance: although
-    /// Fig. 4's pseudocode writes strict `<` on every dimension, the
-    /// paper's own worked example ("this tuple eliminates h14 **and h16**",
-    /// where h16 ties the filter on one attribute) requires dominance
-    /// semantics, and on integer domains the strict test loses most of the
-    /// filter's power. `StrictAll` remains available for the ablation.
-    pub filter_test: FilterTest,
-    /// The scan dominance test (paper default on hybrid storage:
-    /// [`DominanceTest::PaperStrict`]).
-    pub dominance: DominanceTest,
-    /// When `true`, a device that skips its scan because the filter
-    /// dominates its domain minima still computes the unreduced skyline
-    /// *for accounting only*, so DRR has its `|SK_i|` term. Costs nothing
-    /// in virtual time.
-    pub shadow_accounting: bool,
     /// Which tuples the `MultiDynamic` originator picks (the "which" half
     /// of the paper's open question).
     pub multi_selection: MultiFilterSelection,
@@ -86,10 +81,6 @@ impl Default for StrategyConfig {
             filter: FilterStrategy::Dynamic,
             bounds_mode: BoundsMode::Under,
             exact_bounds: Vec::new(),
-            over_factor: 2.0,
-            filter_test: FilterTest::Dominance,
-            dominance: DominanceTest::PaperStrict,
-            shadow_accounting: true,
             multi_selection: MultiFilterSelection::GreedyCoverage,
         }
     }
@@ -111,44 +102,9 @@ impl StrategyConfig {
         match self.bounds_mode {
             BoundsMode::Exact => Some(UpperBounds::new(self.exact_bounds.clone())),
             BoundsMode::Over => {
-                Some(UpperBounds::new(self.exact_bounds.clone()).scaled(self.over_factor))
+                Some(UpperBounds::new(self.exact_bounds.clone()).scaled(OVER_FACTOR))
             }
             BoundsMode::Under => local_maxima.cloned(),
-        }
-    }
-}
-
-/// Per-hop ARQ (acknowledge/retransmit) parameters for the unicast
-/// protocol messages that carry query state: BF result replies and DF
-/// tokens. Broadcast floods are not ARQ'd — redundancy is their
-/// reliability mechanism.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArqConfig {
-    /// Master switch; `false` reproduces the pre-hardening fire-and-forget
-    /// behaviour (the no-ARQ baseline in the chaos bench).
-    pub enabled: bool,
-    /// Wait before the first retransmission.
-    pub base_timeout: SimDuration,
-    /// Multiplier applied to the timeout per retransmission (exponential
-    /// backoff).
-    pub backoff: f64,
-    /// Upper bound on the deterministic per-(sender, seq, attempt) jitter
-    /// added to every retransmission timeout, to de-synchronize
-    /// retransmission bursts without sacrificing reproducibility.
-    pub max_jitter: SimDuration,
-    /// Retransmissions after the initial send before the message is
-    /// declared undeliverable.
-    pub max_retries: u32,
-}
-
-impl Default for ArqConfig {
-    fn default() -> Self {
-        ArqConfig {
-            enabled: true,
-            base_timeout: SimDuration::from_secs_f64(2.0),
-            backoff: 2.0,
-            max_jitter: SimDuration::from_secs_f64(0.3),
-            max_retries: 3,
         }
     }
 }
@@ -191,27 +147,16 @@ impl TraceConfig {
 /// read-only: gauges sample engine state at fixed *simulated* times, so
 /// enabling them never changes event order, RNG draws, or any outcome
 /// column — only whether the time series is collected.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObsConfig {
     /// Master switch for engine gauge sampling.
     pub gauges: bool,
-    /// Sampling period in simulated seconds.
-    pub sample_period_seconds: f64,
-    /// Ring capacity (samples) per gauge series; overflow drops the
-    /// oldest samples and counts them on the exported log.
-    pub gauge_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig { gauges: false, sample_period_seconds: 10.0, gauge_capacity: 4096 }
-    }
 }
 
 impl ObsConfig {
-    /// Gauges on at the default cadence.
+    /// Gauges on.
     pub fn sampled() -> Self {
-        ObsConfig { gauges: true, ..Self::default() }
+        ObsConfig { gauges: true }
     }
 }
 
@@ -219,7 +164,7 @@ impl ObsConfig {
 /// Everything defaults to **off** so honest runs are bit-identical to the
 /// pre-adversarial runtime; `DefenseConfig::all()` is the hardened profile
 /// the `msq ext attack` grid benches.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DefenseConfig {
     /// Per-originator token-bucket rate limiting of query floods: a *fresh*
     /// query whose originator's bucket is empty is dropped (and the
@@ -227,52 +172,22 @@ pub struct DefenseConfig {
     /// relaying neighbour — honest relays must not be blamed for floods
     /// they forward — and duplicate copies charge nobody.
     pub rate_limit: bool,
-    /// Token-bucket refill rate, fresh queries per second per originator.
-    pub rate_per_s: f64,
-    /// Token-bucket capacity (burst allowance), in queries.
-    pub rate_burst: f64,
     /// Reject filter tuples and reply tuples whose attributes fall outside
     /// the plausible data domain (or are non-finite), and reject whole
     /// replies that carry such tuples.
     pub sanity: bool,
-    /// Domain floor for the sanity check: no honest attribute is below
-    /// this. The paper's generator draws attributes from [1, 1000].
-    pub min_attr: f64,
     /// Reject replies whose claimed responder identity contradicts the
     /// routing-layer source or names an impossible device.
     pub identity: bool,
     /// Track per-peer penalties and isolate repeat offenders: drop their
     /// frames and skip them in DF next-hop selection.
     pub reputation: bool,
-    /// Penalties before a peer is isolated.
-    pub reputation_threshold: u64,
-}
-
-impl Default for DefenseConfig {
-    fn default() -> Self {
-        DefenseConfig {
-            rate_limit: false,
-            rate_per_s: 0.5,
-            rate_burst: 6.0,
-            sanity: false,
-            min_attr: 1.0,
-            identity: false,
-            reputation: false,
-            reputation_threshold: 3,
-        }
-    }
 }
 
 impl DefenseConfig {
-    /// All defenses on with default thresholds.
+    /// All defenses on.
     pub fn all() -> Self {
-        DefenseConfig {
-            rate_limit: true,
-            sanity: true,
-            identity: true,
-            reputation: true,
-            ..Self::default()
-        }
+        DefenseConfig { rate_limit: true, sanity: true, identity: true, reputation: true }
     }
 
     /// `true` when any defense is active.
@@ -281,33 +196,17 @@ impl DefenseConfig {
     }
 }
 
-/// Every timer constant of the MANET runtime in one place. Defaults match
-/// the values the runtime used when they were inline literals, so existing
-/// experiments are unchanged.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The MANET runtime's recovery and tracing switches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistConfig {
-    /// Give up on a query this long after issuing it.
-    pub query_timeout: SimDuration,
-    /// Re-try issuing when the device has no in-range neighbors yet.
-    pub issue_retry: SimDuration,
-    /// Pause between finishing one query and issuing the next.
-    pub next_query_delay: SimDuration,
-    /// BF originator: if the completion rule is still unmet this long
-    /// after issuing, re-flood the query with a bumped round number so it
-    /// reaches the region a crashed relay cut off.
-    pub reissue_delay: SimDuration,
-    /// Maximum re-floods per query (0 disables re-issue).
+    /// BF originator: maximum re-floods per query (0 disables re-issue).
     pub max_reissues: u32,
-    /// Handoff originator: deadline for the candidate's accept.
-    pub handoff_accept_timeout: SimDuration,
-    /// Handoff candidate: deadline for the data transfer after accepting.
-    pub handoff_transfer_timeout: SimDuration,
-    /// Handoff originator: deadline for the final ack after transferring.
-    pub handoff_ack_timeout: SimDuration,
-    /// Period of the data-locality distance sampling.
-    pub locality_sample_period: SimDuration,
-    /// Per-hop retransmission parameters.
-    pub arq: ArqConfig,
+    /// Per-hop ARQ for the unicast messages that carry query state (BF
+    /// result replies, DF tokens, monitor deltas). `false` reproduces the
+    /// pre-hardening fire-and-forget behaviour (the no-ARQ baseline in the
+    /// chaos bench). Broadcast floods are never ARQ'd — redundancy is
+    /// their reliability mechanism.
+    pub arq: bool,
     /// Per-query tracing (off by default; zero-cost when off).
     pub trace: TraceConfig,
     /// Defenses against adversarial participants (all off by default).
@@ -323,16 +222,8 @@ pub struct DistConfig {
 impl Default for DistConfig {
     fn default() -> Self {
         DistConfig {
-            query_timeout: SimDuration::from_secs_f64(180.0),
-            issue_retry: SimDuration::from_secs_f64(10.0),
-            next_query_delay: SimDuration::from_secs_f64(1.0),
-            reissue_delay: SimDuration::from_secs_f64(45.0),
             max_reissues: 2,
-            handoff_accept_timeout: SimDuration::from_secs_f64(5.0),
-            handoff_transfer_timeout: SimDuration::from_secs_f64(30.0),
-            handoff_ack_timeout: SimDuration::from_secs_f64(60.0),
-            locality_sample_period: SimDuration::from_secs_f64(60.0),
-            arq: ArqConfig::default(),
+            arq: true,
             trace: TraceConfig::default(),
             defense: DefenseConfig::default(),
             prime_routes: true,
@@ -344,11 +235,7 @@ impl DistConfig {
     /// The pre-hardening protocol: no ARQ, no re-issue. The chaos bench's
     /// baseline arm.
     pub fn no_arq() -> Self {
-        DistConfig {
-            max_reissues: 0,
-            arq: ArqConfig { enabled: false, ..ArqConfig::default() },
-            ..Self::default()
-        }
+        DistConfig { max_reissues: 0, arq: false, ..Self::default() }
     }
 }
 
@@ -359,14 +246,8 @@ mod tests {
     #[test]
     fn dist_defaults_match_legacy_literals() {
         let d = DistConfig::default();
-        assert_eq!(d.query_timeout, SimDuration::from_secs_f64(180.0));
-        assert_eq!(d.issue_retry, SimDuration::from_secs_f64(10.0));
-        assert_eq!(d.next_query_delay, SimDuration::from_secs_f64(1.0));
-        assert_eq!(d.handoff_accept_timeout, SimDuration::from_secs_f64(5.0));
-        assert_eq!(d.handoff_transfer_timeout, SimDuration::from_secs_f64(30.0));
-        assert_eq!(d.handoff_ack_timeout, SimDuration::from_secs_f64(60.0));
-        assert_eq!(d.locality_sample_period, SimDuration::from_secs_f64(60.0));
-        assert!(d.arq.enabled);
+        assert!(d.arq, "per-hop ARQ is the default protocol");
+        assert_eq!(d.max_reissues, 2);
         assert!(!d.trace.enabled, "tracing must be opt-in");
         assert!(!d.trace.frames);
         assert!(!d.defense.any(), "defenses must be opt-in");
@@ -378,19 +259,14 @@ mod tests {
         let d = DefenseConfig::all();
         assert!(d.rate_limit && d.sanity && d.identity && d.reputation);
         assert!(d.any());
-        // Thresholds stay at the documented defaults.
-        assert_eq!(d.rate_per_s, 0.5);
-        assert_eq!(d.rate_burst, 6.0);
-        assert_eq!(d.min_attr, 1.0);
-        assert_eq!(d.reputation_threshold, 3);
     }
 
     #[test]
     fn no_arq_disables_recovery_only() {
         let d = DistConfig::no_arq();
-        assert!(!d.arq.enabled);
+        assert!(!d.arq);
         assert_eq!(d.max_reissues, 0);
-        assert_eq!(d.query_timeout, DistConfig::default().query_timeout);
+        assert_eq!(DistConfig { arq: true, max_reissues: 2, ..d }, DistConfig::default());
     }
 
     #[test]
@@ -415,7 +291,6 @@ mod tests {
         let cfg = StrategyConfig {
             bounds_mode: BoundsMode::Over,
             exact_bounds: vec![100.0],
-            over_factor: 2.0,
             ..StrategyConfig::default()
         };
         assert_eq!(cfg.vdr_bounds(None).unwrap().0, vec![200.0]);

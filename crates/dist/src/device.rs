@@ -3,7 +3,7 @@
 
 use device_storage::{DeviceRelation, LocalQuery, LocalSkylineOutcome, SkipCause};
 use skyline_core::vdr::{select_filters, FilterTuple, MultiFilterSelection};
-use skyline_core::Tuple;
+use skyline_core::{DominanceTest, Tuple};
 
 use crate::config::{FilterStrategy, StrategyConfig};
 use crate::query::{QueryLog, QuerySpec};
@@ -11,6 +11,10 @@ use crate::query::{QueryLog, QuerySpec};
 /// How many of a device's own tuples the multi-filter greedy selection
 /// samples as its pruning-power reference.
 const GREEDY_REFERENCE_SAMPLE: usize = 2_000;
+
+/// The scan's window dominance test: the paper's Fig. 4 test on hybrid
+/// storage.
+const SCAN_TEST: DominanceTest = DominanceTest::PaperStrict;
 
 /// The outcome of one device processing one query hop.
 #[derive(Debug, Clone)]
@@ -67,20 +71,19 @@ impl<R: DeviceRelation> Device<R> {
         let query = LocalQuery {
             filter: incoming.first().cloned(),
             extra_filters: incoming.get(1..).unwrap_or_default().to_vec(),
-            filter_test: cfg.filter_test,
-            dominance: cfg.dominance,
+            dominance: SCAN_TEST,
             vdr_bounds: vdr_bounds.clone(),
             ..LocalQuery::plain(spec.region())
         };
         let mut out = self.relation.local_skyline(&query);
 
         // Shadow accounting: a filter-skip hides |SK_i|; recompute it
-        // without the filter, for metrics only. A spatial miss has nothing
-        // to recover — no stored site is in range.
+        // without the filter, for metrics only (DRR's denominator; costs
+        // nothing in virtual time). A spatial miss has nothing to recover —
+        // no stored site is in range.
         let mut unreduced_len = out.unreduced_len;
-        if out.skip == Some(SkipCause::FilterDominance) && cfg.shadow_accounting {
-            let shadow =
-                LocalQuery { dominance: cfg.dominance, ..LocalQuery::plain(spec.region()) };
+        if out.skip == Some(SkipCause::FilterDominance) {
+            let shadow = LocalQuery { dominance: SCAN_TEST, ..LocalQuery::plain(spec.region()) };
             unreduced_len = self.relation.local_skyline(&shadow).unreduced_len;
         }
 
@@ -157,8 +160,7 @@ impl<R: DeviceRelation> Device<R> {
     ) -> (Vec<Tuple>, Vec<FilterTuple>) {
         let vdr_bounds = cfg.vdr_bounds(self.relation.upper_bounds().as_ref());
         let query = LocalQuery {
-            filter_test: cfg.filter_test,
-            dominance: cfg.dominance,
+            dominance: SCAN_TEST,
             vdr_bounds: vdr_bounds.clone(),
             ..LocalQuery::plain(spec.region())
         };
@@ -171,14 +173,7 @@ impl<R: DeviceRelation> Device<R> {
                     MultiFilterSelection::GreedyCoverage => self.reference_sample(),
                     _ => Vec::new(),
                 };
-                select_filters(
-                    cfg.multi_selection,
-                    &out.skyline,
-                    &bounds,
-                    k,
-                    &reference,
-                    cfg.filter_test,
-                )
+                select_filters(cfg.multi_selection, &out.skyline, &bounds, k, &reference)
             }
             (_, _) => out.filter_candidate.clone().into_iter().collect(),
         };
@@ -227,7 +222,7 @@ mod tests {
     #[test]
     fn paper_section_3_2_example() {
         // M2 originates; picks h21 as the filter; M1's reply shrinks from 4
-        // tuples to 2 under the strict test (h14 eliminated; h16 ties).
+        // tuples to 2 (h14 and h16 eliminated).
         let m2 = hotel_device(2, r2());
         let m1 = hotel_device(1, r1());
         let spec = QuerySpec::new(2, 0, Point::new(10.0, 2.0), f64::INFINITY);
@@ -249,28 +244,12 @@ mod tests {
     }
 
     #[test]
-    fn strict_filter_test_keeps_ties() {
-        // Under the Fig. 4 literal strict test, h16 (rating ties the
-        // filter) survives; only h14 is eliminated.
-        let m1 = hotel_device(1, r1());
-        let spec = QuerySpec::new(2, 0, Point::new(10.0, 2.0), f64::INFINITY);
-        let cfg = StrategyConfig {
-            filter_test: skyline_core::vdr::FilterTest::StrictAll,
-            ..exact_cfg(FilterStrategy::Single)
-        };
-        let f = FilterTuple::new(vec![60.0, 3.0], &UpperBounds::new(vec![200.0, 10.0]));
-        let out = m1.process(&spec, &[f], &cfg);
-        assert_eq!(out.reply.len(), 3, "only h14 eliminated under strict test");
-    }
-
-    #[test]
     fn dominance_filter_test_also_removes_h16() {
+        // h16 ties the filter on rating: only dominance (not Fig. 4's
+        // literal strict `<`) eliminates it, as the paper's prose claims.
         let m1 = hotel_device(1, r1());
         let spec = QuerySpec::new(2, 0, Point::new(10.0, 2.0), f64::INFINITY);
-        let cfg = StrategyConfig {
-            filter_test: skyline_core::vdr::FilterTest::Dominance,
-            ..exact_cfg(FilterStrategy::Single)
-        };
+        let cfg = exact_cfg(FilterStrategy::Single);
         let f = FilterTuple::new(vec![60.0, 3.0], &UpperBounds::new(vec![200.0, 10.0]));
         let out = m1.process(&spec, &[f], &cfg);
         assert_eq!(out.reply.len(), 2, "h14 and h16 both eliminated (paper's claim)");
@@ -378,7 +357,6 @@ mod tests {
     fn spatial_miss_reads_no_row_under_any_model() {
         let spec = QuerySpec::new(2, 0, Point::new(5000.0, 5000.0), 10.0);
         let cfg = exact_cfg(FilterStrategy::Single);
-        assert!(cfg.shadow_accounting);
         let f = FilterTuple::new(vec![1.0, 1.0], &UpperBounds::new(vec![200.0, 10.0]));
         for dev in guarded_models() {
             let model = dev.relation.model();
@@ -401,18 +379,13 @@ mod tests {
         for dev in guarded_models() {
             let model = dev.relation.model();
             let unfiltered =
-                LocalQuery { dominance: cfg.dominance, ..LocalQuery::plain(spec.region()) };
+                LocalQuery { dominance: SCAN_TEST, ..LocalQuery::plain(spec.region()) };
             let want = dev.relation.local_skyline(&unfiltered).unreduced_len;
             assert!(want > 0);
             let out = dev.process(&spec, std::slice::from_ref(&f), &cfg);
             assert_eq!(out.unreduced_len, want, "{model:?}");
             assert!(out.participated && out.reply.is_empty(), "{model:?}");
             assert_eq!(out.skipped, model == StorageModel::Hybrid, "{model:?}");
-
-            let blind = StrategyConfig { shadow_accounting: false, ..cfg.clone() };
-            let out = dev.process(&spec, std::slice::from_ref(&f), &blind);
-            let hidden = model == StorageModel::Hybrid;
-            assert_eq!(out.unreduced_len, if hidden { 0 } else { want }, "{model:?}");
         }
     }
 

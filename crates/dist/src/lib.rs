@@ -45,8 +45,7 @@ pub mod trace;
 pub mod verify;
 
 pub use config::{
-    ArqConfig, DefenseConfig, DistConfig, FilterStrategy, Forwarding, ObsConfig, StrategyConfig,
-    TraceConfig,
+    DefenseConfig, DistConfig, FilterStrategy, Forwarding, ObsConfig, StrategyConfig, TraceConfig,
 };
 pub use device::Device;
 pub use metrics::{DrrAccumulator, QueryMetrics};

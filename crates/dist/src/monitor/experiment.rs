@@ -21,6 +21,10 @@ use crate::runtime::{mobility_for, new_simulator, QueryRecord};
 use crate::trace::{verify_frames, DriftCheck, TraceAggregates};
 use crate::verify::score_epoch;
 
+/// How long a run continues after the originator cancels (s), so in-flight
+/// deltas and acks settle.
+const DRAIN_S: f64 = 120.0;
+
 /// One monitoring experiment: a `g × g` device grid, each device carrying
 /// `sites_per_device` sites that move with it, one originator (node 0)
 /// running a standing range skyline for `duration_s`.
@@ -44,7 +48,7 @@ pub struct MonitorExperiment {
     pub radio: RadioConfig,
     /// Neighbour discovery mode.
     pub neighbor_mode: NeighborMode,
-    /// Runtime timers + ARQ parameters (tracing lives here).
+    /// Runtime switches (ARQ, re-issue, tracing).
     pub dist: DistConfig,
     /// Monitoring-protocol knobs.
     pub mon: MonitorConfig,
@@ -54,8 +58,6 @@ pub struct MonitorExperiment {
     pub start_s: f64,
     /// Monitoring duration until cancel (s).
     pub duration_s: f64,
-    /// Post-cancel drain (s).
-    pub drain_s: f64,
     /// Scripted faults (none by default).
     pub fault_plan: Option<FaultPlan>,
     /// Master seed.
@@ -80,7 +82,6 @@ impl MonitorExperiment {
             mode,
             start_s: 30.0,
             duration_s: 600.0,
-            drain_s: 120.0,
             fault_plan: None,
             seed,
         }
@@ -193,7 +194,7 @@ pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
     if let Some(plan) = &exp.fault_plan {
         sim.install_fault_plan(plan);
     }
-    sim.run_until(SimTime::from_secs_f64(exp.start_s + exp.duration_s + exp.drain_s));
+    sim.run_until(SimTime::from_secs_f64(exp.start_s + exp.duration_s + DRAIN_S));
 
     // Reconstruct the per-epoch oracle from the devices' in-situ truth
     // recordings: the constrained skyline of the union of every (live)

@@ -11,7 +11,7 @@
 //!   carrying the query key, region, epoch period, and a lease TTL. Every
 //!   device that sees a fresh round installs (or renews) the registration
 //!   and relays the flood. Leases are soft state: a device whose lease runs
-//!   out without a renewal (the originator re-floods every `ttl / 2`)
+//!   out without a renewal (the originator re-floods every `TTL / 2`)
 //!   drops the registration and stops transmitting — a crashed originator
 //!   cannot strand heartbeat traffic.
 //! * **Epoch ticks** — every registered device samples its local
@@ -25,7 +25,7 @@
 //!   changed relative to the last *acknowledged* state: a
 //!   [`MonMsg::Delta`] lists added and removed tuples for the epoch. At
 //!   most one delta is in flight per device (the per-hop ARQ of
-//!   `crate::arq`, shared with the one-shot runtime); after `heartbeat_every`
+//!   `crate::arq`, shared with the one-shot runtime); after `HEARTBEAT_EVERY`
 //!   silent epochs a zero-change heartbeat proves liveness. ARQ exhaustion
 //!   or a device crash forces the next transmission to be a *full* resync
 //!   snapshot, so the acked-state chain can never diverge silently.
@@ -34,7 +34,7 @@
 //!   exactly the tuples the removed member was masking). Applying a delta
 //!   removes then inserts; per-device contribution lists let a *full*
 //!   snapshot or a miss-limit retraction withdraw everything a device ever
-//!   reported. A device silent for `miss_limit` epochs is retracted and
+//!   reported. A device silent for `MISS_LIMIT` epochs is retracted and
 //!   marked as needing a full resync: later non-full deltas from it are
 //!   neither applied nor acked, which deliberately exhausts the device's
 //!   ARQ and triggers the full snapshot that reconverges both sides.
@@ -81,29 +81,30 @@ pub enum MonitorMode {
     Requery,
 }
 
+/// Registration lease TTL; the originator renews every `TTL / 2`.
+const TTL: SimDuration = SimDuration::from_millis(240_000);
+
+/// A device with no change sends a liveness heartbeat after this many
+/// silent epochs.
+const HEARTBEAT_EVERY: u64 = 4;
+
+/// The originator retracts a device's contribution after this many epochs
+/// without an applied report, and demands a full resync.
+const MISS_LIMIT: u64 = 12;
+
+// A live device heartbeats well before the originator gives up on it.
+const _: () = assert!(MISS_LIMIT > HEARTBEAT_EVERY);
+
 /// Monitoring-protocol knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
     /// Epoch refresh period.
     pub period: SimDuration,
-    /// Registration lease TTL; the originator renews every `ttl / 2`.
-    pub ttl: SimDuration,
-    /// A device with no change sends a liveness heartbeat after this many
-    /// silent epochs.
-    pub heartbeat_every: u64,
-    /// The originator retracts a device's contribution after this many
-    /// epochs without an applied report, and demands a full resync.
-    pub miss_limit: u64,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        MonitorConfig {
-            period: SimDuration::from_secs_f64(30.0),
-            ttl: SimDuration::from_secs_f64(240.0),
-            heartbeat_every: 4,
-            miss_limit: 12,
-        }
+        MonitorConfig { period: SimDuration::from_millis(30_000) }
     }
 }
 
@@ -297,7 +298,7 @@ pub struct MonitorApp {
 
     // Originator fold state (volatile).
     fold: LiveSkyline,
-    contributions: HashMap<NodeId, Vec<TupleId>>,
+    contributions: BTreeMap<NodeId, Vec<TupleId>>,
     last_applied: HashMap<NodeId, (u64, SimTime)>,
     needs_full: HashSet<NodeId>,
     own_ids: Vec<TupleId>,
@@ -371,7 +372,7 @@ impl MonitorApp {
             tick_armed: false,
             done: false,
             fold: LiveSkyline::new(),
-            contributions: HashMap::new(),
+            contributions: BTreeMap::new(),
             last_applied: HashMap::new(),
             needs_full: HashSet::new(),
             own_ids: Vec::new(),
@@ -567,7 +568,7 @@ impl MonitorApp {
             radius: o.radius,
             t0: ctx.now,
             period: self.mon.period,
-            ttl: self.mon.ttl,
+            ttl: TTL,
             requery: self.mode == MonitorMode::Requery,
         };
         self.trace_registered(ctx, &spec);
@@ -691,7 +692,7 @@ impl MonitorApp {
         if heartbeat {
             let due = match self.last_sent_epoch {
                 None => true,
-                Some(last) => e.saturating_sub(last) >= self.mon.heartbeat_every,
+                Some(last) => e.saturating_sub(last) >= HEARTBEAT_EVERY,
             };
             if !due {
                 return;
@@ -755,7 +756,7 @@ impl MonitorApp {
                 .copied()
                 .filter(|d| {
                     let last = self.last_applied.get(d).map_or(0, |&(le, _)| le);
-                    e > last + self.mon.miss_limit
+                    e > last + MISS_LIMIT
                 })
                 .collect();
             for d in stale {
@@ -1122,9 +1123,7 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let c = MonitorConfig::default();
-        assert!(c.ttl.0 > c.period.0);
-        assert!(c.miss_limit > c.heartbeat_every);
+        assert!(TTL > MonitorConfig::default().period);
         let e = MonitorExperiment::defaults(4, MonitorMode::Continuous, 7);
         assert!(e.dist.trace.enabled, "defaults must trace for drift checks");
     }

@@ -15,6 +15,20 @@ use super::{qid, token, DeviceApp, ProtoMsg};
 use crate::config::DefenseConfig;
 use crate::query::{QueryKey, QueryLog, QuerySpec};
 
+/// Rate-limit defense: token-bucket refill rate, fresh queries per second
+/// per originator.
+const RATE_PER_S: f64 = 0.5;
+
+/// Rate-limit defense: token-bucket capacity (burst allowance), in queries.
+const RATE_BURST: f64 = 6.0;
+
+/// Sanity defense: domain floor — no honest attribute is below this (the
+/// paper's generator draws attributes from [1, 1000]).
+const MIN_ATTR: f64 = 1.0;
+
+/// Reputation defense: penalties before a peer is isolated.
+const REPUTATION_THRESHOLD: u64 = 3;
+
 /// The defensive gates of one device and the books they keep. All state
 /// is volatile: a rebooted device forgets who it had rate-limited or
 /// isolated (attackers get a fresh start — a deliberate, documented
@@ -93,7 +107,7 @@ impl Defense {
     /// `true` when `peer` has enough penalties to be shunned.
     pub(super) fn is_isolated(&self, peer: NodeId) -> bool {
         self.cfg.reputation
-            && self.reputation.get(&peer).copied().unwrap_or(0) >= self.cfg.reputation_threshold
+            && self.reputation.get(&peer).copied().unwrap_or(0) >= REPUTATION_THRESHOLD
     }
 
     /// Rate-limit admission of a fresh query flood. The charge goes to
@@ -119,9 +133,9 @@ impl Defense {
         }
         let spoofed = self.cfg.identity && hops == 0 && from != origin;
         let charge = if spoofed { from } else { origin };
-        let (last, tokens) = self.buckets.entry(charge).or_insert((now, self.cfg.rate_burst));
+        let (last, tokens) = self.buckets.entry(charge).or_insert((now, RATE_BURST));
         let elapsed = now.since(*last).as_secs_f64();
-        *tokens = (*tokens + elapsed * self.cfg.rate_per_s).min(self.cfg.rate_burst);
+        *tokens = (*tokens + elapsed * RATE_PER_S).min(RATE_BURST);
         *last = now;
         if *tokens >= 1.0 {
             *tokens -= 1.0;
@@ -147,13 +161,13 @@ impl Defense {
             && !tuples.iter().all(|t| {
                 t.x.is_finite()
                     && t.y.is_finite()
-                    && t.attrs.iter().all(|a| a.is_finite() && *a >= self.cfg.min_attr)
+                    && t.attrs.iter().all(|a| a.is_finite() && *a >= MIN_ATTR)
             })
     }
 
     /// Same plausibility test for a filter tuple.
     fn sane_filter(&self, f: &FilterTuple) -> bool {
-        f.vdr.is_finite() && f.attrs.iter().all(|a| a.is_finite() && *a >= self.cfg.min_attr)
+        f.vdr.is_finite() && f.attrs.iter().all(|a| a.is_finite() && *a >= MIN_ATTR)
     }
 
     /// Sanity defense: strips implausible filters from an incoming bank,

@@ -20,6 +20,13 @@ use crate::cost_model::DeviceCostModel;
 use crate::metrics::DrrAccumulator;
 use crate::query::QueryKey;
 
+/// Gauge sampling period (simulated time) when [`ObsConfig::gauges`] is on.
+const GAUGE_PERIOD: SimDuration = SimDuration::from_millis(10_000);
+
+/// Ring capacity (samples) per gauge series; overflow drops the oldest
+/// samples and counts them on the exported log.
+const GAUGE_CAPACITY: usize = 4096;
+
 /// Why a query was closed by its safety timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeoutCause {
@@ -171,7 +178,7 @@ pub struct ManetExperiment {
     /// Neighbour discovery: idealized oracle (default, as in the paper's
     /// simulator usage) or periodic HELLO beacons with realistic staleness.
     pub neighbor_mode: NeighborMode,
-    /// Runtime timers + ARQ parameters.
+    /// Runtime switches (ARQ, re-issue, tracing, defenses, route priming).
     pub dist: DistConfig,
     /// Scripted/seeded faults injected into the engine (none by default).
     pub fault_plan: Option<manet_sim::FaultPlan>,
@@ -452,20 +459,18 @@ pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
         // Stepping to intermediate horizons processes exactly the events a
         // single `run_until(horizon)` would, in the same order — sampling
         // between steps reads engine state without perturbing it.
-        let cap = exp.obs.gauge_capacity.max(1);
         let mut set = GaugeSet::new();
-        let s_pending = set.register("wheel.pending", cap);
-        let s_slots = set.register("wheel.occupied_slots", cap);
-        let s_cells = set.register("grid.cells", cap);
-        let s_bucket = set.register("grid.max_bucket", cap);
-        let s_inflight = set.register("radio.inflight", cap);
-        let s_arq = set.register("arq.backlog", cap);
-        let s_active = set.register("query.active", cap);
-        let s_energy = set.register("energy.total_j", cap);
-        let period = SimDuration::from_secs_f64(exp.obs.sample_period_seconds.max(0.001));
+        let s_pending = set.register("wheel.pending", GAUGE_CAPACITY);
+        let s_slots = set.register("wheel.occupied_slots", GAUGE_CAPACITY);
+        let s_cells = set.register("grid.cells", GAUGE_CAPACITY);
+        let s_bucket = set.register("grid.max_bucket", GAUGE_CAPACITY);
+        let s_inflight = set.register("radio.inflight", GAUGE_CAPACITY);
+        let s_arq = set.register("arq.backlog", GAUGE_CAPACITY);
+        let s_active = set.register("query.active", GAUGE_CAPACITY);
+        let s_energy = set.register("energy.total_j", GAUGE_CAPACITY);
         let mut t = SimTime::ZERO;
         while t < horizon {
-            t = (t + period).min(horizon);
+            t = (t + GAUGE_PERIOD).min(horizon);
             sim.run_until(t);
             let (cells, max_bucket) = sim.grid_stats();
             let arq: usize = (0..m).map(|i| sim.app(i).arq_backlog()).sum();
@@ -528,8 +533,8 @@ pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
     let loc_sum = apps().fold(0.0, |sum, a| sum + a.handoff.locality_sum_m);
     let loc_n = count(|a| a.handoff.locality_samples);
     let nq = records.len().max(1) as f64;
-    let total_forward_messages = count(|a| a.forwards_by_key.values().sum());
-    let total_result_messages = count(|a| a.results_by_key.values().sum());
+    let total_forward_messages = count(|a| a.forward_messages);
+    let total_result_messages = count(|a| a.result_messages);
     let total_energy_joules = sim.total_energy_joules();
 
     ManetOutcome {

@@ -9,7 +9,18 @@ use skyline_core::region::Point;
 use skyline_core::Tuple;
 
 use super::{token, ProtoMsg};
-use crate::config::DistConfig;
+
+/// Originator: deadline for the candidate's accept.
+const ACCEPT_TIMEOUT: SimDuration = SimDuration::from_millis(5_000);
+
+/// Candidate: deadline for the data transfer after accepting.
+const TRANSFER_TIMEOUT: SimDuration = SimDuration::from_millis(30_000);
+
+/// Originator: deadline for the final ack after transferring.
+const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(60_000);
+
+/// Period of the device↔data locality sampling.
+pub(super) const LOCALITY_SAMPLE_PERIOD: SimDuration = SimDuration::from_millis(60_000);
 
 /// Configuration of the **mobility-driven data redistribution** extension —
 /// the paper's second future-work direction ("extend the current strategies
@@ -130,7 +141,6 @@ impl Handoff {
         &mut self,
         ctx: &mut NodeCtx<ProtoMsg>,
         relation: &HybridRelation,
-        dist: &DistConfig,
         busy: bool,
     ) {
         let Some(cfg) = self.cfg else { return };
@@ -145,15 +155,13 @@ impl Handoff {
             return; // still close enough to our data
         }
         let msg = ProtoMsg::HandoffProbe { pos, centroid, n_tuples: relation.len() };
-        self.step(ctx, None, msg, dist.handoff_accept_timeout, HandoffState::AwaitAccept);
+        self.step(ctx, None, msg, ACCEPT_TIMEOUT, HandoffState::AwaitAccept);
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn on_probe(
         &mut self,
         ctx: &mut NodeCtx<ProtoMsg>,
         relation: &HybridRelation,
-        dist: &DistConfig,
         from: NodeId,
         pos: Point,
         centroid: Point,
@@ -170,15 +178,14 @@ impl Handoff {
         if gain < cfg.min_gain_m {
             return; // not meaningfully closer to the data
         }
-        let wait = dist.handoff_transfer_timeout;
-        self.step(ctx, Some(from), ProtoMsg::HandoffAccept, wait, HandoffState::AwaitTransfer);
+        let msg = ProtoMsg::HandoffAccept;
+        self.step(ctx, Some(from), msg, TRANSFER_TIMEOUT, HandoffState::AwaitTransfer);
     }
 
     pub(super) fn on_accept(
         &mut self,
         ctx: &mut NodeCtx<ProtoMsg>,
         relation: &HybridRelation,
-        dist: &DistConfig,
         from: NodeId,
     ) {
         if !matches!(self.state, HandoffState::AwaitAccept(_)) {
@@ -187,7 +194,7 @@ impl Handoff {
         let msg = ProtoMsg::HandoffTransfer { tuples: tuples_of(relation) };
         // Keep our copy until the ack: loss may duplicate data (partitions
         // are allowed to overlap) but never destroys it.
-        self.step(ctx, Some(from), msg, dist.handoff_ack_timeout, HandoffState::AwaitAck);
+        self.step(ctx, Some(from), msg, ACK_TIMEOUT, HandoffState::AwaitAck);
     }
 
     pub(super) fn on_transfer(

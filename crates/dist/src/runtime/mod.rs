@@ -35,7 +35,7 @@
 //! * **Per-hop ARQ** — BF result replies and DF tokens are acknowledged by
 //!   the application-level receiver; the sender retransmits with
 //!   exponential backoff plus deterministic jitter, bounded by
-//!   `arq.max_retries`. Receivers suppress duplicates — BF via a
+//!   `arq::MAX_RETRIES`. Receivers suppress duplicates — BF via a
 //!   per-originator responder set keyed on the replying device, DF via a
 //!   `(sender, transfer_seq)` cache — so a retransmitted message can never
 //!   double-count.
@@ -43,7 +43,7 @@
 //!   its ARQ retries exhaust), the sender marks the dead hop visited and
 //!   routes around it, exactly like a backtrack.
 //! * **Originator re-issue** — a BF originator whose completion rule is
-//!   still unmet after `reissue_delay` floods the query again with a
+//!   still unmet after `REISSUE_DELAY` floods the query again with a
 //!   bumped round number; devices that already answered relay the new
 //!   round without reprocessing, extending the flood into the region a
 //!   crashed relay cut off.
@@ -74,7 +74,8 @@ use std::collections::{HashMap, HashSet};
 use device_storage::HybridRelation;
 use manet_sim::engine::{Application, MsgMeta, NodeCtx};
 use manet_sim::{
-    AttackKind, AttackRole, DropCause, FinalizeKind, NodeId, QueryEvent, QueryId, SimTime,
+    AttackKind, AttackRole, DropCause, FinalizeKind, NodeId, QueryEvent, QueryId, SimDuration,
+    SimTime,
 };
 use sim_obs::PowHistogram;
 use skyline_core::region::Point;
@@ -82,7 +83,7 @@ use skyline_core::vdr::FilterTuple;
 use skyline_core::{SkylineMerger, Tuple};
 
 use self::adversary::{Attack, Defense};
-use self::handoff::Handoff;
+use self::handoff::{Handoff, LOCALITY_SAMPLE_PERIOD};
 use self::msg::key_of;
 use crate::arq::{Arq, ArqTimeout};
 use crate::config::{DistConfig, Forwarding, StrategyConfig};
@@ -109,6 +110,21 @@ pub(crate) fn qid(key: QueryKey) -> QueryId {
 fn best_vdr(filters: &[FilterTuple]) -> f64 {
     filters.iter().map(|f| f.vdr).fold(0.0, f64::max)
 }
+
+/// Give up on a query this long after issuing it.
+const QUERY_TIMEOUT: SimDuration = SimDuration::from_millis(180_000);
+
+/// Re-try issuing this long later while the device's previous query is
+/// still open.
+const ISSUE_RETRY: SimDuration = SimDuration::from_millis(10_000);
+
+/// Pause between finishing one query and issuing the next.
+const NEXT_QUERY_DELAY: SimDuration = SimDuration::from_millis(1_000);
+
+/// BF originator: if the completion rule is still unmet this long after
+/// issuing, re-flood the query with a bumped round number so it reaches
+/// the region a crashed relay cut off.
+const REISSUE_DELAY: SimDuration = SimDuration::from_millis(45_000);
 
 /// Timer-token encoding (kind in the top byte).
 mod token {
@@ -202,10 +218,10 @@ pub struct DeviceApp {
     active: Option<ActiveQuery>,
     /// Completed queries this device originated.
     pub records: Vec<QueryRecord>,
-    /// App-level query-forward messages sent, per query key (Fig. 12).
-    pub forwards_by_key: HashMap<QueryKey, u64>,
-    /// Result messages sent, per query key.
-    pub results_by_key: HashMap<QueryKey, u64>,
+    /// App-level query-forward messages sent (Fig. 12).
+    pub forward_messages: u64,
+    /// Result messages sent.
+    pub result_messages: u64,
     stash: HashMap<u64, Vec<Stashed>>,
     next_stash: u64,
     /// Total devices in the network (for the 80 % rule).
@@ -258,8 +274,8 @@ impl DeviceApp {
             next_cnt: 0,
             active: None,
             records: Vec::new(),
-            forwards_by_key: HashMap::new(),
-            results_by_key: HashMap::new(),
+            forward_messages: 0,
+            result_messages: 0,
             stash: HashMap::new(),
             next_stash: 0,
             m,
@@ -302,10 +318,6 @@ impl DeviceApp {
     /// Whether this device currently has an open query of its own.
     pub fn has_active_query(&self) -> bool {
         self.active.is_some()
-    }
-
-    fn count_forward(&mut self, key: QueryKey, messages: usize) {
-        *self.forwards_by_key.entry(key).or_insert(0) += messages as u64;
     }
 
     /// Defers `sends` by the device's CPU time for `stats`.
@@ -374,7 +386,7 @@ impl DeviceApp {
         hops: u8,
     ) {
         let neighbors = ctx.neighbors().len();
-        self.count_forward(spec.key, neighbors);
+        self.forward_messages += neighbors as u64;
         let msg = ProtoMsg::BfQuery { spec, filters, round, hops };
         let bytes = msg.wire_size();
         ctx.trace(
@@ -391,7 +403,7 @@ impl DeviceApp {
         if self.active.is_some() {
             // One query in progress: re-check shortly (the paper's "does
             // not issue a new query if it has one in progress").
-            ctx.set_timer(self.dist.issue_retry, token::ISSUE);
+            ctx.set_timer(ISSUE_RETRY, token::ISSUE);
             return;
         }
         let (at, radius) = self.requests[self.next_request];
@@ -437,7 +449,7 @@ impl DeviceApp {
             duplicates: 0,
             first_seen,
         };
-        ctx.set_timer(self.dist.query_timeout, token::TIMEOUT | u64::from(cnt));
+        ctx.set_timer(QUERY_TIMEOUT, token::TIMEOUT | u64::from(cnt));
 
         match self.forwarding {
             // The originator always floods, gossip or not (otherwise a
@@ -446,7 +458,7 @@ impl DeviceApp {
                 self.flood(ctx, spec, filters, 0, 0);
                 self.active = Some(aq);
                 if self.dist.max_reissues > 0 {
-                    ctx.set_timer(self.dist.reissue_delay, token::REISSUE | u64::from(cnt));
+                    ctx.set_timer(REISSUE_DELAY, token::REISSUE | u64::from(cnt));
                 }
             }
             Forwarding::DepthFirst => {
@@ -467,7 +479,7 @@ impl DeviceApp {
         }
     }
 
-    /// BF: the completion rule is still unmet after `reissue_delay` —
+    /// BF: the completion rule is still unmet after `REISSUE_DELAY` —
     /// flood the query again with a bumped round so the flood re-enters
     /// regions a crashed relay cut off. Devices that already answered
     /// relay the higher round without reprocessing.
@@ -489,7 +501,7 @@ impl DeviceApp {
         let neighbors = ctx.neighbors().len();
         ctx.trace(Some(qid(spec.key)), QueryEvent::Reissued { round: u32::from(round), neighbors });
         self.flood(ctx, spec, filters, round, 0);
-        ctx.set_timer(self.dist.reissue_delay, token::REISSUE | u64::from(cnt));
+        ctx.set_timer(REISSUE_DELAY, token::REISSUE | u64::from(cnt));
     }
 
     fn finalize(&mut self, ctx: &mut NodeCtx<ProtoMsg>, timed_out: bool) {
@@ -540,7 +552,7 @@ impl DeviceApp {
         self.records.push(rec);
         // Ready for the next queued request.
         if self.next_request < self.requests.len() {
-            ctx.set_timer(self.dist.next_query_delay, token::ISSUE);
+            ctx.set_timer(NEXT_QUERY_DELAY, token::ISSUE);
         }
     }
 
@@ -582,7 +594,7 @@ impl DeviceApp {
         unreduced: usize,
         participated: bool,
     ) -> ProtoMsg {
-        *self.results_by_key.entry(key).or_insert(0) += 1;
+        self.result_messages += 1;
         let seq = self.arq.next_seq();
         ProtoMsg::BfResult { key, claimed, tuples, unreduced, participated, seq, retries: 0 }
     }
@@ -805,7 +817,7 @@ impl DeviceApp {
         backtrack: bool,
     ) {
         let key = token.spec.key;
-        self.count_forward(key, 1);
+        self.forward_messages += 1;
         token.transfer_seq = self.arq.next_seq();
         let seq = token.transfer_seq;
         let msg = ProtoMsg::DfToken(token);
@@ -909,7 +921,7 @@ impl Application<ProtoMsg> for DeviceApp {
             self.defense.drop_frame(ctx, q, meta.src, DropCause::Malformed);
             return;
         }
-        let (dist, relation) = (&self.dist, &mut self.device.relation);
+        let relation = &mut self.device.relation;
         match payload {
             ProtoMsg::BfQuery { spec, filters, round, hops } => {
                 self.on_bf_query(ctx, meta.src, spec, filters, round, hops)
@@ -933,9 +945,9 @@ impl Application<ProtoMsg> for DeviceApp {
                 self.arq.cancel(seq);
             }
             ProtoMsg::HandoffProbe { pos, centroid, n_tuples } => {
-                self.handoff.on_probe(ctx, relation, dist, meta.src, pos, centroid, n_tuples)
+                self.handoff.on_probe(ctx, relation, meta.src, pos, centroid, n_tuples)
             }
-            ProtoMsg::HandoffAccept => self.handoff.on_accept(ctx, relation, dist, meta.src),
+            ProtoMsg::HandoffAccept => self.handoff.on_accept(ctx, relation, meta.src),
             ProtoMsg::HandoffTransfer { tuples } => {
                 self.handoff.on_transfer(ctx, relation, meta.src, tuples)
             }
@@ -949,12 +961,12 @@ impl Application<ProtoMsg> for DeviceApp {
             token::ISSUE => self.try_issue(ctx),
             token::HANDOFF_TICK => {
                 let busy = self.active.is_some();
-                self.handoff.tick(ctx, &self.device.relation, &self.dist, busy)
+                self.handoff.tick(ctx, &self.device.relation, busy)
             }
             token::HANDOFF_TIMEOUT => self.handoff.on_timeout(ctx.now),
             token::LOCALITY_SAMPLE => {
                 self.handoff.sample_locality(ctx);
-                ctx.set_timer(self.dist.locality_sample_period, token::LOCALITY_SAMPLE);
+                ctx.set_timer(LOCALITY_SAMPLE_PERIOD, token::LOCALITY_SAMPLE);
             }
             token::ARQ => self.on_arq_timeout(ctx, arg),
             token::REISSUE => self.maybe_reissue(ctx, arg as u8),
@@ -1018,9 +1030,9 @@ impl Application<ProtoMsg> for DeviceApp {
         // Resume the workload and the periodic chores whose timers died
         // with the crash.
         if self.next_request < self.requests.len() {
-            ctx.set_timer(self.dist.next_query_delay, token::ISSUE);
+            ctx.set_timer(NEXT_QUERY_DELAY, token::ISSUE);
         }
-        ctx.set_timer(self.dist.locality_sample_period, token::LOCALITY_SAMPLE);
+        ctx.set_timer(LOCALITY_SAMPLE_PERIOD, token::LOCALITY_SAMPLE);
         if let Some(cfg) = self.handoff.cfg {
             ctx.set_timer(cfg.interval, token::HANDOFF_TICK);
         }

@@ -50,6 +50,9 @@ use crate::config::StrategyConfig;
 use crate::static_net::{grid_network_from_global, StaticGridNetwork};
 use crate::trace::{DriftCheck, TraceAggregates};
 
+/// Node id serve events are traced on (the serving originator).
+const ORIGIN_NODE: usize = 0;
+
 /// Configuration of a [`ServeEngine`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -67,14 +70,10 @@ pub struct ServeConfig {
     /// reclamation machinery, and refuses to publish past capacity —
     /// size it to the serving horizon (one engine per horizon).
     pub slots: usize,
-    /// Grid side of the cold-path backend network.
+    /// Grid side of the cold-path backend network (over
+    /// [`SpatialExtent::PAPER`], queried under the default
+    /// [`StrategyConfig`]).
     pub backend_g: usize,
-    /// Spatial extent of the backend grid.
-    pub space: SpatialExtent,
-    /// Strategy for cold-path BF/EXT queries.
-    pub strategy: StrategyConfig,
-    /// Node id serve events are traced on (the serving originator).
-    pub origin_node: usize,
     /// Per-node trace-ring capacity. Must cover every serve event or the
     /// zero-drift guarantee is voided (exactly like `TraceConfig`).
     pub trace_capacity: usize,
@@ -88,9 +87,6 @@ impl Default for ServeConfig {
             ttl_epochs: 16,
             slots: 128,
             backend_g: 4,
-            space: SpatialExtent::PAPER,
-            strategy: StrategyConfig::default(),
-            origin_node: 0,
             trace_capacity: 1 << 20,
         }
     }
@@ -388,7 +384,7 @@ impl ServeEngine {
             led.stats.invalidations += 1;
             led.trace.record(
                 SimTime(epoch),
-                self.cfg.origin_node,
+                ORIGIN_NODE,
                 None,
                 QueryEvent::CellInvalidated { epoch, band: key.band as usize },
             );
@@ -445,7 +441,7 @@ impl ServeEngine {
 
         // Settle accounting in deterministic cell order.
         let epoch = snap.epoch;
-        let node = self.cfg.origin_node;
+        let node = ORIGIN_NODE;
         let mut guard = self.ledger.lock().expect("ledger lock");
         let led = &mut *guard;
         for group in &groups {
@@ -570,11 +566,12 @@ impl ServeEngine {
         // Concurrent cold groups of one snapshot wait on the one build.
         let backend = snap.backend.get_or_init(|| {
             self.backend_builds.fetch_add(1, Ordering::Relaxed);
-            grid_network_from_global(&snap.sites, self.cfg.backend_g, self.cfg.space)
+            grid_network_from_global(&snap.sites, self.cfg.backend_g, SpatialExtent::PAPER)
         });
         let region = self.cfg.diagram.canonical_query(key);
         let origin = backend.nearest_device(region.center);
-        let out = backend.run_query_at(origin, region.center, region.radius, &self.cfg.strategy);
+        let strategy = StrategyConfig::default();
+        let out = backend.run_query_at(origin, region.center, region.radius, &strategy);
         let mut ids: Vec<TupleId> = out.result.iter().map(TupleId::site).collect();
         ids.sort_unstable();
         let ids: Arc<[TupleId]> = ids.into();

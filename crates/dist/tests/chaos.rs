@@ -56,7 +56,6 @@ fn filtering(mode: BoundsMode) -> StrategyConfig {
         filter: FilterStrategy::Dynamic,
         bounds_mode: mode,
         exact_bounds: vec![1000.0; 2],
-        over_factor: 2.0,
         ..StrategyConfig::default()
     }
 }

@@ -160,23 +160,6 @@ fn beacon_neighbor_mode_still_answers_queries() {
 }
 
 #[test]
-fn shadowing_propagation_degrades_gracefully() {
-    use manet_sim::radio::Propagation;
-    for fwd in [Forwarding::BreadthFirst, Forwarding::DepthFirst] {
-        let mut exp = base(fwd);
-        exp.radio.propagation = Propagation::LogDistance { exponent: 3.0, sigma_db: 6.0 };
-        let out = run_experiment(&exp);
-        assert!(!out.records.is_empty(), "{fwd:?}");
-        assert!(out.drr <= 1.0);
-        // Fading produces lost frames even without explicit loss.
-        assert!(out.net.frames_lost > 0 || out.net.frames_sent == 0);
-        for r in out.records.iter().filter(|r| !r.timed_out) {
-            assert!(r.result_len > 0);
-        }
-    }
-}
-
-#[test]
 fn gossip_uses_fewer_messages_than_full_flood() {
     let run = |fwd| {
         let mut exp = base(fwd);

@@ -114,8 +114,8 @@ fn leases_expire_after_originator_crash() {
     }
     // The expiries land within one lease TTL (+ a tick) of the last
     // renewal the dead originator managed to flood.
-    let last_renewal_s = 270.0; // start 30 s + renewals every ttl/2 = 120 s
-    let bound = SimTime::from_secs_f64(last_renewal_s + exp.mon.ttl.as_secs_f64() + 35.0);
+    let (ttl_s, last_renewal_s) = (240.0, 270.0); // start 30 s + renewals every TTL/2 = 120 s
+    let bound = SimTime::from_secs_f64(last_renewal_s + ttl_s + 35.0);
     for (&node, &at) in &expired_at {
         assert!(at < bound, "node {node} expired only at {at:?}");
     }

@@ -9,8 +9,8 @@ use device_storage::HybridRelation;
 use dist_skyline::config::{FilterStrategy, StrategyConfig};
 use dist_skyline::static_net::StaticGridNetwork;
 use skyline_core::region::Point;
-use skyline_core::vdr::{BoundsMode, FilterTest};
-use skyline_core::{DominanceTest, Tuple};
+use skyline_core::vdr::BoundsMode;
+use skyline_core::Tuple;
 
 /// Random global relation on a g×g conceptual grid with integer attributes
 /// (ties likely — the hard case).
@@ -34,21 +34,17 @@ fn global(max: usize, dim: usize) -> impl Strategy<Value = Vec<Tuple>> {
 }
 
 fn strategy(dim: usize) -> impl Strategy<Value = StrategyConfig> {
-    (0usize..5, 0usize..3, any::<bool>(), any::<bool>()).prop_map(move |(f, m, strict, full)| {
-        StrategyConfig {
-            filter: [
-                FilterStrategy::NoFilter,
-                FilterStrategy::Single,
-                FilterStrategy::Dynamic,
-                FilterStrategy::MultiDynamic { k: 2 },
-                FilterStrategy::MultiDynamic { k: 4 },
-            ][f],
-            bounds_mode: [BoundsMode::Exact, BoundsMode::Over, BoundsMode::Under][m],
-            exact_bounds: vec![50.0; dim],
-            filter_test: if strict { FilterTest::StrictAll } else { FilterTest::Dominance },
-            dominance: if full { DominanceTest::Full } else { DominanceTest::PaperStrict },
-            ..StrategyConfig::default()
-        }
+    (0usize..5, 0usize..3).prop_map(move |(f, m)| StrategyConfig {
+        filter: [
+            FilterStrategy::NoFilter,
+            FilterStrategy::Single,
+            FilterStrategy::Dynamic,
+            FilterStrategy::MultiDynamic { k: 2 },
+            FilterStrategy::MultiDynamic { k: 4 },
+        ][f],
+        bounds_mode: [BoundsMode::Exact, BoundsMode::Over, BoundsMode::Under][m],
+        exact_bounds: vec![50.0; dim],
+        ..StrategyConfig::default()
     })
 }
 

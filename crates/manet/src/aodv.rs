@@ -46,30 +46,18 @@ use sim_obs::dethash::DetHashMap;
 /// new routes must still die eventually (the IP TTL's job in real AODV).
 const MAX_DATA_HOPS: u32 = 64;
 
-/// AODV tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct AodvConfig {
-    /// How long a route stays valid after its last use.
-    pub active_route_timeout: SimDuration,
-    /// Time to wait for an RREP before retrying the flood.
-    pub rreq_timeout: SimDuration,
-    /// Total RREQ attempts before giving up (RFC: RREQ_RETRIES + 1 = 3).
-    pub max_rreq_attempts: u32,
-    /// How long an (origin, rreq_id) pair stays in the duplicate cache
-    /// (RFC 3561 PATH_DISCOVERY_TIME = 2 × NET_TRAVERSAL_TIME = 5.6 s).
-    pub path_discovery_time: SimDuration,
-}
+/// How long a route stays valid after its last use.
+const ACTIVE_ROUTE_TIMEOUT: SimDuration = SimDuration::from_millis(3_000);
 
-impl Default for AodvConfig {
-    fn default() -> Self {
-        AodvConfig {
-            active_route_timeout: SimDuration::from_secs_f64(3.0),
-            rreq_timeout: SimDuration::from_millis(200),
-            max_rreq_attempts: 3,
-            path_discovery_time: SimDuration::from_secs_f64(5.6),
-        }
-    }
-}
+/// Time to wait for an RREP before retrying the flood (doubled per retry).
+const RREQ_TIMEOUT: SimDuration = SimDuration::from_millis(200);
+
+/// Total RREQ attempts before giving up (RFC: RREQ_RETRIES + 1 = 3).
+const MAX_RREQ_ATTEMPTS: u32 = 3;
+
+/// How long an (origin, rreq_id) pair stays in the duplicate cache
+/// (RFC 3561 PATH_DISCOVERY_TIME = 2 × NET_TRAVERSAL_TIME = 5.6 s).
+const PATH_DISCOVERY_TIME: SimDuration = SimDuration::from_millis(5_600);
 
 /// A routing-table entry.
 #[derive(Debug, Clone, Copy)]
@@ -122,7 +110,6 @@ pub enum LinkCmd<P> {
 #[derive(Debug)]
 pub struct AodvState<P> {
     me: NodeId,
-    cfg: AodvConfig,
     seq: u64,
     next_rreq_id: u64,
     next_packet_id: u64,
@@ -142,10 +129,9 @@ pub struct AodvState<P> {
 
 impl<P: Clone> AodvState<P> {
     /// Fresh state for node `me`.
-    pub fn new(me: NodeId, cfg: AodvConfig) -> Self {
+    pub fn new(me: NodeId) -> Self {
         AodvState {
             me,
-            cfg,
             seq: 0,
             next_rreq_id: 0,
             next_packet_id: 0,
@@ -183,7 +169,7 @@ impl<P: Clone> AodvState<P> {
 
     fn refresh(&mut self, dst: NodeId, now: SimTime) {
         if let Some(r) = self.routes.get_mut(&dst) {
-            r.expires = now + self.cfg.active_route_timeout;
+            r.expires = now + ACTIVE_ROUTE_TIMEOUT;
         }
     }
 
@@ -205,7 +191,7 @@ impl<P: Clone> AodvState<P> {
         if dst == self.me {
             return;
         }
-        let expires = now + self.cfg.active_route_timeout;
+        let expires = now + ACTIVE_ROUTE_TIMEOUT;
         let candidate =
             Route { next_hop, hop_count, dst_seq, seq_known: true, expires, valid: true };
         match self.routes.get_mut(&dst) {
@@ -236,7 +222,7 @@ impl<P: Clone> AodvState<P> {
         if dst == self.me {
             return;
         }
-        let expires = now + self.cfg.active_route_timeout;
+        let expires = now + ACTIVE_ROUTE_TIMEOUT;
         match self.routes.get_mut(&dst) {
             Some(r) if r.valid && r.expires > now => {
                 if next_hop == r.next_hop {
@@ -287,9 +273,9 @@ impl<P: Clone> AodvState<P> {
     fn check_seen_rreq(&mut self, origin: NodeId, rreq_id: u64, now: SimTime) -> bool {
         if now >= self.seen_rreq_purge_at {
             self.seen_rreq.retain(|_, &mut expiry| expiry > now);
-            self.seen_rreq_purge_at = now + self.cfg.path_discovery_time;
+            self.seen_rreq_purge_at = now + PATH_DISCOVERY_TIME;
         }
-        let expiry = now + self.cfg.path_discovery_time;
+        let expiry = now + PATH_DISCOVERY_TIME;
         match self.seen_rreq.insert((origin, rreq_id), expiry) {
             Some(prev) => prev > now, // expired entries do not suppress
             None => false,
@@ -323,12 +309,12 @@ impl<P: Clone> AodvState<P> {
         self.seq += 1;
         let rreq_id = self.next_rreq_id;
         self.next_rreq_id += 1;
-        self.seen_rreq.insert((self.me, rreq_id), now + self.cfg.path_discovery_time);
+        self.seen_rreq.insert((self.me, rreq_id), now + PATH_DISCOVERY_TIME);
         self.control_messages += 1;
         let msg =
             AodvMessage::Rreq { rreq_id, origin: self.me, origin_seq: self.seq, dst, hop_count: 0 };
         // Exponential back-off per RFC (binary, capped by attempts).
-        let timeout = self.cfg.rreq_timeout.mul_f64(f64::from(1 << (attempt - 1).min(4)));
+        let timeout = RREQ_TIMEOUT.mul_f64(f64::from(1 << (attempt - 1).min(4)));
         vec![
             LinkCmd::Broadcast(Frame::Aodv(msg)),
             LinkCmd::SetTimer(timeout, AodvTimer::RreqTimeout { dst, attempt }),
@@ -501,7 +487,7 @@ impl<P: Clone> AodvState<P> {
                 if self.has_route(dst, now) || !self.pending.contains_key(&dst) {
                     return Vec::new(); // discovery succeeded (or nothing waits)
                 }
-                if attempt < self.cfg.max_rreq_attempts {
+                if attempt < MAX_RREQ_ATTEMPTS {
                     return self.start_discovery(dst, attempt + 1, now);
                 }
                 // Give up: fail own packets to the application, count
@@ -531,7 +517,7 @@ mod tests {
     use super::*;
 
     fn state(me: NodeId) -> AodvState<u32> {
-        AodvState::new(me, AodvConfig::default())
+        AodvState::new(me)
     }
 
     const ALWAYS: fn(NodeId) -> bool = |_| true;
@@ -767,7 +753,7 @@ mod tests {
         assert!(matches!(c1[0], LinkCmd::Broadcast(_)));
         let c2 = a.on_timer(AodvTimer::RreqTimeout { dst: 5, attempt: 2 }, SimTime(2));
         assert!(matches!(c2[0], LinkCmd::Broadcast(_)));
-        // Third (== max_rreq_attempts) timeout: give up and fail the packet.
+        // Third (== MAX_RREQ_ATTEMPTS) timeout: give up and fail the packet.
         let c3 = a.on_timer(AodvTimer::RreqTimeout { dst: 5, attempt: 3 }, SimTime(3));
         assert!(matches!(&c3[0], LinkCmd::DropFailed(p) if p.payload == 42));
     }

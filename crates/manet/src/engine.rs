@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::aodv::{AodvConfig, AodvState, AodvTimer, LinkCmd};
+use crate::aodv::{AodvState, AodvTimer, LinkCmd};
 use crate::events::EventQueue;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::grid::SpatialGrid;
@@ -495,8 +495,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
             Some(p) => p,
             None => state.position_at(now),
         };
-        self.nodes
-            .push(NodeEntry { aodv: AodvState::new(id, AodvConfig::default()), app });
+        self.nodes.push(NodeEntry { aodv: AodvState::new(id), app });
         let geo = &mut self.geo;
         geo.mobility.push(state);
         geo.positions.push(p0);
@@ -929,7 +928,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         }
         let pf = self.geo.pos_of(from, now);
         let pt = self.geo.pos_of(to, now);
-        if !self.geo.radio.frame_received(pf, pt, &mut self.rng)
+        if !self.geo.radio.in_range(pf, pt)
             || self.geo.radio.lost(&mut self.rng)
             || self.degrade_lost()
         {
@@ -973,44 +972,26 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         // Receivers that pass every gate, in receiver order: the whole
         // transmission becomes one wheel entry.
         let mut receivers = Vec::new();
-        if self.geo.radio.deterministic_reception() {
-            // Unit disk: reception equals `in_range` and draws no RNG, so
-            // the receiver loop can be pruned to the grid's candidate set.
-            // Candidates come back sorted ascending — the same receiver
-            // order as the full 0..n scan — and loss rolls happen only for
-            // truly in-range receivers in both formulations, so the random
-            // stream is untouched.
-            let mut cand = std::mem::take(&mut self.geo.cand_scratch);
-            self.geo.candidates_into(p, now, &mut cand);
-            for &to in &cand {
-                if to == from {
-                    continue;
-                }
-                let pt = self.geo.pos_of(to, now);
-                if !self.geo.radio.in_range(p, pt) {
-                    continue;
-                }
-                if self.broadcast_copy_survives(from, to, now, &frame) {
-                    receivers.push(to);
-                }
+        // Reception is `in_range` and draws no RNG, so the receiver loop is
+        // pruned to the grid's candidate set. Candidates come back sorted
+        // ascending — the same receiver order as a full 0..n scan — and
+        // loss rolls happen only for in-range receivers, so the random
+        // stream is the one a full scan would draw.
+        let mut cand = std::mem::take(&mut self.geo.cand_scratch);
+        self.geo.candidates_into(p, now, &mut cand);
+        for &to in &cand {
+            if to == from {
+                continue;
             }
-            self.geo.cand_scratch = cand;
-        } else {
-            // Shadowing models roll the dice for every node, so every node
-            // must be visited to keep the RNG stream well-defined.
-            for to in 0..self.nodes.len() {
-                if to == from {
-                    continue;
-                }
-                let pt = self.geo.pos_of(to, now);
-                if !self.geo.radio.frame_received(p, pt, &mut self.rng) {
-                    continue;
-                }
-                if self.broadcast_copy_survives(from, to, now, &frame) {
-                    receivers.push(to);
-                }
+            let pt = self.geo.pos_of(to, now);
+            if !self.geo.radio.in_range(p, pt) {
+                continue;
+            }
+            if self.broadcast_copy_survives(from, to, now, &frame) {
+                receivers.push(to);
             }
         }
+        self.geo.cand_scratch = cand;
         // A broadcast nobody survives to hear schedules nothing.
         if let Some(last) = receivers.pop() {
             self.schedule_delivery(now + delay, from, receivers, last, frame);
@@ -1302,7 +1283,7 @@ mod tests {
                 end,
             ),
         );
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for at in [5.0, 20.0, 47.0, 80.0] {
             let at = SimTime::from_secs_f64(at);
             sim.schedule_app_timer(0, at, 0);

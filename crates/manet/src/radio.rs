@@ -52,25 +52,6 @@ impl EnergyConfig {
     }
 }
 
-/// How reception success depends on distance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Propagation {
-    /// Binary unit-disk: every frame within `range_m` arrives, nothing
-    /// beyond. The JiST/SWANS default and this simulator's default.
-    UnitDisk,
-    /// Log-distance path loss with log-normal shadowing: the received
-    /// margin is `10·n·log10(range/d) + N(0, σ)` dB and the frame arrives
-    /// iff the margin is non-negative. Smooths the disk edge: frames
-    /// slightly beyond nominal range sometimes arrive, frames inside
-    /// sometimes fade. `σ = 0` degenerates to the unit disk.
-    LogDistance {
-        /// Path-loss exponent `n` (2 = free space, 3–4 = urban).
-        exponent: f64,
-        /// Shadowing standard deviation in dB.
-        sigma_db: f64,
-    },
-}
-
 /// Radio and link-layer parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RadioConfig {
@@ -86,8 +67,6 @@ pub struct RadioConfig {
     pub loss_probability: f64,
     /// Energy accounting model.
     pub energy: EnergyConfig,
-    /// Propagation model deciding per-frame reception.
-    pub propagation: Propagation,
 }
 
 impl Default for RadioConfig {
@@ -99,7 +78,6 @@ impl Default for RadioConfig {
             jitter: SimDuration::from_micros(500),
             loss_probability: 0.0,
             energy: EnergyConfig::default(),
-            propagation: Propagation::UnitDisk,
         }
     }
 }
@@ -126,37 +104,6 @@ impl RadioConfig {
     pub fn lost(&self, rng: &mut StdRng) -> bool {
         self.loss_probability > 0.0 && rng.random_range(0.0..1.0) < self.loss_probability
     }
-
-    /// `true` when [`frame_received`](Self::frame_received) is a pure
-    /// function of the two positions — equal to `in_range`, drawing no
-    /// randomness per candidate. Only then may broadcast receiver sets be
-    /// pruned spatially without perturbing the deterministic RNG stream.
-    pub fn deterministic_reception(&self) -> bool {
-        matches!(self.propagation, Propagation::UnitDisk)
-    }
-
-    /// Per-frame reception decision between two positions, under the
-    /// configured propagation model. Neighbour *discovery* keeps using the
-    /// deterministic [`RadioConfig::in_range`]; this gate applies to actual
-    /// frames, so under shadowing a "neighbour" can still fade.
-    pub fn frame_received(&self, a: Pos, b: Pos, rng: &mut StdRng) -> bool {
-        match self.propagation {
-            Propagation::UnitDisk => self.in_range(a, b),
-            Propagation::LogDistance { exponent, sigma_db } => {
-                let d = a.dist(b).max(1.0);
-                let margin =
-                    10.0 * exponent * (self.range_m / d).log10() + gaussian(rng) * sigma_db;
-                margin >= 0.0
-            }
-        }
-    }
-}
-
-/// Standard-normal sample via Box–Muller.
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.random_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
@@ -205,44 +152,12 @@ mod tests {
 
     #[test]
     fn unit_disk_frame_reception_equals_range() {
+        // Frames arrive iff the receiver is in range: the engine's only
+        // reception gate besides the loss roll.
         let cfg = RadioConfig::default();
-        let mut rng = StdRng::seed_from_u64(1);
         let a = Pos::new(0.0, 0.0);
-        assert!(cfg.frame_received(a, Pos::new(249.0, 0.0), &mut rng));
-        assert!(!cfg.frame_received(a, Pos::new(251.0, 0.0), &mut rng));
-    }
-
-    #[test]
-    fn log_distance_without_shadowing_matches_unit_disk() {
-        let cfg = RadioConfig {
-            propagation: Propagation::LogDistance { exponent: 3.0, sigma_db: 0.0 },
-            ..RadioConfig::default()
-        };
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = Pos::new(0.0, 0.0);
-        assert!(cfg.frame_received(a, Pos::new(249.0, 0.0), &mut rng));
-        assert!(!cfg.frame_received(a, Pos::new(251.0, 0.0), &mut rng));
-    }
-
-    #[test]
-    fn shadowing_softens_the_disk_edge() {
-        let cfg = RadioConfig {
-            propagation: Propagation::LogDistance { exponent: 3.0, sigma_db: 6.0 },
-            ..RadioConfig::default()
-        };
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = Pos::new(0.0, 0.0);
-        let rate = |d: f64, rng: &mut StdRng| {
-            (0..2000).filter(|_| cfg.frame_received(a, Pos::new(d, 0.0), rng)).count() as f64
-                / 2000.0
-        };
-        let near = rate(100.0, &mut rng);
-        let edge = rate(250.0, &mut rng);
-        let far = rate(600.0, &mut rng);
-        assert!(near > 0.9, "close frames almost always arrive ({near})");
-        assert!((0.3..0.7).contains(&edge), "the nominal edge is a coin flip ({edge})");
-        assert!(far < 0.1, "far frames rarely arrive ({far})");
-        assert!(near > edge && edge > far);
+        assert!(cfg.in_range(a, Pos::new(249.0, 0.0)));
+        assert!(!cfg.in_range(a, Pos::new(251.0, 0.0)));
     }
 
     #[test]

@@ -47,12 +47,12 @@ impl SimDuration {
     }
 
     /// Span of `ms` milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1000)
     }
 
     /// Span of `us` microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us)
     }
 

@@ -1,4 +1,4 @@
-//! The engine's delivery order, pinned. The three digests below were
+//! The engine's delivery order, pinned. The two digests below were
 //! recorded at the commit *before* a broadcast became one wheel entry (one
 //! `Deliver` event per receiver, inline frame, SipHash tables); any engine
 //! change that claims "same events in the same order" must reproduce them.
@@ -11,7 +11,7 @@
 use manet_sim::engine::{Application, MsgMeta, NeighborMode, NodeCtx, Simulator};
 use manet_sim::fault::FaultPlan;
 use manet_sim::mobility::{MobilityConfig, Pos};
-use manet_sim::radio::{Propagation, RadioConfig};
+use manet_sim::radio::RadioConfig;
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::{FrameTag, LossCause, NodeId, TraceEvent};
 
@@ -78,8 +78,8 @@ fn tag_code(tag: FrameTag) -> u64 {
 }
 
 /// Runs the scenario and returns `(digest, trace events, frames_lost)`.
-fn run(propagation: Propagation, mode: NeighborMode, seed: u64) -> (u64, usize, u64) {
-    let radio = RadioConfig { loss_probability: 0.10, propagation, ..RadioConfig::default() };
+fn run(mode: NeighborMode, seed: u64) -> (u64, usize, u64) {
+    let radio = RadioConfig { loss_probability: 0.10, ..RadioConfig::default() };
     let mobility = MobilityConfig {
         width: 1100.0,
         height: 1100.0,
@@ -182,13 +182,12 @@ fn run(propagation: Propagation, mode: NeighborMode, seed: u64) -> (u64, usize, 
     (h.0, log.entries.len(), s.frames_lost)
 }
 
-const SHADOWING: Propagation = Propagation::LogDistance { exponent: 3.0, sigma_db: 4.0 };
 const BEACON: NeighborMode =
     NeighborMode::Beacon { period: SimDuration(1_000_000), expiry: SimDuration(2_500_000) };
 
 #[test]
 fn unit_disk_oracle_order_is_pinned() {
-    let got = run(Propagation::UnitDisk, NeighborMode::Oracle, 7);
+    let got = run(NeighborMode::Oracle, 7);
     assert_eq!(
         got,
         (10_140_343_493_586_206_419, 97_187, 13_074),
@@ -197,18 +196,8 @@ fn unit_disk_oracle_order_is_pinned() {
 }
 
 #[test]
-fn shadowing_oracle_order_is_pinned() {
-    let got = run(SHADOWING, NeighborMode::Oracle, 2006);
-    assert_eq!(
-        got,
-        (9_471_216_080_101_170_829, 533_618, 78_692),
-        "(digest, trace events, frames_lost)"
-    );
-}
-
-#[test]
 fn unit_disk_beacon_order_is_pinned() {
-    let got = run(Propagation::UnitDisk, BEACON, 7);
+    let got = run(BEACON, 7);
     assert_eq!(
         got,
         (14_270_713_394_841_802_418, 180_910, 28_651),

@@ -92,10 +92,11 @@ impl PowHistogram {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
-    /// Upper bound (`2^(i+1) - 1`) of the bucket holding the `q`-quantile
-    /// sample (`0.0 ..= 1.0`), or `None` when empty. A bucket bound
-    /// rather than an interpolated value, so it is exact, deterministic,
-    /// and merge-stable.
+    /// Upper bound of the `q`-quantile sample (`0.0 ..= 1.0`), or `None`
+    /// when empty: the bound (`2^(i+1) - 1`) of the bucket holding it,
+    /// clamped to the largest sample seen — no quantile exceeds the max.
+    /// A bound rather than an interpolated value, so it is exact,
+    /// deterministic, and merge-stable.
     pub fn quantile_bound(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -105,10 +106,11 @@ impl PowHistogram {
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return Some(if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 });
+                let bound = if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
+                return Some(bound.min(self.max));
             }
         }
-        Some(u64::MAX)
+        Some(self.max)
     }
 
     /// Non-empty buckets as `(lower_bound, upper_bound, count)` triples,
@@ -216,9 +218,21 @@ mod tests {
         }
         // Median of 1..=100 is ~50 → bucket [32, 63].
         assert_eq!(h.quantile_bound(0.5), Some(63));
-        assert_eq!(h.quantile_bound(1.0), Some(127));
+        // The top bucket is [64, 127], but nothing above 100 was seen.
+        assert_eq!(h.quantile_bound(1.0), Some(100));
         assert_eq!(h.quantile_bound(0.0), Some(1));
         assert_eq!(PowHistogram::new().quantile_bound(0.5), None);
+    }
+
+    #[test]
+    fn quantile_bound_never_exceeds_the_max() {
+        let mut h = PowHistogram::new();
+        for _ in 0..100 {
+            h.record(16);
+        }
+        // 16 sits in bucket [16, 31]; the bound is the observed max.
+        assert_eq!(h.quantile_bound(0.99), Some(16));
+        assert_eq!(h.quantile_bound(0.5), Some(16));
     }
 
     #[test]

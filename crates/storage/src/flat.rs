@@ -122,7 +122,6 @@ impl DeviceRelation for FlatRelation {
 mod tests {
     use super::*;
     use skyline_core::region::{Point, QueryRegion};
-    use skyline_core::vdr::FilterTest;
 
     fn rel() -> FlatRelation {
         FlatRelation::new(vec![
@@ -150,14 +149,13 @@ mod tests {
         let bounds = UpperBounds::new(vec![200.0, 10.0]);
         let q = LocalQuery {
             filter: Some(FilterTuple::new(vec![10.0, 2.0], &bounds)),
-            filter_test: FilterTest::StrictAll,
             vdr_bounds: Some(bounds),
             ..LocalQuery::plain(QueryRegion::unbounded())
         };
         let out = rel().local_skyline(&q);
         // Unbounded region: (1,1) dominates every other tuple, so the
         // unreduced skyline is just {(1,1)} — which the filter (10,2) does
-        // not strictly beat (1 < 1 fails on both attributes).
+        // not dominate.
         assert_eq!(out.unreduced_len, 1);
         assert_eq!(out.skyline.len(), 1);
         assert_eq!(out.skyline[0].attrs, vec![1.0, 1.0]);

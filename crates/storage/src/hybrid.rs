@@ -705,7 +705,7 @@ mod tests {
     use super::*;
     use skyline_core::algo::{self, Algorithm};
     use skyline_core::region::QueryRegion;
-    use skyline_core::vdr::{FilterTest, UpperBounds};
+    use skyline_core::vdr::UpperBounds;
     use skyline_core::SkylineMerger;
 
     fn table2() -> Vec<Tuple> {
@@ -826,7 +826,6 @@ mod tests {
         let bounds = UpperBounds::new(vec![200.0, 10.0]);
         let q = LocalQuery {
             filter: Some(FilterTuple::new(vec![10.0, 1.0], &bounds)),
-            filter_test: FilterTest::StrictAll,
             ..LocalQuery::plain(QueryRegion::unbounded())
         };
         let out = h.local_skyline(&q);
@@ -843,16 +842,15 @@ mod tests {
         let bounds = UpperBounds::new(vec![200.0, 10.0]);
         let q = LocalQuery {
             filter: Some(FilterTuple::new(vec![60.0, 3.0], &bounds)), // h21
-            filter_test: FilterTest::StrictAll,
             vdr_bounds: Some(bounds),
             ..LocalQuery::plain(QueryRegion::unbounded())
         };
         let out = h.local_skyline(&q);
         assert_eq!(out.skip, None);
-        // h21 = (60, 3) strictly eliminates h14 = (80, 4) but not h16 =
-        // (100, 3) (rating ties) under the paper's strict test.
+        // h21 = (60, 3) dominates h14 = (80, 4) and h16 = (100, 3) (a
+        // rating tie, which Fig. 4's literal strict test would keep).
         assert_eq!(out.unreduced_len, 4);
-        assert_eq!(out.skyline.len(), 3);
+        assert_eq!(out.skyline.len(), 2);
     }
 
     #[test]
@@ -1359,7 +1357,6 @@ mod tests {
         let plain = LocalQuery::plain(QueryRegion::unbounded());
         let filtered = LocalQuery {
             filter: Some(FilterTuple::new(vec![1.0, 1.0], &bounds)),
-            filter_test: FilterTest::StrictAll,
             ..LocalQuery::plain(QueryRegion::unbounded())
         };
         let a = h.local_skyline(&filtered);

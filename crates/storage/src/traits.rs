@@ -1,8 +1,8 @@
 //! The interface every storage model exposes to the distributed layer.
 
 use skyline_core::region::{Mbr, Point, QueryRegion};
-use skyline_core::vdr::{FilterTest, FilterTuple, UpperBounds};
-use skyline_core::{DominanceTest, Tuple};
+use skyline_core::vdr::{FilterTuple, UpperBounds};
+use skyline_core::{dominates, DominanceTest, Tuple};
 
 /// Which storage model a relation uses (for reporting and configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,8 +28,6 @@ pub struct LocalQuery {
     /// Additional filtering tuples — the multi-filter extension the paper
     /// names as future work. Usually empty.
     pub extra_filters: Vec<FilterTuple>,
-    /// How the filter eliminates tuples (paper: strict `<` on all dims).
-    pub filter_test: FilterTest,
     /// Window dominance test for the scan (paper: `PaperStrict` on HS).
     pub dominance: DominanceTest,
     /// Upper bounds this device should use when computing VDRs for the
@@ -45,7 +43,6 @@ impl LocalQuery {
             region,
             filter: None,
             extra_filters: Vec::new(),
-            filter_test: FilterTest::default(),
             dominance: DominanceTest::Full,
             vdr_bounds: None,
         }
@@ -56,12 +53,13 @@ impl LocalQuery {
         self.filter.is_some() || !self.extra_filters.is_empty()
     }
 
-    /// `true` when any attached filter eliminates a tuple with `attrs`.
+    /// `true` when any attached filter dominates a tuple with `attrs` (not
+    /// Fig. 4's strict `<`: see DESIGN.md's fidelity notes).
     pub fn eliminates(&self, attrs: &[f64]) -> bool {
         self.filter
             .iter()
             .chain(&self.extra_filters)
-            .any(|f| self.filter_test.eliminates(&f.attrs, attrs))
+            .any(|f| dominates(&f.attrs, attrs))
     }
 
     /// `true` when any attached filter dominates the virtual best corner
@@ -70,7 +68,7 @@ impl LocalQuery {
         self.filter
             .iter()
             .chain(&self.extra_filters)
-            .any(|f| filter_skips_relation(f, lower, self.filter_test))
+            .any(|f| filter_skips_relation(f, lower))
     }
 }
 
@@ -224,10 +222,10 @@ impl<T: DeviceRelation + ?Sized> DeviceRelation for Box<T> {
 /// Deviation from the paper: the paper skips when `tp_flt.p_j ≤ l_j` for all
 /// `j`, which in the all-equal corner case can drop a tuple that merely
 /// *ties* the filter on every attribute (such a tuple is itself a legitimate
-/// skyline member). We therefore require genuine dominance under the active
-/// filter test, which is identical except in that corner case.
-pub fn filter_skips_relation(filter: &FilterTuple, lower: &[f64], test: FilterTest) -> bool {
-    test.eliminates(&filter.attrs, lower)
+/// skyline member). We therefore require genuine dominance, which is
+/// identical except in that corner case.
+pub fn filter_skips_relation(filter: &FilterTuple, lower: &[f64]) -> bool {
+    dominates(&filter.attrs, lower)
 }
 
 #[cfg(test)]
@@ -250,12 +248,10 @@ mod tests {
         let tie = FilterTuple::new(vec![10.0, 10.0], &bounds);
         let weak = FilterTuple::new(vec![50.0, 5.0], &bounds);
 
-        assert!(filter_skips_relation(&strong, &lower, FilterTest::StrictAll));
-        assert!(filter_skips_relation(&strong, &lower, FilterTest::Dominance));
+        assert!(filter_skips_relation(&strong, &lower));
         // All-equal corner: never skip (the tying local tuple must survive).
-        assert!(!filter_skips_relation(&tie, &lower, FilterTest::StrictAll));
-        assert!(!filter_skips_relation(&tie, &lower, FilterTest::Dominance));
-        assert!(!filter_skips_relation(&weak, &lower, FilterTest::StrictAll));
+        assert!(!filter_skips_relation(&tie, &lower));
+        assert!(!filter_skips_relation(&weak, &lower));
     }
 
     #[test]

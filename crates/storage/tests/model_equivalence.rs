@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use skyline_core::region::{Point, QueryRegion};
-use skyline_core::vdr::{FilterTest, FilterTuple, UpperBounds};
+use skyline_core::vdr::{FilterTuple, UpperBounds};
 use skyline_core::{DominanceTest, Tuple};
 
 use device_storage::{
@@ -32,9 +32,8 @@ fn query(dim: usize) -> impl Strategy<Value = LocalQuery> {
         0.0f64..20.0,
         0.0f64..5.0,
         prop::option::of((1.0f64..60.0, prop::collection::vec(0u8..25, dim))),
-        any::<bool>(),
     )
-        .prop_map(move |(cx, cy, r_and_filter, strict)| {
+        .prop_map(move |(cx, cy, r_and_filter)| {
             let (radius, filter) = match r_and_filter {
                 Some((r, f)) => (
                     r,
@@ -47,7 +46,6 @@ fn query(dim: usize) -> impl Strategy<Value = LocalQuery> {
             };
             LocalQuery {
                 filter,
-                filter_test: if strict { FilterTest::StrictAll } else { FilterTest::Dominance },
                 vdr_bounds: Some(UpperBounds::new(vec![25.0; dim])),
                 ..LocalQuery::plain(QueryRegion::new(Point::new(cx, cy), radius))
             }

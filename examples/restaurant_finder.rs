@@ -40,10 +40,7 @@ fn worked_example() {
     println!("chosen filter: {:?} (VDR {})", filter.attrs, filter.vdr);
 
     // Apply the filter to M1's local skyline.
-    let kept: Vec<_> = sk1
-        .iter()
-        .filter(|t| !FilterTest::Dominance.eliminates(&filter.attrs, &t.attrs))
-        .collect();
+    let kept: Vec<_> = sk1.iter().filter(|t| !dominates(&filter.attrs, &t.attrs)).collect();
     println!(
         "M1 sends {} of {} tuples after filtering (h14 and h16 eliminated)",
         kept.len(),
