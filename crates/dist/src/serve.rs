@@ -26,10 +26,11 @@
 //!   cells whose answer outlived `ttl_epochs`, and publishes the next
 //!   snapshot.
 //!
-//! Every serving action is traced (`CacheHit` / `CacheMiss` /
-//! `CellInvalidated`) and [`verify_serve_drift`] demands the trace
-//! aggregates equal the engine's counters exactly — the same zero-drift
-//! discipline the simulator enforces.
+//! Serving is traced — a `CacheMiss` per cold compute, a
+//! `CellInvalidated` per changed cell, and one `CacheHit` per batch
+//! summing its other requests — and [`verify_serve_drift`] demands the
+//! trace aggregates equal the engine's counters exactly — the same
+//! zero-drift discipline the simulator enforces.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -74,8 +75,10 @@ pub struct ServeConfig {
     /// [`SpatialExtent::PAPER`], queried under the default
     /// [`StrategyConfig`]).
     pub backend_g: usize,
-    /// Per-node trace-ring capacity. Must cover every serve event or the
-    /// zero-drift guarantee is voided (exactly like `TraceConfig`).
+    /// Per-node trace-ring capacity. Must cover every serve record — one
+    /// hit record per batch, plus one per cold miss, plus one per
+    /// invalidated cell — or the zero-drift guarantee is voided (exactly
+    /// like `TraceConfig`).
     pub trace_capacity: usize,
 }
 
@@ -164,8 +167,9 @@ impl SnapshotRing {
 pub struct ServedAnswer {
     /// Diagram cell the request quantized to.
     pub key: CellKey,
-    /// Skyline ids of the canonical answer, sorted.
-    pub ids: Vec<TupleId>,
+    /// Skyline ids of the canonical answer, sorted; shared with the
+    /// cell's cached list and with the other requests of its group.
+    pub ids: Arc<[TupleId]>,
     /// `true` when served from a materialized diagram cell; `false` for
     /// requests resolved by this epoch's cold compute.
     pub cached: bool,
@@ -439,9 +443,11 @@ impl ServeEngine {
             groups[g].result = Some(result);
         }
 
-        // Settle accounting in deterministic cell order.
+        // Settle accounting in deterministic cell order: a record per
+        // miss, then one hit record summing the batch's other requests.
         let epoch = snap.epoch;
         let node = ORIGIN_NODE;
+        let (mut requests, mut age_sum, mut hit_tuples) = (0u64, 0u64, 0u64);
         let mut guard = self.ledger.lock().expect("ledger lock");
         let led = &mut *guard;
         for group in &groups {
@@ -463,16 +469,19 @@ impl ServeEngine {
                 led.stats.staleness.record(0);
             }
             led.stats.hits += hits;
-            for _ in 0..hits {
-                let hit = QueryEvent::CacheHit { epoch, age: gr.age, tuples };
-                led.trace.record(SimTime(epoch), node, None, hit);
-                led.stats.staleness.record(gr.age);
-            }
+            led.stats.staleness.record_n(gr.age, hits);
+            requests += hits;
+            age_sum += gr.age * hits;
+            hit_tuples += tuples as u64 * hits;
             if !gr.cached {
                 // Computed now or reused from an earlier batch of this
                 // epoch: awaiting back-fill either way.
                 led.pending.insert(group.key);
             }
+        }
+        if requests > 0 {
+            let hit = QueryEvent::CacheHit { epoch, requests, age_sum, tuples: hit_tuples };
+            led.trace.record(SimTime(epoch), node, None, hit);
         }
         drop(guard);
 
@@ -482,7 +491,7 @@ impl ServeEngine {
                 let gr = groups[g].result.as_ref().expect("every group resolved");
                 ServedAnswer {
                     key: groups[g].key,
-                    ids: gr.ids.to_vec(),
+                    ids: gr.ids.clone(),
                     cached: gr.cached,
                     age: gr.age,
                     epoch,
@@ -585,10 +594,11 @@ fn site_list(diagram: &SkylineDiagram) -> Arc<[Tuple]> {
     diagram.sites().map(|(_, t)| t.clone()).collect()
 }
 
-/// Reconciles a serve trace against the engine's counters: hit, miss,
-/// and invalidation events must match exactly, and the staleness
-/// histogram must account for every request (count and sum). Any drift
-/// is a bug in either side.
+/// Reconciles a serve trace against the engine's counters: the requests
+/// the hit records sum, the miss records and the invalidation records
+/// must match exactly, the staleness histogram must account for every
+/// request (count and sum), and the records' tuples must sum to
+/// `tuples_served`. Any drift is a bug in either side.
 pub fn verify_serve_drift(
     log: &QueryTraceLog,
     stats: &ServeStats,
@@ -600,15 +610,19 @@ pub fn verify_serve_drift(
     d.check("cells_invalidated", agg.cells_invalidated, stats.invalidations);
     d.check("lookups", agg.cache_hits + agg.cache_misses, stats.lookups);
     d.check("staleness_count", stats.staleness.count(), stats.lookups);
-    let traced_age: u64 = log
-        .records
-        .iter()
-        .map(|r| match r.event {
-            QueryEvent::CacheHit { age, .. } => age,
-            _ => 0,
-        })
-        .sum();
+    let (mut traced_age, mut traced_tuples) = (0u64, 0u64);
+    for r in &log.records {
+        match r.event {
+            QueryEvent::CacheHit { age_sum, tuples, .. } => {
+                traced_age += age_sum;
+                traced_tuples += tuples;
+            }
+            QueryEvent::CacheMiss { tuples, .. } => traced_tuples += tuples as u64,
+            _ => {}
+        }
+    }
     d.check("staleness_sum", traced_age, stats.staleness.sum());
+    d.check("tuples_served", traced_tuples, stats.tuples_served);
     if d.errs.is_empty() {
         Ok(agg)
     } else {
@@ -621,7 +635,9 @@ mod tests {
     use super::*;
     use datagen::{DataSpec, Distribution};
     use proptest::prelude::*;
+    use sim_obs::dethash::DetHasher;
     use skyline_core::SkylineMerger;
+    use std::hash::Hasher;
 
     fn seed_sites(card: usize, dim: usize, seed: u64) -> Vec<Tuple> {
         DataSpec::manet_experiment(card, dim, Distribution::Independent, seed).generate()
@@ -662,7 +678,7 @@ mod tests {
         let cold = engine.serve_batch(&[q]);
         assert!(!cold[0].cached);
         let key = cold[0].key;
-        assert_eq!(cold[0].ids, oracle(&sites, engine.config(), key), "cold path is exact");
+        assert_eq!(*cold[0].ids, oracle(&sites, engine.config(), key), "cold path is exact");
 
         // Next epoch back-fills the diagram; the same request now hits.
         engine.ingest_epoch(&SkyDelta::default());
@@ -707,7 +723,7 @@ mod tests {
 
         let after = engine.serve_batch(&[q]);
         assert!(after[0].cached, "invalidated cells are refreshed, not dropped");
-        assert_eq!(after[0].ids, vec![TupleId::site(&killer)]);
+        assert_eq!(*after[0].ids, [TupleId::site(&killer)]);
         assert_eq!(after[0].age, 0, "answer refreshed this epoch");
         assert!(after[0].epoch > before[0].epoch);
         engine.check_invariants().unwrap();
@@ -796,10 +812,80 @@ mod tests {
         let err = verify_serve_drift(&log, &bad).unwrap_err();
         assert!(err.contains("cache_hits"), "{err}");
 
+        // Each field of a hit record is reconciled against its counter.
+        let hit = log
+            .records
+            .iter()
+            .position(|r| matches!(r.event, QueryEvent::CacheHit { age_sum, .. } if age_sum > 0))
+            .expect("the second epoch serves aged hits");
+        for check in ["cache_hits", "staleness_sum", "tuples_served"] {
+            let mut tampered = log.clone();
+            let QueryEvent::CacheHit { requests, age_sum, tuples, .. } =
+                &mut tampered.records[hit].event
+            else {
+                unreachable!()
+            };
+            match check {
+                "cache_hits" => *requests += 1,
+                "staleness_sum" => *age_sum += 1,
+                _ => *tuples += 1,
+            }
+            let err = verify_serve_drift(&tampered, &stats).unwrap_err();
+            assert!(err.contains(check), "{check}: {err}");
+        }
+
         // A lossy ring voids the guarantee and names the knob to raise.
         log.dropped = 3;
         let err = verify_serve_drift(&log, &stats).unwrap_err();
         assert!(err.contains("ServeConfig::trace_capacity"), "{err}");
+    }
+
+    /// The trace's event kinds, in record order.
+    fn kinds(log: &QueryTraceLog) -> Vec<&'static str> {
+        log.records
+            .iter()
+            .map(|r| match r.event {
+                QueryEvent::CacheHit { .. } => "hit",
+                QueryEvent::CacheMiss { .. } => "miss",
+                _ => "other",
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_writes_its_misses_then_one_hit_record() {
+        let engine = ServeEngine::new(cfg(2), seed_sites(1_000, 2, 17));
+        // 64 requests over 16 cells, computed at epoch 0 and back-filled.
+        let pool: Vec<(Point, f64)> = (0..64)
+            .map(|i| (Point::new(125.0 * (i % 8) as f64 + 10.0, 300.0), [100.0, 200.0][i / 32]))
+            .collect();
+        engine.serve_batch(&pool);
+        engine.ingest_epoch(&SkyDelta::default());
+        engine.take_trace();
+
+        let out = engine.serve_batch(&pool);
+        assert!(out.iter().all(|a| a.cached));
+        let log = engine.take_trace();
+        assert_eq!(kinds(&log), ["hit"]);
+        let QueryEvent::CacheHit { epoch, requests, age_sum, tuples } = log.records[0].event else {
+            unreachable!()
+        };
+        assert_eq!((epoch, requests), (1, 64));
+        assert_eq!(age_sum, out.iter().map(|a| a.age).sum::<u64>());
+        assert_eq!(tuples, out.iter().map(|a| a.ids.len() as u64).sum::<u64>());
+
+        // A mixed batch: the cached pool plus two never-computed cells,
+        // each asked twice — two misses, then one record for the rest.
+        let fresh = [(Point::new(400.0, 800.0), 400.0), (Point::new(-40.0, 800.0), 100.0)];
+        let mixed: Vec<(Point, f64)> = pool.iter().chain(&fresh).chain(&fresh).copied().collect();
+        engine.serve_batch(&mixed);
+        let log = engine.take_trace();
+        assert_eq!(kinds(&log), ["miss", "miss", "hit"]);
+        assert!(matches!(log.records[2].event, QueryEvent::CacheHit { requests: 66, .. }));
+
+        // A batch with no request writes nothing.
+        engine.serve_batch(&[]);
+        assert!(engine.take_trace().records.is_empty());
     }
 
     #[test]
@@ -1021,11 +1107,9 @@ mod tests {
         Drive { batches, misses_after, stats: engine.stats(), log: engine.take_trace() }
     }
 
-    /// Folds every `ServedAnswer` field, the final `ServeStats` (histogram
-    /// included) and the whole trace record sequence into one word.
-    fn drive_digest(d: &Drive) -> u64 {
-        use sim_obs::dethash::DetHasher;
-        use std::hash::Hasher;
+    /// Folds every `ServedAnswer` field and the final `ServeStats`
+    /// (histogram included) into one word.
+    fn answers_digest(d: &Drive) -> u64 {
         let mut h = DetHasher::default();
         for batch in &d.batches {
             h.write_usize(batch.len());
@@ -1034,7 +1118,7 @@ mod tests {
                 h.write_u64(a.key.iy as i64 as u64);
                 h.write_u64(u64::from(a.key.band));
                 h.write_usize(a.ids.len());
-                for id in &a.ids {
+                for id in a.ids.iter() {
                     h.write_u64(id.0);
                     h.write_u64(id.1);
                 }
@@ -1066,15 +1150,21 @@ mod tests {
             h.write_u64(hi);
             h.write_u64(n);
         }
-        h.write_u64(d.log.dropped);
-        for r in &d.log.records {
+        h.finish()
+    }
+
+    /// Folds the whole trace record sequence into one word.
+    fn trace_digest(log: &QueryTraceLog) -> u64 {
+        let mut h = DetHasher::default();
+        h.write_u64(log.dropped);
+        for r in &log.records {
             h.write_u64(r.seq);
             h.write_u64(r.at.0);
             h.write_usize(r.node);
             h.write_u64(u64::from(r.query.is_some()));
             match r.event {
-                QueryEvent::CacheHit { epoch, age, tuples } => {
-                    [0, epoch, age, tuples as u64].iter().for_each(|&v| h.write_u64(v));
+                QueryEvent::CacheHit { epoch, requests, age_sum, tuples } => {
+                    [0, epoch, requests, age_sum, tuples].iter().for_each(|&v| h.write_u64(v));
                 }
                 QueryEvent::CacheMiss { epoch, tuples } => {
                     [1, epoch, tuples as u64].iter().for_each(|&v| h.write_u64(v));
@@ -1088,17 +1178,25 @@ mod tests {
         h.finish()
     }
 
-    /// Recorded at the commit before `serve_batch` grouped by sorted runs
-    /// and stopped spawning for memoized cold answers. A read-path change
-    /// that claims "same answers, counters and trace" reproduces it; it is
-    /// re-recorded only for an intended change of serving behaviour.
-    const PINNED_DRIVE_DIGEST: u64 = 4_042_134_066_441_189_743;
+    /// The answers-and-counters half of the digest every read path has
+    /// reproduced since before `serve_batch` grouped by sorted runs. A
+    /// change that claims "same answers and counters" reproduces it; it
+    /// is re-recorded only for an intended change of serving behaviour.
+    const PINNED_ANSWERS_DIGEST: u64 = 446_835_630_330_961_500;
+
+    /// The drive's trace under one hit record per batch. Derived from the
+    /// per-request log of the last commit that wrote one, taken after
+    /// every batch: each batch's hit records folded into one record at
+    /// the end of its slice (`requests`, `age_sum` and `tuples` summed),
+    /// the slices concatenated and `seq` renumbered from 0.
+    const PINNED_TRACE_DIGEST: u64 = 10_293_318_116_170_868_582;
 
     #[test]
     fn pinned_drive_digest_is_reproduced_at_every_thread_count() {
         for threads in [1, 2, 4] {
             let d = pinned_drive(threads);
-            assert_eq!(drive_digest(&d), PINNED_DRIVE_DIGEST, "threads = {threads}");
+            assert_eq!(answers_digest(&d), PINNED_ANSWERS_DIGEST, "threads = {threads}");
+            assert_eq!(trace_digest(&d.log), PINNED_TRACE_DIGEST, "threads = {threads}");
         }
     }
 

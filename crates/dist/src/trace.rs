@@ -230,9 +230,14 @@ fn event_fields(ev: &QueryEvent) -> (&'static str, Vec<(&'static str, Val)>) {
         }
         Crashed => ("crashed", Vec::new()),
         Revived => ("revived", Vec::new()),
-        CacheHit { epoch, age, tuples } => (
+        CacheHit { epoch, requests, age_sum, tuples } => (
             "cache_hit",
-            vec![("epoch", Val::U(epoch)), ("age", Val::U(age)), ("tuples", Val::U(tuples as u64))],
+            vec![
+                ("epoch", Val::U(epoch)),
+                ("requests", Val::U(requests)),
+                ("age_sum", Val::U(age_sum)),
+                ("tuples", Val::U(tuples)),
+            ],
         ),
         CacheMiss { epoch, tuples } => {
             ("cache_miss", vec![("epoch", Val::U(epoch)), ("tuples", Val::U(tuples as u64))])
@@ -638,7 +643,8 @@ pub struct TraceAggregates {
     pub filters_rejected: u64,
     /// `reputation_penalty` events.
     pub reputation_penalties: u64,
-    /// `cache_hit` events (serving front end only).
+    /// Σ `cache_hit.requests`: requests answered without a cold compute
+    /// of their own (serving front end only; one record per batch).
     pub cache_hits: u64,
     /// `cache_miss` events (serving front end only).
     pub cache_misses: u64,
@@ -679,7 +685,7 @@ pub fn trace_aggregates(log: &QueryTraceLog) -> TraceAggregates {
             QueryEvent::AttackFrameDropped { .. } => agg.attack_frames_dropped += 1,
             QueryEvent::FilterRejected { .. } => agg.filters_rejected += 1,
             QueryEvent::ReputationPenalty { .. } => agg.reputation_penalties += 1,
-            QueryEvent::CacheHit { .. } => agg.cache_hits += 1,
+            QueryEvent::CacheHit { requests, .. } => agg.cache_hits += requests,
             QueryEvent::CacheMiss { .. } => agg.cache_misses += 1,
             QueryEvent::CellInvalidated { .. } => agg.cells_invalidated += 1,
             _ => {}

@@ -5,6 +5,8 @@
 //! downstream deployment will want the same audit — run a query both ways
 //! on a testbed snapshot and diff.
 
+use std::collections::BTreeSet;
+
 use device_storage::DeviceRelation;
 use skyline_core::region::QueryRegion;
 use skyline_core::{SkylineMerger, Tuple, TupleId};
@@ -76,8 +78,8 @@ pub fn diff_against_truth(
     let truth = merger.into_result();
 
     let key = |t: &Tuple| (t.x.to_bits(), t.y.to_bits());
-    let truth_keys: std::collections::HashSet<_> = truth.iter().map(key).collect();
-    let answer_keys: std::collections::HashSet<_> = answer.iter().map(key).collect();
+    let truth_keys: BTreeSet<_> = truth.iter().map(key).collect();
+    let answer_keys: BTreeSet<_> = answer.iter().map(key).collect();
 
     VerificationReport {
         spurious: answer.iter().filter(|t| !truth_keys.contains(&key(t))).cloned().collect(),
@@ -145,8 +147,8 @@ pub fn score_records(records: &mut [crate::runtime::QueryRecord], partitions: &[
 /// oracle is empty), spurious counts view members the oracle rejects.
 /// Both inputs are id sets; order is irrelevant.
 pub fn score_epoch(view: &[TupleId], oracle: &[TupleId]) -> (f64, u64) {
-    let o: std::collections::HashSet<&TupleId> = oracle.iter().collect();
-    let v: std::collections::HashSet<&TupleId> = view.iter().collect();
+    let o: BTreeSet<&TupleId> = oracle.iter().collect();
+    let v: BTreeSet<&TupleId> = view.iter().collect();
     let covered = oracle.iter().filter(|id| v.contains(id)).count();
     let spurious = view.iter().filter(|id| !o.contains(id)).count() as u64;
     let completeness = if oracle.is_empty() { 1.0 } else { covered as f64 / oracle.len() as f64 };
@@ -163,8 +165,8 @@ pub fn verify_static_query<R: DeviceRelation>(
     let out = net.run_query(origin, d, cfg);
     let truth = net.ground_truth(origin, d);
     let key = |t: &Tuple| (t.x.to_bits(), t.y.to_bits());
-    let truth_keys: std::collections::HashSet<_> = truth.iter().map(key).collect();
-    let answer_keys: std::collections::HashSet<_> = out.result.iter().map(key).collect();
+    let truth_keys: BTreeSet<_> = truth.iter().map(key).collect();
+    let answer_keys: BTreeSet<_> = out.result.iter().map(key).collect();
     VerificationReport {
         spurious: out.result.iter().filter(|t| !truth_keys.contains(&key(t))).cloned().collect(),
         missing: truth.iter().filter(|t| !answer_keys.contains(&key(t))).cloned().collect(),

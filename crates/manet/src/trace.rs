@@ -602,16 +602,21 @@ pub enum QueryEvent {
     Crashed,
     /// The engine revived this node (fault plan). Recorded with no query id.
     Revived,
-    /// The serving front end answered a query from a cached diagram cell
-    /// (`dist::serve`, DESIGN §14). `node` is the serving originator.
+    /// The serving front end answered requests of one batch without a
+    /// cold compute of their own (`dist::serve`, DESIGN §14): one record
+    /// per batch that had such a request, written after the batch's
+    /// [`CacheMiss`](QueryEvent::CacheMiss) records. `node` is the
+    /// serving originator.
     CacheHit {
-        /// Snapshot epoch the answer was served from.
+        /// Snapshot epoch the batch was served from.
         epoch: u64,
-        /// Staleness in epochs: snapshot epoch minus the cell's last
-        /// answer refresh.
-        age: u64,
-        /// Skyline tuples in the served answer.
-        tuples: usize,
+        /// Requests of the batch answered this way.
+        requests: u64,
+        /// Σ staleness in epochs over those requests (snapshot epoch
+        /// minus the answer's last refresh).
+        age_sum: u64,
+        /// Σ skyline tuples in the answers served to those requests.
+        tuples: u64,
     },
     /// The serving front end had no materialized cell and fell back to a
     /// real engine query, back-filling the diagram.
@@ -747,8 +752,9 @@ mod query_trace_tests {
     use super::*;
     use crate::time::SimTime;
 
-    /// The serve tier writes one record per answered request, so this
-    /// size times the lookups of a horizon is its trace memory.
+    /// Every query-trace record pays this size: the simulator writes
+    /// one per protocol event, the serve tier one per batch, miss and
+    /// invalidated cell.
     #[test]
     fn a_record_is_at_most_112_bytes() {
         assert!(std::mem::size_of::<QueryTraceRecord>() <= 112);

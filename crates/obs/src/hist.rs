@@ -54,6 +54,20 @@ impl PowHistogram {
         self.max = self.max.max(v);
     }
 
+    /// Records `n` samples of value `v`: the same state as `n` calls to
+    /// [`record`](Self::record), in one add per field. `n = 0` is a no-op.
+    #[inline]
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_of(v)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
     /// Folds `other` into `self` by bucket-wise addition. Order-free:
     /// any merge tree over the same set of histograms produces identical
     /// state.
@@ -156,6 +170,7 @@ impl PowHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bucket_of_is_floor_log2() {
@@ -244,5 +259,38 @@ mod tests {
             h.to_json(),
             "{\"count\": 2, \"sum\": 5, \"min\": 0, \"max\": 5, \"buckets\": [[0, 1], [4, 1]]}"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `record_n(v, n)` is `n` calls to `record(v)`, for any run of
+        /// `(v, n)` pairs: zero counts, and values large enough that the
+        /// sum saturates, included.
+        #[test]
+        fn record_n_equals_the_expanded_record_loop(
+            runs in prop::collection::vec(
+                (0u64..6, 0u64..1_000, 0u64..40).prop_map(|(kind, small, n)| match kind {
+                    0 => (small, 0),
+                    1 => (u64::MAX - small, n),
+                    2 => (u64::MAX / 4 + small, n),
+                    _ => (small, n),
+                }),
+                0..24,
+            ),
+        ) {
+            let (mut batched, mut expanded) = (PowHistogram::new(), PowHistogram::new());
+            for &(v, n) in &runs {
+                batched.record_n(v, n);
+                for _ in 0..n {
+                    expanded.record(v);
+                }
+            }
+            prop_assert_eq!(&batched, &expanded);
+            for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                prop_assert_eq!(batched.quantile_bound(q), expanded.quantile_bound(q));
+            }
+            prop_assert_eq!(batched.nonzero_buckets(), expanded.nonzero_buckets());
+        }
     }
 }
