@@ -12,7 +12,7 @@ use dist_skyline::{trace_to_csv, trace_to_jsonl};
 use skyline_core::vdr::BoundsMode;
 
 use crate::cli::{
-    Command, DataArgs, DatagenArgs, DiffArgs, Ext, PerfArgs, QueryArgs, RunArgs, SimArgs, TraceArgs,
+    Command, DataArgs, DiffArgs, Ext, PerfArgs, QueryArgs, RunArgs, SimArgs, TraceArgs,
 };
 use crate::manet_figs::Metric;
 use crate::provenance::{write_baseline, Provenance};
@@ -29,15 +29,8 @@ pub fn execute(cmd: Command) -> Result<ExitCode, String> {
         Command::Help => print!("{}", crate::cli::HELP),
         Command::Query(q) => query(&q),
         Command::Simulate(s) => simulate(&s),
-        Command::Datagen(d) => datagen(&d)?,
         Command::Fig(n, r) => figure(n, &r.opts).map_err(|e| e.to_string())?,
-        Command::Ext(Ext::Energy, r) => extensions::energy(&r.opts),
-        Command::Ext(Ext::Gossip, r) => extensions::gossip(&r.opts),
-        Command::Ext(Ext::MultiFilter, r) => extensions::multi_filter(&r.opts),
-        Command::Ext(Ext::Redistribution, r) => extensions::redistribution(&r.opts),
-        Command::Ext(Ext::Chaos, r) => write_json(&r, Baseline::Chaos(chaos::run(&r.opts)))?,
-        Command::Ext(Ext::Attack, r) => write_json(&r, Baseline::Attack(attack::run(&r.opts)))?,
-        Command::Ext(Ext::Monitor, r) => write_json(&r, Baseline::Monitor(monitor::run(&r.opts)))?,
+        Command::Ext(ext, r) => write_json(&r, run_ext(ext, &r.opts))?,
         Command::Core(r) => {
             let suite = corebench::Suite::measure();
             suite.print();
@@ -58,6 +51,9 @@ enum Baseline {
     Chaos(Vec<chaos::CellReport>),
     Attack(Vec<attack::CellReport>),
     Monitor(Vec<monitor::CellReport>),
+    Energy(Vec<extensions::EnergyReport>),
+    MultiFilter(Vec<extensions::MultiFilterReport>),
+    Redistribution(Vec<extensions::RedistributionReport>),
     Scale(Vec<scalebench::CellReport>),
     Serve(Vec<servebench::CellReport>),
     Core(corebench::Suite),
@@ -70,11 +66,28 @@ impl Baseline {
             Baseline::Chaos(r) => ("chaos", chaos::to_json(prov, r)),
             Baseline::Attack(r) => ("attack", attack::to_json(prov, r)),
             Baseline::Monitor(r) => ("monitor", monitor::to_json(prov, r)),
+            Baseline::Energy(r) => ("energy", extensions::energy_json(prov, r)),
+            Baseline::MultiFilter(r) => ("multi-filter", extensions::multi_filter_json(prov, r)),
+            Baseline::Redistribution(r) => {
+                ("redistribution", extensions::redistribution_json(prov, r))
+            }
             Baseline::Scale(r) => ("scale", scalebench::to_json(prov, r)),
             Baseline::Serve(r) => ("serve", servebench::to_json(prov, r)),
             Baseline::Core(suite) => ("core", corebench::to_json(prov, suite)),
         };
         write_baseline(&format!("BENCH_{name}.json"), &json)
+    }
+}
+
+/// Runs one extension grid, printing its tables, for its baseline.
+fn run_ext(ext: Ext, o: &RunOpts) -> Baseline {
+    match ext {
+        Ext::Energy => Baseline::Energy(extensions::energy(o)),
+        Ext::MultiFilter => Baseline::MultiFilter(extensions::multi_filter(o)),
+        Ext::Redistribution => Baseline::Redistribution(extensions::redistribution(o)),
+        Ext::Chaos => Baseline::Chaos(chaos::run(o)),
+        Ext::Attack => Baseline::Attack(attack::run(o)),
+        Ext::Monitor => Baseline::Monitor(monitor::run(o)),
     }
 }
 
@@ -178,8 +191,9 @@ fn serve(r: &RunArgs) -> Vec<servebench::CellReport> {
     reports
 }
 
-/// Every figure, then the chaos, attack, monitor, scale and serve grids;
-/// `--json` also measures the core suite and writes all seven baselines.
+/// Every figure, then the chaos, attack, monitor, scale, serve, energy,
+/// multi-filter and redistribution grids; `--json` also measures the core
+/// suite and writes all ten baselines.
 fn all(r: &RunArgs) -> Result<(), String> {
     let o = &r.opts;
     let t0 = Instant::now();
@@ -188,16 +202,20 @@ fn all(r: &RunArgs) -> Result<(), String> {
     for n in [5, 6, 7, 8, 10, 9, 11, 12] {
         figure(n, o).map_err(|e| e.to_string())?;
     }
+    // Then the grids, in the same order.
+    let mut baselines = Vec::new();
+    for ext in [Ext::Chaos, Ext::Attack, Ext::Monitor] {
+        println!();
+        baselines.push(run_ext(ext, o));
+    }
     println!();
-    let chaos = Baseline::Chaos(chaos::run(o));
+    baselines.push(Baseline::Scale(scalebench::run(o)));
     println!();
-    let attack = Baseline::Attack(attack::run(o));
-    println!();
-    let monitor = Baseline::Monitor(monitor::run(o));
-    println!();
-    let scale = Baseline::Scale(scalebench::run(o));
-    println!();
-    let serve = Baseline::Serve(servebench::run(o));
+    baselines.push(Baseline::Serve(servebench::run(o)));
+    for ext in [Ext::Energy, Ext::MultiFilter, Ext::Redistribution] {
+        println!();
+        baselines.push(run_ext(ext, o));
+    }
     let total = t0.elapsed();
     println!("\nall figures regenerated in {total:.1?} ({} jobs)", o.jobs);
 
@@ -205,7 +223,7 @@ fn all(r: &RunArgs) -> Result<(), String> {
         let prov = Provenance::collect(o.scale, o.jobs);
         let stages = sweep::take_stage_records();
         write_baseline("BENCH_sweep.json", &sweep::to_json(&prov, total.as_secs_f64(), &stages))?;
-        for baseline in [chaos, attack, monitor, scale, serve] {
+        for baseline in baselines {
             baseline.write(&prov)?;
         }
         Baseline::Core(corebench::Suite::measure()).write(&prov)?;
@@ -353,18 +371,4 @@ fn simulate(s: &SimArgs) {
         n.bytes_sent as f64 / 1024.0,
         n.unicast_delivery_ratio() * 100.0
     );
-}
-
-fn datagen(d: &DatagenArgs) -> Result<(), String> {
-    let data = spec_of(&d.data).generate();
-    let img = device_storage::encode_relation(&data);
-    std::fs::write(&d.out, &img).map_err(|e| format!("cannot write {}: {e}", d.out))?;
-    println!(
-        "wrote {} tuples ({} B image, {:.1}% of raw) to {}",
-        data.len(),
-        img.len(),
-        100.0 * img.len() as f64 / (data.len().max(1) * 8 * (d.data.dim + 2)) as f64,
-        d.out
-    );
-    Ok(())
 }

@@ -402,7 +402,7 @@ mod tests {
     /// Each bench's `to_json` over a fixed two-row fixture (a `None`/NaN
     /// row wherever the writer renders `null`), keyed by bench name.
     fn golden_fixtures() -> Vec<(&'static str, String)> {
-        use crate::{attack, chaos, corebench, monitor, scalebench, servebench, sweep};
+        use crate::{attack, chaos, corebench, extensions, monitor, scalebench, servebench, sweep};
         let prov = Provenance::fixture();
 
         let stages = [
@@ -668,6 +668,62 @@ mod tests {
             scan_ms: 58.812_4,
         }];
 
+        let energy_a = extensions::EnergyReport {
+            forwarding: "BF",
+            filter: "nofilter",
+            queries: 82,
+            j_per_query: 0.185_04,
+            total_j: 15.169_2,
+            bytes_per_query: 10_709.622,
+            drr: 0.0,
+            seconds: 0.149,
+        };
+        let energy_b = extensions::EnergyReport {
+            forwarding: "DF",
+            filter: "dynamic",
+            drr: f64::NAN,
+            seconds: 0.000_4,
+            ..energy_a.clone()
+        };
+
+        let multi_a = extensions::MultiFilterReport {
+            sweep: "k",
+            k: 8,
+            selector: "coverage",
+            dist: "IN",
+            queries: 75,
+            drr: -0.012_34,
+            tuples_per_query: 35.826_7,
+            seconds: 0.543,
+        };
+        let multi_b = extensions::MultiFilterReport {
+            sweep: "selector",
+            k: 3,
+            selector: "max-spread",
+            dist: "AC",
+            tuples_per_query: f64::INFINITY,
+            ..multi_a.clone()
+        };
+
+        let redistribution_a = extensions::RedistributionReport {
+            handoff: "off",
+            queries: 79,
+            locality_m: 468.454_2,
+            migrations: 0,
+            mean_response_seconds: Some(15.437_4),
+            avg_result: 5.460_5,
+            kb_on_air: 932.871_1,
+            seconds: 0.124,
+        };
+        let redistribution_b = extensions::RedistributionReport {
+            handoff: "on",
+            migrations: 138,
+            mean_response_seconds: None,
+            kb_on_air: 38_435.024_4,
+            seconds: 12.982,
+            ..redistribution_a.clone()
+        };
+
         vec![
             ("sweep", sweep::to_json(&prov, 2.0, &stages)),
             ("chaos", chaos::to_json(&prov, &[chaos_a, chaos_b])),
@@ -690,12 +746,20 @@ mod tests {
                     },
                 ),
             ),
+            ("energy", extensions::energy_json(&prov, &[energy_a, energy_b])),
+            ("multi-filter", extensions::multi_filter_json(&prov, &[multi_a, multi_b])),
+            (
+                "redistribution",
+                extensions::redistribution_json(&prov, &[redistribution_a, redistribution_b]),
+            ),
         ]
     }
 
     /// The byte-identity proof: each `golden/baseline_<bench>.json` is
     /// the output of that bench's hand-rolled writer on this fixture,
-    /// recorded before the writers were folded into [`baseline_json`].
+    /// recorded before the writers were folded into [`baseline_json`]
+    /// (`energy`, `multi-filter` and `redistribution` never had one: their
+    /// goldens pin the row schemas they were gated with).
     #[test]
     fn every_bench_reproduces_its_recorded_golden() {
         for (bench, json) in golden_fixtures() {

@@ -149,9 +149,18 @@ fn span_profile_deterministic_columns_are_jobs_invariant() {
 #[test]
 fn committed_baselines_parse_and_self_diff_clean() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    for name in
-        ["BENCH_core", "BENCH_sweep", "BENCH_chaos", "BENCH_attack", "BENCH_monitor", "BENCH_scale"]
-    {
+    for name in [
+        "BENCH_core",
+        "BENCH_sweep",
+        "BENCH_chaos",
+        "BENCH_attack",
+        "BENCH_monitor",
+        "BENCH_scale",
+        "BENCH_serve",
+        "BENCH_energy",
+        "BENCH_multi-filter",
+        "BENCH_redistribution",
+    ] {
         let path = format!("{root}/{name}.json");
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("{name}.json missing from repo root: {e}"));

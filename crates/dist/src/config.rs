@@ -50,14 +50,6 @@ pub enum Forwarding {
     /// Depth-first: a single query token walks the network, accumulating
     /// the merged result along the reverse path; serial processing.
     DepthFirst,
-    /// Probabilistic flood (gossip): like [`Forwarding::BreadthFirst`] but
-    /// a non-originator re-broadcasts only with the given probability (in
-    /// percent). An ablation between BF's full flood and no relaying —
-    /// trades coverage for message count.
-    Gossip {
-        /// Re-broadcast probability, 0–100.
-        rebroadcast_percent: u8,
-    },
 }
 
 /// Everything a device needs to know about the active strategy.

@@ -66,7 +66,7 @@ pub use verify::{
 };
 
 /// The splitmix64 finalizer — the crate's one deterministic hash, behind
-/// ARQ jitter, the gossip coin, and the monitoring harness's site offsets.
+/// ARQ jitter and the monitoring harness's site offsets.
 pub(crate) fn splitmix64(mut h: u64) -> u64 {
     h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

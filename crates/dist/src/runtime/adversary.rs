@@ -323,12 +323,10 @@ impl DeviceApp {
         self.attack.book(ctx, spec.key, AttackKind::FilterPoison, reply.wire_size());
         // No processing cost: the attacker does no real work.
         self.send_tracked(ctx, spec.key.origin, reply);
-        if self.should_rebroadcast(spec.key) {
-            let fwd = ProtoMsg::BfQuery { spec, filters: vec![poison], round, hops };
-            let bytes = fwd.wire_size();
-            self.attack.book(ctx, spec.key, AttackKind::FilterPoison, bytes);
-            ctx.broadcast(fwd, bytes);
-        }
+        let fwd = ProtoMsg::BfQuery { spec, filters: vec![poison], round, hops };
+        let bytes = fwd.wire_size();
+        self.attack.book(ctx, spec.key, AttackKind::FilterPoison, bytes);
+        ctx.broadcast(fwd, bytes);
     }
 
     /// Sybil forger: after its honest reply, answer the same query another

@@ -160,29 +160,6 @@ fn beacon_neighbor_mode_still_answers_queries() {
 }
 
 #[test]
-fn gossip_uses_fewer_messages_than_full_flood() {
-    let run = |fwd| {
-        let mut exp = base(fwd);
-        exp.g = 4;
-        exp.radio.range_m = 300.0;
-        // Gossip queries chronically miss the 80 % rule, so re-issue would
-        // re-flood and confound this raw forwarding-cost comparison.
-        exp.dist.max_reissues = 0;
-        run_experiment(&exp)
-    };
-    let full = run(Forwarding::BreadthFirst);
-    let gossip = run(Forwarding::Gossip { rebroadcast_percent: 50 });
-    assert!(
-        gossip.mean_forward_messages < full.mean_forward_messages,
-        "gossip {} vs flood {}",
-        gossip.mean_forward_messages,
-        full.mean_forward_messages
-    );
-    // Coverage may drop but queries still complete or time out cleanly.
-    assert!(!gossip.records.is_empty() && !full.records.is_empty());
-}
-
-#[test]
 fn energy_accounting_tracks_traffic() {
     let mut light = base(Forwarding::DepthFirst);
     light.queries_per_device = (1, 1);

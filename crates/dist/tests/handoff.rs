@@ -4,8 +4,7 @@
 
 use dist_skyline::config::Forwarding;
 use dist_skyline::cost_model::DeviceCostModel;
-use dist_skyline::runtime::{run_experiment, HandoffConfig, ManetExperiment};
-use manet_sim::SimDuration;
+use dist_skyline::runtime::{run_experiment, ManetExperiment};
 
 fn exp_with_handoff(frozen: bool, seed: u64) -> ManetExperiment {
     let mut exp = ManetExperiment::paper_defaults(
@@ -21,11 +20,7 @@ fn exp_with_handoff(frozen: bool, seed: u64) -> ManetExperiment {
     exp.sim_seconds = 1_800.0;
     exp.queries_per_device = (1, 2);
     exp.cost = DeviceCostModel::free();
-    exp.handoff = Some(HandoffConfig {
-        interval: SimDuration::from_secs_f64(60.0),
-        capacity_factor: 4.0,
-        min_gain_m: 100.0,
-    });
+    exp.handoff = true;
     exp
 }
 
@@ -41,7 +36,7 @@ fn frozen_devices_never_migrate() {
 fn mobile_devices_migrate_data_and_stay_correct() {
     let with = run_experiment(&exp_with_handoff(false, 2));
     let mut without_exp = exp_with_handoff(false, 2);
-    without_exp.handoff = None;
+    without_exp.handoff = false;
     let without = run_experiment(&without_exp);
 
     // Same mobility, same queries — results stay sane either way.
@@ -66,7 +61,7 @@ fn handoff_improves_locality_on_average() {
     for &s in &seeds {
         let w = run_experiment(&exp_with_handoff(false, s));
         let mut e = exp_with_handoff(false, s);
-        e.handoff = None;
+        e.handoff = false;
         let wo = run_experiment(&e);
         with_sum += w.mean_data_locality_m;
         without_sum += wo.mean_data_locality_m;

@@ -28,7 +28,6 @@ pub mod domain_index;
 pub mod domain_store;
 pub mod flat;
 pub mod hybrid;
-pub mod persist;
 mod radix;
 pub mod ring_store;
 pub mod traits;
@@ -37,7 +36,6 @@ pub use domain_index::{AttributeDomain, IdArray};
 pub use domain_store::DomainRelation;
 pub use flat::FlatRelation;
 pub use hybrid::HybridRelation;
-pub use persist::{decode_relation, encode_relation, DecodeError};
 pub use ring_store::RingRelation;
 pub use traits::{
     DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause, StorageModel,

@@ -151,28 +151,6 @@ proptest! {
     }
 
     #[test]
-    fn binary_image_round_trips(data in relation(80, 3)) {
-        let img = device_storage::encode_relation(&data);
-        let back = device_storage::decode_relation(&img).expect("own image is valid");
-        prop_assert_eq!(back, data);
-    }
-
-    #[test]
-    fn decoder_never_panics_on_corruption(data in relation(20, 2), flip in 0usize..2048, val in 0u8..=255u8) {
-        let mut img = device_storage::encode_relation(&data);
-        if !img.is_empty() {
-            let i = flip % img.len();
-            img[i] = val;
-            // Any outcome is fine except a panic; if it decodes, the result
-            // must still be structurally sound (schema-consistent).
-            if let Ok(ts) = device_storage::decode_relation(&img) {
-                let dim = ts.first().map_or(0, |t| t.dim());
-                prop_assert!(ts.iter().all(|t| t.dim() == dim));
-            }
-        }
-    }
-
-    #[test]
     fn hybrid_bounds_match_scan(data in relation(50, 3)) {
         prop_assume!(!data.is_empty());
         let hybrid = HybridRelation::new(data.clone());

@@ -1,6 +1,5 @@
 //! Workspace-level tests of the non-paper extensions working together:
-//! clustered data, multi-filter banks, relation images, and the
-//! verification API.
+//! clustered data, multi-filter banks, and the verification API.
 
 use mobiskyline::dist::verify::verify_static_query;
 use mobiskyline::prelude::*;
@@ -48,34 +47,4 @@ fn multi_filter_strategy_is_exact_on_clustered_data() {
         let report = verify_static_query(&net, 4, f64::INFINITY, &cfg);
         assert!(report.is_exact(), "k = {k}: {report:?}");
     }
-}
-
-#[test]
-fn relation_images_round_trip_through_devices() {
-    // datagen → encode → decode → device → query: the full "sync a device
-    // over a cable" path.
-    let spec = clustered_spec(31);
-    let data = spec.generate();
-    let img = mobiskyline::storage::encode_relation(&data);
-    let restored = mobiskyline::storage::decode_relation(&img).expect("own image");
-    assert_eq!(restored.len(), data.len());
-
-    let direct = HybridRelation::new(data);
-    let from_image = HybridRelation::new(restored);
-    let q = LocalQuery::plain(QueryRegion::new(Point::new(500.0, 500.0), 300.0));
-    let mut a: Vec<_> = direct
-        .local_skyline(&q)
-        .skyline
-        .iter()
-        .map(|t| (t.x.to_bits(), t.y.to_bits()))
-        .collect();
-    let mut b: Vec<_> = from_image
-        .local_skyline(&q)
-        .skyline
-        .iter()
-        .map(|t| (t.x.to_bits(), t.y.to_bits()))
-        .collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b);
 }
