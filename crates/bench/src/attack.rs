@@ -34,7 +34,9 @@ use manet_sim::{
 use skyline_core::vdr::BoundsMode;
 use std::time::Instant;
 
-use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
+use crate::provenance::{
+    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
+};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -322,46 +324,20 @@ pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
         .collect()
 }
 
-/// Runs the grid, prints the scorecard, and returns the reports (shared by
-/// `msq ext attack` and `msq all`).
+/// Runs the grid, prints the scorecard rows, and returns the reports
+/// (shared by `msq ext attack` and `msq all`).
 pub fn run(o: &RunOpts) -> Vec<CellReport> {
-    let card = o.scale.attack_cardinality();
-    println!(
-        "== Extension: adversarial chaos grid ({card} tuples, {} devices, \
-         {:.0}% compromised in attacked rows) ==\n",
-        GRID * GRID,
-        ATTACK_FRACTION * 100.0
-    );
     let reports = compute(o.scale, o.jobs, "ext_attack");
-
-    println!(
-        "{:<7} {:>13} {:>4} {:>11} {:>8} {:>8} {:>9} {:>10} {:>9} {:>8}",
-        "arm",
-        "attack",
-        "def",
-        "churn/loss",
-        "honest",
-        "spurious",
-        "frames",
-        "atk sent",
-        "blocked",
-        "penalty"
+    print_rows(
+        &format!(
+            "Extension: adversarial chaos grid ({} tuples, {} devices, {:.0}% compromised in \
+             attacked rows)",
+            o.scale.attack_cardinality(),
+            GRID * GRID,
+            ATTACK_FRACTION * 100.0
+        ),
+        &reports.iter().map(row).collect::<Vec<_>>(),
     );
-    for r in &reports {
-        println!(
-            "{:<7} {:>13} {:>4} {:>11} {:>8.3} {:>8} {:>9} {:>10} {:>9} {:>8}",
-            r.arm,
-            r.attack,
-            if r.defense { "on" } else { "off" },
-            format!("{:.0}%/{:.0}%", r.churn * 100.0, r.loss * 100.0),
-            r.mean_honest_completeness,
-            r.spurious,
-            r.frames_sent,
-            r.attack_frames_sent,
-            r.attack_frames_dropped,
-            r.reputation_penalties,
-        );
-    }
 
     let spurious_on: u64 = reports.iter().filter(|r| r.defense).map(|r| r.spurious).sum();
     println!("\nspurious with defenses ON (any > 0 is a defense bug): {spurious_on}");

@@ -1,10 +1,10 @@
 //! `msq` — the one command-line front end: the paper's figures, the
 //! extension experiments, the `BENCH_*.json` benches and their tools, and
-//! one-off queries, simulations and relation images. `msq help` lists the
+//! one-off queries and simulations. `msq help` lists the
 //! subcommands ([`msq_bench::cli::HELP`]).
 //!
 //! ```text
-//! msq fig 12 --jobs 4 --csv results/csv
+//! msq fig 8 --jobs 4 --csv results/csv    # Figs. 8 and 10: fig8{a,b,c}_Independent.csv
 //! msq ext chaos --json
 //! msq diff BENCH_core.json /tmp/x/BENCH_core.json --tol 1.5
 //! msq query --cardinality 50000 --grid 5 --origin 12 --d 250 --strategy dynamic

@@ -27,7 +27,9 @@ use manet_sim::{ChurnConfig, FaultPlan, SimDuration, SimTime};
 use skyline_core::vdr::BoundsMode;
 use std::time::Instant;
 
-use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
+use crate::provenance::{
+    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
+};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -227,38 +229,19 @@ pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
         .collect()
 }
 
-/// Runs the grid, prints the scorecard tables, and returns the reports
+/// Runs the grid, prints the scorecard rows, and returns the reports
 /// (shared by `msq ext chaos` and `msq all`).
 pub fn run(o: &RunOpts) -> Vec<CellReport> {
-    let card = o.scale.chaos_cardinality();
-    println!(
-        "== Extension: chaos scorecard ({card} tuples, {} devices, frozen grid) ==\n",
-        GRID * GRID
-    );
     let reports = compute(o.scale, o.jobs, "ext_chaos");
-    let names: Vec<String> = arms().iter().map(|a| a.name.to_string()).collect();
-    let per_point = names.len();
-
-    println!("mean completeness (1.0 = full oracle skyline recovered):");
-    crate::print_header("churn/loss", &names);
-    for point in reports.chunks(per_point) {
-        let vals: Vec<f64> = point.iter().map(|r| r.mean_completeness).collect();
-        crate::print_row(
-            format!("{:.0}%/{:.0}%", point[0].churn * 100.0, point[0].loss * 100.0),
-            &vals,
-        );
-    }
-
-    println!("\ntimeout fraction:");
-    crate::print_header("churn/loss", &names);
-    for point in reports.chunks(per_point) {
-        let vals: Vec<f64> = point.iter().map(|r| r.timeout_fraction).collect();
-        crate::print_row(
-            format!("{:.0}%/{:.0}%", point[0].churn * 100.0, point[0].loss * 100.0),
-            &vals,
-        );
-    }
-
+    print_rows(
+        &format!(
+            "Extension: chaos scorecard ({} tuples, {} devices, frozen grid; completeness \
+             1.0 = full oracle skyline recovered)",
+            o.scale.chaos_cardinality(),
+            GRID * GRID
+        ),
+        &reports.iter().map(row).collect::<Vec<_>>(),
+    );
     let spurious: u64 = reports.iter().map(|r| r.spurious).sum();
     let retries: u64 = reports.iter().map(|r| r.arq_retries).sum();
     let reissues: u64 = reports.iter().map(|r| r.reissues).sum();

@@ -104,8 +104,6 @@ pub struct TraceArgs {
     pub query: Option<QueryId>,
     /// Where to export the full trace as JSONL.
     pub jsonl: Option<String>,
-    /// Where to export the full trace as CSV.
-    pub csv: Option<String>,
 }
 
 /// Options shared by data-producing commands.
@@ -392,7 +390,7 @@ fn trace(opts: &mut Opts) -> Result<Command, ParseError> {
         None => None,
         Some(s) => Some(parse_query_id(&s)?),
     };
-    Ok(Command::Trace(TraceArgs { query, jsonl: opts.take("jsonl")?, csv: opts.take("csv")? }))
+    Ok(Command::Trace(TraceArgs { query, jsonl: opts.take("jsonl")? }))
 }
 
 fn parse_query_id(s: &str) -> Result<QueryId, ParseError> {
@@ -477,18 +475,20 @@ USAGE:
   msq all   [--full] [--jobs N] [--json] [--csv DIR]
   msq diff  BASELINE.json CANDIDATE.json [--tol FRAC] [--prefix]
   msq perf  [--g N] [--json]
-  msq trace [--query ORIGIN:CNT] [--jsonl FILE] [--csv FILE]
+  msq trace [--query ORIGIN:CNT] [--jsonl FILE]
   msq help
 
 SUBCOMMANDS:
   query, simulate  one static-grid query; one MANET simulation
-  fig N            the paper's Fig. N (Section 5), one table per panel
+  fig N            the paper's Fig. N (Section 5), one table per panel; figs. 8
+                   and 10 (9 and 11) are the DRR and response-time columns
+                   of one simulation grid and print the same tables
   ext NAME         one extension experiment
   core             the core micro-benchmarks (BENCH_core.json)
   scale            queries on 100- to 10 000-device networks (BENCH_scale.json)
   serve            the diagram-cache serving front end (BENCH_serve.json)
-  all              every figure, then every ext, scale and serve grid; with
-                   --json also the core micro-benchmarks
+  all              every figure (each MANET grid once), then every ext, scale
+                   and serve grid; with --json also the core micro-benchmarks
   diff             compare two BENCH_*.json files: exit 0 pass, 1 drift or
                    regression, 2 not comparable (--tol default 0.5)
   perf             span, gauge and histogram profile of one scale cell (--g 32)
@@ -497,7 +497,8 @@ SUBCOMMANDS:
 RUN OPTIONS:
   --full           the paper's parameter grid (default: a scaled-down grid)
   --jobs N         sweep worker threads (default: all cores)
-  --csv DIR        also write every table as DIR/<id>.csv
+  --csv DIR        also write every figure table as DIR/<id>.csv, one row per
+                   cell (the columns the table prints)
   --json           write the run's BENCH_<name>.json (perf: PROFILE_g<N>.json)
                    to the working directory
   --smoke          a trimmed two-cell grid, for determinism checks
@@ -569,6 +570,7 @@ mod tests {
             ("query --frozen", "--frozen"),
             ("fig 12 --jbos 4", "--jbos"),
             ("ext attack --jsno", "--jsno"),
+            ("trace --csv x", "--csv"),
             ("fig 5 --jobs 2", "--jobs"),
             ("core --full", "--full"),
         ] {
@@ -645,7 +647,6 @@ mod tests {
             Command::Trace(TraceArgs {
                 query: Some(QueryId { origin: 4, cnt: 1 }),
                 jsonl: Some("t.jsonl".into()),
-                csv: None,
             })
         );
     }

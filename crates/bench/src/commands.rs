@@ -8,13 +8,12 @@ use datagen::{DataSpec, Distribution};
 use dist_skyline::config::StrategyConfig;
 use dist_skyline::runtime::{run_experiment, ManetExperiment};
 use dist_skyline::static_net::grid_network_from_global;
-use dist_skyline::{trace_to_csv, trace_to_jsonl};
+use dist_skyline::trace_to_jsonl;
 use skyline_core::vdr::BoundsMode;
 
 use crate::cli::{
     Command, DataArgs, DiffArgs, Ext, PerfArgs, QueryArgs, RunArgs, SimArgs, TraceArgs,
 };
-use crate::manet_figs::Metric;
 use crate::provenance::{write_baseline, Provenance};
 use crate::{
     attack, benchdiff, chaos, corebench, extensions, fig5, manet_figs, messages, monitor,
@@ -29,15 +28,15 @@ pub fn execute(cmd: Command) -> Result<ExitCode, String> {
         Command::Help => print!("{}", crate::cli::HELP),
         Command::Query(q) => query(&q),
         Command::Simulate(s) => simulate(&s),
-        Command::Fig(n, r) => figure(n, &r.opts).map_err(|e| e.to_string())?,
+        Command::Fig(n, r) => figure(n, &r.opts)?,
         Command::Ext(ext, r) => write_json(&r, run_ext(ext, &r.opts))?,
         Command::Core(r) => {
             let suite = corebench::Suite::measure();
             suite.print();
             write_json(&r, Baseline::Core(suite))?;
         }
-        Command::Scale(r) => write_json(&r, Baseline::Scale(scale(&r)))?,
-        Command::Serve(r) => write_json(&r, Baseline::Serve(serve(&r)))?,
+        Command::Scale(r) => write_json(&r, Baseline::Scale(scalebench::run(&r.opts, r.smoke)))?,
+        Command::Serve(r) => write_json(&r, Baseline::Serve(servebench::run(&r.opts, r.smoke)))?,
         Command::All(r) => all(&r)?,
         Command::Diff(d) => return Ok(diff(&d)),
         Command::Perf(p) => perf(&p)?,
@@ -99,8 +98,9 @@ fn write_json(r: &RunArgs, baseline: Baseline) -> Result<(), String> {
     baseline.write(&Provenance::collect(r.opts.scale, r.opts.jobs))
 }
 
-/// Regenerates the paper's Fig. `n` (5–12), one table per panel.
-fn figure(n: u8, o: &RunOpts) -> std::io::Result<()> {
+/// Regenerates the paper's Fig. `n` (5–12), one table per panel. Figs. 8
+/// and 10 (9 and 11) are two columns of the same tables.
+fn figure(n: u8, o: &RunOpts) -> Result<(), String> {
     use Distribution::{AntiCorrelated, Independent};
     match n {
         5 => {
@@ -123,29 +123,23 @@ fn figure(n: u8, o: &RunOpts) -> std::io::Result<()> {
             println!("\nexpected shape: DRR below the Fig. 6 counterparts everywhere;");
             println!("over-estimation (OVE) tends to be the best estimation on AC data.");
         }
-        8 => {
-            println!("== Fig. 8: DRR in MANET simulation, independent data ==");
-            println!("(UNE bounds + dynamic filter, per the paper's pre-test conclusion)");
-            manet_panels(o, Independent, Metric::Drr, "Fig. 8")?;
+        8 | 10 => {
+            println!("== Figs. 8 and 10: DRR and response time (s) in MANET simulation, independent data ==");
+            println!("(UNE bounds + dynamic filter, per the paper's pre-test conclusion;");
+            println!(
+                "response time: BF to 80% responses, DF token return, device CPU via cost model)"
+            );
+            manet_figs::panels(o, Independent)?;
             println!("\nexpected shape: DRR below the static Fig. 6 values and noisier;");
-            println!("the dimensionality effect stays pronounced.");
+            println!("the dimensionality effect stays pronounced. Response time: BF below");
+            println!("DF; DF deteriorates much faster with dimensionality; BF improves as");
+            println!("devices increase (more parallelism).");
         }
-        9 => {
-            println!("== Fig. 9: DRR in MANET simulation, anti-correlated data ==");
-            manet_panels(o, AntiCorrelated, Metric::Drr, "Fig. 9")?;
-            println!("\nexpected shape: below the Fig. 8 counterparts (weaker filters on AC).");
-        }
-        10 => {
-            println!("== Fig. 10: response time (s) in MANET simulation, independent data ==");
-            println!("(BF: time to 80% responses; DF: token return; device CPU via cost model)");
-            manet_panels(o, Independent, Metric::ResponseTime, "Fig. 10")?;
-            println!("\nexpected shape: BF below DF; DF deteriorates much faster with");
-            println!("dimensionality; BF improves as devices increase (more parallelism).");
-        }
-        11 => {
-            println!("== Fig. 11: response time (s) in MANET simulation, anti-correlated data ==");
-            manet_panels(o, AntiCorrelated, Metric::ResponseTime, "Fig. 11")?;
-            println!("\nexpected shape: like Fig. 10 but slower overall (larger AC skylines).");
+        9 | 11 => {
+            println!("== Figs. 9 and 11: DRR and response time (s) in MANET simulation, anti-correlated data ==");
+            manet_figs::panels(o, AntiCorrelated)?;
+            println!("\nexpected shape: DRR below the Fig. 8 counterparts (weaker filters on");
+            println!("AC); response time like Fig. 10 but slower overall (larger AC skylines).");
         }
         12 => {
             println!("== Fig. 12: query message count, BF vs. DF ==");
@@ -157,38 +151,11 @@ fn figure(n: u8, o: &RunOpts) -> std::io::Result<()> {
     Ok(())
 }
 
-fn static_drr_panels(o: &RunOpts, dist: Distribution, fig: &str) -> std::io::Result<()> {
+fn static_drr_panels(o: &RunOpts, dist: Distribution, fig: &str) -> Result<(), String> {
     for panel in [static_drr::panel_a, static_drr::panel_b, static_drr::panel_c] {
         panel(o, dist, fig)?;
     }
     Ok(())
-}
-
-fn manet_panels(o: &RunOpts, dist: Distribution, metric: Metric, fig: &str) -> std::io::Result<()> {
-    for panel in [manet_figs::panel_a, manet_figs::panel_b, manet_figs::panel_c] {
-        panel(o, dist, metric, fig)?;
-    }
-    Ok(())
-}
-
-/// The scale grid, or with `--smoke` its trimmed two-cell grid.
-fn scale(r: &RunArgs) -> Vec<scalebench::CellReport> {
-    if !r.smoke {
-        return scalebench::run(&r.opts);
-    }
-    println!("== Scale: smoke grid ==\n");
-    scalebench::compute(&scalebench::smoke_cells(), r.opts.jobs, "scale_smoke")
-}
-
-/// The serve grid, or with `--smoke` its trimmed two-cell grid.
-fn serve(r: &RunArgs) -> Vec<servebench::CellReport> {
-    if !r.smoke {
-        return servebench::run(&r.opts);
-    }
-    println!("== Serve: smoke grid ==\n");
-    let reports = servebench::compute(&servebench::smoke_cells(), r.opts.jobs, "serve_smoke");
-    servebench::print_table(&reports);
-    reports
 }
 
 /// Every figure, then the chaos, attack, monitor, scale, serve, energy,
@@ -198,9 +165,10 @@ fn all(r: &RunArgs) -> Result<(), String> {
     let o = &r.opts;
     let t0 = Instant::now();
     println!("sweep harness: {} worker thread(s)", o.jobs);
-    // BENCH_sweep.json's stage order, which `msq diff` compares row by row.
-    for n in [5, 6, 7, 8, 10, 9, 11, 12] {
-        figure(n, o).map_err(|e| e.to_string())?;
+    // BENCH_sweep.json's stage order, which `msq diff` compares row by
+    // row. Figs. 10 and 11 are columns of Figs. 8 and 9.
+    for n in [5, 6, 7, 8, 9, 12] {
+        figure(n, o)?;
     }
     // Then the grids, in the same order.
     let mut baselines = Vec::new();
@@ -209,9 +177,9 @@ fn all(r: &RunArgs) -> Result<(), String> {
         baselines.push(run_ext(ext, o));
     }
     println!();
-    baselines.push(Baseline::Scale(scalebench::run(o)));
+    baselines.push(Baseline::Scale(scalebench::run(o, false)));
     println!();
-    baselines.push(Baseline::Serve(servebench::run(o)));
+    baselines.push(Baseline::Serve(servebench::run(o, false)));
     for ext in [Ext::Energy, Ext::MultiFilter, Ext::Redistribution] {
         println!();
         baselines.push(run_ext(ext, o));
@@ -290,9 +258,6 @@ fn trace(t: &TraceArgs) -> Result<(), String> {
     let log = out.query_trace.as_ref().expect("scenario enables tracing");
     if let Some(path) = &t.jsonl {
         write_baseline(path, &trace_to_jsonl(log))?;
-    }
-    if let Some(path) = &t.csv {
-        write_baseline(path, &trace_to_csv(log))?;
     }
     Ok(())
 }

@@ -6,8 +6,8 @@
 //! IN and AC as in the paper).
 //!
 //! Two time columns are reported per configuration:
-//! * `host ms` — measured wall time of this Rust implementation;
-//! * `iPAQ s` — the calibrated device cost model applied to the scan's
+//! * `host_ms` — measured wall time of this Rust implementation;
+//! * `ipaq_s` — the calibrated device cost model applied to the scan's
 //!   work counters, i.e. the number the MANET response-time figures use.
 
 use datagen::{DataSpec, Distribution};
@@ -17,16 +17,15 @@ use skyline_core::region::QueryRegion;
 use skyline_core::Tuple;
 use std::time::Instant;
 
-use crate::sweep;
-use crate::table::Table;
-use crate::RunOpts;
+use crate::provenance::{det, emit_rows, label, vol, Row, Value};
+use crate::{sweep, RunOpts};
 
 /// Fig. 5 cells measure *wall time* on this host, so they always run with
 /// `jobs = 1`: timing cells concurrently would make them contend for cores
-/// and corrupt the `host ms` columns. (They still go through the sweep
-/// harness so the stage lands in `BENCH_sweep.json`.) The `host ms`
-/// columns are inherently machine- and run-dependent; the deterministic
-/// columns are the modelled `iPAQ s` ones.
+/// and corrupt the `host_ms` column. (They still go through the sweep
+/// harness so the stage lands in `BENCH_sweep.json`.) `host_ms` is
+/// inherently machine- and run-dependent; the deterministic column is
+/// the modelled `ipaq_s`.
 const FIG5_JOBS: usize = 1;
 
 /// One measurement: host wall milliseconds and modelled device seconds.
@@ -62,73 +61,96 @@ fn dataset(card: usize, dim: usize, dist: Distribution) -> Vec<Tuple> {
     DataSpec::local_experiment(card, dim, dist, 0xF165).generate()
 }
 
-/// Panel (a): cardinality sweep.
-pub fn panel_a(o: &RunOpts, reps: usize) -> std::io::Result<()> {
-    let series: Vec<String> = ["HS-IN", "FS-IN", "HS-AC", "FS-AC"]
-        .iter()
-        .flat_map(|s| [format!("{s} host ms"), format!("{s} iPAQ s")])
+/// One `(storage, dist)` row of a panel: modelled device seconds are
+/// deterministic, host milliseconds are wall clock.
+fn row(
+    card: usize,
+    dim: usize,
+    storage: &'static str,
+    dist: &'static str,
+    host_ms: f64,
+    device_s: f64,
+) -> Row {
+    vec![
+        label("cardinality", card),
+        label("dim", dim),
+        label("storage", storage),
+        label("dist", dist),
+        vol("host_ms", Value::Float(host_ms)),
+        det("ipaq_s", Value::Float(device_s)),
+    ]
+}
+
+/// Measures HS and FS on one dataset: `[HS host, HS device, FS host, FS device]`.
+fn measure_both(card: usize, dim: usize, dist: Distribution, reps: usize) -> [f64; 4] {
+    let data = dataset(card, dim, dist);
+    let hs = measure(&HybridRelation::new(data.clone()), reps);
+    let fs = measure(&FlatRelation::new(data), reps);
+    assert_eq!(hs.skyline_len, fs.skyline_len, "models disagree");
+    [hs.host_ms, hs.device_s, fs.host_ms, fs.device_s]
+}
+
+const DISTS: [(&str, Distribution); 2] =
+    [("IN", Distribution::Independent), ("AC", Distribution::AntiCorrelated)];
+
+/// Panel (a): cardinality sweep (2 attributes), HS and FS on IN and AC.
+pub fn panel_a(o: &RunOpts, reps: usize) -> Result<(), String> {
+    let cells: Vec<(usize, &str, Distribution)> = o
+        .scale
+        .local_cardinalities()
+        .into_iter()
+        .flat_map(|card| DISTS.into_iter().map(move |(name, dist)| (card, name, dist)))
         .collect();
-    let mut t = Table::new(
-        "fig5a",
-        "Fig. 5(a) — local processing time vs. cardinality (2 attrs)\n         columns: HS/FS × IN/AC; host = this machine, iPAQ = cost model",
-        "cardinality",
-        series,
-    );
-    let cards = o.scale.local_cardinalities();
-    let cells: Vec<(usize, Distribution)> = cards
-        .iter()
-        .flat_map(|&card| {
-            [Distribution::Independent, Distribution::AntiCorrelated]
-                .into_iter()
-                .map(move |dist| (card, dist))
+    let times = sweep::run_stage("fig5a", FIG5_JOBS, &cells, |&(card, _, dist)| {
+        measure_both(card, 2, dist, reps)
+    });
+    let rows: Vec<Row> = ["HS", "FS"]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(k, storage)| {
+            cells.iter().zip(&times).map(move |(&(card, dist, _), t)| {
+                row(card, 2, storage, dist, t[2 * k], t[2 * k + 1])
+            })
         })
         .collect();
-    let rows = sweep::run_stage("fig5a", FIG5_JOBS, &cells, |&(card, dist)| {
-        let data = dataset(card, 2, dist);
-        let hs = measure(&HybridRelation::new(data.clone()), reps);
-        let fs = measure(&FlatRelation::new(data), reps);
-        assert_eq!(hs.skyline_len, fs.skyline_len, "models disagree");
-        [hs.host_ms, hs.device_s, fs.host_ms, fs.device_s]
-    });
-    for (card, pair) in cards.iter().zip(rows.chunks(2)) {
-        t.push(card, pair.concat());
-    }
-    t.emit(o.csv.as_deref())
+    emit_rows(
+        "fig5a",
+        "Fig. 5(a) — local processing time vs. cardinality (2 attrs); host = this machine, \
+         iPAQ = cost model",
+        &rows,
+        o.csv.as_deref(),
+    )
 }
 
 /// Panel (b): dimensionality sweep (averaged over IN and AC, as in the
 /// paper: "we show the average costs of both distributions").
-pub fn panel_b(o: &RunOpts, reps: usize) -> std::io::Result<()> {
+pub fn panel_b(o: &RunOpts, reps: usize) -> Result<(), String> {
     let card = o.scale.local_dim_cardinality();
-    let mut t = Table::new(
-        "fig5b",
-        format!(
-            "Fig. 5(b) — local processing time vs. dimensionality ({card} tuples)\naverage of IN and AC"
-        ),
-        "dims",
-        vec!["HS host ms".into(), "HS iPAQ s".into(), "FS host ms".into(), "FS iPAQ s".into()],
-    );
     let dims = o.scale.dimensionalities();
     let cells: Vec<(usize, Distribution)> = dims
         .iter()
-        .flat_map(|&dim| {
-            [Distribution::Independent, Distribution::AntiCorrelated]
-                .into_iter()
-                .map(move |dist| (dim, dist))
+        .flat_map(|&dim| DISTS.into_iter().map(move |(_, dist)| (dim, dist)))
+        .collect();
+    let times = sweep::run_stage("fig5b", FIG5_JOBS, &cells, |&(dim, dist)| {
+        measure_both(card, dim, dist, reps)
+    });
+    let rows: Vec<Row> = ["HS", "FS"]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(k, storage)| {
+            dims.iter().zip(times.chunks(2)).map(move |(&dim, pair)| {
+                // Average IN and AC, as in the paper.
+                let avg = |i: usize| pair[0][i] / 2.0 + pair[1][i] / 2.0;
+                row(card, dim, storage, "IN+AC", avg(2 * k), avg(2 * k + 1))
+            })
         })
         .collect();
-    let rows = sweep::run_stage("fig5b", FIG5_JOBS, &cells, |&(dim, dist)| {
-        let data = dataset(card, dim, dist);
-        let hs = measure(&HybridRelation::new(data.clone()), reps);
-        let fs = measure(&FlatRelation::new(data), reps);
-        [hs.host_ms, hs.device_s, fs.host_ms, fs.device_s]
-    });
-    for (dim, pair) in dims.iter().zip(rows.chunks(2)) {
-        // Average IN and AC per column, as in the paper.
-        let avg: Vec<f64> = (0..4).map(|k| pair[0][k] / 2.0 + pair[1][k] / 2.0).collect();
-        t.push(dim, avg);
-    }
-    t.emit(o.csv.as_deref())
+    emit_rows(
+        "fig5b",
+        &format!("Fig. 5(b) — local processing time vs. dimensionality ({card} tuples)"),
+        &rows,
+        o.csv.as_deref(),
+    )
 }
 
 #[cfg(test)]

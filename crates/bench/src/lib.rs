@@ -9,8 +9,9 @@
 //! experiment subcommands accept `--full` to run at the paper's original
 //! scale (1M tuples, 100 devices, 2 h simulations); the default is a
 //! scaled-down configuration with the same *shape* that finishes in
-//! seconds to minutes. Output is a plain text table per figure panel,
-//! mirroring the paper's series.
+//! seconds to minutes. Every table is a list of rows in long form, one
+//! line per cell with its axes as columns (`provenance::print_rows`),
+//! the same rows a baseline or a `--csv` file holds.
 
 pub mod attack;
 pub mod benchdiff;
@@ -30,11 +31,9 @@ pub mod scalebench;
 pub mod servebench;
 pub mod static_drr;
 pub mod sweep;
-pub mod table;
 pub mod trace_query;
 
 pub use scale::Scale;
-pub use table::Table;
 
 /// How a figure or experiment runs: its parameter grid, the sweep's
 /// worker count, and the directory its tables' CSVs go to.
@@ -44,24 +43,6 @@ pub struct RunOpts {
     pub scale: Scale,
     /// Sweep worker threads (`1` maps the cells on the caller's thread).
     pub jobs: usize,
-    /// When set, every table is also written as `<dir>/<id>.csv`.
+    /// When set, every figure table is also written as `<dir>/<id>.csv`.
     pub csv: Option<std::path::PathBuf>,
-}
-
-/// Prints a table header: first column label then series names.
-pub fn print_header(first: &str, series: &[String]) {
-    print!("{first:>12}");
-    for s in series {
-        print!(" {s:>14}");
-    }
-    println!();
-}
-
-/// Prints one table row.
-pub fn print_row(x: impl std::fmt::Display, values: &[f64]) {
-    print!("{x:>12}");
-    for v in values {
-        print!(" {v:>14.4}");
-    }
-    println!();
 }

@@ -9,51 +9,55 @@ use datagen::Distribution;
 use dist_skyline::config::Forwarding;
 use dist_skyline::runtime::{run_experiment, ManetExperiment};
 
-use crate::sweep;
-use crate::table::Table;
-use crate::RunOpts;
+use crate::provenance::{det, emit_rows, label, Row, Value};
+use crate::{sweep, RunOpts};
 
 /// Runs the Fig. 12 sweep: the `grid sides × {BF, DF}` cell grid goes
-/// through the sweep harness.
-pub fn run(o: &RunOpts) -> std::io::Result<()> {
+/// through the sweep harness, one row per cell.
+pub fn run(o: &RunOpts) -> Result<(), String> {
     let card = o.scale.manet_fixed_cardinality();
-    let mut t = Table::new(
-        "fig12",
-        format!("Fig. 12 — query message count vs. devices ({card} tuples, 2 attrs, d = 250)"),
-        "devices",
-        vec!["BF".into(), "DF".into(), "BF aodv".into(), "DF aodv".into()],
-    );
-    let sides = o.scale.grid_sides();
-    let cells: Vec<ManetExperiment> = sides
-        .iter()
-        .flat_map(|&g| {
-            [Forwarding::BreadthFirst, Forwarding::DepthFirst].into_iter().map(move |fwd| {
-                let mut exp = ManetExperiment::paper_defaults(
-                    g,
-                    card,
-                    2,
-                    Distribution::Independent,
-                    250.0,
-                    0x000F_1612,
-                );
-                exp.forwarding = fwd;
-                exp.sim_seconds = o.scale.sim_seconds();
-                exp
-            })
+    let cells: Vec<(usize, &str, ManetExperiment)> = o
+        .scale
+        .grid_sides()
+        .into_iter()
+        .flat_map(|g| {
+            [("BF", Forwarding::BreadthFirst), ("DF", Forwarding::DepthFirst)]
+                .into_iter()
+                .map(move |(name, fwd)| {
+                    let mut exp = ManetExperiment::paper_defaults(
+                        g,
+                        card,
+                        2,
+                        Distribution::Independent,
+                        250.0,
+                        0x000F_1612,
+                    );
+                    exp.forwarding = fwd;
+                    exp.sim_seconds = o.scale.sim_seconds();
+                    (g, name, exp)
+                })
         })
         .collect();
-    let outs = sweep::run_stage("fig12", o.jobs, &cells, run_experiment);
-    for (g, pair) in sides.iter().zip(outs.chunks(2)) {
-        let aodv = |i: usize| {
-            let out = &pair[i];
-            out.net.aodv_frames as f64 / out.records.len().max(1) as f64
-        };
-        t.push(
-            g * g,
-            vec![pair[0].mean_forward_messages, pair[1].mean_forward_messages, aodv(0), aodv(1)],
-        );
-    }
-    t.emit(o.csv.as_deref())
+    let outs = sweep::run_stage("fig12", o.jobs, &cells, |(_, _, exp)| run_experiment(exp));
+    let rows: Vec<Row> = cells
+        .iter()
+        .zip(&outs)
+        .map(|(&(g, forwarding, _), out)| {
+            let queries = out.records.len().max(1) as f64;
+            vec![
+                label("devices", g * g),
+                label("forwarding", forwarding),
+                det("msgs_per_query", Value::Float(out.mean_forward_messages)),
+                det("aodv_per_query", Value::Float(out.net.aodv_frames as f64 / queries)),
+            ]
+        })
+        .collect();
+    emit_rows(
+        "fig12",
+        &format!("Fig. 12 — query message count vs. devices ({card} tuples, 2 attrs, d = 250)"),
+        &rows,
+        o.csv.as_deref(),
+    )
 }
 
 #[cfg(test)]

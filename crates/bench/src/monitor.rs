@@ -27,7 +27,9 @@ use dist_skyline::monitor::{
 use manet_sim::{ChurnConfig, FaultPlan, SimDuration, SimTime};
 use std::time::Instant;
 
-use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
+use crate::provenance::{
+    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
+};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -209,72 +211,24 @@ pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
     })
 }
 
-/// Runs the grid, prints the comparison tables, and returns the reports
+/// Runs the grid, prints the comparison rows, and returns the reports
 /// (shared by `msq ext monitor` and `msq all`).
 pub fn run(o: &RunOpts) -> Vec<CellReport> {
     let g = o.scale.monitor_grid();
-    println!(
-        "== Extension: continuous monitoring vs re-query ({} devices, mobile, {:.0} s standing query) ==\n",
-        g * g,
-        o.scale.monitor_duration_seconds()
-    );
     let reports = compute(o.scale, o.jobs, "ext_monitor");
-    let names: Vec<String> = modes().iter().map(|(n, _)| n.to_string()).collect();
-    let per_point = names.len();
-
-    println!("application messages (lower is better at equal fidelity):");
-    crate::print_header("p/churn/loss", &names);
-    for point in reports.chunks(per_point) {
-        let vals: Vec<f64> = point.iter().map(|r| r.messages as f64).collect();
-        crate::print_row(
-            format!(
-                "{:.0}s/{:.0}%/{:.0}%",
-                point[0].period_s,
-                point[0].churn * 100.0,
-                point[0].loss * 100.0
-            ),
-            &vals,
-        );
-    }
-
-    println!("\nmean epoch completeness (the fidelity both modes are held to):");
-    crate::print_header("p/churn/loss", &names);
-    for point in reports.chunks(per_point) {
-        let vals: Vec<f64> = point.iter().map(|r| r.mean_completeness).collect();
-        crate::print_row(
-            format!(
-                "{:.0}s/{:.0}%/{:.0}%",
-                point[0].period_s,
-                point[0].churn * 100.0,
-                point[0].loss * 100.0
-            ),
-            &vals,
-        );
-    }
-
-    println!("\nmean view staleness (s):");
-    crate::print_header("p/churn/loss", &names);
-    for point in reports.chunks(per_point) {
-        let vals: Vec<f64> = point.iter().map(|r| r.mean_staleness_s).collect();
-        crate::print_row(
-            format!(
-                "{:.0}s/{:.0}%/{:.0}%",
-                point[0].period_s,
-                point[0].churn * 100.0,
-                point[0].loss * 100.0
-            ),
-            &vals,
-        );
-    }
-
-    let mut wins = 0usize;
-    let mut points = 0usize;
-    for point in reports.chunks(per_point) {
-        points += 1;
-        if point[0].messages < point[1].messages {
-            wins += 1;
-        }
-    }
+    print_rows(
+        &format!(
+            "Extension: continuous monitoring vs re-query ({} devices, mobile, {:.0} s standing \
+             query; fewer messages is better at equal completeness)",
+            g * g,
+            o.scale.monitor_duration_seconds()
+        ),
+        &reports.iter().map(row).collect::<Vec<_>>(),
+    );
+    // Each grid point is a (delta, requery) pair of cells.
+    let points = reports.chunks(modes().len());
+    let wins = points.clone().filter(|p| p[0].messages < p[1].messages).count();
+    let points = points.len();
     let hb: u64 = reports.iter().map(|r| r.heartbeats).sum();
     let resyncs: u64 = reports.iter().map(|r| r.arq_exhausted).sum();
     println!("\ndelta mode sent fewer messages than re-query at {wins}/{points} grid points");

@@ -1,5 +1,6 @@
 //! The one writer of every `BENCH_*.json` baseline, and the provenance
-//! header it opens with.
+//! header it opens with; and the one printer (`print_rows`) and CSV
+//! writer (`emit_rows`) of every table `msq` shows, over the same rows.
 //!
 //! Each baseline opens with the same header block: the bench name, the
 //! scale, the **grid revision**, and the volatile run context (worker
@@ -14,8 +15,11 @@
 //! `Label` and `Vol` columns, each in declared order. `bench_diff`
 //! compares the grid exactly and bands the wall-clock timings, so a
 //! column's tag is the whole of the deterministic/volatile contract.
+//! A table is the same rows in long form: one line per cell, its axes
+//! as `Label` columns.
 
 use std::fmt::Write as _;
+use std::path::Path;
 use std::process::Command;
 
 use crate::Scale;
@@ -206,21 +210,23 @@ fn object<'a>(fields: impl Iterator<Item = (&'a str, &'a Value)>) -> String {
     format!("{{{}}}", fields.join(", "))
 }
 
+/// A column's value as a table or CSV cell: strings bare, everything
+/// else as its JSON literal.
+fn cell(value: &Value) -> String {
+    match value {
+        Value::Str(s) => s.clone(),
+        value => value.render(),
+    }
+}
+
 /// Prints `rows` as an aligned text table under `title`: a header of
 /// column keys, then one line per row, each column as wide as its widest
-/// cell. Strings print bare.
+/// cell.
 pub(crate) fn print_rows(title: &str, rows: &[Row]) {
     let Some(first) = rows.first() else { return };
     let cells: Vec<Vec<String>> = rows
         .iter()
-        .map(|row| {
-            row.iter()
-                .map(|(_, value, _)| match value {
-                    Value::Str(s) => s.clone(),
-                    value => value.render(),
-                })
-                .collect()
-        })
+        .map(|row| row.iter().map(|(_, value, _)| cell(value)).collect())
         .collect();
     let widths: Vec<usize> = (0..first.len())
         .map(|i| cells.iter().map(|row| row[i].len()).fold(first[i].0.len(), usize::max))
@@ -238,6 +244,53 @@ pub(crate) fn print_rows(title: &str, rows: &[Row]) {
     for row in &cells {
         println!("{}", line(row.iter().map(String::as_str).collect()));
     }
+}
+
+/// RFC 4180 quoting: a field holding a separator, a quote or a newline
+/// is quoted, its quotes doubled.
+fn csv_escape(s: &str) -> String {
+    if s.contains([',', '"', '\n']) {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
+    }
+}
+
+/// Renders `rows` as CSV: a header of column keys, then one line per row,
+/// each cell as [`print_rows`] shows it.
+///
+/// # Panics
+/// Panics when a row's keys differ from the first row's.
+pub(crate) fn rows_to_csv(rows: &[Row]) -> String {
+    let Some(first) = rows.first() else { return String::new() };
+    let keys: Vec<&str> = first.iter().map(|(key, ..)| *key).collect();
+    let mut out = keys.iter().map(|key| csv_escape(key)).collect::<Vec<_>>().join(",") + "\n";
+    for row in rows {
+        assert!(row.iter().map(|(key, ..)| *key).eq(keys.iter().copied()), "row width mismatch");
+        let cells: Vec<String> = row.iter().map(|(_, value, _)| csv_escape(&cell(value))).collect();
+        out += &cells.join(",");
+        out.push('\n');
+    }
+    out
+}
+
+/// Prints `rows` under `title` and, when `csv` names a directory, writes
+/// them to `<csv>/<id>.csv` too. The `Err` names the file, and `msq`
+/// exits 1 on it, so a failed write fails the run.
+pub(crate) fn emit_rows(
+    id: &str,
+    title: &str,
+    rows: &[Row],
+    csv: Option<&Path>,
+) -> Result<(), String> {
+    print_rows(title, rows);
+    let Some(dir) = csv else { return Ok(()) };
+    let path = dir.join(format!("{id}.csv"));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, rows_to_csv(rows)))
+        .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+    println!("[csv] {}", path.display());
+    Ok(())
 }
 
 /// Renders a baseline: the provenance header stamped at `grid_rev`, the
@@ -391,6 +444,57 @@ mod tests {
         // An empty grid still renders both arrays.
         let empty = baseline_json("unit", &Provenance::fixture(), 9, &[], &[]);
         assert!(empty.ends_with("\n  \"grid\": [\n  ],\n  \"timings\": [\n  ]\n}\n"), "{empty}");
+    }
+
+    /// Two rows of every tag: a label that needs quoting and a NaN.
+    fn sample() -> Vec<Row> {
+        vec![
+            vec![label("x", 10usize), det("a", Value::Float(1.5)), vol("b", Value::Float(2.5))],
+            vec![label("x", "k,2"), det("a", Value::Float(3.0)), vol("b", Value::Float(f64::NAN))],
+        ]
+    }
+
+    #[test]
+    fn csv_round_shape() {
+        let csv = rows_to_csv(&sample());
+        assert_eq!(csv.lines().collect::<Vec<_>>(), ["x,a,b", "10,1.5,2.5", "\"k,2\",3,null"]);
+        assert_eq!(rows_to_csv(&[]), "");
+    }
+
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn width_mismatch_panics() {
+        let mut rows = sample();
+        rows[1].pop();
+        rows_to_csv(&rows);
+    }
+
+    #[test]
+    fn write_csv_creates_file() {
+        let dir = std::env::temp_dir().join("msq_rows_csv_test");
+        emit_rows("t1", "Title", &sample(), Some(&dir)).expect("writable temp dir");
+        let path = dir.join("t1.csv");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), rows_to_csv(&sample()));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn emit_returns_a_failed_csv_write() {
+        // A directory cannot be created under a regular file, even by root.
+        let file = std::env::temp_dir().join("msq_rows_emit_not_a_dir");
+        std::fs::write(&file, "").expect("writable temp dir");
+        let err = emit_rows("t1", "Title", &sample(), Some(&file.join("csv")))
+            .expect_err("write must fail");
+        assert!(err.starts_with("failed to write ") && err.contains("/csv/t1.csv: "), "{err}");
+        std::fs::remove_file(file).ok();
+    }
+
+    #[test]
+    fn escaping_rules() {
+        assert_eq!(csv_escape("plain"), "plain");
+        assert_eq!(csv_escape("a,b"), "\"a,b\"");
+        assert_eq!(csv_escape("q\"q"), "\"q\"\"q\"");
+        assert_eq!(csv_escape("l\nl"), "\"l\nl\"");
     }
 
     #[test]

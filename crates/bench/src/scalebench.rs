@@ -31,7 +31,9 @@ use datagen::{Distribution, SpatialExtent};
 use dist_skyline::runtime::{run_experiment, ManetExperiment, ManetOutcome};
 use std::time::Instant;
 
-use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
+use crate::provenance::{
+    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
+};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -183,40 +185,16 @@ pub fn compute(grid: &[ScaleCell], jobs: usize, stage: &str) -> Vec<CellReport> 
     })
 }
 
-/// Runs the grid, prints the scaling table, and returns the reports
-/// (shared by `msq scale` and `msq all`).
-pub fn run(o: &RunOpts) -> Vec<CellReport> {
-    println!("== Scale: constant-density networks, unbounded-radius queries ==\n");
-    println!(
-        "{:>6} {:>8} {:>7} {:>4} {:>8} {:>6} {:>9} {:>12} {:>10} {:>10}",
-        "g",
-        "devices",
-        "tuples",
-        "dim",
-        "queries",
-        "drr",
-        "timeout",
-        "frames_sent",
-        "aodv/dev",
-        "seconds"
+/// Runs the grid (with `smoke`, the trimmed two-cell grid), prints its
+/// rows, and returns the reports (shared by `msq scale` and `msq all`).
+pub fn run(o: &RunOpts, smoke: bool) -> Vec<CellReport> {
+    let (grid, stage) =
+        if smoke { (smoke_cells(), "scale_smoke") } else { (cells(o.scale), "scale_devices") };
+    let reports = compute(&grid, o.jobs, stage);
+    print_rows(
+        "Scale: constant-density networks, unbounded-radius queries",
+        &reports.iter().map(row).collect::<Vec<_>>(),
     );
-    let reports = compute(&cells(o.scale), o.jobs, "scale_devices");
-    for r in &reports {
-        let m = &r.metrics;
-        println!(
-            "{:>6} {:>8} {:>7} {:>4} {:>8} {:>6.3} {:>9.3} {:>12} {:>10.1} {:>10.2}",
-            m.g,
-            m.devices,
-            m.cardinality,
-            m.dim,
-            m.queries,
-            m.drr,
-            m.timeout_fraction,
-            m.frames_sent,
-            m.aodv_frames_per_device,
-            r.seconds,
-        );
-    }
     println!("\nexpected shape: the BF flood still visits everyone, replies reuse");
     println!("the flood's reverse paths, and the spatial grid keeps per-event");
     println!("neighbour work O(degree), so wall time tracks frames rather than");

@@ -32,7 +32,9 @@ use skyline_core::{Tuple, TupleId};
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
+use crate::provenance::{
+    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
+};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -308,12 +310,16 @@ pub fn compute(grid: &[ServeCell], jobs: usize, stage: &str) -> Vec<CellReport> 
     sweep::run_stage(stage, jobs, grid, run_cell)
 }
 
-/// Runs the grid, prints the serving table, and returns the reports
-/// (shared by `msq serve` and `msq all`).
-pub fn run(o: &RunOpts) -> Vec<CellReport> {
-    println!("== Serve: diagram-cache front end, cold vs cached throughput ==\n");
-    let reports = compute(&cells(o.scale), o.jobs, "serve_grid");
-    print_table(&reports);
+/// Runs the grid (with `smoke`, the trimmed two-cell grid), prints its
+/// rows, and returns the reports (shared by `msq serve` and `msq all`).
+pub fn run(o: &RunOpts, smoke: bool) -> Vec<CellReport> {
+    let (grid, stage) =
+        if smoke { (smoke_cells(), "serve_smoke") } else { (cells(o.scale), "serve_grid") };
+    let reports = compute(&grid, o.jobs, stage);
+    print_rows(
+        "Serve: diagram-cache front end, cold vs cached throughput",
+        &reports.iter().map(row).collect::<Vec<_>>(),
+    );
     println!("\nexpected shape: the cold pass pays one real BF/EXT flood per distinct");
     println!("diagram cell (reuse_qps: the same pool again before the next ingest,");
     println!("answered from the epoch's memoized cold answers without a thread or a");
@@ -323,44 +329,6 @@ pub fn run(o: &RunOpts) -> Vec<CellReport> {
     println!("the TTL backstop shows up as periodic evictions + re-misses in the");
     println!("churn-free rows. Every cell run is proven exact before it reports.");
     reports
-}
-
-/// Prints the per-cell serving table (shared by the full grid and the
-/// `--smoke` grid, which is too small to warrant its own layout).
-pub fn print_table(reports: &[CellReport]) {
-    println!(
-        "{:>8} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>6} {:>11} {:>11} {:>11} {:>9}",
-        "clients",
-        "churn",
-        "epochs",
-        "lookups",
-        "hit%",
-        "misses",
-        "invald",
-        "p99age",
-        "cold_qps",
-        "reuse_qps",
-        "cached_qps",
-        "speedup"
-    );
-    for r in reports {
-        let m = &r.metrics;
-        println!(
-            "{:>8} {:>6} {:>7} {:>8} {:>7.3} {:>7} {:>7} {:>6} {:>11.0} {:>11.0} {:>11.0} {:>9.1}",
-            m.clients,
-            m.churn,
-            m.epochs,
-            m.lookups,
-            m.hit_ratio,
-            m.misses,
-            m.invalidations,
-            m.stale_p99,
-            r.cold_qps(),
-            r.reuse_qps(),
-            r.cached_qps(),
-            r.speedup(),
-        );
-    }
 }
 
 /// Renders the reports as the `BENCH_serve.json` machine baseline: one

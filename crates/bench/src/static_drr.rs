@@ -11,28 +11,24 @@ use dist_skyline::config::{FilterStrategy, StrategyConfig};
 use dist_skyline::static_net::grid_network_from_global;
 use skyline_core::vdr::BoundsMode;
 
-use crate::sweep;
-use crate::table::Table;
-use crate::RunOpts;
+use crate::provenance::{det, emit_rows, label, Row, Value};
+use crate::{sweep, RunOpts};
 
-/// The six series of Figs. 6–7.
-pub fn series_names() -> Vec<String> {
-    ["SF", "DF"]
-        .iter()
-        .flat_map(|f| ["OVE", "EXT", "UNE"].iter().map(move |m| format!("{f}-{m}")))
-        .collect()
-}
-
-fn strategies(dim: usize) -> Vec<StrategyConfig> {
+/// The six series of Figs. 6–7, in row order: the filter and bounds
+/// names and the strategy they run.
+fn series(dim: usize) -> Vec<(&'static str, &'static str, StrategyConfig)> {
     let mut out = Vec::new();
-    for filter in [FilterStrategy::Single, FilterStrategy::Dynamic] {
-        for mode in [BoundsMode::Over, BoundsMode::Exact, BoundsMode::Under] {
-            out.push(StrategyConfig {
+    for (f, filter) in [("SF", FilterStrategy::Single), ("DF", FilterStrategy::Dynamic)] {
+        for (m, mode) in
+            [("OVE", BoundsMode::Over), ("EXT", BoundsMode::Exact), ("UNE", BoundsMode::Under)]
+        {
+            let cfg = StrategyConfig {
                 filter,
                 bounds_mode: mode,
                 exact_bounds: vec![1000.0; dim],
                 ..StrategyConfig::default()
-            });
+            };
+            out.push((f, m, cfg));
         }
     }
     out
@@ -57,9 +53,9 @@ struct Cell {
 fn run_cell(cell: &Cell) -> Vec<f64> {
     let data = DataSpec::manet_experiment(cell.card, cell.dim, cell.dist, cell.seed).generate();
     let net = grid_network_from_global(&data, cell.g, SpatialExtent::PAPER);
-    strategies(cell.dim)
+    series(cell.dim)
         .iter()
-        .map(|cfg| net.run_all_origins(cfg).drr(true))
+        .map(|(_, _, cfg)| net.run_all_origins(cfg).drr(true))
         .collect()
 }
 
@@ -96,66 +92,79 @@ fn average_rows(
         .collect()
 }
 
+/// Runs one panel's `(card, dim, g)` points and emits one row per point
+/// and series.
 fn emit_panel(
     o: &RunOpts,
-    id: String,
+    dist: Distribution,
+    fig: &str,
+    panel: &str,
     title: String,
-    x_name: &str,
-    labels: Vec<String>,
-    rows: &[(usize, usize, usize, Distribution, u64)],
-) -> std::io::Result<()> {
-    let mut t = Table::new(id.clone(), title, x_name, series_names());
-    let values = average_rows(rows, &id, o.jobs);
-    for (label, vals) in labels.into_iter().zip(values) {
-        t.push(label, vals);
-    }
-    t.emit(o.csv.as_deref())
+    seed: u64,
+    points: &[(usize, usize, usize)],
+) -> Result<(), String> {
+    let id = format!("{}{panel}_{dist:?}", fig.to_lowercase().replace([' ', '.'], ""));
+    let specs: Vec<_> = points.iter().map(|&(card, dim, g)| (card, dim, g, dist, seed)).collect();
+    let values = average_rows(&specs, &id, o.jobs);
+    let rows: Vec<Row> = points
+        .iter()
+        .zip(values)
+        .flat_map(|(&(card, dim, g), drrs)| {
+            series(dim).into_iter().zip(drrs).map(move |((filter, bounds, _), drr)| {
+                vec![
+                    label("devices", g * g),
+                    label("cardinality", card),
+                    label("dim", dim),
+                    label("filter", filter),
+                    label("bounds", bounds),
+                    det("drr", Value::Float(drr)),
+                ]
+            })
+        })
+        .collect();
+    emit_rows(&id, &format!("{fig}({panel}) — DRR vs. {title}"), &rows, o.csv.as_deref())
 }
 
 /// Panel (a): DRR vs. global cardinality (2 attrs, 5×5 devices).
-pub fn panel_a(o: &RunOpts, dist: Distribution, fig: &str) -> std::io::Result<()> {
-    let cards = o.scale.global_cardinalities();
+pub fn panel_a(o: &RunOpts, dist: Distribution, fig: &str) -> Result<(), String> {
+    let points: Vec<_> =
+        o.scale.global_cardinalities().into_iter().map(|card| (card, 2, 5)).collect();
     emit_panel(
         o,
-        format!("{}a_{dist:?}", fig.to_lowercase().replace([' ', '.'], "")),
-        format!("{fig}(a) — DRR vs. global cardinality ({dist:?}, 2 attrs, 25 devices)"),
-        "cardinality",
-        cards.iter().map(|c| c.to_string()).collect(),
-        &cards.iter().map(|&card| (card, 2, 5, dist, 0x6a)).collect::<Vec<_>>(),
+        dist,
+        fig,
+        "a",
+        format!("global cardinality ({dist:?}, 2 attrs, 25 devices)"),
+        0x6a,
+        &points,
     )
 }
 
 /// Panel (b): DRR vs. dimensionality (5×5 devices). The quick scale
-/// shrinks the relation as dimensionality grows (see [`crate::Scale`]); the row
-/// label shows the cardinality actually used.
-pub fn panel_b(o: &RunOpts, dist: Distribution, fig: &str) -> std::io::Result<()> {
-    let dims = o.scale.dimensionalities();
-    emit_panel(
-        o,
-        format!("{}b_{dist:?}", fig.to_lowercase().replace([' ', '.'], "")),
-        format!("{fig}(b) — DRR vs. dimensionality ({dist:?}, 25 devices)"),
-        "dims@card",
-        dims.iter()
-            .map(|&dim| format!("{dim}@{}", o.scale.global_cardinality_for_dim(dim)))
-            .collect(),
-        &dims
-            .iter()
-            .map(|&dim| (o.scale.global_cardinality_for_dim(dim), dim, 5, dist, 0x6b))
-            .collect::<Vec<_>>(),
-    )
+/// shrinks the relation as dimensionality grows (see [`crate::Scale`]);
+/// the `cardinality` column shows the cardinality actually used.
+pub fn panel_b(o: &RunOpts, dist: Distribution, fig: &str) -> Result<(), String> {
+    let points: Vec<_> = o
+        .scale
+        .dimensionalities()
+        .into_iter()
+        .map(|dim| (o.scale.global_cardinality_for_dim(dim), dim, 5))
+        .collect();
+    emit_panel(o, dist, fig, "b", format!("dimensionality ({dist:?}, 25 devices)"), 0x6b, &points)
 }
 
 /// Panel (c): DRR vs. number of devices (fixed cardinality, 2 attrs).
-pub fn panel_c(o: &RunOpts, dist: Distribution, fig: &str) -> std::io::Result<()> {
+pub fn panel_c(o: &RunOpts, dist: Distribution, fig: &str) -> Result<(), String> {
     let card = o.scale.global_fixed_cardinality();
-    let sides = o.scale.grid_sides();
+    let points: Vec<_> = o.scale.grid_sides().into_iter().map(|g| (card, 2, g)).collect();
     emit_panel(
         o,
-        format!("{}c_{dist:?}", fig.to_lowercase().replace([' ', '.'], "")),
-        format!("{fig}(c) — DRR vs. devices ({dist:?}, {card} tuples, 2 attrs)"),
-        "devices",
-        sides.iter().map(|&g| (g * g).to_string()).collect(),
-        &sides.iter().map(|&g| (card, 2, g, dist, 0x6c)).collect::<Vec<_>>(),
+        dist,
+        fig,
+        "c",
+        format!("devices ({dist:?}, {card} tuples, 2 attrs)"),
+        0x6c,
+        &points,
     )
 }
 
@@ -165,7 +174,9 @@ mod tests {
 
     #[test]
     fn six_series() {
-        assert_eq!(series_names().len(), 6);
+        let names: Vec<String> = series(3).iter().map(|(f, m, _)| format!("{f}-{m}")).collect();
+        assert_eq!(names, ["SF-OVE", "SF-EXT", "SF-UNE", "DF-OVE", "DF-EXT", "DF-UNE"]);
+        assert!(series(3).iter().all(|(_, _, cfg)| cfg.exact_bounds.len() == 3));
     }
 
     #[test]

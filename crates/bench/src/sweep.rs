@@ -23,12 +23,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value, GRID_REV};
+use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value};
 
 /// One timed sweep stage, as reported in `BENCH_sweep.json`.
 #[derive(Debug, Clone)]
 pub struct StageRecord {
-    /// Stage name (usually the table id, e.g. `fig8a_Drr_Independent`).
+    /// Stage name: a table id (e.g. `fig6a_Independent`), or a grid that
+    /// several tables share (e.g. `fig8_Independent`, Figs. 8(a–c) and
+    /// 10(a–c)).
     pub name: String,
     /// Number of grid cells the stage mapped.
     pub cells: usize,
@@ -114,6 +116,12 @@ pub fn run_stage<T: Sync, R: Send>(
     });
     out
 }
+
+/// Revision of `BENCH_sweep.json`'s stage list (the other baselines share
+/// [`crate::provenance::GRID_REV`]): rev 3 runs each distribution's
+/// Figs. 8–11 grid once, as one stage of distinct cells, where rev 2 ran
+/// one stage per panel and metric.
+const GRID_REV: u64 = 3;
 
 /// Renders the drained stage records as the `BENCH_sweep.json` machine
 /// baseline: one row per stage, its name and cell count in `grid` (the

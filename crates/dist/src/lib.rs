@@ -57,8 +57,8 @@ pub use query::{QueryKey, QuerySpec};
 pub use runtime::{QueryRecord, TimeoutCause};
 pub use serve::{verify_serve_drift, ServeConfig, ServeEngine, ServeStats, ServedAnswer};
 pub use trace::{
-    query_ids, timeline_for, trace_to_csv, trace_to_jsonl, verify_zero_drift, LatencyStats,
-    PhaseStat, QueryTimeline, TimelineSummary, TraceAggregates,
+    query_ids, timeline_for, trace_to_jsonl, verify_zero_drift, LatencyStats, PhaseStat,
+    QueryTimeline, TimelineSummary, TraceAggregates,
 };
 pub use verify::{
     diff_against_truth, score_epoch, score_records, verify_static_query, SpuriousSite,

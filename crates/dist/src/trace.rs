@@ -9,10 +9,9 @@
 //!   nodes back into engine order (the global `seq` makes the order exact,
 //!   not a timestamp tie-break) and renders a hop-by-hop narrative with
 //!   per-phase event/byte totals and reply-latency statistics.
-//! * **Exports** — [`trace_to_jsonl`] / [`trace_to_csv`] emit the log with
-//!   stable schemas (fixed key order, fixed column set; new fields only
-//!   append), so golden-file diffs and `--jobs` bit-identity checks are
-//!   meaningful.
+//! * **Export** — [`trace_to_jsonl`] emits the log with a stable schema
+//!   (fixed key order; new fields only append), so golden-file diffs and
+//!   `--jobs` bit-identity checks are meaningful.
 //! * **The zero-drift invariant** — [`verify_zero_drift`] recomputes every
 //!   aggregate counter the runtime reports (`NetStats`, ARQ/duplicate/
 //!   failure tallies, per-query scorecard fields, DRR terms) from the event
@@ -31,7 +30,7 @@ use manet_sim::{
 use crate::runtime::{qid, ManetOutcome, TimeoutCause};
 
 // ----------------------------------------------------------------------
-// Event reflection: one table drives both exporters and the renderer.
+// Event reflection: one table drives the exporter and the renderer.
 // ----------------------------------------------------------------------
 
 /// A scalar field value carried by an event.
@@ -55,14 +54,16 @@ impl Val {
             Val::S(v) => format!("\"{v}\""),
         }
     }
+}
 
-    /// CSV cell (no quoting needed: all values are scalars).
-    fn csv(&self) -> String {
+/// The timeline's plain rendering (floats via `{:?}`, strings bare).
+impl std::fmt::Display for Val {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Val::U(v) => format!("{v}"),
-            Val::F(v) => format!("{v:?}"),
-            Val::B(v) => format!("{v}"),
-            Val::S(v) => (*v).to_string(),
+            Val::U(v) => write!(f, "{v}"),
+            Val::F(v) => write!(f, "{v:?}"),
+            Val::B(v) => write!(f, "{v}"),
+            Val::S(v) => f.write_str(v),
         }
     }
 }
@@ -78,7 +79,7 @@ fn outcome_name(k: FinalizeKind) -> &'static str {
 
 /// Stable event name plus its fields in schema order. `peer` consolidates
 /// the single-node argument (`to`/`from`/`dead`/`dst`) and `arq_seq` the
-/// ARQ sequence number, so the CSV stays one fixed wide schema.
+/// ARQ sequence number, so each key means one thing across events.
 fn event_fields(ev: &QueryEvent) -> (&'static str, Vec<(&'static str, Val)>) {
     use QueryEvent::*;
     match *ev {
@@ -312,78 +313,6 @@ pub fn trace_to_jsonl(log: &QueryTraceLog) -> String {
     out
 }
 
-/// Fixed wide-schema columns shared by every event kind (blank when a field
-/// does not apply). The prefix is stable; new columns only append.
-const CSV_COLUMNS: [&str; 37] = [
-    "radius_m",
-    "round",
-    "neighbors",
-    "filters",
-    "bytes",
-    "unreduced",
-    "reply",
-    "skipped",
-    "vdr",
-    "old_vdr",
-    "new_vdr",
-    "peer",
-    "tuples",
-    "participated",
-    "retries",
-    "arq_seq",
-    "attempt",
-    "backtrack",
-    "outcome",
-    "responded",
-    "result_len",
-    "duplicates",
-    "reissues",
-    "sum_unreduced",
-    "sum_sent",
-    "participants",
-    // Monitoring extension (append-only; the prefix above is frozen).
-    "ttl_s",
-    "period_s",
-    "epoch",
-    "adds",
-    "removes",
-    "heartbeat",
-    // Adversarial-chaos extension (append-only).
-    "kind",
-    "cause",
-    "score",
-    // Serving extension (append-only).
-    "age",
-    "band",
-];
-
-/// One CSV row per record with the stable wide schema
-/// (`seq,t_us,node,origin,cnt,event,` + `CSV_COLUMNS`).
-pub fn trace_to_csv(log: &QueryTraceLog) -> String {
-    let mut out = String::from("seq,t_us,node,origin,cnt,event");
-    for c in CSV_COLUMNS {
-        out.push(',');
-        out.push_str(c);
-    }
-    out.push('\n');
-    for r in &log.records {
-        let (name, fields) = event_fields(&r.event);
-        let (origin, cnt) = match r.query {
-            Some(q) => (q.origin.to_string(), q.cnt.to_string()),
-            None => (String::new(), String::new()),
-        };
-        let _ = write!(out, "{},{},{},{origin},{cnt},{name}", r.seq, r.at.0, r.node);
-        for c in CSV_COLUMNS {
-            out.push(',');
-            if let Some((_, v)) = fields.iter().find(|(k, _)| *k == c) {
-                out.push_str(&v.csv());
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 // ----------------------------------------------------------------------
 // Timeline reconstruction
 // ----------------------------------------------------------------------
@@ -557,7 +486,7 @@ impl QueryTimeline {
                 if !detail.is_empty() {
                     detail.push_str(", ");
                 }
-                let _ = write!(detail, "{k}={}", v.csv());
+                let _ = write!(detail, "{k}={v}");
             }
             let _ = writeln!(
                 out,
@@ -1061,24 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_the_stable_wide_schema() {
-        let c = trace_to_csv(&sample_log());
-        let lines: Vec<&str> = c.lines().collect();
-        assert!(lines[0].starts_with("seq,t_us,node,origin,cnt,event,radius_m,round,"));
-        assert_eq!(lines[0].split(',').count(), 6 + CSV_COLUMNS.len());
-        for l in &lines[1..] {
-            assert_eq!(l.split(',').count(), 6 + CSV_COLUMNS.len(), "ragged row: {l}");
-        }
-        // The reply_sent row puts 128 in the bytes column and 9 in arq_seq.
-        let reply = lines.iter().find(|l| l.contains("reply_sent")).unwrap();
-        let cells: Vec<&str> = reply.split(',').collect();
-        let bytes_idx = 6 + CSV_COLUMNS.iter().position(|c| *c == "bytes").unwrap();
-        let seq_idx = 6 + CSV_COLUMNS.iter().position(|c| *c == "arq_seq").unwrap();
-        assert_eq!(cells[bytes_idx], "128");
-        assert_eq!(cells[seq_idx], "9");
-    }
-
-    #[test]
     fn timeline_stitches_in_seq_order_and_adopts_participant_faults() {
         let log = sample_log();
         let ids = query_ids(&log);
@@ -1187,11 +1098,6 @@ mod tests {
         assert_eq!(agg.delta_applied, 1);
         assert_eq!(agg.lease_expired, 1);
         assert_eq!(agg.cancelled, 1);
-        // The wide CSV schema absorbs the new events without ragged rows.
-        let c = trace_to_csv(&log);
-        for l in c.lines() {
-            assert_eq!(l.split(',').count(), 6 + CSV_COLUMNS.len(), "ragged row: {l}");
-        }
         let j = trace_to_jsonl(&log);
         assert!(j.lines().next().unwrap().contains("\"event\":\"registered\""));
         assert!(j.contains("\"heartbeat\":true"));
@@ -1201,17 +1107,5 @@ mod tests {
         let m = s.phases.iter().find(|p| p.phase == "monitor").unwrap();
         assert_eq!(m.events, 6);
         assert_eq!(m.bytes, 107);
-    }
-
-    #[test]
-    fn csv_prefix_is_byte_identical_to_pre_monitor_schema() {
-        // The pre-monitoring header prefix is frozen verbatim: new columns
-        // only append after `participants`.
-        let header = trace_to_csv(&QueryTraceLog::default());
-        let frozen = "seq,t_us,node,origin,cnt,event,radius_m,round,neighbors,filters,bytes,\
-                      unreduced,reply,skipped,vdr,old_vdr,new_vdr,peer,tuples,participated,\
-                      retries,arq_seq,attempt,backtrack,outcome,responded,result_len,duplicates,\
-                      reissues,sum_unreduced,sum_sent,participants";
-        assert!(header.lines().next().unwrap().starts_with(frozen));
     }
 }

@@ -9,7 +9,7 @@ use datagen::Distribution;
 use dist_skyline::config::{DistConfig, FilterStrategy, Forwarding, StrategyConfig, TraceConfig};
 use dist_skyline::cost_model::DeviceCostModel;
 use dist_skyline::runtime::{run_experiment, ManetExperiment};
-use dist_skyline::{query_ids, timeline_for, trace_to_csv, trace_to_jsonl, verify_zero_drift};
+use dist_skyline::{query_ids, timeline_for, trace_to_jsonl, verify_zero_drift};
 use manet_sim::{ChurnConfig, FaultPlan, QueryEvent, SimDuration, SimTime};
 use skyline_core::vdr::BoundsMode;
 
@@ -173,8 +173,8 @@ fn tracing_does_not_change_the_run() {
     assert_eq!(traced.arq_retries, plain.arq_retries);
 }
 
-/// Exports are deterministic end to end: two identical seeded runs render
-/// byte-identical JSONL and CSV.
+/// The export is deterministic end to end: two identical seeded runs
+/// render byte-identical JSONL.
 #[test]
 fn trace_exports_are_bit_identical_across_runs() {
     let run = || {
@@ -188,7 +188,6 @@ fn trace_exports_are_bit_identical_across_runs() {
     let a = run().query_trace.expect("traced");
     let b = run().query_trace.expect("traced");
     assert_eq!(trace_to_jsonl(&a), trace_to_jsonl(&b));
-    assert_eq!(trace_to_csv(&a), trace_to_csv(&b));
 }
 
 /// Timelines reconstruct a sensible narrative: every query starts with its
