@@ -501,3 +501,48 @@ proptest! {
         }
     }
 }
+
+/// Strategy: `n` rows of 6 raw grid values for [`near_plane`].
+fn raw_rows(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<u16>>> {
+    prop::collection::vec(prop::collection::vec(0u16..64, 6), n)
+}
+
+/// Tuples of width `dim` near the plane `Σ attrs = const` on an integer
+/// grid (anti-correlated-ish), so local skylines run to hundreds of
+/// members; `y` tells the two relations' sites apart.
+fn near_plane(raw: &[Vec<u16>], dim: usize, y: f64) -> Vec<Tuple> {
+    let tuple = |(i, row): (usize, &Vec<u16>)| {
+        let free = &row[..dim - 1];
+        let last = free.iter().map(|&v| 63 - v).sum::<u16>() + row[dim - 1] % 4;
+        let attrs = free.iter().chain([&last]).map(|&v| f64::from(v)).collect();
+        Tuple::new(i as f64, y, attrs)
+    };
+    raw.iter().enumerate().map(tuple).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn merging_large_local_skylines_reproduces_global(
+        a in raw_rows(300..400),
+        b in raw_rows(300..400),
+        dim in 3usize..7,
+    ) {
+        let (p1, p2) = (near_plane(&a, dim, 0.0), near_plane(&b, dim, 1.0));
+        let s1 = algo::materialize(&p1, &Algorithm::Sfs.skyline_indices(&p1));
+        let s2 = algo::materialize(&p2, &Algorithm::Sfs.skyline_indices(&p2));
+        // Past the size at which the merger splits into region buckets.
+        prop_assert!(s1.len() >= 128, "d={}: local skyline of {}", dim, s1.len());
+        let mut m = SkylineMerger::with_seed(s1);
+        m.insert_batch(s2);
+        let mut got = m.into_result();
+
+        let union: Vec<Tuple> = p1.into_iter().chain(p2).collect();
+        let mut expect = algo::materialize(&union, &Algorithm::Bnl.skyline_indices(&union));
+        let key = |t: &Tuple| (t.x.to_bits(), t.y.to_bits());
+        got.sort_by_key(key);
+        expect.sort_by_key(key);
+        prop_assert_eq!(got, expect);
+    }
+}
