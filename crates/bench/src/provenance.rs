@@ -698,14 +698,6 @@ mod tests {
             ..serve_a.clone()
         };
 
-        let kernels = vec![corebench::KernelRecord {
-            dims: 3,
-            tuples: 20_000,
-            tuple_ms: 12.345_6,
-            block_ms: 1.5,
-            dominance_tests: 123_456,
-            skyline_len: 77,
-        }];
         let neighbors = vec![corebench::NeighborRecord {
             nodes: 100,
             queries: 100,
@@ -839,15 +831,7 @@ mod tests {
                 "core",
                 corebench::to_json(
                     &prov,
-                    &corebench::Suite {
-                        records: kernels,
-                        neighbors,
-                        builds,
-                        scans,
-                        merges,
-                        radios,
-                        storages,
-                    },
+                    &corebench::Suite { neighbors, builds, scans, merges, radios, storages },
                 ),
             ),
             ("energy", extensions::energy_json(&prov, &[energy_a, energy_b])),

@@ -4,78 +4,49 @@
 //! scheme, we use the simple BNL algorithm since no multi-dimensional index
 //! or sort order is assumed to be available on a mobile device").
 //!
-//! The in-memory formulation with an unbounded window (one pass), over
-//! tuples ([`skyline_indices`]) or a contiguous block
-//! ([`block_skyline_indices`]).
+//! The in-memory formulation with an unbounded window (one pass).
 
-use crate::block::TupleBlock;
+use crate::dominance::dominates;
 use crate::tuple::Tuple;
 
-/// One-pass BNL with an unbounded window. Returns indices in input order of
-/// first qualification.
-pub fn skyline_indices(data: &[Tuple]) -> Vec<usize> {
-    block_skyline_indices(&TupleBlock::from_tuples(data))
-}
-
-/// One-pass BNL over a contiguous [`TupleBlock`]. Row indices double as
-/// relation indices.
-pub fn block_skyline_indices(block: &TupleBlock) -> Vec<usize> {
-    let mut span = sim_obs::span!("core::block_bnl");
-    span.add_units(block.len() as u64);
-    let dom = block.kernel();
-    let mut window: Vec<usize> = Vec::new();
-    for i in 0..block.len() {
-        let t = block.row(i);
+/// One-pass BNL with an unbounded window over `(index, attributes)` rows.
+/// Returns the indices of the rows no other row dominates, in input order,
+/// and the number of dominance tests: one per `w ≺ t` test of a window
+/// member `w` against the newcomer `t`, plus a second (`t ≺ w`) when that
+/// test fails.
+pub fn skyline_counted<'a>(
+    rows: impl IntoIterator<Item = (usize, &'a [f64])>,
+) -> (Vec<usize>, u64) {
+    let mut tests = 0u64;
+    let mut window: Vec<(usize, &[f64])> = Vec::new();
+    for (i, t) in rows {
         let mut dominated = false;
         // retain() both prunes window members the newcomer dominates and
         // detects whether the newcomer is itself dominated.
-        window.retain(|&w| {
-            if dominated {
-                return true;
-            }
-            if dom(block.row(w), t) {
-                dominated = true;
-                true
-            } else {
-                !dom(t, block.row(w))
-            }
-        });
-        if !dominated {
-            window.push(i);
-        }
-    }
-    window.sort_unstable();
-    window
-}
-
-/// [`block_skyline_indices`] that also reports the number of dominance
-/// tests performed, feeding the perf baseline (`BENCH_core.json`).
-pub fn block_skyline_indices_counted(block: &TupleBlock) -> (Vec<usize>, u64) {
-    let dom = block.kernel();
-    let mut tests = 0u64;
-    let mut window: Vec<usize> = Vec::new();
-    for i in 0..block.len() {
-        let t = block.row(i);
-        let mut dominated = false;
-        window.retain(|&w| {
+        window.retain(|&(_, w)| {
             if dominated {
                 return true;
             }
             tests += 1;
-            if dom(block.row(w), t) {
+            if dominates(w, t) {
                 dominated = true;
                 true
             } else {
                 tests += 1;
-                !dom(t, block.row(w))
+                !dominates(t, w)
             }
         });
         if !dominated {
-            window.push(i);
+            window.push((i, t));
         }
     }
-    window.sort_unstable();
-    (window, tests)
+    (window.into_iter().map(|(i, _)| i).collect(), tests)
+}
+
+/// [`skyline_counted`] over a whole relation: indices into `data`,
+/// ascending.
+pub fn skyline_indices(data: &[Tuple]) -> Vec<usize> {
+    skyline_counted(data.iter().map(|t| t.attrs.as_slice()).enumerate()).0
 }
 
 #[cfg(test)]

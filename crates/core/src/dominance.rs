@@ -56,30 +56,6 @@ pub fn paper_strict_dominates_rest(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).skip(1).all(|(&av, &bv)| av < bv)
 }
 
-/// `true` iff `a` and `b` are incomparable (neither dominates the other and
-/// they are not attribute-equal).
-#[inline]
-pub fn incomparable(a: &[f64], b: &[f64]) -> bool {
-    !dominates(a, b) && !dominates(b, a) && a != b
-}
-
-/// Counts dominance comparisons, used by the benches to report the paper's
-/// "number of value comparisons" argument for ID-based storage.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DomCounter {
-    /// Number of pairwise dominance tests performed.
-    pub tests: u64,
-}
-
-impl DomCounter {
-    /// Counted wrapper around [`dominates`].
-    #[inline]
-    pub fn dominates(&mut self, a: &[f64], b: &[f64]) -> bool {
-        self.tests += 1;
-        dominates(a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,21 +112,6 @@ mod tests {
                 assert!(dominates(&a, &b));
             }
         }
-    }
-
-    #[test]
-    fn incomparable_detects_trade_offs() {
-        assert!(incomparable(&[1.0, 5.0], &[5.0, 1.0]));
-        assert!(!incomparable(&[1.0, 1.0], &[5.0, 5.0]));
-        assert!(!incomparable(&[1.0, 1.0], &[1.0, 1.0]), "equal tuples are comparable");
-    }
-
-    #[test]
-    fn counter_counts() {
-        let mut c = DomCounter::default();
-        c.dominates(&[1.0], &[2.0]);
-        c.dominates(&[2.0], &[1.0]);
-        assert_eq!(c.tests, 2);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! Against Mobile Lightweight Devices in MANETs"* (Huang, Jensen, Lu, Ooi).
 //!
 //! This crate is substrate-free: it defines the tuple model, dominance
-//! relations, the two centralized skyline algorithms the paper builds on
-//! (BNL and SFS), the *constrained* (spatially restricted) skyline,
-//! and the *dominating region* (VDR) computations that drive the paper's
-//! filtering-tuple strategy.
+//! relations, the one batch skyline (BNL, the scan the paper runs over flat
+//! storage) with a brute-force oracle, the *constrained* (spatially
+//! restricted) skyline, the originator's merge, the deletion-capable fold
+//! and skyline diagram of the extensions, and the *dominating region*
+//! (VDR) computations that drive the paper's filtering-tuple strategy.
 //!
 //! Conventions, following the paper:
 //!
@@ -35,7 +36,6 @@
 //! ```
 
 pub mod algo;
-pub mod block;
 pub mod constrained;
 pub mod diagram;
 pub mod dominance;
@@ -45,7 +45,6 @@ pub mod region;
 pub mod tuple;
 pub mod vdr;
 
-pub use block::{kernel_for, DomKernel, TupleBlock};
 pub use diagram::{
     ApplyReport, CellAnswer, CellKey, DiagramConfig, DiagramStats, FrozenAnswers, SkyDelta,
     SkylineDiagram,

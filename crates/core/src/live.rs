@@ -341,7 +341,7 @@ impl RangeWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::Algorithm;
+    use crate::algo::bnl;
 
     fn t(attrs: &[f64]) -> Tuple {
         Tuple::new(0.0, 0.0, attrs.to_vec())
@@ -351,7 +351,7 @@ mod tests {
     fn oracle(live: &BTreeMap<TupleId, Tuple>) -> Vec<TupleId> {
         let ids: Vec<TupleId> = live.keys().copied().collect();
         let data: Vec<Tuple> = live.values().cloned().collect();
-        let keep = Algorithm::Bnl.skyline_indices(&data);
+        let keep = bnl::skyline_indices(&data);
         let mut out: Vec<TupleId> = keep.into_iter().map(|i| ids[i]).collect();
         out.sort_unstable();
         out

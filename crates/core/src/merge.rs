@@ -6,15 +6,14 @@
 //! location — and (b) resolves dominance in *both* directions: an incoming
 //! tuple may evict previously accepted tuples and vice versa.
 //!
-//! [`SkylineMerger`] is the *insert-only fast path*: evicted tuples are
-//! discarded, so a [`remove`](SkylineMerger::remove) can only delete a
-//! current member — it cannot resurrect tuples the member had previously
-//! dominated. One-shot queries never need that; continuous monitoring does,
-//! and uses [`LiveSkyline`](crate::LiveSkyline) instead, which parks every
-//! dominated tuple in its dominator's bucket and promotes on removal.
+//! [`SkylineMerger`] is *insert-only*: evicted tuples are discarded, so
+//! nothing could come back if a member later left. One-shot queries never
+//! need that; continuous monitoring does, and uses
+//! [`LiveSkyline`](crate::LiveSkyline) instead, which parks every dominated
+//! tuple in its dominator's bucket and promotes on removal.
 
 use crate::dominance::dominates;
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::Tuple;
 use std::collections::HashSet;
 
 /// How a member row relates to an incoming tuple.
@@ -419,11 +418,11 @@ impl SkylineMerger {
             self.duplicates_removed += 1;
             return false;
         }
-        if self.live() == 0 && !self.reference_only {
-            // No live member: adopt the newcomer's width, one bucket.
+        if self.current.is_empty() {
+            // The first insert (an accepted insert leaves a member behind
+            // for good): adopt the newcomer's width, one bucket.
             self.dims = t.attrs.len();
-            self.signing = Signing::default();
-            self.buckets.resize_with(1, Bucket::default);
+            self.buckets.push(Bucket::default());
         }
         if self.reference_only || t.attrs.len() != self.dims || t.attrs.iter().any(|v| v.is_nan()) {
             return self.insert_reference(t);
@@ -515,37 +514,6 @@ impl SkylineMerger {
         self.compact();
     }
 
-    /// Removes the member whose static-site identity ([`TupleId::site`]) is
-    /// `id`. Returns `false` when no member matches.
-    ///
-    /// The merger keeps no history, so tuples the removed member had evicted
-    /// stay gone — the result may be a *subset* of the true skyline over the
-    /// remaining input. Use [`LiveSkyline`](crate::LiveSkyline) when removals
-    /// must promote displaced tuples.
-    pub fn remove(&mut self, id: &TupleId) -> bool {
-        let before = self.current.len();
-        self.current.retain(|c| TupleId::site(c) != *id);
-        let removed = self.current.len() < before;
-        if removed {
-            // Cold path: rebuild the site index and the buckets from scratch.
-            self.sites.clear();
-            let mut all = Bucket::default();
-            for (i, c) in self.current.iter().enumerate() {
-                if !c.x.is_nan() && !c.y.is_nan() {
-                    self.sites.insert(site_key(c.x, c.y));
-                }
-                if !self.reference_only {
-                    all.push(&c.attrs, i as u32, 0);
-                }
-            }
-            if !self.reference_only {
-                self.buckets = vec![all];
-                self.refit();
-            }
-        }
-        removed
-    }
-
     /// Current merged skyline.
     pub fn result(&self) -> &[Tuple] {
         &self.current
@@ -576,7 +544,7 @@ impl Extend<Tuple> for SkylineMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{self, Algorithm};
+    use crate::algo::{self, bnl};
 
     #[test]
     fn duplicates_counted_and_dropped() {
@@ -624,7 +592,7 @@ mod tests {
 
         let mut union: Vec<Tuple> = p1.clone();
         union.extend(p2.iter().filter(|t| !t.same_site(&shared)).cloned());
-        let expect_idx = Algorithm::Bnl.skyline_indices(&union);
+        let expect_idx = bnl::skyline_indices(&union);
         let mut expect = algo::materialize(&union, &expect_idx);
 
         for order in [[0usize, 1], [1, 0]] {
@@ -655,17 +623,6 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.len(), 0);
         assert!(m.result().is_empty());
-    }
-
-    #[test]
-    fn remove_drops_member_by_site_id() {
-        let a = Tuple::new(0.0, 0.0, vec![1.0, 9.0]);
-        let b = Tuple::new(1.0, 0.0, vec![9.0, 1.0]);
-        let mut m = SkylineMerger::new();
-        m.extend(vec![a.clone(), b]);
-        assert!(m.remove(&TupleId::site(&a)));
-        assert_eq!(m.len(), 1);
-        assert!(!m.remove(&TupleId::site(&a)), "second remove finds nothing");
     }
 
     /// The nested-loop reference implementation, kept verbatim for
@@ -704,12 +661,6 @@ mod tests {
             }
             !dominated
         }
-
-        fn remove(&mut self, id: &TupleId) -> bool {
-            let before = self.current.len();
-            self.current.retain(|c| TupleId::site(c) != *id);
-            self.current.len() < before
-        }
     }
 
     /// Tuples by bit pattern: `==` would reject a NaN against itself and
@@ -739,11 +690,6 @@ mod tests {
             for t in batch {
                 self.slow.insert(t);
             }
-            self.check();
-        }
-
-        fn remove(&mut self, id: &TupleId) {
-            assert_eq!(self.fast.remove(id), self.slow.remove(id), "op {}", self.ops);
             self.check();
         }
 
@@ -843,23 +789,11 @@ mod tests {
                     _ if nan => s.tuple(|s, _| [f64::NAN, 1.0, 4.0][s.below(3) as usize]),
                     _ => s.antichain(-spread),
                 };
-                match self.below(20) {
-                    0..=8 => pair.insert(one(self)),
-                    9..=15 => {
-                        let len = self.below(40) as usize;
-                        pair.insert_batch((0..len).map(|_| one(self)).collect());
-                    }
-                    _ => {
-                        // An existing member most of the time, a stranger
-                        // otherwise.
-                        let members = pair.slow.current.len() as u64;
-                        let id = if members > 0 && self.below(4) > 0 {
-                            TupleId::site(&pair.slow.current[self.below(members) as usize])
-                        } else {
-                            TupleId::site(&Tuple::new(-1.0, -1.0, vec![]))
-                        };
-                        pair.remove(&id);
-                    }
+                if self.below(16) < 9 {
+                    pair.insert(one(self));
+                } else {
+                    let len = self.below(40) as usize;
+                    pair.insert_batch((0..len).map(|_| one(self)).collect());
                 }
             }
         }
@@ -882,27 +816,21 @@ mod tests {
     fn merger_matches_nested_loop_above_the_bucketing_threshold() {
         // Thousands of mostly incomparable inserts grow the merger through
         // every bucket count up to 64 (6 mask fields, the cap, from d = 6
-        // on); removes re-bucket it, and a NaN attribute at the end moves a
-        // bucketed merger to the reference path.
+        // on), and a NaN attribute at the end moves a bucketed merger to
+        // the reference path.
         for dim in [2, 3, 4, 5, 6, 7, 9] {
             let mut pair = Pair::default();
             let mut stream = Stream { state: 0xB0C4E7 + dim as u64, dim, next_site: 0 };
             let cap = dim.min(6) as u32;
             let (mut steps, mut steps_at_cap) = (0, 0);
             while steps_at_cap < 6 {
-                match stream.below(8) {
-                    0 if !pair.slow.current.is_empty() => {
-                        let members = pair.slow.current.len() as u64;
-                        let victim = &pair.slow.current[stream.below(members) as usize];
-                        pair.remove(&TupleId::site(victim));
-                    }
+                if stream.below(8) == 0 {
                     // Slightly inside or outside the plane: evicts a few
                     // members, or is rejected.
-                    1 => {
-                        let spread = [0.99, 1.01][stream.below(2) as usize];
-                        pair.insert(stream.antichain(spread));
-                    }
-                    _ => pair.insert_batch((0..64).map(|_| stream.antichain(1.0)).collect()),
+                    let spread = [0.99, 1.01][stream.below(2) as usize];
+                    pair.insert(stream.antichain(spread));
+                } else {
+                    pair.insert_batch((0..64).map(|_| stream.antichain(1.0)).collect());
                 }
                 steps_at_cap += usize::from(pair.fast.signing.mask_fields == cap);
                 steps += 1;
@@ -984,21 +912,11 @@ mod tests {
                 .collect(),
         );
         // One tuple evicts every member …
-        let sweeper = Tuple::new(50.0, 0.0, vec![-1.0, -1.0]);
-        pair.insert(sweeper.clone());
+        pair.insert(Tuple::new(50.0, 0.0, vec![-1.0, -1.0]));
         assert_eq!(pair.fast.len(), 1);
-        // … a wider one at its site is only a duplicate …
+        // … and a wider one at its site is only a duplicate.
         pair.insert(Tuple::new(50.0, 0.0, vec![0.0, 0.0, 0.0]));
         assert_eq!(pair.fast.duplicates_removed, 1);
-        // … and once it is removed the merger adopts the next width and
-        // signs for it.
-        pair.remove(&TupleId::site(&sweeper));
-        pair.insert_batch(
-            (0..20)
-                .map(|i| Tuple::new(f64::from(i), 1.0, vec![f64::from(i), f64::from(20 - i), 3.0]))
-                .collect(),
-        );
-        assert_eq!((pair.fast.len(), pair.fast.dims), (20, 3));
         assert!(!pair.fast.reference_only);
 
         // Genuinely mixed widths compare zipped prefixes on the reference
@@ -1108,33 +1026,6 @@ mod tests {
         assert!(m.insert(Tuple::new(f64::NAN, 0.0, vec![1.0, 5.0])));
         assert_eq!(m.duplicates_removed, 0);
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn remove_reindexes_for_later_inserts() {
-        let a = Tuple::new(0.0, 0.0, vec![1.0, 9.0]);
-        let b = Tuple::new(1.0, 0.0, vec![9.0, 1.0]);
-        let mut m = SkylineMerger::new();
-        m.extend(vec![a.clone(), b.clone()]);
-        assert!(m.remove(&TupleId::site(&a)));
-        // The removed site must be insertable again (not a stale duplicate),
-        // and dominance against the survivor must still work.
-        assert!(m.insert(a.clone()));
-        assert!(!m.insert(Tuple::new(2.0, 0.0, vec![9.5, 1.5])), "b still evicts");
-        assert_eq!(m.result(), &[b, a]);
-    }
-
-    #[test]
-    fn width_resets_when_merger_empties() {
-        // Draining the merger lets a new stream pick a different width
-        // without entering the mixed fallback.
-        let a = Tuple::new(0.0, 0.0, vec![1.0, 2.0]);
-        let mut m = SkylineMerger::new();
-        m.insert(a.clone());
-        assert!(m.remove(&TupleId::site(&a)));
-        assert!(m.insert(Tuple::new(1.0, 0.0, vec![3.0])));
-        assert!(m.insert(Tuple::new(2.0, 0.0, vec![2.0])), "dominance at the new width");
-        assert_eq!(m.len(), 1);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property-based tests for the core skyline machinery.
 //!
 //! These pin down the algebraic laws the rest of the workspace relies on:
-//! dominance is a strict partial order, every algorithm equals the
-//! brute-force oracle, incremental merging is order-insensitive, and the
+//! dominance is a strict partial order, BNL equals the brute-force
+//! oracle, incremental merging is order-insensitive, and the
 //! VDR estimation modes are ordered.
 
 use proptest::prelude::*;
-use skyline_core::algo::{self, oracle, Algorithm};
+use skyline_core::algo::{self, bnl, oracle};
 use skyline_core::diagram::{DiagramConfig, FrozenAnswers, SkyDelta, SkylineDiagram};
 use skyline_core::dominance::{dominates, paper_strict_dominates_rest};
 use skyline_core::region::{Mbr, Point, QueryRegion};
@@ -74,14 +74,17 @@ proptest! {
     #[test]
     fn all_algorithms_match_oracle(data in relation(60, 3)) {
         let expect = oracle::skyline_indices(&data);
-        for a in Algorithm::ALL {
-            prop_assert_eq!(algo::normalize(a.skyline_indices(&data)), expect.clone(), "{:?}", a);
-        }
+        prop_assert_eq!(bnl::skyline_indices(&data), expect.clone());
+        // A sparse index set comes back as given, in input order.
+        let rows = data.iter().enumerate().map(|(i, t)| (3 * i + 1, t.attrs.as_slice()));
+        let (sparse, tests) = bnl::skyline_counted(rows);
+        prop_assert_eq!(sparse, expect.iter().map(|&i| 3 * i + 1).collect::<Vec<_>>());
+        prop_assert!(tests >= data.len().saturating_sub(1) as u64);
     }
 
     #[test]
     fn skyline_members_are_mutually_non_dominating(data in relation(60, 3)) {
-        let sky = Algorithm::Bnl.skyline_indices(&data);
+        let sky = bnl::skyline_indices(&data);
         for &i in &sky {
             for &j in &sky {
                 if i != j {
@@ -128,14 +131,14 @@ proptest! {
     fn merging_local_skylines_reproduces_global(data in relation(60, 3), cut in 0usize..60) {
         let cut = cut.min(data.len());
         let (p1, p2) = data.split_at(cut);
-        let s1 = algo::materialize(p1, &Algorithm::Sfs.skyline_indices(p1));
-        let s2 = algo::materialize(p2, &Algorithm::Sfs.skyline_indices(p2));
+        let s1 = algo::materialize(p1, &bnl::skyline_indices(p1));
+        let s2 = algo::materialize(p2, &bnl::skyline_indices(p2));
         let mut m = SkylineMerger::new();
         m.insert_batch(s1);
         m.insert_batch(s2);
         let mut got = m.into_result();
 
-        let mut expect = algo::materialize(&data, &Algorithm::Bnl.skyline_indices(&data));
+        let mut expect = algo::materialize(&data, &bnl::skyline_indices(&data));
         let key = |t: &Tuple| (t.x.to_bits(), t.y.to_bits());
         got.sort_by_key(key);
         expect.sort_by_key(key);
@@ -167,7 +170,7 @@ proptest! {
         // a skyline tuple — so it removes nothing from the skyline it was
         // picked from: every tuple it drops is outside the global answer.
         let bounds = UpperBounds::new(vec![50.0, 50.0]);
-        let sky = algo::materialize(&data, &Algorithm::Bnl.skyline_indices(&data));
+        let sky = algo::materialize(&data, &bnl::skyline_indices(&data));
         if let Some(f) = select_filter(&sky, &bounds) {
             for t in &sky {
                 prop_assert!(!dominates(&f.attrs, &t.attrs));
@@ -178,7 +181,7 @@ proptest! {
     #[test]
     fn constrained_skyline_is_subset_of_range(data in relation(60, 2), r in 1.0f64..40.0) {
         let region = QueryRegion::new(Point::new(10.0, 5.0), r);
-        let sky = constrained::skyline_indices(&data, &region, Algorithm::Bnl);
+        let sky = constrained::skyline_indices(&data, &region);
         for &i in &sky {
             prop_assert!(region.contains(data[i].location()));
         }
@@ -188,7 +191,7 @@ proptest! {
     fn greedy_multi_filter_first_pick_is_max_vdr(data in relation(60, 2), k in 1usize..5) {
         use skyline_core::vdr::select_filters_greedy;
         let bounds = UpperBounds::new(vec![50.0, 50.0]);
-        let sky = algo::materialize(&data, &Algorithm::Sfs.skyline_indices(&data));
+        let sky = algo::materialize(&data, &bnl::skyline_indices(&data));
         let picks = select_filters_greedy(&sky, &bounds, k, &data);
         prop_assert!(picks.len() <= k);
         if let (Some(first), Some(single)) = (picks.first(), select_filter(&sky, &bounds)) {
@@ -197,52 +200,6 @@ proptest! {
         // All picks come from the skyline.
         for p in &picks {
             prop_assert!(sky.iter().any(|t| t.attrs == p.attrs));
-        }
-    }
-
-    #[test]
-    fn block_kernels_agree_with_generic_dominance(
-        dim in 1usize..=8,
-        rows in prop::collection::vec(prop::collection::vec(0u16..6, 8), 2..40),
-    ) {
-        // Tight value grid (0..6) makes ties the common case, which is
-        // exactly where a specialized kernel could diverge (the PaperStrict
-        // pitfall: dominance *through* a tie must still register).
-        let block = {
-            let mut b = skyline_core::TupleBlock::new(dim);
-            for r in &rows {
-                let row: Vec<f64> = r[..dim].iter().map(|&v| f64::from(v)).collect();
-                b.push_row(&row);
-            }
-            b
-        };
-        let kernel = block.kernel();
-        for i in 0..block.len() {
-            for j in 0..block.len() {
-                prop_assert_eq!(
-                    kernel(block.row(i), block.row(j)),
-                    dominates(block.row(i), block.row(j)),
-                    "kernel diverges at dim={} i={} j={}", dim, i, j
-                );
-                prop_assert_eq!(
-                    block.dominates(i, j),
-                    dominates(block.row(i), block.row(j))
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn block_algorithms_match_tuple_algorithms(data in relation(60, 4)) {
-        use skyline_core::algo::{bnl, sfs};
-        let block = skyline_core::TupleBlock::from_tuples(&data);
-        let expect = oracle::skyline_indices(&data);
-        prop_assert_eq!(bnl::block_skyline_indices(&block), expect.clone());
-        prop_assert_eq!(sfs::block_skyline_indices(&block), expect.clone());
-        let (counted, tests) = bnl::block_skyline_indices_counted(&block);
-        prop_assert_eq!(counted, expect);
-        if data.len() > 1 {
-            prop_assert!(tests > 0 || data.len() <= 1);
         }
     }
 
@@ -282,11 +239,8 @@ proptest! {
             // Oracle: skyline ids over the live id → tuple map.
             let ids: Vec<TupleId> = live.keys().copied().collect();
             let data: Vec<Tuple> = live.values().cloned().collect();
-            let mut expect: Vec<TupleId> = Algorithm::Bnl
-                .skyline_indices(&data)
-                .into_iter()
-                .map(|i| ids[i])
-                .collect();
+            let mut expect: Vec<TupleId> =
+                bnl::skyline_indices(&data).into_iter().map(|i| ids[i]).collect();
             expect.sort_unstable();
             prop_assert_eq!(ls.result_ids(), expect, "step {} dim {}", step, dim);
             prop_assert_eq!(ls.live_len(), live.len());
@@ -491,7 +445,7 @@ proptest! {
             for (key, ans) in view.iter() {
                 let region = cfg.canonical_query(*key);
                 let mut expect: Vec<TupleId> =
-                    constrained::skyline_indices(&data, &region, Algorithm::Bnl)
+                    constrained::skyline_indices(&data, &region)
                         .into_iter()
                         .map(|i| ids[i])
                         .collect();
@@ -530,8 +484,8 @@ proptest! {
         dim in 3usize..7,
     ) {
         let (p1, p2) = (near_plane(&a, dim, 0.0), near_plane(&b, dim, 1.0));
-        let s1 = algo::materialize(&p1, &Algorithm::Sfs.skyline_indices(&p1));
-        let s2 = algo::materialize(&p2, &Algorithm::Sfs.skyline_indices(&p2));
+        let s1 = algo::materialize(&p1, &bnl::skyline_indices(&p1));
+        let s2 = algo::materialize(&p2, &bnl::skyline_indices(&p2));
         // Past the size at which the merger splits into region buckets.
         prop_assert!(s1.len() >= 128, "d={}: local skyline of {}", dim, s1.len());
         let mut m = SkylineMerger::with_seed(s1);
@@ -539,7 +493,7 @@ proptest! {
         let mut got = m.into_result();
 
         let union: Vec<Tuple> = p1.into_iter().chain(p2).collect();
-        let mut expect = algo::materialize(&union, &Algorithm::Bnl.skyline_indices(&union));
+        let mut expect = algo::materialize(&union, &bnl::skyline_indices(&union));
         let key = |t: &Tuple| (t.x.to_bits(), t.y.to_bits());
         got.sort_by_key(key);
         expect.sort_by_key(key);

@@ -59,6 +59,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use manet_sim::engine::{Application, MsgMeta, NodeCtx};
 use manet_sim::{NodeId, Pos, QueryEvent, SimDuration, SimTime};
 use sim_obs::PowHistogram;
+use skyline_core::algo::bnl;
 use skyline_core::region::Point;
 use skyline_core::{LiveSkyline, RangeWatch, Tuple, TupleId};
 
@@ -507,8 +508,8 @@ impl MonitorApp {
         }
     }
 
-    /// The local constrained skyline of this device's in-range sites.
-    /// Recomputed only when [`RangeWatch`] reports a membership
+    /// The local constrained skyline of this device's in-range sites, one
+    /// BNL pass. Recomputed only when [`RangeWatch`] reports a membership
     /// transition; otherwise the cache is authoritative (attributes are
     /// fixed, so the local skyline is a pure function of membership).
     fn local_skyline(&mut self, pos: Pos, spec: &MonSpec) -> BTreeMap<TupleId, Tuple> {
@@ -523,13 +524,10 @@ impl MonitorApp {
             }
         }
         let members: HashSet<TupleId> = watch.members().into_iter().collect();
-        let mut ls = LiveSkyline::new();
-        for (id, t, _) in sites {
-            if members.contains(id) {
-                ls.insert(*id, t.clone());
-            }
-        }
-        let local: BTreeMap<TupleId, Tuple> = ls.iter().map(|(id, t)| (*id, t.clone())).collect();
+        let in_range = sites.iter().enumerate().filter(|(_, (id, _, _))| members.contains(id));
+        let (sky, _) = bnl::skyline_counted(in_range.map(|(i, (_, t, _))| (i, t.attrs.as_slice())));
+        let local: BTreeMap<TupleId, Tuple> =
+            sky.into_iter().map(|i| (sites[i].0, sites[i].1.clone())).collect();
         self.last_local = Some(local.clone());
         local
     }
@@ -1181,15 +1179,12 @@ mod model_tests {
         sites: &[(TupleId, Tuple, (f64, f64))],
         center: Point,
     ) -> BTreeMap<TupleId, Tuple> {
-        let mut ls = LiveSkyline::new();
-        for (id, t, off) in sites {
-            let p = Point::new(dev_pos.x + off.0, dev_pos.y + off.1);
-            let (dx, dy) = (p.x - center.x, p.y - center.y);
-            if (dx * dx + dy * dy).sqrt() <= RADIUS {
-                ls.insert(*id, t.clone());
-            }
-        }
-        ls.iter().map(|(id, t)| (*id, t.clone())).collect()
+        let in_range = sites.iter().enumerate().filter(|(_, (_, _, off))| {
+            let (dx, dy) = (dev_pos.x + off.0 - center.x, dev_pos.y + off.1 - center.y);
+            (dx * dx + dy * dy).sqrt() <= RADIUS
+        });
+        let (sky, _) = bnl::skyline_counted(in_range.map(|(i, (_, t, _))| (i, t.attrs.as_slice())));
+        sky.into_iter().map(|i| (sites[i].0, sites[i].1.clone())).collect()
     }
 
     /// Runs the model and asserts, every epoch, that the fold equals the

@@ -83,7 +83,6 @@ fn bf_result_matches_centralized_skyline_on_connected_frozen_grid() {
     let truth = skyline_core::constrained::skyline(
         &global,
         &skyline_core::region::QueryRegion::unbounded(),
-        skyline_core::algo::Algorithm::Sfs,
     );
 
     // BF completes at 80 % responses, so a record may miss outlying
@@ -114,7 +113,6 @@ fn df_exact_result_with_full_visit() {
     let truth = skyline_core::constrained::skyline(
         &global,
         &skyline_core::region::QueryRegion::unbounded(),
-        skyline_core::algo::Algorithm::Sfs,
     );
 
     let complete: Vec<_> =

@@ -703,7 +703,7 @@ impl DeviceRelation for HybridRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyline_core::algo::{self, Algorithm};
+    use skyline_core::algo::{self, bnl};
     use skyline_core::region::QueryRegion;
     use skyline_core::vdr::UpperBounds;
     use skyline_core::SkylineMerger;
@@ -798,7 +798,7 @@ mod tests {
         q.dominance = DominanceTest::PaperStrict;
         let strict = h.local_skyline(&q).skyline;
 
-        let true_sky = algo::materialize(&data, &Algorithm::Bnl.skyline_indices(&data));
+        let true_sky = algo::materialize(&data, &bnl::skyline_indices(&data));
         for t in &true_sky {
             assert!(
                 strict.iter().any(|s| s.attrs == t.attrs),

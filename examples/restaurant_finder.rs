@@ -26,8 +26,8 @@ fn worked_example() {
     let bounds = UpperBounds::new(datagen::hotels::global_bounds());
 
     // Local skylines.
-    let sk1 = constrained::skyline(&r1, &QueryRegion::unbounded(), Algorithm::Bnl);
-    let sk2 = constrained::skyline(&r2, &QueryRegion::unbounded(), Algorithm::Bnl);
+    let sk1 = constrained::skyline(&r1, &QueryRegion::unbounded());
+    let sk2 = constrained::skyline(&r2, &QueryRegion::unbounded());
     println!("M1 local skyline ({} hotels): {:?}", sk1.len(), attrs(&sk1));
     println!("M2 local skyline ({} hotels): {:?}", sk2.len(), attrs(&sk2));
 
@@ -48,10 +48,8 @@ fn worked_example() {
     );
 
     // Dynamic upgrade on the relay path M4 → M3 → M1 (Section 3.4).
-    let sk4 =
-        constrained::skyline(&datagen::hotels::r4(), &QueryRegion::unbounded(), Algorithm::Bnl);
-    let sk3 =
-        constrained::skyline(&datagen::hotels::r3(), &QueryRegion::unbounded(), Algorithm::Bnl);
+    let sk4 = constrained::skyline(&datagen::hotels::r4(), &QueryRegion::unbounded());
+    let sk3 = constrained::skyline(&datagen::hotels::r3(), &QueryRegion::unbounded());
     let f4 = select_filter(&sk4, &bounds).unwrap();
     let f3 = select_filter(&sk3, &bounds).unwrap();
     println!("\nrelay path M4 → M3: filter h41 {:?} (VDR {})", f4.attrs, f4.vdr);

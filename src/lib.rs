@@ -52,7 +52,6 @@ pub mod prelude {
     pub use dist_skyline::runtime::{run_experiment, ManetExperiment, ManetOutcome};
     pub use dist_skyline::static_net::{grid_network_from_global, StaticGridNetwork};
     pub use dist_skyline::Device;
-    pub use skyline_core::algo::Algorithm;
     pub use skyline_core::vdr::{BoundsMode, FilterTuple, MultiFilterSelection, UpperBounds};
     pub use skyline_core::{constrained, dominates, Mbr, Point, QueryRegion, SkylineMerger, Tuple};
 }

@@ -117,7 +117,7 @@ fn manet_bf_and_df_agree_on_fully_answered_queries() {
 
     let truth_len = {
         let data = exp.data.generate();
-        constrained::skyline(&data, &QueryRegion::unbounded(), Algorithm::Sfs).len()
+        constrained::skyline(&data, &QueryRegion::unbounded()).len()
     };
 
     for fwd in [Forwarding::BreadthFirst, Forwarding::DepthFirst] {
