@@ -255,6 +255,9 @@ fn parse_strategy(s: &str) -> Result<FilterStrategy, ParseError> {
         } else {
             k.parse().or_else(|_| err(format!("bad multi-filter count in `{s}`")))?
         };
+        if k == 0 {
+            return err(format!("multi-filter count in `{s}` must be at least 1"));
+        }
         return Ok(FilterStrategy::MultiDynamic { k });
     }
     match s {
@@ -277,7 +280,18 @@ fn parse_distance(s: &str) -> Result<f64, ParseError> {
     if s == "inf" {
         return Ok(f64::INFINITY);
     }
-    s.parse().or_else(|_| err(format!("bad distance `{s}` (metres or `inf`)")))
+    match s.parse::<f64>() {
+        Ok(d) if d >= 0.0 => Ok(d),
+        _ => err(format!("bad distance `{s}` (non-negative metres or `inf`)")),
+    }
+}
+
+/// `--grid G`: a `G × G` grid of devices, so `G` is at least 1.
+fn parse_grid(opts: &mut Opts) -> Result<usize, ParseError> {
+    match opts.num("grid", 5usize)? {
+        0 => err("--grid must be at least 1"),
+        g => Ok(g),
+    }
 }
 
 fn parse_data(opts: &mut Opts) -> Result<DataArgs, ParseError> {
@@ -300,11 +314,8 @@ fn parse_data(opts: &mut Opts) -> Result<DataArgs, ParseError> {
 
 fn query(opts: &mut Opts) -> Result<Command, ParseError> {
     let data = parse_data(opts)?;
-    let g = opts.num("grid", 5usize)?;
+    let g = parse_grid(opts)?;
     let origin = opts.num("origin", 0usize)?;
-    if g == 0 {
-        return err("--grid must be at least 1");
-    }
     if origin >= g * g {
         return err(format!("--origin {origin} out of range for {} devices", g * g));
     }
@@ -320,10 +331,13 @@ fn query(opts: &mut Opts) -> Result<Command, ParseError> {
 fn simulate(opts: &mut Opts) -> Result<Command, ParseError> {
     Ok(Command::Simulate(SimArgs {
         data: parse_data(opts)?,
-        g: opts.num("grid", 5usize)?,
+        g: parse_grid(opts)?,
         d: parse_distance(opts.take("d")?.as_deref().unwrap_or("250"))?,
         forwarding: parse_forwarding(opts.take("forwarding")?.as_deref().unwrap_or("bf"))?,
-        seconds: opts.num("seconds", 1800.0)?,
+        seconds: match opts.num("seconds", 1800.0_f64)? {
+            t if t > 0.0 && t.is_finite() => t,
+            t => return err(format!("--seconds expects a positive number, got `{t}`")),
+        },
         frozen: opts.flag("frozen"),
     }))
 }
@@ -604,6 +618,14 @@ mod tests {
             ("diff a.json b.json --tol x", "--tol: cannot parse `x`"),
             ("diff a.json", "diff expects two files"),
             ("simulate --forwarding gossip60", "unknown forwarding `gossip60` (bf|df)"),
+            ("simulate --grid 0", "--grid must be at least 1"),
+            ("simulate --seconds 0", "--seconds expects a positive number, got `0`"),
+            ("simulate --seconds -5", "--seconds expects a positive number, got `-5`"),
+            ("simulate --seconds NaN", "--seconds expects a positive number, got `NaN`"),
+            ("query --d -5", "bad distance `-5` (non-negative metres or `inf`)"),
+            ("query --d NaN", "bad distance `NaN`"),
+            ("simulate --d NaN", "bad distance `NaN`"),
+            ("query --strategy multi0", "multi-filter count in `multi0` must be at least 1"),
         ] {
             let e = parse(&args(line)).unwrap_err().0;
             assert!(e.contains(message), "{line}: {e}");

@@ -105,8 +105,8 @@ fn figure(n: u8, o: &RunOpts) -> Result<(), String> {
     match n {
         5 => {
             println!("== Fig. 5: local skyline processing on a mobile device ==");
-            fig5::panel_a(o, 3)?;
-            fig5::panel_b(o, 3)?;
+            fig5::panel_a(o)?;
+            fig5::panel_b(o)?;
             println!("\nexpected shape: HS below FS everywhere; both grow with cardinality");
             println!("and (sharply) with dimensionality; AC above IN at equal size.");
         }

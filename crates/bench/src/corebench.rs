@@ -5,15 +5,13 @@
 //! device); the data path of one query exchange — the Fig. 4 scan of a
 //! relation and the originator's merge of two local skylines; the
 //! event/radio path — a broadcast storm on a frozen lattice, at two payload
-//! weights; and the §4.1 storage ablation — one unbounded local skyline on
-//! flat, hybrid, domain and ring storage, plus hybrid under the Fig. 4
-//! strict test. `msq core --json` and `msq all --json` serialize the
-//! records.
+//! weights; and the storage ablation — one unbounded local skyline on flat
+//! and hybrid storage, plus hybrid under the Fig. 4 strict test. `msq core
+//! --json` and `msq all --json` serialize the records.
 
 use datagen::{DataSpec, Distribution};
 use device_storage::{
-    DeviceRelation, DomainRelation, FlatRelation, HybridRelation, LocalQuery, LocalSkylineOutcome,
-    RingRelation,
+    DeviceRelation, FlatRelation, HybridRelation, LocalQuery, LocalSkylineOutcome,
 };
 use manet_sim::grid::SpatialGrid;
 use manet_sim::{
@@ -219,7 +217,10 @@ impl MergeRecord {
 /// clone of `rel` so an unbounded scan is never answered from a hybrid
 /// relation's window memo. Returns the outcome and the fastest run's wall
 /// milliseconds.
-fn cold_scan<R: DeviceRelation + Clone>(rel: &R, query: &LocalQuery) -> (LocalSkylineOutcome, f64) {
+pub(crate) fn cold_scan<R: DeviceRelation + Clone>(
+    rel: &R,
+    query: &LocalQuery,
+) -> (LocalSkylineOutcome, f64) {
     let mut scan_ms = f64::INFINITY;
     let mut out = rel.local_skyline(query);
     for _ in 0..TIMED_REPS {
@@ -379,13 +380,13 @@ pub fn radio_storm(sides: &[usize]) -> Vec<RadioRecord> {
     sides.iter().flat_map(|&g| [storm_cell::<2>(g), storm_cell::<25>(g)]).collect()
 }
 
-/// One `(dist, model, test)` cell of the §4.1 storage ablation.
+/// One `(dist, model, test)` cell of the storage ablation.
 #[derive(Debug, Clone)]
 pub struct StorageRecord {
-    /// `"flat"`, `"hybrid"`, `"domain"` or `"ring"`.
+    /// `"flat"` or `"hybrid"`.
     pub model: &'static str,
     /// `"full"` (exact skyline) or `"strict"` (Fig. 4's rest-dimension
-    /// test; hybrid only — the other models always run the full test).
+    /// test; hybrid only — flat storage always runs the full test).
     pub test: &'static str,
     /// `"IN"` or `"AC"`.
     pub dist: &'static str,
@@ -399,8 +400,6 @@ pub struct StorageRecord {
     pub value_comparisons: u64,
     /// Dominance tests between attribute IDs.
     pub id_comparisons: u64,
-    /// Value dereferences through a pointer or chain hop.
-    pub pointer_hops: u64,
     /// The model's storage footprint, bytes.
     pub storage_bytes: usize,
     /// Fastest of `TIMED_REPS` scans, wall milliseconds.
@@ -411,11 +410,9 @@ pub struct StorageRecord {
 const ABLATION_SEED: u64 = 21;
 
 /// Times one unbounded local skyline over `tuples` two-attribute
-/// local-experiment tuples (100-value domains), IN and AC, on each storage
-/// model under the full test, and on hybrid storage under the strict test
-/// too: Section 4.1 rejects domain and ring storage because every value
-/// access chases a pointer, and `pointer_hops` counts the chase. Timed as
-/// [`data_path`]'s scans are.
+/// local-experiment tuples (100-value domains), IN and AC, on flat and
+/// hybrid storage under the full test, and on hybrid storage under the
+/// strict test too. Timed as [`data_path`]'s scans are.
 pub fn storage_ablation(tuples: usize) -> Vec<StorageRecord> {
     let mut out = Vec::new();
     for (dist, distribution) in
@@ -424,11 +421,9 @@ pub fn storage_ablation(tuples: usize) -> Vec<StorageRecord> {
         let data = DataSpec::local_experiment(tuples, 2, distribution, ABLATION_SEED).generate();
         let hybrid = HybridRelation::from(data.as_slice());
         out.extend([
-            storage_cell("flat", &FlatRelation::new(data.clone()), DominanceTest::Full, dist),
+            storage_cell("flat", &FlatRelation::new(data), DominanceTest::Full, dist),
             storage_cell("hybrid", &hybrid, DominanceTest::Full, dist),
             storage_cell("hybrid", &hybrid, DominanceTest::PaperStrict, dist),
-            storage_cell("domain", &DomainRelation::new(data.clone()), DominanceTest::Full, dist),
-            storage_cell("ring", &RingRelation::new(data), DominanceTest::Full, dist),
         ]);
     }
     out
@@ -455,7 +450,6 @@ fn storage_cell<R: DeviceRelation + Clone>(
         skyline_len: out.skyline.len(),
         value_comparisons: out.stats.value_comparisons,
         id_comparisons: out.stats.id_comparisons,
-        pointer_hops: out.stats.pointer_hops,
         storage_bytes: rel.storage_bytes(),
         scan_ms,
     }
@@ -465,8 +459,9 @@ fn storage_cell<R: DeviceRelation + Clone>(
 /// [`crate::provenance::GRID_REV`]): rev 3 added the `kind: build` rows,
 /// rev 4 the `kind: scan` and `kind: merge` rows, rev 5 the `kind: radio`
 /// rows, rev 6 the `kind: storage` rows, rev 7 dropped the `kind: kernel`
-/// rows.
-const GRID_REV: u64 = 7;
+/// rows, rev 8 the domain and ring `kind: storage` rows and their
+/// pointer-hop column.
+const GRID_REV: u64 = 8;
 
 /// Renders the micro-benchmarks as the `BENCH_core.json` machine
 /// baseline: one row per record, tagged with a `kind` and keyed by its
@@ -494,7 +489,7 @@ pub struct Suite {
     pub merges: Vec<MergeRecord>,
     /// Broadcast storm (`kind: radio`).
     pub radios: Vec<RadioRecord>,
-    /// §4.1 storage ablation (`kind: storage`).
+    /// Flat-vs-hybrid storage ablation (`kind: storage`).
     pub storages: Vec<StorageRecord>,
 }
 
@@ -525,7 +520,7 @@ impl Suite {
                 self.radios.iter().map(radio_row).collect(),
             ),
             (
-                "storage ablation (Section 4.1, unbounded local skyline)",
+                "storage ablation (flat vs hybrid, unbounded local skyline)",
                 self.storages.iter().map(storage_row).collect(),
             ),
         ]
@@ -617,7 +612,6 @@ fn storage_row(r: &StorageRecord) -> Row {
         det("skyline_len", r.skyline_len),
         det("value_comparisons", r.value_comparisons),
         det("id_comparisons", r.id_comparisons),
-        det("pointer_hops", r.pointer_hops),
         det("storage_bytes", r.storage_bytes),
         vol("scan_ms", Value::Fixed(r.scan_ms, 3)),
     ]
@@ -648,7 +642,7 @@ mod tests {
         let json = to_json(&prov, &Suite { builds: recs, ..Suite::default() });
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("grid").and_then(sim_obs::JsonValue::as_array).unwrap().len(), 6);
-        assert!(json.contains("\"grid_rev\": 7,"));
+        assert!(json.contains("\"grid_rev\": 8,"));
     }
 
     /// The Fig. 4 loop written out over public accessors: row IDs in
@@ -733,34 +727,21 @@ mod tests {
         let expect: Vec<(&str, &str, &str)> = ["IN", "AC"]
             .into_iter()
             .flat_map(|dist| {
-                [
-                    (dist, "flat", "full"),
-                    (dist, "hybrid", "full"),
-                    (dist, "hybrid", "strict"),
-                    (dist, "domain", "full"),
-                    (dist, "ring", "full"),
-                ]
+                [(dist, "flat", "full"), (dist, "hybrid", "full"), (dist, "hybrid", "strict")]
             })
             .collect();
         assert_eq!(cells, expect);
 
-        for per_dist in recs.chunks(5) {
-            let [flat, hybrid, strict, domain, ring] = per_dist else { unreachable!() };
+        for per_dist in recs.chunks(3) {
+            let [flat, hybrid, strict] = per_dist else { unreachable!() };
             assert!(per_dist.iter().all(|r| (r.dims, r.tuples) == (2, 2_000)), "{per_dist:?}");
-            // Every model answers the full test exactly.
-            for r in [hybrid, domain, ring] {
-                assert_eq!(r.skyline_len, flat.skyline_len, "{r:?}");
-            }
-            // Only the rejected models chase pointers, ring storage most.
-            assert_eq!((flat.pointer_hops, hybrid.pointer_hops, strict.pointer_hops), (0, 0, 0));
-            assert!(0 < domain.pointer_hops && domain.pointer_hops < ring.pointer_hops);
-            // Hybrid compares IDs, every other model raw values.
+            // Both models answer the full test exactly.
+            assert_eq!(hybrid.skyline_len, flat.skyline_len, "{hybrid:?}");
+            // Hybrid compares IDs, flat storage raw values.
             for r in [hybrid, strict] {
                 assert!(r.value_comparisons == 0 && r.id_comparisons > 0, "{r:?}");
             }
-            for r in [flat, domain, ring] {
-                assert!(r.value_comparisons > 0 && r.id_comparisons == 0, "{r:?}");
-            }
+            assert!(flat.value_comparisons > 0 && flat.id_comparisons == 0, "{flat:?}");
             // The strict test may keep tuples the full test drops.
             assert!(strict.skyline_len >= hybrid.skyline_len);
             assert!(per_dist.iter().all(|r| r.storage_bytes > 0 && r.scan_ms > 0.0));
@@ -770,7 +751,7 @@ mod tests {
         let json = to_json(&prov, &Suite { storages: recs, ..Suite::default() });
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
-            assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 10);
+            assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 6);
         }
     }
 

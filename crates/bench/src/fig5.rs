@@ -6,7 +6,9 @@
 //! IN and AC as in the paper).
 //!
 //! Two time columns are reported per configuration:
-//! * `host_ms` — measured wall time of this Rust implementation;
+//! * `host_ms` — measured wall time of this Rust implementation: the
+//!   fastest of `TIMED_REPS` (5) unbounded scans, each of a fresh clone, so
+//!   a hybrid relation never answers from its window memo;
 //! * `ipaq_s` — the calibrated device cost model applied to the scan's
 //!   work counters, i.e. the number the MANET response-time figures use.
 
@@ -15,8 +17,8 @@ use device_storage::{DeviceRelation, FlatRelation, HybridRelation, LocalQuery};
 use dist_skyline::cost_model::DeviceCostModel;
 use skyline_core::region::QueryRegion;
 use skyline_core::Tuple;
-use std::time::Instant;
 
+use crate::corebench::cold_scan;
 use crate::provenance::{det, emit_rows, label, vol, Row, Value};
 use crate::{sweep, RunOpts};
 
@@ -30,7 +32,7 @@ const FIG5_JOBS: usize = 1;
 
 /// One measurement: host wall milliseconds and modelled device seconds.
 pub struct Measurement {
-    /// Host wall time (ms), median of the repetitions.
+    /// Host wall time (ms), fastest of the cold scans.
     pub host_ms: f64,
     /// Modelled iPAQ-class device time (s).
     pub device_s: f64,
@@ -38,21 +40,13 @@ pub struct Measurement {
     pub skyline_len: usize,
 }
 
-/// Runs one local skyline query `reps` times, reporting the median.
-pub fn measure<R: DeviceRelation>(rel: &R, reps: usize) -> Measurement {
-    let q = LocalQuery::plain(QueryRegion::unbounded());
-    let cost = DeviceCostModel::default();
-    let mut times = Vec::with_capacity(reps);
-    let mut out = rel.local_skyline(&q);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        out = rel.local_skyline(&q);
-        times.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+/// Times one unbounded local skyline query as `corebench`'s storage rows
+/// do: the fastest of `TIMED_REPS` scans, each of a fresh clone.
+pub fn measure<R: DeviceRelation + Clone>(rel: &R) -> Measurement {
+    let (out, host_ms) = cold_scan(rel, &LocalQuery::plain(QueryRegion::unbounded()));
     Measurement {
-        host_ms: times[times.len() / 2],
-        device_s: cost.query_time(&out.stats).as_secs_f64(),
+        host_ms,
+        device_s: DeviceCostModel::default().query_time(&out.stats).as_secs_f64(),
         skyline_len: out.skyline.len(),
     }
 }
@@ -82,10 +76,10 @@ fn row(
 }
 
 /// Measures HS and FS on one dataset: `[HS host, HS device, FS host, FS device]`.
-fn measure_both(card: usize, dim: usize, dist: Distribution, reps: usize) -> [f64; 4] {
+fn measure_both(card: usize, dim: usize, dist: Distribution) -> [f64; 4] {
     let data = dataset(card, dim, dist);
-    let hs = measure(&HybridRelation::new(data.clone()), reps);
-    let fs = measure(&FlatRelation::new(data), reps);
+    let hs = measure(&HybridRelation::new(data.clone()));
+    let fs = measure(&FlatRelation::new(data));
     assert_eq!(hs.skyline_len, fs.skyline_len, "models disagree");
     [hs.host_ms, hs.device_s, fs.host_ms, fs.device_s]
 }
@@ -94,7 +88,7 @@ const DISTS: [(&str, Distribution); 2] =
     [("IN", Distribution::Independent), ("AC", Distribution::AntiCorrelated)];
 
 /// Panel (a): cardinality sweep (2 attributes), HS and FS on IN and AC.
-pub fn panel_a(o: &RunOpts, reps: usize) -> Result<(), String> {
+pub fn panel_a(o: &RunOpts) -> Result<(), String> {
     let cells: Vec<(usize, &str, Distribution)> = o
         .scale
         .local_cardinalities()
@@ -102,7 +96,7 @@ pub fn panel_a(o: &RunOpts, reps: usize) -> Result<(), String> {
         .flat_map(|card| DISTS.into_iter().map(move |(name, dist)| (card, name, dist)))
         .collect();
     let times = sweep::run_stage("fig5a", FIG5_JOBS, &cells, |&(card, _, dist)| {
-        measure_both(card, 2, dist, reps)
+        measure_both(card, 2, dist)
     });
     let rows: Vec<Row> = ["HS", "FS"]
         .into_iter()
@@ -124,16 +118,15 @@ pub fn panel_a(o: &RunOpts, reps: usize) -> Result<(), String> {
 
 /// Panel (b): dimensionality sweep (averaged over IN and AC, as in the
 /// paper: "we show the average costs of both distributions").
-pub fn panel_b(o: &RunOpts, reps: usize) -> Result<(), String> {
+pub fn panel_b(o: &RunOpts) -> Result<(), String> {
     let card = o.scale.local_dim_cardinality();
     let dims = o.scale.dimensionalities();
     let cells: Vec<(usize, Distribution)> = dims
         .iter()
         .flat_map(|&dim| DISTS.into_iter().map(move |(_, dist)| (dim, dist)))
         .collect();
-    let times = sweep::run_stage("fig5b", FIG5_JOBS, &cells, |&(dim, dist)| {
-        measure_both(card, dim, dist, reps)
-    });
+    let times =
+        sweep::run_stage("fig5b", FIG5_JOBS, &cells, |&(dim, dist)| measure_both(card, dim, dist));
     let rows: Vec<Row> = ["HS", "FS"]
         .into_iter()
         .enumerate()
@@ -162,8 +155,8 @@ mod tests {
         // The cost-model time of HS must beat FS (byte-ID comparisons +
         // presorting beat raw-value BNL) — the core Fig. 5 claim.
         let data = dataset(5_000, 2, Distribution::Independent);
-        let hs = measure(&HybridRelation::new(data.clone()), 1);
-        let fs = measure(&FlatRelation::new(data), 1);
+        let hs = measure(&HybridRelation::new(data.clone()));
+        let fs = measure(&FlatRelation::new(data));
         assert!(hs.device_s < fs.device_s, "HS {} vs FS {}", hs.device_s, fs.device_s);
         assert_eq!(hs.skyline_len, fs.skyline_len);
     }

@@ -751,7 +751,7 @@ mod tests {
             storm_ms: 12.75,
         }];
         let storages = vec![corebench::StorageRecord {
-            model: "ring",
+            model: "flat",
             test: "full",
             dist: "AC",
             dims: 2,
@@ -759,7 +759,6 @@ mod tests {
             skyline_len: 22,
             value_comparisons: 1_234_567,
             id_comparisons: 0,
-            pointer_hops: 14_933_994,
             storage_bytes: 281_234,
             scan_ms: 58.812_4,
         }];

@@ -30,8 +30,6 @@ pub struct DeviceCostModel {
     pub per_id_cmp_us: f64,
     /// Cost of one dominance test on raw float values, µs.
     pub per_value_cmp_us: f64,
-    /// Cost of following one pointer (domain/ring storage), µs.
-    pub per_hop_us: f64,
 }
 
 impl Default for DeviceCostModel {
@@ -44,7 +42,6 @@ impl Default for DeviceCostModel {
             per_tuple_us: 1.0,
             per_id_cmp_us: 0.5,
             per_value_cmp_us: 2.0,
-            per_hop_us: 0.8,
         }
     }
 }
@@ -58,7 +55,6 @@ impl DeviceCostModel {
             per_tuple_us: 0.0,
             per_id_cmp_us: 0.0,
             per_value_cmp_us: 0.0,
-            per_hop_us: 0.0,
         }
     }
 
@@ -67,8 +63,7 @@ impl DeviceCostModel {
         let us = self.base_us
             + self.per_tuple_us * stats.tuples_scanned as f64
             + self.per_id_cmp_us * stats.id_comparisons as f64
-            + self.per_value_cmp_us * stats.value_comparisons as f64
-            + self.per_hop_us * stats.pointer_hops as f64;
+            + self.per_value_cmp_us * stats.value_comparisons as f64;
         SimDuration::from_micros(us.round() as u64)
     }
 }

@@ -108,15 +108,6 @@ impl AttributeDomain {
         self.values[id as usize]
     }
 
-    /// Number of domain values strictly smaller than `v` — the rank a
-    /// *foreign* value (e.g. a filter-tuple attribute that this device never
-    /// stored) would occupy. Used to translate filter comparisons into ID
-    /// space if desired.
-    #[inline]
-    pub fn rank_of(&self, v: f64) -> u32 {
-        self.values.partition_point(|&x| x < v) as u32
-    }
-
     /// Bytes used by the value array.
     pub fn storage_bytes(&self) -> usize {
         self.values.len() * 8
@@ -242,15 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_of_handles_foreign_values() {
-        let d = AttributeDomain::build(vec![10.0, 20.0, 30.0]);
-        assert_eq!(d.rank_of(5.0), 0);
-        assert_eq!(d.rank_of(10.0), 0, "rank counts strictly smaller values");
-        assert_eq!(d.rank_of(15.0), 1);
-        assert_eq!(d.rank_of(31.0), 3);
-    }
-
-    #[test]
     fn nan_ingestion_degrades_instead_of_panicking() {
         // Regression: the build sort used `partial_cmp(..).expect(..)`, so
         // one NaN from a bad generator config aborted the whole sweep. Under
@@ -263,7 +245,6 @@ mod tests {
         assert_eq!(d.id_of(1.0), 0);
         assert_eq!(d.id_of(2.0), 1);
         assert_eq!(d.id_of(f64::NAN), 2, "NaN is findable, not fatal");
-        assert_eq!(d.rank_of(3.0), 2, "finite ranks unaffected by the NaN");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use skyline_core::algo::bnl;
 use skyline_core::vdr::{select_filter, FilterTuple, UpperBounds};
 use skyline_core::{Point, Tuple};
 
-use crate::traits::{DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, StorageModel};
+use crate::traits::{DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats};
 
 /// A local relation in flat storage.
 #[derive(Debug, Clone, Default)]
@@ -26,18 +26,9 @@ impl FlatRelation {
         assert!(tuples.iter().all(|t| t.dim() == dim), "mixed dimensionality in relation");
         FlatRelation { tuples, dim }
     }
-
-    /// Read access to the raw tuples.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
-    }
 }
 
 impl DeviceRelation for FlatRelation {
-    fn model(&self) -> StorageModel {
-        StorageModel::Flat
-    }
-
     fn len(&self) -> usize {
         self.tuples.len()
     }

@@ -31,9 +31,7 @@ use skyline_core::{DominanceTest, Tuple};
 
 use crate::domain_index::{AttributeDomain, IdArray};
 use crate::radix;
-use crate::traits::{
-    DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause, StorageModel,
-};
+use crate::traits::{DeviceRelation, LocalQuery, LocalSkylineOutcome, LocalStats, SkipCause};
 
 /// One memoized window scan: the surviving row indices plus the exact
 /// [`LocalStats`] the scan accumulated, replayed verbatim on every hit so
@@ -580,10 +578,6 @@ impl HybridRelation {
 }
 
 impl DeviceRelation for HybridRelation {
-    fn model(&self) -> StorageModel {
-        StorageModel::Hybrid
-    }
-
     fn len(&self) -> usize {
         self.rows
     }
@@ -674,7 +668,6 @@ impl DeviceRelation for HybridRelation {
         stats.in_range += scan_stats.in_range;
         stats.value_comparisons += scan_stats.value_comparisons;
         stats.id_comparisons += scan_stats.id_comparisons;
-        stats.pointer_hops += scan_stats.pointer_hops;
 
         // Filter *before* materializing: eliminated rows never allocate a
         // tuple. The comparison count is unchanged — one per unreduced row.

@@ -4,20 +4,6 @@ use skyline_core::region::{Mbr, Point, QueryRegion};
 use skyline_core::vdr::{FilterTuple, UpperBounds};
 use skyline_core::{dominates, DominanceTest, Tuple};
 
-/// Which storage model a relation uses (for reporting and configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageModel {
-    /// Flat storage (FS): sequential tuples, raw values, BNL scans.
-    Flat,
-    /// The paper's hybrid ID-based storage (HS).
-    #[default]
-    Hybrid,
-    /// Domain storage [Ammann et al. 1985] (ablation only).
-    Domain,
-    /// Ring storage (PicoDBMS; ablation only).
-    Ring,
-}
-
 /// Everything a device needs to answer one local skyline request.
 #[derive(Debug, Clone)]
 pub struct LocalQuery {
@@ -85,8 +71,6 @@ pub struct LocalStats {
     pub value_comparisons: u64,
     /// Dominance tests between attribute IDs.
     pub id_comparisons: u64,
-    /// Pointer dereferences / chain hops (domain & ring storage only).
-    pub pointer_hops: u64,
 }
 
 /// Which Fig. 4 guard let a relation answer without scanning.
@@ -138,9 +122,6 @@ impl LocalSkylineOutcome {
 /// skyline queries. All implementations must return the same `skyline` for
 /// the same data and query (modulo tuple order).
 pub trait DeviceRelation {
-    /// Which model this is.
-    fn model(&self) -> StorageModel;
-
     /// Number of stored tuples.
     fn len(&self) -> usize;
 
@@ -181,39 +162,6 @@ pub trait DeviceRelation {
 
     /// Runs the device-local constrained skyline query.
     fn local_skyline(&self, query: &LocalQuery) -> LocalSkylineOutcome;
-}
-
-impl<T: DeviceRelation + ?Sized> DeviceRelation for Box<T> {
-    fn model(&self) -> StorageModel {
-        (**self).model()
-    }
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn dim(&self) -> usize {
-        (**self).dim()
-    }
-    fn tuple(&self, i: usize) -> Tuple {
-        (**self).tuple(i)
-    }
-    fn location(&self, i: usize) -> Point {
-        (**self).location(i)
-    }
-    fn mbr(&self) -> Option<Mbr> {
-        (**self).mbr()
-    }
-    fn lower_bounds(&self) -> Option<Vec<f64>> {
-        (**self).lower_bounds()
-    }
-    fn upper_bounds(&self) -> Option<UpperBounds> {
-        (**self).upper_bounds()
-    }
-    fn storage_bytes(&self) -> usize {
-        (**self).storage_bytes()
-    }
-    fn local_skyline(&self, query: &LocalQuery) -> LocalSkylineOutcome {
-        (**self).local_skyline(query)
-    }
 }
 
 /// Whole-relation skip check (Fig. 4, second guard): can the filter tuple

@@ -1,4 +1,4 @@
-//! Property tests: all four storage models answer every local query
+//! Property tests: flat and hybrid storage answer every local query
 //! identically (modulo tuple order), and the hybrid fast paths (skip
 //! checks, ID comparisons) never change answers.
 
@@ -7,10 +7,7 @@ use skyline_core::region::{Point, QueryRegion};
 use skyline_core::vdr::{FilterTuple, UpperBounds};
 use skyline_core::{DominanceTest, Tuple};
 
-use device_storage::{
-    DeviceRelation, DomainRelation, FlatRelation, HybridRelation, LocalQuery, RingRelation,
-    SkipCause,
-};
+use device_storage::{DeviceRelation, FlatRelation, HybridRelation, LocalQuery, SkipCause};
 
 fn relation(max: usize, dim: usize) -> impl Strategy<Value = Vec<Tuple>> {
     prop::collection::vec(prop::collection::vec(0u8..25, dim), 0..max).prop_map(|rows| {
@@ -64,15 +61,23 @@ proptest! {
 
     #[test]
     fn all_models_agree(data in relation(50, 3), q in query(3)) {
-        let flat = FlatRelation::new(data.clone());
-        let hybrid = HybridRelation::new(data.clone());
-        let domain = DomainRelation::new(data.clone());
-        let ring = RingRelation::new(data);
+        let fs = FlatRelation::new(data.clone()).local_skyline(&q);
+        let hs = HybridRelation::new(data).local_skyline(&q);
 
-        let expect = sorted_keys(flat.local_skyline(&q).skyline);
-        prop_assert_eq!(sorted_keys(hybrid.local_skyline(&q).skyline), expect.clone(), "hybrid");
-        prop_assert_eq!(sorted_keys(domain.local_skyline(&q).skyline), expect.clone(), "domain");
-        prop_assert_eq!(sorted_keys(ring.local_skyline(&q).skyline), expect, "ring");
+        // The DRR denominator and the work it was counted over agree too,
+        // unless a guard let HS answer without scanning.
+        match hs.skip {
+            None => {
+                prop_assert_eq!(hs.unreduced_len, fs.unreduced_len);
+                prop_assert_eq!(hs.stats.tuples_scanned, fs.stats.tuples_scanned);
+                prop_assert_eq!(hs.stats.in_range, fs.stats.in_range);
+            }
+            Some(SkipCause::SpatialMiss) => prop_assert_eq!(fs.stats.in_range, 0),
+            Some(SkipCause::FilterDominance) => {}
+        }
+        let vdr = |f: Option<FilterTuple>| f.map(|f| f.vdr);
+        prop_assert_eq!(vdr(hs.filter_candidate), vdr(fs.filter_candidate));
+        prop_assert_eq!(sorted_keys(hs.skyline), sorted_keys(fs.skyline));
     }
 
     #[test]
@@ -115,36 +120,27 @@ proptest! {
     #[test]
     fn storage_round_trip(data in relation(50, 4)) {
         let hybrid = HybridRelation::new(data.clone());
-        let domain = DomainRelation::new(data.clone());
-        let ring = RingRelation::new(data.clone());
 
         // Hybrid reorders rows; compare as multisets of attribute vectors.
         let canon = |mut v: Vec<Vec<f64>>| { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); v };
         let src = canon(data.iter().map(|t| t.attrs.clone()).collect());
         let h: Vec<Vec<f64>> = (0..hybrid.len()).map(|r| hybrid.tuple(r).attrs).collect();
-        prop_assert_eq!(canon(h), src.clone());
-        // Domain and ring preserve row order exactly.
-        for (i, t) in data.iter().enumerate() {
-            prop_assert_eq!(&domain.tuple(i).attrs, &t.attrs);
-            prop_assert_eq!(&ring.tuple(i).attrs, &t.attrs);
-        }
+        prop_assert_eq!(canon(h), src);
     }
 
     #[test]
     fn stored_locations_and_mbr_match_the_materialized_rows(data in relation(50, 2)) {
-        let models: Vec<Box<dyn DeviceRelation>> = vec![
-            Box::new(FlatRelation::new(data.clone())),
-            Box::new(HybridRelation::new(data.clone())),
-            Box::new(DomainRelation::new(data.clone())),
-            Box::new(RingRelation::new(data.clone())),
+        let models: [(&str, Box<dyn DeviceRelation>); 2] = [
+            ("flat", Box::new(FlatRelation::new(data.clone()))),
+            ("hybrid", Box::new(HybridRelation::new(data.clone()))),
         ];
         let want = skyline_core::region::Mbr::of_points(data.iter().map(Tuple::location));
-        for m in &models {
+        for (name, m) in &models {
             for i in 0..m.len() {
-                prop_assert_eq!(m.location(i), m.tuple(i).location(), "{:?} row {}", m.model(), i);
+                prop_assert_eq!(m.location(i), m.tuple(i).location(), "{} row {}", name, i);
             }
             match m.mbr() {
-                None => prop_assert_eq!(m.model(), device_storage::StorageModel::Flat),
+                None => prop_assert_eq!(*name, "flat"),
                 Some(mbr) => prop_assert_eq!(mbr, want),
             }
         }

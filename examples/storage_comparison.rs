@@ -1,17 +1,14 @@
-//! Compares the four device storage models of Section 4.1 on one relation:
-//! flat (FS), the paper's hybrid ID-based model (HS), domain storage, and
-//! ring storage.
+//! Compares the two device storage models Fig. 5 measures on one relation:
+//! flat (FS) and the paper's hybrid ID-based model (HS).
 //!
-//! Shows that all four answer a local constrained skyline query
-//! identically while differing in footprint and in the *kind* of work they
-//! do — HS trades raw-value comparisons for cheap byte-ID comparisons and
-//! skips whole relations via its O(1) domain bounds; domain and ring
-//! storage pay pointer chasing on every access.
+//! Shows that both answer a local constrained skyline query identically
+//! while differing in footprint and in the *kind* of work they do — HS
+//! trades raw-value comparisons for cheap byte-ID comparisons and skips
+//! whole relations via its O(1) domain bounds.
 //!
 //! Run with: `cargo run --release --example storage_comparison`
 
 use mobiskyline::prelude::*;
-use mobiskyline::storage::{DomainRelation, RingRelation};
 
 fn main() {
     // The paper's local-experiment data: 20K tuples, 2 attributes drawn
@@ -21,24 +18,19 @@ fn main() {
     println!("relation: {} tuples, domain {{0.0 … 9.9}} (100 distinct values)\n", data.len());
 
     let flat = FlatRelation::new(data.clone());
-    let hybrid = HybridRelation::new(data.clone());
-    let domain = DomainRelation::new(data.clone());
-    let ring = RingRelation::new(data.clone());
+    let hybrid = HybridRelation::new(data);
 
     let query = LocalQuery::plain(QueryRegion::new(Point::new(500.0, 500.0), 300.0));
 
     println!(
-        "{:<8} {:>10} {:>9} {:>12} {:>12} {:>12} {:>8}",
-        "model", "bytes", "skyline", "value cmps", "id cmps", "ptr hops", "time"
+        "{:<8} {:>10} {:>9} {:>12} {:>12} {:>8}",
+        "model", "bytes", "skyline", "value cmps", "id cmps", "time"
     );
-    let mut sizes = Vec::new();
-    run("flat", &flat, &query, &mut sizes);
-    run("hybrid", &hybrid, &query, &mut sizes);
-    run("domain", &domain, &query, &mut sizes);
-    run("ring", &ring, &query, &mut sizes);
+    let fs = run("flat", &flat, &query);
+    let hs = run("hybrid", &hybrid, &query);
 
-    assert!(sizes.windows(2).all(|w| w[0] == w[1]), "all models agree");
-    println!("\nall four models returned the same skyline ✓");
+    assert_eq!(fs, hs, "both models agree");
+    println!("\nboth models returned the same skyline ✓");
 
     // The HS-only fast path: a filter that dominates the whole relation.
     let strong = FilterTuple::new(vec![-1.0, -1.0], &UpperBounds::new(vec![9.9, 9.9]));
@@ -52,19 +44,19 @@ fn main() {
     );
 }
 
-fn run<R: DeviceRelation>(name: &str, rel: &R, q: &LocalQuery, sizes: &mut Vec<usize>) {
+/// Runs `q` on `rel`, prints one table row and returns the skyline's size.
+fn run<R: DeviceRelation>(name: &str, rel: &R, q: &LocalQuery) -> usize {
     let t0 = std::time::Instant::now();
     let out = rel.local_skyline(q);
     let dt = t0.elapsed();
     println!(
-        "{:<8} {:>10} {:>9} {:>12} {:>12} {:>12} {:>7.1?}",
+        "{:<8} {:>10} {:>9} {:>12} {:>12} {:>7.1?}",
         name,
         rel.storage_bytes(),
         out.skyline.len(),
         out.stats.value_comparisons,
         out.stats.id_comparisons,
-        out.stats.pointer_hops,
         dt
     );
-    sizes.push(out.skyline.len());
+    out.skyline.len()
 }

@@ -9,8 +9,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `skyline-core` | tuple model, dominance, BNL/SFS, constrained skyline, VDR filtering |
-//! | [`storage`] | `device-storage` | flat / hybrid (ID-based) / domain / ring storage, Fig. 4 local skyline |
+//! | [`core`] | `skyline-core` | tuple model, dominance, BNL, constrained skyline, VDR filtering |
+//! | [`storage`] | `device-storage` | flat and hybrid (ID-based) storage, Fig. 4 local skyline |
 //! | [`datagen`] | `datagen` | IN/CO/AC generators, grid partitioning, paper example data, workloads |
 //! | [`manet`] | `manet-sim` | discrete-event MANET simulator: random waypoint, unit-disk radio, AODV |
 //! | [`dist`] | `dist-skyline` | the distributed protocol: SF/DF filters, EXT/OVE/UNE, BF/DF forwarding, metrics |
@@ -43,9 +43,7 @@ pub use skyline_core as core;
 /// One-stop imports for the common API surface.
 pub mod prelude {
     pub use datagen::{DataSpec, Distribution, GridPartitioner, SpatialExtent, WorkloadSpec};
-    pub use device_storage::{
-        DeviceRelation, FlatRelation, HybridRelation, LocalQuery, StorageModel,
-    };
+    pub use device_storage::{DeviceRelation, FlatRelation, HybridRelation, LocalQuery};
     pub use dist_skyline::config::{FilterStrategy, Forwarding, StrategyConfig};
     pub use dist_skyline::cost_model::DeviceCostModel;
     pub use dist_skyline::query::{QueryKey, QuerySpec};

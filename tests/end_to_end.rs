@@ -43,7 +43,6 @@ fn static_pipeline_with_overlapping_partitions() {
 
 #[test]
 fn every_storage_model_supports_the_distributed_protocol() {
-    use mobiskyline::storage::{DomainRelation, RingRelation};
     let spec = DataSpec::local_experiment(2_000, 2, Distribution::AntiCorrelated, 77);
     let data = spec.generate();
     let part = GridPartitioner::new(3, SpatialExtent::PAPER).partition(&data);
@@ -54,19 +53,15 @@ fn every_storage_model_supports_the_distributed_protocol() {
         ..StrategyConfig::default()
     };
 
-    let run_with = |mk: &dyn Fn(Vec<Tuple>) -> Box<dyn DeviceRelation>| {
-        let nets: Vec<Box<dyn DeviceRelation>> = part.parts.iter().map(|p| mk(p.clone())).collect();
-        let net = StaticGridNetwork::new(nets, positions.clone(), 3);
-        sorted_keys(&net.run_query(4, 300.0, &cfg).result)
-    };
-
-    let flat = run_with(&|p| Box::new(FlatRelation::new(p)));
-    let hybrid = run_with(&|p| Box::new(HybridRelation::new(p)));
-    let domain = run_with(&|p| Box::new(DomainRelation::new(p)));
-    let ring = run_with(&|p| Box::new(RingRelation::new(p)));
-    assert_eq!(flat, hybrid);
-    assert_eq!(flat, domain);
-    assert_eq!(flat, ring);
+    let flat: Vec<FlatRelation> = part.parts.iter().map(|p| FlatRelation::new(p.clone())).collect();
+    let flat = StaticGridNetwork::new(flat, positions.clone(), 3);
+    let hybrid: Vec<HybridRelation> =
+        part.parts.iter().map(|p| HybridRelation::new(p.clone())).collect();
+    let hybrid = StaticGridNetwork::new(hybrid, positions, 3);
+    assert_eq!(
+        sorted_keys(&flat.run_query(4, 300.0, &cfg).result),
+        sorted_keys(&hybrid.run_query(4, 300.0, &cfg).result)
+    );
 }
 
 #[test]
