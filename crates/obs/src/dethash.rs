@@ -22,6 +22,13 @@ impl Hasher for DetHasher {
     }
     #[inline]
     fn write_u64(&mut self, w: u64) {
+        // Fold the high bits down first. The low bits of a product depend
+        // only on the low bits of its factors, and an integer- or
+        // half-unit-valued `f64` (a site coordinate) has its low mantissa
+        // bits all zero, so without the fold such keys share a handful of
+        // a table's low-bit buckets. The fold is the identity below 2^43:
+        // dense small keys hash exactly as before.
+        let w = w ^ (w >> 43);
         self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
     #[inline]

@@ -31,6 +31,29 @@ fn hashes_are_fixed_and_spread_dense_keys() {
     assert_eq!(tags.len(), 128);
 }
 
+/// Distinct low-12-bit buckets reached by the site keys of a 64 × 64 grid
+/// with spacing `step`: `(x, y)` as `f64` bit patterns, the shape of a
+/// static-site `TupleId`.
+fn grid_buckets(step: f64) -> usize {
+    let mut low: Vec<u64> = (0..64u32)
+        .flat_map(|i| (0..64u32).map(move |j| (f64::from(i) * step, f64::from(j) * step)))
+        .map(|(x, y)| hash_of((x.to_bits(), y.to_bits())) & 4095)
+        .collect();
+    low.sort_unstable();
+    low.dedup();
+    low.len()
+}
+
+#[test]
+fn float_grid_site_keys_spread_over_the_low_bits() {
+    // Integer and half-unit coordinates have all-zero low mantissa bits;
+    // the high-bit fold must still spread them over the table.
+    for step in [1.0, 0.5] {
+        let reached = grid_buckets(step);
+        assert!(reached >= 2048, "step {step}: {reached} of 4096 buckets");
+    }
+}
+
 proptest! {
     /// Point operations agree with an ordered map, op for op.
     #[test]
