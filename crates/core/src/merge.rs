@@ -12,9 +12,10 @@
 //! [`LiveSkyline`](crate::LiveSkyline) instead, which parks every dominated
 //! tuple in its dominator's bucket and promotes on removal.
 
+use sim_obs::dethash::DetHashSet;
+
 use crate::dominance::dominates;
 use crate::tuple::Tuple;
-use std::collections::HashSet;
 
 /// How a member row relates to an incoming tuple.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -295,7 +296,8 @@ pub struct SkylineMerger {
     /// reference tuple-at-a-time path.
     reference_only: bool,
     /// Site index of the live members (NaN-sited members excluded).
-    sites: HashSet<(u64, u64)>,
+    /// Point operations only.
+    sites: DetHashSet<(u64, u64)>,
     /// Duplicates dropped so far (for metrics: overlap between partitions).
     pub duplicates_removed: u64,
     /// Tuples rejected or evicted because they were dominated.
