@@ -50,7 +50,7 @@ pub use diagram::{
     SkylineDiagram,
 };
 pub use dominance::{dominates, DominanceTest};
-pub use live::{LiveSkyline, RangeDelta, RangeWatch};
+pub use live::LiveSkyline;
 pub use merge::SkylineMerger;
 pub use region::{Mbr, Point, QueryRegion};
 pub use tuple::{Tuple, TupleId};

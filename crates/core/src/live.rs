@@ -16,18 +16,10 @@
 //! the skyline members are mutually non-dominating; every bucketed tuple is
 //! dominated by its owner; every live tuple is in the skyline or in exactly
 //! one bucket.
-//!
-//! [`RangeWatch`] is the companion range-membership transition detector:
-//! it tracks which moving sites are inside the query circle `d` and
-//! reports `entered` / `exited` per observation batch, so the monitoring
-//! protocol only touches the skyline when membership actually changes.
-
-use std::collections::BTreeMap;
 
 use sim_obs::dethash::DetHashMap;
 
 use crate::dominance::dominates;
-use crate::region::{Point, QueryRegion};
 use crate::tuple::{Tuple, TupleId};
 
 /// Where a live tuple currently sits.
@@ -304,83 +296,10 @@ impl Extend<(TupleId, Tuple)> for LiveSkyline {
     }
 }
 
-// ----------------------------------------------------------------------
-// Range-membership transitions
-// ----------------------------------------------------------------------
-
-/// Membership changes produced by one [`RangeWatch::update`] batch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RangeDelta {
-    /// Sites that moved into the range since the previous batch.
-    pub entered: Vec<TupleId>,
-    /// Sites that left the range (or vanished from the batch) since the
-    /// previous batch.
-    pub exited: Vec<TupleId>,
-}
-
-impl RangeDelta {
-    /// `true` when no membership changed.
-    pub fn is_empty(&self) -> bool {
-        self.entered.is_empty() && self.exited.is_empty()
-    }
-}
-
-/// Detects `enters(d)` / `exits(d)` transitions of moving sites against a
-/// fixed query circle without recomputing full membership downstream: feed
-/// it each epoch's `(id, position)` observations and act only on the
-/// reported transitions.
-#[derive(Debug, Clone)]
-pub struct RangeWatch {
-    region: QueryRegion,
-    inside: BTreeMap<TupleId, bool>,
-}
-
-impl RangeWatch {
-    /// Watches the circle of radius `d` around `center`. An infinite `d`
-    /// makes every observed site a member (the paper's unconstrained case).
-    pub fn new(center: Point, d: f64) -> Self {
-        RangeWatch { region: QueryRegion::new(center, d), inside: BTreeMap::new() }
-    }
-
-    /// The watched region.
-    pub fn region(&self) -> &QueryRegion {
-        &self.region
-    }
-
-    /// Observes one epoch's positions and returns the membership
-    /// transitions. A site that appeared in an earlier batch but not in
-    /// this one counts as exited (it is gone — e.g. its device crashed).
-    pub fn update<I: IntoIterator<Item = (TupleId, Point)>>(&mut self, sites: I) -> RangeDelta {
-        let mut delta = RangeDelta::default();
-        let mut seen: BTreeMap<TupleId, bool> = BTreeMap::new();
-        for (id, pos) in sites {
-            let now_in = self.region.contains(pos);
-            let was_in = self.inside.get(&id).copied().unwrap_or(false);
-            if now_in && !was_in {
-                delta.entered.push(id);
-            } else if !now_in && was_in {
-                delta.exited.push(id);
-            }
-            seen.insert(id, now_in);
-        }
-        for (id, was_in) in &self.inside {
-            if *was_in && !seen.contains_key(id) {
-                delta.exited.push(*id);
-            }
-        }
-        delta.exited.sort_unstable();
-        self.inside = seen;
-        delta
-    }
-
-    /// Ids currently inside the range, sorted.
-    pub fn members(&self) -> Vec<TupleId> {
-        self.inside.iter().filter(|(_, &inside)| inside).map(|(id, _)| *id).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::algo::bnl;
     use proptest::prelude::*;
@@ -632,26 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn range_watch_reports_transitions_and_absence_as_exit() {
-        let mut w = RangeWatch::new(Point::new(0.0, 0.0), 10.0);
-        let a = TupleId(1, 0);
-        let b = TupleId(2, 0);
-        let d = w.update(vec![(a, Point::new(5.0, 0.0)), (b, Point::new(50.0, 0.0))]);
-        assert_eq!(d.entered, vec![a]);
-        assert!(d.exited.is_empty());
-        assert_eq!(w.members(), vec![a]);
-        // b enters, a drifts out.
-        let d = w.update(vec![(a, Point::new(11.0, 0.0)), (b, Point::new(9.0, 0.0))]);
-        assert_eq!(d.entered, vec![b]);
-        assert_eq!(d.exited, vec![a]);
-        // b vanishes from the batch entirely (device crash): exited.
-        let d = w.update(std::iter::empty());
-        assert!(d.entered.is_empty());
-        assert_eq!(d.exited, vec![b]);
-        assert!(w.members().is_empty());
-    }
-
-    #[test]
     fn compacted_bucket_keeps_rows_indexed_and_orphans_in_arrival_order() {
         // 100 mutually incomparable tuples parked under one member; the
         // 51st removal compacts the bucket, the nine after it find their
@@ -729,13 +628,5 @@ mod tests {
                 assert_matches_reference(&ls, &rf, &format!("step {step}"));
             }
         }
-    }
-
-    #[test]
-    fn range_watch_no_change_is_empty_delta() {
-        let mut w = RangeWatch::new(Point::new(0.0, 0.0), f64::INFINITY);
-        let a = TupleId(1, 0);
-        assert!(!w.update(vec![(a, Point::new(3.0, 3.0))]).is_empty());
-        assert!(w.update(vec![(a, Point::new(900.0, 4.0))]).is_empty());
     }
 }

@@ -11,7 +11,7 @@ use skyline_core::diagram::{DiagramConfig, FrozenAnswers, SkyDelta, SkylineDiagr
 use skyline_core::dominance::{dominates, paper_strict_dominates_rest};
 use skyline_core::region::{Mbr, Point, QueryRegion};
 use skyline_core::vdr::{select_filter, vdr_volume, UpperBounds};
-use skyline_core::{constrained, LiveSkyline, RangeWatch, SkylineMerger, Tuple, TupleId};
+use skyline_core::{constrained, LiveSkyline, SkylineMerger, Tuple, TupleId};
 
 /// Strategy: a relation of up to `max` tuples with `dim` attributes drawn
 /// from a small integer grid (ties are the interesting case).
@@ -295,73 +295,6 @@ proptest! {
         ls.remove(&victim);
         background_len = ls.live_len();
         prop_assert_eq!(background_len, background.len());
-    }
-
-    #[test]
-    fn range_watch_boundary_exact_transitions(
-        d in 1u16..50,
-        offsets in prop::collection::vec(-2i8..=2, 1..24),
-    ) {
-        // QueryRegion::contains is boundary-INCLUSIVE (dist² <= d²): a
-        // site exactly on the range edge is a member. Walk one site
-        // on/off/along the boundary in exact integer steps (no float
-        // noise) and demand the watch reports precisely the transitions
-        // the predicate implies — entering when it lands on the edge,
-        // exiting only when strictly outside.
-        let center = Point::new(0.0, 0.0);
-        let d = f64::from(d);
-        let mut watch = RangeWatch::new(center, d);
-        let id = TupleId(1, 1);
-        let mut was_in = false;
-        for (step, off) in offsets.into_iter().enumerate() {
-            // Position exactly at distance d + off along the x axis.
-            let pos = Point::new(d + f64::from(off), 0.0);
-            let now_in = f64::from(off) <= 0.0; // on-edge (off = 0) is inside
-            let delta = watch.update([(id, pos)]);
-            prop_assert_eq!(
-                delta.entered.contains(&id), now_in && !was_in,
-                "step {} off {}: enter transition", step, off
-            );
-            prop_assert_eq!(
-                delta.exited.contains(&id), !now_in && was_in,
-                "step {} off {}: exit transition", step, off
-            );
-            prop_assert_eq!(watch.members().contains(&id), now_in);
-            was_in = now_in;
-        }
-    }
-
-    #[test]
-    fn range_watch_feeding_live_skyline_keeps_partition_on_boundary_churn(
-        d in 5u16..30,
-        moves in prop::collection::vec((0u64..6, -1i8..=1, prop::collection::vec(0u16..8, 3)), 1..40),
-    ) {
-        // The monitoring pipeline composition: RangeWatch transitions
-        // drive LiveSkyline add/removes. Sites hop between exactly-on-edge
-        // and one step outside (the boundary-exact churn a moving device
-        // at the range rim produces); after every delta the bucket
-        // partition must hold and membership must equal the predicate.
-        let center = Point::new(0.0, 0.0);
-        let d = f64::from(d);
-        let mut watch = RangeWatch::new(center, d);
-        let mut ls = LiveSkyline::new();
-        let mut pos: std::collections::BTreeMap<u64, (Point, Vec<f64>)> =
-            std::collections::BTreeMap::new();
-        for (step, (raw, off, attrs)) in moves.into_iter().enumerate() {
-            let attrs: Vec<f64> = attrs.iter().map(|&v| f64::from(v)).collect();
-            let p = Point::new(d + f64::from(off), raw as f64 * 1e-3);
-            pos.insert(raw, (p, attrs));
-            let delta = watch.update(pos.iter().map(|(&k, (p, _))| (TupleId(k, 0), *p)));
-            for id in &delta.exited {
-                prop_assert!(ls.remove(id), "step {}: exited id was live", step);
-            }
-            for id in &delta.entered {
-                ls.insert(*id, Tuple::new(0.0, 0.0, pos[&id.0].1.clone()));
-            }
-            ls.check_invariants().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
-            let inside: Vec<TupleId> = watch.members();
-            prop_assert_eq!(ls.live_len(), inside.len(), "step {}", step);
-        }
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! salvage, a monitoring full resync) is the caller's business, as is
 //! receiver-side duplicate suppression.
 
-use std::collections::HashMap;
-
 use manet_sim::engine::NodeCtx;
 use manet_sim::{NodeId, QueryEvent, QueryId, SimDuration};
+use sim_obs::dethash::DetHashMap;
 
 /// Wait before the first retransmission.
 const BASE_TIMEOUT: SimDuration = SimDuration::from_millis(2_000);
@@ -75,7 +74,7 @@ pub(crate) struct Arq<M> {
     /// bits carry the sequence number.
     timer_kind: u64,
     next_seq: u64,
-    pending: HashMap<u64, Pending<M>>,
+    pending: DetHashMap<u64, Pending<M>>,
     /// Retransmissions performed.
     pub(crate) retries: u64,
     /// Tracked messages abandoned after [`MAX_RETRIES`].
@@ -89,7 +88,7 @@ impl<M: Clone> Arq<M> {
             device,
             timer_kind,
             next_seq: 0,
-            pending: HashMap::new(),
+            pending: DetHashMap::default(),
             retries: 0,
             exhausted: 0,
         }

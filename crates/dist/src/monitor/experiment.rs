@@ -3,13 +3,12 @@
 //! device recordings, and the zero-drift reconciliation of the trace
 //! against the protocol's counters.
 
-use std::collections::{HashMap, HashSet};
-
 use manet_sim::engine::{NeighborMode, Simulator};
 use manet_sim::radio::RadioConfig;
 use manet_sim::{
     FaultPlan, FrameTraceLog, NetStats, Pos, QueryEvent, QueryTraceLog, SimDuration, SimTime,
 };
+use sim_obs::dethash::DetHashSet;
 use sim_obs::PowHistogram;
 use skyline_core::region::Point;
 use skyline_core::{SkylineMerger, Tuple, TupleId};
@@ -155,9 +154,11 @@ fn site_offset(seed: u64, device: usize, slot: usize) -> (f64, f64) {
     (dx, dy)
 }
 
-/// Runs one monitoring experiment end to end and scores every epoch view
-/// against the oracle reconstructed from in-situ device recordings.
-pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
+/// The network [`run_monitor_experiment`] runs, built but not started:
+/// node `i` carries sites `TupleId(i, 0..k)` (location fields holding the
+/// id, offsets from the device), node 0 is the originator, and its
+/// registration timer (at `start_s`) and the fault plan are installed.
+pub fn monitor_network(exp: &MonitorExperiment) -> Simulator<MonMsg, MonitorApp> {
     let m = exp.g * exp.g;
     let k = exp.sites_per_device.max(1);
     let data =
@@ -169,22 +170,23 @@ pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
         new_simulator(exp.radio, exp.seed, exp.neighbor_mode, &exp.dist.trace);
     // Sites encode their id in the tuple's location fields (dominance
     // never reads them); geometric positions ride on the device.
-    let mut site_attrs: HashMap<TupleId, Vec<f64>> = HashMap::new();
     for i in 0..m {
         let sites: Vec<(TupleId, Tuple, (f64, f64))> = (0..k)
             .map(|j| {
                 let attrs = data[i * k + j].attrs.clone();
                 let id = TupleId(i as u64, j as u64);
-                site_attrs.insert(id, attrs.clone());
                 (id, Tuple::new(i as f64, j as f64, attrs), site_offset(exp.seed, i, j))
             })
             .collect();
-        let mut app = MonitorApp::new(i, m, exp.mode, exp.mon, exp.dist, sites);
+        let mut app = MonitorApp::new(i, exp.dist, sites);
         if i == 0 {
             app.set_originator(
                 QueryKey { origin: 0, cnt: 0 },
                 exp.radius,
                 SimDuration::from_secs_f64(exp.duration_s),
+                exp.mode,
+                exp.mon,
+                m,
             );
         }
         let c = part.cell_center(i);
@@ -194,6 +196,14 @@ pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
     if let Some(plan) = &exp.fault_plan {
         sim.install_fault_plan(plan);
     }
+    sim
+}
+
+/// Runs one monitoring experiment end to end and scores every epoch view
+/// against the oracle reconstructed from in-situ device recordings.
+pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
+    let m = exp.g * exp.g;
+    let mut sim = monitor_network(exp);
     sim.run_until(SimTime::from_secs_f64(exp.start_s + exp.duration_s + DRAIN_S));
 
     // Reconstruct the per-epoch oracle from the devices' in-situ truth
@@ -207,8 +217,7 @@ pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
         for tr in &truths {
             if let Ok(idx) = tr.binary_search_by_key(&v.epoch, |&(e, _)| e) {
                 for id in &tr[idx].1 {
-                    let attrs = site_attrs.get(id).expect("recorded id has attrs").clone();
-                    merger.insert(Tuple::new(id.0 as f64, id.1 as f64, attrs));
+                    merger.insert(sim.app(id.0 as usize).sites()[id.1 as usize].1.clone());
                 }
             }
         }
@@ -222,7 +231,7 @@ pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
 
     // An originator that crashed before its `START` never opened a record.
     let mut record = sim.app_mut(0).record.take().unwrap_or_else(|| {
-        let c = part.cell_center(0);
+        let c = datagen::GridPartitioner::new(exp.g, exp.space).cell_center(0);
         QueryRecord::open(
             QueryKey { origin: 0, cnt: 0 },
             SimTime::from_secs_f64(exp.start_s),
@@ -303,7 +312,7 @@ pub fn verify_monitor_drift(out: &MonitorOutcome) -> Result<TraceAggregates, Str
 
     // Every applied delta must have been sent: match (device, epoch,
     // heartbeat) across the log.
-    let mut sent: HashSet<(usize, u64, bool)> = HashSet::new();
+    let mut sent: DetHashSet<(usize, u64, bool)> = DetHashSet::default();
     for r in &log.records {
         if let QueryEvent::DeltaSent { epoch, heartbeat, .. } = r.event {
             sent.insert((r.node, epoch, heartbeat));

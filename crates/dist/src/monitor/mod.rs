@@ -14,13 +14,15 @@
 //!   out without a renewal (the originator re-floods every `TTL / 2`)
 //!   drops the registration and stops transmitting — a crashed originator
 //!   cannot strand heartbeat traffic.
-//! * **Epoch ticks** — every registered device samples its local
-//!   constrained skyline at the shared epoch grid `t0 + k·period`.
-//!   [`RangeWatch`] tracks which of the device's sites are inside the
-//!   monitored circle; when no membership transition occurred the cached
-//!   local skyline is reused without recomputation (the local skyline is a
-//!   pure function of the in-range site set, because attributes are
-//!   fixed).
+//! * **Epoch ticks** — every registered device answers the query again at
+//!   the shared epoch grid `t0 + k·period`, in one pass: its sites placed
+//!   at the device position plus their offsets, filtered by distance to
+//!   the monitored centre, one BNL pass over the attributes, the ids in id
+//!   order. A device carries a few dozen sites at most, so nothing is
+//!   memoized between ticks. The answer, the acknowledged state and the
+//!   in-flight snapshot are id lists; tuples are read from the device's
+//!   sites only when a delta, a reply or the originator's own fold needs
+//!   them.
 //! * **Deltas** — a device transmits only when its local skyline actually
 //!   changed relative to the last *acknowledged* state: a
 //!   [`MonMsg::Delta`] lists added and removed tuples for the epoch. At
@@ -49,19 +51,20 @@
 //! the message-cost yardstick the delta protocol is measured against in
 //! `msq ext monitor`.
 //!
-//! This file is the protocol ([`MonitorApp`]); `experiment.rs` is the
-//! harness around it ([`run_monitor_experiment`], [`verify_monitor_drift`]).
+//! This file is the protocol ([`MonitorApp`]: the state every device
+//! keeps, plus an `Originator` on the one node that issued the query,
+//! holding its fold and one `Peer` record per node); `experiment.rs` is
+//! the harness around it ([`run_monitor_experiment`],
+//! [`verify_monitor_drift`]).
 
 mod experiment;
-
-use std::collections::{BTreeMap, HashMap, HashSet};
 
 use manet_sim::engine::{Application, MsgMeta, NodeCtx};
 use manet_sim::{NodeId, Pos, QueryEvent, SimDuration, SimTime};
 use sim_obs::PowHistogram;
 use skyline_core::algo::bnl;
-use skyline_core::region::Point;
-use skyline_core::{LiveSkyline, RangeWatch, Tuple, TupleId};
+use skyline_core::region::{Point, QueryRegion};
+use skyline_core::{LiveSkyline, Tuple, TupleId};
 
 use crate::arq::{Arq, ArqTimeout};
 use crate::config::DistConfig;
@@ -69,7 +72,8 @@ use crate::query::QueryKey;
 use crate::runtime::{qid, QueryRecord};
 
 pub use self::experiment::{
-    run_monitor_experiment, verify_monitor_drift, MonitorExperiment, MonitorOutcome,
+    monitor_network, run_monitor_experiment, verify_monitor_drift, MonitorExperiment,
+    MonitorOutcome,
 };
 
 /// How the originator keeps its answer fresh.
@@ -227,12 +231,42 @@ struct MonSpec {
     requery: bool,
 }
 
-/// Originator-side description installed by the harness before the run.
-#[derive(Debug, Clone, Copy)]
-struct Originate {
+/// Everything only the originator holds: the query it issues, its fold
+/// of the applied reports, and one [`Peer`] record per node.
+struct Originator {
     key: QueryKey,
     radius: f64,
     duration: SimDuration,
+    mode: MonitorMode,
+    period: SimDuration,
+    fold: LiveSkyline,
+    /// The originator's own local skyline as last folded, in id order.
+    own_ids: Vec<TupleId>,
+    renew_round: u32,
+    /// ARQ retries carried by the applied deltas and replies.
+    applied_retries: u64,
+    /// Indexed by `NodeId`; the originator's own entry stays empty.
+    peers: Vec<Peer>,
+}
+
+/// The originator's record of one device.
+#[derive(Default)]
+struct Peer {
+    /// The ids this device's applied reports put into the fold; `None`
+    /// before its first applied report and after a miss-limit retraction.
+    contributed: Option<Vec<TupleId>>,
+    /// Epoch and epoch time of its last applied report.
+    last_applied: Option<(u64, SimTime)>,
+    /// Retracted: nothing but a full resync is applied (or acked) until
+    /// one lands.
+    needs_full: bool,
+}
+
+impl Peer {
+    /// `true` when this device has no applied report at or after `epoch`.
+    fn is_news(&self, epoch: u64) -> bool {
+        self.last_applied.is_none_or(|(le, _)| epoch > le)
+    }
 }
 
 /// One originator answer snapshot, taken every epoch.
@@ -266,18 +300,33 @@ pub(crate) fn next_tick(t0: SimTime, period: SimDuration, now: SimTime) -> SimDu
     SimDuration(t0.0 + k * p - now.0)
 }
 
+/// The ids of `ids` that `sorted` (in id order) lacks, in `ids`' order.
+fn not_in<'a>(ids: &'a [TupleId], sorted: &'a [TupleId]) -> impl Iterator<Item = TupleId> + 'a {
+    ids.iter().copied().filter(|id| sorted.binary_search(id).is_err())
+}
+
+/// The tuple of site `id` among `sites` (in id order).
+fn site_tuple(sites: &[(TupleId, Tuple, (f64, f64))], id: TupleId) -> &Tuple {
+    let i = sites.binary_search_by_key(&id, |s| s.0).expect("one of this device's sites");
+    &sites[i].1
+}
+
+/// Removes `id` from `fold`; a miss is a fold-consistency bug and is
+/// counted, not hidden.
+fn fold_remove(fold: &mut LiveSkyline, id: &TupleId, misses: &mut u64) {
+    if !fold.remove(id) {
+        *misses += 1;
+    }
+}
+
 /// One node of the monitoring protocol: a plain device, or the originator
 /// when [`MonitorApp::set_originator`] was called.
 pub struct MonitorApp {
     id: usize,
-    m: usize,
-    mode: MonitorMode,
-    mon: MonitorConfig,
-    /// This device's sites: stable id, attribute tuple (location fields
-    /// encode the id), and position offset relative to the device.
+    /// This device's sites in id order: stable id, attribute tuple
+    /// (location fields encode the id), and position offset relative to
+    /// the device.
     sites: Vec<(TupleId, Tuple, (f64, f64))>,
-
-    originate: Option<Originate>,
 
     // Device-side registration. `spec` survives crashes: the epoch
     // schedule is measurement infrastructure (the scorecard needs ground
@@ -285,26 +334,18 @@ pub struct MonitorApp {
     spec: Option<MonSpec>,
     lease_expires: Option<SimTime>,
     last_round: Option<u32>,
-    watch: Option<RangeWatch>,
-    last_local: Option<BTreeMap<TupleId, Tuple>>,
-    acked: BTreeMap<TupleId, Tuple>,
+    /// The local skyline the originator last acknowledged, in id order.
+    acked: Vec<TupleId>,
     full_needed: bool,
     last_sent_epoch: Option<u64>,
     /// The one delta awaiting its ack: its sequence number and the
-    /// local-skyline snapshot that becomes the acked state when it lands.
-    inflight: Option<(u64, BTreeMap<TupleId, Tuple>)>,
+    /// local-skyline ids that become the acked state when it lands.
+    inflight: Option<(u64, Vec<TupleId>)>,
     arq: Arq<MonMsg>,
     tick_armed: bool,
     done: bool,
 
-    // Originator fold state (volatile).
-    fold: LiveSkyline,
-    contributions: BTreeMap<NodeId, Vec<TupleId>>,
-    last_applied: HashMap<NodeId, (u64, SimTime)>,
-    needs_full: HashSet<NodeId>,
-    own_ids: Vec<TupleId>,
-    renew_round: u32,
-    applied_retries: u64,
+    originator: Option<Originator>,
 
     /// Originator: one view per epoch.
     pub views: Vec<EpochView>,
@@ -344,41 +385,23 @@ pub struct MonitorApp {
 
 impl MonitorApp {
     /// Creates a device with `sites` (id, attribute tuple, offset from the
-    /// device position).
-    pub fn new(
-        id: usize,
-        m: usize,
-        mode: MonitorMode,
-        mon: MonitorConfig,
-        dist: DistConfig,
-        sites: Vec<(TupleId, Tuple, (f64, f64))>,
-    ) -> Self {
+    /// device position); they are kept in id order.
+    pub fn new(id: usize, dist: DistConfig, mut sites: Vec<(TupleId, Tuple, (f64, f64))>) -> Self {
+        sites.sort_by_key(|s| s.0);
         MonitorApp {
             id,
-            m,
-            mode,
-            mon,
             sites,
-            originate: None,
             spec: None,
             lease_expires: None,
             last_round: None,
-            watch: None,
-            last_local: None,
-            acked: BTreeMap::new(),
+            acked: Vec::new(),
             full_needed: true,
             last_sent_epoch: None,
             inflight: None,
             arq: Arq::new(dist.arq, id, mtoken::ARQ),
             tick_armed: false,
             done: false,
-            fold: LiveSkyline::new(),
-            contributions: BTreeMap::new(),
-            last_applied: HashMap::new(),
-            needs_full: HashSet::new(),
-            own_ids: Vec::new(),
-            renew_round: 0,
-            applied_retries: 0,
+            originator: None,
             views: Vec::new(),
             truth: Vec::new(),
             record: None,
@@ -397,10 +420,41 @@ impl MonitorApp {
         }
     }
 
-    /// Makes this node the originator: it issues the registration when the
+    /// Makes this node the originator of a network of `m` nodes: it issues
+    /// the registration (`mode`, epochs every `mon.period`) when the
     /// `START` timer fires and cancels after `duration`.
-    pub fn set_originator(&mut self, key: QueryKey, radius: f64, duration: SimDuration) {
-        self.originate = Some(Originate { key, radius, duration });
+    pub fn set_originator(
+        &mut self,
+        key: QueryKey,
+        radius: f64,
+        duration: SimDuration,
+        mode: MonitorMode,
+        mon: MonitorConfig,
+        m: usize,
+    ) {
+        self.originator = Some(Originator {
+            key,
+            radius,
+            duration,
+            mode,
+            period: mon.period,
+            fold: LiveSkyline::new(),
+            own_ids: Vec::new(),
+            renew_round: 0,
+            applied_retries: 0,
+            peers: (0..m).map(|_| Peer::default()).collect(),
+        });
+    }
+
+    /// This device's sites in id order: id, attribute tuple, offset from
+    /// the device position.
+    pub fn sites(&self) -> &[(TupleId, Tuple, (f64, f64))] {
+        &self.sites
+    }
+
+    /// `ids` (this device's own, in any order) paired with their tuples.
+    fn with_tuples(&self, ids: &[TupleId]) -> Vec<(TupleId, Tuple)> {
+        ids.iter().map(|&id| (id, site_tuple(&self.sites, id).clone())).collect()
     }
 
     fn qid_opt(&self) -> Option<manet_sim::QueryId> {
@@ -420,7 +474,7 @@ impl MonitorApp {
 
     /// The acknowledged (or, with ARQ off, optimistically sent) delta's
     /// snapshot becomes the state the next delta is diffed against.
-    fn commit(&mut self, snapshot: BTreeMap<TupleId, Tuple>, delta: &MonMsg) {
+    fn commit(&mut self, snapshot: Vec<TupleId>, delta: &MonMsg) {
         self.acked = snapshot;
         if matches!(delta, MonMsg::Delta { full: true, .. }) {
             self.full_needed = false;
@@ -437,7 +491,7 @@ impl MonitorApp {
         ctx: &mut NodeCtx<MonMsg>,
         dst: NodeId,
         mut msg: MonMsg,
-        snapshot: Option<BTreeMap<TupleId, Tuple>>,
+        snapshot: Option<Vec<TupleId>>,
     ) -> u64 {
         let seq = self.arq.next_seq();
         if let MonMsg::Delta { seq: s, .. } | MonMsg::Reply { seq: s, .. } = &mut msg {
@@ -500,36 +554,20 @@ impl MonitorApp {
         );
     }
 
-    /// Removes `id` from the fold; a miss is a fold-consistency bug and is
-    /// counted, not hidden.
-    fn fold_remove(&mut self, id: &TupleId) {
-        if !self.fold.remove(id) {
-            self.fold_remove_misses += 1;
-        }
-    }
-
-    /// The local constrained skyline of this device's in-range sites, one
-    /// BNL pass. Recomputed only when [`RangeWatch`] reports a membership
-    /// transition; otherwise the cache is authoritative (attributes are
-    /// fixed, so the local skyline is a pure function of membership).
-    fn local_skyline(&mut self, pos: Pos, spec: &MonSpec) -> BTreeMap<TupleId, Tuple> {
-        let sites = &self.sites;
-        let watch = self.watch.get_or_insert_with(|| RangeWatch::new(spec.center, spec.radius));
-        let delta = watch.update(
-            sites.iter().map(|(id, _, off)| (*id, Point::new(pos.x + off.0, pos.y + off.1))),
-        );
-        if delta.is_empty() {
-            if let Some(cached) = &self.last_local {
-                return cached.clone();
-            }
-        }
-        let members: HashSet<TupleId> = watch.members().into_iter().collect();
-        let in_range = sites.iter().enumerate().filter(|(_, (id, _, _))| members.contains(id));
-        let (sky, _) = bnl::skyline_counted(in_range.map(|(i, (_, t, _))| (i, t.attrs.as_slice())));
-        let local: BTreeMap<TupleId, Tuple> =
-            sky.into_iter().map(|i| (sites[i].0, sites[i].1.clone())).collect();
-        self.last_local = Some(local.clone());
-        local
+    /// The local constrained skyline at device position `pos`, in one
+    /// pass: the sites placed at `pos` plus their offsets, those inside
+    /// the monitored circle, one BNL pass; the ids in id order.
+    fn local_skyline(&self, pos: Pos, spec: &MonSpec) -> Vec<TupleId> {
+        let region = QueryRegion::new(spec.center, spec.radius);
+        let in_range =
+            self.sites.iter().enumerate().filter(|(_, (_, _, off))| {
+                region.contains(Point::new(pos.x + off.0, pos.y + off.1))
+            });
+        let (mut sky, _) =
+            bnl::skyline_counted(in_range.map(|(i, (_, t, _))| (i, t.attrs.as_slice())));
+        // Sites are in id order, so index order is id order.
+        sky.sort_unstable();
+        sky.into_iter().map(|i| self.sites[i].0).collect()
     }
 
     fn arm_tick(&mut self, ctx: &mut NodeCtx<MonMsg>, spec: &MonSpec) {
@@ -556,25 +594,26 @@ impl MonitorApp {
 
     /// Originator `START`: install the registration and flood round 0.
     fn start(&mut self, ctx: &mut NodeCtx<MonMsg>) {
-        let Some(o) = self.originate else { return };
+        let Some(o) = &self.originator else { return };
         if self.spec.is_some() || self.done {
             return;
         }
+        let duration = o.duration;
         let spec = MonSpec {
             key: o.key,
             center: Point::new(ctx.position.x, ctx.position.y),
             radius: o.radius,
             t0: ctx.now,
-            period: self.mon.period,
+            period: o.period,
             ttl: TTL,
-            requery: self.mode == MonitorMode::Requery,
+            requery: o.mode == MonitorMode::Requery,
         };
         self.trace_registered(ctx, &spec);
         self.flood_register(ctx, &spec, 0);
         if !spec.requery {
             ctx.set_timer(spec.ttl.mul_f64(0.5), mtoken::RENEW);
         }
-        ctx.set_timer(o.duration, mtoken::CANCEL);
+        ctx.set_timer(duration, mtoken::CANCEL);
         self.arm_tick(ctx, &spec);
         self.spec = Some(spec);
     }
@@ -583,12 +622,12 @@ impl MonitorApp {
         if self.done {
             return;
         }
-        let Some(spec) = self.spec.clone() else { return };
+        let (Some(spec), Some(o)) = (self.spec.clone(), self.originator.as_mut()) else { return };
         if spec.requery {
             return;
         }
-        self.renew_round += 1;
-        let round = self.renew_round;
+        o.renew_round += 1;
+        let round = o.renew_round;
         self.flood_register(ctx, &spec, round);
         ctx.set_timer(spec.ttl.mul_f64(0.5), mtoken::RENEW);
     }
@@ -611,15 +650,18 @@ impl MonitorApp {
 
     /// The originator's record as of now, not yet closed.
     fn make_record(&self, spec: &MonSpec) -> QueryRecord {
+        let o = self.originator.as_ref().expect("only the originator keeps a record");
+        let heard: Vec<NodeId> =
+            (0..o.peers.len()).filter(|&d| o.peers[d].last_applied.is_some()).collect();
         let mut rec = QueryRecord::open(spec.key, spec.t0, spec.center, spec.radius);
-        rec.contributors = self.last_applied.keys().copied().collect();
+        rec.responded = heard.len();
+        rec.contributors = heard;
         rec.contributors.push(self.id);
         rec.contributors.sort_unstable();
         rec.contributors.dedup();
-        rec.responded = self.last_applied.len();
-        rec.result_len = self.fold.len();
-        rec.result = self.fold.result();
-        rec.retries = self.applied_retries;
+        rec.result_len = o.fold.len();
+        rec.result = o.fold.result();
+        rec.retries = o.applied_retries;
         rec.duplicates = self.duplicates_suppressed;
         rec.epochs = self.views.len() as u64;
         rec
@@ -634,11 +676,11 @@ impl MonitorApp {
         let Some(spec) = self.spec.clone() else { return };
         let e = epoch_of(spec.t0, spec.period, ctx.now);
         let local = self.local_skyline(ctx.position, &spec);
-        self.truth.push((e, local.keys().copied().collect()));
-        if self.originate.is_some() {
+        self.truth.push((e, local.clone()));
+        if self.originator.is_some() {
             self.originator_tick(ctx, &spec, e, &local);
         } else {
-            self.device_tick(ctx, &spec, e, &local);
+            self.device_tick(ctx, &spec, e, local);
         }
         self.arm_tick(ctx, &spec);
     }
@@ -648,7 +690,7 @@ impl MonitorApp {
         ctx: &mut NodeCtx<MonMsg>,
         spec: &MonSpec,
         e: u64,
-        local: &BTreeMap<TupleId, Tuple>,
+        local: Vec<TupleId>,
     ) {
         if spec.requery {
             // Re-query devices answer polls, not ticks; the tick only
@@ -674,17 +716,10 @@ impl MonitorApp {
             return;
         }
         let full = self.full_needed;
-        let (adds, removes) = if full {
-            (local.iter().map(|(id, t)| (*id, t.clone())).collect::<Vec<_>>(), Vec::new())
+        let (adds, removes): (Vec<TupleId>, Vec<TupleId>) = if full {
+            (local.clone(), Vec::new())
         } else {
-            let adds: Vec<(TupleId, Tuple)> = local
-                .iter()
-                .filter(|(id, _)| !self.acked.contains_key(id))
-                .map(|(id, t)| (*id, t.clone()))
-                .collect();
-            let removes: Vec<TupleId> =
-                self.acked.keys().filter(|id| !local.contains_key(*id)).copied().collect();
-            (adds, removes)
+            (not_in(&local, &self.acked).collect(), not_in(&self.acked, &local).collect())
         };
         let heartbeat = adds.is_empty() && removes.is_empty() && !full;
         if heartbeat {
@@ -697,10 +732,11 @@ impl MonitorApp {
             }
         }
         let (n_adds, n_removes) = (adds.len(), removes.len());
+        let adds = self.with_tuples(&adds);
         let msg =
             MonMsg::Delta { key: spec.key, epoch: e, adds, removes, full, seq: 0, retries: 0 };
         let bytes = msg.wire_size();
-        let seq = self.send_tracked(ctx, spec.key.origin, msg, Some(local.clone()));
+        let seq = self.send_tracked(ctx, spec.key.origin, msg, Some(local));
         ctx.trace(
             Some(qid(spec.key)),
             QueryEvent::DeltaSent {
@@ -726,62 +762,58 @@ impl MonitorApp {
         ctx: &mut NodeCtx<MonMsg>,
         spec: &MonSpec,
         e: u64,
-        local: &BTreeMap<TupleId, Tuple>,
+        local: &[TupleId],
     ) {
+        let o = self.originator.as_mut().expect("an originator tick");
         // Fold the originator's own contribution directly (no self-send).
-        let old = std::mem::take(&mut self.own_ids);
-        for id in old.iter().filter(|id| !local.contains_key(id)) {
-            self.fold_remove(id);
+        let old = std::mem::replace(&mut o.own_ids, local.to_vec());
+        for id in not_in(&old, local) {
+            fold_remove(&mut o.fold, &id, &mut self.fold_remove_misses);
         }
-        let old_set: HashSet<TupleId> = old.iter().copied().collect();
-        for (id, t) in local {
-            if !old_set.contains(id) {
-                self.fold.insert(*id, t.clone());
-            }
+        for id in not_in(local, &old) {
+            o.fold.insert(id, site_tuple(&self.sites, id).clone());
         }
-        self.own_ids = local.keys().copied().collect();
 
-        if spec.requery {
-            // Poll round `e`: every device answers with its full local
-            // skyline.
-            self.flood_register(ctx, spec, e as u32);
-        } else {
-            // Retract devices silent past the miss limit and demand a
-            // full resync from them.
-            let stale: Vec<NodeId> = self
-                .contributions
-                .keys()
-                .copied()
-                .filter(|d| {
-                    let last = self.last_applied.get(d).map_or(0, |&(le, _)| le);
-                    e > last + MISS_LIMIT
-                })
-                .collect();
-            for d in stale {
-                for id in self.contributions.remove(&d).unwrap_or_default() {
-                    self.fold_remove(&id);
+        if !spec.requery {
+            // Retract devices silent past the miss limit, in node order,
+            // and demand a full resync from them.
+            for peer in &mut o.peers {
+                let last = peer.last_applied.map_or(0, |(le, _)| le);
+                if e <= last + MISS_LIMIT {
+                    continue;
                 }
-                self.needs_full.insert(d);
+                if let Some(ids) = peer.contributed.take() {
+                    for id in &ids {
+                        fold_remove(&mut o.fold, id, &mut self.fold_remove_misses);
+                    }
+                    peer.needs_full = true;
+                }
             }
         }
 
         let (mut stale_sum, mut n) = (0.0, 0u64);
-        for d in 0..self.m {
+        for (d, peer) in o.peers.iter().enumerate() {
             if d == self.id {
                 continue;
             }
-            let t_last = self.last_applied.get(&d).map_or(spec.t0, |&(_, at)| at);
+            let t_last = peer.last_applied.map_or(spec.t0, |(_, at)| at);
             stale_sum += ctx.now.since(t_last).as_secs_f64();
             n += 1;
         }
         self.views.push(EpochView {
             epoch: e,
             at: ctx.now,
-            ids: self.fold.result_ids(),
+            ids: o.fold.result_ids(),
             staleness_s: if n == 0 { 0.0 } else { stale_sum / n as f64 },
             completeness: None,
             spurious: 0,
         });
+
+        if spec.requery {
+            // Poll round `e`: every device answers with its full local
+            // skyline.
+            self.flood_register(ctx, spec, e as u32);
+        }
     }
 
     /// A registration flood (`heard`, round `round`) arrived.
@@ -799,8 +831,6 @@ impl MonitorApp {
         self.flood_register(ctx, &heard, round);
         let install = self.spec.is_none();
         if install {
-            self.watch = None;
-            self.last_local = None;
             self.full_needed = true;
         }
         let spec = self.spec.get_or_insert(heard).clone();
@@ -813,9 +843,7 @@ impl MonitorApp {
             self.lease_expires = Some(ctx.now + spec.ttl);
         } else {
             // Answer this poll round with the full local skyline.
-            let local = self.local_skyline(ctx.position, &spec);
-            let tuples: Vec<(TupleId, Tuple)> =
-                local.iter().map(|(id, t)| (*id, t.clone())).collect();
+            let tuples = self.with_tuples(&self.local_skyline(ctx.position, &spec));
             let n = tuples.len();
             let epoch = u64::from(round);
             let msg = MonMsg::Reply { key, epoch, tuples, seq: 0, retries: 0 };
@@ -865,15 +893,10 @@ impl MonitorApp {
     /// The open registration, when this node is the live originator of
     /// `key` (anything else ignores deltas and replies).
     fn originating(&self, key: QueryKey) -> Option<MonSpec> {
-        if self.originate.is_none() || self.done {
+        if self.originator.is_none() || self.done {
             return None;
         }
         self.spec.clone().filter(|spec| spec.key == key)
-    }
-
-    /// `true` when `from` has no applied report at or after `epoch` yet.
-    fn is_news(&self, from: NodeId, epoch: u64) -> bool {
-        self.last_applied.get(&from).is_none_or(|&(le, _)| epoch > le)
     }
 
     /// Books one folded delta/reply: freshness, retry accounting, trace.
@@ -889,9 +912,10 @@ impl MonitorApp {
         heartbeat: bool,
     ) {
         let at = epoch_at(spec, epoch);
-        self.last_applied.insert(from, (epoch, at));
+        let o = self.originator.as_mut().expect("only the originator folds");
+        o.peers[from].last_applied = Some((epoch, at));
+        o.applied_retries += u64::from(retries);
         self.delta_age_us.record(ctx.now.since(at).as_micros());
-        self.applied_retries += u64::from(retries);
         self.deltas_applied += 1;
         ctx.trace(
             Some(qid(spec.key)),
@@ -922,31 +946,33 @@ impl MonitorApp {
         retries: u32,
     ) {
         let Some(spec) = self.originating(key) else { return };
-        if !full && self.needs_full.contains(&from) {
+        let o = self.originator.as_mut().expect("originating");
+        let peer = &mut o.peers[from];
+        if !full && peer.needs_full {
             // The device was retracted; its incremental chain is
             // meaningless until a full resync. Not acking deliberately
             // exhausts its ARQ, which forces exactly that.
             return;
         }
-        if full || self.is_news(from, epoch) {
-            let mut ids = self.contributions.remove(&from).unwrap_or_default();
+        if full || peer.is_news(epoch) {
+            let mut ids = peer.contributed.take().unwrap_or_default();
             if full {
                 for id in ids.drain(..) {
-                    self.fold_remove(&id);
+                    fold_remove(&mut o.fold, &id, &mut self.fold_remove_misses);
                 }
-                self.needs_full.remove(&from);
+                peer.needs_full = false;
             }
-            for id in &removes {
-                self.fold_remove(id);
-                ids.retain(|x| x != id);
-            }
-            for (id, t) in &adds {
-                self.fold.insert(*id, t.clone());
-                ids.push(*id);
-            }
-            self.contributions.insert(from, ids);
             let heartbeat = adds.is_empty() && removes.is_empty() && !full;
             let counts = (adds.len(), removes.len());
+            for id in &removes {
+                fold_remove(&mut o.fold, id, &mut self.fold_remove_misses);
+                ids.retain(|x| x != id);
+            }
+            for (id, t) in adds {
+                o.fold.insert(id, t);
+                ids.push(id);
+            }
+            peer.contributed = Some(ids);
             self.book_applied(ctx, &spec, from, epoch, retries, counts, heartbeat);
         } else {
             self.book_duplicate(ctx, key, from, seq);
@@ -967,16 +993,19 @@ impl MonitorApp {
         retries: u32,
     ) {
         let Some(spec) = self.originating(key) else { return };
-        if self.is_news(from, epoch) {
-            let old = self.contributions.remove(&from).unwrap_or_default();
+        let o = self.originator.as_mut().expect("originating");
+        let peer = &mut o.peers[from];
+        if peer.is_news(epoch) {
+            let old = peer.contributed.take().unwrap_or_default();
             for id in &old {
-                self.fold_remove(id);
+                fold_remove(&mut o.fold, id, &mut self.fold_remove_misses);
             }
-            for (id, t) in &tuples {
-                self.fold.insert(*id, t.clone());
-            }
-            self.contributions.insert(from, tuples.iter().map(|(id, _)| *id).collect());
             let counts = (tuples.len(), old.len());
+            let ids = tuples.iter().map(|(id, _)| *id).collect();
+            for (id, t) in tuples {
+                o.fold.insert(id, t);
+            }
+            peer.contributed = Some(ids);
             self.book_applied(ctx, &spec, from, epoch, retries, counts, false);
         } else {
             self.book_duplicate(ctx, key, from, seq);
@@ -1030,28 +1059,21 @@ impl Application<MonMsg> for MonitorApp {
         self.tick_armed = false;
         self.lease_expires = None;
         self.last_round = None;
-        self.watch = None;
-        self.last_local = None;
         self.acked.clear();
         self.full_needed = true;
         self.last_sent_epoch = None;
         self.inflight = None;
         self.arq.clear();
-        if self.originate.is_some() {
+        if self.originator.is_some() {
             // The monitor dies with its originator; close the record so
-            // the run stays accountable. (`views`/`truth` are measurement
-            // output and survive.)
+            // the run stays accountable. The originator never runs again
+            // (its `START` timer died with it if it had not fired), so its
+            // fold is left as it is; `views`/`truth` are measurement
+            // output and survive.
             if let Some(spec) = self.spec.take() {
-                if self.record.is_none() {
-                    self.record = Some(self.make_record(&spec).lost_to_crash());
-                }
+                self.record = Some(self.make_record(&spec).lost_to_crash());
                 self.done = true;
             }
-            self.fold = LiveSkyline::new();
-            self.contributions.clear();
-            self.last_applied.clear();
-            self.needs_full.clear();
-            self.own_ids.clear();
         }
         // Plain devices keep `spec`: the epoch schedule is measurement
         // infrastructure (ground truth must span the outage); every
@@ -1134,6 +1156,8 @@ mod tests {
 /// exactly what it has applied. Churn and loss are injected directly.
 #[cfg(test)]
 mod model_tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
     use manet_sim::mobility::{MobilityConfig, MobilityState};
     use proptest::prelude::*;
@@ -1171,7 +1195,7 @@ mod model_tests {
         full_needed: bool,
         last_sent: Option<u64>,
         pending: Option<MPending>,
-        truth: HashMap<u64, BTreeMap<TupleId, Tuple>>,
+        truth: BTreeMap<u64, BTreeMap<TupleId, Tuple>>,
     }
 
     fn local_of(
@@ -1234,16 +1258,16 @@ mod model_tests {
                     full_needed: true,
                     last_sent: None,
                     pending: None,
-                    truth: HashMap::new(),
+                    truth: BTreeMap::new(),
                 }
             })
             .collect();
 
         // Originator state.
         let mut fold = LiveSkyline::new();
-        let mut contributions: HashMap<usize, Vec<TupleId>> = HashMap::new();
-        let mut last_applied: HashMap<usize, u64> = HashMap::new();
-        let mut needs_full: HashSet<usize> = HashSet::new();
+        let mut contributions: BTreeMap<usize, Vec<TupleId>> = BTreeMap::new();
+        let mut last_applied: BTreeMap<usize, u64> = BTreeMap::new();
+        let mut needs_full: BTreeSet<usize> = BTreeSet::new();
         let mut own_ids: Vec<TupleId> = Vec::new();
 
         for e in 1..=EPOCHS {
@@ -1366,9 +1390,8 @@ mod model_tests {
                     assert!(fold.remove(id), "own remove miss");
                 }
             }
-            let old_set: HashSet<TupleId> = old.iter().copied().collect();
             for (id, t) in &local0 {
-                if !old_set.contains(id) {
+                if !old.contains(id) {
                     fold.insert(*id, t.clone());
                 }
             }

@@ -4,6 +4,9 @@
 //! device's identifier, a per-originator counter used for duplicate
 //! suppression, the originator's position, and the distance of interest.
 
+use std::collections::VecDeque;
+
+use sim_obs::dethash::DetHashMap;
 use skyline_core::region::{Point, QueryRegion};
 
 /// Identifies one query instance: originator id plus the originator-local
@@ -77,7 +80,7 @@ const QUERY_LOG_WINDOW: usize = 32;
 /// wrap-around harmless.
 #[derive(Debug, Default, Clone)]
 pub struct QueryLog {
-    recent: std::collections::HashMap<usize, std::collections::VecDeque<u8>>,
+    recent: DetHashMap<usize, VecDeque<u8>>,
 }
 
 impl QueryLog {

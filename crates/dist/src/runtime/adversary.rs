@@ -3,10 +3,9 @@
 //! the two forged-reply paths on [`DeviceApp`]), and what an honest device
 //! refuses to process ([`Defense`]).
 
-use std::collections::HashMap;
-
 use manet_sim::engine::NodeCtx;
 use manet_sim::{AttackKind, AttackRole, DropCause, NodeId, QueryEvent, QueryId, SimTime};
+use sim_obs::dethash::DetHashMap;
 use skyline_core::region::Point;
 use skyline_core::vdr::{FilterTuple, UpperBounds};
 use skyline_core::Tuple;
@@ -39,9 +38,9 @@ pub(super) struct Defense {
     /// Network size (bound on a plausible responder id).
     m: usize,
     /// Rate-limit defense: per-source token buckets, (last refill, tokens).
-    buckets: HashMap<NodeId, (SimTime, f64)>,
+    buckets: DetHashMap<NodeId, (SimTime, f64)>,
     /// Reputation defense: penalties accumulated per peer.
-    reputation: HashMap<NodeId, u64>,
+    reputation: DetHashMap<NodeId, u64>,
     /// Delivered frames this device refused to process (defensive decode
     /// or an active defense).
     pub(super) frames_dropped: u64,

@@ -69,7 +69,7 @@ mod experiment;
 mod handoff;
 mod msg;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use device_storage::HybridRelation;
 use manet_sim::engine::{Application, MsgMeta, NodeCtx};
@@ -77,6 +77,7 @@ use manet_sim::{
     AttackKind, AttackRole, DropCause, FinalizeKind, NodeId, QueryEvent, QueryId, SimDuration,
     SimTime,
 };
+use sim_obs::dethash::{DetHashMap, DetHashSet};
 use sim_obs::PowHistogram;
 use skyline_core::region::Point;
 use skyline_core::vdr::FilterTuple;
@@ -148,7 +149,7 @@ struct ActiveQuery {
     merger: SkylineMerger,
     drr: DrrAccumulator,
     /// Devices whose reply was accepted (BF; DF fills it at completion).
-    responders: HashSet<NodeId>,
+    responders: BTreeSet<NodeId>,
     responded: usize,
     /// BF: responses needed for the 80 % rule.
     needed: usize,
@@ -167,7 +168,7 @@ struct ActiveQuery {
     /// `(x.to_bits(), y.to_bits())`) — the raw material for spurious-cause
     /// attribution. DF token merges record `usize::MAX` (the walk folds
     /// contributions before the originator sees them).
-    first_seen: HashMap<(u64, u64), NodeId>,
+    first_seen: DetHashMap<(u64, u64), NodeId>,
 }
 
 impl ActiveQuery {
@@ -221,7 +222,7 @@ pub struct DeviceApp {
     pub forward_messages: u64,
     /// Result messages sent.
     pub result_messages: u64,
-    stash: HashMap<u64, Vec<Stashed>>,
+    stash: DetHashMap<u64, Vec<Stashed>>,
     next_stash: u64,
     /// Total devices in the network (for the 80 % rule).
     m: usize,
@@ -230,9 +231,9 @@ pub struct DeviceApp {
     /// Per-hop ARQ for BF replies and DF tokens.
     arq: Arq<ProtoMsg>,
     /// Highest BF round seen per query (fresh-vs-relay decision).
-    bf_rounds: HashMap<QueryKey, u8>,
+    bf_rounds: DetHashMap<QueryKey, u8>,
     /// DF transfers already processed, for duplicate suppression.
-    seen_transfers: HashSet<(NodeId, u64)>,
+    seen_transfers: DetHashSet<(NodeId, u64)>,
     /// Duplicate replies / token transfers suppressed.
     pub duplicates_suppressed: u64,
     /// Routing-level delivery failures reported to this device.
@@ -275,13 +276,13 @@ impl DeviceApp {
             records: Vec::new(),
             forward_messages: 0,
             result_messages: 0,
-            stash: HashMap::new(),
+            stash: DetHashMap::default(),
             next_stash: 0,
             m,
             dist,
             arq: Arq::new(dist.arq, id, token::ARQ),
-            bf_rounds: HashMap::new(),
-            seen_transfers: HashSet::new(),
+            bf_rounds: DetHashMap::default(),
+            seen_transfers: DetHashSet::default(),
             duplicates_suppressed: 0,
             delivery_failures: 0,
             crash_count: 0,
@@ -430,7 +431,7 @@ impl DeviceApp {
             issued: ctx.now,
             merger: SkylineMerger::with_seed(sk_org),
             drr: DrrAccumulator::default(),
-            responders: HashSet::new(),
+            responders: BTreeSet::new(),
             responded: 0,
             needed: (0.8 * (self.m.saturating_sub(1)) as f64).ceil() as usize,
             completed: None,
@@ -444,6 +445,13 @@ impl DeviceApp {
         ctx.set_timer(QUERY_TIMEOUT, token::TIMEOUT | u64::from(cnt));
 
         match self.forwarding {
+            Forwarding::BreadthFirst if self.m <= 1 => {
+                // No other device can answer: the local skyline is the
+                // answer, and no reply will ever trigger the completion
+                // check.
+                self.active = Some(aq);
+                self.finalize(ctx, false);
+            }
             Forwarding::BreadthFirst => {
                 self.flood(ctx, spec, filters, 0, 0);
                 self.active = Some(aq);

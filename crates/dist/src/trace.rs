@@ -19,13 +19,13 @@
 //!   diagnostic: any drift between the narrative and the scorecard is a
 //!   bug in one of them.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use manet_sim::{
     FinalizeKind, FrameTag, FrameTraceLog, LossCause, NetStats, QueryEvent, QueryId, QueryTraceLog,
     QueryTraceRecord, TraceEvent,
 };
+use sim_obs::dethash::{DetHashMap, DetHashSet};
 
 use crate::runtime::{qid, ManetOutcome, TimeoutCause};
 
@@ -340,7 +340,7 @@ pub struct QueryTimeline {
 pub fn timeline_for(log: &QueryTraceLog, query: QueryId) -> QueryTimeline {
     let mut records: Vec<QueryTraceRecord> =
         log.records.iter().filter(|r| r.query == Some(query)).copied().collect();
-    let participants: std::collections::HashSet<usize> = records.iter().map(|r| r.node).collect();
+    let participants: DetHashSet<usize> = records.iter().map(|r| r.node).collect();
     records.extend(
         log.records
             .iter()
@@ -394,7 +394,7 @@ impl QueryTimeline {
     /// paired with the originator's `reply_accepted` for the same sender
     /// and ARQ sequence number.
     pub fn reply_latencies(&self) -> Vec<(usize, f64)> {
-        let mut sent: HashMap<(usize, u64), f64> = HashMap::new();
+        let mut sent: DetHashMap<(usize, u64), f64> = DetHashMap::default();
         for r in &self.records {
             if let QueryEvent::ReplySent { seq, .. } = r.event {
                 sent.entry((r.node, seq)).or_insert_with(|| r.at.as_secs_f64());
@@ -677,7 +677,7 @@ struct PerQuery {
 pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> {
     let mut d = DriftCheck::open(out.query_trace.as_ref(), "TraceConfig::per_node_capacity")?;
     let (log, agg) = (d.log, d.agg);
-    let mut per: HashMap<QueryId, PerQuery> = HashMap::new();
+    let mut per: DetHashMap<QueryId, PerQuery> = DetHashMap::default();
     for r in &log.records {
         if let Some(q) = r.query {
             let p = per.entry(q).or_default();

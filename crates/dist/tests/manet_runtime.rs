@@ -5,6 +5,7 @@
 use dist_skyline::config::{FilterStrategy, Forwarding, StrategyConfig};
 use dist_skyline::cost_model::DeviceCostModel;
 use dist_skyline::runtime::{run_experiment, ManetExperiment};
+use dist_skyline::{verify_zero_drift, TraceConfig};
 use skyline_core::vdr::BoundsMode;
 
 fn small_experiment(forwarding: Forwarding, frozen: bool, radius: f64) -> ManetExperiment {
@@ -232,4 +233,32 @@ fn deterministic_runs() {
     assert_eq!(a.records.len(), b.records.len());
     assert_eq!(a.net, b.net);
     assert_eq!(a.drr, b.drr);
+}
+
+#[test]
+fn a_lone_device_answers_at_issue_under_bf_and_df() {
+    // g = 1: no other device can reply, so the 80 % rule needs nobody and
+    // the local skyline is the whole answer. Both strategies must finalize
+    // at issue, not wait for replies that never come.
+    for fwd in [Forwarding::BreadthFirst, Forwarding::DepthFirst] {
+        let mut exp = ManetExperiment::paper_defaults(
+            1,
+            100,
+            2,
+            datagen::Distribution::Independent,
+            f64::INFINITY,
+            42,
+        );
+        exp.forwarding = fwd;
+        exp.sim_seconds = 600.0;
+        exp.dist.trace = TraceConfig::full();
+        let out = run_experiment(&exp);
+        assert!(!out.records.is_empty(), "{fwd:?}: no queries issued");
+        for r in &out.records {
+            assert!(!r.timed_out, "{fwd:?}: query {:?} timed out", r.key);
+            assert_eq!(r.response_seconds, Some(0.0), "{fwd:?}: query {:?}", r.key);
+            assert!(r.result_len > 0, "{fwd:?}: empty local answer for {:?}", r.key);
+        }
+        verify_zero_drift(&out).unwrap_or_else(|e| panic!("{fwd:?}: {e}"));
+    }
 }

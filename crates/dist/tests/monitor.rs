@@ -1,14 +1,17 @@
 //! Continuous-monitoring acceptance tests: per-epoch exactness on a frozen
 //! grid, the delta protocol's message advantage over naive re-query, lease
-//! expiry when the originator dies, injected-drift detection, and a clean
-//! zero-drift verification under mobility, churn, and loss.
+//! expiry when the originator dies, injected-drift detection, a clean
+//! zero-drift verification under mobility, churn, and loss, and every
+//! device's per-tick answer against the centralized constrained skyline.
 
 use dist_skyline::monitor::{
-    run_monitor_experiment, verify_monitor_drift, MonitorExperiment, MonitorMode,
+    monitor_network, run_monitor_experiment, verify_monitor_drift, MonitorExperiment, MonitorMode,
 };
 use manet_sim::{
     ChurnConfig, FaultPlan, QueryEvent, QueryId, QueryTraceRecord, SimDuration, SimTime,
 };
+use skyline_core::region::{Point, QueryRegion};
+use skyline_core::{constrained, Tuple, TupleId};
 
 /// Frozen 5×5 grid (200 m spacing on the paper extent, inside the default
 /// 250 m radio range, so the flood and every delta path are deterministic).
@@ -86,8 +89,8 @@ fn leases_expire_after_originator_crash() {
     let log = out.query_trace.as_ref().expect("trace enabled");
     // Every device that held a lease when the originator died saw it
     // expire, and sent nothing afterwards.
-    let mut expired_at: std::collections::HashMap<usize, SimTime> =
-        std::collections::HashMap::new();
+    let mut expired_at: std::collections::BTreeMap<usize, SimTime> =
+        std::collections::BTreeMap::new();
     for r in &log.records {
         if let QueryEvent::LeaseExpired { .. } = r.event {
             expired_at.insert(r.node, r.at);
@@ -197,4 +200,72 @@ fn mobile_churn_loss_run_verifies_clean() {
     assert!(out.record.epochs > 0);
     let mean = out.record.epoch_completeness.expect("scored");
     assert!(mean > 0.5, "mean epoch completeness collapsed: {mean}");
+}
+
+#[test]
+fn every_recorded_tick_is_the_constrained_skyline_at_its_epoch() {
+    // A mobile run in which one device is down for two minutes. At each
+    // epoch tick a device records its answer over its own sites; that
+    // record must equal the centralized constrained skyline of those sites
+    // placed where the device stood at the epoch instant — before, across
+    // and after the outage.
+    let secs = SimTime::from_secs_f64;
+    let (crashed, down, up) = (5, secs(200.0), secs(320.0));
+    let mut exp = MonitorExperiment::defaults(4, MonitorMode::Continuous, 0x7E57);
+    exp.sites_per_device = 20;
+    exp.radius = 500.0;
+    exp.radio.range_m = 400.0;
+    exp.duration_s = 600.0;
+    exp.fault_plan = Some(FaultPlan::new().crash_at(crashed, down).revive_at(crashed, up));
+    let m = exp.g * exp.g;
+    let t0 = secs(exp.start_s);
+    let epoch_at = |e: u64| t0 + SimDuration(exp.mon.period.0 * e);
+    let epochs = (exp.duration_s / exp.mon.period.as_secs_f64()) as u64;
+
+    // Step the run one epoch instant at a time and note where every device
+    // is (the clock never runs back, so each position is read at the
+    // current time).
+    let mut sim = monitor_network(&exp);
+    let mut positions = vec![Vec::new(); m];
+    for e in 0..=epochs {
+        sim.run_until(epoch_at(e));
+        for (node, at) in positions.iter_mut().enumerate() {
+            at.push(sim.position_at(node, epoch_at(e)));
+        }
+    }
+    // The originator registers the circle around where it stood at `t0`.
+    let c = positions[0][0];
+    let region = QueryRegion::new(Point::new(c.x, c.y), exp.radius);
+
+    let mut checked = 0;
+    for (node, at) in positions.iter().enumerate() {
+        let app = sim.app(node);
+        assert!(!app.truth.is_empty(), "node {node} never ticked");
+        for (e, ids) in &app.truth {
+            let pos = at[*e as usize];
+            let placed: Vec<Tuple> = app
+                .sites()
+                .iter()
+                .map(|(_, t, off)| Tuple::new(pos.x + off.0, pos.y + off.1, t.attrs.clone()))
+                .collect();
+            let mut want: Vec<TupleId> = constrained::skyline_indices(&placed, &region)
+                .into_iter()
+                .map(|i| app.sites()[i].0)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(ids, &want, "node {node}, epoch {e}");
+            checked += usize::from(!want.is_empty());
+        }
+    }
+    assert!(checked > 100, "only {checked} non-empty answers: the circle misses the devices");
+
+    // Nothing is recorded while the device is down, and it ticks again
+    // once revived.
+    let ticks: Vec<SimTime> = sim.app(crashed).truth.iter().map(|&(e, _)| epoch_at(e)).collect();
+    assert!(ticks.iter().any(|&at| at < down), "device {crashed} never ticked before its crash");
+    assert!(
+        ticks.iter().all(|&at| at < down || at >= up),
+        "device {crashed} ticked while down: {ticks:?}"
+    );
+    assert!(ticks.iter().any(|&at| at > up), "device {crashed} never ticked after its revival");
 }
