@@ -34,9 +34,7 @@ use manet_sim::{
 use skyline_core::vdr::BoundsMode;
 use std::time::Instant;
 
-use crate::provenance::{
-    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
-};
+use crate::provenance::{det, int, label, print_rows, vol, Grid, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -179,67 +177,13 @@ pub fn experiment(
     exp
 }
 
-/// Everything the scorecard reports for one cell.
-#[derive(Debug, Clone)]
-pub struct CellReport {
-    /// Forwarding arm label.
-    pub arm: &'static str,
-    /// Attack row label (`"none"` = attack-free baseline).
-    pub attack: &'static str,
-    /// Whether the defenses were on.
-    pub defense: bool,
-    /// Churn fraction of the cell.
-    pub churn: f64,
-    /// Frame-loss probability of the cell.
-    pub loss: f64,
-    /// Queries issued.
-    pub queries: usize,
-    /// Mean oracle completeness across all records (attackers included).
-    pub mean_completeness: f64,
-    /// Mean completeness over queries from *honest* originators — the
-    /// service the defenses actually protect (an isolated attacker's own
-    /// queries are forfeit by design).
-    pub mean_honest_completeness: f64,
-    /// Worst-case completeness over honest originators.
-    pub min_honest_completeness: f64,
-    /// Answer tuples the contributing oracle refutes.
-    pub spurious: u64,
-    /// Fraction of queries that timed out.
-    pub timeout_fraction: f64,
-    /// Radio frames the whole run put on the air.
-    pub frames_sent: u64,
-    /// BF result messages created (replies to real *and* fake queries).
-    pub result_messages: u64,
-    /// Frames originated by attacker roles.
-    pub attack_frames_sent: u64,
-    /// Frames refused by a defensive gate (counted per receiver).
-    pub attack_frames_dropped: u64,
-    /// Filter tuples stripped by the sanity check.
-    pub filters_rejected: u64,
-    /// Reputation penalties recorded.
-    pub reputation_penalties: u64,
-    /// Defense effectiveness: blocked ÷ attack frames sent. Broadcast
-    /// fan-out counts one sent frame at every receiver, so sustained
-    /// blocking pushes this above 1; ~0 means the defenses never engaged.
-    pub defense_effectiveness: f64,
-    /// Mean response time of protocol-completed queries.
-    pub mean_response_seconds: Option<f64>,
-    /// Wall seconds this cell took (volatile; lives in the `timings`
-    /// section of the baseline, never in `grid`).
-    pub seconds: f64,
-}
+/// One `(churn, loss, arm, attack, defense)` cell of the grid.
+pub type Cell = (f64, f64, Arm, Option<AttackKind>, bool);
 
-#[allow(clippy::too_many_arguments)]
-fn report(
-    arm: &Arm,
-    attack: Option<AttackKind>,
-    defense: bool,
-    churn: f64,
-    loss: f64,
-    exp: &ManetExperiment,
-    out: &ManetOutcome,
-    seconds: f64,
-) -> CellReport {
+/// Mean and worst completeness over queries from *honest* originators —
+/// the service the defenses actually protect (an isolated attacker's own
+/// queries are forfeit by design); `NaN` when no honest query scored.
+fn honest_completeness(exp: &ManetExperiment, out: &ManetOutcome) -> (f64, f64) {
     let attackers: Vec<usize> = exp
         .attack_plan
         .as_ref()
@@ -251,42 +195,60 @@ fn report(
         .filter(|r| !attackers.contains(&r.key.origin))
         .filter_map(|r| r.completeness)
         .collect();
-    let mean_honest =
+    let mean =
         if honest.is_empty() { f64::NAN } else { honest.iter().sum::<f64>() / honest.len() as f64 };
-    let min_honest = honest.iter().copied().fold(f64::INFINITY, f64::min);
-    CellReport {
-        arm: arm.name,
-        attack: attack_name(attack),
-        defense,
-        churn,
-        loss,
-        queries: out.records.len(),
-        mean_completeness: out.mean_completeness.unwrap_or(f64::NAN),
-        mean_honest_completeness: mean_honest,
-        min_honest_completeness: if min_honest.is_finite() { min_honest } else { f64::NAN },
-        spurious: out.spurious_total,
-        timeout_fraction: out.timeout_fraction,
-        frames_sent: out.net.frames_sent,
-        result_messages: out.total_result_messages,
-        attack_frames_sent: out.attack_frames_sent,
-        attack_frames_dropped: out.attack_frames_dropped,
-        filters_rejected: out.filters_rejected,
-        reputation_penalties: out.reputation_penalties,
-        defense_effectiveness: out.attack_frames_dropped as f64
-            / (out.attack_frames_sent.max(1)) as f64,
-        mean_response_seconds: out.mean_response_seconds,
-        seconds,
-    }
+    let min = honest.iter().copied().fold(f64::INFINITY, f64::min);
+    (mean, if min.is_finite() { min } else { f64::NAN })
+}
+
+/// One cell's scorecard row, keyed by `(arm, attack, defense, churn,
+/// loss)`: every count deterministic, the cell's wall clock volatile.
+/// `defense_effectiveness` is blocked ÷ attack frames sent: broadcast
+/// fan-out counts one sent frame at every receiver, so sustained blocking
+/// pushes it above 1; ~0 means the defenses never engaged.
+fn row(
+    (churn, loss, arm, attack, defense): &Cell,
+    exp: &ManetExperiment,
+    out: &ManetOutcome,
+    seconds: f64,
+) -> Row {
+    let (mean_honest, min_honest) = honest_completeness(exp, out);
+    let effectiveness = out.attack_frames_dropped as f64 / (out.attack_frames_sent.max(1)) as f64;
+    vec![
+        label("arm", arm.name),
+        label("attack", attack_name(*attack)),
+        label("defense", Value::Bool(*defense)),
+        label("churn", Value::Float(*churn)),
+        label("loss", Value::Float(*loss)),
+        det("queries", out.records.len()),
+        det("mean_completeness", Value::Fixed(out.mean_completeness.unwrap_or(f64::NAN), 6)),
+        det("mean_honest_completeness", Value::Fixed(mean_honest, 6)),
+        det("min_honest_completeness", Value::Fixed(min_honest, 6)),
+        det("spurious", out.spurious_total),
+        det("timeout_fraction", Value::Fixed(out.timeout_fraction, 6)),
+        det("frames_sent", out.net.frames_sent),
+        det("result_messages", out.total_result_messages),
+        det("attack_frames_sent", out.attack_frames_sent),
+        det("attack_frames_dropped", out.attack_frames_dropped),
+        det("filters_rejected", out.filters_rejected),
+        det("reputation_penalties", out.reputation_penalties),
+        det("defense_effectiveness", Value::Fixed(effectiveness, 6)),
+        det(
+            "mean_response_seconds",
+            Value::Fixed(out.mean_response_seconds.unwrap_or(f64::NAN), 3),
+        ),
+        vol("seconds", Value::Fixed(seconds, 3)),
+    ]
 }
 
 /// The full cell list in fixed grid order (fault point → arm → attack →
-/// defense), shared by [`compute`] and the shape tests.
+/// defense), shared by [`run`] and the shape tests.
 ///
 /// Poison and Sybil forge *BF replies*, so they only appear under the BF
 /// arm; a DF attacker relays the token honestly (an honest residual noted
 /// in DESIGN.md §11). DF rows sweep none/flood — floods are fake BF
 /// queries and hurt regardless of the workload's forwarding mode.
-pub fn cells() -> Vec<(f64, f64, Arm, Option<AttackKind>, bool)> {
+pub fn cells() -> Vec<Cell> {
     let mut cells = Vec::new();
     for &(churn, loss) in &FAULTS {
         for arm in &arms() {
@@ -305,29 +267,19 @@ pub fn cells() -> Vec<(f64, f64, Arm, Option<AttackKind>, bool)> {
     cells
 }
 
-/// Runs the whole grid through the sweep harness. Reports come back in
-/// grid order, so output is byte-identical for any `--jobs`.
-pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
+/// Runs the whole grid through the sweep harness, prints the scorecard
+/// rows and returns them as `BENCH_attack.json`'s grid (shared by `msq
+/// ext attack` and `msq all`). Rows come in grid order, so output is
+/// byte-identical for any `--jobs`.
+pub fn run(o: &RunOpts) -> Grid {
     let cells = cells();
-    let outs = sweep::run_stage(stage, jobs, &cells, |(churn, loss, arm, attack, defense)| {
-        let exp = experiment(scale, *churn, *loss, arm, *attack, *defense);
+    let rows = sweep::run_stage("ext_attack", o.jobs, &cells, |cell| {
+        let (churn, loss, arm, attack, defense) = cell;
+        let exp = experiment(o.scale, *churn, *loss, arm, *attack, *defense);
         let t0 = Instant::now();
         let out = run_experiment(&exp);
-        (exp, out, t0.elapsed().as_secs_f64())
+        row(cell, &exp, &out, t0.elapsed().as_secs_f64())
     });
-    cells
-        .iter()
-        .zip(&outs)
-        .map(|((churn, loss, arm, attack, defense), (exp, out, secs))| {
-            report(arm, *attack, *defense, *churn, *loss, exp, out, *secs)
-        })
-        .collect()
-}
-
-/// Runs the grid, prints the scorecard rows, and returns the reports
-/// (shared by `msq ext attack` and `msq all`).
-pub fn run(o: &RunOpts) -> Vec<CellReport> {
-    let reports = compute(o.scale, o.jobs, "ext_attack");
     print_rows(
         &format!(
             "Extension: adversarial chaos grid ({} tuples, {} devices, {:.0}% compromised in \
@@ -336,55 +288,26 @@ pub fn run(o: &RunOpts) -> Vec<CellReport> {
             GRID * GRID,
             ATTACK_FRACTION * 100.0
         ),
-        &reports.iter().map(row).collect::<Vec<_>>(),
+        &rows,
     );
 
-    let spurious_on: u64 = reports.iter().filter(|r| r.defense).map(|r| r.spurious).sum();
+    let spurious_on: u64 = cells
+        .iter()
+        .zip(&rows)
+        .filter(|(cell, _)| cell.4)
+        .map(|(_, r)| int(r, "spurious"))
+        .sum();
     println!("\nspurious with defenses ON (any > 0 is a defense bug): {spurious_on}");
     println!("expected shape: defenses-off attack rows collapse honest completeness");
     println!("(poison, sybil) or inflate frames (flood); defenses-on rows restore");
     println!("honest completeness, drive spurious to 0, and show blocked > 0.");
-    reports
-}
-
-/// Renders the scorecard as the `BENCH_attack.json` machine baseline:
-/// one row per cell, keyed by `(arm, attack, defense, churn, loss)`; every
-/// count in `grid`, the cell's wall clock in `timings`.
-pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
-    let scale = prov.scale;
-    let header = [
+    let header = vec![
         ("devices", Value::from(GRID * GRID)),
-        ("cardinality", Value::from(scale.attack_cardinality())),
-        ("sim_seconds", Value::Float(scale.attack_sim_seconds())),
+        ("cardinality", Value::from(o.scale.attack_cardinality())),
+        ("sim_seconds", Value::Float(o.scale.attack_sim_seconds())),
         ("attack_fraction", Value::Float(ATTACK_FRACTION)),
     ];
-    let rows: Vec<Row> = reports.iter().map(row).collect();
-    baseline_json("attack", prov, GRID_REV, &header, &rows)
-}
-
-fn row(r: &CellReport) -> Row {
-    vec![
-        label("arm", r.arm),
-        label("attack", r.attack),
-        label("defense", Value::Bool(r.defense)),
-        label("churn", Value::Float(r.churn)),
-        label("loss", Value::Float(r.loss)),
-        det("queries", r.queries),
-        det("mean_completeness", Value::Fixed(r.mean_completeness, 6)),
-        det("mean_honest_completeness", Value::Fixed(r.mean_honest_completeness, 6)),
-        det("min_honest_completeness", Value::Fixed(r.min_honest_completeness, 6)),
-        det("spurious", r.spurious),
-        det("timeout_fraction", Value::Fixed(r.timeout_fraction, 6)),
-        det("frames_sent", r.frames_sent),
-        det("result_messages", r.result_messages),
-        det("attack_frames_sent", r.attack_frames_sent),
-        det("attack_frames_dropped", r.attack_frames_dropped),
-        det("filters_rejected", r.filters_rejected),
-        det("reputation_penalties", r.reputation_penalties),
-        det("defense_effectiveness", Value::Fixed(r.defense_effectiveness, 6)),
-        det("mean_response_seconds", Value::Fixed(r.mean_response_seconds.unwrap_or(f64::NAN), 3)),
-        vol("seconds", Value::Fixed(r.seconds, 3)),
-    ]
+    Grid { bench: "attack", grid_rev: GRID_REV, header, rows }
 }
 
 #[cfg(test)]
@@ -411,13 +334,14 @@ mod tests {
         exp
     }
 
+    /// One shrunk cell's outcome and its mean honest completeness.
     fn run_cell(
         churn: f64,
         loss: f64,
         arm: &Arm,
         attack: Option<AttackKind>,
         defense: bool,
-    ) -> CellReport {
+    ) -> (ManetOutcome, f64) {
         let exp = shrink(churn, loss, arm, attack, defense);
         let out = run_experiment(&exp);
         // Acceptance bar: the zero-drift audit passes on every adversarial
@@ -427,7 +351,8 @@ mod tests {
         verify_zero_drift(&out).unwrap_or_else(|e| {
             panic!("zero drift violated ({:?} defense={defense}): {e}", attack_name(attack))
         });
-        report(arm, attack, defense, churn, loss, &exp, &out, 0.0)
+        let honest = honest_completeness(&exp, &out).0;
+        (out, honest)
     }
 
     #[test]
@@ -467,31 +392,27 @@ mod tests {
     #[test]
     fn poison_trips_scorecard_and_sanity_restores_it() {
         let bf = &arms()[0];
-        let base = run_cell(0.0, 0.0, bf, None, false);
-        let off = run_cell(0.0, 0.0, bf, Some(AttackKind::FilterPoison), false);
-        let on = run_cell(0.0, 0.0, bf, Some(AttackKind::FilterPoison), true);
+        let (base, base_honest) = run_cell(0.0, 0.0, bf, None, false);
+        let (off, off_honest) = run_cell(0.0, 0.0, bf, Some(AttackKind::FilterPoison), false);
+        let (on, on_honest) = run_cell(0.0, 0.0, bf, Some(AttackKind::FilterPoison), true);
 
-        assert_eq!(base.spurious, 0, "attack-free baseline must be clean");
-        assert!(base.mean_honest_completeness > 0.99, "{base:?}");
+        assert_eq!(base.spurious_total, 0, "attack-free baseline must be clean");
+        assert!(base_honest > 0.99, "{base_honest}");
 
-        assert!(off.spurious > 0, "poison must trip the spurious invariant: {off:?}");
+        assert!(off.spurious_total > 0, "poison must trip the spurious invariant");
         assert!(
-            off.mean_honest_completeness < base.mean_honest_completeness - 0.2,
-            "poison must collapse completeness: {} vs {}",
-            off.mean_honest_completeness,
-            base.mean_honest_completeness
+            off_honest < base_honest - 0.2,
+            "poison must collapse completeness: {off_honest} vs {base_honest}"
         );
 
-        assert_eq!(on.spurious, 0, "sanity defense must restore zero-spurious: {on:?}");
+        assert_eq!(on.spurious_total, 0, "sanity defense must restore zero-spurious");
         assert!(
-            on.mean_honest_completeness > off.mean_honest_completeness + 0.2,
-            "defense must recover completeness: {} vs {}",
-            on.mean_honest_completeness,
-            off.mean_honest_completeness
+            on_honest > off_honest + 0.2,
+            "defense must recover completeness: {on_honest} vs {off_honest}"
         );
         assert!(
             on.attack_frames_dropped > 0 || on.filters_rejected > 0,
-            "the defense must have visibly engaged: {on:?}"
+            "the defense must have visibly engaged"
         );
     }
 
@@ -500,29 +421,26 @@ mod tests {
     #[test]
     fn flood_inflates_traffic_and_rate_limit_blocks_it() {
         let bf = &arms()[0];
-        let base = run_cell(0.0, 0.0, bf, None, false);
-        let off = run_cell(0.0, 0.0, bf, Some(AttackKind::QueryFlood), false);
-        let on = run_cell(0.0, 0.0, bf, Some(AttackKind::QueryFlood), true);
+        let (base, _) = run_cell(0.0, 0.0, bf, None, false);
+        let (off, _) = run_cell(0.0, 0.0, bf, Some(AttackKind::QueryFlood), false);
+        let (on, on_honest) = run_cell(0.0, 0.0, bf, Some(AttackKind::QueryFlood), true);
 
         assert!(off.attack_frames_sent > 0);
         assert!(
-            off.frames_sent > base.frames_sent * 2,
+            off.net.frames_sent > base.net.frames_sent * 2,
             "flood must inflate traffic: {} vs baseline {}",
-            off.frames_sent,
-            base.frames_sent
+            off.net.frames_sent,
+            base.net.frames_sent
         );
-        assert!(on.attack_frames_dropped > 0, "rate limiter never engaged: {on:?}");
+        assert!(on.attack_frames_dropped > 0, "rate limiter never engaged");
         assert!(
-            on.result_messages < off.result_messages,
+            on.total_result_messages < off.total_result_messages,
             "blocked floods must reduce replies-to-spam: {} vs {}",
-            on.result_messages,
-            off.result_messages
+            on.total_result_messages,
+            off.total_result_messages
         );
-        assert_eq!(on.spurious, 0);
-        assert!(
-            on.mean_honest_completeness > 0.9,
-            "honest queries must survive the defended flood: {on:?}"
-        );
+        assert_eq!(on.spurious_total, 0);
+        assert!(on_honest > 0.9, "honest queries must survive the defended flood: {on_honest}");
     }
 
     /// The PR 7 residual (DESIGN §11.5), closed: a query-flood spammer
@@ -537,7 +455,7 @@ mod tests {
     fn spoofed_flood_evades_buckets_until_identity_reroutes_the_charge() {
         use manet_sim::AttackRole;
         let bf = &arms()[0];
-        let base = run_cell(0.0, 0.0, bf, None, false);
+        let (base, _) = run_cell(0.0, 0.0, bf, None, false);
 
         let run_spoofed = |identity: bool| {
             let mut exp = shrink(0.0, 0.0, bf, Some(AttackKind::QueryFlood), true);
@@ -551,24 +469,25 @@ mod tests {
             verify_zero_drift(&out).unwrap_or_else(|e| {
                 panic!("zero drift violated (spoofed flood, identity={identity}): {e}")
             });
-            report(bf, Some(AttackKind::QueryFlood), true, 0.0, 0.0, &exp, &out, 0.0)
+            let honest = honest_completeness(&exp, &out).0;
+            (out, honest)
         };
 
         // Residual reproduced: per-origin buckets alone barely engage
         // against rotated spoofed origins, and the flood inflates traffic
         // like an undefended one.
-        let evaded = run_spoofed(false);
+        let (evaded, _) = run_spoofed(false);
         assert!(evaded.attack_frames_sent > 0);
         assert!(
-            evaded.frames_sent > base.frames_sent * 2,
+            evaded.net.frames_sent > base.net.frames_sent * 2,
             "rotated spoofing must evade per-origin buckets: {} vs baseline {}",
-            evaded.frames_sent,
-            base.frames_sent
+            evaded.net.frames_sent,
+            base.net.frames_sent
         );
 
         // The fix: spoofed frames land in the spoofer's bucket, the flood
         // is blocked, and honest service survives.
-        let fixed = run_spoofed(true);
+        let (fixed, fixed_honest) = run_spoofed(true);
         assert!(
             fixed.attack_frames_dropped > evaded.attack_frames_dropped,
             "identity verdict must engage the limiter: {} vs {}",
@@ -576,15 +495,15 @@ mod tests {
             evaded.attack_frames_dropped
         );
         assert!(
-            fixed.frames_sent < evaded.frames_sent,
+            fixed.net.frames_sent < evaded.net.frames_sent,
             "blocking the spoofed flood must deflate traffic: {} vs {}",
-            fixed.frames_sent,
-            evaded.frames_sent
+            fixed.net.frames_sent,
+            evaded.net.frames_sent
         );
-        assert_eq!(fixed.spurious, 0);
+        assert_eq!(fixed.spurious_total, 0);
         assert!(
-            fixed.mean_honest_completeness > 0.9,
-            "honest victims' queries must survive the defended spoofed flood: {fixed:?}"
+            fixed_honest > 0.9,
+            "honest victims' queries must survive the defended spoofed flood: {fixed_honest}"
         );
     }
 
@@ -594,25 +513,21 @@ mod tests {
     #[test]
     fn sybil_preempts_honest_replies_and_identity_check_recovers() {
         let bf = &arms()[0];
-        let base = run_cell(0.0, 0.0, bf, None, false);
-        let off = run_cell(0.0, 0.0, bf, Some(AttackKind::Sybil), false);
-        let on = run_cell(0.0, 0.0, bf, Some(AttackKind::Sybil), true);
+        let (_, base_honest) = run_cell(0.0, 0.0, bf, None, false);
+        let (off, off_honest) = run_cell(0.0, 0.0, bf, Some(AttackKind::Sybil), false);
+        let (on, on_honest) = run_cell(0.0, 0.0, bf, Some(AttackKind::Sybil), true);
 
         assert!(off.attack_frames_sent > 0);
         assert!(
-            off.mean_honest_completeness < base.mean_honest_completeness - 0.1,
-            "forged replies must preempt honest data: {} vs {}",
-            off.mean_honest_completeness,
-            base.mean_honest_completeness
+            off_honest < base_honest - 0.1,
+            "forged replies must preempt honest data: {off_honest} vs {base_honest}"
         );
-        assert!(on.attack_frames_dropped > 0, "identity check never engaged: {on:?}");
-        assert!(on.reputation_penalties > 0, "forgers must be penalized: {on:?}");
-        assert_eq!(on.spurious, 0);
+        assert!(on.attack_frames_dropped > 0, "identity check never engaged");
+        assert!(on.reputation_penalties > 0, "forgers must be penalized");
+        assert_eq!(on.spurious_total, 0);
         assert!(
-            on.mean_honest_completeness > off.mean_honest_completeness,
-            "defense must recover completeness: {} vs {}",
-            on.mean_honest_completeness,
-            off.mean_honest_completeness
+            on_honest > off_honest,
+            "defense must recover completeness: {on_honest} vs {off_honest}"
         );
     }
 
@@ -623,22 +538,22 @@ mod tests {
     #[test]
     fn parallel_attack_grid_is_bit_identical_to_sequential() {
         let arms = arms();
-        let cells: Vec<(f64, f64, Arm, Option<AttackKind>, bool)> = vec![
+        let cells: Vec<Cell> = vec![
             (0.0, 0.0, arms[0].clone(), Some(AttackKind::FilterPoison), false),
             (0.0, 0.0, arms[0].clone(), Some(AttackKind::FilterPoison), true),
             (0.2, 0.1, arms[1].clone(), Some(AttackKind::QueryFlood), true),
         ];
-        let f =
-            |(churn, loss, arm, attack, defense): &(f64, f64, Arm, Option<AttackKind>, bool)| {
-                let mut exp = shrink(*churn, *loss, arm, *attack, *defense);
-                exp.dist.trace.enabled = false; // counters only; logs compare via records
-                run_experiment(&exp)
-            };
+        let f = |(churn, loss, arm, attack, defense): &Cell| {
+            let mut exp = shrink(*churn, *loss, arm, *attack, *defense);
+            exp.dist.trace.enabled = false; // counters only; logs compare via records
+            let out = run_experiment(&exp);
+            (exp, out)
+        };
         let seq = sweep::run_stage("attack_det_seq", 1, &cells, f);
         let par = sweep::run_stage("attack_det_par", 4, &cells, f);
         let _ = sweep::take_stage_records();
         assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
+        for ((_, s), (_, p)) in seq.iter().zip(&par) {
             assert_eq!(s.records, p.records);
             assert_eq!(s.attack_frames_sent, p.attack_frames_sent);
             assert_eq!(s.attack_frames_dropped, p.attack_frames_dropped);
@@ -646,45 +561,23 @@ mod tests {
             assert_eq!(s.reputation_penalties, p.reputation_penalties);
             assert_eq!(s.net.frames_sent, p.net.frames_sent);
         }
+        let rows = |runs: &[(ManetExperiment, ManetOutcome)]| {
+            let rows: Vec<Row> = cells
+                .iter()
+                .zip(runs)
+                .map(|(cell, (exp, out))| row(cell, exp, out, 0.0))
+                .collect();
+            crate::provenance::grid_objects(&rows)
+        };
+        assert_eq!(rows(&seq), rows(&par));
+        assert_eq!(rows(&seq), PINNED_ROWS);
     }
 
-    #[test]
-    fn json_is_parseable_shape() {
-        let r = CellReport {
-            arm: "EXT-BF",
-            attack: "filter_poison",
-            defense: true,
-            churn: 0.2,
-            loss: 0.1,
-            queries: 16,
-            mean_completeness: 0.9,
-            mean_honest_completeness: 0.95,
-            min_honest_completeness: 0.5,
-            spurious: 0,
-            timeout_fraction: 0.125,
-            frames_sent: 1234,
-            result_messages: 99,
-            attack_frames_sent: 40,
-            attack_frames_dropped: 55,
-            filters_rejected: 7,
-            reputation_penalties: 12,
-            defense_effectiveness: 1.375,
-            mean_response_seconds: None,
-            seconds: 2.5,
-        };
-        let json = to_json(&Provenance::fixture(), &[r]);
-        let (grid, timings) = crate::provenance::sections(&json);
-        assert!(json.contains("\"bench\": \"attack\""));
-        assert!(json.contains("\"sim_seconds\": 600,\n  \"attack_fraction\": 0.25,"));
-        assert!(grid.contains(
-            "{\"arm\": \"EXT-BF\", \"attack\": \"filter_poison\", \"defense\": true, \
-             \"churn\": 0.2, \"loss\": 0.1, \"queries\": 16,"
-        ));
-        assert!(grid.contains("\"defense_effectiveness\": 1.375000,"));
-        assert!(grid.contains("\"mean_response_seconds\": null}"));
-        assert!(timings.contains(
-            "{\"arm\": \"EXT-BF\", \"attack\": \"filter_poison\", \"defense\": true, \
-             \"churn\": 0.2, \"loss\": 0.1, \"seconds\": 2.500}"
-        ));
-    }
+    /// The shrunk cells' `grid` rows, as the per-cell report structs wrote
+    /// them before rows were built from the outcomes.
+    const PINNED_ROWS: [&str; 3] = [
+        r#"{"arm": "EXT-BF", "attack": "filter_poison", "defense": false, "churn": 0, "loss": 0, "queries": 16, "mean_completeness": 0.000000, "mean_honest_completeness": 0.000000, "min_honest_completeness": 0.000000, "spurious": 16, "timeout_fraction": 0.000000, "frames_sent": 1168, "result_messages": 240, "attack_frames_sent": 120, "attack_frames_dropped": 0, "filters_rejected": 0, "reputation_penalties": 0, "defense_effectiveness": 0.000000, "mean_response_seconds": 0.016}"#,
+        r#"{"arm": "EXT-BF", "attack": "filter_poison", "defense": true, "churn": 0, "loss": 0, "queries": 16, "mean_completeness": 0.881944, "mean_honest_completeness": 0.888889, "min_honest_completeness": 0.888889, "spurious": 0, "timeout_fraction": 0.812500, "frames_sent": 1577, "result_messages": 239, "attack_frames_sent": 120, "attack_frames_dropped": 136, "filters_rejected": 12, "reputation_penalties": 72, "defense_effectiveness": 1.133333, "mean_response_seconds": 0.019}"#,
+        r#"{"arm": "EXT-DF", "attack": "query_flood", "defense": true, "churn": 0.2, "loss": 0.1, "queries": 16, "mean_completeness": 0.805556, "mean_honest_completeness": 0.796296, "min_honest_completeness": 0.777778, "spurious": 0, "timeout_fraction": 0.000000, "frames_sent": 7228, "result_messages": 807, "attack_frames_sent": 748, "attack_frames_dropped": 3916, "filters_rejected": 0, "reputation_penalties": 82, "defense_effectiveness": 5.235294, "mean_response_seconds": 7.037}"#,
+    ];
 }

@@ -27,9 +27,7 @@ use manet_sim::{ChurnConfig, FaultPlan, SimDuration, SimTime};
 use skyline_core::vdr::BoundsMode;
 use std::time::Instant;
 
-use crate::provenance::{
-    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
-};
+use crate::provenance::{det, int, label, print_rows, vol, Grid, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -133,81 +131,43 @@ pub fn experiment(scale: Scale, churn: f64, loss: f64, arm: &Arm) -> ManetExperi
     exp
 }
 
-/// Everything the scorecard reports for one cell.
-#[derive(Debug, Clone)]
-pub struct CellReport {
-    /// Strategy arm label.
-    pub arm: &'static str,
-    /// Churn fraction of the cell.
-    pub churn: f64,
-    /// Frame-loss probability of the cell.
-    pub loss: f64,
-    /// Whether the recovery machinery was on.
-    pub arq: bool,
-    /// Queries issued.
-    pub queries: usize,
-    /// Mean oracle completeness across all records.
-    pub mean_completeness: f64,
-    /// Worst-case completeness.
-    pub min_completeness: f64,
-    /// Answer tuples the contributing oracle refutes (must be 0).
-    pub spurious: u64,
-    /// Fraction of queries that timed out.
-    pub timeout_fraction: f64,
-    /// Timeouts whose originator crashed mid-query.
-    pub timeouts_originator_crash: u64,
-    /// Timeouts with zero responses.
-    pub timeouts_no_responses: u64,
-    /// Timeouts with some, but not enough, responses.
-    pub timeouts_partial: u64,
-    /// ARQ retransmissions.
-    pub arq_retries: u64,
-    /// ARQ-tracked messages abandoned after max retries.
-    pub arq_exhausted: u64,
-    /// Duplicate replies / token transfers suppressed.
-    pub duplicates_suppressed: u64,
-    /// Routing-level delivery failures surfaced to the application.
-    pub delivery_failures: u64,
-    /// BF re-floods performed.
-    pub reissues: u64,
-    /// Crash events the engine executed.
-    pub node_crashes: u64,
-    /// Mean response time of protocol-completed queries.
-    pub mean_response_seconds: Option<f64>,
-    /// Wall seconds this cell took (volatile; lives in the `timings`
-    /// section of the baseline, never in `grid`).
-    pub seconds: f64,
+/// One cell's scorecard row, keyed by `(arm, churn, loss)`: every count
+/// deterministic, the cell's wall clock volatile.
+fn row(arm: &Arm, churn: f64, loss: f64, out: &ManetOutcome, seconds: f64) -> Row {
+    let timeouts = [
+        ("originator_crash", Value::from(out.timeouts_originator_crash)),
+        ("no_responses", Value::from(out.timeouts_no_responses)),
+        ("partial", Value::from(out.timeouts_partial)),
+    ];
+    let fixed = |x: Option<f64>, decimals| Value::Fixed(x.unwrap_or(f64::NAN), decimals);
+    vec![
+        label("arm", arm.name),
+        label("churn", Value::Float(churn)),
+        label("loss", Value::Float(loss)),
+        det("arq", Value::Bool(arm.arq)),
+        det("queries", out.records.len()),
+        det("mean_completeness", fixed(out.mean_completeness, 6)),
+        det("min_completeness", fixed(out.min_completeness, 6)),
+        det("spurious", out.spurious_total),
+        det("timeout_fraction", Value::Fixed(out.timeout_fraction, 6)),
+        det("timeouts", Value::Object(timeouts.into())),
+        det("arq_retries", out.arq_retries),
+        det("arq_exhausted", out.arq_exhausted),
+        det("duplicates_suppressed", out.duplicates_suppressed),
+        det("delivery_failures", out.delivery_failures),
+        det("reissues", out.reissues),
+        det("node_crashes", out.net.node_crashes),
+        det("mean_response_seconds", fixed(out.mean_response_seconds, 3)),
+        vol("seconds", Value::Fixed(seconds, 3)),
+    ]
 }
 
-fn report(arm: &Arm, churn: f64, loss: f64, out: &ManetOutcome, seconds: f64) -> CellReport {
-    CellReport {
-        arm: arm.name,
-        churn,
-        loss,
-        arq: arm.arq,
-        queries: out.records.len(),
-        mean_completeness: out.mean_completeness.unwrap_or(f64::NAN),
-        min_completeness: out.min_completeness.unwrap_or(f64::NAN),
-        spurious: out.spurious_total,
-        timeout_fraction: out.timeout_fraction,
-        timeouts_originator_crash: out.timeouts_originator_crash,
-        timeouts_no_responses: out.timeouts_no_responses,
-        timeouts_partial: out.timeouts_partial,
-        arq_retries: out.arq_retries,
-        arq_exhausted: out.arq_exhausted,
-        duplicates_suppressed: out.duplicates_suppressed,
-        delivery_failures: out.delivery_failures,
-        reissues: out.reissues,
-        node_crashes: out.net.node_crashes,
-        mean_response_seconds: out.mean_response_seconds,
-        seconds,
-    }
-}
-
-/// Runs the full `churn × loss × arm` grid through the sweep harness.
-/// Reports come back in grid order (churn-major, then loss, then arm), so
-/// output is byte-identical for any `--jobs`.
-pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
+/// Runs the full `churn × loss × arm` grid through the sweep harness,
+/// prints the scorecard rows and returns them as `BENCH_chaos.json`'s
+/// grid (shared by `msq ext chaos` and `msq all`). Rows come in grid
+/// order (churn-major, then loss, then arm), so output is byte-identical
+/// for any `--jobs`.
+pub fn run(o: &RunOpts) -> Grid {
     let arms = arms();
     let mut cells: Vec<(f64, f64, Arm)> = Vec::new();
     for &churn in &CHURN {
@@ -217,22 +177,11 @@ pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
             }
         }
     }
-    let outs = sweep::run_stage(stage, jobs, &cells, |(churn, loss, arm)| {
+    let rows = sweep::run_stage("ext_chaos", o.jobs, &cells, |(churn, loss, arm)| {
         let t0 = Instant::now();
-        let out = run_experiment(&experiment(scale, *churn, *loss, arm));
-        (out, t0.elapsed().as_secs_f64())
+        let out = run_experiment(&experiment(o.scale, *churn, *loss, arm));
+        row(arm, *churn, *loss, &out, t0.elapsed().as_secs_f64())
     });
-    cells
-        .iter()
-        .zip(&outs)
-        .map(|((churn, loss, arm), (out, secs))| report(arm, *churn, *loss, out, *secs))
-        .collect()
-}
-
-/// Runs the grid, prints the scorecard rows, and returns the reports
-/// (shared by `msq ext chaos` and `msq all`).
-pub fn run(o: &RunOpts) -> Vec<CellReport> {
-    let reports = compute(o.scale, o.jobs, "ext_chaos");
     print_rows(
         &format!(
             "Extension: chaos scorecard ({} tuples, {} devices, frozen grid; completeness \
@@ -240,59 +189,22 @@ pub fn run(o: &RunOpts) -> Vec<CellReport> {
             o.scale.chaos_cardinality(),
             GRID * GRID
         ),
-        &reports.iter().map(row).collect::<Vec<_>>(),
+        &rows,
     );
-    let spurious: u64 = reports.iter().map(|r| r.spurious).sum();
-    let retries: u64 = reports.iter().map(|r| r.arq_retries).sum();
-    let reissues: u64 = reports.iter().map(|r| r.reissues).sum();
+    let total = |key| rows.iter().map(|r| int(r, key)).sum::<u64>();
+    let (spurious, retries, reissues) =
+        (total("spurious"), total("arq_retries"), total("reissues"));
     println!("\nspurious tuples (any > 0 is a protocol bug): {spurious}");
     println!("ARQ retransmissions: {retries}, BF re-floods: {reissues}");
     println!("\nexpected shape: completeness 1.0 in the fault-free corner, degrading");
     println!("with churn; the ARQ arms hold completeness at or above EXT/noARQ on");
     println!("the same fault schedules; spurious stays 0 everywhere.");
-    reports
-}
-
-/// Renders the scorecard as the `BENCH_chaos.json` machine baseline: one
-/// row per cell, keyed by `(arm, churn, loss)`; every count in `grid`, the
-/// cell's wall clock in `timings`.
-pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
-    let scale = prov.scale;
-    let header = [
+    let header = vec![
         ("devices", Value::from(GRID * GRID)),
-        ("cardinality", Value::from(scale.chaos_cardinality())),
-        ("sim_seconds", Value::Float(scale.chaos_sim_seconds())),
+        ("cardinality", Value::from(o.scale.chaos_cardinality())),
+        ("sim_seconds", Value::Float(o.scale.chaos_sim_seconds())),
     ];
-    let rows: Vec<Row> = reports.iter().map(row).collect();
-    baseline_json("chaos", prov, GRID_REV, &header, &rows)
-}
-
-fn row(r: &CellReport) -> Row {
-    let timeouts = [
-        ("originator_crash", Value::from(r.timeouts_originator_crash)),
-        ("no_responses", Value::from(r.timeouts_no_responses)),
-        ("partial", Value::from(r.timeouts_partial)),
-    ];
-    vec![
-        label("arm", r.arm),
-        label("churn", Value::Float(r.churn)),
-        label("loss", Value::Float(r.loss)),
-        det("arq", Value::Bool(r.arq)),
-        det("queries", r.queries),
-        det("mean_completeness", Value::Fixed(r.mean_completeness, 6)),
-        det("min_completeness", Value::Fixed(r.min_completeness, 6)),
-        det("spurious", r.spurious),
-        det("timeout_fraction", Value::Fixed(r.timeout_fraction, 6)),
-        det("timeouts", Value::Object(timeouts.into())),
-        det("arq_retries", r.arq_retries),
-        det("arq_exhausted", r.arq_exhausted),
-        det("duplicates_suppressed", r.duplicates_suppressed),
-        det("delivery_failures", r.delivery_failures),
-        det("reissues", r.reissues),
-        det("node_crashes", r.node_crashes),
-        det("mean_response_seconds", Value::Fixed(r.mean_response_seconds.unwrap_or(f64::NAN), 3)),
-        vol("seconds", Value::Fixed(r.seconds, 3)),
-    ]
+    Grid { bench: "chaos", grid_rev: GRID_REV, header, rows }
 }
 
 #[cfg(test)]
@@ -344,45 +256,23 @@ mod tests {
             assert_eq!(s.arq_retries, p.arq_retries);
             assert_eq!(s.duplicates_suppressed, p.duplicates_suppressed);
         }
+        let rows = |outs: &[ManetOutcome]| {
+            let rows: Vec<Row> = cells
+                .iter()
+                .zip(outs)
+                .map(|((c, l, arm), out)| row(arm, *c, *l, out, 0.0))
+                .collect();
+            crate::provenance::grid_objects(&rows)
+        };
+        assert_eq!(rows(&seq), rows(&par));
+        assert_eq!(rows(&seq), PINNED_ROWS);
     }
 
-    #[test]
-    fn json_is_parseable_shape() {
-        let r = CellReport {
-            arm: "EXT",
-            churn: 0.2,
-            loss: 0.1,
-            arq: true,
-            queries: 16,
-            mean_completeness: 0.9,
-            min_completeness: 0.5,
-            spurious: 0,
-            timeout_fraction: 0.125,
-            timeouts_originator_crash: 1,
-            timeouts_no_responses: 0,
-            timeouts_partial: 1,
-            arq_retries: 7,
-            arq_exhausted: 1,
-            duplicates_suppressed: 2,
-            delivery_failures: 3,
-            reissues: 1,
-            node_crashes: 3,
-            mean_response_seconds: None,
-            seconds: 1.25,
-        };
-        let json = to_json(&Provenance::fixture(), &[r]);
-        let (grid, timings) = crate::provenance::sections(&json);
-        assert!(json.contains("\"bench\": \"chaos\""));
-        assert!(
-            json.contains("\"devices\": 16,\n  \"cardinality\": 5000,\n  \"sim_seconds\": 600,")
-        );
-        assert!(grid.contains("{\"arm\": \"EXT\", \"churn\": 0.2, \"loss\": 0.1, \"arq\": true,"));
-        assert!(grid.contains(
-            "\"timeouts\": {\"originator_crash\": 1, \"no_responses\": 0, \"partial\": 1}"
-        ));
-        assert!(grid.contains("\"spurious\": 0,"));
-        assert!(grid.contains("\"mean_response_seconds\": null}"));
-        assert!(timings
-            .contains("{\"arm\": \"EXT\", \"churn\": 0.2, \"loss\": 0.1, \"seconds\": 1.250}"));
-    }
+    /// The shrunk cells' `grid` rows, as the per-cell report structs wrote
+    /// them before rows were built from the outcomes.
+    const PINNED_ROWS: [&str; 3] = [
+        r#"{"arm": "EXT", "churn": 0, "loss": 0, "arq": true, "queries": 16, "mean_completeness": 1.000000, "min_completeness": 1.000000, "spurious": 0, "timeout_fraction": 0.000000, "timeouts": {"originator_crash": 0, "no_responses": 0, "partial": 0}, "arq_retries": 0, "arq_exhausted": 0, "duplicates_suppressed": 0, "delivery_failures": 0, "reissues": 0, "node_crashes": 0, "mean_response_seconds": 0.016}"#,
+        r#"{"arm": "EXT", "churn": 0.2, "loss": 0.1, "arq": true, "queries": 16, "mean_completeness": 0.910714, "min_completeness": 0.000000, "spurious": 0, "timeout_fraction": 0.062500, "timeouts": {"originator_crash": 1, "no_responses": 0, "partial": 0}, "arq_retries": 104, "arq_exhausted": 4, "duplicates_suppressed": 41, "delivery_failures": 1, "reissues": 0, "node_crashes": 3, "mean_response_seconds": 0.847}"#,
+        r#"{"arm": "EXT/noARQ", "churn": 0.2, "loss": 0.1, "arq": false, "queries": 16, "mean_completeness": 0.794643, "min_completeness": 0.000000, "spurious": 1, "timeout_fraction": 0.375000, "timeouts": {"originator_crash": 1, "no_responses": 0, "partial": 5}, "arq_retries": 0, "arq_exhausted": 0, "duplicates_suppressed": 0, "delivery_failures": 0, "reissues": 0, "node_crashes": 3, "mean_response_seconds": 0.018}"#,
+    ];
 }

@@ -14,7 +14,7 @@ use skyline_core::vdr::BoundsMode;
 use crate::cli::{
     Command, DataArgs, DiffArgs, Ext, PerfArgs, QueryArgs, RunArgs, SimArgs, TraceArgs,
 };
-use crate::provenance::{write_baseline, Provenance};
+use crate::provenance::{write_baseline, Grid, Provenance};
 use crate::{
     attack, benchdiff, chaos, corebench, extensions, fig5, manet_figs, messages, monitor,
     perf_report, scalebench, servebench, static_drr, sweep, trace_query, RunOpts,
@@ -29,14 +29,24 @@ pub fn execute(cmd: Command) -> Result<ExitCode, String> {
         Command::Query(q) => query(&q),
         Command::Simulate(s) => simulate(&s),
         Command::Fig(n, r) => figure(n, &r.opts)?,
-        Command::Ext(ext, r) => write_json(&r, run_ext(ext, &r.opts))?,
+        Command::Ext(ext, r) => {
+            let run = match ext {
+                Ext::Energy => extensions::energy,
+                Ext::MultiFilter => extensions::multi_filter,
+                Ext::Redistribution => extensions::redistribution,
+                Ext::Chaos => chaos::run,
+                Ext::Attack => attack::run,
+                Ext::Monitor => monitor::run,
+            };
+            write_json(&r, &run(&r.opts))?;
+        }
         Command::Core(r) => {
             let suite = corebench::Suite::measure();
             suite.print();
-            write_json(&r, Baseline::Core(suite))?;
+            write_json(&r, &suite.grid())?;
         }
-        Command::Scale(r) => write_json(&r, Baseline::Scale(scalebench::run(&r.opts, r.smoke)))?,
-        Command::Serve(r) => write_json(&r, Baseline::Serve(servebench::run(&r.opts, r.smoke)))?,
+        Command::Scale(r) => write_json(&r, &scalebench::run(&r.opts, r.smoke))?,
+        Command::Serve(r) => write_json(&r, &servebench::run(&r.opts, r.smoke))?,
         Command::All(r) => all(&r)?,
         Command::Diff(d) => return Ok(diff(&d)),
         Command::Perf(p) => perf(&p)?,
@@ -45,57 +55,13 @@ pub fn execute(cmd: Command) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// A bench's reports, which `--json` writes as `BENCH_<name>.json`.
-enum Baseline {
-    Chaos(Vec<chaos::CellReport>),
-    Attack(Vec<attack::CellReport>),
-    Monitor(Vec<monitor::CellReport>),
-    Energy(Vec<extensions::EnergyReport>),
-    MultiFilter(Vec<extensions::MultiFilterReport>),
-    Redistribution(Vec<extensions::RedistributionReport>),
-    Scale(Vec<scalebench::CellReport>),
-    Serve(Vec<servebench::CellReport>),
-    Core(corebench::Suite),
-}
-
-impl Baseline {
-    /// Writes `BENCH_<name>.json` to the working directory.
-    fn write(&self, prov: &Provenance) -> Result<(), String> {
-        let (name, json) = match self {
-            Baseline::Chaos(r) => ("chaos", chaos::to_json(prov, r)),
-            Baseline::Attack(r) => ("attack", attack::to_json(prov, r)),
-            Baseline::Monitor(r) => ("monitor", monitor::to_json(prov, r)),
-            Baseline::Energy(r) => ("energy", extensions::energy_json(prov, r)),
-            Baseline::MultiFilter(r) => ("multi-filter", extensions::multi_filter_json(prov, r)),
-            Baseline::Redistribution(r) => {
-                ("redistribution", extensions::redistribution_json(prov, r))
-            }
-            Baseline::Scale(r) => ("scale", scalebench::to_json(prov, r)),
-            Baseline::Serve(r) => ("serve", servebench::to_json(prov, r)),
-            Baseline::Core(suite) => ("core", corebench::to_json(prov, suite)),
-        };
-        write_baseline(&format!("BENCH_{name}.json"), &json)
-    }
-}
-
-/// Runs one extension grid, printing its tables, for its baseline.
-fn run_ext(ext: Ext, o: &RunOpts) -> Baseline {
-    match ext {
-        Ext::Energy => Baseline::Energy(extensions::energy(o)),
-        Ext::MultiFilter => Baseline::MultiFilter(extensions::multi_filter(o)),
-        Ext::Redistribution => Baseline::Redistribution(extensions::redistribution(o)),
-        Ext::Chaos => Baseline::Chaos(chaos::run(o)),
-        Ext::Attack => Baseline::Attack(attack::run(o)),
-        Ext::Monitor => Baseline::Monitor(monitor::run(o)),
-    }
-}
-
-/// Writes one bench's baseline when the run asked for `--json`.
-fn write_json(r: &RunArgs, baseline: Baseline) -> Result<(), String> {
+/// Writes one bench's grid as its baseline when the run asked for
+/// `--json`.
+fn write_json(r: &RunArgs, grid: &Grid) -> Result<(), String> {
     if !r.json {
         return Ok(());
     }
-    baseline.write(&Provenance::collect(r.opts.scale, r.opts.jobs))
+    grid.write(&Provenance::collect(r.opts.scale, r.opts.jobs))
 }
 
 /// Regenerates the paper's Fig. `n` (5–12), one table per panel. Figs. 8
@@ -171,30 +137,31 @@ fn all(r: &RunArgs) -> Result<(), String> {
         figure(n, o)?;
     }
     // Then the grids, in the same order.
-    let mut baselines = Vec::new();
-    for ext in [Ext::Chaos, Ext::Attack, Ext::Monitor] {
+    let runs: [fn(&RunOpts) -> Grid; 8] = [
+        chaos::run,
+        attack::run,
+        monitor::run,
+        |o| scalebench::run(o, false),
+        |o| servebench::run(o, false),
+        extensions::energy,
+        extensions::multi_filter,
+        extensions::redistribution,
+    ];
+    let mut grids = Vec::new();
+    for run in runs {
         println!();
-        baselines.push(run_ext(ext, o));
-    }
-    println!();
-    baselines.push(Baseline::Scale(scalebench::run(o, false)));
-    println!();
-    baselines.push(Baseline::Serve(servebench::run(o, false)));
-    for ext in [Ext::Energy, Ext::MultiFilter, Ext::Redistribution] {
-        println!();
-        baselines.push(run_ext(ext, o));
+        grids.push(run(o));
     }
     let total = t0.elapsed();
     println!("\nall figures regenerated in {total:.1?} ({} jobs)", o.jobs);
 
     if r.json {
         let prov = Provenance::collect(o.scale, o.jobs);
-        let stages = sweep::take_stage_records();
-        write_baseline("BENCH_sweep.json", &sweep::to_json(&prov, total.as_secs_f64(), &stages))?;
-        for baseline in baselines {
-            baseline.write(&prov)?;
+        grids.insert(0, sweep::stage_grid(total.as_secs_f64(), &sweep::take_stage_records()));
+        grids.push(corebench::Suite::measure().grid());
+        for grid in grids {
+            grid.write(&prov)?;
         }
-        Baseline::Core(corebench::Suite::measure()).write(&prov)?;
     }
     Ok(())
 }

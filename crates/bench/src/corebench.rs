@@ -7,7 +7,8 @@
 //! event/radio path — a broadcast storm on a frozen lattice, at two payload
 //! weights; and the storage ablation — one unbounded local skyline on flat
 //! and hybrid storage, plus hybrid under the Fig. 4 strict test. `msq core
-//! --json` and `msq all --json` serialize the records.
+//! --json` and `msq all --json` write the records' rows as
+//! `BENCH_core.json`.
 
 use datagen::{DataSpec, Distribution};
 use device_storage::{
@@ -20,7 +21,7 @@ use manet_sim::{
 use skyline_core::{DominanceTest, Point, QueryRegion, SkylineMerger};
 use std::time::Instant;
 
-use crate::provenance::{baseline_json, det, label, print_rows, vol, Provenance, Row, Value};
+use crate::provenance::{det, label, print_rows, vol, Grid, Row, Value};
 
 /// One network size of the neighbour-discovery comparison.
 #[derive(Debug, Clone)]
@@ -463,18 +464,6 @@ fn storage_cell<R: DeviceRelation + Clone>(
 /// pointer-hop column.
 const GRID_REV: u64 = 8;
 
-/// Renders the micro-benchmarks as the `BENCH_core.json` machine
-/// baseline: one row per record, tagged with a `kind` and keyed by its
-/// shape. Neighbour counts, the built relation's shape, the scan's and
-/// merge's counters, the storm's frame and event counts and the storage
-/// models' work counters and footprints are seed-determined and go in
-/// `grid`; wall clock and the per-unit costs derived from it go in
-/// `timings`.
-pub fn to_json(prov: &Provenance, suite: &Suite) -> String {
-    let rows: Vec<Row> = suite.families().into_iter().flat_map(|(_, rows)| rows).collect();
-    baseline_json("core", prov, GRID_REV, &[], &rows)
-}
-
 /// Every core micro-benchmark, measured once: what `msq core` prints and
 /// `BENCH_core.json` holds.
 #[derive(Debug, Default)]
@@ -532,6 +521,17 @@ impl Suite {
         for (title, rows) in self.families() {
             print_rows(&format!("Core: {title}"), &rows);
         }
+    }
+
+    /// The micro-benchmarks as the `BENCH_core.json` grid: one row per
+    /// record, tagged with a `kind` and keyed by its shape. Neighbour
+    /// counts, the built relation's shape, the scan's and merge's
+    /// counters, the storm's frame and event counts and the storage
+    /// models' work counters and footprints are seed-determined; wall
+    /// clock and the per-unit costs derived from it are volatile.
+    pub fn grid(&self) -> Grid {
+        let rows = self.families().into_iter().flat_map(|(_, rows)| rows).collect();
+        Grid { bench: "core", grid_rev: GRID_REV, header: Vec::new(), rows }
     }
 }
 
@@ -638,11 +638,10 @@ mod tests {
             assert_eq!(r.domain_sizes[r.sort_attr], *r.domain_sizes.iter().max().unwrap());
             assert!(r.build_ms.is_finite() && r.build_ms > 0.0);
         }
-        let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &Suite { builds: recs, ..Suite::default() });
-        let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
+        let grid = Suite { builds: recs, ..Suite::default() }.grid();
+        let doc = sim_obs::JsonValue::parse(&grid.fixture_json()).expect("valid JSON");
         assert_eq!(doc.get("grid").and_then(sim_obs::JsonValue::as_array).unwrap().len(), 6);
-        assert!(json.contains("\"grid_rev\": 8,"));
+        assert_eq!(grid.grid_rev, 8);
     }
 
     /// The Fig. 4 loop written out over public accessors: row IDs in
@@ -711,8 +710,7 @@ mod tests {
             assert!(merge.inserts >= pair[1].window_len && merge.merge_ms > 0.0);
         }
 
-        let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &Suite { scans, merges, ..Suite::default() });
+        let json = Suite { scans, merges, ..Suite::default() }.grid().fixture_json();
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
             assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 18);
@@ -747,8 +745,7 @@ mod tests {
             assert!(per_dist.iter().all(|r| r.storage_bytes > 0 && r.scan_ms > 0.0));
         }
 
-        let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &Suite { storages: recs, ..Suite::default() });
+        let json = Suite { storages: recs, ..Suite::default() }.grid().fixture_json();
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
             assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 6);
@@ -774,8 +771,7 @@ mod tests {
             assert_eq!(r.wheel_events, 256 + 16, "one per transmission, one per origination timer");
             assert!(r.storm_ms > 0.0 && r.ns_per_delivery() > 0.0);
         }
-        let prov = Provenance::collect(crate::Scale::Quick, 1);
-        let json = to_json(&prov, &Suite { radios: recs, ..Suite::default() });
+        let json = Suite { radios: recs, ..Suite::default() }.grid().fixture_json();
         let doc = sim_obs::JsonValue::parse(&json).expect("valid JSON");
         for section in ["grid", "timings"] {
             assert_eq!(doc.get(section).and_then(sim_obs::JsonValue::as_array).unwrap().len(), 2);

@@ -27,9 +27,7 @@ use dist_skyline::monitor::{
 use manet_sim::{ChurnConfig, FaultPlan, SimDuration, SimTime};
 use std::time::Instant;
 
-use crate::provenance::{
-    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
-};
+use crate::provenance::{det, int, label, print_rows, vol, Grid, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -92,102 +90,49 @@ pub fn experiment(
     exp
 }
 
-/// Everything the sweep reports for one cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellReport {
-    /// Mode label (`delta` or `requery`).
-    pub mode: &'static str,
-    /// Epoch period (s).
-    pub period_s: f64,
-    /// Churn fraction of the cell.
-    pub churn: f64,
-    /// Frame-loss probability of the cell.
-    pub loss: f64,
-    /// Epoch views the originator produced.
-    pub epochs: u64,
-    /// Mean per-epoch oracle completeness.
-    pub mean_completeness: f64,
-    /// Worst-epoch completeness (epochs ≥ 2; the first view predates the
-    /// first round trip in both modes).
-    pub min_completeness: f64,
-    /// Total spurious view members across epochs (must be 0 under zero
-    /// churn: nothing may survive in the fold that the oracle refutes).
-    pub spurious: u64,
-    /// Mean view staleness (s).
-    pub mean_staleness_s: f64,
-    /// Application messages sent (floods, deltas, replies, acks).
-    pub messages: u64,
-    /// Application payload bytes sent.
-    pub bytes: u64,
-    /// Non-heartbeat deltas / replies sent.
-    pub deltas_sent: u64,
-    /// Zero-change heartbeats sent.
-    pub heartbeats: u64,
-    /// Deltas folded at the originator.
-    pub deltas_applied: u64,
-    /// ARQ retransmissions.
-    pub arq_retries: u64,
-    /// ARQ-tracked messages abandoned (each forces a full resync).
-    pub arq_exhausted: u64,
-    /// Lease expiries (should be 0 while the originator lives).
-    pub lease_expired: u64,
-    /// Fold bucket-algebra misses (any > 0 is a bug).
-    pub fold_remove_misses: u64,
-    /// Crash events the engine executed.
-    pub node_crashes: u64,
-    /// Total radio energy (J).
-    pub energy_j: f64,
-    /// Wall seconds this cell took (volatile; lives in the `timings`
-    /// section of the baseline, never in `grid` — determinism tests
-    /// normalize it to 0 before comparing reports).
-    pub seconds: f64,
-}
+/// One `(period, churn, loss, mode)` cell of the grid.
+type Cell = (f64, f64, f64, &'static str, MonitorMode);
 
-fn report(
-    mode: &'static str,
-    period: f64,
-    churn: f64,
-    loss: f64,
-    out: &MonitorOutcome,
-    seconds: f64,
-) -> CellReport {
-    let settled: Vec<f64> = out
-        .views
-        .iter()
-        .filter(|v| v.epoch >= 2)
-        .filter_map(|v| v.completeness)
-        .collect();
-    CellReport {
-        mode,
-        period_s: period,
-        churn,
-        loss,
-        epochs: out.views.len() as u64,
-        mean_completeness: out.mean_epoch_completeness.unwrap_or(f64::NAN),
-        min_completeness: settled.iter().copied().fold(f64::NAN, f64::min),
-        spurious: out.spurious_total,
-        mean_staleness_s: out.mean_staleness_s.unwrap_or(f64::NAN),
-        messages: out.messages_sent,
-        bytes: out.bytes_sent,
-        deltas_sent: out.deltas_sent,
-        heartbeats: out.heartbeats_sent,
-        deltas_applied: out.deltas_applied,
-        arq_retries: out.arq_retries,
-        arq_exhausted: out.arq_exhausted,
-        lease_expired: out.lease_expired,
-        fold_remove_misses: out.fold_remove_misses,
-        node_crashes: out.net.node_crashes,
-        energy_j: out.total_energy_joules,
-        seconds,
-    }
+/// One cell's row, keyed by `(mode, period_s, churn, loss)`: every count
+/// deterministic, the cell's wall clock volatile. `min_completeness` is
+/// the worst epoch from epoch 2 on (the first view predates the first
+/// round trip in both modes).
+fn row(&(period, churn, loss, mode, _): &Cell, out: &MonitorOutcome, seconds: f64) -> Row {
+    let settled = out.views.iter().filter(|v| v.epoch >= 2).filter_map(|v| v.completeness);
+    let fixed = |x: Option<f64>, decimals| Value::Fixed(x.unwrap_or(f64::NAN), decimals);
+    vec![
+        label("mode", mode),
+        label("period_s", Value::Float(period)),
+        label("churn", Value::Float(churn)),
+        label("loss", Value::Float(loss)),
+        det("epochs", out.views.len()),
+        det("mean_completeness", fixed(out.mean_epoch_completeness, 6)),
+        det("min_completeness", Value::Fixed(settled.fold(f64::NAN, f64::min), 6)),
+        det("spurious", out.spurious_total),
+        det("mean_staleness_s", fixed(out.mean_staleness_s, 3)),
+        det("messages", out.messages_sent),
+        det("bytes", out.bytes_sent),
+        det("deltas_sent", out.deltas_sent),
+        det("heartbeats", out.heartbeats_sent),
+        det("deltas_applied", out.deltas_applied),
+        det("arq_retries", out.arq_retries),
+        det("arq_exhausted", out.arq_exhausted),
+        det("lease_expired", out.lease_expired),
+        det("node_crashes", out.net.node_crashes),
+        det("energy_j", Value::Fixed(out.total_energy_joules, 3)),
+        vol("seconds", Value::Fixed(seconds, 3)),
+    ]
 }
 
 /// Runs the full `period × churn × loss × mode` grid through the sweep
-/// harness. Reports come back in grid order (period-major, then churn,
-/// loss, mode), byte-identical for any `--jobs`. Every cell is zero-drift
-/// verified before it is reported.
-pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
-    let mut cells: Vec<(f64, f64, f64, &'static str, MonitorMode)> = Vec::new();
+/// harness, prints the comparison rows and returns them as
+/// `BENCH_monitor.json`'s grid (shared by `msq ext monitor` and `msq
+/// all`). Rows come in grid order (period-major, then churn, loss, mode),
+/// byte-identical for any `--jobs`. Every cell is zero-drift verified
+/// before it is reported.
+pub fn run(o: &RunOpts) -> Grid {
+    let g = o.scale.monitor_grid();
+    let mut cells: Vec<Cell> = Vec::new();
     for &period in &PERIODS {
         for &churn in &CHURN {
             for &loss in &LOSS {
@@ -197,25 +142,17 @@ pub fn compute(scale: Scale, jobs: usize, stage: &str) -> Vec<CellReport> {
             }
         }
     }
-    sweep::run_stage(stage, jobs, &cells, |(period, churn, loss, name, mode)| {
+    let rows = sweep::run_stage("ext_monitor", o.jobs, &cells, |cell| {
+        let (period, churn, loss, name, mode) = *cell;
         let t0 = Instant::now();
-        let out = run_monitor_experiment(&experiment(scale, *period, *churn, *loss, *mode));
+        let out = run_monitor_experiment(&experiment(o.scale, period, churn, loss, mode));
+        let at = format!("({name}, p={period}, churn={churn}, loss={loss})");
         if let Err(e) = verify_monitor_drift(&out) {
-            panic!("{stage}: cell ({name}, p={period}, churn={churn}, loss={loss}) drifted: {e}");
+            panic!("ext_monitor: cell {at} drifted: {e}");
         }
-        assert_eq!(
-            out.fold_remove_misses, 0,
-            "{stage}: fold bucket algebra miss in ({name}, p={period}, churn={churn}, loss={loss})"
-        );
-        report(name, *period, *churn, *loss, &out, t0.elapsed().as_secs_f64())
-    })
-}
-
-/// Runs the grid, prints the comparison rows, and returns the reports
-/// (shared by `msq ext monitor` and `msq all`).
-pub fn run(o: &RunOpts) -> Vec<CellReport> {
-    let g = o.scale.monitor_grid();
-    let reports = compute(o.scale, o.jobs, "ext_monitor");
+        assert_eq!(out.fold_remove_misses, 0, "ext_monitor: fold bucket algebra miss in {at}");
+        row(cell, &out, t0.elapsed().as_secs_f64())
+    });
     print_rows(
         &format!(
             "Extension: continuous monitoring vs re-query ({} devices, mobile, {:.0} s standing \
@@ -223,59 +160,28 @@ pub fn run(o: &RunOpts) -> Vec<CellReport> {
             g * g,
             o.scale.monitor_duration_seconds()
         ),
-        &reports.iter().map(row).collect::<Vec<_>>(),
+        &rows,
     );
     // Each grid point is a (delta, requery) pair of cells.
-    let points = reports.chunks(modes().len());
-    let wins = points.clone().filter(|p| p[0].messages < p[1].messages).count();
+    let points = rows.chunks(modes().len());
+    let wins = points
+        .clone()
+        .filter(|p| int(&p[0], "messages") < int(&p[1], "messages"))
+        .count();
     let points = points.len();
-    let hb: u64 = reports.iter().map(|r| r.heartbeats).sum();
-    let resyncs: u64 = reports.iter().map(|r| r.arq_exhausted).sum();
+    let hb: u64 = rows.iter().map(|r| int(r, "heartbeats")).sum();
+    let resyncs: u64 = rows.iter().map(|r| int(r, "arq_exhausted")).sum();
     println!("\ndelta mode sent fewer messages than re-query at {wins}/{points} grid points");
     println!("heartbeats: {hb}, ARQ-exhaustion-forced full resyncs: {resyncs}");
     println!("\nexpected shape: delta wins every point; the gap widens with the");
     println!("period (quiescent epochs cost a heartbeat at most, never a flood),");
     println!("and completeness stays matched — the savings are not bought with");
     println!("staleness the re-query mode wouldn't also pay.");
-    reports
-}
-
-/// Renders the sweep as the `BENCH_monitor.json` machine baseline: one
-/// row per cell, keyed by `(mode, period_s, churn, loss)`; every count in
-/// `grid`, the cell's wall clock in `timings`.
-pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
-    let scale = prov.scale;
-    let header = [
-        ("devices", Value::from(scale.monitor_grid() * scale.monitor_grid())),
-        ("duration_seconds", Value::Float(scale.monitor_duration_seconds())),
+    let header = vec![
+        ("devices", Value::from(g * g)),
+        ("duration_seconds", Value::Float(o.scale.monitor_duration_seconds())),
     ];
-    let rows: Vec<Row> = reports.iter().map(row).collect();
-    baseline_json("monitor", prov, GRID_REV, &header, &rows)
-}
-
-fn row(r: &CellReport) -> Row {
-    vec![
-        label("mode", r.mode),
-        label("period_s", Value::Float(r.period_s)),
-        label("churn", Value::Float(r.churn)),
-        label("loss", Value::Float(r.loss)),
-        det("epochs", r.epochs),
-        det("mean_completeness", Value::Fixed(r.mean_completeness, 6)),
-        det("min_completeness", Value::Fixed(r.min_completeness, 6)),
-        det("spurious", r.spurious),
-        det("mean_staleness_s", Value::Fixed(r.mean_staleness_s, 3)),
-        det("messages", r.messages),
-        det("bytes", r.bytes),
-        det("deltas_sent", r.deltas_sent),
-        det("heartbeats", r.heartbeats),
-        det("deltas_applied", r.deltas_applied),
-        det("arq_retries", r.arq_retries),
-        det("arq_exhausted", r.arq_exhausted),
-        det("lease_expired", r.lease_expired),
-        det("node_crashes", r.node_crashes),
-        det("energy_j", Value::Fixed(r.energy_j, 3)),
-        vol("seconds", Value::Fixed(r.seconds, 3)),
-    ]
+    Grid { bench: "monitor", grid_rev: GRID_REV, header, rows }
 }
 
 #[cfg(test)]
@@ -345,61 +251,30 @@ mod tests {
     /// `BENCH_monitor.json` baseline.
     #[test]
     fn parallel_monitor_grid_is_bit_identical_to_sequential() {
-        let cells: Vec<(f64, f64, f64, &'static str, MonitorMode)> = vec![
+        let cells: Vec<Cell> = vec![
             (30.0, 0.0, 0.0, "delta", MonitorMode::Continuous),
             (30.0, 0.25, 0.1, "delta", MonitorMode::Continuous),
             (30.0, 0.25, 0.1, "requery", MonitorMode::Requery),
         ];
         let go = |stage: &str, jobs| {
-            sweep::run_stage(stage, jobs, &cells, |(p, c, l, name, mode)| {
-                report(name, *p, *c, *l, &run_monitor_experiment(&shrink(*p, *c, *l, *mode)), 0.0)
-            })
+            let rows: Vec<Row> = sweep::run_stage(stage, jobs, &cells, |cell| {
+                let (p, c, l, _, mode) = *cell;
+                row(cell, &run_monitor_experiment(&shrink(p, c, l, mode)), 0.0)
+            });
+            crate::provenance::grid_objects(&rows)
         };
         let seq = go("monitor_det_seq", 1);
         let par = go("monitor_det_par", 4);
         let _ = sweep::take_stage_records();
         assert_eq!(seq, par);
+        assert_eq!(seq, PINNED_ROWS);
     }
 
-    #[test]
-    fn json_is_parseable_shape() {
-        let r = CellReport {
-            mode: "delta",
-            period_s: 30.0,
-            churn: 0.25,
-            loss: 0.1,
-            epochs: 20,
-            mean_completeness: 0.97,
-            min_completeness: 0.8,
-            spurious: 0,
-            mean_staleness_s: 31.5,
-            messages: 420,
-            bytes: 31_000,
-            deltas_sent: 60,
-            heartbeats: 25,
-            deltas_applied: 58,
-            arq_retries: 7,
-            arq_exhausted: 1,
-            lease_expired: 0,
-            fold_remove_misses: 0,
-            node_crashes: 3,
-            energy_j: 1.25,
-            seconds: 0.75,
-        };
-        let json = to_json(&Provenance::fixture(), &[r]);
-        let (grid, timings) = crate::provenance::sections(&json);
-        assert!(json.contains("\"bench\": \"monitor\""));
-        assert!(json.contains("\"devices\": 16,\n  \"duration_seconds\": 600,"));
-        assert!(grid.contains(
-            "{\"mode\": \"delta\", \"period_s\": 30, \"churn\": 0.25, \"loss\": 0.1, \
-             \"epochs\": 20,"
-        ));
-        assert!(grid.contains("\"heartbeats\": 25,"));
-        assert!(grid.contains("\"node_crashes\": 3, \"energy_j\": 1.250}"));
-        assert!(!grid.contains("fold_remove_misses"));
-        assert!(timings.contains(
-            "{\"mode\": \"delta\", \"period_s\": 30, \"churn\": 0.25, \"loss\": 0.1, \
-             \"seconds\": 0.750}"
-        ));
-    }
+    /// The shrunk cells' `grid` rows, as the per-cell report structs wrote
+    /// them before rows were built from the outcomes.
+    const PINNED_ROWS: [&str; 3] = [
+        r#"{"mode": "delta", "period_s": 30, "churn": 0, "loss": 0, "epochs": 7, "mean_completeness": 0.714286, "min_completeness": 0.000000, "spurious": 4, "mean_staleness_s": 57.321, "messages": 103, "bytes": 4376, "deltas_sent": 25, "heartbeats": 7, "deltas_applied": 19, "arq_retries": 30, "arq_exhausted": 8, "lease_expired": 0, "node_crashes": 0, "energy_j": 0.954}"#,
+        r#"{"mode": "delta", "period_s": 30, "churn": 0.25, "loss": 0.1, "epochs": 7, "mean_completeness": 0.285714, "min_completeness": 0.000000, "spurious": 6, "mean_staleness_s": 67.500, "messages": 100, "bytes": 4740, "deltas_sent": 22, "heartbeats": 4, "deltas_applied": 15, "arq_retries": 37, "arq_exhausted": 9, "lease_expired": 0, "node_crashes": 2, "energy_j": 0.552}"#,
+        r#"{"mode": "requery", "period_s": 30, "churn": 0.25, "loss": 0.1, "epochs": 7, "mean_completeness": 0.500000, "min_completeness": 0.000000, "spurious": 4, "mean_staleness_s": 63.750, "messages": 260, "bytes": 11973, "deltas_sent": 54, "heartbeats": 0, "deltas_applied": 30, "arq_retries": 107, "arq_exhausted": 25, "lease_expired": 0, "node_crashes": 2, "energy_j": 0.726}"#,
+    ];
 }

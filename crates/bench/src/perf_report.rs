@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use dist_skyline::config::ObsConfig;
 use dist_skyline::runtime::{run_experiment, ManetOutcome};
+use dist_skyline::ServeStats;
 use sim_obs::{PowHistogram, ProfileReport};
 
 use crate::scalebench::{self, ScaleCell};
@@ -53,7 +54,7 @@ pub struct PerfRun {
     /// Span profile collected across the run.
     pub profile: ProfileReport,
     /// Deterministic counters from the serving segment.
-    pub serve: servebench::CellMetrics,
+    pub serve: ServeStats,
     /// End-to-end wall seconds (volatile).
     pub wall_seconds: f64,
 }
@@ -63,8 +64,8 @@ pub struct PerfRun {
 /// `diagram::materialize`, `diagram::invalidate`): one smoke cell of the
 /// serve grid — cold pass, cached repeats, churn invalidation — proven
 /// exact by [`servebench::run_horizon`] before it reports.
-pub fn serve_segment() -> servebench::CellMetrics {
-    servebench::run_horizon(&servebench::smoke_cells()[0]).metrics
+pub fn serve_segment() -> ServeStats {
+    servebench::run_horizon(&servebench::smoke_cells()[0]).0
 }
 
 /// Runs the pinned scenario with full instrumentation: spans enabled
@@ -152,7 +153,11 @@ pub fn render(run: &PerfRun) -> String {
         out,
         "\nserving segment (one serve-smoke cell, proven exact): lookups={} \
          hit_ratio={:.3} misses={} invalidations={} evictions={}",
-        s.lookups, s.hit_ratio, s.misses, s.invalidations, s.evictions
+        s.lookups,
+        s.hits as f64 / (s.lookups as f64).max(1.0),
+        s.misses,
+        s.invalidations,
+        s.evictions
     );
 
     out.push_str("\nlatency histograms (simulated time):\n");

@@ -9,8 +9,9 @@
 //! the swept cell list changes, so [`crate::benchdiff`] can refuse
 //! apples-to-oranges comparisons instead of reporting every row as drift.
 //!
-//! A bench declares each cell once, as a `Row` of ordered
-//! `(key, value, tag)` columns; `baseline_json` splits it. The `grid`
+//! A bench builds each cell's `Row` of ordered `(key, value, tag)`
+//! columns straight from its outcome and returns them as one [`Grid`];
+//! `baseline_json` splits each row. The `grid`
 //! row is the cell's `Label` and `Det` columns, the `timings` row its
 //! `Label` and `Vol` columns, each in declared order. `bench_diff`
 //! compares the grid exactly and bands the wall-clock timings, so a
@@ -26,8 +27,8 @@ use crate::Scale;
 
 /// Revision of the deterministic grids across all BENCH baselines. Bump
 /// when the shared layout changes; an emitter whose own `grid` schema or
-/// swept cell list changes passes its own revision to `baseline_json`
-/// (`corebench` is at 5).
+/// swept cell list changes keeps its own revision in its [`Grid`]
+/// (`corebench` is at 8, `sweep` at 3).
 ///
 /// * rev 1 — the pre-header baselines (implicit; files without a
 ///   `grid_rev` field).
@@ -171,6 +172,17 @@ pub(crate) fn vol(key: &'static str, value: impl Into<Value>) -> Column {
     (key, value.into(), Tag::Vol)
 }
 
+/// The integer column `key` of `row`, for a driver's summary lines.
+///
+/// # Panics
+/// Panics when `row` has no integer column `key`.
+pub(crate) fn int(row: &Row, key: &str) -> u64 {
+    match row.iter().find(|(k, ..)| *k == key) {
+        Some((_, Value::Int(n), _)) => *n,
+        _ => panic!("no integer column `{key}`"),
+    }
+}
+
 /// Minimal JSON string escaping: quote, backslash and control characters.
 fn json_string(s: &str) -> String {
     let mut out = String::from('"');
@@ -293,36 +305,58 @@ pub(crate) fn emit_rows(
     Ok(())
 }
 
-/// Renders a baseline: the provenance header stamped at `grid_rev`, the
-/// bench's `header` fields, then one `grid` and one `timings` row per
-/// [`Row`] (see the module docs for the split). One field or row per line.
-pub(crate) fn baseline_json(
-    bench: &str,
-    prov: &Provenance,
-    grid_rev: u64,
-    header: &[(&'static str, Value)],
-    rows: &[Row],
-) -> String {
+/// One bench's output, built from its outcomes: the rows `msq` prints as
+/// its table, and what `--json` writes as `BENCH_<bench>.json`.
+#[derive(Debug)]
+pub struct Grid {
+    /// The baseline's name.
+    pub(crate) bench: &'static str,
+    /// Revision of the deterministic grid: [`GRID_REV`], or the bench's
+    /// own.
+    pub(crate) grid_rev: u64,
+    /// The bench's own header fields, after the provenance stamp.
+    pub(crate) header: Vec<(&'static str, Value)>,
+    /// One row per cell.
+    pub(crate) rows: Vec<Row>,
+}
+
+impl Grid {
+    /// Writes the grid as `BENCH_<bench>.json` to the working directory.
+    pub fn write(&self, prov: &Provenance) -> Result<(), String> {
+        write_baseline(&format!("BENCH_{}.json", self.bench), &baseline_json(self, prov))
+    }
+}
+
+/// A row's `Label` columns and those tagged `keep`, in declared order, as
+/// one JSON object.
+fn row_object(row: &Row, keep: Tag) -> String {
+    let columns = row.iter().filter(|(_, _, tag)| *tag == Tag::Label || *tag == keep);
+    object(columns.map(|(key, value, _)| (*key, value)))
+}
+
+/// Renders a baseline: the provenance header stamped at the grid's
+/// revision, the bench's header fields, then one `grid` and one `timings`
+/// row per [`Row`] (see the module docs for the split). One field or row
+/// per line.
+fn baseline_json(grid: &Grid, prov: &Provenance) -> String {
     let stamp = [
-        ("bench", Value::from(bench)),
+        ("bench", Value::from(grid.bench)),
         ("scale", Value::Str(format!("{:?}", prov.scale))),
-        ("grid_rev", Value::Int(grid_rev)),
+        ("grid_rev", Value::Int(grid.grid_rev)),
         ("jobs", Value::from(prov.jobs)),
         ("git_commit", Value::from(prov.git_commit.as_str())),
         ("rustc", Value::from(prov.rustc.as_str())),
     ];
     let mut out = String::from("{\n");
-    for (key, value) in stamp.iter().chain(header) {
+    for (key, value) in stamp.iter().chain(&grid.header) {
         let _ = writeln!(out, "  {}: {},", json_string(key), value.render());
     }
     for (section, keep, close) in [("grid", Tag::Det, "  ],\n"), ("timings", Tag::Vol, "  ]\n}\n")]
     {
         let _ = writeln!(out, "  \"{section}\": [");
-        for (i, row) in rows.iter().enumerate() {
-            let columns = row.iter().filter(|(_, _, tag)| *tag == Tag::Label || *tag == keep);
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            let _ =
-                writeln!(out, "    {}{sep}", object(columns.map(|(key, value, _)| (*key, value))));
+        for (i, row) in grid.rows.iter().enumerate() {
+            let sep = if i + 1 < grid.rows.len() { "," } else { "" };
+            let _ = writeln!(out, "    {}{sep}", row_object(row, keep));
         }
         out.push_str(close);
     }
@@ -358,12 +392,28 @@ pub(crate) fn sections(json: &str) -> (&str, &str) {
 }
 
 #[cfg(test)]
+impl Grid {
+    /// The baseline this grid renders to under [`Provenance::fixture`].
+    pub(crate) fn fixture_json(&self) -> String {
+        baseline_json(self, &Provenance::fixture())
+    }
+}
+
+/// Each row's object in a baseline's `grid` array, as the writer renders
+/// it.
+#[cfg(test)]
+pub(crate) fn grid_objects(rows: &[Row]) -> Vec<String> {
+    rows.iter().map(|row| row_object(row, Tag::Det)).collect()
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn header_keeps_volatile_and_deterministic_fields_on_separate_lines() {
-        let json = baseline_json("unit", &Provenance::fixture(), GRID_REV, &[], &[]);
+        let grid = Grid { bench: "unit", grid_rev: GRID_REV, header: Vec::new(), rows: Vec::new() };
+        let json = grid.fixture_json();
         assert!(json.starts_with("{\n  \"bench\": \"unit\",\n  \"scale\": \"Quick\",\n"));
         assert!(json.contains(&format!("\n  \"grid_rev\": {GRID_REV},\n")));
         assert!(json.contains("\n  \"jobs\": 4,\n"));
@@ -395,14 +445,14 @@ mod tests {
             ]
         };
         let header =
-            [("total_seconds", Value::Fixed(2.0, 3)), ("missing", Value::Fixed(f64::NAN, 2))];
-        let rows = [
+            vec![("total_seconds", Value::Fixed(2.0, 3)), ("missing", Value::Fixed(f64::NAN, 2))];
+        let rows = vec![
             row("a\"b\\c\nd\u{1}", 0.25),
             row("nan", f64::NAN),
             row("inf", f64::INFINITY),
             row("-inf", f64::NEG_INFINITY),
         ];
-        let json = baseline_json("unit", &Provenance::fixture(), 9, &header, &rows);
+        let json = Grid { bench: "unit", grid_rev: 9, header, rows }.fixture_json();
         let (grid, timings) = sections(&json);
         assert!(json.starts_with("{\n") && json.ends_with("  ]\n}\n"));
         assert!(json.contains("\n  \"grid_rev\": 9,\n"));
@@ -431,7 +481,7 @@ mod tests {
         // One row per line; the last row of each array has no separator.
         for section in [grid, timings] {
             let lines: Vec<&str> = section.lines().filter(|l| l.starts_with("    {")).collect();
-            assert_eq!(lines.len(), rows.len());
+            assert_eq!(lines.len(), 4);
             assert!(lines[..3].iter().all(|l| l.ends_with("},")));
             assert!(lines[3].ends_with('}'), "{}", lines[3]);
         }
@@ -442,7 +492,8 @@ mod tests {
         let arr = |k| doc.get(k).and_then(sim_obs::JsonValue::as_array).map(<[_]>::len);
         assert_eq!((arr("grid"), arr("timings")), (Some(4), Some(4)));
         // An empty grid still renders both arrays.
-        let empty = baseline_json("unit", &Provenance::fixture(), 9, &[], &[]);
+        let empty = Grid { bench: "unit", grid_rev: 9, header: Vec::new(), rows: Vec::new() };
+        let empty = empty.fixture_json();
         assert!(empty.ends_with("\n  \"grid\": [\n  ],\n  \"timings\": [\n  ]\n}\n"), "{empty}");
     }
 
@@ -501,359 +552,6 @@ mod tests {
     fn write_baseline_reports_a_failed_write() {
         let err = write_baseline("/nonexistent-dir/for/sure/BENCH_unit.json", "{}\n").unwrap_err();
         assert!(err.contains("failed to write /nonexistent-dir/for/sure/BENCH_unit.json"), "{err}");
-    }
-
-    /// Each bench's `to_json` over a fixed two-row fixture (a `None`/NaN
-    /// row wherever the writer renders `null`), keyed by bench name.
-    fn golden_fixtures() -> Vec<(&'static str, String)> {
-        use crate::{attack, chaos, corebench, extensions, monitor, scalebench, servebench, sweep};
-        let prov = Provenance::fixture();
-
-        let stages = [
-            sweep::StageRecord { name: "fig5a".to_string(), cells: 5, seconds: 1.5, jobs: 4 },
-            sweep::StageRecord {
-                name: "fig\"8\\b".to_string(),
-                cells: 12,
-                seconds: 0.0004,
-                jobs: 2,
-            },
-        ];
-
-        let chaos_a = chaos::CellReport {
-            arm: "EXT",
-            churn: 0.2,
-            loss: 0.1,
-            arq: true,
-            queries: 16,
-            mean_completeness: 0.9,
-            min_completeness: 0.5,
-            spurious: 0,
-            timeout_fraction: 0.125,
-            timeouts_originator_crash: 1,
-            timeouts_no_responses: 0,
-            timeouts_partial: 1,
-            arq_retries: 7,
-            arq_exhausted: 1,
-            duplicates_suppressed: 2,
-            delivery_failures: 3,
-            reissues: 1,
-            node_crashes: 3,
-            mean_response_seconds: None,
-            seconds: 1.25,
-        };
-        let chaos_b = chaos::CellReport {
-            arm: "EXT/noARQ",
-            churn: 0.0,
-            loss: 0.0,
-            arq: false,
-            mean_completeness: 1.0,
-            min_completeness: 0.987_654_321,
-            timeout_fraction: 0.0,
-            mean_response_seconds: Some(12.345_6),
-            seconds: 0.000_4,
-            ..chaos_a.clone()
-        };
-
-        let attack_a = attack::CellReport {
-            arm: "EXT-BF",
-            attack: "filter_poison",
-            defense: true,
-            churn: 0.2,
-            loss: 0.1,
-            queries: 16,
-            mean_completeness: 0.9,
-            mean_honest_completeness: 0.95,
-            min_honest_completeness: 0.5,
-            spurious: 0,
-            timeout_fraction: 0.125,
-            frames_sent: 1234,
-            result_messages: 99,
-            attack_frames_sent: 40,
-            attack_frames_dropped: 55,
-            filters_rejected: 7,
-            reputation_penalties: 12,
-            defense_effectiveness: 1.375,
-            mean_response_seconds: None,
-            seconds: 2.5,
-        };
-        let attack_b = attack::CellReport {
-            arm: "EXT-DF",
-            attack: "none",
-            defense: false,
-            churn: 0.0,
-            loss: 0.0,
-            mean_completeness: f64::NAN,
-            mean_honest_completeness: f64::NAN,
-            min_honest_completeness: f64::INFINITY,
-            mean_response_seconds: Some(3.141_9),
-            seconds: 17.000_5,
-            ..attack_a.clone()
-        };
-
-        let monitor_a = monitor::CellReport {
-            mode: "delta",
-            period_s: 30.0,
-            churn: 0.25,
-            loss: 0.1,
-            epochs: 20,
-            mean_completeness: 0.97,
-            min_completeness: 0.8,
-            spurious: 0,
-            mean_staleness_s: 31.5,
-            messages: 420,
-            bytes: 31_000,
-            deltas_sent: 60,
-            heartbeats: 25,
-            deltas_applied: 58,
-            arq_retries: 7,
-            arq_exhausted: 1,
-            lease_expired: 0,
-            fold_remove_misses: 0,
-            node_crashes: 3,
-            energy_j: 1.25,
-            seconds: 0.75,
-        };
-        let monitor_b = monitor::CellReport {
-            mode: "requery",
-            period_s: 15.0,
-            churn: 0.0,
-            loss: 0.0,
-            mean_staleness_s: 2.000_5,
-            energy_j: 0.123_456,
-            seconds: 3.0,
-            ..monitor_a.clone()
-        };
-
-        let scale_a = scalebench::CellReport {
-            metrics: scalebench::CellMetrics {
-                g: 32,
-                devices: 1024,
-                cardinality: 10_000,
-                dim: 2,
-                queries: 4,
-                drr: 0.5,
-                timeout_fraction: 0.0,
-                mean_response_seconds: Some(12.0),
-                forward_messages: 4096,
-                result_messages: 4096,
-                frames_sent: 100_000,
-                aodv_frames: 50_000,
-                aodv_frames_per_device: 48.828,
-                energy_j: 123.0,
-            },
-            seconds: 9.87,
-        };
-        let scale_b = scalebench::CellReport {
-            metrics: scalebench::CellMetrics {
-                g: 4,
-                devices: 16,
-                drr: 0.123_456_789,
-                timeout_fraction: 0.25,
-                mean_response_seconds: None,
-                aodv_frames_per_device: 0.000_05,
-                ..scale_a.metrics.clone()
-            },
-            seconds: 0.123_4,
-        };
-
-        let serve_a = servebench::CellReport {
-            metrics: servebench::CellMetrics {
-                clients: 64,
-                churn: 8,
-                epochs: 24,
-                sites: 2_000,
-                dim: 3,
-                lookups: 1_536,
-                hits: 1_500,
-                misses: 36,
-                hit_ratio: 0.9766,
-                invalidations: 40,
-                cells_touched: 200,
-                evictions: 3,
-                backfills: 39,
-                tuples_served: 30_000,
-                stale_p50: 2,
-                stale_p99: 8,
-                stale_max: 15,
-                stale_sum: 3_000,
-            },
-            seconds: 1.5,
-            cold_seconds: 0.9,
-            cached_seconds: 0.6,
-            cold_requests: 64,
-            cached_requests: 1_472,
-            reuse_seconds: 0.001,
-        };
-        let serve_b = servebench::CellReport {
-            metrics: servebench::CellMetrics {
-                clients: 16,
-                churn: 0,
-                hit_ratio: 0.875,
-                ..serve_a.metrics.clone()
-            },
-            seconds: 0.25,
-            cold_seconds: 0.2,
-            cached_seconds: 0.0,
-            reuse_seconds: 0.0,
-            ..serve_a.clone()
-        };
-
-        let neighbors = vec![corebench::NeighborRecord {
-            nodes: 100,
-            queries: 100,
-            grid_ms: 0.05,
-            scan_ms: 0.25,
-            neighbors: 1_642,
-        }];
-        let builds = vec![
-            corebench::BuildRecord {
-                dims: 2,
-                tuples: 6_000,
-                domain_sizes: vec![999, 1000],
-                sort_attr: 1,
-                id_bytes: 24_000,
-                build_ms: 0.456,
-            },
-            corebench::BuildRecord {
-                dims: 0,
-                tuples: 1,
-                domain_sizes: Vec::new(),
-                sort_attr: 0,
-                id_bytes: 0,
-                build_ms: 0.001,
-            },
-        ];
-        let scans = vec![corebench::ScanRecord {
-            dims: 4,
-            dist: "AC",
-            tuples: 20_000,
-            region: "r500",
-            in_range: 15_000,
-            window_len: 321,
-            id_comparisons: 9_876_543,
-            scan_ms: 3.25,
-        }];
-        let merges = vec![corebench::MergeRecord {
-            dims: 5,
-            dist: "IN",
-            tuples: 20_000,
-            inserts: 800,
-            kept: 600,
-            dominated_removed: 200,
-            merge_ms: 0.333,
-        }];
-        let radios = vec![corebench::RadioRecord {
-            g: 10,
-            payload_bytes: 200,
-            transmissions: 10_000,
-            deliveries: 170_000,
-            wheel_events: 10_100,
-            storm_ms: 12.75,
-        }];
-        let storages = vec![corebench::StorageRecord {
-            model: "flat",
-            test: "full",
-            dist: "AC",
-            dims: 2,
-            tuples: 10_000,
-            skyline_len: 22,
-            value_comparisons: 1_234_567,
-            id_comparisons: 0,
-            storage_bytes: 281_234,
-            scan_ms: 58.812_4,
-        }];
-
-        let energy_a = extensions::EnergyReport {
-            forwarding: "BF",
-            filter: "nofilter",
-            queries: 82,
-            j_per_query: 0.185_04,
-            total_j: 15.169_2,
-            bytes_per_query: 10_709.622,
-            drr: 0.0,
-            seconds: 0.149,
-        };
-        let energy_b = extensions::EnergyReport {
-            forwarding: "DF",
-            filter: "dynamic",
-            drr: f64::NAN,
-            seconds: 0.000_4,
-            ..energy_a.clone()
-        };
-
-        let multi_a = extensions::MultiFilterReport {
-            sweep: "k",
-            k: 8,
-            selector: "coverage",
-            dist: "IN",
-            queries: 75,
-            drr: -0.012_34,
-            tuples_per_query: 35.826_7,
-            seconds: 0.543,
-        };
-        let multi_b = extensions::MultiFilterReport {
-            sweep: "selector",
-            k: 3,
-            selector: "max-spread",
-            dist: "AC",
-            tuples_per_query: f64::INFINITY,
-            ..multi_a.clone()
-        };
-
-        let redistribution_a = extensions::RedistributionReport {
-            handoff: "off",
-            queries: 79,
-            locality_m: 468.454_2,
-            migrations: 0,
-            mean_response_seconds: Some(15.437_4),
-            avg_result: 5.460_5,
-            kb_on_air: 932.871_1,
-            seconds: 0.124,
-        };
-        let redistribution_b = extensions::RedistributionReport {
-            handoff: "on",
-            migrations: 138,
-            mean_response_seconds: None,
-            kb_on_air: 38_435.024_4,
-            seconds: 12.982,
-            ..redistribution_a.clone()
-        };
-
-        vec![
-            ("sweep", sweep::to_json(&prov, 2.0, &stages)),
-            ("chaos", chaos::to_json(&prov, &[chaos_a, chaos_b])),
-            ("attack", attack::to_json(&prov, &[attack_a, attack_b])),
-            ("monitor", monitor::to_json(&prov, &[monitor_a, monitor_b])),
-            ("scale", scalebench::to_json(&prov, &[scale_a, scale_b])),
-            ("serve", servebench::to_json(&prov, &[serve_a, serve_b])),
-            (
-                "core",
-                corebench::to_json(
-                    &prov,
-                    &corebench::Suite { neighbors, builds, scans, merges, radios, storages },
-                ),
-            ),
-            ("energy", extensions::energy_json(&prov, &[energy_a, energy_b])),
-            ("multi-filter", extensions::multi_filter_json(&prov, &[multi_a, multi_b])),
-            (
-                "redistribution",
-                extensions::redistribution_json(&prov, &[redistribution_a, redistribution_b]),
-            ),
-        ]
-    }
-
-    /// The byte-identity proof: each `golden/baseline_<bench>.json` is
-    /// the output of that bench's hand-rolled writer on this fixture,
-    /// recorded before the writers were folded into [`baseline_json`]
-    /// (`energy`, `multi-filter` and `redistribution` never had one: their
-    /// goldens pin the row schemas they were gated with).
-    #[test]
-    fn every_bench_reproduces_its_recorded_golden() {
-        for (bench, json) in golden_fixtures() {
-            let path = format!("{}/golden/baseline_{bench}.json", env!("CARGO_MANIFEST_DIR"));
-            let golden = std::fs::read_to_string(&path).expect("golden recorded");
-            assert_eq!(json, golden, "{bench} moved off its golden");
-        }
     }
 
     #[test]

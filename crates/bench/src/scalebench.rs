@@ -19,8 +19,8 @@
 //! keeps the workload constant across network sizes, so the devices axis
 //! measures the network, not a growing query load.
 //!
-//! Everything but wall time is deterministic: same seeds → same
-//! [`CellMetrics`], bit-for-bit, at any `--jobs`. The JSON therefore
+//! Everything but wall time is deterministic: same seeds → same `grid`
+//! rows, bit-for-bit, at any `--jobs`. The JSON therefore
 //! separates the deterministic `grid` rows from the volatile `timings`
 //! rows, and CI's `bench_diff` of jobs-1 vs jobs-N output compares the
 //! grid exactly and bands the timings.
@@ -31,9 +31,7 @@ use datagen::{Distribution, SpatialExtent};
 use dist_skyline::runtime::{run_experiment, ManetExperiment, ManetOutcome};
 use std::time::Instant;
 
-use crate::provenance::{
-    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
-};
+use crate::provenance::{det, label, print_rows, vol, Grid, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -107,94 +105,52 @@ pub fn experiment(cell: &ScaleCell) -> ManetExperiment {
     exp
 }
 
-/// The deterministic part of a cell's outcome — bit-identical across
-/// `--jobs` values and compared as such by the harness tests and CI.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellMetrics {
-    /// Grid side.
-    pub g: usize,
-    /// Devices in the network (`g²`).
-    pub devices: usize,
-    /// Global relation cardinality.
-    pub cardinality: usize,
-    /// Attribute dimensionality.
-    pub dim: usize,
-    /// Queries issued.
-    pub queries: usize,
-    /// Aggregate data-reduction ratio.
-    pub drr: f64,
-    /// Fraction of queries that timed out.
-    pub timeout_fraction: f64,
-    /// Mean response time of protocol-completed queries.
-    pub mean_response_seconds: Option<f64>,
-    /// Query-forward messages across all queries.
-    pub forward_messages: u64,
-    /// Result messages across all queries.
-    pub result_messages: u64,
-    /// Frames handed to the radio (all kinds).
-    pub frames_sent: u64,
-    /// AODV control frames.
-    pub aodv_frames: u64,
-    /// AODV control frames divided by devices — the routing overhead each
-    /// device pays. Must stay sub-linear in devices (total sub-quadratic)
-    /// now that replies reuse the query flood's reverse paths.
-    pub aodv_frames_per_device: f64,
-    /// Total radio energy (joules).
-    pub energy_j: f64,
+/// One cell's row, keyed by `(g, cardinality, dim)`: every count
+/// deterministic, the cell's wall clock volatile.
+/// `aodv_frames_per_device` is the routing overhead each device pays; it
+/// must stay sub-linear in devices (total sub-quadratic) now that replies
+/// reuse the query flood's reverse paths.
+fn row(cell: &ScaleCell, out: &ManetOutcome, seconds: f64) -> Row {
+    let devices = cell.g * cell.g;
+    vec![
+        label("g", cell.g),
+        det("devices", devices),
+        label("cardinality", cell.cardinality),
+        label("dim", cell.dim),
+        det("queries", out.records.len()),
+        det("drr", Value::Fixed(out.drr, 6)),
+        det("timeout_fraction", Value::Fixed(out.timeout_fraction, 6)),
+        det("mean_response_s", Value::Fixed(out.mean_response_seconds.unwrap_or(f64::NAN), 3)),
+        det("forward_messages", out.total_forward_messages),
+        det("result_messages", out.total_result_messages),
+        det("frames_sent", out.net.frames_sent),
+        det("aodv_frames", out.net.aodv_frames),
+        det("aodv_frames_per_device", Value::Fixed(out.net.aodv_frames as f64 / devices as f64, 4)),
+        det("energy_j", Value::Fixed(out.total_energy_joules, 3)),
+        vol("seconds", Value::Fixed(seconds, 3)),
+    ]
 }
 
-/// One cell's report: deterministic metrics plus the (volatile) wall time.
-#[derive(Debug, Clone)]
-pub struct CellReport {
-    /// The jobs-invariant outcome.
-    pub metrics: CellMetrics,
-    /// Wall seconds this cell took (varies run to run; excluded from
-    /// bit-identity comparisons).
-    pub seconds: f64,
-}
-
-fn report(cell: &ScaleCell, out: &ManetOutcome, seconds: f64) -> CellReport {
-    CellReport {
-        metrics: CellMetrics {
-            g: cell.g,
-            devices: cell.g * cell.g,
-            cardinality: cell.cardinality,
-            dim: cell.dim,
-            queries: out.records.len(),
-            drr: out.drr,
-            timeout_fraction: out.timeout_fraction,
-            mean_response_seconds: out.mean_response_seconds,
-            forward_messages: out.total_forward_messages,
-            result_messages: out.total_result_messages,
-            frames_sent: out.net.frames_sent,
-            aodv_frames: out.net.aodv_frames,
-            aodv_frames_per_device: out.net.aodv_frames as f64 / (cell.g * cell.g) as f64,
-            energy_j: out.total_energy_joules,
-        },
-        seconds,
-    }
-}
-
-/// Runs a cell list through the sweep harness. Reports come back in input
-/// order, so metrics are byte-identical for any `--jobs`.
-pub fn compute(grid: &[ScaleCell], jobs: usize, stage: &str) -> Vec<CellReport> {
+/// Runs a cell list through the sweep harness: each cell's row and wall
+/// seconds, in input order, so the rows are byte-identical for any
+/// `--jobs`.
+fn compute(grid: &[ScaleCell], jobs: usize, stage: &str) -> Vec<(Row, f64)> {
     sweep::run_stage(stage, jobs, grid, |cell| {
         let t0 = Instant::now();
         let out = run_experiment(&experiment(cell));
-        report(cell, &out, t0.elapsed().as_secs_f64())
+        let seconds = t0.elapsed().as_secs_f64();
+        (row(cell, &out, seconds), seconds)
     })
 }
 
 /// Runs the grid (with `smoke`, the trimmed two-cell grid), prints its
-/// rows, and returns the reports (shared by `msq scale` and `msq all`).
-pub fn run(o: &RunOpts, smoke: bool) -> Vec<CellReport> {
+/// rows and returns them as `BENCH_scale.json`'s grid (shared by `msq
+/// scale` and `msq all`).
+pub fn run(o: &RunOpts, smoke: bool) -> Grid {
     let (grid, stage) =
         if smoke { (smoke_cells(), "scale_smoke") } else { (cells(o.scale), "scale_devices") };
-    let reports = compute(&grid, o.jobs, stage);
-    print_rows(
-        "Scale: constant-density networks, unbounded-radius queries",
-        &reports.iter().map(row).collect::<Vec<_>>(),
-    );
+    let (rows, seconds): (Vec<Row>, Vec<f64>) = compute(&grid, o.jobs, stage).into_iter().unzip();
+    print_rows("Scale: constant-density networks, unbounded-radius queries", &rows);
     println!("\nexpected shape: the BF flood still visits everyone, replies reuse");
     println!("the flood's reverse paths, and the spatial grid keeps per-event");
     println!("neighbour work O(degree), so wall time tracks frames rather than");
@@ -203,42 +159,13 @@ pub fn run(o: &RunOpts, smoke: bool) -> Vec<CellReport> {
     println!("the route lifetime under mobility and aodv/dev climbs — route");
     println!("*repair*, not the old per-replier discovery storm. Every query");
     println!("still completes: timeout fraction stays flat at every size.");
-    reports
-}
-
-/// Renders the reports as the `BENCH_scale.json` machine baseline: one
-/// row per cell, keyed by `(g, cardinality, dim)`; the [`CellMetrics`] in
-/// `grid`, the cell's wall clock in `timings`.
-pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
-    let total: f64 = reports.iter().map(|r| r.seconds).sum();
-    let header = [
+    let total: f64 = seconds.iter().sum();
+    let header = vec![
         ("total_seconds", Value::Fixed(total, 3)),
-        ("cells", Value::from(reports.len())),
-        ("cells_per_sec", Value::Fixed(reports.len() as f64 / total.max(1e-9), 4)),
+        ("cells", Value::from(rows.len())),
+        ("cells_per_sec", Value::Fixed(rows.len() as f64 / total.max(1e-9), 4)),
     ];
-    let rows: Vec<Row> = reports.iter().map(row).collect();
-    baseline_json("scale", prov, GRID_REV, &header, &rows)
-}
-
-fn row(r: &CellReport) -> Row {
-    let m = &r.metrics;
-    vec![
-        label("g", m.g),
-        det("devices", m.devices),
-        label("cardinality", m.cardinality),
-        label("dim", m.dim),
-        det("queries", m.queries),
-        det("drr", Value::Fixed(m.drr, 6)),
-        det("timeout_fraction", Value::Fixed(m.timeout_fraction, 6)),
-        det("mean_response_s", Value::Fixed(m.mean_response_seconds.unwrap_or(f64::NAN), 3)),
-        det("forward_messages", m.forward_messages),
-        det("result_messages", m.result_messages),
-        det("frames_sent", m.frames_sent),
-        det("aodv_frames", m.aodv_frames),
-        det("aodv_frames_per_device", Value::Fixed(m.aodv_frames_per_device, 4)),
-        det("energy_j", Value::Fixed(m.energy_j, 3)),
-        vol("seconds", Value::Fixed(r.seconds, 3)),
-    ]
+    Grid { bench: "scale", grid_rev: GRID_REV, header, rows }
 }
 
 #[cfg(test)]
@@ -258,19 +185,27 @@ mod tests {
         }
     }
 
+    /// The smoke grid's rows, as the per-cell report structs wrote them
+    /// before rows were built from the outcomes.
+    const SMOKE_GRID_ROWS: [&str; 2] = [
+        r#"{"g": 4, "devices": 16, "cardinality": 2000, "dim": 2, "queries": 2, "drr": 0.129213, "timeout_fraction": 0.000000, "mean_response_s": 0.017, "forward_messages": 328, "result_messages": 30, "frames_sent": 118, "aodv_frames": 0, "aodv_frames_per_device": 0.0000, "energy_j": 0.237}"#,
+        r#"{"g": 8, "devices": 64, "cardinality": 2000, "dim": 2, "queries": 2, "drr": 0.499025, "timeout_fraction": 0.000000, "mean_response_s": 0.027, "forward_messages": 2152, "result_messages": 126, "frames_sent": 766, "aodv_frames": 0, "aodv_frames_per_device": 0.0000, "energy_j": 1.508}"#,
+    ];
+
     #[test]
     fn smoke_grid_runs_end_to_end_deterministically() {
         let grid = smoke_cells();
-        let a = compute(&grid, 1, "scale_smoke_a");
-        let b = compute(&grid, 1, "scale_smoke_b");
-        sweep::take_stage_records();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.metrics, y.metrics, "same seeds must reproduce bit-identically");
-        }
-        for r in &a {
-            assert_eq!(r.metrics.queries, QUERYING_DEVICES, "originator cap holds");
-            assert!(r.metrics.drr > 0.0, "queries actually completed");
-            assert!(r.metrics.frames_sent > 0);
+        let outs: Vec<ManetOutcome> = grid.iter().map(|c| run_experiment(&experiment(c))).collect();
+        let rows: Vec<Row> = grid.iter().zip(&outs).map(|(c, out)| row(c, out, 0.0)).collect();
+        assert_eq!(
+            crate::provenance::grid_objects(&rows),
+            SMOKE_GRID_ROWS,
+            "same seeds must reproduce bit-identically"
+        );
+        for out in &outs {
+            assert_eq!(out.records.len(), QUERYING_DEVICES, "originator cap holds");
+            assert!(out.drr > 0.0, "queries actually completed");
+            assert!(out.net.frames_sent > 0);
         }
     }
 
@@ -281,67 +216,48 @@ mod tests {
         // reply-path reuse the per-device overhead must grow strictly
         // slower than the device count between the smoke cells.
         let grid = smoke_cells();
-        let reports = compute(&grid, 1, "scale_subquad");
-        sweep::take_stage_records();
-        assert_eq!(reports.len(), 2);
-        let (small, big) = (&reports[0].metrics, &reports[1].metrics);
-        assert!(small.devices < big.devices);
-        let device_ratio = big.devices as f64 / small.devices as f64;
+        let [small, big] =
+            [&grid[0], &grid[1]].map(|c| (c.g * c.g, run_experiment(&experiment(c))));
+        assert!(small.0 < big.0);
+        let device_ratio = big.0 as f64 / small.0 as f64;
+        let per_device =
+            |(devices, out): &(usize, ManetOutcome)| out.net.aodv_frames as f64 / *devices as f64;
         // Sub-quadratic total ⇔ sub-linear per device. `max(1)` keeps the
         // bound meaningful even if the small cell needs no AODV at all.
-        let per_dev_ratio = big.aodv_frames_per_device / small.aodv_frames_per_device.max(1.0);
+        let per_dev_ratio = per_device(&big) / per_device(&small).max(1.0);
         assert!(
             per_dev_ratio < device_ratio,
             "aodv frames/device grew {per_dev_ratio:.2}x across a {device_ratio:.2}x \
              device jump ({} -> {} frames): the rediscovery storm is back",
-            small.aodv_frames,
-            big.aodv_frames
+            small.1.net.aodv_frames,
+            big.1.net.aodv_frames
         );
     }
 
     #[test]
     fn parallel_scale_grid_is_bit_identical_to_sequential() {
         let grid = smoke_cells();
-        let seq = compute(&grid, 1, "scale_jobs1");
-        let par = compute(&grid, 4, "scale_jobs4");
+        let objects = |jobs, stage| {
+            let rows: Vec<Row> = compute(&grid, jobs, stage).into_iter().map(|(r, _)| r).collect();
+            crate::provenance::grid_objects(&rows)
+        };
+        let (seq, par) = (objects(1, "scale_jobs1"), objects(4, "scale_jobs4"));
         sweep::take_stage_records();
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.metrics, p.metrics, "jobs must not change any metric bit");
-        }
+        assert_eq!(seq, par, "jobs must not change any metric bit");
     }
 
     #[test]
     fn json_separates_deterministic_grid_from_volatile_timings() {
-        let r = CellReport {
-            metrics: CellMetrics {
-                g: 32,
-                devices: 1024,
-                cardinality: 10_000,
-                dim: 2,
-                queries: 4,
-                drr: 0.5,
-                timeout_fraction: 0.0,
-                mean_response_seconds: Some(12.0),
-                forward_messages: 4096,
-                result_messages: 4096,
-                frames_sent: 100_000,
-                aodv_frames: 50_000,
-                aodv_frames_per_device: 48.828,
-                energy_j: 123.0,
-            },
-            seconds: 9.87,
-        };
-        let json = to_json(&Provenance::fixture(), &[r]);
+        let o = RunOpts { scale: Scale::Quick, jobs: 1, csv: None };
+        let json = run(&o, true).fixture_json();
+        sweep::take_stage_records();
         let (grid, timings) = crate::provenance::sections(&json);
         assert!(json.contains("\"bench\": \"scale\""));
-        assert!(json
-            .contains("\"total_seconds\": 9.870,\n  \"cells\": 1,\n  \"cells_per_sec\": 0.1013,"));
-        assert!(grid.contains("{\"g\": 32, \"devices\": 1024, \"cardinality\": 10000, \"dim\": 2,"));
-        assert!(grid.contains("\"mean_response_s\": 12.000,"));
-        assert!(grid.contains("\"aodv_frames_per_device\": 48.8280, \"energy_j\": 123.000}"));
-        assert!(
-            timings.contains("{\"g\": 32, \"cardinality\": 10000, \"dim\": 2, \"seconds\": 9.870}")
-        );
+        assert!(json.contains(",\n  \"cells\": 2,\n  \"cells_per_sec\": "));
+        for row in SMOKE_GRID_ROWS {
+            assert!(grid.contains(row), "grid row moved: {row}");
+        }
+        assert!(!grid.contains("seconds"));
+        assert!(timings.contains("{\"g\": 8, \"cardinality\": 2000, \"dim\": 2, \"seconds\": "));
     }
 }

@@ -32,9 +32,7 @@ use skyline_core::{Tuple, TupleId};
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use crate::provenance::{
-    baseline_json, det, label, print_rows, vol, Provenance, Row, Value, GRID_REV,
-};
+use crate::provenance::{det, label, print_rows, vol, Grid, Row, Value, GRID_REV};
 use crate::sweep;
 use crate::{RunOpts, Scale};
 
@@ -88,91 +86,6 @@ pub fn engine_config(cell: &ServeCell) -> ServeConfig {
     ServeConfig { slots: cell.epochs as usize + 2, backend_g: 8, ..ServeConfig::default() }
 }
 
-/// The deterministic part of a cell's outcome — bit-identical across
-/// `--jobs` values (the engine's thread pool is fixed by config).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellMetrics {
-    /// Client pool size.
-    pub clients: usize,
-    /// Churn sites per epoch.
-    pub churn: usize,
-    /// Serving epochs.
-    pub epochs: u64,
-    /// Site-relation cardinality.
-    pub sites: usize,
-    /// Attribute dimensionality.
-    pub dim: usize,
-    /// Requests answered.
-    pub lookups: u64,
-    /// Requests served from a cached (or group-shared) answer.
-    pub hits: u64,
-    /// Cold computes — real backend floods.
-    pub misses: u64,
-    /// hits / lookups.
-    pub hit_ratio: f64,
-    /// Cached cell answers changed by churn deltas.
-    pub invalidations: u64,
-    /// `(site, cell)` intersection-test hits across all ingests.
-    pub cells_touched: u64,
-    /// Cells evicted by the TTL backstop.
-    pub evictions: u64,
-    /// Cold keys back-filled into the diagram.
-    pub backfills: u64,
-    /// Σ answer sizes over all requests.
-    pub tuples_served: u64,
-    /// Staleness histogram: p50 upper bound (epochs).
-    pub stale_p50: u64,
-    /// Staleness histogram: p99 upper bound (epochs).
-    pub stale_p99: u64,
-    /// Oldest answer served (epochs).
-    pub stale_max: u64,
-    /// Σ staleness over all requests (epochs).
-    pub stale_sum: u64,
-}
-
-/// One cell's report: deterministic metrics plus the volatile wall-clock
-/// split into the cold first pass and the cached remainder.
-#[derive(Debug, Clone)]
-pub struct CellReport {
-    /// The jobs-invariant outcome.
-    pub metrics: CellMetrics,
-    /// Wall seconds for the whole cell (volatile).
-    pub seconds: f64,
-    /// Wall seconds of the epoch-0 (all-cold) batch.
-    pub cold_seconds: f64,
-    /// Wall seconds of the cached batches (epochs 1..).
-    pub cached_seconds: f64,
-    /// Requests in the cold batch.
-    pub cold_requests: u64,
-    /// Requests across the cached batches.
-    pub cached_requests: u64,
-    /// Wall seconds of the pool served a second time inside a cold epoch
-    /// (every answer memoized by the first pass), on a separate engine.
-    pub reuse_seconds: f64,
-}
-
-impl CellReport {
-    /// Cold-path throughput (requests/sec of the all-cold first batch).
-    pub fn cold_qps(&self) -> f64 {
-        self.cold_requests as f64 / self.cold_seconds.max(1e-9)
-    }
-
-    /// Cached-path throughput (requests/sec of the repeat batches).
-    pub fn cached_qps(&self) -> f64 {
-        self.cached_requests as f64 / self.cached_seconds.max(1e-9)
-    }
-
-    /// Throughput of a repeat batch inside the cold epoch (requests/sec).
-    pub fn reuse_qps(&self) -> f64 {
-        self.cold_requests as f64 / self.reuse_seconds.max(1e-9)
-    }
-
-    /// cached_qps / cold_qps — the headline serving speedup.
-    pub fn speedup(&self) -> f64 {
-        self.cached_qps() / self.cold_qps().max(1e-9)
-    }
-}
-
 /// Splitmix-style step shared by the pool and churn generators.
 fn lcg(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -214,23 +127,26 @@ fn cell_inputs(cell: &ServeCell) -> (u64, Vec<Tuple>, Vec<(Point, f64)>) {
 /// one batch per epoch never reaches — the pool asked for again inside a
 /// cold epoch, every answer computed and memoized by the first pass. A
 /// second engine of the same config takes it, so the grid counters stay
-/// those of the horizon.
-pub fn run_cell(cell: &ServeCell) -> CellReport {
+/// those of the horizon. Returns the cell's row and its horizon's wall
+/// seconds.
+fn run_cell(cell: &ServeCell) -> (Row, f64) {
     let (_, relation, pool) = cell_inputs(cell);
     let twin = ServeEngine::new(engine_config(cell), relation);
     twin.serve_batch(&pool);
     let t0 = Instant::now();
     twin.serve_batch(&pool);
     let reuse_seconds = t0.elapsed().as_secs_f64();
-    CellReport { reuse_seconds, ..run_horizon(cell) }
+    let (stats, [seconds, cold_seconds, cached_seconds]) = run_horizon(cell);
+    (row(cell, &stats, [seconds, cold_seconds, reuse_seconds, cached_seconds]), seconds)
 }
 
 /// Runs one cell's horizon on one engine and proves it exact: serves the
 /// pool cold, then cached under churn, and finishes with the invariant
-/// check and the trace/counter reconciliation. `reuse_seconds` is left
-/// at zero; `perf_report` profiles this, so its span table counts one
-/// engine.
-pub fn run_horizon(cell: &ServeCell) -> CellReport {
+/// check and the trace/counter reconciliation. Returns the engine's
+/// counters and the wall seconds of the whole horizon, of its cold batch
+/// and of its cached batches. `perf_report` profiles this, so its span
+/// table counts one engine.
+pub fn run_horizon(cell: &ServeCell) -> (ServeStats, [f64; 3]) {
     let (seed, relation, pool) = cell_inputs(cell);
     let engine = ServeEngine::new(engine_config(cell), relation);
 
@@ -269,57 +185,63 @@ pub fn run_horizon(cell: &ServeCell) -> CellReport {
     let stats = engine.stats();
     let log = engine.take_trace();
     verify_serve_drift(&log, &stats).expect("serve trace reconciles with the counters");
-
-    CellReport {
-        metrics: metrics(cell, &stats),
-        seconds,
-        cold_seconds,
-        cached_seconds,
-        cold_requests: cell.clients as u64,
-        cached_requests: cell.clients as u64 * (cell.epochs - 1),
-        reuse_seconds: 0.0,
-    }
+    (stats, [seconds, cold_seconds, cached_seconds])
 }
 
-fn metrics(cell: &ServeCell, s: &ServeStats) -> CellMetrics {
-    CellMetrics {
-        clients: cell.clients,
-        churn: cell.churn,
-        epochs: cell.epochs,
-        sites: cell.sites,
-        dim: cell.dim,
-        lookups: s.lookups,
-        hits: s.hits,
-        misses: s.misses,
-        hit_ratio: s.hits as f64 / (s.lookups as f64).max(1.0),
-        invalidations: s.invalidations,
-        cells_touched: s.cells_touched,
-        evictions: s.evictions,
-        backfills: s.backfills,
-        tuples_served: s.tuples_served,
-        stale_p50: s.staleness.quantile_bound(0.5).unwrap_or(0),
-        stale_p99: s.staleness.quantile_bound(0.99).unwrap_or(0),
-        stale_max: s.staleness.max().unwrap_or(0),
-        stale_sum: s.staleness.sum(),
-    }
+/// One cell's row, keyed by `(clients, churn)`: the engine's counters
+/// deterministic; volatile, the wall seconds of the whole cell and of its
+/// cold, reuse and cached passes, and the throughput derived from them.
+/// The cold and reuse passes serve the pool once each, the cached
+/// batches once per epoch after the first; `speedup` is cached over cold
+/// throughput, the headline serving gain.
+fn row(
+    cell: &ServeCell,
+    s: &ServeStats,
+    [seconds, cold_seconds, reuse_seconds, cached_seconds]: [f64; 4],
+) -> Row {
+    let qps = |requests: u64, seconds: f64| requests as f64 / seconds.max(1e-9);
+    let cold_qps = qps(cell.clients as u64, cold_seconds);
+    let cached_qps = qps(cell.clients as u64 * (cell.epochs - 1), cached_seconds);
+    vec![
+        label("clients", cell.clients),
+        label("churn", cell.churn),
+        det("epochs", cell.epochs),
+        det("sites", cell.sites),
+        det("dim", cell.dim),
+        det("lookups", s.lookups),
+        det("hits", s.hits),
+        det("misses", s.misses),
+        det("hit_ratio", Value::Fixed(s.hits as f64 / (s.lookups as f64).max(1.0), 6)),
+        det("invalidations", s.invalidations),
+        det("cells_touched", s.cells_touched),
+        det("evictions", s.evictions),
+        det("backfills", s.backfills),
+        det("tuples_served", s.tuples_served),
+        det("stale_p50", s.staleness.quantile_bound(0.5).unwrap_or(0)),
+        det("stale_p99", s.staleness.quantile_bound(0.99).unwrap_or(0)),
+        det("stale_max", s.staleness.max().unwrap_or(0)),
+        det("stale_sum", s.staleness.sum()),
+        vol("seconds", Value::Fixed(seconds, 3)),
+        vol("cold_ms", Value::Fixed(cold_seconds * 1e3, 3)),
+        vol("reuse_ms", Value::Fixed(reuse_seconds * 1e3, 3)),
+        vol("cached_ms", Value::Fixed(cached_seconds * 1e3, 3)),
+        vol("cold_qps", Value::Fixed(cold_qps, 0)),
+        vol("reuse_qps", Value::Fixed(qps(cell.clients as u64, reuse_seconds), 0)),
+        vol("cached_qps", Value::Fixed(cached_qps, 0)),
+        vol("speedup", Value::Fixed(cached_qps / cold_qps.max(1e-9), 1)),
+    ]
 }
 
-/// Runs a cell list through the sweep harness. Reports come back in
-/// input order, so metrics are byte-identical for any `--jobs`.
-pub fn compute(grid: &[ServeCell], jobs: usize, stage: &str) -> Vec<CellReport> {
-    sweep::run_stage(stage, jobs, grid, run_cell)
-}
-
-/// Runs the grid (with `smoke`, the trimmed two-cell grid), prints its
-/// rows, and returns the reports (shared by `msq serve` and `msq all`).
-pub fn run(o: &RunOpts, smoke: bool) -> Vec<CellReport> {
+/// Runs the grid (with `smoke`, the trimmed two-cell grid) through the
+/// sweep harness, prints its rows and returns them as `BENCH_serve.json`'s
+/// grid (shared by `msq serve` and `msq all`). Rows come in input order,
+/// so the grid is byte-identical for any `--jobs`.
+pub fn run(o: &RunOpts, smoke: bool) -> Grid {
     let (grid, stage) =
         if smoke { (smoke_cells(), "serve_smoke") } else { (cells(o.scale), "serve_grid") };
-    let reports = compute(&grid, o.jobs, stage);
-    print_rows(
-        "Serve: diagram-cache front end, cold vs cached throughput",
-        &reports.iter().map(row).collect::<Vec<_>>(),
-    );
+    let (rows, seconds): (Vec<Row>, Vec<f64>) =
+        sweep::run_stage(stage, o.jobs, &grid, run_cell).into_iter().unzip();
+    print_rows("Serve: diagram-cache front end, cold vs cached throughput", &rows);
     println!("\nexpected shape: the cold pass pays one real BF/EXT flood per distinct");
     println!("diagram cell (reuse_qps: the same pool again before the next ingest,");
     println!("answered from the epoch's memoized cold answers without a thread or a");
@@ -328,49 +250,10 @@ pub fn run(o: &RunOpts, smoke: bool) -> Vec<CellReport> {
     println!("invalidations (answers refreshed in place, still served cached) and");
     println!("the TTL backstop shows up as periodic evictions + re-misses in the");
     println!("churn-free rows. Every cell run is proven exact before it reports.");
-    reports
-}
-
-/// Renders the reports as the `BENCH_serve.json` machine baseline: one
-/// row per cell, keyed by `(clients, churn)`; the [`CellMetrics`] in
-/// `grid`, the wall clock and the throughput derived from it in `timings`.
-pub fn to_json(prov: &Provenance, reports: &[CellReport]) -> String {
-    let total: f64 = reports.iter().map(|r| r.seconds).sum();
-    let header = [("total_seconds", Value::Fixed(total, 3)), ("cells", Value::from(reports.len()))];
-    let rows: Vec<Row> = reports.iter().map(row).collect();
-    baseline_json("serve", prov, GRID_REV, &header, &rows)
-}
-
-fn row(r: &CellReport) -> Row {
-    let m = &r.metrics;
-    vec![
-        label("clients", m.clients),
-        label("churn", m.churn),
-        det("epochs", m.epochs),
-        det("sites", m.sites),
-        det("dim", m.dim),
-        det("lookups", m.lookups),
-        det("hits", m.hits),
-        det("misses", m.misses),
-        det("hit_ratio", Value::Fixed(m.hit_ratio, 6)),
-        det("invalidations", m.invalidations),
-        det("cells_touched", m.cells_touched),
-        det("evictions", m.evictions),
-        det("backfills", m.backfills),
-        det("tuples_served", m.tuples_served),
-        det("stale_p50", m.stale_p50),
-        det("stale_p99", m.stale_p99),
-        det("stale_max", m.stale_max),
-        det("stale_sum", m.stale_sum),
-        vol("seconds", Value::Fixed(r.seconds, 3)),
-        vol("cold_ms", Value::Fixed(r.cold_seconds * 1e3, 3)),
-        vol("reuse_ms", Value::Fixed(r.reuse_seconds * 1e3, 3)),
-        vol("cached_ms", Value::Fixed(r.cached_seconds * 1e3, 3)),
-        vol("cold_qps", Value::Fixed(r.cold_qps(), 0)),
-        vol("reuse_qps", Value::Fixed(r.reuse_qps(), 0)),
-        vol("cached_qps", Value::Fixed(r.cached_qps(), 0)),
-        vol("speedup", Value::Fixed(r.speedup(), 1)),
-    ]
+    let total: f64 = seconds.iter().sum();
+    let header =
+        vec![("total_seconds", Value::Fixed(total, 3)), ("cells", Value::from(rows.len()))];
+    Grid { bench: "serve", grid_rev: GRID_REV, header, rows }
 }
 
 #[cfg(test)]
@@ -394,32 +277,32 @@ mod tests {
 
     #[test]
     fn smoke_cells_serve_mostly_cached_and_reconcile() {
-        let reports = compute(&smoke_cells(), 1, "serve_smoke");
-        sweep::take_stage_records();
-        for r in &reports {
-            let m = &r.metrics;
-            assert_eq!(m.lookups, m.clients as u64 * m.epochs);
-            assert_eq!(m.hits + m.misses, m.lookups);
-            assert!(m.misses > 0, "the cold pass must issue real queries");
-            assert!(m.hit_ratio > 0.8, "repeat epochs must serve cached (got {})", m.hit_ratio);
-            assert!(m.invalidations > 0, "churn must invalidate cached answers");
-            assert!(m.tuples_served > 0);
-            assert!(m.stale_max >= 1, "cached answers age across epochs");
-            assert_eq!(r.cold_requests, m.clients as u64);
-            assert_eq!(r.cached_requests, m.clients as u64 * (m.epochs - 1));
+        for cell in smoke_cells() {
+            let (s, _) = run_horizon(&cell);
+            assert_eq!(s.lookups, cell.clients as u64 * cell.epochs);
+            assert_eq!(s.hits + s.misses, s.lookups);
+            assert!(s.misses > 0, "the cold pass must issue real queries");
+            let hit_ratio = s.hits as f64 / s.lookups as f64;
+            assert!(hit_ratio > 0.8, "repeat epochs must serve cached (got {hit_ratio})");
+            assert!(s.invalidations > 0, "churn must invalidate cached answers");
+            assert!(s.tuples_served > 0);
+            assert!(s.staleness.max() >= Some(1), "cached answers age across epochs");
         }
     }
 
     #[test]
     fn parallel_serve_grid_is_bit_identical_to_sequential() {
         let grid = smoke_cells();
-        let seq = compute(&grid, 1, "serve_jobs1");
-        let par = compute(&grid, 4, "serve_jobs4");
+        let objects = |jobs, stage| {
+            let rows: Vec<Row> = sweep::run_stage(stage, jobs, &grid, run_cell)
+                .into_iter()
+                .map(|(r, _)| r)
+                .collect();
+            crate::provenance::grid_objects(&rows)
+        };
+        let (seq, par) = (objects(1, "serve_jobs1"), objects(4, "serve_jobs4"));
         sweep::take_stage_records();
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.metrics, p.metrics, "jobs must not change any metric bit");
-        }
+        assert_eq!(seq, par, "jobs must not change any metric bit");
     }
 
     /// The smoke grid rows as the commit before the reuse pass (and the
@@ -431,61 +314,35 @@ mod tests {
 
     #[test]
     fn the_reuse_pass_leaves_the_grid_byte_identical() {
-        let grid_of = |reports: &[CellReport]| {
-            let json = to_json(&Provenance::fixture(), reports);
-            crate::provenance::sections(&json).0.to_string()
-        };
-        let with: Vec<CellReport> = smoke_cells().iter().map(run_cell).collect();
-        let without: Vec<CellReport> = smoke_cells().iter().map(run_horizon).collect();
-        assert!(with.iter().all(|r| r.reuse_seconds > 0.0));
-        assert!(without.iter().all(|r| r.reuse_seconds == 0.0));
-        assert_eq!(grid_of(&with), grid_of(&without));
-        for row in SMOKE_GRID_ROWS {
-            assert!(grid_of(&with).contains(row), "grid row moved: {row}");
-        }
+        let cells = smoke_cells();
+        let with: Vec<Row> = cells.iter().map(|c| run_cell(c).0).collect();
+        let without: Vec<Row> = cells
+            .iter()
+            .map(|c| {
+                let (stats, [seconds, cold, cached]) = run_horizon(c);
+                row(c, &stats, [seconds, cold, 0.0, cached])
+            })
+            .collect();
+        let objects = crate::provenance::grid_objects;
+        assert_eq!(objects(&with), objects(&without));
+        assert_eq!(objects(&with), SMOKE_GRID_ROWS, "grid rows moved");
     }
 
+    /// A real cell's counters under fixed wall clocks: the counters land in
+    /// `grid`, the clocks and the throughput derived from them in
+    /// `timings`.
     #[test]
     fn json_separates_deterministic_grid_from_volatile_timings() {
-        let r = CellReport {
-            metrics: CellMetrics {
-                clients: 64,
-                churn: 8,
-                epochs: 24,
-                sites: 2_000,
-                dim: 3,
-                lookups: 1_536,
-                hits: 1_500,
-                misses: 36,
-                hit_ratio: 0.9766,
-                invalidations: 40,
-                cells_touched: 200,
-                evictions: 3,
-                backfills: 39,
-                tuples_served: 30_000,
-                stale_p50: 2,
-                stale_p99: 8,
-                stale_max: 15,
-                stale_sum: 3_000,
-            },
-            seconds: 1.5,
-            cold_seconds: 0.9,
-            cached_seconds: 0.6,
-            cold_requests: 64,
-            cached_requests: 1_472,
-            reuse_seconds: 0.001,
-        };
-        let json = to_json(&Provenance::fixture(), &[r]);
+        let cell = smoke_cells()[0];
+        let rows = vec![row(&cell, &run_horizon(&cell).0, [1.5, 0.9, 0.001, 0.6])];
+        let json = Grid { bench: "serve", grid_rev: GRID_REV, header: Vec::new(), rows };
+        let json = json.fixture_json();
         let (grid, timings) = crate::provenance::sections(&json);
-        assert!(json.contains("\"bench\": \"serve\""));
-        assert!(json.contains("\"total_seconds\": 1.500,\n  \"cells\": 1,\n  \"grid\""));
-        assert!(grid.contains("{\"clients\": 64, \"churn\": 8, \"epochs\": 24,"));
-        assert!(grid.contains("\"hit_ratio\": 0.976600,"));
-        assert!(grid.contains("\"stale_max\": 15, \"stale_sum\": 3000}"));
+        assert!(grid.contains(&format!("    {}\n", SMOKE_GRID_ROWS[0])), "{grid}");
         assert!(timings.contains(
-            "{\"clients\": 64, \"churn\": 8, \"seconds\": 1.500, \"cold_ms\": 900.000, \
-             \"reuse_ms\": 1.000, \"cached_ms\": 600.000, \"cold_qps\": 71, \"reuse_qps\": 64000, \
-             \"cached_qps\": 2453, \"speedup\": 34.5}"
+            "{\"clients\": 16, \"churn\": 4, \"seconds\": 1.500, \"cold_ms\": 900.000, \
+             \"reuse_ms\": 1.000, \"cached_ms\": 600.000, \"cold_qps\": 18, \"reuse_qps\": 16000, \
+             \"cached_qps\": 187, \"speedup\": 10.5}"
         ));
     }
 }

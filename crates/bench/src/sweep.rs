@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::provenance::{baseline_json, det, label, vol, Provenance, Row, Value};
+use crate::provenance::{det, label, vol, Grid, Value};
 
 /// One timed sweep stage, as reported in `BENCH_sweep.json`.
 #[derive(Debug, Clone)]
@@ -123,17 +123,17 @@ pub fn run_stage<T: Sync, R: Send>(
 /// one stage per panel and metric.
 const GRID_REV: u64 = 3;
 
-/// Renders the drained stage records as the `BENCH_sweep.json` machine
-/// baseline: one row per stage, its name and cell count in `grid` (the
-/// sweep's shape), its wall clock in `timings`.
-pub fn to_json(prov: &Provenance, total_seconds: f64, stages: &[StageRecord]) -> String {
+/// The drained stage records as the `BENCH_sweep.json` grid: one row per
+/// stage, its name and cell count deterministic (the sweep's shape), its
+/// wall clock volatile.
+pub fn stage_grid(total_seconds: f64, stages: &[StageRecord]) -> Grid {
     let cells: usize = stages.iter().map(|s| s.cells).sum();
-    let header = [
+    let header = vec![
         ("cells", Value::from(cells)),
         ("total_seconds", Value::Fixed(total_seconds, 3)),
         ("cells_per_sec", Value::Fixed(cells as f64 / total_seconds.max(1e-9), 3)),
     ];
-    let rows: Vec<Row> = stages
+    let rows = stages
         .iter()
         .map(|s| {
             vec![
@@ -145,7 +145,7 @@ pub fn to_json(prov: &Provenance, total_seconds: f64, stages: &[StageRecord]) ->
             ]
         })
         .collect();
-    baseline_json("sweep", prov, GRID_REV, &header, &rows)
+    Grid { bench: "sweep", grid_rev: GRID_REV, header, rows }
 }
 
 #[cfg(test)]
@@ -199,7 +199,7 @@ mod tests {
     fn json_separates_stage_shape_from_wall_clock() {
         let stages =
             vec![StageRecord { name: "fig5a".to_string(), cells: 5, seconds: 1.5, jobs: 4 }];
-        let json = to_json(&Provenance::fixture(), 2.0, &stages);
+        let json = stage_grid(2.0, &stages).fixture_json();
         let (grid, timings) = crate::provenance::sections(&json);
         assert!(json.contains("\"bench\": \"sweep\""));
         assert!(json
