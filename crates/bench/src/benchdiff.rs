@@ -11,7 +11,9 @@
 //!   schema moved under the comparison. Volatile header fields (`jobs`,
 //!   `git_commit`, `rustc`) deliberately do **not** refuse — the whole
 //!   point is comparing runs across commits and worker counts.
-//! * **Drift** — any deterministic `grid` row differs in any field, the
+//! * **Drift** — any other header field that is not wall-clock (chaos's
+//!   `devices`, serve's `cells`, …) differs or is missing on one side,
+//!   any deterministic `grid` row differs in any field, the
 //!   grid or timings row counts differ, or a candidate timings row lacks a
 //!   wall-clock field the baseline's has. Deterministic data has no
 //!   tolerance: a single changed dominance count or completeness digit is
@@ -28,8 +30,8 @@
 //! (same cells, same seeds, fewer rows), so prefix mode exempts `scale`
 //! from the identity check, compares grid and timings rows index-wise
 //! over the candidate's length (candidate rows beyond the baseline are
-//! drift), and skips the top-level wall-clock fields (a subset run's
-//! total is incomparable).
+//! drift), and skips the other header fields (a subset run's total and
+//! cell count are incomparable).
 //!
 //! `msq diff` maps these to exit codes: 0 pass, 1 drift/regression, 2
 //! refusal.
@@ -64,6 +66,9 @@ impl DiffReport {
 
 /// Header fields that must agree for two baselines to be comparable.
 const IDENTITY_FIELDS: [&str; 3] = ["bench", "scale", "grid_rev"];
+
+/// Header stamps of the run that wrote the file, never compared.
+const STAMP_FIELDS: [&str; 3] = ["jobs", "git_commit", "rustc"];
 
 /// Timings-row fields that are wall-clock and get the tolerance band.
 fn is_wall_clock(key: &str) -> bool {
@@ -149,6 +154,9 @@ pub fn diff_with(
     }
 
     let mut report = DiffReport::default();
+    if !prefix {
+        report.drift.extend(header_drift(baseline, candidate));
+    }
 
     let b_grid = baseline
         .get("grid")
@@ -256,6 +264,39 @@ pub fn diff_with(
     }
 
     Ok(report)
+}
+
+/// The header fields that must match exactly: every top-level field but
+/// the arrays, the identity and stamp fields and the wall-clock ones.
+fn deterministic_header(doc: &JsonValue) -> Vec<(&str, &JsonValue)> {
+    let members = doc.as_object().unwrap_or(&[]);
+    let skip = |k: &str| {
+        k == "grid"
+            || k == "timings"
+            || IDENTITY_FIELDS.contains(&k)
+            || STAMP_FIELDS.contains(&k)
+            || is_wall_clock(k)
+            || is_ignored_volatile(k)
+    };
+    members.iter().filter(|(k, _)| !skip(k)).map(|(k, v)| (k.as_str(), v)).collect()
+}
+
+/// One finding per deterministic header field that differs between the two
+/// documents or is missing from either.
+fn header_drift(baseline: &JsonValue, candidate: &JsonValue) -> Vec<String> {
+    let (b, c) = (deterministic_header(baseline), deterministic_header(candidate));
+    let find = |fields: &[(&str, &JsonValue)], key: &str| {
+        fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or("missing".to_string(), |(_, v)| render(v))
+    };
+    let keys = b.iter().chain(c.iter().filter(|(k, _)| !b.iter().any(|(bk, _)| bk == k)));
+    keys.filter_map(|(key, _)| {
+        let (bv, cv) = (find(&b, key), find(&c, key));
+        (bv != cv).then(|| format!("header `{key}`: {bv} -> {cv}"))
+    })
+    .collect()
 }
 
 /// Parses and compares two baseline documents.
@@ -401,6 +442,24 @@ mod tests {
         let cand = doc(2, r#"{"g": 10}"#, "")
             .replace("  \"jobs\"", "  \"total_seconds\": 900.0,\n  \"jobs\"");
         assert!(!diff_texts(&base, &cand, 0.5).unwrap().passed());
+        assert!(diff_texts_with(&base, &cand, 0.5, true).unwrap().passed());
+    }
+
+    #[test]
+    fn deterministic_header_drift_is_cited_and_prefix_mode_skips_it() {
+        let with = |fields: &str| doc(2, r#"{"g": 10}"#, "").replace("  \"grid\"", fields);
+        let base = with("  \"devices\": 16,\n  \"sim_seconds\": 600,\n  \"grid\"");
+        let cand = with("  \"devices\": 64,\n  \"cells\": 3,\n  \"grid\"");
+        let rep = diff_texts(&base, &cand, 0.5).unwrap();
+        assert_eq!(
+            rep.drift,
+            [
+                "header `devices`: 16 -> 64",
+                "header `sim_seconds`: 600 -> missing",
+                "header `cells`: missing -> 3"
+            ],
+            "{rep:?}"
+        );
         assert!(diff_texts_with(&base, &cand, 0.5, true).unwrap().passed());
     }
 

@@ -154,7 +154,7 @@ pub fn render(run: &PerfRun) -> String {
         "\nserving segment (one serve-smoke cell, proven exact): lookups={} \
          hit_ratio={:.3} misses={} invalidations={} evictions={}",
         s.lookups,
-        s.hits as f64 / (s.lookups as f64).max(1.0),
+        servebench::hit_ratio(s),
         s.misses,
         s.invalidations,
         s.evictions
