@@ -9,8 +9,9 @@
 //! duplicate suppression, BF re-issue). `run_experiment` then diffs every
 //! answer against the centralized skyline: *completeness* (coverage of the
 //! full oracle) quantifies what churn cost, *spurious* (tuples the
-//! contributing devices' own data refutes) must stay zero — anything else
-//! is a protocol bug, not a fault-model artifact.
+//! contributing devices' own data refutes) must stay zero on the ARQ arms.
+//! Without ARQ a lost reply can take with it the filter tuple that pruned
+//! a dominator on another device (DESIGN.md §7.2).
 //!
 //! The arms are the paper's strategies — straightforward plus filtering
 //! with exact/over/under dominating regions — and one `EXT/no-ARQ`
@@ -194,11 +195,12 @@ pub fn run(o: &RunOpts) -> Grid {
     let total = |key| rows.iter().map(|r| int(r, key)).sum::<u64>();
     let (spurious, retries, reissues) =
         (total("spurious"), total("arq_retries"), total("reissues"));
-    println!("\nspurious tuples (any > 0 is a protocol bug): {spurious}");
+    println!("\nspurious tuples (> 0 with ARQ is a protocol bug; without it, a lost reply");
+    println!("can carry off the filter tuple that pruned a dominator elsewhere): {spurious}");
     println!("ARQ retransmissions: {retries}, BF re-floods: {reissues}");
     println!("\nexpected shape: completeness 1.0 in the fault-free corner, degrading");
     println!("with churn; the ARQ arms hold completeness at or above EXT/noARQ on");
-    println!("the same fault schedules; spurious stays 0 everywhere.");
+    println!("the same fault schedules; spurious stays 0 on the ARQ arms.");
     let header = vec![
         ("devices", Value::from(GRID * GRID)),
         ("cardinality", Value::from(o.scale.chaos_cardinality())),
@@ -269,7 +271,11 @@ mod tests {
     }
 
     /// The shrunk cells' `grid` rows, as the per-cell report structs wrote
-    /// them before rows were built from the outcomes.
+    /// them before rows were built from the outcomes. The `EXT/noARQ`
+    /// row's spurious tuple is device 11's `(191, 32)` in query 7/0:
+    /// device 10's reply was lost, and with it its filter tuple `(53, 10)`,
+    /// which had pruned the dominator `(184, 11)` on device 14 (DESIGN.md
+    /// §7.2).
     const PINNED_ROWS: [&str; 3] = [
         r#"{"arm": "EXT", "churn": 0, "loss": 0, "arq": true, "queries": 16, "mean_completeness": 1.000000, "min_completeness": 1.000000, "spurious": 0, "timeout_fraction": 0.000000, "timeouts": {"originator_crash": 0, "no_responses": 0, "partial": 0}, "arq_retries": 0, "arq_exhausted": 0, "duplicates_suppressed": 0, "delivery_failures": 0, "reissues": 0, "node_crashes": 0, "mean_response_seconds": 0.016}"#,
         r#"{"arm": "EXT", "churn": 0.2, "loss": 0.1, "arq": true, "queries": 16, "mean_completeness": 0.910714, "min_completeness": 0.000000, "spurious": 0, "timeout_fraction": 0.062500, "timeouts": {"originator_crash": 1, "no_responses": 0, "partial": 0}, "arq_retries": 104, "arq_exhausted": 4, "duplicates_suppressed": 41, "delivery_failures": 1, "reissues": 0, "node_crashes": 3, "mean_response_seconds": 0.847}"#,

@@ -40,11 +40,7 @@ pub fn execute(cmd: Command) -> Result<ExitCode, String> {
             };
             write_json(&r, &run(&r.opts))?;
         }
-        Command::Core(r) => {
-            let suite = corebench::Suite::measure();
-            suite.print();
-            write_json(&r, &suite.grid())?;
-        }
+        Command::Core(r) => write_json(&r, &corebench::run())?,
         Command::Scale(r) => write_json(&r, &scalebench::run(&r.opts, r.smoke))?,
         Command::Serve(r) => write_json(&r, &servebench::run(&r.opts, r.smoke))?,
         Command::All(r) => all(&r)?,
@@ -158,7 +154,7 @@ fn all(r: &RunArgs) -> Result<(), String> {
     if r.json {
         let prov = Provenance::collect(o.scale, o.jobs);
         grids.insert(0, sweep::stage_grid(total.as_secs_f64(), &sweep::take_stage_records()));
-        grids.push(corebench::Suite::measure().grid());
+        grids.push(corebench::run());
         for grid in grids {
             grid.write(&prov)?;
         }

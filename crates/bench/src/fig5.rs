@@ -13,7 +13,7 @@
 //!   work counters, i.e. the number the MANET response-time figures use.
 
 use datagen::{DataSpec, Distribution};
-use device_storage::{DeviceRelation, FlatRelation, HybridRelation, LocalQuery};
+use device_storage::{FlatRelation, HybridRelation, LocalQuery};
 use dist_skyline::cost_model::DeviceCostModel;
 use skyline_core::region::QueryRegion;
 use skyline_core::Tuple;
@@ -29,27 +29,6 @@ use crate::{sweep, RunOpts};
 /// inherently machine- and run-dependent; the deterministic column is
 /// the modelled `ipaq_s`.
 const FIG5_JOBS: usize = 1;
-
-/// One measurement: host wall milliseconds and modelled device seconds.
-pub struct Measurement {
-    /// Host wall time (ms), fastest of the cold scans.
-    pub host_ms: f64,
-    /// Modelled iPAQ-class device time (s).
-    pub device_s: f64,
-    /// Skyline size (sanity check: must agree between models).
-    pub skyline_len: usize,
-}
-
-/// Times one unbounded local skyline query as `corebench`'s storage rows
-/// do: the fastest of `TIMED_REPS` scans, each of a fresh clone.
-pub fn measure<R: DeviceRelation + Clone>(rel: &R) -> Measurement {
-    let (out, host_ms) = cold_scan(rel, &LocalQuery::plain(QueryRegion::unbounded()));
-    Measurement {
-        host_ms,
-        device_s: DeviceCostModel::default().query_time(&out.stats).as_secs_f64(),
-        skyline_len: out.skyline.len(),
-    }
-}
 
 fn dataset(card: usize, dim: usize, dist: Distribution) -> Vec<Tuple> {
     DataSpec::local_experiment(card, dim, dist, 0xF165).generate()
@@ -76,12 +55,16 @@ fn row(
 }
 
 /// Measures HS and FS on one dataset: `[HS host, HS device, FS host, FS device]`.
+/// Each is one unbounded local skyline timed as `corebench`'s storage rows
+/// are: the fastest of `TIMED_REPS` scans, each of a fresh clone.
 fn measure_both(card: usize, dim: usize, dist: Distribution) -> [f64; 4] {
     let data = dataset(card, dim, dist);
-    let hs = measure(&HybridRelation::new(data.clone()));
-    let fs = measure(&FlatRelation::new(data));
-    assert_eq!(hs.skyline_len, fs.skyline_len, "models disagree");
-    [hs.host_ms, hs.device_s, fs.host_ms, fs.device_s]
+    let query = LocalQuery::plain(QueryRegion::unbounded());
+    let (hs, hs_ms) = cold_scan(&HybridRelation::new(data.clone()), &query);
+    let (fs, fs_ms) = cold_scan(&FlatRelation::new(data), &query);
+    assert_eq!(hs.skyline.len(), fs.skyline.len(), "models disagree");
+    let device_s = |stats| DeviceCostModel::default().query_time(stats).as_secs_f64();
+    [hs_ms, device_s(&hs.stats), fs_ms, device_s(&fs.stats)]
 }
 
 const DISTS: [(&str, Distribution); 2] =
@@ -154,10 +137,7 @@ mod tests {
     fn hybrid_is_not_slower_in_model_terms() {
         // The cost-model time of HS must beat FS (byte-ID comparisons +
         // presorting beat raw-value BNL) — the core Fig. 5 claim.
-        let data = dataset(5_000, 2, Distribution::Independent);
-        let hs = measure(&HybridRelation::new(data.clone()));
-        let fs = measure(&FlatRelation::new(data));
-        assert!(hs.device_s < fs.device_s, "HS {} vs FS {}", hs.device_s, fs.device_s);
-        assert_eq!(hs.skyline_len, fs.skyline_len);
+        let [_, hs_s, _, fs_s] = measure_both(5_000, 2, Distribution::Independent);
+        assert!(hs_s < fs_s, "HS {hs_s} vs FS {fs_s}");
     }
 }

@@ -35,6 +35,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::constrained;
 use crate::live::LiveSkyline;
 use crate::region::{Point, QueryRegion};
 use crate::tuple::{Tuple, TupleId};
@@ -257,11 +258,6 @@ impl SkylineDiagram {
         self.sites.iter()
     }
 
-    /// Keys of every materialized cell, ascending.
-    pub fn cell_keys(&self) -> Vec<CellKey> {
-        self.cells.keys().copied().collect()
-    }
-
     /// The cached answer for `key`, or `None` when the cell is not
     /// materialized.
     pub fn answer(&self, key: CellKey) -> Option<CellAnswer> {
@@ -391,7 +387,7 @@ impl SkylineDiagram {
     }
 
     /// The exactness proof: every materialized cell's cached answer must
-    /// equal a from-scratch constrained skyline over the authoritative
+    /// equal the reference [`constrained::skyline`] over the authoritative
     /// site set, its `LiveSkyline` must agree with the cache, and the
     /// `LiveSkyline` itself must pass its bucket-partition invariants.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -409,13 +405,12 @@ impl SkylineDiagram {
                     live_ids.len()
                 ));
             }
-            let mut fresh = LiveSkyline::new();
-            for (id, t) in &self.sites {
-                if cell.region.contains(t.location()) {
-                    fresh.insert(*id, t.clone());
-                }
-            }
-            let recomputed = fresh.result_ids();
+            let mut recomputed: Vec<TupleId> =
+                constrained::skyline(self.sites.iter().map(|(id, t)| (*id, t)), &cell.region)
+                    .into_iter()
+                    .map(|(id, _)| id)
+                    .collect();
+            recomputed.sort_unstable();
             if *cached != recomputed[..] {
                 return Err(format!(
                     "cell {key:?}: cached answer != fresh recompute ({} vs {} ids)",

@@ -185,11 +185,6 @@ impl LiveSkyline {
         self.index.contains_key(id)
     }
 
-    /// `true` when `id` is currently a skyline member.
-    pub fn in_skyline(&self, id: &TupleId) -> bool {
-        matches!(self.index.get(id), Some(Slot::Sky))
-    }
-
     /// Current skyline, in insertion order.
     pub fn result(&self) -> Vec<Tuple> {
         self.sky.iter().map(|(_, t)| t.clone()).collect()

@@ -126,30 +126,6 @@ pub fn select_filter(skyline: &[Tuple], bounds: &UpperBounds) -> Option<FilterTu
     best.map(|(v, t)| FilterTuple { attrs: t.attrs.clone(), vdr: v })
 }
 
-/// Replaces `current` with `candidate` when the candidate has strictly
-/// larger pruning potential — the dynamic-filter update rule of Section 3.4.
-/// Returns `true` when the filter changed.
-pub fn maybe_upgrade_filter(
-    current: &mut Option<FilterTuple>,
-    candidate: Option<FilterTuple>,
-) -> bool {
-    match (current.as_ref(), candidate) {
-        (_, None) => false,
-        (None, Some(c)) => {
-            *current = Some(c);
-            true
-        }
-        (Some(cur), Some(c)) => {
-            if c.vdr > cur.vdr {
-                *current = Some(c);
-                true
-            } else {
-                false
-            }
-        }
-    }
-}
-
 /// Selects up to `k` filtering tuples from a local skyline — the paper's
 /// **future-work extension** ("to generalize the filtering idea, using more
 /// than one filtering tuple. Important questions include how many, and
@@ -212,11 +188,6 @@ pub fn select_filters_greedy(
         chosen.push(FilterTuple { attrs: t.attrs.clone(), vdr });
     }
     chosen
-}
-
-/// `true` when any filter in `filters` dominates `attrs`.
-pub fn any_eliminates(filters: &[FilterTuple], attrs: &[f64]) -> bool {
-    filters.iter().any(|f| dominates(&f.attrs, attrs))
 }
 
 /// *Which* tuples make the best filter bank — the second half of the
@@ -379,37 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_upgrade_rules() {
-        let b = UpperBounds::new(vec![100.0, 100.0]);
-        let weak = FilterTuple::new(vec![90.0, 90.0], &b); // vdr 100
-        let strong = FilterTuple::new(vec![10.0, 10.0], &b); // vdr 8100
-        let mut cur = None;
-        assert!(maybe_upgrade_filter(&mut cur, Some(weak.clone())));
-        assert!(!maybe_upgrade_filter(&mut cur, None));
-        assert!(maybe_upgrade_filter(&mut cur, Some(strong.clone())));
-        assert!(
-            !maybe_upgrade_filter(&mut cur, Some(weak)),
-            "weaker candidate must not replace a stronger filter"
-        );
-        assert_eq!(cur.unwrap().attrs, strong.attrs);
-    }
-
-    #[test]
-    fn paper_dynamic_example_h31_replaces_h41() {
-        // Section 3.4: originator M4 picks h41 = (80, 2); intermediate M3's
-        // local skyline is {h31 = (60, 3)}. With bounds (200, 10):
-        // VDR(h41) = 120*8 = 960, VDR(h31) = 140*7 = 980 → upgrade happens.
-        let b = UpperBounds::new(vec![200.0, 10.0]);
-        let h41 = FilterTuple::new(vec![80.0, 2.0], &b);
-        let h31 = FilterTuple::new(vec![60.0, 3.0], &b);
-        assert_eq!(h41.vdr, 960.0);
-        assert_eq!(h31.vdr, 980.0);
-        let mut cur = Some(h41);
-        assert!(maybe_upgrade_filter(&mut cur, Some(h31.clone())));
-        assert_eq!(cur.unwrap().attrs, h31.attrs);
-    }
-
-    #[test]
     fn greedy_k1_matches_single_selection() {
         let b = UpperBounds::new(vec![200.0, 10.0]);
         let sky = m2_skyline();
@@ -513,17 +453,6 @@ mod tests {
             assert_eq!(picks.len(), 1, "{sel:?}");
             assert_eq!(picks[0].attrs, vec![1.0], "{sel:?}: k=1 is the max-VDR tuple");
         }
-    }
-
-    #[test]
-    fn any_eliminates_checks_all_filters() {
-        let b = UpperBounds::new(vec![10.0, 10.0]);
-        let filters =
-            vec![FilterTuple::new(vec![1.0, 9.0], &b), FilterTuple::new(vec![9.0, 1.0], &b)];
-        assert!(any_eliminates(&filters, &[2.0, 9.5]));
-        assert!(any_eliminates(&filters, &[9.5, 2.0]));
-        assert!(!any_eliminates(&filters, &[0.5, 0.5]));
-        assert!(!any_eliminates(&[], &[5.0, 5.0]));
     }
 
     #[test]

@@ -181,9 +181,36 @@ proptest! {
     #[test]
     fn constrained_skyline_is_subset_of_range(data in relation(60, 2), r in 1.0f64..40.0) {
         let region = QueryRegion::new(Point::new(10.0, 5.0), r);
-        let sky = constrained::skyline_indices(&data, &region);
-        for &i in &sky {
-            prop_assert!(region.contains(data[i].location()));
+        let sky = constrained::skyline(data.iter().map(|t| (TupleId::site(t), t)), &region);
+        for (_, t) in sky {
+            prop_assert!(region.contains(t.location()));
+        }
+    }
+
+    #[test]
+    fn constrained_skyline_is_the_oracle_over_in_range_sites(
+        data in relation(60, 2),
+        shared in prop::collection::vec(any::<bool>(), 60),
+        r in 1.0f64..40.0,
+    ) {
+        // Two partitions that share some sites, each copied whole; `relation`
+        // draws attributes from a small grid, so distinct sites with equal
+        // attributes are common. The reference is the oracle over the
+        // in-range sites, each site once.
+        let p1: Vec<Tuple> = data.iter().step_by(2).cloned().collect();
+        let p2: Vec<Tuple> =
+            data.iter().enumerate().filter(|&(i, _)| i % 2 == 1 || shared[i]).map(|(_, t)| t.clone()).collect();
+        for region in [QueryRegion::new(Point::new(10.0, 5.0), r), QueryRegion::unbounded()] {
+            let rows = p1.iter().chain(&p2).map(|t| (TupleId::site(t), t));
+            let mut got: Vec<TupleId> =
+                constrained::skyline(rows, &region).into_iter().map(|(id, _)| id).collect();
+            got.sort_unstable();
+            let in_range: Vec<Tuple> =
+                data.iter().filter(|t| region.contains(t.location())).cloned().collect();
+            let mut want: Vec<TupleId> =
+                oracle::skyline_indices(&in_range).into_iter().map(|i| TupleId::site(&in_range[i])).collect();
+            want.sort_unstable();
+            prop_assert_eq!(got, want);
         }
     }
 
@@ -373,15 +400,11 @@ proptest! {
         d.check_invariants().map_err(TestCaseError::fail)?;
         for (epoch, (view, sites_then)) in views.iter().enumerate() {
             prop_assert_eq!(view.iter().count(), early.len() + late.len().min(epoch));
-            let (ids, data): (Vec<TupleId>, Vec<Tuple>) =
-                sites_then.iter().map(|(id, t)| (*id, t.clone())).unzip();
             for (key, ans) in view.iter() {
                 let region = cfg.canonical_query(*key);
+                let rows = sites_then.iter().map(|(id, t)| (*id, t));
                 let mut expect: Vec<TupleId> =
-                    constrained::skyline_indices(&data, &region)
-                        .into_iter()
-                        .map(|i| ids[i])
-                        .collect();
+                    constrained::skyline(rows, &region).into_iter().map(|(id, _)| id).collect();
                 expect.sort_unstable();
                 prop_assert_eq!(&ans.ids[..], &expect[..], "view of epoch {} {:?}", epoch, key);
             }

@@ -273,6 +273,25 @@ mod tests {
     }
 
     #[test]
+    fn dynamic_keeps_a_stronger_incoming_filter() {
+        // Section 3.4 the other way round: h31 (VDR 980) reaches M4, whose
+        // local best is h41 (VDR 960); the weaker candidate changes nothing.
+        let m3 = hotel_device(3, datagen::hotels::r3());
+        let m4 = hotel_device(4, datagen::hotels::r4());
+        let spec = QuerySpec::new(3, 0, Point::new(10.0, 3.0), f64::INFINITY);
+        let cfg = exact_cfg(FilterStrategy::Dynamic);
+
+        let (_, f3) = m3.originate(&spec, &cfg);
+        assert_eq!((f3[0].attrs.clone(), f3[0].vdr), (vec![60.0, 3.0], 980.0));
+        let (_, f4) = m4.originate(&spec, &cfg);
+        assert_eq!((f4[0].attrs.clone(), f4[0].vdr), (vec![80.0, 2.0], 960.0));
+
+        let out4 = m4.process(&spec, &f3, &cfg);
+        assert_eq!(out4.reply.len(), 2, "h31 eliminates nothing on M4: h41 stays a candidate");
+        assert_eq!(out4.forward_filters, f3);
+    }
+
+    #[test]
     fn single_strategy_never_upgrades() {
         let m3 = hotel_device(3, datagen::hotels::r3());
         let spec = QuerySpec::new(4, 0, Point::new(10.0, 4.0), f64::INFINITY);

@@ -10,8 +10,8 @@ use manet_sim::{
 };
 use sim_obs::dethash::DetHashSet;
 use sim_obs::PowHistogram;
-use skyline_core::region::Point;
-use skyline_core::{SkylineMerger, Tuple, TupleId};
+use skyline_core::region::{Point, QueryRegion};
+use skyline_core::{constrained, Tuple, TupleId};
 
 use super::{mtoken, EpochView, MonMsg, MonitorApp, MonitorConfig, MonitorMode};
 use crate::config::DistConfig;
@@ -213,16 +213,17 @@ pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
     let truths: Vec<Vec<(u64, Vec<TupleId>)>> = (0..m).map(|i| sim.app(i).truth.clone()).collect();
     let mut views = sim.app(0).views.clone();
     for v in &mut views {
-        let mut merger = SkylineMerger::new();
-        for tr in &truths {
-            if let Ok(idx) = tr.binary_search_by_key(&v.epoch, |&(e, _)| e) {
-                for id in &tr[idx].1 {
-                    merger.insert(sim.app(id.0 as usize).sites()[id.1 as usize].1.clone());
-                }
-            }
-        }
-        let mut oracle: Vec<TupleId> =
-            merger.into_result().iter().map(|t| TupleId(t.x as u64, t.y as u64)).collect();
+        let recorded = truths.iter().filter_map(|tr| {
+            let idx = tr.binary_search_by_key(&v.epoch, |&(e, _)| e).ok()?;
+            Some(&tr[idx].1)
+        });
+        let rows = recorded
+            .flatten()
+            .map(|&id| (id, &sim.app(id.0 as usize).sites()[id.1 as usize].1));
+        let mut oracle: Vec<TupleId> = constrained::skyline(rows, &QueryRegion::unbounded())
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         oracle.sort_unstable();
         let (completeness, spurious) = score_epoch(&v.ids, &oracle);
         v.completeness = Some(completeness);

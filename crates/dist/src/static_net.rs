@@ -11,7 +11,7 @@
 
 use device_storage::{DeviceRelation, HybridRelation};
 use skyline_core::region::Point;
-use skyline_core::{SkylineMerger, Tuple};
+use skyline_core::{constrained, SkylineMerger, Tuple, TupleId};
 use std::collections::VecDeque;
 
 use crate::config::StrategyConfig;
@@ -199,28 +199,23 @@ impl<R: DeviceRelation> StaticGridNetwork<R> {
         total
     }
 
-    /// The centralized ground truth for a query from `origin` — skyline of
-    /// the deduplicated union restricted to the region.
+    /// The centralized ground truth for a query from `origin`: the
+    /// reference [`constrained::skyline`] of every device's rows inside the
+    /// region, a site held by two devices counted once.
     pub fn ground_truth(&self, origin: usize, d: f64) -> Vec<Tuple> {
-        self.ground_truth_at(origin, self.positions[origin], d)
-    }
-
-    /// Centralized ground truth for a query centred at an arbitrary
-    /// position (the serving layer's canonical cell centres).
-    pub fn ground_truth_at(&self, origin: usize, pos: Point, d: f64) -> Vec<Tuple> {
-        let region = QuerySpec::new(origin, 0, pos, d).region();
-        let mut merger = SkylineMerger::new();
-        for dev in &self.devices {
-            let rel = &dev.relation;
-            if rel.mbr().is_some_and(|mbr| region.misses(&mbr)) {
-                continue;
-            }
-            // Only in-range rows are materialized.
-            for i in (0..rel.len()).filter(|&i| region.contains(rel.location(i))) {
-                merger.insert(rel.tuple(i));
-            }
-        }
-        merger.into_result()
+        let region = QuerySpec::new(origin, 0, self.positions[origin], d).region();
+        // A device is dropped on its MBR, and only in-range rows are
+        // materialized.
+        let rows: Vec<Tuple> = (self.devices.iter().map(|dev| &dev.relation))
+            .filter(|rel| !rel.mbr().is_some_and(|mbr| region.misses(&mbr)))
+            .flat_map(|rel| {
+                (0..rel.len())
+                    .filter(|&i| region.contains(rel.location(i)))
+                    .map(|i| rel.tuple(i))
+            })
+            .collect();
+        let truth = constrained::skyline(rows.iter().map(|t| (TupleId::site(t), t)), &region);
+        truth.into_iter().map(|(_, t)| t.clone()).collect()
     }
 }
 

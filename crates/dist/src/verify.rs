@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use device_storage::DeviceRelation;
 use skyline_core::region::QueryRegion;
-use skyline_core::{SkylineMerger, Tuple, TupleId};
+use skyline_core::{constrained, Tuple, TupleId};
 
 use crate::config::StrategyConfig;
 use crate::static_net::StaticGridNetwork;
@@ -31,15 +31,6 @@ impl VerificationReport {
     /// `true` when the answers match exactly.
     pub fn is_exact(&self) -> bool {
         self.spurious.is_empty() && self.missing.is_empty()
-    }
-
-    /// Fraction of the truth the answer covered (1.0 = complete).
-    pub fn coverage(&self) -> f64 {
-        if self.truth_len == 0 {
-            1.0
-        } else {
-            (self.truth_len - self.missing.len()) as f64 / self.truth_len as f64
-        }
     }
 }
 
@@ -67,23 +58,33 @@ pub fn diff_against_truth(
     partitions: &[Vec<Tuple>],
     region: &QueryRegion,
 ) -> VerificationReport {
-    let mut merger = SkylineMerger::new();
-    for p in partitions {
-        for t in p {
-            if region.contains(t.location()) {
-                merger.insert(t.clone());
-            }
-        }
-    }
-    let truth = merger.into_result();
+    diff(answer, &truth(partitions.iter(), region))
+}
 
-    let key = |t: &Tuple| (t.x.to_bits(), t.y.to_bits());
-    let truth_keys: BTreeSet<_> = truth.iter().map(key).collect();
-    let answer_keys: BTreeSet<_> = answer.iter().map(key).collect();
+/// The reference skyline of `partitions`' rows inside `region`, each
+/// site identified by its location.
+fn truth<'a>(
+    partitions: impl Iterator<Item = &'a Vec<Tuple>>,
+    region: &QueryRegion,
+) -> Vec<(TupleId, &'a Tuple)> {
+    constrained::skyline(partitions.flatten().map(|t| (TupleId::site(t), t)), region)
+}
 
+/// Diffs `answer` against `truth` by site location.
+fn diff(answer: &[Tuple], truth: &[(TupleId, &Tuple)]) -> VerificationReport {
+    let truth_keys: BTreeSet<TupleId> = truth.iter().map(|&(id, _)| id).collect();
+    let answer_keys: BTreeSet<TupleId> = answer.iter().map(TupleId::site).collect();
     VerificationReport {
-        spurious: answer.iter().filter(|t| !truth_keys.contains(&key(t))).cloned().collect(),
-        missing: truth.iter().filter(|t| !answer_keys.contains(&key(t))).cloned().collect(),
+        spurious: answer
+            .iter()
+            .filter(|t| !truth_keys.contains(&TupleId::site(t)))
+            .cloned()
+            .collect(),
+        missing: truth
+            .iter()
+            .filter(|(id, _)| !answer_keys.contains(id))
+            .map(|&(_, t)| t.clone())
+            .collect(),
         truth_len: truth.len(),
         answer_len: answer.len(),
     }
@@ -97,8 +98,10 @@ pub fn diff_against_truth(
 ///   device's data is unreachable); the scorecard quantifies the miss.
 /// * **Spurious** — answer tuples not in the skyline of the union of the
 ///   *contributing* devices' partitions (the responders plus the
-///   originator). Anything above 0 is a protocol bug — the answer claims a
-///   tuple the data it actually saw does not support.
+///   originator): the answer claims a tuple their data refutes. With
+///   every reply delivered, anything above 0 is a protocol bug; a lost
+///   reply can take with it the filter tuple that pruned the refuting
+///   tuple on another device (DESIGN.md §7.2).
 ///
 /// `partitions[i]` must be device `i`'s relation as the run *started*;
 /// scoring therefore assumes relations stayed pinned (no handoff).
@@ -112,31 +115,25 @@ pub fn score_records(records: &mut [crate::runtime::QueryRecord], partitions: &[
         } else {
             QueryRegion::new(r.pos, r.radius)
         };
-        let full = diff_against_truth(&r.result, partitions, &region);
-        r.completeness = Some(full.coverage());
-        let contributing: Vec<Vec<Tuple>> = r
-            .contributors
-            .iter()
-            .filter(|&&i| i < partitions.len())
-            .map(|&i| partitions[i].clone())
-            .collect();
-        let spurious = diff_against_truth(&r.result, &contributing, &region).spurious;
-        r.spurious = spurious.len() as u64;
+        let answer: Vec<TupleId> = r.result.iter().map(TupleId::site).collect();
+        let full: Vec<TupleId> =
+            truth(partitions.iter(), &region).into_iter().map(|(id, _)| id).collect();
+        r.completeness = Some(score_epoch(&answer, &full).0);
+        let contributing = r.contributors.iter().filter_map(|&i| partitions.get(i));
+        let supported: BTreeSet<TupleId> =
+            truth(contributing, &region).into_iter().map(|(id, _)| id).collect();
         // Attribute each spurious site to the device whose reply first
         // carried it (`result_sources` is parallel to `result`; records
         // predating provenance tracking fall back to "unknown").
-        r.spurious_sites = spurious
-            .iter()
-            .map(|s| {
-                let idx = r
-                    .result
-                    .iter()
-                    .position(|t| t.x.to_bits() == s.x.to_bits() && t.y.to_bits() == s.y.to_bits());
-                let first_from =
-                    idx.and_then(|i| r.result_sources.get(i).copied()).unwrap_or(usize::MAX);
-                SpuriousSite { x: s.x, y: s.y, first_from }
+        r.spurious_sites = (r.result.iter().enumerate())
+            .filter(|(_, t)| !supported.contains(&TupleId::site(t)))
+            .map(|(i, t)| SpuriousSite {
+                x: t.x,
+                y: t.y,
+                first_from: r.result_sources.get(i).copied().unwrap_or(usize::MAX),
             })
             .collect();
+        r.spurious = r.spurious_sites.len() as u64;
     }
 }
 
@@ -164,15 +161,7 @@ pub fn verify_static_query<R: DeviceRelation>(
 ) -> VerificationReport {
     let out = net.run_query(origin, d, cfg);
     let truth = net.ground_truth(origin, d);
-    let key = |t: &Tuple| (t.x.to_bits(), t.y.to_bits());
-    let truth_keys: BTreeSet<_> = truth.iter().map(key).collect();
-    let answer_keys: BTreeSet<_> = out.result.iter().map(key).collect();
-    VerificationReport {
-        spurious: out.result.iter().filter(|t| !truth_keys.contains(&key(t))).cloned().collect(),
-        missing: truth.iter().filter(|t| !answer_keys.contains(&key(t))).cloned().collect(),
-        truth_len: truth.len(),
-        answer_len: out.result.len(),
-    }
+    diff(&out.result, &truth.iter().map(|t| (TupleId::site(t), t)).collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -194,7 +183,6 @@ mod tests {
         };
         let report = verify_static_query(&net, 4, 300.0, &cfg);
         assert!(report.is_exact(), "{report:?}");
-        assert_eq!(report.coverage(), 1.0);
         assert_eq!(report.truth_len, report.answer_len);
     }
 
@@ -210,7 +198,6 @@ mod tests {
         assert_eq!(report.truth_len, 2);
         assert_eq!(report.spurious, vec![wrong]);
         assert_eq!(report.missing, vec![b]);
-        assert_eq!(report.coverage(), 0.5);
         assert!(!report.is_exact());
     }
 
@@ -219,7 +206,7 @@ mod tests {
         let report =
             diff_against_truth(&[], &[vec![]], &QueryRegion::new(Point::new(0.0, 0.0), 1.0));
         assert!(report.is_exact());
-        assert_eq!(report.coverage(), 1.0);
+        assert_eq!(report.truth_len, 0);
     }
 
     #[test]

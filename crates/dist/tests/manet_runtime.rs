@@ -7,6 +7,7 @@ use dist_skyline::cost_model::DeviceCostModel;
 use dist_skyline::runtime::{run_experiment, ManetExperiment};
 use dist_skyline::{verify_zero_drift, TraceConfig};
 use skyline_core::vdr::BoundsMode;
+use skyline_core::TupleId;
 
 fn small_experiment(forwarding: Forwarding, frozen: bool, radius: f64) -> ManetExperiment {
     let mut exp = ManetExperiment::paper_defaults(
@@ -82,7 +83,7 @@ fn bf_result_matches_centralized_skyline_on_connected_frozen_grid() {
     // Ground truth: skyline of the full global relation.
     let global = exp.data.generate();
     let truth = skyline_core::constrained::skyline(
-        &global,
+        global.iter().map(|t| (TupleId::site(t), t)),
         &skyline_core::region::QueryRegion::unbounded(),
     );
 
@@ -112,7 +113,7 @@ fn df_exact_result_with_full_visit() {
 
     let global = exp.data.generate();
     let truth = skyline_core::constrained::skyline(
-        &global,
+        global.iter().map(|t| (TupleId::site(t), t)),
         &skyline_core::region::QueryRegion::unbounded(),
     );
 

@@ -243,15 +243,18 @@ fn every_recorded_tick_is_the_constrained_skyline_at_its_epoch() {
         assert!(!app.truth.is_empty(), "node {node} never ticked");
         for (e, ids) in &app.truth {
             let pos = at[*e as usize];
-            let placed: Vec<Tuple> = app
+            let placed: Vec<(TupleId, Tuple)> = app
                 .sites()
                 .iter()
-                .map(|(_, t, off)| Tuple::new(pos.x + off.0, pos.y + off.1, t.attrs.clone()))
+                .map(|(id, t, off)| {
+                    (*id, Tuple::new(pos.x + off.0, pos.y + off.1, t.attrs.clone()))
+                })
                 .collect();
-            let mut want: Vec<TupleId> = constrained::skyline_indices(&placed, &region)
-                .into_iter()
-                .map(|i| app.sites()[i].0)
-                .collect();
+            let mut want: Vec<TupleId> =
+                constrained::skyline(placed.iter().map(|(id, t)| (*id, t)), &region)
+                    .into_iter()
+                    .map(|(id, _)| id)
+                    .collect();
             want.sort_unstable();
             assert_eq!(ids, &want, "node {node}, epoch {e}");
             checked += usize::from(!want.is_empty());

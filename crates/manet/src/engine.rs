@@ -132,12 +132,6 @@ impl<'a, P> NodeCtx<'a, P> {
         })
     }
 
-    /// `true` when per-query tracing is enabled. Use to skip building
-    /// expensive event payloads when nobody is listening.
-    pub fn trace_enabled(&self) -> bool {
-        self.qtrace.is_some()
-    }
-
     /// Records a structured query-trace event at the current node and time.
     /// A no-op (one `Option` check) when tracing is disabled.
     pub fn trace(&mut self, query: Option<QueryId>, event: QueryEvent) {

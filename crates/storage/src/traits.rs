@@ -203,6 +203,24 @@ mod tests {
     }
 
     #[test]
+    fn eliminates_checks_all_filters() {
+        // The lead filter and the extra filters each eliminate their own
+        // arm; a tuple neither dominates survives, as does every tuple
+        // under no filter at all.
+        let b = UpperBounds::new(vec![10.0, 10.0]);
+        let unbounded = LocalQuery::plain(QueryRegion::unbounded());
+        let q = LocalQuery {
+            filter: Some(FilterTuple::new(vec![1.0, 9.0], &b)),
+            extra_filters: vec![FilterTuple::new(vec![9.0, 1.0], &b)],
+            ..unbounded.clone()
+        };
+        assert!(q.eliminates(&[2.0, 9.5]));
+        assert!(q.eliminates(&[9.5, 2.0]));
+        assert!(!q.eliminates(&[0.5, 0.5]));
+        assert!(!unbounded.eliminates(&[5.0, 5.0]));
+    }
+
+    #[test]
     fn skipped_outcome_is_empty() {
         let o = LocalSkylineOutcome::skipped(SkipCause::SpatialMiss);
         assert_eq!(o.skip, Some(SkipCause::SpatialMiss));

@@ -11,6 +11,7 @@
 //! Run with: `cargo run --example restaurant_finder`
 
 use mobiskyline::core::vdr::{select_filter, vdr_volume};
+use mobiskyline::core::TupleId;
 use mobiskyline::prelude::*;
 
 fn main() {
@@ -26,8 +27,8 @@ fn worked_example() {
     let bounds = UpperBounds::new(datagen::hotels::global_bounds());
 
     // Local skylines.
-    let sk1 = constrained::skyline(&r1, &QueryRegion::unbounded());
-    let sk2 = constrained::skyline(&r2, &QueryRegion::unbounded());
+    let sk1 = local_skyline(&r1);
+    let sk2 = local_skyline(&r2);
     println!("M1 local skyline ({} hotels): {:?}", sk1.len(), attrs(&sk1));
     println!("M2 local skyline ({} hotels): {:?}", sk2.len(), attrs(&sk2));
 
@@ -48,8 +49,8 @@ fn worked_example() {
     );
 
     // Dynamic upgrade on the relay path M4 → M3 → M1 (Section 3.4).
-    let sk4 = constrained::skyline(&datagen::hotels::r4(), &QueryRegion::unbounded());
-    let sk3 = constrained::skyline(&datagen::hotels::r3(), &QueryRegion::unbounded());
+    let sk4 = local_skyline(&datagen::hotels::r4());
+    let sk3 = local_skyline(&datagen::hotels::r3());
     let f4 = select_filter(&sk4, &bounds).unwrap();
     let f3 = select_filter(&sk3, &bounds).unwrap();
     println!("\nrelay path M4 → M3: filter h41 {:?} (VDR {})", f4.attrs, f4.vdr);
@@ -92,6 +93,15 @@ fn scaled_up() {
         assert_eq!(out.result.len(), net.ground_truth(21, 400.0).len());
     }
     println!("\nall three strategies returned the identical skyline ✓");
+}
+
+/// A device's unbounded local skyline.
+fn local_skyline(r: &[Tuple]) -> Vec<Tuple> {
+    let rows = r.iter().map(|t| (TupleId::site(t), t));
+    constrained::skyline(rows, &QueryRegion::unbounded())
+        .into_iter()
+        .map(|(_, t)| t.clone())
+        .collect()
 }
 
 fn attrs(ts: &[Tuple]) -> Vec<Vec<f64>> {

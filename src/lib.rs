@@ -9,7 +9,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `skyline-core` | tuple model, dominance, BNL, constrained skyline, VDR filtering |
+//! | [`core`] | `skyline-core` | tuple model, dominance, BNL, the reference constrained skyline, VDR filtering |
 //! | [`storage`] | `device-storage` | flat and hybrid (ID-based) storage, Fig. 4 local skyline |
 //! | [`datagen`] | `datagen` | IN/CO/AC generators, grid partitioning, paper example data, workloads |
 //! | [`manet`] | `manet-sim` | discrete-event MANET simulator: random waypoint, unit-disk radio, AODV |

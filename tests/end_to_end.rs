@@ -2,6 +2,7 @@
 //! generation through partitioning, storage, and distributed querying, on
 //! both runtimes.
 
+use mobiskyline::core::TupleId;
 use mobiskyline::prelude::*;
 
 fn sorted_keys(v: &[Tuple]) -> Vec<(u64, u64)> {
@@ -112,7 +113,8 @@ fn manet_bf_and_df_agree_on_fully_answered_queries() {
 
     let truth_len = {
         let data = exp.data.generate();
-        constrained::skyline(&data, &QueryRegion::unbounded()).len()
+        constrained::skyline(data.iter().map(|t| (TupleId::site(t), t)), &QueryRegion::unbounded())
+            .len()
     };
 
     for fwd in [Forwarding::BreadthFirst, Forwarding::DepthFirst] {
