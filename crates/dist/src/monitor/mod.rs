@@ -1161,7 +1161,7 @@ mod model_tests {
     use super::*;
     use manet_sim::mobility::{MobilityConfig, MobilityState};
     use proptest::prelude::*;
-    use skyline_core::SkylineMerger;
+    use skyline_core::constrained;
 
     const M: usize = 6; // devices 1..M report to originator 0
     const K: usize = 3;
@@ -1413,18 +1413,12 @@ mod model_tests {
             // Invariant: the fold equals the skyline of the union of what
             // it applied — own local now, plus each contributing device's
             // recorded local skyline at its last applied epoch.
-            let mut merger = SkylineMerger::new();
-            for t in local0.values() {
-                merger.insert(t.clone());
-            }
-            for &d in contributions.keys() {
-                let le = last_applied[&d];
-                for t in devs[d].truth[&le].values() {
-                    merger.insert(t.clone());
-                }
-            }
-            let mut expected: Vec<TupleId> =
-                merger.into_result().iter().map(|t| TupleId(t.x as u64, t.y as u64)).collect();
+            let applied = contributions.keys().flat_map(|d| &devs[*d].truth[&last_applied[d]]);
+            let rows = local0.iter().chain(applied).map(|(id, t)| (*id, t));
+            let mut expected: Vec<TupleId> = constrained::skyline(rows, &QueryRegion::unbounded())
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect();
             expected.sort_unstable();
             assert_eq!(
                 fold.result_ids(),

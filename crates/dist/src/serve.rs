@@ -636,7 +636,7 @@ mod tests {
     use datagen::{DataSpec, Distribution};
     use proptest::prelude::*;
     use sim_obs::dethash::DetHasher;
-    use skyline_core::SkylineMerger;
+    use skyline_core::constrained;
     use std::hash::Hasher;
 
     fn seed_sites(card: usize, dim: usize, seed: u64) -> Vec<Tuple> {
@@ -657,13 +657,9 @@ mod tests {
     /// Centralized ground truth for the canonical query of `key`.
     fn oracle(sites: &[Tuple], cfg: &ServeConfig, key: CellKey) -> Vec<TupleId> {
         let region = cfg.diagram.canonical_query(key);
-        let mut merger = SkylineMerger::new();
-        for t in sites {
-            if region.contains(t.location()) {
-                merger.insert(t.clone());
-            }
-        }
-        let mut ids: Vec<TupleId> = merger.into_result().iter().map(TupleId::site).collect();
+        let rows = sites.iter().map(|t| (TupleId::site(t), t));
+        let mut ids: Vec<TupleId> =
+            constrained::skyline(rows, &region).into_iter().map(|(id, _)| id).collect();
         ids.sort_unstable();
         ids
     }
