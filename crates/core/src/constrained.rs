@@ -38,7 +38,7 @@ pub fn skyline<'a>(
     merger.insert_batch(
         rows.iter()
             .enumerate()
-            .map(|(k, (_, t))| Tuple::new(k as f64, 0.0, t.attrs.clone())),
+            .map(|(k, (_, t))| Tuple::from_slice(k as f64, 0.0, &t.attrs)),
     );
     merger.result().iter().map(|t| rows[t.x as usize]).collect()
 }

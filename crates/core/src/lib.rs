@@ -53,5 +53,5 @@ pub use dominance::{dominates, DominanceTest};
 pub use live::LiveSkyline;
 pub use merge::SkylineMerger;
 pub use region::{Mbr, Point, QueryRegion};
-pub use tuple::{Tuple, TupleId};
+pub use tuple::{Attrs, Tuple, TupleId};
 pub use vdr::{vdr_volume, BoundsMode, FilterTuple, MultiFilterSelection, UpperBounds};

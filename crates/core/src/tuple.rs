@@ -3,7 +3,101 @@
 //! A [`Tuple`] is one row of a device's local relation `R_i`: a site location
 //! `(x, y)` plus `n` non-spatial attributes `p_1 … p_n` (smaller is better).
 
+use std::fmt;
+use std::ops::Deref;
+
 use crate::region::Point;
+
+/// Attributes a [`Tuple`] holds without a heap allocation: every
+/// dimensionality the paper's figures use (2–5).
+pub const INLINE_ATTRS: usize = 5;
+
+/// A tuple's non-spatial attributes, read as a `[f64]`.
+///
+/// Up to [`INLINE_ATTRS`] values sit inline, so building, cloning and
+/// dropping such a tuple never touches the allocator; a wider row is boxed.
+/// Compares equal to a `Vec<f64>` of the same values (either way round) and
+/// prints like one.
+#[derive(Clone)]
+pub struct Attrs(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, vals: [f64; INLINE_ATTRS] },
+    Boxed(Box<[f64]>),
+}
+
+impl Attrs {
+    /// The values as a slice.
+    #[inline]
+    pub fn as_slice(&self) -> &[f64] {
+        match &self.0 {
+            Repr::Inline { len, vals } => &vals[..*len as usize],
+            Repr::Boxed(vals) => vals,
+        }
+    }
+}
+
+impl FromIterator<f64> for Attrs {
+    /// Collects inline; a value past the [`INLINE_ATTRS`]th moves the row to
+    /// the heap.
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut vals = [0.0; INLINE_ATTRS];
+        let mut len = 0;
+        while let Some(v) = iter.next() {
+            if len == INLINE_ATTRS {
+                let wide: Vec<f64> = vals.into_iter().chain([v]).chain(iter).collect();
+                return Attrs(Repr::Boxed(wide.into_boxed_slice()));
+            }
+            vals[len] = v;
+            len += 1;
+        }
+        Attrs(Repr::Inline { len: len as u8, vals })
+    }
+}
+
+impl Deref for Attrs {
+    type Target = [f64];
+
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        self.as_slice()
+    }
+}
+
+impl<'a> IntoIterator for &'a Attrs {
+    type Item = &'a f64;
+    type IntoIter = std::slice::Iter<'a, f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl fmt::Debug for Attrs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_slice(), f)
+    }
+}
+
+impl PartialEq for Attrs {
+    fn eq(&self, other: &Attrs) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl PartialEq<Vec<f64>> for Attrs {
+    fn eq(&self, other: &Vec<f64>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl PartialEq<Attrs> for Vec<f64> {
+    fn eq(&self, other: &Attrs) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
 
 /// One row of schema `⟨x, y, p_1 … p_n⟩`.
 ///
@@ -17,13 +111,24 @@ pub struct Tuple {
     /// Site y-coordinate.
     pub y: f64,
     /// Non-spatial attributes `p_1 … p_n`, all minimized.
-    pub attrs: Vec<f64>,
+    pub attrs: Attrs,
 }
 
+// Two coordinates plus `Attrs`: a tag word and five inline values. A wider
+// inline row would grow every cached, merged and partitioned copy.
+const _: () = assert!(std::mem::size_of::<Tuple>() == 64);
+
 impl Tuple {
-    /// Creates a tuple at `(x, y)` with the given non-spatial attributes.
+    /// Creates a tuple at `(x, y)` with the given non-spatial attributes,
+    /// copied into [`Attrs`].
     pub fn new(x: f64, y: f64, attrs: Vec<f64>) -> Self {
-        Tuple { x, y, attrs }
+        Tuple { x, y, attrs: attrs.into_iter().collect() }
+    }
+
+    /// Creates a tuple at `(x, y)` with a copy of `attrs`: no allocation for
+    /// [`INLINE_ATTRS`] or fewer values.
+    pub fn from_slice(x: f64, y: f64, attrs: &[f64]) -> Self {
+        Tuple { x, y, attrs: attrs.iter().copied().collect() }
     }
 
     /// Number of non-spatial attributes (`n` in the paper).

@@ -44,7 +44,7 @@ impl UpperBounds {
     /// holding it. Returns `None` for an empty relation.
     pub fn local_maxima(tuples: &[Tuple]) -> Option<Self> {
         let first = tuples.first()?;
-        let mut h = first.attrs.clone();
+        let mut h = first.attrs.to_vec();
         for t in &tuples[1..] {
             for (hk, &v) in h.iter_mut().zip(&t.attrs) {
                 if v > *hk {
@@ -123,7 +123,7 @@ pub fn select_filter(skyline: &[Tuple], bounds: &UpperBounds) -> Option<FilterTu
             _ => best = Some((v, t)),
         }
     }
-    best.map(|(v, t)| FilterTuple { attrs: t.attrs.clone(), vdr: v })
+    best.map(|(v, t)| FilterTuple { attrs: t.attrs.to_vec(), vdr: v })
 }
 
 /// Selects up to `k` filtering tuples from a local skyline — the paper's
@@ -185,7 +185,7 @@ pub fn select_filters_greedy(
                 *c = true;
             }
         }
-        chosen.push(FilterTuple { attrs: t.attrs.clone(), vdr });
+        chosen.push(FilterTuple { attrs: t.attrs.to_vec(), vdr });
     }
     chosen
 }
@@ -231,7 +231,7 @@ pub fn select_filters(
             scored
                 .into_iter()
                 .take(k)
-                .map(|(vdr, t)| FilterTuple { attrs: t.attrs.clone(), vdr })
+                .map(|(vdr, t)| FilterTuple { attrs: t.attrs.to_vec(), vdr })
                 .collect()
         }
         MultiFilterSelection::MaxSpread => {
@@ -253,7 +253,7 @@ pub fn select_filters(
                     .max_by(|a, b| a.0.total_cmp(&b.0));
                 match best {
                     Some((spread, t)) if spread > 0.0 => {
-                        chosen.push(FilterTuple::new(t.attrs.clone(), bounds));
+                        chosen.push(FilterTuple::new(t.attrs.to_vec(), bounds));
                     }
                     _ => break,
                 }

@@ -11,7 +11,7 @@ use skyline_core::diagram::{DiagramConfig, FrozenAnswers, SkyDelta, SkylineDiagr
 use skyline_core::dominance::{dominates, paper_strict_dominates_rest};
 use skyline_core::region::{Mbr, Point, QueryRegion};
 use skyline_core::vdr::{select_filter, vdr_volume, UpperBounds};
-use skyline_core::{constrained, LiveSkyline, SkylineMerger, Tuple, TupleId};
+use skyline_core::{constrained, Attrs, LiveSkyline, SkylineMerger, Tuple, TupleId};
 
 /// Strategy: a relation of up to `max` tuples with `dim` attributes drawn
 /// from a small integer grid (ties are the interesting case).
@@ -454,5 +454,38 @@ proptest! {
         got.sort_by_key(key);
         expect.sort_by_key(key);
         prop_assert_eq!(got, expect);
+    }
+}
+
+/// Strategy: a row of up to 9 attributes that mixes NaN, ±0.0 and ±∞ with
+/// ordinary values.
+fn awkward_row() -> impl Strategy<Value = Vec<f64>> {
+    let value = (0u8..8, -1e3f64..1e3).prop_map(|(kind, v)| match kind {
+        0 => f64::NAN,
+        1 => 0.0,
+        2 => -0.0,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        _ => v,
+    });
+    prop::collection::vec(value, 0..=9)
+}
+
+proptest! {
+    #[test]
+    fn attrs_keep_the_vec_they_were_built_from(v in awkward_row(), x in -1e3f64..1e3) {
+        let bits = |r: &[f64]| r.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        let t = Tuple::new(x, -x, v.clone());
+        let back: Vec<f64> = t.attrs.to_vec();
+        prop_assert_eq!(bits(&back), bits(&v));
+        let collected: Attrs = v.iter().copied().collect();
+        prop_assert_eq!(bits(&collected), bits(&v));
+        // Equality is `Vec<f64>`'s, NaN included, in both directions.
+        let vec_eq = v == v.clone();
+        prop_assert_eq!(t == Tuple::from_slice(x, -x, &v), vec_eq);
+        prop_assert_eq!(t.attrs == v, vec_eq);
+        prop_assert_eq!(v == t.attrs, vec_eq);
+        prop_assert_eq!(format!("{:?}", t.attrs), format!("{:?}", v));
+        prop_assert_eq!(format!("{:.1?}", t.attrs), format!("{:.1?}", v));
     }
 }

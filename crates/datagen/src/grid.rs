@@ -102,13 +102,15 @@ impl GridPartitioner {
         cy * self.g + cx
     }
 
-    /// Partitions `data` into `g²` local relations, cloning every tuple
-    /// into its cell.
+    /// Partitions `data` into `g²` local relations, copying every tuple
+    /// into its cell: [`Self::cell_rows`] gathered into one exact-size
+    /// relation per cell.
     pub fn partition(&self, data: &[Tuple]) -> Partitioned {
-        let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); self.g * self.g];
-        self.assign(data.iter().map(Tuple::location), |cell, row| {
-            parts[cell].push(data[row].clone());
-        });
+        let parts: Vec<Vec<Tuple>> = self
+            .rows_of(data.iter().map(Tuple::location))
+            .iter()
+            .map(|rows| rows.iter().map(|&r| data[r as usize].clone()).collect())
+            .collect();
         let cells = (0..parts.len()).map(|i| self.cell_rect(i)).collect();
         Partitioned { parts, cells, g: self.g }
     }
@@ -118,27 +120,27 @@ impl GridPartitioner {
     /// [`Self::partition`] puts in `parts[i]`, in the same order, with the
     /// same overlap draws.
     pub fn cell_rows(&self, locs: &[Point]) -> Vec<Vec<u32>> {
-        assert!(u32::try_from(locs.len()).is_ok(), "row numbers are kept as u32");
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); self.g * self.g];
-        self.assign(locs.iter().copied(), |cell, row| rows[cell].push(row as u32));
-        rows
+        self.rows_of(locs.iter().copied())
     }
 
-    /// The partition rule: `put(cell, row)` for every cell row `row` is
-    /// stored in, rows in input order — a neighbour's copy, when the
-    /// overlap draw makes one, before the row's own cell.
-    fn assign(&self, locs: impl Iterator<Item = Point>, mut put: impl FnMut(usize, usize)) {
+    /// The partition rule over rows sited at `locs`, rows in input order:
+    /// a neighbour's copy, when the overlap draw makes one, is listed
+    /// before the row's own cell.
+    fn rows_of(&self, locs: impl ExactSizeIterator<Item = Point>) -> Vec<Vec<u32>> {
+        assert!(u32::try_from(locs.len()).is_ok(), "row numbers are kept as u32");
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); self.g * self.g];
         let mut rng = StdRng::seed_from_u64(self.seed);
-        for (row, p) in locs.enumerate() {
+        for (row, p) in (0u32..).zip(locs) {
             let cell = self.cell_of(p);
             if self.overlap > 0.0 && rng.random_range(0.0..1.0) < self.overlap {
                 let neighbors = self.neighbor_cells(cell);
                 if !neighbors.is_empty() {
-                    put(neighbors[rng.random_range(0..neighbors.len())], row);
+                    rows[neighbors[rng.random_range(0..neighbors.len())]].push(row);
                 }
             }
-            put(cell, row);
+            rows[cell].push(row);
         }
+        rows
     }
 
     /// Centre point of cell `i` — where the simulations place device `i`.

@@ -60,7 +60,7 @@ mod tests {
     use skyline_core::algo::{bnl, materialize};
 
     fn attrs_of(sky: Vec<Tuple>) -> Vec<Vec<f64>> {
-        let mut v: Vec<Vec<f64>> = sky.into_iter().map(|t| t.attrs).collect();
+        let mut v: Vec<Vec<f64>> = sky.into_iter().map(|t| t.attrs.to_vec()).collect();
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         v
     }

@@ -173,9 +173,8 @@ pub fn monitor_network(exp: &MonitorExperiment) -> Simulator<MonMsg, MonitorApp>
     for i in 0..m {
         let sites: Vec<(TupleId, Tuple, (f64, f64))> = (0..k)
             .map(|j| {
-                let attrs = data[i * k + j].attrs.clone();
-                let id = TupleId(i as u64, j as u64);
-                (id, Tuple::new(i as f64, j as f64, attrs), site_offset(exp.seed, i, j))
+                let site = Tuple::from_slice(i as f64, j as f64, &data[i * k + j].attrs);
+                (TupleId(i as u64, j as u64), site, site_offset(exp.seed, i, j))
             })
             .collect();
         let mut app = MonitorApp::new(i, exp.dist, sites);

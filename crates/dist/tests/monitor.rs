@@ -247,7 +247,7 @@ fn every_recorded_tick_is_the_constrained_skyline_at_its_epoch() {
                 .sites()
                 .iter()
                 .map(|(id, t, off)| {
-                    (*id, Tuple::new(pos.x + off.0, pos.y + off.1, t.attrs.clone()))
+                    (*id, Tuple::new(pos.x + off.0, pos.y + off.1, t.attrs.to_vec()))
                 })
                 .collect();
             let mut want: Vec<TupleId> =

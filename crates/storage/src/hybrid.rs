@@ -374,7 +374,7 @@ impl HybridRelation {
             .zip(&self.domains)
             .map(|(col, dom)| dom.value_of(col.get(r)))
             .collect();
-        Tuple::new(self.locs[r].x, self.locs[r].y, attrs)
+        Tuple { x: self.locs[r].x, y: self.locs[r].y, attrs }
     }
 
     /// Materializes row `r`'s attribute values into `out` (reused scratch).
@@ -669,7 +669,7 @@ impl DeviceRelation for HybridRelation {
         stats.value_comparisons += scan_stats.value_comparisons;
         stats.id_comparisons += scan_stats.id_comparisons;
 
-        // Filter *before* materializing: eliminated rows never allocate a
+        // Filter *before* materializing: eliminated rows never become a
         // tuple. The comparison count is unchanged — one per unreduced row.
         let unreduced_len = window.len();
         let reduced: Vec<Tuple> = if query.has_filters() {
@@ -679,7 +679,7 @@ impl DeviceRelation for HybridRelation {
                 stats.value_comparisons += 1;
                 self.attrs_into(r, &mut scratch);
                 if !query.eliminates(&scratch) {
-                    out.push(Tuple::new(self.locs[r].x, self.locs[r].y, scratch.clone()));
+                    out.push(Tuple::from_slice(self.locs[r].x, self.locs[r].y, &scratch));
                 }
             }
             out
@@ -714,7 +714,7 @@ mod tests {
 
     fn sorted_attrs(mut v: Vec<Tuple>) -> Vec<Vec<f64>> {
         v.sort_by(|a, b| crate::total_lex(&a.attrs, &b.attrs));
-        v.into_iter().map(|t| t.attrs).collect()
+        v.into_iter().map(|t| t.attrs.to_vec()).collect()
     }
 
     #[test]

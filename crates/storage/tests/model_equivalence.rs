@@ -123,8 +123,8 @@ proptest! {
 
         // Hybrid reorders rows; compare as multisets of attribute vectors.
         let canon = |mut v: Vec<Vec<f64>>| { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); v };
-        let src = canon(data.iter().map(|t| t.attrs.clone()).collect());
-        let h: Vec<Vec<f64>> = (0..hybrid.len()).map(|r| hybrid.tuple(r).attrs).collect();
+        let src = canon(data.iter().map(|t| t.attrs.to_vec()).collect());
+        let h: Vec<Vec<f64>> = (0..hybrid.len()).map(|r| hybrid.tuple(r).attrs.to_vec()).collect();
         prop_assert_eq!(canon(h), src);
     }
 

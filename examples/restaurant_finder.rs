@@ -105,5 +105,5 @@ fn local_skyline(r: &[Tuple]) -> Vec<Tuple> {
 }
 
 fn attrs(ts: &[Tuple]) -> Vec<Vec<f64>> {
-    ts.iter().map(|t| t.attrs.clone()).collect()
+    ts.iter().map(|t| t.attrs.to_vec()).collect()
 }

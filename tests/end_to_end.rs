@@ -93,7 +93,7 @@ fn paper_tables_flow_through_static_network() {
     let truth = net.ground_truth(1, f64::INFINITY);
     assert_eq!(sorted_keys(&out.result), sorted_keys(&truth));
     // And the known members by attribute value:
-    let attrs: Vec<Vec<f64>> = out.result.iter().map(|t| t.attrs.clone()).collect();
+    let attrs: Vec<Vec<f64>> = out.result.iter().map(|t| t.attrs.to_vec()).collect();
     assert!(attrs.contains(&vec![20.0, 7.0]), "h11 in global skyline");
     assert!(attrs.contains(&vec![40.0, 5.0]), "h12 in global skyline");
     assert!(attrs.contains(&vec![80.0, 2.0]), "h41 in global skyline");
