@@ -132,9 +132,9 @@ fn relation_build() -> Vec<Row> {
 }
 
 /// Runs `query` once untimed, then `TIMED_REPS` times, each on a fresh
-/// clone of `rel` so an unbounded scan is never answered from a hybrid
-/// relation's window memo. Returns the outcome and the fastest run's wall
-/// milliseconds.
+/// clone of `rel`, so no scan whose region covers the relation's MBR (an
+/// unbounded one included) is answered from a hybrid relation's window
+/// memo. Returns the outcome and the fastest run's wall milliseconds.
 pub(crate) fn cold_scan<R: DeviceRelation + Clone>(
     rel: &R,
     query: &LocalQuery,
@@ -157,8 +157,9 @@ const PAIR_SEEDS: [u64; 2] = [0x5CA4, 0x5CA5];
 /// `tuples` MANET-experiment tuples each, at d ∈ {2, 4, 5} × {IN, AC}: the
 /// Fig. 4 scan (the protocol's strict test) of the first relation within
 /// 500 m of the centre and unbounded, and the merge of both relations'
-/// unbounded local skylines. Every scan runs on a fresh clone, so the
-/// unbounded one is never answered from the relation's window memo.
+/// unbounded local skylines. Every scan runs on a fresh clone, so no
+/// covered scan, the unbounded one included, is answered from the
+/// relation's window memo.
 /// Returns the scan rows and the merge rows.
 fn data_path(tuples: usize) -> (Vec<Row>, Vec<Row>) {
     let regions = [

@@ -7,8 +7,9 @@
 //!
 //! Two time columns are reported per configuration:
 //! * `host_ms` — measured wall time of this Rust implementation: the
-//!   fastest of `TIMED_REPS` (5) unbounded scans, each of a fresh clone, so
-//!   a hybrid relation never answers from its window memo;
+//!   fastest of `TIMED_REPS` (5) unbounded scans, each of a fresh clone,
+//!   which is what keeps any scan whose region covers the relation's MBR
+//!   from being answered by a hybrid relation's window memo;
 //! * `ipaq_s` — the calibrated device cost model applied to the scan's
 //!   work counters, i.e. the number the MANET response-time figures use.
 

@@ -79,6 +79,21 @@ impl QueryRegion {
         }
         mbr.mindist2(self.center) > self.radius * self.radius
     }
+
+    /// `true` when the region holds all of `mbr` — the twin of
+    /// [`Self::misses`], `maxdist(pos_org, MBR_i) ≤ d`. Every site inside
+    /// the rectangle then passes [`Self::contains`], so a scan's spatial
+    /// test is vacuous. Exact under rounding: [`Mbr::maxdist2`] rounds the
+    /// same `site − centre` subtractions, squares and sum a site's
+    /// `dist2` does, and each is monotone, so no site inside the MBR
+    /// rounds farther than its farthest corner.
+    #[inline]
+    pub fn covers(&self, mbr: &Mbr) -> bool {
+        if self.radius.is_infinite() {
+            return true;
+        }
+        mbr.maxdist2(self.center) <= self.radius * self.radius
+    }
 }
 
 /// Axis-aligned minimum bounding rectangle of a set of sites.
@@ -152,6 +167,19 @@ impl Mbr {
         dx * dx + dy * dy
     }
 
+    /// Squared distance from `p` to the farthest corner of the rectangle
+    /// (infinite when empty), each axis taken as `corner − p` the way
+    /// [`Point::dist2`] takes `site − p`.
+    #[inline]
+    pub fn maxdist2(&self, p: Point) -> f64 {
+        if self.is_empty() {
+            return f64::INFINITY;
+        }
+        let dx = (self.x_min - p.x).abs().max((self.x_max - p.x).abs());
+        let dy = (self.y_min - p.y).abs().max((self.y_max - p.y).abs());
+        dx * dx + dy * dy
+    }
+
     /// Minimum distance from `p` to the rectangle.
     #[inline]
     pub fn mindist(&self, p: Point) -> f64 {
@@ -168,6 +196,7 @@ impl Mbr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn point_distance() {
@@ -234,5 +263,79 @@ mod tests {
         let far = QueryRegion::new(Point::new(0.0, 0.0), 50.0);
         assert!(!near.misses(&mbr));
         assert!(far.misses(&mbr));
+    }
+
+    #[test]
+    fn region_covers_mbr_is_the_maxdist_check() {
+        let mbr = Mbr::of_points([Point::new(0.0, 0.0), Point::new(3.0, 4.0)]);
+        assert_eq!(mbr.maxdist2(Point::new(0.0, 0.0)), 25.0);
+        assert!(QueryRegion::new(Point::new(0.0, 0.0), 5.0).covers(&mbr), "far corner on the rim");
+        assert!(!QueryRegion::new(Point::new(0.0, 0.0), 5.0f64.next_down()).covers(&mbr));
+        assert!(QueryRegion::unbounded().covers(&mbr));
+        assert!(QueryRegion::unbounded().covers(&Mbr::empty()));
+        assert!(!QueryRegion::new(Point::new(0.0, 0.0), 1e100).covers(&Mbr::empty()));
+    }
+
+    /// A coordinate of magnitude up to 10^6, so the subtractions round.
+    fn coord() -> impl Strategy<Value = f64> {
+        (-1.0f64..1.0, 0i32..7).prop_map(|(m, e)| m * 10f64.powi(e))
+    }
+
+    /// The least radius whose square reaches `d2`: one ulp less does not.
+    fn least_covering_radius(d2: f64) -> f64 {
+        let mut r = d2.sqrt();
+        while r * r < d2 {
+            r = r.next_up();
+        }
+        while r.next_down() * r.next_down() >= d2 {
+            r = r.next_down();
+        }
+        r
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Whenever `covers` holds, every corner and interior point of the
+        /// MBR passes `contains` and `misses` is false; a radius at the
+        /// farthest corner's distance and one ulp below it are both drawn,
+        /// and one ulp below the least covering radius never covers.
+        #[test]
+        fn a_covering_region_contains_every_point_of_the_mbr(
+            corners in (coord(), coord(), coord(), coord()),
+            centre in (coord(), coord()),
+            pick in 0u8..4,
+            raw_r in 0.0f64..3e6,
+            fracs in prop::collection::vec((0.0f64..=1.0, 0.0f64..=1.0), 32),
+        ) {
+            let (ax, ay, bx, by) = corners;
+            let mbr = Mbr::of_points([Point::new(ax, ay), Point::new(bx, by)]);
+            let centre = Point::new(centre.0, centre.1);
+            let d2 = mbr.maxdist2(centre);
+            let least = least_covering_radius(d2);
+            let r = match pick {
+                0 => raw_r,
+                1 => d2.sqrt(),
+                2 => d2.sqrt().next_down(),
+                _ => least,
+            };
+            prop_assert!(QueryRegion::new(centre, least).covers(&mbr));
+            prop_assert!(!QueryRegion::new(centre, least.next_down()).covers(&mbr));
+            let region = QueryRegion::new(centre, r);
+            if region.covers(&mbr) {
+                prop_assert!(!region.misses(&mbr));
+                let (xs, ys) = ([mbr.x_min, mbr.x_max], [mbr.y_min, mbr.y_max]);
+                for p in xs.iter().flat_map(|&x| ys.iter().map(move |&y| Point::new(x, y))) {
+                    prop_assert!(region.contains(p), "corner {:?} of {:?}, r = {}", p, mbr, r);
+                }
+                for (fx, fy) in &fracs {
+                    let x = (mbr.x_min + fx * (mbr.x_max - mbr.x_min)).clamp(mbr.x_min, mbr.x_max);
+                    let y = (mbr.y_min + fy * (mbr.y_max - mbr.y_min)).clamp(mbr.y_min, mbr.y_max);
+                    let p = Point::new(x, y);
+                    prop_assert!(region.contains(p), "point {:?} of {:?}, r = {}", p, mbr, r);
+                    prop_assert!(p.dist2(centre) <= r * r, "site − centre order");
+                }
+            }
+        }
     }
 }

@@ -367,17 +367,42 @@ pub(crate) fn new_simulator<P: Clone + 'static, A: Application<P>>(
     sim
 }
 
+/// Builds each cell's relation straight from the generated columns and the
+/// cell's row list, no `Tuple` made per row, in cell order. `workers`
+/// threads each build one contiguous run of cells, the calling thread the
+/// first; a build reads only its own rows, so the relations do not depend
+/// on how the cells are split.
+fn build_relations(
+    columns: &datagen::Columns,
+    cells: &[Vec<u32>],
+    workers: usize,
+) -> Vec<HybridRelation> {
+    let build = |rows: &Vec<u32>| {
+        HybridRelation::from_columns(&columns.locs, &columns.attrs, columns.dim, rows)
+    };
+    let per_worker = cells.len().div_ceil(workers.max(1)).max(1);
+    let mut runs = cells.chunks(per_worker);
+    let Some(first) = runs.next() else { return Vec::new() };
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = runs
+            .map(|run| s.spawn(move || run.iter().map(build).collect::<Vec<_>>()))
+            .collect();
+        let mut relations: Vec<HybridRelation> = first.iter().map(build).collect();
+        for handle in spawned {
+            relations.extend(handle.join().expect("relation build panicked"));
+        }
+        relations
+    })
+}
+
 /// Runs one MANET experiment end to end.
 pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
-    // Each device's relation is built straight from the generated columns
-    // and its cell's row list; no `Tuple` is made per row.
     let grid = datagen::GridPartitioner::new(exp.g, exp.data.space);
     let columns = exp.data.generate_columns();
     let cells = grid.cell_rows(&columns.locs);
     let m = cells.len();
-    let relations = cells
-        .iter()
-        .map(|rows| HybridRelation::from_columns(&columns.locs, &columns.attrs, columns.dim, rows));
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let relations = build_relations(&columns, &cells, workers);
 
     let workload = datagen::WorkloadSpec {
         num_devices: exp.querying_devices.unwrap_or(m).min(m),
@@ -393,7 +418,7 @@ pub fn run_experiment(exp: &ManetExperiment) -> ManetOutcome {
     let mut sim: Simulator<ProtoMsg, DeviceApp> =
         new_simulator(exp.radio, exp.seed, exp.neighbor_mode, &exp.dist.trace);
     let avg_partition = exp.data.cardinality / m.max(1);
-    for (i, rel) in relations.enumerate() {
+    for (i, rel) in relations.into_iter().enumerate() {
         let mut app =
             DeviceApp::new(i, rel, exp.strategy.clone(), exp.forwarding, exp.cost, m, exp.dist);
         if exp.handoff {
@@ -604,5 +629,35 @@ mod tests {
         assert!(exp.attack_plan.is_none(), "adversaries are opt-in");
         assert!(!exp.compute_completeness);
         assert_eq!(exp.dist, DistConfig::default());
+    }
+
+    #[test]
+    fn relations_do_not_depend_on_the_worker_count() {
+        use device_storage::DeviceRelation;
+        let data =
+            datagen::DataSpec::manet_experiment(6000, 3, datagen::Distribution::Independent, 5);
+        let columns = data.generate_columns();
+        let cells = datagen::GridPartitioner::new(4, data.space).cell_rows(&columns.locs);
+        let one = build_relations(&columns, &cells, 1);
+        assert_eq!(one.len(), cells.len());
+        for workers in [2, 7] {
+            let many = build_relations(&columns, &cells, workers);
+            assert_eq!(many.len(), one.len(), "{workers} workers");
+            for (i, (a, b)) in one.iter().zip(&many).enumerate() {
+                let what = format!("{workers} workers, cell {i}");
+                assert_eq!(a.len(), b.len(), "{what}");
+                assert_eq!(a.mbr(), b.mbr(), "{what}: MBR");
+                assert_eq!(a.sort_attribute(), b.sort_attribute(), "{what}");
+                for j in 0..a.dim() {
+                    assert_eq!(a.domain(j), b.domain(j), "{what}: domain {j}");
+                }
+                for r in 0..a.len() {
+                    assert_eq!(a.location(r).x.to_bits(), b.location(r).x.to_bits(), "{what}");
+                    assert_eq!(a.location(r).y.to_bits(), b.location(r).y.to_bits(), "{what}");
+                    assert_eq!(a.row_ids(r), b.row_ids(r), "{what}: row {r}");
+                }
+            }
+        }
+        assert!(build_relations(&columns, &[], 2).is_empty());
     }
 }

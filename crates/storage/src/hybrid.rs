@@ -25,7 +25,7 @@
 
 use std::sync::Mutex;
 
-use skyline_core::region::{Mbr, Point};
+use skyline_core::region::{Mbr, Point, QueryRegion};
 use skyline_core::vdr::{select_filter, FilterTuple};
 use skyline_core::{DominanceTest, Tuple};
 
@@ -43,12 +43,15 @@ struct CachedScan {
     stats: LocalStats,
 }
 
-/// Per-relation scan memo for *unbounded* regions, one slot per dominance
-/// test. The Fig. 4 window depends only on (region, dominance) — filters are
-/// applied after the scan — so with an infinite radius the window is a pure
-/// function of the dominance test and can be reused across every repeated
-/// `Q_ds` evaluation (`run_all_origins` asks each device the same unbounded
-/// scan once per origin × strategy). Finite regions bypass the cache.
+/// Per-relation scan memo for regions that *cover* the relation's MBR, one
+/// slot per dominance test. The Fig. 4 window depends only on (region,
+/// dominance) — filters are applied after the scan — and a region that
+/// covers the MBR (an infinite radius included) admits every row, so its
+/// window is a pure function of the dominance test and can be reused
+/// across every repeated `Q_ds` evaluation: `run_all_origins` asks each
+/// device the same unbounded scan once per origin × strategy, and a MANET
+/// query disk covers most devices it reaches. A region that does not cover
+/// the MBR rescans.
 #[derive(Debug, Default)]
 struct WindowCache {
     slots: [Option<CachedScan>; 2],
@@ -204,7 +207,7 @@ pub struct HybridRelation {
     /// comparison.
     sig: Vec<u64>,
     layout: SigLayout,
-    /// Memoized unbounded-region windows (see [`WindowCache`]). Interior
+    /// Memoized covered-region windows (see [`WindowCache`]). Interior
     /// mutability keeps [`DeviceRelation::local_skyline`]'s `&self`
     /// signature; the mutex is uncontended (relations are per-device).
     cache: Mutex<WindowCache>,
@@ -395,7 +398,7 @@ impl HybridRelation {
     /// dominates it, one counted ID comparison per entry probed. The probe
     /// itself is the word test of [`SigLayout`] over the window's
     /// signatures, a block at a time.
-    fn scan_window(&self, region: &skyline_core::QueryRegion, test: DominanceTest) -> CachedScan {
+    fn scan_window(&self, region: &QueryRegion, test: DominanceTest) -> CachedScan {
         let mut stats = LocalStats::default();
         let unbounded = region.radius.is_infinite();
         let r2 = region.radius * region.radius;
@@ -452,11 +455,7 @@ impl HybridRelation {
     /// [`Self::id_dominates`] — the Fig. 4 reference the signature scan is
     /// tested against, window and counters alike.
     #[cfg(test)]
-    fn scan_window_reference(
-        &self,
-        region: &skyline_core::QueryRegion,
-        test: DominanceTest,
-    ) -> CachedScan {
+    fn scan_window_reference(&self, region: &QueryRegion, test: DominanceTest) -> CachedScan {
         let mut stats = LocalStats::default();
         let mut window: Vec<usize> = Vec::new();
         for row in 0..self.rows {
@@ -645,17 +644,20 @@ impl DeviceRelation for HybridRelation {
         }
 
         // ID-based SFS scan in the presorted row order, over the row
-        // signatures. Unbounded regions (the static `Q_ds` evaluations)
-        // memoize the window per dominance test: the scan ignores filters,
-        // so repeated queries replay the stored indices — and the stored
-        // stats, byte for byte — instead of rescanning.
-        let scan = if query.region.radius.is_infinite() {
+        // signatures. A region that covers the MBR (every unbounded one,
+        // the static `Q_ds` evaluations) admits every row, so its scan is
+        // the unbounded one: it visits the same rows in the same order,
+        // each in range, and the window is memoized per dominance test.
+        // The scan ignores filters, so repeated queries replay the stored
+        // indices — and the stored stats, byte for byte — instead of
+        // rescanning.
+        let scan = if query.region.covers(&self.mbr) {
             let slot = cache_slot(query.dominance);
             let mut cache = self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             match &cache.slots[slot] {
                 Some(hit) => hit.clone(),
                 None => {
-                    let fresh = self.scan_window(&query.region, query.dominance);
+                    let fresh = self.scan_window(&QueryRegion::unbounded(), query.dominance);
                     cache.slots[slot] = Some(fresh.clone());
                     fresh
                 }
@@ -697,7 +699,6 @@ impl DeviceRelation for HybridRelation {
 mod tests {
     use super::*;
     use skyline_core::algo::{self, bnl};
-    use skyline_core::region::QueryRegion;
     use skyline_core::vdr::UpperBounds;
     use skyline_core::SkylineMerger;
 
@@ -1339,6 +1340,73 @@ mod tests {
         let cold = c.local_skyline(&q);
         assert_eq!(sorted_attrs(warm.skyline), sorted_attrs(cold.skyline));
         assert_eq!(warm.stats, cold.stats);
+    }
+
+    /// The least radius around `centre` that covers `mbr`: one ulp less
+    /// does not.
+    fn least_covering_radius(mbr: &Mbr, centre: Point) -> f64 {
+        let covers = |r: f64| QueryRegion::new(centre, r).covers(mbr);
+        let mut r = mbr.maxdist2(centre).sqrt();
+        while !covers(r) {
+            r = r.next_up();
+        }
+        while covers(r.next_down()) {
+            r = r.next_down();
+        }
+        r
+    }
+
+    #[test]
+    fn a_covering_query_replays_the_window_a_cold_clone_rescans() {
+        // Sites on a 50 × 10 lattice: the corner (49, 9) farthest from the
+        // origin is a site, so one ulp short of it drops exactly that row.
+        let h = HybridRelation::new(mixed_data(500, 3, 11, 0xC0DE));
+        let (origin, middle) = (Point::new(0.0, 0.0), Point::new(24.5, 4.5));
+        let covering = QueryRegion::new(origin, least_covering_radius(&h.mbr, origin));
+        let other = QueryRegion::new(middle, least_covering_radius(&h.mbr, middle));
+        let short = QueryRegion::new(origin, covering.radius.next_down());
+        let bounds = UpperBounds::new(vec![10.0; 3]);
+        let filter = Some(FilterTuple::new(vec![3.0; 3], &bounds));
+        let same = |got: &LocalSkylineOutcome, want: &LocalSkylineOutcome, what: &str| {
+            assert_eq!(got.skyline, want.skyline, "{what}: skyline");
+            assert_eq!(got.unreduced_len, want.unreduced_len, "{what}: unreduced_len");
+            assert_eq!(got.stats, want.stats, "{what}: stats");
+        };
+        for test in BOTH_TESTS {
+            let slot = cache_slot(test);
+            for filter in [None, filter.clone()] {
+                let query = |region| LocalQuery {
+                    dominance: test,
+                    filter: filter.clone(),
+                    ..LocalQuery::plain(region)
+                };
+                let what = format!("{test:?}, filtered {}", filter.is_some());
+                let cold = h.clone().local_skyline(&query(covering));
+                assert_eq!(cold.stats.in_range, h.len() as u64, "{what}: every row in range");
+                // The memo holds what the finite scan itself computes.
+                let rescan = h.scan_window(&covering, test);
+                for warm in [QueryRegion::unbounded(), other] {
+                    let w = h.clone();
+                    w.local_skyline(&query(warm));
+                    assert!(
+                        w.cache.lock().unwrap().slots[slot].is_some(),
+                        "{what}: {warm:?} fills"
+                    );
+                    same(&w.local_skyline(&query(covering)), &cold, &format!("{what}, {warm:?}"));
+                    let hit = w.cache.lock().unwrap().slots[slot].clone().unwrap();
+                    assert_eq!((hit.window, hit.stats), (rescan.window.clone(), rescan.stats));
+                }
+                // One ulp short: the far corner's row drops out, the slot
+                // stays empty, and the answer is the finite scan's.
+                let w = h.clone();
+                let out = w.local_skyline(&query(short));
+                assert!(w.cache.lock().unwrap().slots[slot].is_none(), "{what}: short rescans");
+                assert_eq!(out.stats.in_range, h.len() as u64 - 1, "{what}: short");
+                let want = h.scan_window(&short, test);
+                assert_eq!(out.unreduced_len, want.window.len(), "{what}: short window");
+                assert_eq!(out.stats.id_comparisons, want.stats.id_comparisons, "{what}: short");
+            }
+        }
     }
 
     #[test]
