@@ -135,6 +135,9 @@ pub struct MonitorOutcome {
     pub query_trace: Option<QueryTraceLog>,
     /// Frame-level radio log (when frame tracing was enabled).
     pub frame_trace: Option<FrameTraceLog>,
+    /// Frame copies the engine scheduled for delivery (what the log's
+    /// `FrameSent` copy counts sum to).
+    pub frame_copies: u64,
     /// Age of folded deltas/replies at apply time (µs since epoch tick).
     pub delta_age_hist: PowHistogram,
 }
@@ -282,6 +285,7 @@ pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
         net: *sim.stats(),
         query_trace,
         frame_trace,
+        frame_copies: sim.copies_scheduled(),
         delta_age_hist,
         record,
         views,
@@ -292,8 +296,9 @@ pub fn run_monitor_experiment(exp: &MonitorExperiment) -> MonitorOutcome {
 /// [`TraceAggregates`] from the event log and reconciles them — exactly —
 /// against the runtime counters, checks that every `DeltaApplied` has a
 /// matching `DeltaSent` from that device for that epoch, and (when frame
-/// tracing was on) reconciles frame counts against [`NetStats`]. Any
-/// mismatch is drift: either the trace lies or the counters do.
+/// tracing was on) reconciles frame counts against [`NetStats`] and the
+/// scheduled copies. Any mismatch is drift: either the trace lies or the
+/// counters do.
 pub fn verify_monitor_drift(out: &MonitorOutcome) -> Result<TraceAggregates, String> {
     let mut d = DriftCheck::open(out.query_trace.as_ref(), "TraceConfig::per_node_capacity")?;
     let (log, agg) = (d.log, d.agg);
@@ -329,7 +334,7 @@ pub fn verify_monitor_drift(out: &MonitorOutcome) -> Result<TraceAggregates, Str
     }
 
     if let Some(frames) = out.frame_trace.as_ref() {
-        d.errs.extend(verify_frames(frames, &out.net));
+        d.errs.extend(verify_frames(frames, &out.net, out.frame_copies));
     }
     if d.errs.is_empty() {
         Ok(agg)

@@ -829,7 +829,7 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
     }
 
     if let Some(frames) = out.frame_trace.as_ref() {
-        d.errs.extend(verify_frames(frames, &out.net));
+        d.errs.extend(verify_frames(frames, &out.net, out.frame_copies));
     }
 
     if d.errs.is_empty() {
@@ -840,11 +840,16 @@ pub fn verify_zero_drift(out: &ManetOutcome) -> Result<TraceAggregates, String> 
 }
 
 /// Reconciles the frame-level radio log against the engine's [`NetStats`]
-/// counters, returning one message per drifting quantity (empty = clean).
-/// Shared by [`verify_zero_drift`] and the monitoring checker
-/// ([`crate::monitor::verify_monitor_drift`]) — both demand exact equality
-/// and treat a dropped-ring log as a failure.
-pub(crate) fn verify_frames(frames: &FrameTraceLog, net: &NetStats) -> Vec<String> {
+/// counters and its count of scheduled copies (`copies_scheduled`, which
+/// the `FrameSent` records' `copies` must sum to), returning one message
+/// per drifting quantity (empty = clean). Shared by [`verify_zero_drift`]
+/// and the monitoring checker ([`crate::monitor::verify_monitor_drift`]) —
+/// both demand exact equality and treat a dropped-ring log as a failure.
+pub(crate) fn verify_frames(
+    frames: &FrameTraceLog,
+    net: &NetStats,
+    copies_scheduled: u64,
+) -> Vec<String> {
     let mut errs = Vec::new();
     if frames.dropped > 0 {
         errs.push(format!(
@@ -853,16 +858,17 @@ pub(crate) fn verify_frames(frames: &FrameTraceLog, net: &NetStats) -> Vec<Strin
         ));
         return errs;
     }
-    let (mut sent, mut bytes, mut lost) = (0u64, 0u64, 0u64);
+    let (mut sent, mut bytes, mut copies, mut lost) = (0u64, 0u64, 0u64, 0u64);
     let mut by_tag = [0u64; 4];
     let (mut down, mut severed) = (0u64, 0u64);
     let (mut crashed, mut revived) = (0u64, 0u64);
     let mut fwd_dropped = 0u64;
     for (_, ev) in &frames.entries {
         match *ev {
-            TraceEvent::FrameSent { tag, bytes: b, .. } => {
+            TraceEvent::FrameSent { tag, bytes: b, copies: c, .. } => {
                 sent += 1;
                 bytes += u64::from(b);
+                copies += u64::from(c);
                 by_tag[tag as usize] += 1;
             }
             TraceEvent::FrameLost { cause, .. } => {
@@ -876,7 +882,6 @@ pub(crate) fn verify_frames(frames: &FrameTraceLog, net: &NetStats) -> Vec<Strin
             TraceEvent::ForwardDropped { .. } => fwd_dropped += 1,
             TraceEvent::NodeCrashed { .. } => crashed += 1,
             TraceEvent::NodeRevived { .. } => revived += 1,
-            TraceEvent::FrameDelivered { .. } => {}
         }
     }
     let mut fcheck = |name: &str, traced: u64, counted: u64| {
@@ -896,6 +901,11 @@ pub(crate) fn verify_frames(frames: &FrameTraceLog, net: &NetStats) -> Vec<Strin
     fcheck("node_crashes", crashed, net.node_crashes);
     fcheck("node_revivals", revived, net.node_revivals);
     fcheck("forward_drops", fwd_dropped, net.data_drops_forwarded);
+    if copies != copies_scheduled {
+        errs.push(format!(
+            "frames.copies: trace says {copies}, the engine scheduled {copies_scheduled}"
+        ));
+    }
     errs
 }
 

@@ -8,7 +8,7 @@ use dist_skyline::monitor::{
     monitor_network, run_monitor_experiment, verify_monitor_drift, MonitorExperiment, MonitorMode,
 };
 use manet_sim::{
-    ChurnConfig, FaultPlan, QueryEvent, QueryId, QueryTraceRecord, SimDuration, SimTime,
+    ChurnConfig, FaultPlan, QueryEvent, QueryId, QueryTraceRecord, SimDuration, SimTime, TraceEvent,
 };
 use skyline_core::region::{Point, QueryRegion};
 use skyline_core::{constrained, Tuple, TupleId};
@@ -131,6 +131,23 @@ fn leases_expire_after_originator_crash() {
 fn injected_drift_is_caught() {
     let mut out = run_monitor_experiment(&frozen_exp(MonitorMode::Continuous, 0x0D1F));
     verify_monitor_drift(&out).expect("clean run must verify");
+
+    // Frame drift: one transmission claims a copy fewer than the engine
+    // scheduled for it.
+    let clean = out.frame_trace.clone();
+    let frames = &mut out.frame_trace.as_mut().expect("frames traced").entries;
+    let copies = frames
+        .iter_mut()
+        .find_map(|(_, e)| match e {
+            TraceEvent::FrameSent { copies, .. } if *copies > 0 => Some(copies),
+            _ => None,
+        })
+        .expect("some transmission was heard");
+    *copies -= 1;
+    let err = verify_monitor_drift(&out).expect_err("a drifted copy count must be caught");
+    assert!(err.contains("frames.copies"), "{err}");
+    out.frame_trace = clean;
+    verify_monitor_drift(&out).expect("the untouched log verifies");
 
     // Counter drift: the runtime claims one more applied delta than the
     // trace shows.

@@ -10,7 +10,7 @@ use dist_skyline::config::{DistConfig, FilterStrategy, Forwarding, StrategyConfi
 use dist_skyline::cost_model::DeviceCostModel;
 use dist_skyline::runtime::{run_experiment, ManetExperiment};
 use dist_skyline::{query_ids, timeline_for, trace_to_jsonl, verify_zero_drift};
-use manet_sim::{ChurnConfig, FaultPlan, QueryEvent, SimDuration, SimTime};
+use manet_sim::{ChurnConfig, FaultPlan, QueryEvent, SimDuration, SimTime, TraceEvent};
 use skyline_core::vdr::BoundsMode;
 
 const SIM_SECONDS: f64 = 600.0;
@@ -127,6 +127,22 @@ fn verifier_detects_injected_drift() {
     let err = verify_zero_drift(&out).expect_err("drifted NetStats must fail");
     assert!(err.contains("frames.sent"), "{err}");
     out.net.frames_sent -= 1;
+
+    // One transmission claims a copy the engine never scheduled.
+    let clean = out.frame_trace.clone();
+    let frames = &mut out.frame_trace.as_mut().expect("frames traced").entries;
+    let copies = frames
+        .iter_mut()
+        .find_map(|(_, e)| match e {
+            TraceEvent::FrameSent { copies, .. } => Some(copies),
+            _ => None,
+        })
+        .expect("the run transmitted");
+    *copies += 1;
+    let err = verify_zero_drift(&out).expect_err("a drifted copy count must fail");
+    assert!(err.contains("frames.copies"), "{err}");
+    out.frame_trace = clean;
+    verify_zero_drift(&out).expect("the untouched log verifies");
 
     out.records[0].responded += 1;
     let err = verify_zero_drift(&out).expect_err("drifted record must fail");

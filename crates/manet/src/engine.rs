@@ -299,8 +299,9 @@ impl Geometry {
     /// Fills `out` (cleared first) with a sorted superset of the nodes
     /// within radio range of `p` at `now`; callers re-filter with exact
     /// positions.
-    fn candidates_into(&self, p: Pos, now: SimTime, out: &mut Vec<NodeId>) {
-        self.grid.query_into(p, self.radio.range_m + self.grid_slack(now), out);
+    fn candidates_into(&mut self, p: Pos, now: SimTime, out: &mut Vec<NodeId>) {
+        let radius = self.radio.range_m + self.grid_slack(now);
+        self.grid.query_into(p, radius, out);
     }
 
     fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -726,14 +727,6 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
             self.trace_lost(now, link_from, &frame, LossCause::NodeDown);
             return;
         }
-        self.trace_event(
-            now,
-            TraceEvent::FrameDelivered {
-                to: narrow(to),
-                from: narrow(link_from),
-                tag: Self::tag_of(&frame),
-            },
-        );
         match frame {
             Frame::Hello => {
                 let heard = &mut self.geo.heard[to];
@@ -905,14 +898,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         span.add_bytes(frame.bytes() as u64);
         span.add_units(1);
         self.count_frame(&frame);
-        self.trace_event(
-            now,
-            TraceEvent::FrameSent {
-                from: narrow(from),
-                tag: Self::tag_of(&frame),
-                bytes: narrow(frame.bytes()),
-            },
-        );
+        let sent = self.trace_sent(now, from, &frame);
         self.energy_j[from] += self.geo.radio.energy.tx_joules(frame.bytes());
         if self.geo.link_severed(from, to) {
             self.stats.frames_blocked_link_down += 1;
@@ -939,7 +925,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         }
         self.energy_j[to] += self.geo.radio.energy.rx_joules(frame.bytes());
         let delay = self.geo.radio.tx_delay(frame.bytes(), &mut self.rng);
-        self.schedule_delivery(now + delay, from, Vec::new(), to, frame);
+        self.schedule_delivery(now + delay, from, sent, Vec::new(), to, frame);
     }
 
     fn transmit_broadcast(&mut self, from: NodeId, now: SimTime, frame: Frame<P>) {
@@ -950,14 +936,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         span.add_bytes(frame.bytes() as u64);
         span.add_units(1);
         self.count_frame(&frame);
-        self.trace_event(
-            now,
-            TraceEvent::FrameSent {
-                from: narrow(from),
-                tag: Self::tag_of(&frame),
-                bytes: narrow(frame.bytes()),
-            },
-        );
+        let sent = self.trace_sent(now, from, &frame);
         // One transmission regardless of receiver count; every in-range
         // node pays reception.
         self.energy_j[from] += self.geo.radio.energy.tx_joules(frame.bytes());
@@ -988,7 +967,7 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         self.geo.cand_scratch = cand;
         // A broadcast nobody survives to hear schedules nothing.
         if let Some(last) = receivers.pop() {
-            self.schedule_delivery(now + delay, from, receivers, last, frame);
+            self.schedule_delivery(now + delay, from, sent, receivers, last, frame);
         }
     }
 
@@ -1025,16 +1004,23 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         true
     }
 
-    /// Files one transmission: the only place a `Deliver` event is built.
+    /// Files one transmission: the only place a `Deliver` event is built,
+    /// and so the one place its `FrameSent` record (at trace position
+    /// `sent`) learns how many copies it carries.
     fn schedule_delivery(
         &mut self,
         at: SimTime,
         link_from: NodeId,
+        sent: u64,
         earlier: Vec<NodeId>,
         last: NodeId,
         frame: Frame<P>,
     ) {
-        self.copies_scheduled += earlier.len() as u64 + 1;
+        let copies = earlier.len() + 1;
+        self.copies_scheduled += copies as u64;
+        if let Some(t) = self.trace.as_mut() {
+            t.set_copies(sent, narrow(copies));
+        }
         let frame = Box::new(frame);
         self.queue.schedule(at, Event::Deliver { link_from, earlier, last, frame });
     }
@@ -1063,6 +1049,17 @@ impl<P: Clone + 'static, A: Application<P>> Simulator<P, A> {
         if let Some(t) = self.trace.as_mut() {
             t.record(at, ev);
         }
+    }
+
+    /// Records a transmission with no copies yet and returns its trace
+    /// position: its transmit-time losses follow it in the log, and
+    /// [`Self::schedule_delivery`] fills in the copies that survive them.
+    fn trace_sent(&mut self, at: SimTime, from: NodeId, frame: &Frame<P>) -> u64 {
+        let Some(t) = self.trace.as_mut() else { return 0 };
+        let sent = t.recorded();
+        let (tag, bytes) = (Self::tag_of(frame), narrow(frame.bytes()));
+        t.record(at, TraceEvent::FrameSent { from: narrow(from), tag, bytes, copies: 0 });
+        sent
     }
 
     fn trace_lost(&mut self, at: SimTime, from: NodeId, frame: &Frame<P>, cause: LossCause) {

@@ -12,7 +12,8 @@
 //!
 //! Determinism: buckets are only ever addressed by key (the map's
 //! iteration order is never observed — see [`DetHashMap`]), bucket contents
-//! are kept sorted by node id, and query results are sorted before return.
+//! are kept sorted by node id, and a query reads its candidates out of a
+//! bitset over node ids, so they come back ascending without a sort.
 
 use crate::mobility::Pos;
 use crate::packet::NodeId;
@@ -27,6 +28,9 @@ pub struct SpatialGrid {
     buckets: DetHashMap<(i64, i64), Vec<NodeId>>,
     /// Per-node current cell (indexed by node id).
     node_cell: Vec<(i64, i64)>,
+    /// One bit per node id: a query marks its candidates here and clears
+    /// every word it reads back, so the set is empty between queries.
+    marks: Vec<u64>,
 }
 
 impl SpatialGrid {
@@ -37,7 +41,12 @@ impl SpatialGrid {
     /// Panics on a non-positive or non-finite cell size.
     pub fn new(cell: f64) -> Self {
         assert!(cell > 0.0 && cell.is_finite(), "invalid grid cell size {cell}");
-        SpatialGrid { cell, buckets: DetHashMap::default(), node_cell: Vec::new() }
+        SpatialGrid {
+            cell,
+            buckets: DetHashMap::default(),
+            node_cell: Vec::new(),
+            marks: Vec::new(),
+        }
     }
 
     /// Number of tracked nodes.
@@ -62,6 +71,7 @@ impl SpatialGrid {
         assert_eq!(node, self.node_cell.len(), "nodes must be inserted in id order");
         let c = self.cell_of(p);
         self.node_cell.push(c);
+        self.marks.resize(self.node_cell.len().div_ceil(64), 0);
         Self::bucket_add(self.buckets.entry(c).or_default(), node);
     }
 
@@ -94,19 +104,33 @@ impl SpatialGrid {
     /// id. The box covers `radius` in the Chebyshev metric, so it is a
     /// superset of the Euclidean ball; callers re-filter with exact
     /// positions.
-    pub fn query_into(&self, center: Pos, radius: f64, out: &mut Vec<NodeId>) {
+    pub fn query_into(&mut self, center: Pos, radius: f64, out: &mut Vec<NodeId>) {
         let mut span = sim_obs::span!("grid::query");
         out.clear();
         let lo = self.cell_of(Pos::new(center.x - radius, center.y - radius));
         let hi = self.cell_of(Pos::new(center.x + radius, center.y + radius));
+        // Mark every candidate, tracking the span of words touched; each
+        // bucket is sorted and never empty, so its ends bound its words.
+        let (mut first, mut last) = (usize::MAX, 0);
         for cx in lo.0..=hi.0 {
             for cy in lo.1..=hi.1 {
                 if let Some(b) = self.buckets.get(&(cx, cy)) {
-                    out.extend_from_slice(b);
+                    for &n in b {
+                        self.marks[n / 64] |= 1 << (n % 64);
+                    }
+                    first = first.min(b[0] / 64);
+                    last = last.max(b[b.len() - 1] / 64);
                 }
             }
         }
-        out.sort_unstable();
+        // Read the set bits out in ascending order, leaving the words zero.
+        for w in first..=last {
+            let mut bits = std::mem::take(&mut self.marks[w]);
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
         span.add_units(out.len() as u64);
     }
 
@@ -125,6 +149,7 @@ impl SpatialGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Deterministic scatter of n positions inside a w × h area.
     fn scatter(n: usize, w: f64, h: f64, seed: u64) -> Vec<Pos> {
@@ -223,6 +248,64 @@ mod tests {
                     assert!(out.contains(&id), "round {round}: missed {id}");
                 }
             }
+        }
+    }
+
+    /// The query before the bitset: every bucket of the box concatenated,
+    /// then sorted.
+    fn concat_and_sort(grid: &SpatialGrid, center: Pos, radius: f64) -> Vec<NodeId> {
+        let lo = grid.cell_of(Pos::new(center.x - radius, center.y - radius));
+        let hi = grid.cell_of(Pos::new(center.x + radius, center.y + radius));
+        let mut out = Vec::new();
+        for cx in lo.0..=hi.0 {
+            for cy in lo.1..=hi.1 {
+                if let Some(b) = grid.buckets.get(&(cx, cy)) {
+                    out.extend_from_slice(b);
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Marking candidates in the bitset returns exactly what the
+        /// concatenate-and-sort query returned, ids and order, over random
+        /// layouts (past one 64-bit word of ids), moves that cross cells,
+        /// and radii from a fraction of a cell to several cells.
+        #[test]
+        fn bitset_query_equals_concatenate_and_sort(
+            cell in 20.0f64..120.0,
+            start in prop::collection::vec((-300.0f64..600.0, -300.0f64..600.0), 1..200),
+            moves in prop::collection::vec(
+                (any::<prop::sample::Index>(), -300.0f64..600.0, -300.0f64..600.0), 0..120),
+            queries in prop::collection::vec(
+                ((-400.0f64..700.0, -400.0f64..700.0), 0.0f64..4.0), 1..12),
+        ) {
+            let mut grid = SpatialGrid::new(cell);
+            for (i, &(x, y)) in start.iter().enumerate() {
+                grid.insert(i, Pos::new(x, y));
+            }
+            let mut out = vec![usize::MAX]; // cleared by every query
+            let mut check = |grid: &mut SpatialGrid| {
+                for &((x, y), cells) in &queries {
+                    let (center, radius) = (Pos::new(x, y), cells * cell);
+                    grid.query_into(center, radius, &mut out);
+                    prop_assert_eq!(&out, &concat_and_sort(grid, center, radius));
+                }
+                prop_assert!(grid.marks.iter().all(|&w| w == 0), "marks left set");
+                Ok(())
+            };
+            check(&mut grid)?;
+            for (k, &(node, x, y)) in moves.iter().enumerate() {
+                grid.update(node.index(start.len()), Pos::new(x, y));
+                if k % 20 == 19 {
+                    check(&mut grid)?;
+                }
+            }
+            check(&mut grid)?;
         }
     }
 

@@ -90,11 +90,14 @@ mod tests {
 
 /// Kinds of traced events (compact, no payloads). Node ids and byte counts
 /// are `u32` so that one `(SimTime, TraceEvent)` ring record is 24 bytes
-/// (pinned below): a long monitoring run records over a million of them.
-/// The engine converts through `narrow`.
+/// (pinned below): a transmission is one record however many receivers
+/// hear it, plus one per lost copy, and a long monitoring run still
+/// records a quarter of a million of them. The engine converts through
+/// `narrow`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A frame was handed to the radio.
+    /// A frame was handed to the radio. Recorded ahead of the transmit-time
+    /// [`FrameLost`](TraceEvent::FrameLost) records of its copies.
     FrameSent {
         /// Transmitting node.
         from: u32,
@@ -102,15 +105,12 @@ pub enum TraceEvent {
         tag: FrameTag,
         /// Bytes on the air.
         bytes: u32,
-    },
-    /// A frame arrived at a node.
-    FrameDelivered {
-        /// Receiving node.
-        to: u32,
-        /// Link-layer sender.
-        from: u32,
-        /// Frame kind tag.
-        tag: FrameTag,
+        /// Copies scheduled for delivery: the receivers that passed the
+        /// transmit-time gates (0 or 1 for a unicast). Summed over a log it
+        /// is the engine's `copies_scheduled`; a copy whose receiver
+        /// crashes in flight is one of these and also a delivery-time
+        /// `FrameLost { NodeDown }`.
+        copies: u32,
     },
     /// A frame was lost. Every lost frame copy is traced exactly once with
     /// the cause that killed it, so per-cause trace counts reconstruct the
@@ -220,6 +220,24 @@ impl EventTrace {
         self.entries.push_back((at, ev));
     }
 
+    /// Events ever recorded, retained or not: the position the next
+    /// [`Self::record`] takes, for [`Self::set_copies`].
+    pub(crate) fn recorded(&self) -> u64 {
+        self.dropped + self.entries.len() as u64
+    }
+
+    /// Sets the `copies` of the [`TraceEvent::FrameSent`] recorded at
+    /// position `at` (see [`Self::recorded`]), unless the ring has evicted
+    /// it since.
+    pub(crate) fn set_copies(&mut self, at: u64, n: u32) {
+        let Some(i) = at.checked_sub(self.dropped) else { return };
+        let slot = self.entries.get_mut(i as usize).map(|e| &mut e.1);
+        debug_assert!(matches!(slot, Some(TraceEvent::FrameSent { .. })), "{at} is no FrameSent");
+        if let Some(TraceEvent::FrameSent { copies, .. }) = slot {
+            *copies = n;
+        }
+    }
+
     /// Events currently retained, oldest first.
     pub fn entries(&self) -> impl Iterator<Item = &(crate::time::SimTime, TraceEvent)> {
         self.entries.iter()
@@ -281,16 +299,40 @@ mod trace_tests {
         let mut t = EventTrace::new(4);
         t.record(
             SimTime(1_000_000),
-            TraceEvent::FrameSent { from: 0, tag: FrameTag::Aodv, bytes: 44 },
+            TraceEvent::FrameSent { from: 0, tag: FrameTag::Aodv, bytes: 44, copies: 3 },
         );
         t.record(
             SimTime(2_000_000),
-            TraceEvent::FrameDelivered { to: 1, from: 0, tag: FrameTag::Aodv },
+            TraceEvent::FrameLost { from: 0, tag: FrameTag::Aodv, cause: LossCause::NodeDown },
         );
         let d = t.dump();
         assert!(d.contains("1.000000s"));
-        assert!(d.contains("FrameDelivered"));
+        assert!(d.contains("copies: 3"));
+        assert!(d.contains("NodeDown"));
         assert_eq!(d.lines().count(), 2);
+    }
+
+    #[test]
+    fn set_copies_patches_a_retained_record_and_skips_an_evicted_one() {
+        let sent =
+            |copies| TraceEvent::FrameSent { from: 2, tag: FrameTag::Bcast, bytes: 9, copies };
+        let mut t = EventTrace::new(2);
+        let first = t.recorded();
+        t.record(SimTime(1), sent(0));
+        t.set_copies(first, 4);
+        assert_eq!(t.entries().next().unwrap().1, sent(4));
+        let second = t.recorded();
+        t.record(SimTime(2), sent(0));
+        t.record(SimTime(3), TraceEvent::NodeCrashed { node: 1 });
+        t.record(SimTime(4), TraceEvent::NodeRevived { node: 1 });
+        // Both sends are gone: patching either changes nothing.
+        t.set_copies(first, 7);
+        t.set_copies(second, 7);
+        let kept: Vec<TraceEvent> = t.entries().map(|e| e.1).collect();
+        assert_eq!(
+            kept,
+            vec![TraceEvent::NodeCrashed { node: 1 }, TraceEvent::NodeRevived { node: 1 }]
+        );
     }
 
     #[test]

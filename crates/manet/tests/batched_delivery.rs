@@ -1,6 +1,12 @@
 //! A broadcast is one wheel event carrying its receiver list. These tests
 //! hold that batch to the per-receiver events it replaced: each copy is
-//! still accounted, traced and ordered on its own.
+//! still accounted and ordered on its own, and a copy lost on arrival is
+//! still traced on its own. The frame trace lists a transmission once, with
+//! its copy count; the copies themselves are observed where they land, in
+//! the application.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use manet_sim::engine::{Application, MsgMeta, NodeCtx, Simulator};
 use manet_sim::fault::FaultPlan;
@@ -9,16 +15,22 @@ use manet_sim::radio::RadioConfig;
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::{FrameTag, LossCause, NodeId, TraceEvent};
 
+/// `(link-layer sender, receiver)` of every copy the apps saw, in the
+/// order they saw them, across all nodes.
+type Arrivals = Rc<RefCell<Vec<(NodeId, NodeId)>>>;
+
 /// Timer: broadcast the token. Message: record it and, when `relay` is
 /// set, re-broadcast `payload + 1` once from inside the callback.
 struct Relay {
     relay: bool,
     got: Vec<(NodeId, u64)>,
+    arrivals: Arrivals,
 }
 
 impl Application<u64> for Relay {
     fn on_message(&mut self, ctx: &mut NodeCtx<u64>, meta: MsgMeta, payload: u64) {
         self.got.push((meta.link_from, payload));
+        self.arrivals.borrow_mut().push((meta.link_from, ctx.id));
         if self.relay && payload == 0 {
             ctx.broadcast(payload + 1, 16);
         }
@@ -29,14 +41,15 @@ impl Application<u64> for Relay {
 }
 
 /// Node 0 in the middle of a 100 m cross: everybody hears everybody.
-fn cross(radio: RadioConfig, relay: bool) -> Simulator<u64, Relay> {
+fn cross(radio: RadioConfig, relay: bool) -> (Simulator<u64, Relay>, Arrivals) {
     let mut sim = Simulator::new(radio, 5);
+    let arrivals = Arrivals::default();
     for (x, y) in [(100.0, 100.0), (0.0, 100.0), (200.0, 100.0), (100.0, 0.0), (100.0, 200.0)] {
-        let app = Relay { relay, got: Vec::new() };
+        let app = Relay { relay, got: Vec::new(), arrivals: Rc::clone(&arrivals) };
         sim.add_node(Pos::new(x, y), MobilityConfig::frozen(), app, 1);
     }
     sim.enable_trace(10_000);
-    sim
+    (sim, arrivals)
 }
 
 /// No jitter: a 36-byte broadcast frame lands exactly `AIR` after it is sent.
@@ -51,7 +64,7 @@ fn secs(s: f64) -> SimTime {
 
 #[test]
 fn receiver_crashed_mid_flight_is_lost_alone() {
-    let mut sim = cross(fixed_delay(), false);
+    let (mut sim, arrivals) = cross(fixed_delay(), false);
     sim.schedule_app_timer(0, secs(1.0), 0);
     // Down after the transmit-time gate, before the copies land.
     let mid = secs(1.0) + SimDuration(1_000);
@@ -64,16 +77,17 @@ fn receiver_crashed_mid_flight_is_lost_alone() {
         let want = if i % 2 == 1 { vec![(0, 0)] } else { vec![] };
         assert_eq!(sim.app(i).got, want, "node {i}");
     }
+    assert_eq!(*arrivals.borrow(), [(0, 1), (0, 3)], "receiver order kept");
+    let at = |t: SimTime| {
+        let log = sim.trace().unwrap().entries();
+        log.filter(|e| e.0 == t).map(|e| e.1).collect::<Vec<TraceEvent>>()
+    };
+    // All four copies passed the transmit-time gates...
+    let sent = TraceEvent::FrameSent { from: 0, tag: FrameTag::Bcast, bytes: 36, copies: 4 };
+    assert_eq!(at(secs(1.0)), [sent]);
+    // ...and each crashed receiver's copy dies on arrival, alone.
     let lost = TraceEvent::FrameLost { from: 0, tag: FrameTag::Bcast, cause: LossCause::NodeDown };
-    let log = sim.take_frame_trace().unwrap();
-    let tail: Vec<TraceEvent> = log
-        .entries
-        .iter()
-        .filter(|(at, _)| *at == secs(1.0) + AIR)
-        .map(|e| e.1)
-        .collect();
-    let delivered = |to| TraceEvent::FrameDelivered { to, from: 0, tag: FrameTag::Bcast };
-    assert_eq!(tail, vec![delivered(1), lost, delivered(3), lost], "receiver order kept");
+    assert_eq!(at(secs(1.0) + AIR), [lost, lost]);
 }
 
 #[test]
@@ -82,22 +96,24 @@ fn frames_sent_from_inside_a_batch_land_after_its_last_receiver() {
     // timestamp of the batch that is being delivered.
     let instant =
         RadioConfig { latency: SimDuration::ZERO, bandwidth_bps: f64::INFINITY, ..fixed_delay() };
-    let mut sim = cross(instant, true);
+    let (mut sim, arrivals) = cross(instant, true);
     sim.schedule_app_timer(0, secs(1.0), 0);
     sim.run_to_completion();
     let log = sim.take_frame_trace().unwrap();
     assert!(log.entries.iter().all(|(at, _)| *at == secs(1.0)), "everything at one timestamp");
-    let delivered: Vec<(NodeId, NodeId)> = log
+    // Five transmissions of four copies each, the origin's first.
+    let senders: Vec<(u32, u32)> = log
         .entries
         .iter()
-        .filter_map(|e| match e.1 {
-            TraceEvent::FrameDelivered { to, from, .. } => Some((from as NodeId, to as NodeId)),
-            _ => None,
+        .map(|e| match e.1 {
+            TraceEvent::FrameSent { from, copies, .. } => (from, copies),
+            other => panic!("only sends expected, got {other:?}"),
         })
         .collect();
+    assert_eq!(senders, [(0, 4), (1, 4), (2, 4), (3, 4), (4, 4)]);
     let batch = |from: NodeId| (0..5).filter(move |&to| to != from).map(move |to| (from, to));
     let want: Vec<_> = batch(0).chain((1..=4).flat_map(batch)).collect();
-    assert_eq!(delivered, want, "the origin's four copies first, then each relay's batch");
+    assert_eq!(*arrivals.borrow(), want, "the origin's four copies first, then each relay's batch");
 }
 
 #[test]
@@ -106,7 +122,7 @@ fn a_horizon_never_splits_a_batch_and_stepping_is_one_run() {
     let received =
         |sim: &Simulator<u64, Relay>| (1..=4).map(|i| sim.app(i).got.len()).sum::<usize>();
 
-    let mut sim = cross(fixed_delay(), true);
+    let (mut sim, _) = cross(fixed_delay(), true);
     sim.schedule_app_timer(0, secs(1.0), 0);
     sim.run_until(SimTime(lands.0 - 1));
     assert_eq!((received(&sim), sim.inflight_frames()), (0, 4), "1 µs early: none of it");
@@ -114,7 +130,7 @@ fn a_horizon_never_splits_a_batch_and_stepping_is_one_run() {
     assert_eq!(received(&sim), 4, "at the timestamp: all of it");
     assert_eq!(sim.inflight_frames(), 16, "and the four relays' batches are in the air");
 
-    let mut whole = cross(fixed_delay(), true);
+    let (mut whole, _) = cross(fixed_delay(), true);
     whole.schedule_app_timer(0, secs(1.0), 0);
     whole.run_to_completion();
     let mut t = lands;
@@ -128,7 +144,7 @@ fn a_horizon_never_splits_a_batch_and_stepping_is_one_run() {
 
 #[test]
 fn inflight_counts_copies_and_pending_counts_transmissions() {
-    let mut sim = cross(fixed_delay(), false);
+    let (mut sim, _) = cross(fixed_delay(), false);
     sim.schedule_app_timer(0, secs(1.0), 0);
     sim.run_until(secs(1.0));
     assert_eq!((sim.inflight_frames(), sim.pending_events()), (4, 1));
@@ -138,7 +154,7 @@ fn inflight_counts_copies_and_pending_counts_transmissions() {
 
     // Every copy lost at transmit: nothing is scheduled at all.
     let deaf = RadioConfig { loss_probability: 1.0, ..fixed_delay() };
-    let mut sim = cross(deaf, false);
+    let (mut sim, _) = cross(deaf, false);
     sim.schedule_app_timer(0, secs(1.0), 0);
     sim.run_until(secs(1.0));
     assert_eq!((sim.inflight_frames(), sim.pending_events(), sim.events_scheduled()), (0, 0, 1));

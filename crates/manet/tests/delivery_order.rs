@@ -1,12 +1,22 @@
-//! The engine's delivery order, pinned. The two digests below were
-//! recorded at the commit *before* a broadcast became one wheel entry (one
-//! `Deliver` event per receiver, inline frame, SipHash tables); any engine
-//! change that claims "same events in the same order" must reproduce them.
+//! The engine's delivery order, pinned; any engine change that claims
+//! "same events in the same order" must reproduce the two digests below.
 //!
-//! Each digest folds the complete frame trace — every `FrameSent`,
-//! `FrameDelivered`, `FrameLost` (with its cause), `ForwardDropped`,
+//! Each digest folds the complete frame trace — every `FrameSent` (with
+//! its copy count), `FrameLost` (with its cause), `ForwardDropped`,
 //! `NodeCrashed` and `NodeRevived`, with its timestamp, in engine order —
-//! then the final [`NetStats`] and every node's energy bit pattern.
+//! then every message the application is handed, as (time, receiver,
+//! link-layer sender, broadcast flag) in the order it is handed over, then
+//! the final [`NetStats`] and every node's energy bit pattern.
+//!
+//! The digests were first recorded at the commit before a broadcast
+//! became one wheel entry, over a trace that listed every delivered copy.
+//! They were re-recorded when the trace stopped listing delivered copies,
+//! once the new log had been shown equal, entry for entry, to the old log
+//! with its per-copy delivery records dropped and each transmission's copy
+//! count filled in from its delivery batch.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use manet_sim::engine::{Application, MsgMeta, NeighborMode, NodeCtx, Simulator};
 use manet_sim::fault::FaultPlan;
@@ -21,18 +31,25 @@ const TOKEN_FLOOD: u64 = 0;
 /// `(origin, flood id)` of a relay-once flood, or a unicast reply to one.
 type Msg = (NodeId, u64);
 
+/// `(time µs, receiver, link-layer sender, broadcast)` of every message
+/// handed to an application, across all nodes, in hand-over order.
+type Arrivals = Rc<RefCell<Vec<(u64, NodeId, NodeId, bool)>>>;
+
 /// Floods relay once from inside `on_message` (zero delay — the case where
 /// new frames are scheduled in the middle of a delivery batch), prime the
 /// reverse route and answer the origin by unicast; timer tokens above zero
 /// unicast to node `token - 1`, which is what makes AODV flood RREQs.
-#[derive(Default)]
 struct Flooder {
     seen: Vec<Msg>,
     next_flood: u64,
+    arrivals: Arrivals,
 }
 
 impl Application<Msg> for Flooder {
     fn on_message(&mut self, ctx: &mut NodeCtx<Msg>, meta: MsgMeta, payload: Msg) {
+        self.arrivals
+            .borrow_mut()
+            .push((ctx.now.0, ctx.id, meta.link_from, meta.broadcast));
         if !meta.broadcast || payload.0 == ctx.id || self.seen.contains(&payload) {
             return;
         }
@@ -89,10 +106,12 @@ fn run(mode: NeighborMode, seed: u64) -> (u64, usize, u64) {
     let mut sim: Simulator<Msg, Flooder> = Simulator::new(radio, seed);
     sim.set_neighbor_mode(mode);
     sim.enable_trace(600_000);
+    let arrivals = Arrivals::default();
     for i in 0..NODES {
         let x = 1100.0 * (i as f64 * 0.37 + 0.11).fract();
         let y = 1100.0 * (i as f64 * 0.71 + 0.05).fract();
-        sim.add_node(Pos::new(x, y), mobility, Flooder::default(), seed ^ 0x5EED);
+        let app = Flooder { seen: Vec::new(), next_flood: 0, arrivals: Rc::clone(&arrivals) };
+        sim.add_node(Pos::new(x, y), mobility, app, seed ^ 0x5EED);
     }
     let down = SimDuration::from_secs_f64(9.0);
     sim.install_fault_plan(
@@ -125,14 +144,13 @@ fn run(mode: NeighborMode, seed: u64) -> (u64, usize, u64) {
     let log = sim.take_frame_trace().expect("trace enabled");
     assert_eq!(log.dropped, 0, "the ring must hold the whole run");
     let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut copies = 0;
     for &(at, ev) in &log.entries {
         h.word(at.0);
         let words = match ev {
-            TraceEvent::FrameSent { from, tag, bytes } => {
-                [1, from as u64, tag_code(tag), bytes as u64]
-            }
-            TraceEvent::FrameDelivered { to, from, tag } => {
-                [2, to as u64, from as u64, tag_code(tag)]
+            TraceEvent::FrameSent { from, tag, bytes, copies: c } => {
+                copies += u64::from(c);
+                [1, from as u64, tag_code(tag), bytes as u64, c as u64]
             }
             TraceEvent::FrameLost { from, tag, cause } => {
                 let cause = match cause {
@@ -140,13 +158,21 @@ fn run(mode: NeighborMode, seed: u64) -> (u64, usize, u64) {
                     LossCause::LinkDown => 1,
                     LossCause::NodeDown => 2,
                 };
-                [3, from as u64, tag_code(tag), cause]
+                [3, from as u64, tag_code(tag), cause, 0]
             }
-            TraceEvent::ForwardDropped { at, src, dst } => [4, at as u64, src as u64, dst as u64],
-            TraceEvent::NodeCrashed { node } => [5, node as u64, 0, 0],
-            TraceEvent::NodeRevived { node } => [6, node as u64, 0, 0],
+            TraceEvent::ForwardDropped { at, src, dst } => {
+                [4, at as u64, src as u64, dst as u64, 0]
+            }
+            TraceEvent::NodeCrashed { node } => [5, node as u64, 0, 0, 0],
+            TraceEvent::NodeRevived { node } => [6, node as u64, 0, 0, 0],
         };
         words.into_iter().for_each(|w| h.word(w));
+    }
+    assert_eq!(copies, sim.copies_scheduled(), "the log's copy counts sum to the engine's");
+    for &(at, to, link_from, broadcast) in arrivals.borrow().iter() {
+        [at, to as u64, link_from as u64, u64::from(broadcast)]
+            .into_iter()
+            .for_each(|w| h.word(w));
     }
     let s = *sim.stats();
     for w in [
@@ -190,7 +216,7 @@ fn unit_disk_oracle_order_is_pinned() {
     let got = run(NeighborMode::Oracle, 7);
     assert_eq!(
         got,
-        (10_140_343_493_586_206_419, 97_187, 13_074),
+        (3_546_302_954_868_175_868, 27_514, 13_074),
         "(digest, trace events, frames_lost)"
     );
 }
@@ -200,7 +226,7 @@ fn unit_disk_beacon_order_is_pinned() {
     let got = run(BEACON, 7);
     assert_eq!(
         got,
-        (14_270_713_394_841_802_418, 180_910, 28_651),
+        (9_414_846_727_740_161_026, 51_083, 28_651),
         "(digest, trace events, frames_lost)"
     );
 }

@@ -24,8 +24,8 @@ impl Application<u64> for Beacon {
 }
 
 /// Node 0 in the middle of a 100 m cross, broadcasting `bursts` times (one
-/// `FrameSent` + four `FrameDelivered` each), then crashing when `crash`
-/// is set (one `NodeCrashed`).
+/// `FrameSent { copies: 4 }` each), then crashing when `crash` is set (one
+/// `NodeCrashed`).
 fn run(capacity: usize, bursts: u64, crash: bool) -> Simulator<u64, Beacon> {
     let mut sim = Simulator::new(RadioConfig::default(), 5);
     for (x, y) in [(100.0, 100.0), (0.0, 100.0), (200.0, 100.0), (100.0, 0.0), (100.0, 200.0)] {
@@ -60,18 +60,21 @@ fn an_unwrapped_ring_is_handed_over_whole() {
     let mut sim = run(10_000, 4, true);
     assert_eq!(sim.trace().unwrap().dropped, 0);
     let entries = take_checked(&mut sim);
-    assert_eq!(entries.len(), 21);
-    assert!(matches!(entries[0].1, TraceEvent::FrameSent { from: 0, tag: FrameTag::Bcast, .. }));
-    assert_eq!(entries[20].1, TraceEvent::NodeCrashed { node: 0 });
+    assert_eq!(entries.len(), 5);
+    let burst = TraceEvent::FrameSent { from: 0, tag: FrameTag::Bcast, bytes: 36, copies: 4 };
+    for (i, e) in entries[..4].iter().enumerate() {
+        assert_eq!((e.0, e.1), (SimTime::from_secs_f64(1.0 + i as f64), burst), "burst {i}");
+    }
+    assert_eq!(entries[4].1, TraceEvent::NodeCrashed { node: 0 });
 }
 
 #[test]
 fn a_wrapped_ring_is_rotated_into_order() {
     let whole = take_checked(&mut run(10_000, 4, true));
-    // 21 events through 8 slots leave the ring's head mid-buffer.
-    let mut sim = run(8, 4, true);
-    assert_eq!(sim.trace().unwrap().dropped, 13);
-    assert_eq!(take_checked(&mut sim), whole[13..], "the last eight, oldest first");
+    // 5 events through 3 slots leave the ring's head mid-buffer.
+    let mut sim = run(3, 4, true);
+    assert_eq!(sim.trace().unwrap().dropped, 2);
+    assert_eq!(take_checked(&mut sim), whole[2..], "the last three, oldest first");
 }
 
 #[test]

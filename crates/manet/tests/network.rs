@@ -225,19 +225,21 @@ fn event_trace_captures_radio_activity() {
     let trace = sim.trace().expect("enabled");
     assert!(!trace.is_empty());
     use manet_sim::trace::TraceEvent;
-    let sends = trace
+    let copies: Vec<u32> = trace
         .entries()
-        .filter(|(_, e)| matches!(e, TraceEvent::FrameSent { .. }))
-        .count();
-    let delivers = trace
-        .entries()
-        .filter(|(_, e)| matches!(e, TraceEvent::FrameDelivered { .. }))
-        .count();
-    assert!(sends > 0 && delivers > 0);
-    // The dump is line-per-event and mentions both directions.
+        .filter_map(|(_, e)| match *e {
+            TraceEvent::FrameSent { copies, .. } => Some(copies),
+            _ => None,
+        })
+        .collect();
+    assert!(!copies.is_empty() && copies.iter().any(|&c| c > 0));
+    // Every copy the trace says was scheduled is one the engine scheduled.
+    let total: u64 = copies.iter().map(|&c| u64::from(c)).sum();
+    assert_eq!(total, sim.copies_scheduled());
+    // The dump is line-per-event and carries the copy counts.
     let dump = trace.dump();
     assert!(dump.contains("FrameSent"));
-    assert!(dump.contains("FrameDelivered"));
+    assert!(dump.contains("copies: 1"));
 }
 
 #[test]
