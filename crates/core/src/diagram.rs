@@ -22,11 +22,14 @@
 //! over many cells cheap to keep fresh under churn.
 //!
 //! Each cell's membership is tracked by a [`LiveSkyline`], so adds and
-//! removes are sublinear in the cell population, and
+//! removes are sublinear in the cell population. Every site is one row of
+//! the diagram's [`SiteTable`]; a cell parks and compares the row's `u32`
+//! handle, never a copy of the tuple. And
 //! [`SkylineDiagram::check_invariants`] proves exactness after any delta
 //! sequence: every cached answer must equal a from-scratch constrained
 //! skyline recompute over the authoritative site set, and every cell's
-//! `LiveSkyline` must pass its own bucket-partition proof.
+//! `LiveSkyline` must hold exactly the sites inside the cell and pass its
+//! own bucket-partition proof.
 //!
 //! A reader of one epoch needs the answers only, so
 //! [`SkylineDiagram::freeze`] hands out a [`FrozenAnswers`] table that
@@ -38,6 +41,7 @@ use std::sync::Arc;
 use crate::constrained;
 use crate::live::LiveSkyline;
 use crate::region::{Point, QueryRegion};
+use crate::site_table::SiteTable;
 use crate::tuple::{Tuple, TupleId};
 
 /// Quantization of the `(origin, radius)` query plane.
@@ -151,13 +155,13 @@ pub struct DiagramStats {
     pub evictions: u64,
 }
 
-/// A materialized cell: its live constrained skyline plus the cached
-/// canonical answer.
+/// A materialized cell: its live constrained skyline, over the diagram's
+/// site table, plus the cached canonical answer.
 #[derive(Debug)]
 struct Cell {
     region: QueryRegion,
     live: LiveSkyline,
-    /// Kept equal to `live.result_ids()`; re-allocated only when a delta
+    /// Kept equal to `live.result_ids(sites)`; re-allocated only when a delta
     /// actually changes it, so frozen views share it until then.
     cached: CellAnswer,
 }
@@ -199,8 +203,9 @@ impl FrozenAnswers {
 #[derive(Debug)]
 pub struct SkylineDiagram {
     cfg: DiagramConfig,
-    /// Authoritative live site set (id → current tuple).
-    sites: BTreeMap<TupleId, Tuple>,
+    /// Authoritative live site set, one row per id. A row's handle is
+    /// released only once every cell has dropped it.
+    sites: SiteTable,
     /// Lazily materialized cells. `BTreeMap` so iteration order — and with
     /// it every counter and report — is deterministic.
     cells: BTreeMap<CellKey, Cell>,
@@ -212,14 +217,15 @@ impl SkylineDiagram {
     pub fn new(cfg: DiagramConfig) -> Self {
         SkylineDiagram {
             cfg,
-            sites: BTreeMap::new(),
+            sites: SiteTable::new(),
             cells: BTreeMap::new(),
             stats: Default::default(),
         }
     }
 
     /// A diagram seeded with an initial site set (ids via
-    /// [`TupleId::site`]).
+    /// [`TupleId::site`]; a later tuple of the same site replaces an
+    /// earlier one).
     pub fn with_sites<I: IntoIterator<Item = Tuple>>(cfg: DiagramConfig, seed: I) -> Self {
         let mut d = Self::new(cfg);
         for t in seed {
@@ -255,7 +261,7 @@ impl SkylineDiagram {
 
     /// The live site set (id → tuple), in id order.
     pub fn sites(&self) -> impl Iterator<Item = (&TupleId, &Tuple)> {
-        self.sites.iter()
+        self.sites.iter().map(|(_, id, t)| (id, t))
     }
 
     /// The cached answer for `key`, or `None` when the cell is not
@@ -279,12 +285,13 @@ impl SkylineDiagram {
             span.add_units(1);
             let region = self.cfg.canonical_query(key);
             let mut live = LiveSkyline::new();
-            for (id, t) in &self.sites {
+            for (h, _, t) in self.sites.iter() {
                 if region.contains(t.location()) {
-                    live.insert(*id, t.clone());
+                    live.insert(&self.sites, h);
                 }
             }
-            let cached = CellAnswer { ids: live.result_ids().into(), refreshed_at: epoch };
+            let cached =
+                CellAnswer { ids: live.result_ids(&self.sites).into(), refreshed_at: epoch };
             self.stats.cells_materialized += 1;
             self.cells.insert(key, Cell { region, live, cached });
         }
@@ -332,35 +339,37 @@ impl SkylineDiagram {
         let mut touched: Vec<CellKey> = Vec::new();
 
         for id in &delta.removes {
-            let Some(old) = self.sites.remove(id) else { continue };
-            let pos = old.location();
+            let Some(h) = self.sites.handle(id) else { continue };
+            let pos = self.sites.tuple(h).location();
             for (key, cell) in self.cells.iter_mut() {
                 if cell.region.contains(pos) {
-                    cell.live.remove(id);
+                    cell.live.remove(&self.sites, h);
                     report.cells_touched += 1;
                     touched.push(*key);
                 } else {
                     report.cells_skipped += 1;
                 }
             }
+            self.sites.release(h);
         }
         for (id, t) in &delta.adds {
             let pos = t.location();
-            // An add of a live id replaces its state: retract the stale
-            // copy from every cell that held it first.
-            if let Some(old) = self.sites.insert(*id, t.clone()) {
-                let old_pos = old.location();
+            // An add of a live id replaces its state: retract it from every
+            // cell that held it first, then rewrite its row in place.
+            if let Some(h) = self.sites.handle(id) {
+                let old_pos = self.sites.tuple(h).location();
                 for (key, cell) in self.cells.iter_mut() {
                     if cell.region.contains(old_pos) {
-                        cell.live.remove(id);
+                        cell.live.remove(&self.sites, h);
                         report.cells_touched += 1;
                         touched.push(*key);
                     }
                 }
             }
+            let h = self.sites.insert(*id, t.clone());
             for (key, cell) in self.cells.iter_mut() {
                 if cell.region.contains(pos) {
-                    cell.live.insert(*id, t.clone());
+                    cell.live.insert(&self.sites, h);
                     report.cells_touched += 1;
                     touched.push(*key);
                 } else {
@@ -373,7 +382,7 @@ impl SkylineDiagram {
         touched.dedup();
         for key in touched {
             let cell = self.cells.get_mut(&key).expect("touched cells are materialized");
-            let fresh = cell.live.result_ids();
+            let fresh = cell.live.result_ids(&self.sites);
             if fresh[..] != cell.cached.ids[..] {
                 cell.cached = CellAnswer { ids: fresh.into(), refreshed_at: epoch };
                 report.invalidated.push(key);
@@ -388,15 +397,23 @@ impl SkylineDiagram {
 
     /// The exactness proof: every materialized cell's cached answer must
     /// equal the reference [`constrained::skyline`] over the authoritative
-    /// site set, its `LiveSkyline` must agree with the cache, and the
-    /// `LiveSkyline` itself must pass its bucket-partition invariants.
+    /// site set, its `LiveSkyline` must agree with the cache, hold one live
+    /// row per site inside the cell's disk, and pass its own
+    /// bucket-partition invariants.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (key, cell) in &self.cells {
             cell.live
-                .check_invariants()
+                .check_invariants(&self.sites)
                 .map_err(|e| format!("cell {key:?}: live skyline broken: {e}"))?;
+            let inside = self.sites().filter(|(_, t)| cell.region.contains(t.location())).count();
+            if cell.live.live_len() != inside {
+                return Err(format!(
+                    "cell {key:?}: holds {} rows, {inside} sites lie inside it",
+                    cell.live.live_len()
+                ));
+            }
             let cached = &cell.cached.ids[..];
-            let live_ids = cell.live.result_ids();
+            let live_ids = cell.live.result_ids(&self.sites);
             if *cached != live_ids[..] {
                 return Err(format!(
                     "cell {key:?}: cached answer diverged from its live skyline \
@@ -406,7 +423,7 @@ impl SkylineDiagram {
                 ));
             }
             let mut recomputed: Vec<TupleId> =
-                constrained::skyline(self.sites.iter().map(|(id, t)| (*id, t)), &cell.region)
+                constrained::skyline(self.sites().map(|(id, t)| (*id, t)), &cell.region)
                     .into_iter()
                     .map(|(id, _)| id)
                     .collect();
@@ -535,6 +552,51 @@ mod tests {
         d.apply(&SkyDelta { adds: vec![(id, t(5000.0, 5000.0, &[5.0]))], removes: vec![] }, 2);
         assert!(d.answer(key).unwrap().ids.is_empty());
         assert_eq!(d.site_count(), 1);
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_moved_site_leaves_and_enters_cells_that_share_it() {
+        // Four of five overlapping cells hold the mover, which dominates
+        // the rest of the population. One delta moves it (remove + add of one
+        // id): every cell drops its handle and promotes the bucket, and
+        // the cells around the new position take the rewritten row.
+        let mover = TupleId(1, 0);
+        let mut d = SkylineDiagram::new(cfg());
+        d.apply(
+            &SkyDelta {
+                adds: vec![
+                    (mover, t(150.0, 150.0, &[1.0, 1.0])),
+                    (TupleId(2, 0), t(140.0, 160.0, &[2.0, 5.0])),
+                    (TupleId(3, 0), t(160.0, 140.0, &[5.0, 2.0])),
+                    (TupleId(4, 0), t(420.0, 150.0, &[3.0, 3.0])),
+                ],
+                removes: vec![],
+            },
+            0,
+        );
+        let keys: Vec<CellKey> = [(150.0, 250.0), (250.0, 250.0), (350.0, 250.0), (450.0, 250.0)]
+            .into_iter()
+            .chain([(150.0, 100.0)])
+            .map(|(x, r)| d.key_for(Point::new(x, 150.0), r))
+            .collect();
+        for &k in &keys {
+            d.materialize(k, 0);
+        }
+        let holds = |d: &SkylineDiagram, k: CellKey| d.answer(k).unwrap().ids.contains(&mover);
+        assert_eq!(keys.iter().filter(|&&k| holds(&d, k)).count(), 4, "shared by four cells");
+        let delta =
+            SkyDelta { adds: vec![(mover, t(440.0, 150.0, &[1.0, 1.0]))], removes: vec![mover] };
+        let rep = d.apply(&delta, 1);
+        assert_eq!(d.site_count(), 4);
+        let now: Vec<bool> = keys.iter().map(|&k| holds(&d, k)).collect();
+        assert_eq!(now, [false, true, true, true, false]);
+        assert_eq!(
+            d.answer(keys[0]).unwrap().ids[..],
+            [TupleId(2, 0), TupleId(3, 0)],
+            "the bucket was promoted"
+        );
+        assert_eq!(rep.invalidated.len(), 3);
         d.check_invariants().unwrap();
     }
 

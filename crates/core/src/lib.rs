@@ -42,6 +42,7 @@ pub mod dominance;
 pub mod live;
 pub mod merge;
 pub mod region;
+pub mod site_table;
 pub mod tuple;
 pub mod vdr;
 
@@ -53,5 +54,6 @@ pub use dominance::{dominates, DominanceTest};
 pub use live::LiveSkyline;
 pub use merge::SkylineMerger;
 pub use region::{Mbr, Point, QueryRegion};
+pub use site_table::SiteTable;
 pub use tuple::{Attrs, Tuple, TupleId};
 pub use vdr::{vdr_volume, BoundsMode, FilterTuple, MultiFilterSelection, UpperBounds};

@@ -11,7 +11,33 @@ use skyline_core::diagram::{DiagramConfig, FrozenAnswers, SkyDelta, SkylineDiagr
 use skyline_core::dominance::{dominates, paper_strict_dominates_rest};
 use skyline_core::region::{Mbr, Point, QueryRegion};
 use skyline_core::vdr::{select_filter, vdr_volume, UpperBounds};
-use skyline_core::{constrained, Attrs, LiveSkyline, SkylineMerger, Tuple, TupleId};
+use skyline_core::{constrained, Attrs, LiveSkyline, SiteTable, SkylineMerger, Tuple, TupleId};
+
+/// A site table and a maintainer driven by `(id, tuple)`, the way the
+/// monitor drives its fold: an id's row lives exactly as long as the id is
+/// live in `ls`, and a live id's row is never rewritten.
+#[derive(Default)]
+struct Fold {
+    sites: SiteTable,
+    ls: LiveSkyline,
+}
+
+impl Fold {
+    fn insert(&mut self, id: TupleId, t: Tuple) -> bool {
+        let h = match self.sites.handle(&id) {
+            Some(h) => h,
+            None => self.sites.insert(id, t),
+        };
+        self.ls.insert(&self.sites, h)
+    }
+
+    fn remove(&mut self, id: &TupleId) -> bool {
+        let Some(h) = self.sites.handle(id) else { return false };
+        assert!(self.ls.remove(&self.sites, h), "a live row is live in the fold");
+        self.sites.release(h);
+        true
+    }
+}
 
 /// Strategy: a relation of up to `max` tuples with `dim` attributes drawn
 /// from a small integer grid (ties are the interesting case).
@@ -246,19 +272,20 @@ proptest! {
         ops in prop::collection::vec((0u64..24, prop::collection::vec(0u16..12, 6), any::<bool>()), 1..80),
     ) {
         // Arbitrary insert/remove interleavings over a small id space (so
-        // removes actually hit) must keep LiveSkyline equal to the
-        // from-scratch skyline over the surviving tuples, at every step,
-        // for every dimensionality the workspace benchmarks (d = 1..6).
-        let mut ls = LiveSkyline::new();
+        // removes actually hit, and freed handles are reused) must keep
+        // LiveSkyline equal to the from-scratch skyline over the surviving
+        // tuples, at every step, for every dimensionality the workspace
+        // benchmarks (d = 1..6).
+        let mut f = Fold::default();
         let mut live: std::collections::BTreeMap<TupleId, Tuple> = std::collections::BTreeMap::new();
         for (step, (raw_id, attrs, remove)) in ops.into_iter().enumerate() {
             let id = TupleId(raw_id, 0);
             if remove {
-                prop_assert_eq!(ls.remove(&id), live.remove(&id).is_some());
+                prop_assert_eq!(f.remove(&id), live.remove(&id).is_some());
             } else {
                 let t = Tuple::new(0.0, 0.0, attrs[..dim].iter().map(|&v| f64::from(v)).collect());
                 let fresh = !live.contains_key(&id);
-                ls.insert(id, t.clone());
+                f.insert(id, t.clone());
                 if fresh {
                     live.insert(id, t);
                 }
@@ -269,10 +296,11 @@ proptest! {
             let mut expect: Vec<TupleId> =
                 bnl::skyline_indices(&data).into_iter().map(|i| ids[i]).collect();
             expect.sort_unstable();
-            prop_assert_eq!(ls.result_ids(), expect, "step {} dim {}", step, dim);
-            prop_assert_eq!(ls.live_len(), live.len());
+            prop_assert_eq!(f.ls.result_ids(&f.sites), expect, "step {} dim {}", step, dim);
+            prop_assert_eq!(f.ls.live_len(), live.len());
+            prop_assert_eq!(f.sites.len(), live.len());
         }
-        ls.check_invariants().map_err(TestCaseError::fail)?;
+        f.ls.check_invariants(&f.sites).map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -283,45 +311,93 @@ proptest! {
     ) {
         // Adversarial ordering on ONE tuple id: add / remove / re-add the
         // same id over and over, with different attribute vectors each
-        // round, against a fixed background population. The bucket
-        // partition (every dominated tuple parked under exactly one live
-        // dominator) must survive every step — re-adding an id whose
-        // bucket absorbed others, removing it while it holds a bucket,
-        // and duplicate inserts (which the contract ignores) are the
-        // orderings a delta stream under churn actually produces.
-        let mut ls = LiveSkyline::new();
+        // round, against a fixed background population. Each re-add takes
+        // the handle the last removal freed. The bucket partition (every
+        // dominated tuple parked under exactly one live dominator) must
+        // survive every step — re-adding an id whose bucket absorbed
+        // others, removing it while it holds a bucket, and duplicate
+        // inserts (which the contract ignores) are the orderings a delta
+        // stream under churn actually produces.
+        let mut f = Fold::default();
         for (i, attrs) in background.iter().enumerate() {
-            ls.insert(
+            f.insert(
                 TupleId(1000 + i as u64, 0),
                 Tuple::new(i as f64, 0.0, attrs[..dim].iter().map(|&v| f64::from(v)).collect()),
             );
         }
         let victim = TupleId(7, 7);
         let mut victim_live = false;
-        let mut background_len = ls.live_len();
+        let mut background_len = f.ls.live_len();
         for (step, (remove, attrs)) in ops.into_iter().enumerate() {
             if remove {
-                prop_assert_eq!(ls.remove(&victim), victim_live, "step {}", step);
+                prop_assert_eq!(f.remove(&victim), victim_live, "step {}", step);
                 victim_live = false;
             } else {
                 let t = Tuple::new(99.0, 99.0, attrs[..dim].iter().map(|&v| f64::from(v)).collect());
                 // Duplicate inserts of a live id are ignored by contract
                 // ("remove first to update") — the id stays live either way.
-                ls.insert(victim, t);
+                f.insert(victim, t);
                 victim_live = true;
             }
-            ls.check_invariants().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
-            prop_assert_eq!(ls.live_len(), background_len + usize::from(victim_live));
+            f.ls.check_invariants(&f.sites).map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
+            prop_assert_eq!(f.ls.live_len(), background_len + usize::from(victim_live));
             // The background population never leaks: removing the victim
             // must promote its bucket (if any) back into the structure.
             if !victim_live {
-                prop_assert!(!ls.result_ids().contains(&victim));
+                prop_assert!(!f.ls.result_ids(&f.sites).contains(&victim));
             }
         }
         // Background ids all still tracked after the churn storm.
-        ls.remove(&victim);
-        background_len = ls.live_len();
+        f.remove(&victim);
+        background_len = f.ls.live_len();
         prop_assert_eq!(background_len, background.len());
+    }
+
+    #[test]
+    fn a_delta_that_moves_shared_sites_keeps_every_cell_exact(
+        cells in prop::collection::vec((0u16..600, 0u16..600, 0usize..3), 2..10),
+        sites in prop::collection::vec((0u16..600, 0u16..600, prop::collection::vec(0u16..8, 2)), 1..40),
+        moves in prop::collection::vec(
+            prop::collection::vec((0usize..40, 0u16..600, 0u16..600), 1..6),
+            1..10,
+        ),
+    ) {
+        // A moved site is a remove and an add of the same id in one
+        // delta. Cells whose disks overlap share the site's row: each
+        // drops the old handle, the row is rewritten, and the cells the
+        // new position reaches take it again. The rest of the population
+        // stays put, so the removals promote and re-park real buckets.
+        let cfg = DiagramConfig::new(100.0, vec![80.0, 200.0, 500.0]);
+        let mut d = SkylineDiagram::new(cfg.clone());
+        for &(x, y, band) in &cells {
+            d.materialize(cfg.key_for(Point::new(f64::from(x), f64::from(y)), cfg.radius_bands[band]), 0);
+        }
+        let ids: Vec<TupleId> = (0..sites.len() as u64).map(|i| TupleId(i, 0)).collect();
+        let seed = SkyDelta {
+            adds: sites
+                .iter()
+                .zip(&ids)
+                .map(|(&(x, y, ref a), &id)| {
+                    (id, Tuple::new(f64::from(x), f64::from(y), a.iter().copied().map(f64::from).collect()))
+                })
+                .collect(),
+            removes: vec![],
+        };
+        d.apply(&seed, 1);
+        d.check_invariants().map_err(TestCaseError::fail)?;
+        let mut attrs: Vec<Vec<f64>> = sites.iter().map(|s| s.2.iter().copied().map(f64::from).collect()).collect();
+        for (i, epoch_moves) in moves.into_iter().enumerate() {
+            let mut delta = SkyDelta::default();
+            for (k, x, y) in epoch_moves {
+                let k = k % ids.len();
+                attrs[k].reverse();
+                delta.removes.push(ids[k]);
+                delta.adds.push((ids[k], Tuple::new(f64::from(x), f64::from(y), attrs[k].clone())));
+            }
+            d.apply(&delta, i as u64 + 2);
+            d.check_invariants().map_err(|e| TestCaseError::fail(format!("epoch {}: {e}", i + 2)))?;
+            prop_assert_eq!(d.site_count(), ids.len());
+        }
     }
 
     #[test]

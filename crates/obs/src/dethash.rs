@@ -32,6 +32,10 @@ impl Hasher for DetHasher {
         self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
     #[inline]
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(u64::from(w));
+    }
+    #[inline]
     fn write_usize(&mut self, w: usize) {
         self.write_u64(w as u64);
     }

@@ -16,6 +16,8 @@ fn hash_of(key: impl Hash) -> u64 {
 fn hashes_are_fixed_and_spread_dense_keys() {
     // Literals: no per-process seed can be hiding in the hasher.
     assert_eq!(hash_of(1usize), 0x9E37_79B9_7F4A_7C15);
+    // A `u32` (a site-table handle) is one word, not four byte rounds.
+    assert_eq!(hash_of(7u32), hash_of(7u64));
     assert_eq!(hash_of((3usize, 9u64)), hash_of((3usize, 9u64)));
     assert_ne!(hash_of((3usize, 9u64)), hash_of((9usize, 3u64)));
     assert_ne!(hash_of((-1i64, 0i64)), hash_of((0i64, -1i64)));
