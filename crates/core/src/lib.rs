@@ -51,7 +51,7 @@ pub use diagram::{
     SkylineDiagram,
 };
 pub use dominance::{dominates, DominanceTest};
-pub use live::LiveSkyline;
+pub use live::{LiveFold, LiveSkyline};
 pub use merge::SkylineMerger;
 pub use region::{Mbr, Point, QueryRegion};
 pub use site_table::SiteTable;

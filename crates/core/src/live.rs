@@ -289,6 +289,87 @@ impl LiveSkyline {
     }
 }
 
+/// A [`LiveSkyline`] over a [`SiteTable`] of its own, driven by
+/// `(id, tuple)`: an id's row lives exactly as long as the id is live in
+/// the maintainer, and a live id's row is never rewritten. The monitor's
+/// originator folds its applied reports through one.
+///
+/// ```
+/// use skyline_core::{LiveFold, Tuple, TupleId};
+///
+/// let mut fold = LiveFold::new();
+/// fold.insert(TupleId(1, 0), Tuple::new(0.0, 0.0, vec![1.0, 1.0]));
+/// fold.insert(TupleId(2, 0), Tuple::new(1.0, 0.0, vec![5.0, 5.0]));
+/// assert!(fold.remove(&TupleId(1, 0))); // the parked tuple is promoted
+/// assert_eq!(fold.result_ids(), [TupleId(2, 0)]);
+/// assert_eq!(fold.sites().len(), 1);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct LiveFold {
+    sites: SiteTable,
+    live: LiveSkyline,
+}
+
+impl LiveFold {
+    /// Empty fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds site `id` in; `true` when it entered the skyline. A folded id
+    /// keeps its first tuple, and the maintainer counts the duplicate.
+    pub fn insert(&mut self, id: TupleId, t: Tuple) -> bool {
+        let h = match self.sites.handle(&id) {
+            Some(h) => h,
+            None => self.sites.insert(id, t),
+        };
+        self.live.insert(&self.sites, h)
+    }
+
+    /// Takes site `id` out and releases its row; `false` when it was not
+    /// folded.
+    pub fn remove(&mut self, id: &TupleId) -> bool {
+        let Some(h) = self.sites.handle(id) else { return false };
+        let folded = self.live.remove(&self.sites, h);
+        self.sites.release(h);
+        folded
+    }
+
+    /// The folded skyline, in insertion order.
+    pub fn result(&self) -> Vec<Tuple> {
+        self.live.result(&self.sites)
+    }
+
+    /// The folded skyline's ids, sorted.
+    pub fn result_ids(&self) -> Vec<TupleId> {
+        self.live.result_ids(&self.sites)
+    }
+
+    /// The table of folded sites.
+    pub fn sites(&self) -> &SiteTable {
+        &self.sites
+    }
+
+    /// The maintainer over [`sites`](Self::sites).
+    pub fn live(&self) -> &LiveSkyline {
+        &self.live
+    }
+
+    /// [`LiveSkyline::check_invariants`] over the fold's own table, plus
+    /// one table row per live id.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.live.check_invariants(&self.sites)?;
+        if self.live.live_len() != self.sites.len() {
+            return Err(format!(
+                "{} live ids, {} table rows",
+                self.live.live_len(),
+                self.sites.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
@@ -399,76 +480,36 @@ mod tests {
 
     use reference::RefLive;
 
-    /// A table and a maintainer driven by `(id, tuple)`, the way the
-    /// monitor drives its fold: an id's row lives exactly as long as the
-    /// id is live in `ls`, and a live id's row is never rewritten.
-    #[derive(Default)]
-    struct Fold {
-        sites: SiteTable,
-        ls: LiveSkyline,
+    /// The members of `f`, ids and tuples, in order.
+    fn members(f: &LiveFold) -> Vec<(TupleId, Tuple)> {
+        f.live.sky.iter().map(|&h| (f.sites.id(h), f.sites.tuple(h).clone())).collect()
     }
 
-    impl Fold {
-        fn insert(&mut self, id: TupleId, t: Tuple) -> bool {
-            let h = match self.sites.handle(&id) {
-                Some(h) => h,
-                None => self.sites.insert(id, t),
-            };
-            self.ls.insert(&self.sites, h)
-        }
-
-        fn remove(&mut self, id: &TupleId) -> bool {
-            let Some(h) = self.sites.handle(id) else { return false };
-            assert!(self.ls.remove(&self.sites, h), "a live row is live in the fold");
-            self.sites.release(h);
-            true
-        }
-
-        fn result_ids(&self) -> Vec<TupleId> {
-            self.ls.result_ids(&self.sites)
-        }
-
-        /// The members, ids and tuples, in order.
-        fn members(&self) -> Vec<(TupleId, Tuple)> {
-            self.ls
-                .sky
-                .iter()
-                .map(|&h| (self.sites.id(h), self.sites.tuple(h).clone()))
-                .collect()
-        }
-
-        /// Every live id with its owner (`None` for a member), by id.
-        fn owners(&self) -> Vec<(TupleId, Option<TupleId>)> {
-            let mut out: Vec<_> = self
-                .ls
-                .index
-                .iter()
-                .map(|(&h, &slot)| {
-                    let owner = (slot != SKY).then(|| self.sites.id(slot.owner));
-                    (self.sites.id(h), owner)
-                })
-                .collect();
-            out.sort_unstable();
-            out
-        }
-
-        fn check(&self) {
-            self.ls.check_invariants(&self.sites).unwrap();
-            assert_eq!(self.ls.live_len(), self.sites.len(), "one row per live id");
-        }
+    /// Every live id of `f` with its owner (`None` for a member), by id.
+    fn owners(f: &LiveFold) -> Vec<(TupleId, Option<TupleId>)> {
+        let mut out: Vec<_> = f
+            .live
+            .index
+            .iter()
+            .map(|(&h, &slot)| {
+                let owner = (slot != SKY).then(|| f.sites.id(slot.owner));
+                (f.sites.id(h), owner)
+            })
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Everything observable of `f` equals the reference's: members in
     /// order, each parked id's owner and both counters.
-    fn assert_matches_reference(f: &Fold, rf: &RefLive, at: &str) {
-        assert_eq!(f.members(), rf.sky, "{at}: members in order");
-        assert_eq!(f.owners(), rf.owners(), "{at}: owners");
-        assert_eq!(f.ls.promotions, rf.promotions, "{at}: promotions");
-        assert_eq!(f.ls.duplicates_ignored, rf.duplicates_ignored, "{at}: duplicates");
-        if let Err(e) = f.ls.check_invariants(&f.sites) {
+    fn assert_matches_reference(f: &LiveFold, rf: &RefLive, at: &str) {
+        assert_eq!(members(f), rf.sky, "{at}: members in order");
+        assert_eq!(owners(f), rf.owners(), "{at}: owners");
+        assert_eq!(f.live.promotions, rf.promotions, "{at}: promotions");
+        assert_eq!(f.live.duplicates_ignored, rf.duplicates_ignored, "{at}: duplicates");
+        if let Err(e) = f.check_invariants() {
             panic!("{at}: {e}");
         }
-        assert_eq!(f.ls.live_len(), f.sites.len(), "{at}: one row per live id");
     }
 
     fn t(attrs: &[f64]) -> Tuple {
@@ -487,44 +528,44 @@ mod tests {
 
     #[test]
     fn insert_parks_dominated_and_remove_promotes() {
-        let mut f = Fold::default();
+        let mut f = LiveFold::default();
         assert!(f.insert(TupleId(1, 0), t(&[1.0, 1.0])));
         assert!(!f.insert(TupleId(2, 0), t(&[2.0, 2.0])));
         assert!(!f.insert(TupleId(3, 0), t(&[3.0, 3.0])));
-        assert_eq!(f.ls.len(), 1);
-        assert_eq!(f.ls.live_len(), 3);
+        assert_eq!(f.live.len(), 1);
+        assert_eq!(f.live.live_len(), 3);
         assert!(f.remove(&TupleId(1, 0)));
         // 2 promoted; 3 re-parked under 2.
         assert_eq!(f.result_ids(), vec![TupleId(2, 0)]);
-        assert_eq!(f.ls.live_len(), 2);
-        assert_eq!(f.ls.promotions, 1);
-        f.check();
+        assert_eq!(f.live.live_len(), 2);
+        assert_eq!(f.live.promotions, 1);
+        f.check_invariants().unwrap();
     }
 
     #[test]
     fn inserting_dominator_absorbs_members_and_their_buckets() {
-        let mut f = Fold::default();
+        let mut f = LiveFold::default();
         f.insert(TupleId(1, 0), t(&[5.0, 5.0]));
         f.insert(TupleId(2, 0), t(&[6.0, 6.0])); // parked under 1
         f.insert(TupleId(3, 0), t(&[1.0, 9.0]));
         assert!(f.insert(TupleId(4, 0), t(&[2.0, 2.0]))); // evicts 1 (+bucket)
         assert_eq!(f.result_ids(), vec![TupleId(3, 0), TupleId(4, 0)]);
-        assert_eq!(f.ls.live_len(), 4);
-        f.check();
+        assert_eq!(f.live.live_len(), 4);
+        f.check_invariants().unwrap();
         // Removing the absorber resurfaces the whole chain.
         f.remove(&TupleId(4, 0));
         assert_eq!(f.result_ids(), vec![TupleId(1, 0), TupleId(3, 0)]);
-        f.check();
+        f.check_invariants().unwrap();
     }
 
     #[test]
     fn duplicate_ids_are_ignored_and_counted() {
-        let mut f = Fold::default();
+        let mut f = LiveFold::default();
         assert!(f.insert(TupleId(1, 0), t(&[1.0])));
         assert!(!f.insert(TupleId(1, 0), t(&[0.5])));
-        assert_eq!(f.ls.duplicates_ignored, 1);
-        assert_eq!(f.ls.live_len(), 1);
-        assert_eq!(f.ls.result(&f.sites), vec![t(&[1.0])], "the first state stays");
+        assert_eq!(f.live.duplicates_ignored, 1);
+        assert_eq!(f.live.live_len(), 1);
+        assert_eq!(f.result(), vec![t(&[1.0])], "the first state stays");
     }
 
     #[test]
@@ -540,21 +581,21 @@ mod tests {
 
     #[test]
     fn removing_parked_tuple_leaves_skyline_untouched() {
-        let mut f = Fold::default();
+        let mut f = LiveFold::default();
         f.insert(TupleId(1, 0), t(&[1.0]));
         f.insert(TupleId(2, 0), t(&[2.0]));
         assert!(f.remove(&TupleId(2, 0)));
         assert_eq!(f.result_ids(), vec![TupleId(1, 0)]);
-        assert_eq!(f.ls.live_len(), 1);
-        assert_eq!(f.ls.promotions, 0);
-        f.check();
+        assert_eq!(f.live.live_len(), 1);
+        assert_eq!(f.live.promotions, 0);
+        f.check_invariants().unwrap();
     }
 
     #[test]
     fn seeded_interleaving_matches_recompute_oracle() {
         // A deterministic churn of inserts and removes; after every step
         // the skyline must equal the recompute oracle over live tuples.
-        let mut f = Fold::default();
+        let mut f = LiveFold::default();
         let mut live: BTreeMap<TupleId, Tuple> = BTreeMap::new();
         let mut h = 0x5EEDu64;
         for step in 0..400u64 {
@@ -574,9 +615,9 @@ mod tests {
                 }
             }
             assert_eq!(f.result_ids(), oracle(&live), "step {step}");
-            assert_eq!(f.ls.live_len(), live.len());
+            assert_eq!(f.live.live_len(), live.len());
         }
-        f.check();
+        f.check_invariants().unwrap();
     }
 
     #[test]
@@ -627,7 +668,7 @@ mod tests {
         // 51st removal compacts the bucket, the nine after it find their
         // rows through the re-index, and removing the owner promotes the
         // 40 survivors in arrival order.
-        let mut f = Fold::default();
+        let mut f = LiveFold::default();
         let mut rf = RefLive::default();
         let owner = TupleId(1_000, 0);
         f.insert(owner, t(&[0.0, 0.0]));
@@ -649,15 +690,15 @@ mod tests {
             assert_matches_reference(&f, &rf, &format!("removal {k} of {i}"));
         }
         let oh = f.sites.handle(&owner).unwrap();
-        assert!(f.ls.shadow[&oh].rows.len() < 100, "the bucket was compacted");
+        assert!(f.live.shadow[&oh].rows.len() < 100, "the bucket was compacted");
         assert!(f.remove(&owner));
         rf.remove(&owner);
         assert_matches_reference(&f, &rf, "owner removed");
         let survivors: Vec<TupleId> =
             (0..100).filter(|i| !gone.contains(i)).map(|i| TupleId(i, 0)).collect();
-        let members: Vec<TupleId> = f.members().into_iter().map(|(id, _)| id).collect();
+        let members: Vec<TupleId> = members(&f).into_iter().map(|(id, _)| id).collect();
         assert_eq!(members, survivors);
-        assert_eq!(f.ls.promotions, 40);
+        assert_eq!(f.live.promotions, 40);
     }
 
     proptest! {
@@ -679,7 +720,7 @@ mod tests {
             ),
         ) {
             let attrs = |v: &[u16]| t(&v[..dim].iter().map(|&x| f64::from(x)).collect::<Vec<_>>());
-            let mut f = Fold::default();
+            let mut f = LiveFold::default();
             let mut rf = RefLive::default();
             let strong = TupleId(0, 0);
             prop_assert_eq!(f.insert(strong, t(&vec![0.0; dim])), rf.insert(strong, t(&vec![0.0; dim])));
@@ -715,12 +756,12 @@ mod tests {
             ),
         ) {
             let attrs = |v: &[u16]| t(&v[..dim].iter().map(|&x| f64::from(x)).collect::<Vec<_>>());
-            let mut f = Fold::default();
+            let mut f = LiveFold::default();
             let mut rf = RefLive::default();
             for (i, v) in background.iter().enumerate() {
                 prop_assert_eq!(f.insert(TupleId(i as u64, 1), attrs(v)), rf.insert(TupleId(i as u64, 1), attrs(v)));
             }
-            let rows = |f: &Fold| -> BTreeMap<TupleId, (u32, Tuple)> {
+            let rows = |f: &LiveFold| -> BTreeMap<TupleId, (u32, Tuple)> {
                 f.sites.iter().map(|(h, id, t)| (*id, (h, t.clone()))).collect()
             };
             let mut freed: Vec<u32> = Vec::new();

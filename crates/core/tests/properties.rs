@@ -11,33 +11,7 @@ use skyline_core::diagram::{DiagramConfig, FrozenAnswers, SkyDelta, SkylineDiagr
 use skyline_core::dominance::{dominates, paper_strict_dominates_rest};
 use skyline_core::region::{Mbr, Point, QueryRegion};
 use skyline_core::vdr::{select_filter, vdr_volume, UpperBounds};
-use skyline_core::{constrained, Attrs, LiveSkyline, SiteTable, SkylineMerger, Tuple, TupleId};
-
-/// A site table and a maintainer driven by `(id, tuple)`, the way the
-/// monitor drives its fold: an id's row lives exactly as long as the id is
-/// live in `ls`, and a live id's row is never rewritten.
-#[derive(Default)]
-struct Fold {
-    sites: SiteTable,
-    ls: LiveSkyline,
-}
-
-impl Fold {
-    fn insert(&mut self, id: TupleId, t: Tuple) -> bool {
-        let h = match self.sites.handle(&id) {
-            Some(h) => h,
-            None => self.sites.insert(id, t),
-        };
-        self.ls.insert(&self.sites, h)
-    }
-
-    fn remove(&mut self, id: &TupleId) -> bool {
-        let Some(h) = self.sites.handle(id) else { return false };
-        assert!(self.ls.remove(&self.sites, h), "a live row is live in the fold");
-        self.sites.release(h);
-        true
-    }
-}
+use skyline_core::{constrained, Attrs, LiveFold, SkylineMerger, Tuple, TupleId};
 
 /// Strategy: a relation of up to `max` tuples with `dim` attributes drawn
 /// from a small integer grid (ties are the interesting case).
@@ -276,7 +250,7 @@ proptest! {
         // LiveSkyline equal to the from-scratch skyline over the surviving
         // tuples, at every step, for every dimensionality the workspace
         // benchmarks (d = 1..6).
-        let mut f = Fold::default();
+        let mut f = LiveFold::default();
         let mut live: std::collections::BTreeMap<TupleId, Tuple> = std::collections::BTreeMap::new();
         for (step, (raw_id, attrs, remove)) in ops.into_iter().enumerate() {
             let id = TupleId(raw_id, 0);
@@ -296,11 +270,11 @@ proptest! {
             let mut expect: Vec<TupleId> =
                 bnl::skyline_indices(&data).into_iter().map(|i| ids[i]).collect();
             expect.sort_unstable();
-            prop_assert_eq!(f.ls.result_ids(&f.sites), expect, "step {} dim {}", step, dim);
-            prop_assert_eq!(f.ls.live_len(), live.len());
-            prop_assert_eq!(f.sites.len(), live.len());
+            prop_assert_eq!(f.result_ids(), expect, "step {} dim {}", step, dim);
+            prop_assert_eq!(f.live().live_len(), live.len());
+            prop_assert_eq!(f.sites().len(), live.len());
         }
-        f.ls.check_invariants(&f.sites).map_err(TestCaseError::fail)?;
+        f.check_invariants().map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -318,7 +292,7 @@ proptest! {
         // others, removing it while it holds a bucket, and duplicate
         // inserts (which the contract ignores) are the orderings a delta
         // stream under churn actually produces.
-        let mut f = Fold::default();
+        let mut f = LiveFold::default();
         for (i, attrs) in background.iter().enumerate() {
             f.insert(
                 TupleId(1000 + i as u64, 0),
@@ -327,7 +301,7 @@ proptest! {
         }
         let victim = TupleId(7, 7);
         let mut victim_live = false;
-        let mut background_len = f.ls.live_len();
+        let mut background_len = f.live().live_len();
         for (step, (remove, attrs)) in ops.into_iter().enumerate() {
             if remove {
                 prop_assert_eq!(f.remove(&victim), victim_live, "step {}", step);
@@ -339,17 +313,17 @@ proptest! {
                 f.insert(victim, t);
                 victim_live = true;
             }
-            f.ls.check_invariants(&f.sites).map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
-            prop_assert_eq!(f.ls.live_len(), background_len + usize::from(victim_live));
+            f.check_invariants().map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
+            prop_assert_eq!(f.live().live_len(), background_len + usize::from(victim_live));
             // The background population never leaks: removing the victim
             // must promote its bucket (if any) back into the structure.
             if !victim_live {
-                prop_assert!(!f.ls.result_ids(&f.sites).contains(&victim));
+                prop_assert!(!f.result_ids().contains(&victim));
             }
         }
         // Background ids all still tracked after the churn storm.
         f.remove(&victim);
-        background_len = f.ls.live_len();
+        background_len = f.live().live_len();
         prop_assert_eq!(background_len, background.len());
     }
 

@@ -32,9 +32,10 @@
 //!   or a device crash forces the next transmission to be a *full* resync
 //!   snapshot, so the acked-state chain can never diverge silently.
 //! * **Folding** — the originator maintains the global answer in a
-//!   [`LiveSkyline`] (exclusive-dominance buckets, so removals reinstate
-//!   exactly the tuples the removed member was masking) over a
-//!   [`SiteTable`] that holds each folded site once. Applying a delta
+//!   [`LiveFold`]: a [`LiveSkyline`](skyline_core::LiveSkyline)
+//!   (exclusive-dominance buckets, so removals reinstate exactly the
+//!   tuples the removed member was masking) over a site table of its own
+//!   that holds each folded site once. Applying a delta
 //!   removes then inserts; per-device contribution lists let a *full*
 //!   snapshot or a miss-limit retraction withdraw everything a device ever
 //!   reported. A device silent for `MISS_LIMIT` epochs is retracted and
@@ -65,7 +66,7 @@ use manet_sim::{NodeId, Pos, QueryEvent, SimDuration, SimTime};
 use sim_obs::PowHistogram;
 use skyline_core::algo::bnl;
 use skyline_core::region::{Point, QueryRegion};
-use skyline_core::{LiveSkyline, SiteTable, Tuple, TupleId};
+use skyline_core::{LiveFold, Tuple, TupleId};
 
 use crate::arq::{Arq, ArqTimeout};
 use crate::config::DistConfig;
@@ -240,7 +241,7 @@ struct Originator {
     duration: SimDuration,
     mode: MonitorMode,
     period: SimDuration,
-    fold: Fold,
+    fold: LiveFold,
     /// The originator's own local skyline as last folded, in id order.
     own_ids: Vec<TupleId>,
     renew_round: u32,
@@ -312,48 +313,9 @@ fn site_tuple(sites: &[(TupleId, Tuple, (f64, f64))], id: TupleId) -> &Tuple {
     &sites[i].1
 }
 
-/// The originator's fold of the applied reports: each folded site is one
-/// row of `sites`, which `live` parks and compares by handle. A row lives
-/// exactly as long as its id is folded.
-#[derive(Default)]
-struct Fold {
-    sites: SiteTable,
-    live: LiveSkyline,
-}
-
-impl Fold {
-    /// Folds site `id` in. A folded id keeps its state; the maintainer
-    /// counts the duplicate.
-    fn insert(&mut self, id: TupleId, t: Tuple) {
-        let h = match self.sites.handle(&id) {
-            Some(h) => h,
-            None => self.sites.insert(id, t),
-        };
-        self.live.insert(&self.sites, h);
-    }
-
-    /// Takes site `id` out; `false` when it was not folded.
-    fn remove(&mut self, id: &TupleId) -> bool {
-        let Some(h) = self.sites.handle(id) else { return false };
-        let folded = self.live.remove(&self.sites, h);
-        self.sites.release(h);
-        folded
-    }
-
-    /// The folded skyline, in insertion order.
-    fn result(&self) -> Vec<Tuple> {
-        self.live.result(&self.sites)
-    }
-
-    /// The folded skyline's ids, sorted.
-    fn result_ids(&self) -> Vec<TupleId> {
-        self.live.result_ids(&self.sites)
-    }
-}
-
 /// Removes `id` from `fold`; a miss is a fold-consistency bug and is
 /// counted, not hidden.
-fn fold_remove(fold: &mut Fold, id: &TupleId, misses: &mut u64) {
+fn fold_remove(fold: &mut LiveFold, id: &TupleId, misses: &mut u64) {
     if !fold.remove(id) {
         *misses += 1;
     }
@@ -478,7 +440,7 @@ impl MonitorApp {
             duration,
             mode,
             period: mon.period,
-            fold: Fold::default(),
+            fold: LiveFold::default(),
             own_ids: Vec::new(),
             renew_round: 0,
             applied_retries: 0,
@@ -699,7 +661,7 @@ impl MonitorApp {
         rec.contributors.push(self.id);
         rec.contributors.sort_unstable();
         rec.contributors.dedup();
-        rec.result_len = o.fold.live.len();
+        rec.result_len = o.fold.live().len();
         rec.result = o.fold.result();
         rec.retries = o.applied_retries;
         rec.duplicates = self.duplicates_suppressed;
@@ -1304,7 +1266,7 @@ mod model_tests {
             .collect();
 
         // Originator state.
-        let mut fold = Fold::default();
+        let mut fold = LiveFold::default();
         let mut contributions: BTreeMap<usize, Vec<TupleId>> = BTreeMap::new();
         let mut last_applied: BTreeMap<usize, u64> = BTreeMap::new();
         let mut needs_full: BTreeSet<usize> = BTreeSet::new();
@@ -1466,8 +1428,7 @@ mod model_tests {
                 "epoch {e}: fold diverged from applied-state oracle \
                  (seed {seed:#x}, churn {churn_pct}%, loss {loss_pct}%)"
             );
-            fold.live.check_invariants(&fold.sites).unwrap();
-            assert_eq!(fold.sites.len(), fold.live.live_len(), "one row per folded id");
+            fold.check_invariants().unwrap();
         }
     }
 
